@@ -223,40 +223,6 @@ func BenchmarkRecommenderDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectBatch measures the fused batched detection pass the
-// serving plane (internal/serve) flushes through, sweeping the batch size.
-// ns/query is the per-request cost: the fold-in's per-sweep work amortises
-// across the batch, so it should fall as the batch grows — the headroom
-// boltd's batching converts into throughput.
-func BenchmarkDetectBatch(b *testing.B) {
-	det := core.TrainCached(workload.TrainingSpecs(benchSeed), core.Config{})
-	n := det.Rec.ResourceCount()
-	known := make([]bool, n)
-	known[3], known[5], known[7] = true, true, true // LLC, MemBW, NetBW
-	rng := stats.NewRNG(benchSeed)
-	for _, size := range []int{1, 4, 16, 64} {
-		size := size
-		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
-			observed := make([][]float64, size)
-			for i := range observed {
-				observed[i] = make([]float64, n)
-				for j := range observed[i] {
-					if known[j] {
-						observed[i][j] = stats.Clamp(rng.Range(0, 100), 0, 100)
-					}
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det.DetectProfileBatch(observed, known)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/query")
-		})
-	}
-}
-
 // BenchmarkSVD measures the one-sided Jacobi SVD of a training-sized
 // matrix.
 func BenchmarkSVD(b *testing.B) {

@@ -24,7 +24,7 @@
 // from testing.B.ReportMetric or from a driver like cmd/boltload — are
 // captured into each result's "metrics" map keyed by unit, e.g.
 //
-//	BenchmarkBoltload/inproc/w2/b64/c16  1048576  1180 ns/op  846000 qps  41.0 p50-us
+//	BenchmarkBoltload/inproc/w2/c16  1048576  1180 ns/op  846000 qps  41.0 p50-us
 //
 // yields metrics {"qps": 846000, "p50-us": 41.0}.
 package main

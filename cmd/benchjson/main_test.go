@@ -49,12 +49,12 @@ func TestParseLineCustomMetrics(t *testing.T) {
 func TestParseLineSubBenchmarkKeepsSlashes(t *testing.T) {
 	// Only a trailing -N (the GOMAXPROCS suffix) is stripped; a -N inside a
 	// sub-benchmark path is part of the name.
-	r, ok := parseLine("BenchmarkDetectBatch/size-16-8  100  34000 ns/op")
+	r, ok := parseLine("BenchmarkFleetTick/servers-16-8  100  34000 ns/op")
 	if !ok {
 		t.Fatal("line did not parse")
 	}
-	if r.Name != "BenchmarkDetectBatch/size-16" {
-		t.Fatalf("name = %q, want BenchmarkDetectBatch/size-16", r.Name)
+	if r.Name != "BenchmarkFleetTick/servers-16" {
+		t.Fatalf("name = %q, want BenchmarkFleetTick/servers-16", r.Name)
 	}
 }
 

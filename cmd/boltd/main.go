@@ -1,20 +1,20 @@
 // Command boltd runs the detection service as a long-lived daemon: it
 // trains a detector, then answers newline-delimited JSON detection queries
-// over TCP (see internal/serve's wire protocol), batching concurrent
-// requests into fused DetectBatch passes and answering from an immutable
-// RCU-style detector snapshot.
+// over TCP (see internal/serve's wire protocol): requests share a bounded
+// queue and each worker answers one at a time from an immutable RCU-style
+// detector snapshot.
 //
 // Usage:
 //
-//	boltd [-addr host:port] [-seed N] [-workers N] [-batch N] [-queue N]
-//	      [-linger dur] [-faultrate R] [-faultseed N] [-retrain dur]
+//	boltd [-addr host:port] [-seed N] [-workers N] [-queue N]
+//	      [-faultrate R] [-faultseed N] [-retrain dur]
 //
-// -workers, -batch, -queue and -linger are the serving-plane knobs
-// (internal/serve.Config); -faultrate enables the request-level fault plane
-// on live traffic, drawing from -faultseed. With -retrain > 0 the daemon
-// periodically retrains in the background on a reseeded training set and
-// swaps the new detector in atomically — in-flight batches finish on the
-// snapshot they loaded, the next batch sees the new generation. SIGINT or
+// -workers and -queue are the serving-plane knobs (internal/serve.Config);
+// -faultrate enables the request-level fault plane on live traffic, drawing
+// from -faultseed. With -retrain > 0 the daemon periodically retrains in
+// the background on a reseeded training set and swaps the new detector in
+// atomically — a request in flight finishes on the snapshot it loaded, the
+// next one sees the new generation. SIGINT or
 // SIGTERM stops accepting connections, drains the queue, and prints the
 // serving counters to stderr.
 package main
@@ -42,10 +42,8 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:9412", "listen address")
 	seed := flag.Uint64("seed", 42, "training-set seed for the initial detector")
-	workers := flag.Int("workers", 1, "batch workers pulling from the shared queue")
-	batch := flag.Int("batch", 64, "max requests fused into one DetectBatch pass")
-	queue := flag.Int("queue", 0, "request queue depth (0 = 4x batch); a full queue sheds with ErrBusy")
-	linger := flag.Duration("linger", 0, "how long a non-full batch waits for stragglers")
+	workers := flag.Int("workers", 1, "workers pulling from the shared queue")
+	queue := flag.Int("queue", 0, "request queue depth (0 = 256); a full queue sheds with ErrBusy")
 	faultrate := flag.Float64("faultrate", 0, "request-level fault intensity in [0,1] (0 = no injection)")
 	faultseed := flag.Uint64("faultseed", 1, "fault-plane RNG seed")
 	retrain := flag.Duration("retrain", 0, "background retrain+swap period (0 = never)")
@@ -60,9 +58,7 @@ func run() int {
 
 	srv := serve.New(det, serve.Config{
 		Workers:    *workers,
-		MaxBatch:   *batch,
 		QueueDepth: *queue,
-		Linger:     *linger,
 		Fault:      fault.Config{Rate: *faultrate},
 		FaultSeed:  *faultseed,
 	})
@@ -72,8 +68,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "boltd: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "boltd: serving on %s (workers=%d batch=%d linger=%v)\n",
-		l.Addr(), *workers, *batch, *linger)
+	fmt.Fprintf(os.Stderr, "boltd: serving on %s (workers=%d)\n", l.Addr(), *workers)
 
 	// Background retrain loop: train off the serving path, swap atomically.
 	// Each generation reseeds the training set so the swap is observable.
@@ -121,7 +116,7 @@ func run() int {
 
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr,
-		"boltd: served=%d shed=%d rejected=%d batches=%d maxbatch=%d dropped=%d corrupted=%d swaps=%d\n",
-		st.Served, st.Shed, st.Rejected, st.Batches, st.MaxBatch, st.Dropped, st.Corrupted, st.Swaps)
+		"boltd: served=%d shed=%d rejected=%d dropped=%d corrupted=%d swaps=%d\n",
+		st.Served, st.Shed, st.Rejected, st.Dropped, st.Corrupted, st.Swaps)
 	return code
 }

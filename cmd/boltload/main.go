@@ -2,17 +2,17 @@
 // clients and reports throughput and latency percentiles in Go benchmark
 // format, one line per swept configuration:
 //
-//	BenchmarkBoltload/inproc/w2/b64/c16  1048576  1180 ns/op  846000 qps  ...
+//	BenchmarkBoltload/inproc/w2/c16  1048576  1180 ns/op  846000 qps  ...
 //
 // Usage:
 //
 //	boltload [-mode inproc|socket] [-addr host:port] [-workers CSV]
-//	         [-batch CSV] [-clients CSV] [-requests N] [-linger dur]
-//	         [-queue N] [-seed N] [-faultrate R]
+//	         [-clients CSV] [-requests N] [-queue N] [-seed N]
+//	         [-faultrate R]
 //
-// The sweep is the cross product of the -workers, -batch and -clients CSV
-// lists. In inproc mode each configuration builds its own serve.Server and
-// clients submit through Server.Detect; in socket mode clients speak the
+// The sweep is the cross product of the -workers and -clients CSV lists. In
+// inproc mode each configuration builds its own serve.Server and clients
+// submit through Server.Detect; in socket mode clients speak the
 // NDJSON wire protocol — to -addr if given, else to a private loopback
 // server built per configuration (so one process still exercises the full
 // TCP path). Clients are closed-loop: each keeps exactly one request in
@@ -53,12 +53,10 @@ func main() {
 func run() int {
 	mode := flag.String("mode", "inproc", "inproc (Server.Detect) or socket (NDJSON over TCP)")
 	addr := flag.String("addr", "", "socket mode: external server address (empty = private loopback server)")
-	workersCSV := flag.String("workers", "1,2", "CSV of batch-worker counts to sweep")
-	batchCSV := flag.String("batch", "1,16,64", "CSV of max batch sizes to sweep")
+	workersCSV := flag.String("workers", "1,2", "CSV of worker counts to sweep")
 	clientsCSV := flag.String("clients", "16", "CSV of closed-loop client counts to sweep")
 	requests := flag.Int("requests", 65536, "requests answered per configuration")
-	linger := flag.Duration("linger", 0, "batch linger")
-	queue := flag.Int("queue", 0, "queue depth (0 = 4x batch)")
+	queue := flag.Int("queue", 0, "queue depth (0 = 256)")
 	seed := flag.Uint64("seed", 42, "workload seed (training set + request streams)")
 	faultrate := flag.Float64("faultrate", 0, "request-level fault intensity in [0,1]")
 	flag.Parse()
@@ -68,9 +66,8 @@ func run() int {
 		return 2
 	}
 	workers, err1 := parseCSV(*workersCSV)
-	batches, err2 := parseCSV(*batchCSV)
-	clients, err3 := parseCSV(*clientsCSV)
-	for _, err := range []error{err1, err2, err3} {
+	clients, err2 := parseCSV(*clientsCSV)
+	for _, err := range []error{err1, err2} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "boltload: %v\n", err)
 			return 2
@@ -87,25 +84,21 @@ func run() int {
 
 	root := stats.NewRNG(*seed)
 	for _, w := range workers {
-		for _, b := range batches {
-			for _, c := range clients {
-				cfg := serve.Config{
-					Workers:    w,
-					MaxBatch:   b,
-					QueueDepth: *queue,
-					Linger:     *linger,
-					Fault:      fault.Config{Rate: *faultrate},
-					FaultSeed:  *seed,
-				}
-				res, err := runConfig(*mode, *addr, det, n, cfg, c, *requests, root.SplitN(c))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "boltload: %s/w%d/b%d/c%d: %v\n", *mode, w, b, c, err)
-					return 1
-				}
-				fmt.Printf("BenchmarkBoltload/%s/w%d/b%d/c%d\t%8d\t%8.0f ns/op\t%10.0f qps\t%8.1f p50-us\t%8.1f p90-us\t%8.1f p99-us\t%8.1f max-us\t%6d shed\n",
-					*mode, w, b, c, res.served, res.nsPerOp, res.qps,
-					res.p50, res.p90, res.p99, res.max, res.shed)
+		for _, c := range clients {
+			cfg := serve.Config{
+				Workers:    w,
+				QueueDepth: *queue,
+				Fault:      fault.Config{Rate: *faultrate},
+				FaultSeed:  *seed,
 			}
+			res, err := runConfig(*mode, *addr, det, n, cfg, c, *requests, root.SplitN(c))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "boltload: %s/w%d/c%d: %v\n", *mode, w, c, err)
+				return 1
+			}
+			fmt.Printf("BenchmarkBoltload/%s/w%d/c%d\t%8d\t%8.0f ns/op\t%10.0f qps\t%8.1f p50-us\t%8.1f p90-us\t%8.1f p99-us\t%8.1f max-us\t%6d shed\n",
+				*mode, w, c, res.served, res.nsPerOp, res.qps,
+				res.p50, res.p90, res.p99, res.max, res.shed)
 		}
 	}
 	return 0
@@ -136,7 +129,7 @@ type result struct {
 // submitter answers one request; busy is a retryable shed.
 type submitter func(obs []float64, known []bool) (busy bool, err error)
 
-// runConfig measures one (workers, batch, clients) point: it builds the
+// runConfig measures one (workers, clients) point: it builds the
 // target (in-process server, loopback server, or external address), fans
 // out the closed-loop clients, and merges their latency samples.
 func runConfig(mode, addr string, det *core.Detector, n int, cfg serve.Config, clients, requests int, rngs []*stats.RNG) (result, error) {

@@ -22,21 +22,22 @@ type Scheduler interface {
 	Name() string
 }
 
-// Cluster is a fleet of servers under one scheduler. It is not safe for
-// concurrent use (fleet tick bodies must not place, migrate, or resolve
-// hosts — cluster mutation happens between ticks).
+// Cluster is a fleet of servers under one scheduler. Place, Remove and
+// Migrate mutate it and need exclusive access (cluster mutation happens
+// between fleet ticks); HostOf only reads, so any number of goroutines may
+// call it while nothing mutates.
 type Cluster struct {
 	Servers []*sim.Server
 	Sched   Scheduler
 	// Migrations counts live migrations performed.
 	Migrations int
 
-	// byVM maps VM id → hosting server, so HostOf is O(1) instead of a
-	// scan over the whole fleet (it mirrors Server.Lookup one level up).
-	// Experiments also place and remove VMs directly on servers, behind
-	// the cluster's back, so every entry is a *hint*: HostOf verifies it
-	// against the server's own VM table and falls back to a scan-and-
-	// repair when it is stale.
+	// byVM maps VM id → hosting server for every VM the cluster itself
+	// placed, so HostOf is O(1) for them instead of a scan over the whole
+	// fleet (it mirrors Server.Lookup one level up). Only Place, Remove and
+	// Migrate write it. Experiments also place and remove VMs directly on
+	// servers, behind the cluster's back, so HostOf verifies an entry
+	// against the server's own VM table before trusting it.
 	byVM map[string]*sim.Server
 }
 
@@ -52,7 +53,7 @@ func New(n int, cfg sim.ServerConfig, sched Scheduler) *Cluster {
 	return c
 }
 
-// index returns the id→server hint map, allocating it on first use so
+// index returns the id→server map, allocating it on first use so
 // zero-value and literal-constructed Clusters work too.
 func (c *Cluster) index() map[string]*sim.Server {
 	if c.byVM == nil {
@@ -74,21 +75,19 @@ func (c *Cluster) Place(vm *sim.VM, t sim.Tick) (*sim.Server, error) {
 	return c.Servers[i], nil
 }
 
-// HostOf returns the server hosting the VM with the given ID, or nil. The
-// indexed fast path answers in O(1); a stale or missing entry (a VM placed
-// or removed directly on a server) falls back to the scan and repairs the
-// index.
+// HostOf returns the server hosting the VM with the given ID, or nil. A
+// verified index entry answers in O(1); a VM placed or moved directly on a
+// server is found by scanning the fleet. HostOf writes nothing, so fan-out
+// bodies may call it concurrently.
 func (c *Cluster) HostOf(id string) *sim.Server {
 	if s, ok := c.byVM[id]; ok && s.Lookup(id) != nil {
 		return s
 	}
 	for _, s := range c.Servers {
 		if s.Lookup(id) != nil {
-			c.index()[id] = s
 			return s
 		}
 	}
-	delete(c.byVM, id)
 	return nil
 }
 
@@ -128,7 +127,7 @@ func (c *Cluster) Migrate(id string, t sim.Tick) (*sim.Server, error) {
 	}
 	src.Remove(id)
 	if err := c.Servers[best].Place(vm); err != nil {
-		// Roll back so the VM is not lost. The index entry still points at
+		// Roll back so the VM is not lost. An index entry still points at
 		// src, which the rollback makes true again.
 		if rbErr := src.Place(vm); rbErr != nil {
 			delete(c.byVM, id)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"bolt/internal/sim"
@@ -86,8 +87,9 @@ func TestMigrateClusterFullMultiServer(t *testing.T) {
 }
 
 // TestHostOfRepairsStaleIndex mutates servers directly — the pattern the
-// attack experiments use — and checks that HostOf's verify-and-repair path
-// still answers correctly from the stale hint.
+// attack experiments use — and checks that HostOf still answers correctly
+// when its index entry is stale: the entry is verified, never trusted, and
+// the read-only scan finds the VM's real host.
 func TestHostOfRepairsStaleIndex(t *testing.T) {
 	c := New(2, sim.ServerConfig{}, LeastLoaded{})
 	spec := workload.VictimSpecs(1, 1)[0]
@@ -110,8 +112,7 @@ func TestHostOfRepairsStaleIndex(t *testing.T) {
 	if got := c.HostOf("x"); got != dst {
 		t.Fatalf("HostOf returned %v after direct move, want the new host", got)
 	}
-	// The repaired entry must now serve the fast path; mutate again and
-	// confirm the fallback still wins over the hint.
+	// Mutate again and confirm the scan still wins over the stale entry.
 	dst.Remove("x")
 	if c.HostOf("x") != nil {
 		t.Fatal("HostOf should be nil after the VM is gone everywhere")
@@ -119,19 +120,64 @@ func TestHostOfRepairsStaleIndex(t *testing.T) {
 }
 
 // TestHostOfDirectPlacementNoIndex covers VMs that never went through
-// Place at all (seeded directly on servers): the scan must find and index
-// them.
+// Place at all (seeded directly on servers): the scan must find them, every
+// time.
 func TestHostOfDirectPlacementNoIndex(t *testing.T) {
 	c := New(3, sim.ServerConfig{}, LeastLoaded{})
 	spec := workload.VictimSpecs(1, 1)[0]
 	if err := c.Servers[2].Place(mkVM("direct", 2, spec, 1)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // second call exercises the indexed fast path
+	for i := 0; i < 2; i++ {
 		if got := c.HostOf("direct"); got != c.Servers[2] {
 			t.Fatalf("HostOf returned %v, want servers[2]", got)
 		}
 	}
+}
+
+// TestHostOfConcurrentReaders hammers HostOf from many goroutines on an
+// indexed VM, a directly placed VM, a VM moved behind the cluster's back, and
+// an unknown id. Fan-out bodies resolve hosts this way, so HostOf must not
+// write: under -race this fails on any lookup that touches the index.
+func TestHostOfConcurrentReaders(t *testing.T) {
+	c := New(4, sim.ServerConfig{}, LeastLoaded{})
+	spec := workload.VictimSpecs(1, 1)[0]
+	indexed, err := c.Place(mkVM("indexed", 2, spec, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Servers[3].Place(mkVM("direct", 2, spec, 2)); err != nil {
+		t.Fatal(err)
+	}
+	moved := mkVM("moved", 2, spec, 3)
+	src, err := c.Place(moved, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Remove("moved")
+	if err := c.Servers[3].Place(moved); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*sim.Server{
+		"indexed": indexed, "direct": c.Servers[3], "moved": c.Servers[3], "ghost": nil,
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for id, host := range want {
+					if got := c.HostOf(id); got != host {
+						t.Errorf("HostOf(%q) = %v, want %v", id, got, host)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestAffinitySteersToLabelledHost is the Repttack mechanic: a VM that

@@ -235,23 +235,20 @@ func (pd *ProfileDetection) Label() string {
 
 // DetectProfile answers one profile-only query: completion of the missing
 // resources, similarity ranking, and the graceful-degradation confidence
-// score. known[j] marks the directly measured entries of observed. This is
-// the solo reference path the service's batched answers are bit-exact
-// against (TestDetectProfileBatchBitExact and the serve parity tests).
+// score. known[j] marks the directly measured entries of observed. It is the
+// only detection path; the service answers every request through it.
 func (d *Detector) DetectProfile(observed []float64, known []bool) ProfileDetection {
 	return d.profileDetection(d.Rec.Detect(observed, known), known)
 }
 
-// DetectProfileBatch answers a batch of profile-only queries sharing one
-// known mask in a single fused fold-in pass (mining.DetectBatch). Row i of
-// the result is bit-identical to DetectProfile(observed[i], known): the
-// batched completion is bit-exact per row, and the confidence score depends
-// only on the shared mask.
+// DetectProfileBatch answers queries sharing one known mask: row i of the
+// result is DetectProfile(observed[i], known). It remains only because the
+// frozen benchmark/layers.go calls it, and goes when a benchmark PR retires
+// mining.detect_batch16_us_per_row.
 func (d *Detector) DetectProfileBatch(observed [][]float64, known []bool) []ProfileDetection {
-	results := d.Rec.DetectBatch(observed, known)
-	out := make([]ProfileDetection, len(results))
-	for i, r := range results {
-		out[i] = d.profileDetection(r, known)
+	out := make([]ProfileDetection, len(observed))
+	for i, obs := range observed {
+		out[i] = d.DetectProfile(obs, known)
 	}
 	return out
 }

@@ -8,8 +8,8 @@ import (
 	"bolt/internal/workload"
 )
 
-// TestDetectProfileBatchBitExact pins the seam the serving plane batches
-// through: for a shared mask, every row of DetectProfileBatch must be
+// TestDetectProfileBatchBitExact pins the seam the frozen benchmark still
+// calls: for a shared mask, every row of DetectProfileBatch must be
 // bit-identical to a solo DetectProfile call on the same observation —
 // pressure vector, full ranked similarity distribution, confidence, and
 // label.

@@ -257,7 +257,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 		if !ok {
 			return
 		}
-		host := cl.HostOf(adv.VM.ID)
+		host := vs[0].host // advs is keyed by the server the adversary was placed on
 		when := sim.Tick(hi) * episodeTickStride
 		correctAt := make([]int, len(vs))
 		charOK := make([]bool, len(vs))

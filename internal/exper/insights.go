@@ -70,9 +70,7 @@ func Insights(seed uint64) *Report {
 	// high-value resource should identify more victims on its own.
 	victims := workload.VictimSpecs(seed, 60)
 	// The observation rows don't depend on which resource is "known", so
-	// they are built once; each per-resource sweep then shares one mask
-	// across all victims — exactly the shape DetectBatch fuses into a single
-	// multi-victim fold-in pass instead of 60 independent completions.
+	// they are built once and every per-resource sweep reuses them.
 	obs := make([][]float64, len(victims))
 	for i, spec := range victims {
 		obs[i] = spec.Base.Slice()
@@ -83,8 +81,8 @@ func Insights(seed uint64) *Report {
 		known := make([]bool, sim.NumResources)
 		known[r] = true
 		correct := 0
-		for i, res := range det.Rec.DetectBatch(obs, known) {
-			if core.LabelMatches(res.Best().Label, victims[i].Label) {
+		for i, spec := range victims {
+			if core.LabelMatches(det.Rec.Detect(obs[i], known).Best().Label, spec.Label) {
 				correct++
 			}
 		}

@@ -140,7 +140,7 @@ func runStudy(seed uint64) ([]studyOutcome, *study.Study, []int, [][]int) {
 		if !ok {
 			continue
 		}
-		host := cl.HostOf(adv.VM.ID)
+		host := jobs[0].host // advs is keyed by the server the adversary was placed on
 		for _, p := range jobs {
 			mid := p.job.Start/studyScale + p.job.Duration/studyScale/2
 			peers := 0

@@ -69,32 +69,6 @@ func TestCompleteAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchIntoAllocationFree pins the fused multi-victim fold-in
-// (and the row-batched kernels it drives) to zero steady-state allocations:
-// the pooled batchScratch absorbs every per-call buffer once warm.
-func TestCompleteBatchIntoAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
-	}
-	train := trainMatrix(24, 30, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 3})
-	const b = 4
-	obs := make([][]float64, b)
-	dst := make([][]float64, b)
-	known := make([]bool, 10)
-	known[2], known[7] = true, true
-	for i := range obs {
-		obs[i] = make([]float64, 10)
-		obs[i][2], obs[i][7] = float64(30+i*10), float64(60-i*5)
-		dst[i] = make([]float64, 10)
-	}
-	c.CompleteBatchInto(dst, obs, known) // populate the scratch pool
-	allocs := testing.AllocsPerRun(100, func() { c.CompleteBatchInto(dst, obs, known) })
-	if allocs > 0.5 {
-		t.Errorf("CompleteBatchInto allocated %.2f objects/op, want 0", allocs)
-	}
-}
-
 // hotpathBudget maps every //bolt:hotpath-annotated function in this
 // package to the allocation-budget test that pins its behaviour. The
 // boltlint hotalloc analyzer checks annotated functions statically; this
@@ -110,13 +84,11 @@ var hotpathBudget = map[string]string{
 	"Axpy":              "TestCompleteIntoAllocationFree",
 	"sgdStep":           "TestCompleteIntoAllocationFree",
 	"foldStep":          "TestCompleteIntoAllocationFree",
+	"foldSolve":         "TestCompleteIntoAllocationFree",
 	"foldSolve6":        "TestCompleteIntoAllocationFree",
 	"CompleteInto":      "TestCompleteIntoAllocationFree",
 	"neighbourEstimate": "TestCompleteIntoAllocationFree",
 	"gaussKernel":       "TestCompleteIntoAllocationFree",
-	"DotRows":           "TestCompleteBatchIntoAllocationFree",
-	"FoldStepRows":      "TestCompleteBatchIntoAllocationFree",
-	"AxpyRows":          "TestCompleteBatchIntoAllocationFree",
 }
 
 // TestHotpathAnnotationsCovered fails when a //bolt:hotpath annotation is

@@ -45,13 +45,6 @@ type CompletionConfig struct {
 	Seed      uint64  // factor initialisation seed
 	MinVal    float64 // clamp floor for predictions (pressure: 0)
 	MaxVal    float64 // clamp ceiling for predictions (pressure: 100)
-	// Unbounded disables the [MinVal, MaxVal] clamp explicitly.
-	//
-	// Deprecated implicit rule, kept for backward compatibility: leaving
-	// MinVal and MaxVal both zero also disables the clamp. New code should
-	// set Unbounded instead — the implicit rule makes "clamp to exactly 0"
-	// inexpressible and will be removed once no caller relies on it.
-	Unbounded bool
 	// FixedFoldIn forces Complete to run the full fold-in iteration budget
 	// instead of stopping at the convergence gate. The gated solve tracks
 	// the fixed one to within a few ULPs (the gate only skips sweeps whose
@@ -62,7 +55,6 @@ type CompletionConfig struct {
 	// for bit. The determinism parity test runs the experiment suite both
 	// ways and asserts byte-identical output.
 	FixedFoldIn bool
-	unbounded   bool
 }
 
 func (c CompletionConfig) withDefaults(n int) CompletionConfig {
@@ -81,9 +73,6 @@ func (c CompletionConfig) withDefaults(n int) CompletionConfig {
 	if c.Epochs == 0 {
 		c.Epochs = 400
 	}
-	if c.Unbounded || (c.MinVal == 0 && c.MaxVal == 0) {
-		c.unbounded = true
-	}
 	return c
 }
 
@@ -94,39 +83,6 @@ type completeScratch struct {
 	uPrev []float64 // sweep-boundary snapshot for the convergence gate
 	est   []float64 // neighbourhood estimate (n)
 	kidx  []int     // indices of the known observations
-}
-
-// batchScratch is the working memory of one CompleteBatchInto call, pooled on
-// the Completer and regrown in place when a larger batch arrives, so repeated
-// batched completions at a steady batch size allocate nothing.
-type batchScratch struct {
-	us   []float64 // B×r fold-in factor rows
-	prev []float64 // B×r sweep-boundary snapshots for the convergence gate
-	errs []float64 // per-row residual at the current column (B)
-	ws   []float64 // per-row kernel weight at the current training row (B)
-	wsum []float64 // per-row kernel weight totals (B)
-	act  []bool    // rows whose fold-in has not yet converged (B)
-	ests []float64 // B×n neighbourhood estimates
-	kidx []int     // indices of the known observations (shared mask)
-}
-
-func (s *batchScratch) grow(b, r, n int) {
-	if cap(s.us) < b*r {
-		s.us = make([]float64, b*r)
-		s.prev = make([]float64, b*r)
-	}
-	if cap(s.errs) < b {
-		s.errs = make([]float64, b)
-		s.ws = make([]float64, b)
-		s.wsum = make([]float64, b)
-		s.act = make([]bool, b)
-	}
-	if cap(s.ests) < b*n {
-		s.ests = make([]float64, b*n)
-	}
-	if cap(s.kidx) < n {
-		s.kidx = make([]int, 0, n)
-	}
 }
 
 // Completer performs PQ matrix completion with stochastic gradient descent:
@@ -150,7 +106,6 @@ type Completer struct {
 	colMeans []float64 // training column means (neighbourhood fallback)
 	n        int
 	scratch  sync.Pool // *completeScratch
-	batch    sync.Pool // *batchScratch
 }
 
 // NewCompleter factorises the dense training matrix (one row per training
@@ -207,7 +162,6 @@ func NewCompleter(train *Matrix, cfg CompletionConfig) *Completer {
 			kidx:  make([]int, 0, n),
 		}
 	}
-	c.batch.New = func() any { return &batchScratch{} }
 	return c
 }
 
@@ -252,7 +206,6 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	// solve is only toggling last bits and stops — a ~10x iteration drop on
 	// typical observations with no observable output change.
 	u := s.u[:r]
-	prev := s.uPrev[:r]
 	for k := range u {
 		u[k] = 0
 	}
@@ -266,29 +219,7 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 		// coordinates in registers across the whole gated loop.
 		foldSolve6(u, c.q.Data, s.kidx, observed, lr, reg, fixed)
 	} else {
-		for it := 0; it < foldInIters; it++ {
-			copy(prev, u)
-			for _, j := range s.kidx {
-				qj := c.q.Data[j*r : (j+1)*r : (j+1)*r]
-				err := observed[j] - Dot(u, qj)
-				foldStep(u, qj, lr, err, reg)
-			}
-			if fixed {
-				continue
-			}
-			maxDelta, maxU := 0.0, 0.0
-			for k := range u {
-				if d := math.Abs(u[k] - prev[k]); d > maxDelta {
-					maxDelta = d
-				}
-				if a := math.Abs(u[k]); a > maxU {
-					maxU = a
-				}
-			}
-			if maxDelta <= foldInTol*maxU {
-				break
-			}
-		}
+		foldSolve(u, s.uPrev[:r], c.q.Data, s.kidx, observed, lr, reg, fixed)
 	}
 
 	neighbour := c.neighbourEstimate(s, observed)
@@ -298,194 +229,12 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 			continue
 		}
 		qj := c.q.Data[j*r : (j+1)*r]
-		v := Dot(u, qj)
-		if !c.cfg.unbounded {
-			v = clamp(v, c.cfg.MinVal, c.cfg.MaxVal)
-		}
+		v := clamp(Dot(u, qj), c.cfg.MinVal, c.cfg.MaxVal)
 		// Blend the latent-factor prediction with the neighbourhood
 		// estimate; the latter dominates because it can only produce
 		// pressure values actually seen in training.
 		dst[j] = 0.3*v + 0.7*neighbour[j]
 	}
-}
-
-// CompleteBatchInto completes a batch of sparse observations that share one
-// known mask — the shape of a multi-victim accuracy sweep, where every victim
-// is probed on the same resources — in a single fused fold-in pass.
-// dst and observed are parallel slices of B rows, each of length n; row b of
-// dst receives exactly what CompleteInto(dst[b], observed[b], known) would
-// have produced, bit for bit (pinned by TestCompleteBatchIntoBitExact).
-//
-// The fusion is in the loop order: each fold-in sweep walks the known columns
-// once and applies that column's update to every still-unconverged row
-// (DotRows/FoldStepRows), so the r-vector q[j] is loaded once per sweep for
-// the whole batch instead of once per victim; likewise the neighbourhood term
-// streams each training row once and folds it into every estimate (AxpyRows).
-// Per row, the floating-point op sequence is unchanged — rows are independent
-// in the solve, so reordering across rows cannot change any row's bits — and
-// the convergence gate is tracked per row, each stopping at the same sweep it
-// would have stopped at alone.
-func (c *Completer) CompleteBatchInto(dst, observed [][]float64, known []bool) {
-	if len(dst) != len(observed) {
-		panic("mining: CompleteBatchInto batch size mismatch")
-	}
-	nb := len(observed)
-	if nb == 0 {
-		return
-	}
-	if len(known) != c.n {
-		panic("mining: Complete length mismatch")
-	}
-	for b := range observed {
-		if len(observed[b]) != c.n {
-			panic("mining: Complete length mismatch")
-		}
-		if len(dst[b]) != c.n {
-			panic("mining: CompleteInto dst length mismatch")
-		}
-	}
-	r := c.cfg.Rank
-	s := c.batch.Get().(*batchScratch)
-	defer c.batch.Put(s)
-	s.grow(nb, r, c.n)
-
-	kidx := s.kidx[:0]
-	for j, k := range known {
-		if k {
-			kidx = append(kidx, j)
-		}
-	}
-	s.kidx = kidx
-
-	// Batched fold-in: the solo solve's sweep loop with the row loop moved
-	// inside the column loop. Row b's updates against column j happen in the
-	// same sweep, in the same ascending-kidx order, with the same values as
-	// in CompleteInto, so each row's factor trajectory is identical.
-	us := s.us[:nb*r]
-	prev := s.prev[:nb*r]
-	errs := s.errs[:nb]
-	act := s.act[:nb]
-	for i := range us {
-		us[i] = 0
-	}
-	remaining := nb
-	for b := range act {
-		act[b] = true
-	}
-	lr, reg := 0.01, c.cfg.Reg*0.1
-	fixed := c.cfg.FixedFoldIn || forceFixedFoldIn.Load()
-	for it := 0; it < foldInIters && remaining > 0; it++ {
-		copy(prev, us)
-		for _, j := range kidx {
-			qj := c.q.Data[j*r : (j+1)*r : (j+1)*r]
-			DotRows(us, r, qj, errs, act)
-			for b, a := range act {
-				if a {
-					errs[b] = observed[b][j] - errs[b]
-				}
-			}
-			FoldStepRows(us, r, qj, lr, errs, reg, act)
-		}
-		if fixed {
-			continue
-		}
-		for b, a := range act {
-			if !a {
-				continue
-			}
-			u := us[b*r : (b+1)*r]
-			pv := prev[b*r : (b+1)*r]
-			maxDelta, maxU := 0.0, 0.0
-			for k := range u {
-				if d := math.Abs(u[k] - pv[k]); d > maxDelta {
-					maxDelta = d
-				}
-				if m := math.Abs(u[k]); m > maxU {
-					maxU = m
-				}
-			}
-			if maxDelta <= foldInTol*maxU {
-				act[b] = false
-				remaining--
-			}
-		}
-	}
-
-	ests := c.neighbourEstimateBatch(s, observed)
-	for b := range dst {
-		u := us[b*r : (b+1)*r]
-		neighbour := ests[b*c.n : (b+1)*c.n]
-		db, ob := dst[b], observed[b]
-		for j := 0; j < c.n; j++ {
-			if known[j] {
-				db[j] = ob[j]
-				continue
-			}
-			qj := c.q.Data[j*r : (j+1)*r]
-			v := Dot(u, qj)
-			if !c.cfg.unbounded {
-				v = clamp(v, c.cfg.MinVal, c.cfg.MaxVal)
-			}
-			db[j] = 0.3*v + 0.7*neighbour[j]
-		}
-	}
-}
-
-// neighbourEstimateBatch is neighbourEstimate with the training-row loop
-// hoisted outside the batch: each training row is read from memory once and
-// accumulated into every observation's estimate (AxpyRows), instead of being
-// re-streamed per victim. Per row b the weight sequence, the w == 0 skip, and
-// the ascending-i accumulation order all match the solo kernel, so ests row b
-// is bit-identical to neighbourEstimate(·, observed[b]). The returned flat
-// B×n slice is s.ests, valid until the scratch is reused.
-func (c *Completer) neighbourEstimateBatch(s *batchScratch, observed [][]float64) []float64 {
-	nb := len(observed)
-	ests := s.ests[:nb*c.n]
-	for i := range ests {
-		ests[i] = 0
-	}
-	if len(s.kidx) == 0 {
-		// Nothing known: fall back to column means.
-		for b := 0; b < nb; b++ {
-			copy(ests[b*c.n:(b+1)*c.n], c.colMeans)
-		}
-		return ests
-	}
-	ws := s.ws[:nb]
-	wsum := s.wsum[:nb]
-	for b := range wsum {
-		wsum[b] = 0
-	}
-	for i := 0; i < c.train.Rows; i++ {
-		row := c.train.Data[i*c.n : (i+1)*c.n]
-		for b := 0; b < nb; b++ {
-			d := 0.0
-			ob := observed[b]
-			for _, j := range s.kidx {
-				diff := ob[j] - row[j]
-				d += diff * diff
-			}
-			rms := d / float64(len(s.kidx))
-			w := gaussKernel(rms, kernelWidth)
-			ws[b] = w
-			if w != 0 {
-				wsum[b] += w
-			}
-		}
-		AxpyRows(ws, row, ests, c.n)
-	}
-	for b := 0; b < nb; b++ {
-		est := ests[b*c.n : (b+1)*c.n]
-		if wsum[b] == 0 {
-			// Nothing nearby: fall back to column means.
-			copy(est, c.colMeans)
-			continue
-		}
-		for j := range est {
-			est[j] /= wsum[b]
-		}
-	}
-	return ests
 }
 
 // neighbourEstimate predicts every column as the similarity-weighted mean
@@ -552,11 +301,7 @@ func gaussKernel(rmsSquared, width float64) float64 {
 // by tests to verify the factorisation fits the training data.
 func (c *Completer) Predict(i, j int) float64 {
 	r := c.cfg.Rank
-	v := Dot(c.p.Data[i*r:(i+1)*r], c.q.Data[j*r:(j+1)*r])
-	if !c.cfg.unbounded {
-		v = clamp(v, c.cfg.MinVal, c.cfg.MaxVal)
-	}
-	return v
+	return clamp(Dot(c.p.Data[i*r:(i+1)*r], c.q.Data[j*r:(j+1)*r]), c.cfg.MinVal, c.cfg.MaxVal)
 }
 
 func clamp(x, lo, hi float64) float64 {

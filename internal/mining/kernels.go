@@ -55,66 +55,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// DotRows computes out[b] = Dot(us[b*stride : b*stride+len(q)], q) for every
-// row b with active[b], leaving inactive slots of out untouched. us is the
-// row-major B×stride factor matrix of a batched fold-in; sharing one pass
-// over q across all rows is what turns B separate fold-in sweeps into one
-// fused sweep with q hot in cache. Each active row's accumulation is exactly
-// Dot on its subslice, so the result is bit-identical to the per-row kernel.
-//
-//bolt:hotpath
-func DotRows(us []float64, stride int, q, out []float64, active []bool) {
-	if len(q) > stride {
-		panic("mining: DotRows stride shorter than q")
-	}
-	for b := range out {
-		if !active[b] {
-			continue
-		}
-		off := b * stride
-		out[b] = Dot(us[off:off+len(q):off+len(q)], q)
-	}
-}
-
-// FoldStepRows applies foldStep to every row b with active[b], using the
-// per-row residual errs[b]. Row b's update is exactly
-// foldStep(us[b*stride:...], q, lr, errs[b], reg) — the batched fold-in's
-// inner kernel, bit-identical per row to the solo solve.
-//
-//bolt:hotpath
-func FoldStepRows(us []float64, stride int, q []float64, lr float64, errs []float64, reg float64, active []bool) {
-	if len(q) > stride {
-		panic("mining: FoldStepRows stride shorter than q")
-	}
-	for b := range errs {
-		if !active[b] {
-			continue
-		}
-		off := b * stride
-		foldStep(us[off:off+len(q):off+len(q)], q, lr, errs[b], reg)
-	}
-}
-
-// AxpyRows performs ys[b*stride:] += ws[b]*x for every row b whose weight is
-// nonzero — the accumulation kernel of the batched neighbourhood estimate,
-// where one training row is streamed once and folded into every victim's
-// estimate. A zero weight skips the row entirely, matching the solo
-// neighbourEstimate's w == 0 short-circuit bit for bit.
-//
-//bolt:hotpath
-func AxpyRows(ws []float64, x, ys []float64, stride int) {
-	if len(x) > stride {
-		panic("mining: AxpyRows stride shorter than x")
-	}
-	for b := range ws {
-		if ws[b] == 0 {
-			continue
-		}
-		off := b * stride
-		Axpy(ws[b], x, ys[off:off+len(x):off+len(x)])
-	}
-}
-
 // sgdStep applies one coupled SGD factor update for a single training cell:
 //
 //	p[k] += lr * (err*q[k] - reg*p[k])
@@ -151,15 +91,48 @@ func foldStep(u, q []float64, lr, err, reg float64) {
 	}
 }
 
-// foldSolve6 is the rank-6 specialisation of CompleteInto's gated fold-in
-// solve — the whole sweep loop with the six factor coordinates held in
-// registers, so a sweep touches memory only for q and the observed entries.
-// Each statement replicates the generic path's floating-point sequence:
-// the dot product accumulates left to right exactly like Dot, the update is
-// foldStep's expression per coordinate, and the convergence gate runs the
-// same per-coordinate comparisons in the same order. Bit-identity with the
-// generic (and batched) path is pinned by TestCompleteBatchIntoBitExact,
-// whose batch side still runs the scalar kernels.
+// foldSolve is CompleteInto's gated fold-in solve at any rank r = len(u):
+// up to foldInIters sweeps of foldStep over the known columns kidx of the
+// row-major n×r factor matrix qdata, stopping once a full sweep moves no
+// coordinate by more than foldInTol·‖u‖∞ (never, when fixed). prev is
+// scratch of length r for the sweep-boundary snapshot.
+//
+//bolt:hotpath
+func foldSolve(u, prev, qdata []float64, kidx []int, observed []float64, lr, reg float64, fixed bool) {
+	r := len(u)
+	for it := 0; it < foldInIters; it++ {
+		copy(prev, u)
+		for _, j := range kidx {
+			qj := qdata[j*r : (j+1)*r : (j+1)*r]
+			err := observed[j] - Dot(u, qj)
+			foldStep(u, qj, lr, err, reg)
+		}
+		if fixed {
+			continue
+		}
+		maxDelta, maxU := 0.0, 0.0
+		for k := range u {
+			if d := math.Abs(u[k] - prev[k]); d > maxDelta {
+				maxDelta = d
+			}
+			if a := math.Abs(u[k]); a > maxU {
+				maxU = a
+			}
+		}
+		if maxDelta <= foldInTol*maxU {
+			break
+		}
+	}
+}
+
+// foldSolve6 is the rank-6 specialisation of foldSolve — the whole sweep
+// loop with the six factor coordinates held in registers, so a sweep touches
+// memory only for q and the observed entries. Each statement replicates
+// foldSolve's floating-point sequence: the dot product accumulates left to
+// right exactly like Dot, the update is foldStep's expression per coordinate,
+// and the convergence gate runs the same per-coordinate comparisons in the
+// same order. Bit-identity with foldSolve is pinned by
+// TestFoldSolve6MatchesGenericBitExact.
 //
 //bolt:hotpath
 func foldSolve6(u, qdata []float64, kidx []int, observed []float64, lr, reg float64, fixed bool) {

@@ -90,6 +90,36 @@ func TestFoldStepMatchesReferenceBitExact(t *testing.T) {
 	}
 }
 
+// TestFoldSolve6MatchesGenericBitExact pins the rank-6 register-resident
+// solve to the generic foldSolve it specialises: same factor bits with the
+// convergence gate on and off, from one known column up to all of them.
+func TestFoldSolve6MatchesGenericBitExact(t *testing.T) {
+	const n, r = 10, 6
+	const lr, reg = 0.01, 0.002
+	rng := stats.NewRNG(15)
+	qdata := make([]float64, n*r)
+	for i := range qdata {
+		qdata[i] = rng.Norm(0, 0.5)
+	}
+	for _, fixed := range []bool{false, true} {
+		for nk := 0; nk <= n; nk++ {
+			observed := make([]float64, n)
+			for j := range observed {
+				observed[j] = rng.Range(0, 100)
+			}
+			kidx := rng.Perm(n)[:nk]
+			got, want := make([]float64, r), make([]float64, r)
+			foldSolve6(got, qdata, kidx, observed, lr, reg, fixed)
+			foldSolve(want, make([]float64, r), qdata, kidx, observed, lr, reg, fixed)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("fixed=%v known=%d k=%d: foldSolve6=%v, foldSolve=%v", fixed, nk, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
 func TestKernelLengthMismatchPanics(t *testing.T) {
 	cases := map[string]func(){
 		"Dot":      func() { Dot(make([]float64, 3), make([]float64, 4)) },

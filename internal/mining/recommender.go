@@ -84,16 +84,6 @@ type Recommender struct {
 	ones    []float64 // all-ones weights for the Unweighted ablation
 	n       int       // resource count
 	scratch sync.Pool // *detectScratch
-	batch   sync.Pool // *detectBatchScratch
-}
-
-// detectBatchScratch holds the completed-observation buffers of one
-// DetectBatch call, pooled on the Recommender and regrown in place when a
-// larger batch arrives, so a service answering at a steady batch size
-// allocates nothing here beyond the returned Results.
-type detectBatchScratch struct {
-	flat  []float64   // B×n completed observations
-	dense [][]float64 // row views into flat
 }
 
 // detectScratch is the per-call working memory of one detection, pooled on
@@ -198,7 +188,6 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			r.weights[j] = 1e-9
 		}
 	}
-	r.batch.New = func() any { return &detectBatchScratch{} }
 	conceptRank := len(r.svd.Sigma)
 	r.scratch.New = func() any {
 		return &detectScratch{
@@ -320,44 +309,6 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	defer r.scratch.Put(s)
 	r.complete.CompleteInto(s.dense, observed, known)
 	return r.detect(s.dense, known, s)
-}
-
-// DetectBatch runs Detect over a batch of observations that share one known
-// mask — the shape of a multi-victim accuracy sweep, where every victim is
-// probed on the same resources. The missing entries of all rows are
-// recovered in one fused fold-in pass (CompleteBatchInto) and the ranking
-// stage reuses a single centred-profile scratch across the batch, so N
-// detections cost one batched completion plus N rankings instead of N of
-// each. The completed-observation buffers are pooled on the Recommender, so
-// at a steady batch size the only allocations are the returned Results.
-// Each returned Result is bit-identical to Detect(observed[b], known)
-// (pinned by TestDetectBatchBitExact).
-func (r *Recommender) DetectBatch(observed [][]float64, known []bool) []*Result {
-	out := make([]*Result, len(observed))
-	if len(observed) == 0 {
-		return out
-	}
-	bs := r.batch.Get().(*detectBatchScratch)
-	defer r.batch.Put(bs)
-	if cap(bs.flat) < len(observed)*r.n {
-		bs.flat = make([]float64, len(observed)*r.n)
-	}
-	if cap(bs.dense) < len(observed) {
-		bs.dense = make([][]float64, 0, len(observed))
-	}
-	flat := bs.flat[:len(observed)*r.n]
-	dense := bs.dense[:0]
-	for b := range observed {
-		dense = append(dense, flat[b*r.n:(b+1)*r.n])
-	}
-	bs.dense = dense
-	r.complete.CompleteBatchInto(dense, observed, known)
-	s := r.scratch.Get().(*detectScratch)
-	defer r.scratch.Put(s)
-	for b := range dense {
-		out[b] = r.detect(dense[b], known, s)
-	}
-	return out
 }
 
 // measuredBoost is the weight multiplier a directly profiled resource gets

@@ -20,7 +20,7 @@ import (
 func TestServeBusy(t *testing.T) {
 	det := core.TrainCached(workload.TrainingSpecs(42), core.Config{})
 	n := det.Rec.ResourceCount()
-	s := newServer(det, Config{Workers: 1, MaxBatch: 1, QueueDepth: 1})
+	s := newServer(det, Config{Workers: 1, QueueDepth: 1})
 
 	rng := stats.NewRNG(3)
 	obs := make([]float64, n)
@@ -37,7 +37,6 @@ func TestServeBusy(t *testing.T) {
 	wedged := s.pool.Get().(*call)
 	copy(wedged.observed, obs)
 	copy(wedged.known, known)
-	wedged.resp.Dropped, wedged.resp.Corrupted = 0, 0
 	s.queue <- wedged
 
 	// The submit path must now shed, not block.

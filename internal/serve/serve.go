@@ -1,29 +1,27 @@
 // Package serve promotes detection from batch experiments to a long-running
 // service. A Server answers profile-only detection queries (an observed
 // victim pressure vector plus its known mask) from an immutable trained
-// detector snapshot, batching concurrent requests into single fused
-// DetectBatch passes.
+// detector snapshot: requests enter a bounded queue and each worker answers
+// one at a time through core.Detector.DetectProfile.
 //
 // Three contracts define the serving plane (see DESIGN.md "Serving plane"):
 //
 //   - RCU snapshots. The trained detector is held behind an
 //     atomic.Pointer and replaced wholesale by Swap. core.TrainCached's
 //     immutability-after-Train guarantee makes the read side lock-free:
-//     a worker loads the pointer once per batch flush, and in-flight
-//     batches keep answering from the snapshot they loaded while a
-//     background retrain installs the next one. Nothing is ever mutated
-//     in place, so there is no quiescence protocol to get wrong.
+//     a worker loads the pointer once per request, and a request in flight
+//     keeps answering from the snapshot it loaded while a background
+//     retrain installs the next one. Nothing is ever mutated in place, so
+//     there is no quiescence protocol to get wrong.
 //
 //   - Bounded queueing with load shedding. Requests enter a fixed-depth
 //     queue; when it is full, Detect fails fast with ErrBusy instead of
 //     queueing unboundedly. Overload degrades throughput, never memory.
 //
-//   - Bit-exactness. A served answer is bit-identical to the solo
-//     core.Detector.DetectProfile path at every worker count, batch size,
-//     and linger setting: batches group requests by identical known mask
-//     and answer each group through DetectProfileBatch, whose per-row
-//     bit-exactness is pinned at the mining layer. The serve parity tests
-//     re-pin it at the service boundary.
+//   - Bit-exactness. A served answer is bit-identical to a direct
+//     core.Detector.DetectProfile call at every worker count, by
+//     construction: that call is what a worker makes. The serve parity
+//     test pins it at the service boundary.
 //
 // The request path draws no randomness. The only RNG in the package feeds
 // the optional fault plane (Config.Fault), which perturbs live traffic the
@@ -37,7 +35,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bolt/internal/core"
 	"bolt/internal/fault"
@@ -45,24 +42,15 @@ import (
 )
 
 // Config tunes a Server. The zero value serves correctly: one worker,
-// batches up to 64, queue depth 4×batch, no linger, no fault injection.
+// queue depth 256, no fault injection.
 type Config struct {
-	// Workers is the number of batch workers pulling from the shared
-	// queue. Each worker forms and answers one batch at a time, so this
-	// bounds the number of concurrent DetectBatch passes. 0 means 1.
+	// Workers is the number of workers pulling from the shared queue. Each
+	// answers one request at a time, so this bounds the number of
+	// concurrent detections. 0 means 1.
 	Workers int
-	// MaxBatch is the most requests a worker folds into one flush. The
-	// fused fold-in amortises its per-sweep work across the batch, so
-	// larger batches trade a little latency for throughput. 0 means 64.
-	MaxBatch int
 	// QueueDepth bounds the request queue; a full queue sheds load with
-	// ErrBusy. 0 means 4×MaxBatch.
+	// ErrBusy. 0 means defaultQueueDepth.
 	QueueDepth int
-	// Linger is how long a worker holding a non-full batch waits for
-	// stragglers before flushing. 0 flushes as soon as the queue is
-	// momentarily empty (greedy drain): lowest latency, and batches still
-	// form naturally whenever requests outpace workers.
-	Linger time.Duration
 	// Fault, when enabled, injects the request-level fault classes
 	// (dropout, corruption) into live traffic before detection, drawing
 	// from per-worker streams split from FaultSeed. Responses report what
@@ -73,15 +61,15 @@ type Config struct {
 	FaultSeed uint64
 }
 
+// defaultQueueDepth is the queue bound a zero Config.QueueDepth selects.
+const defaultQueueDepth = 256
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxBatch
+		c.QueueDepth = defaultQueueDepth
 	}
 	return c
 }
@@ -100,16 +88,13 @@ var (
 
 // Response is one answered detection query.
 type Response struct {
-	// ProfileDetection is the detector's answer, bit-identical to the solo
-	// DetectProfile path (after any fault injection).
+	// ProfileDetection is the detector's answer: DetectProfile on the
+	// request (after any fault injection).
 	core.ProfileDetection
 	// Snapshot is the version of the detector snapshot that answered; it
 	// increases by one per Swap, starting at 1 for the construction-time
 	// detector.
 	Snapshot uint64
-	// Batch is how many requests shared this answer's fused DetectBatch
-	// pass (the mask group's size, not the whole flush).
-	Batch int
 	// Dropped and Corrupted count the fault classes injected into this
 	// request's profile before detection (always 0 with faults disabled).
 	Dropped, Corrupted int
@@ -117,18 +102,22 @@ type Response struct {
 
 // Stats is a point-in-time snapshot of the server's counters.
 type Stats struct {
-	Served    uint64 // requests answered
-	Shed      uint64 // requests dropped with ErrBusy
-	Rejected  uint64 // requests failing validation
-	Batches   uint64 // fused DetectBatch passes
-	MaxBatch  uint64 // largest fused pass observed
+	Served   uint64 // requests answered
+	Shed     uint64 // requests dropped with ErrBusy
+	Rejected uint64 // requests failing validation
+	// Batches and MaxBatch count detection passes and the largest one: one
+	// request each, so Batches == Served and MaxBatch is 1 once anything is
+	// served. They remain only because the frozen benchmark/layers.go
+	// divides by them, and go when a benchmark PR retires serve.batch_*.
+	Batches   uint64
+	MaxBatch  uint64
 	Dropped   uint64 // fault plane: entries dropped from live requests
 	Corrupted uint64 // fault plane: entries corrupted in live requests
 	Swaps     uint64 // snapshot swaps since construction
 }
 
 // snapshot is one immutable detector generation. Workers load it once per
-// flush; Swap installs a successor without disturbing loads in flight.
+// request; Swap installs a successor without disturbing loads in flight.
 type snapshot struct {
 	det     *core.Detector
 	version uint64
@@ -160,9 +149,9 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	served, shed, rejected   atomic.Uint64
-	batches, maxBatch, swaps atomic.Uint64
-	dropped, corrupted       atomic.Uint64
+	served, shed, rejected atomic.Uint64
+	dropped, corrupted     atomic.Uint64
+	swaps                  atomic.Uint64
 }
 
 // New builds and starts a Server answering from det. The detector must
@@ -198,7 +187,7 @@ func newServer(det *core.Detector, cfg Config) *Server {
 	return s
 }
 
-// start launches the batch workers. Per-worker fault planes are split in
+// start launches the workers. Per-worker fault planes are split in
 // worker order: a Plane is single-owner (like an adversary's), and giving
 // each worker its own stream keeps injection decisions independent of which
 // worker drains which request.
@@ -222,11 +211,11 @@ func (s *Server) Snapshot() (*core.Detector, uint64) {
 }
 
 // Swap installs det as the new answering snapshot, RCU-style: requests
-// batched after the swap see the new detector, batches already formed keep
-// the snapshot they loaded, and nothing blocks. It returns the new
-// snapshot's version. The new detector must expect the same resource count
-// as the current one — requests are validated against the snapshot at
-// submit time, so a width change would invalidate queued requests.
+// picked up after the swap see the new detector, a request already being
+// answered keeps the snapshot it loaded, and nothing blocks. It returns the
+// new snapshot's version. The new detector must expect the same resource
+// count as the current one — requests are validated against the snapshot
+// at submit time, so a width change would invalidate queued requests.
 func (s *Server) Swap(det *core.Detector) uint64 {
 	if det == nil {
 		panic("serve: Swap(nil detector)")
@@ -275,10 +264,6 @@ func (s *Server) Detect(observed []float64, known []bool) (Response, error) {
 	c := s.pool.Get().(*call)
 	copy(c.observed, observed)
 	copy(c.known, known)
-	// Pooled calls carry the previous cycle's response; the fault counters
-	// are read back at flush time, so they must start from zero.
-	c.resp.Dropped, c.resp.Corrupted = 0, 0
-
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -316,162 +301,45 @@ func (s *Server) Close() {
 
 // Stats returns a point-in-time snapshot of the server's counters.
 func (s *Server) Stats() Stats {
+	served := s.served.Load()
 	return Stats{
-		Served:    s.served.Load(),
+		Served:    served,
 		Shed:      s.shed.Load(),
 		Rejected:  s.rejected.Load(),
-		Batches:   s.batches.Load(),
-		MaxBatch:  s.maxBatch.Load(),
+		Batches:   served,
+		MaxBatch:  min(served, 1),
 		Dropped:   s.dropped.Load(),
 		Corrupted: s.corrupted.Load(),
 		Swaps:     s.swaps.Load(),
 	}
 }
 
-// worker is one batch loop: block for the first request, gather up to
-// MaxBatch (lingering if configured), then flush. Exits when the queue is
-// closed and drained.
+// worker answers queued requests one at a time until the queue is closed
+// and drained.
 func (s *Server) worker(plane *fault.Plane) {
 	defer s.wg.Done()
-	batch := make([]*call, 0, s.cfg.MaxBatch)
-	members := make([]*call, 0, s.cfg.MaxBatch)
-	obs := make([][]float64, 0, s.cfg.MaxBatch)
-	var timer *time.Timer
-	if s.cfg.Linger > 0 {
-		timer = time.NewTimer(s.cfg.Linger)
-		if !timer.Stop() {
-			<-timer.C
-		}
-	}
-	for {
-		c, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], c)
-		open := s.gather(&batch, timer)
-		s.flush(batch, plane, &members, &obs)
-		if !open {
-			return
-		}
+	for c := range s.queue {
+		s.answer(c, plane)
 	}
 }
 
-// gather fills batch up to MaxBatch. With a timer (Linger > 0) it waits up
-// to Linger for stragglers; without one it drains only what is already
-// queued. Returns false once the queue is closed.
-func (s *Server) gather(batch *[]*call, timer *time.Timer) bool {
-	if timer == nil {
-		for len(*batch) < s.cfg.MaxBatch {
-			select {
-			case c, ok := <-s.queue:
-				if !ok {
-					return false
-				}
-				*batch = append(*batch, c)
-			default:
-				return true
-			}
-		}
-		return true
-	}
-	timer.Reset(s.cfg.Linger)
-	defer func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for len(*batch) < s.cfg.MaxBatch {
-		select {
-		case c, ok := <-s.queue:
-			if !ok {
-				return false
-			}
-			*batch = append(*batch, c)
-		case <-timer.C:
-			return true
-		}
-	}
-	return true
-}
-
-// flush answers one gathered batch: load the snapshot (the RCU read), run
-// the fault plane over each request, then group requests by identical known
-// mask — DetectBatch requires a shared mask — and answer each group in one
-// fused pass. Groups form in arrival order and members keep arrival order
-// within a group, so the flush is deterministic in its input sequence.
-func (s *Server) flush(batch []*call, plane *fault.Plane, members *[]*call, obs *[][]float64) {
+// answer serves one request: load the snapshot (the RCU read), run the
+// worker's fault plane over the request, detect, and reply.
+func (s *Server) answer(c *call, plane *fault.Plane) {
 	sn := s.snap.Load()
+	dropped, corrupted := 0, 0
 	if plane.Enabled() {
-		for _, c := range batch {
-			d, k := plane.FaultProfile(c.observed, c.known)
-			c.resp.Dropped, c.resp.Corrupted = d, k
-			if d > 0 {
-				s.dropped.Add(uint64(d))
-			}
-			if k > 0 {
-				s.corrupted.Add(uint64(k))
-			}
-		}
+		dropped, corrupted = plane.FaultProfile(c.observed, c.known)
+		s.dropped.Add(uint64(dropped))
+		s.corrupted.Add(uint64(corrupted))
 	}
-	for lo := 0; lo < len(batch); lo++ {
-		head := batch[lo]
-		if head == nil {
-			continue // already answered as a member of an earlier group
-		}
-		mask := head.known
-		ms := append((*members)[:0], head)
-		ob := append((*obs)[:0], head.observed)
-		for i := lo + 1; i < len(batch); i++ {
-			c := batch[i]
-			if c == nil || !maskEqual(mask, c.known) {
-				continue
-			}
-			ms = append(ms, c)
-			ob = append(ob, c.observed)
-			batch[i] = nil
-		}
-		pds := sn.det.DetectProfileBatch(ob, mask)
-		s.batches.Add(1)
-		s.served.Add(uint64(len(ms)))
-		s.noteBatch(uint64(len(ms)))
-		for k, c := range ms {
-			dropped, corrupted := c.resp.Dropped, c.resp.Corrupted
-			c.resp = Response{
-				ProfileDetection: pds[k],
-				Snapshot:         sn.version,
-				Batch:            len(ms),
-				Dropped:          dropped,
-				Corrupted:        corrupted,
-			}
-			c.err = nil
-			c.done <- struct{}{}
-		}
-		*members, *obs = ms, ob
+	c.resp = Response{
+		ProfileDetection: sn.det.DetectProfile(c.observed, c.known),
+		Snapshot:         sn.version,
+		Dropped:          dropped,
+		Corrupted:        corrupted,
 	}
-}
-
-// noteBatch raises the max-batch watermark to b if it is a new high.
-func (s *Server) noteBatch(b uint64) {
-	for {
-		cur := s.maxBatch.Load()
-		if b <= cur || s.maxBatch.CompareAndSwap(cur, b) {
-			return
-		}
-	}
-}
-
-func maskEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	c.err = nil
+	s.served.Add(1)
+	c.done <- struct{}{}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"bolt/internal/core"
 	"bolt/internal/fault"
@@ -50,66 +49,56 @@ func genRequest(rng *stats.RNG, masks [][]bool, n int) ([]float64, []bool) {
 }
 
 // TestServeParityAcrossConfigs is the service-boundary bit-exactness test:
-// at every worker count × batch size × linger setting, every served answer
-// must be bit-identical to the solo core.Detector.DetectProfile path —
-// completed pressure, full ranked similarity distribution, confidence, and
-// label.
+// at every worker count, under concurrent clients mixing all the mask
+// shapes, every served answer must be bit-identical to a direct
+// core.Detector.DetectProfile call — completed pressure, full ranked
+// similarity distribution, confidence, and label.
 func TestServeParityAcrossConfigs(t *testing.T) {
 	det := testDetector(t)
 	n := det.Rec.ResourceCount()
 	masks := testMasks(n)
 	for _, workers := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 4, 64} {
-			for _, linger := range []time.Duration{0, 200 * time.Microsecond} {
-				srv := serve.New(det, serve.Config{
-					Workers: workers, MaxBatch: batch, Linger: linger,
-					QueueDepth: 512,
-				})
-				const clients, perClient = 8, 16
-				rngs := stats.NewRNG(7).SplitN(clients)
-				var wg sync.WaitGroup
-				errc := make(chan error, clients)
-				for ci := 0; ci < clients; ci++ {
-					wg.Add(1)
-					go func(ci int) {
-						defer wg.Done()
-						for k := 0; k < perClient; k++ {
-							obs, known := genRequest(rngs[ci], masks, n)
-							resp, err := srv.Detect(obs, known)
-							if err != nil {
-								errc <- err
-								return
-							}
-							want := det.DetectProfile(obs, known)
-							if !profileEqual(resp.ProfileDetection, want) {
-								t.Errorf("workers=%d batch=%d linger=%v: served answer diverges from solo DetectProfile",
-									workers, batch, linger)
-								return
-							}
-							if resp.Snapshot != 1 {
-								t.Errorf("snapshot version = %d, want 1", resp.Snapshot)
-							}
-							if resp.Batch < 1 || resp.Batch > batch {
-								t.Errorf("batch size %d outside [1, %d]", resp.Batch, batch)
-							}
-						}
-					}(ci)
+		srv := serve.New(det, serve.Config{Workers: workers, QueueDepth: 512})
+		const clients, perClient = 8, 48
+		rngs := stats.NewRNG(7).SplitN(clients)
+		var wg sync.WaitGroup
+		errc := make(chan error, clients)
+		for ci := 0; ci < clients; ci++ {
+			wg.Add(1)
+			go func(ci int) {
+				defer wg.Done()
+				for k := 0; k < perClient; k++ {
+					obs, known := genRequest(rngs[ci], masks, n)
+					resp, err := srv.Detect(obs, known)
+					if err != nil {
+						errc <- err
+						return
+					}
+					want := det.DetectProfile(obs, known)
+					if !profileEqual(resp.ProfileDetection, want) {
+						t.Errorf("workers=%d: served answer diverges from solo DetectProfile", workers)
+						return
+					}
+					if resp.Snapshot != 1 {
+						t.Errorf("snapshot version = %d, want 1", resp.Snapshot)
+					}
 				}
-				wg.Wait()
-				close(errc)
-				for err := range errc {
-					t.Fatalf("workers=%d batch=%d linger=%v: %v", workers, batch, linger, err)
-				}
-				st := srv.Stats()
-				if st.Served != clients*perClient {
-					t.Fatalf("served = %d, want %d", st.Served, clients*perClient)
-				}
-				if st.MaxBatch > uint64(batch) {
-					t.Fatalf("max batch %d exceeds configured %d", st.MaxBatch, batch)
-				}
-				srv.Close()
-			}
+			}(ci)
 		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		st := srv.Stats()
+		if st.Served != clients*perClient {
+			t.Fatalf("served = %d, want %d", st.Served, clients*perClient)
+		}
+		// The frozen benchmark divides Served by Batches: one pass per request.
+		if st.Batches != st.Served || st.MaxBatch != 1 {
+			t.Fatalf("batches=%d maxbatch=%d, want %d/1", st.Batches, st.MaxBatch, st.Served)
+		}
+		srv.Close()
 	}
 }
 
@@ -137,14 +126,14 @@ func profileEqual(got, want core.ProfileDetection) bool {
 
 // TestServeSwapRCU drives traffic while the detector is swapped mid-stream.
 // Every response must bit-match the solo path of the detector generation it
-// reports having answered from — in-flight batches keep their snapshot, new
-// batches see the new one.
+// reports having answered from — a request in flight keeps its snapshot, later
+// ones see the new one.
 func TestServeSwapRCU(t *testing.T) {
 	detA := testDetector(t)
 	detB := core.TrainCached(workload.TrainingSpecs(testSeed+1), core.Config{})
 	n := detA.Rec.ResourceCount()
 	masks := testMasks(n)
-	srv := serve.New(detA, serve.Config{Workers: 2, MaxBatch: 8, QueueDepth: 64})
+	srv := serve.New(detA, serve.Config{Workers: 2, QueueDepth: 64})
 	defer srv.Close()
 
 	byVersion := map[uint64]*core.Detector{1: detA, 2: detB}
@@ -221,7 +210,7 @@ func TestServeFaultInjection(t *testing.T) {
 	det := testDetector(t)
 	n := det.Rec.ResourceCount()
 	srv := serve.New(det, serve.Config{
-		Workers: 1, MaxBatch: 1,
+		Workers:   1,
 		Fault:     fault.Config{Rate: 1, DisableCorruption: true, DisableChurn: true, DisableProbeFailure: true},
 		FaultSeed: 9,
 	})
@@ -302,7 +291,7 @@ func TestServeClose(t *testing.T) {
 	det := testDetector(t)
 	n := det.Rec.ResourceCount()
 	masks := testMasks(n)
-	srv := serve.New(det, serve.Config{Workers: 2, MaxBatch: 4, QueueDepth: 128})
+	srv := serve.New(det, serve.Config{Workers: 2, QueueDepth: 128})
 	var wg sync.WaitGroup
 	rngs := stats.NewRNG(21).SplitN(4)
 	var closedErrs, served int

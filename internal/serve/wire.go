@@ -1,11 +1,10 @@
 // Wire protocol: newline-delimited JSON over a stream socket, one request
 // per line, one response per line, answered in request order per
-// connection. Server-side batching happens across connections (and across
-// the queue generally), so a fleet of synchronous clients still fills fused
-// DetectBatch passes. JSON encodes float64 with the shortest representation
-// that round-trips exactly, so the bit-exactness contract survives the
-// wire: a pressure or similarity value decoded by the client is the same
-// float the detector produced.
+// connection; concurrency comes from many connections sharing the server's
+// queue. JSON encodes float64 with the shortest representation that
+// round-trips exactly, so the bit-exactness contract survives the wire: a
+// pressure or similarity value decoded by the client is the same float the
+// detector produced.
 package serve
 
 import (
@@ -35,7 +34,6 @@ type WireResponse struct {
 	Similarity float64   `json:"similarity,omitempty"`
 	Pressure   []float64 `json:"pressure,omitempty"`
 	Snapshot   uint64    `json:"snapshot,omitempty"`
-	Batch      int       `json:"batch,omitempty"`
 	Dropped    int       `json:"dropped,omitempty"`
 	Corrupted  int       `json:"corrupted,omitempty"`
 	Error      string    `json:"error,omitempty"`
@@ -55,7 +53,6 @@ func wireResponse(id uint64, resp Response) WireResponse {
 		Similarity: best.Similarity,
 		Pressure:   resp.Result.Pressure,
 		Snapshot:   resp.Snapshot,
-		Batch:      resp.Batch,
 		Dropped:    resp.Dropped,
 		Corrupted:  resp.Corrupted,
 	}

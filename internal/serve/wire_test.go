@@ -39,7 +39,7 @@ func startWireServer(t *testing.T, cfg serve.Config) (string, *serve.Server) {
 // similarity bits the solo detector path produces, plus the same label and
 // confidence.
 func TestWireRoundTrip(t *testing.T) {
-	addr, _ := startWireServer(t, serve.Config{Workers: 2, MaxBatch: 8})
+	addr, _ := startWireServer(t, serve.Config{Workers: 2})
 	det := testDetector(t)
 	n := det.Rec.ResourceCount()
 	masks := testMasks(n)
@@ -76,8 +76,8 @@ func TestWireRoundTrip(t *testing.T) {
 					k, j, wr.Pressure[j], want.Result.Pressure[j])
 			}
 		}
-		if wr.Snapshot != 1 || wr.Batch < 1 {
-			t.Fatalf("request %d: metadata snapshot=%d batch=%d", k, wr.Snapshot, wr.Batch)
+		if wr.Snapshot != 1 {
+			t.Fatalf("request %d: metadata snapshot=%d", k, wr.Snapshot)
 		}
 	}
 }
