@@ -48,7 +48,6 @@ type jsonDiagnostic struct {
 func main() {
 	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	cacheDir := flag.String("summary-cache", "", "summary cache directory ('off' disables; default: user cache dir)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: boltlint [-analyzers a,b] [-json] [packages]\n\nanalyzers:\n")
 		for _, a := range lint.All() {
@@ -57,15 +56,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	switch *cacheDir {
-	case "":
-		// keep the default
-	case "off":
-		lint.SetSummaryCacheDir("")
-	default:
-		lint.SetSummaryCacheDir(*cacheDir)
-	}
 
 	analyzers := lint.All()
 	if *names != "" {

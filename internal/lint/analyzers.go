@@ -1,8 +1,6 @@
 package lint
 
-// All returns every boltlint analyzer in stable order: the five
-// intraprocedural analyzers from the first lint PR, then the four
-// summary-driven interprocedural ones.
+// All returns every boltlint analyzer in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetrandAnalyzer,
@@ -10,7 +8,6 @@ func All() []*Analyzer {
 		HotallocAnalyzer,
 		SnapshotAnalyzer,
 		RngstreamAnalyzer,
-		HotcallAnalyzer,
 		RCUDisciplineAnalyzer,
 		BarrierMergeAnalyzer,
 		TimerLeakAnalyzer,

@@ -19,7 +19,6 @@ func TestAnalyzersRegistered(t *testing.T) {
 		"hotalloc",
 		"snapshotdiscipline",
 		"rngstream",
-		"hotcall",
 		"rcudiscipline",
 		"barriermerge",
 		"timerleak",

@@ -12,6 +12,7 @@ package lint
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -59,5 +60,33 @@ func TestGoldenDiagnosticInventory(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("diagnostic inventory drifted from testdata/diagnostics.golden (regenerate with -update if intended)\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestRunTouchesNoDisk pins that a lint run is a pure function of the
+// packages it is given: no cache, no state under the user's home. (A
+// per-package summary cache once let this suite pass on stale facts.) The
+// run happens in a re-executed test binary whose HOME and XDG_CACHE_HOME
+// are a fresh directory, so a location resolved at package init is caught
+// too; the hotcall fixture imports nothing, so loading it runs no go
+// command that would write there itself.
+func TestRunTouchesNoDisk(t *testing.T) {
+	if os.Getenv("BOLTLINT_NO_DISK_CHILD") != "" {
+		Run([]*Package{loadFixture(t, "bolt/internal/hotcall", "hotcall")}, All())
+		return
+	}
+	home := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunTouchesNoDisk$")
+	cmd.Env = append(os.Environ(), "BOLTLINT_NO_DISK_CHILD=1",
+		"HOME="+home, "XDG_CACHE_HOME="+filepath.Join(home, ".cache"))
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child run: %v\n%s", err, out)
+	}
+	entries, err := os.ReadDir(home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("lint.Run left %s behind under $HOME", e.Name())
 	}
 }

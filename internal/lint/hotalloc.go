@@ -7,29 +7,37 @@ import (
 )
 
 // HotallocAnalyzer is the static complement to the allocation-budget tests
-// in internal/mining/alloc_test.go: inside a function annotated
-// //bolt:hotpath it flags the constructs that reach the allocator —
-// escaping composite literals, unguarded make/new, appends without capacity
-// provenance, escaping closures, interface boxing of non-pointer values,
-// and calls to the repo's known allocating convenience helpers (for which
-// an in-package allocation-free form exists).
+// in internal/mining/alloc_test.go: a //bolt:hotpath function must be
+// allocation-free, in its own body and in everything it calls. allocSites
+// is the one model of "what allocates" — escaping composite literals,
+// unguarded make/new, appends without capacity provenance, escaping
+// closures, interface boxing of non-pointer values, and calls into the
+// knownAllocating table. hotalloc reports every such site in an annotated
+// body; the summary layer (summary.go) records each function's first
+// unsuppressed site, and a call from a hot body to a function that reaches
+// one is reported at the call with the full chain. Interface calls resolve
+// to every implementation in the analyzed packages: if any implementation
+// allocates, the call is reported (a hot path cannot know which one it
+// will get).
 //
 // The checks are necessarily approximations of escape analysis, so the
 // analyzer errs on the side of reporting and relies on //bolt:nolint with a
-// reason for the deliberate allocations (e.g. a documented per-call Result).
-// Two idioms are recognised as allocation-free and accepted without
-// annotation: make/append under a lazy-init or capacity guard
-// (`if buf == nil`, `if cap(buf) < n`), and append to a slice reset with
-// `buf = buf[:0]` earlier in the function.
+// reason for the deliberate allocations (e.g. a documented per-call Result);
+// a suppressed site does not poison its callers' summaries. Two idioms are
+// recognised as allocation-free and accepted without annotation: sites
+// under a lazy-init or capacity guard (`if buf == nil`, `if cap(buf) < n`),
+// and append to a slice reset with `buf = buf[:0]` earlier in the function.
 var HotallocAnalyzer = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag allocation constructs in //bolt:hotpath functions",
+	Doc:  "flag allocation constructs in //bolt:hotpath functions and in the callees they reach",
 	Run:  runHotalloc,
 }
 
-// allocatingHelpers are repo functions that allocate on every call and have
-// a documented in-package alternative for hot paths.
-var allocatingHelpers = map[string]string{
+// knownAllocating are functions that allocate on every call, keyed by
+// funcKey, with the hot-path alternative. The stdlib rows are facts about
+// bodies the analyzed packages do not contain; the repo rows carry a fix
+// hint for convenience helpers that have an in-package allocation-free form.
+var knownAllocating = map[string]string{
 	"bolt/internal/sim.AllResources":            "loop over Resource(0)..NumResources instead",
 	"bolt/internal/sim.CoreResources":           "loop over the resource indices directly",
 	"bolt/internal/sim.UncoreResources":         "loop over the resource indices directly",
@@ -39,231 +47,233 @@ var allocatingHelpers = map[string]string{
 	"(*bolt/internal/sim.VM).Slots":             "iterate vm.slots directly in package sim",
 	"(*bolt/internal/sim.VM).Cores":             "use vm.coreList / vm.coreMask in package sim",
 	"(*bolt/internal/stats.RNG).Perm":           "use RNG.PermInto with a reused buffer",
+
+	"fmt.Sprintf":  offHotPath,
+	"fmt.Sprint":   offHotPath,
+	"fmt.Sprintln": offHotPath,
+	"fmt.Errorf":   offHotPath,
+	"fmt.Fprintf":  offHotPath,
+	"fmt.Fprint":   offHotPath,
+	"fmt.Fprintln": offHotPath,
+	"fmt.Printf":   offHotPath,
+	"fmt.Println":  offHotPath,
+	"fmt.Appendf":  offHotPath,
+
+	"errors.New": "return a package-level sentinel error",
+
+	"strconv.Itoa":        offHotPath,
+	"strconv.FormatFloat": offHotPath,
+	"strconv.FormatInt":   offHotPath,
+	"strconv.Quote":       offHotPath,
+
+	"strings.Repeat":     offHotPath,
+	"strings.Join":       offHotPath,
+	"strings.Split":      offHotPath,
+	"strings.Fields":     offHotPath,
+	"strings.Replace":    offHotPath,
+	"strings.ReplaceAll": offHotPath,
+	"strings.ToUpper":    offHotPath,
+	"strings.ToLower":    offHotPath,
+
+	"sort.Slice":       offHotPath,
+	"sort.SliceStable": offHotPath,
 }
+
+// offHotPath is the hint for the stdlib rows, which have no drop-in form.
+const offHotPath = "do it off the hot path or write into a reused buffer"
 
 func runHotalloc(pass *Pass) {
 	for _, fn := range hotpathFuncs(pass) {
 		if fn.Body == nil {
 			continue
 		}
-		checkHotFunc(pass, fn)
-	}
-}
-
-// checkHotFunc inspects one annotated function body.
-func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
-	parent := parentMap(fn.Body)
-	guarded := guardedRanges(fn.Body)
-	provenanced := capacityProvenanced(pass, fn.Body)
-	closures := localClosures(pass, fn.Body)
-
-	inGuard := func(n ast.Node) bool {
-		for _, r := range guarded {
-			if n.Pos() >= r[0] && n.End() <= r[1] {
-				return true
-			}
-		}
-		return false
-	}
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.CompositeLit:
-			checkCompositeLit(pass, node, parent, inGuard)
-		case *ast.CallExpr:
-			checkHotCall(pass, node, provenanced, inGuard)
-		case *ast.FuncLit:
-			checkFuncLit(pass, node, parent, closures)
-		case *ast.AssignStmt:
-			checkBoxingAssign(pass, node)
-		}
-		return true
-	})
-
-	// Any use of a local closure other than calling it means the closure
-	// escapes (and therefore allocates its context).
-	for obj, lit := range closures {
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || pass.TypesInfo.Uses[id] != obj {
-				return true
-			}
-			if call, ok := parent[id].(*ast.CallExpr); ok && call.Fun == id {
-				return true
-			}
-			pass.Reportf(id.Pos(),
-				"closure %s escapes its defining hot-path function; its captured variables move to the heap", obj.Name())
-			_ = lit
-			return true
+		allocSites(pass, fn, func(pos token.Pos, desc, advice string) {
+			pass.Reportf(pos, "%s%s", desc, advice)
 		})
 	}
 }
 
-// checkCompositeLit flags composite literals that reach the allocator:
-// slice and map literals always, struct/array literals when their address
-// is taken.
-func checkCompositeLit(pass *Pass, lit *ast.CompositeLit, parent map[ast.Node]ast.Node, inGuard func(ast.Node) bool) {
-	if inGuard(lit) {
-		return
+// allocSites is the single decision of what allocates. It walks fn's body
+// in source order and calls emit for every construct that reaches the
+// allocator and is not under a lazy-init/capacity guard: desc names the
+// construct (it is what a transitive chain ends in), advice completes the
+// in-body diagnostic. With pass.Summaries set, a call to a function that
+// transitively allocates is a site too.
+func allocSites(pass *Pass, fn *ast.FuncDecl, emit func(pos token.Pos, desc, advice string)) {
+	info := pass.TypesInfo
+	parent := parentMap(fn.Body)
+	guarded := guardedRanges(fn.Body)
+	provenanced := capacityProvenanced(pass, fn.Body)
+	closures := localClosures(pass, fn.Body)
+	var selfKey string
+	if f, ok := info.Defs[fn.Name].(*types.Func); ok {
+		selfKey = funcKey(f)
 	}
-	t := pass.TypesInfo.TypeOf(lit)
-	if t == nil {
-		return
-	}
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Map:
-		pass.Reportf(lit.Pos(), "composite %s literal allocates on a hot path", kindName(t))
-		return
-	}
-	if u, ok := parent[lit].(*ast.UnaryExpr); ok && u.Op == token.AND {
-		pass.Reportf(lit.Pos(), "&%s composite literal escapes to the heap on a hot path", types.TypeString(t, types.RelativeTo(pass.Pkg)))
-	}
-}
 
-// checkHotCall flags allocating calls: make/new, unprovenanced append,
-// boxing call arguments, and the repo's known allocating helpers.
-func checkHotCall(pass *Pass, call *ast.CallExpr, provenanced map[string]bool, inGuard func(ast.Node) bool) {
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make", "new":
-				if !inGuard(call) {
-					pass.Reportf(call.Pos(),
-						"%s allocates on a hot path; reuse a buffer or guard it as a lazy init (if buf == nil / if cap(buf) < n)", b.Name())
-				}
-			case "append":
-				checkHotAppend(pass, call, provenanced, inGuard)
-			case "panic":
-				for _, arg := range call.Args {
-					checkBoxedValue(pass, arg, types.NewInterfaceType(nil, nil), "panic argument")
-				}
+	site := func(n ast.Node, desc, advice string) {
+		for _, r := range guarded {
+			if n.Pos() >= r[0] && n.End() <= r[1] {
+				return
 			}
+		}
+		emit(n.Pos(), desc, advice)
+	}
+	// boxed reports arg when storing it in an interface allocates: concrete,
+	// not pointer-shaped, and not a compile-time constant (constant data is
+	// materialised in static memory by the compiler).
+	boxed := func(arg ast.Expr, what string) {
+		tv, ok := info.Types[arg]
+		if !ok || tv.Value != nil || tv.Type == nil {
 			return
 		}
-	}
-
-	// Conversions to interface types.
-	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		if _, isIface := tv.Type.Underlying().(*types.Interface); isIface && len(call.Args) == 1 {
-			checkBoxedValue(pass, call.Args[0], tv.Type.Underlying().(*types.Interface), "conversion")
-		}
-		return
-	}
-
-	// Known allocating helpers.
-	if fn := funcObj(pass.TypesInfo, call); fn != nil {
-		if hint, bad := allocatingHelpers[fn.FullName()]; bad && !inGuard(call) {
-			pass.Reportf(call.Pos(), "%s allocates its result on every call; %s", fn.FullName(), hint)
-		}
-	}
-
-	// Boxing of call arguments into interface parameters.
-	sig, ok := typeAsSignature(pass.TypesInfo.TypeOf(call.Fun))
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // slice passed through, no per-element boxing
+		switch u := tv.Type.Underlying().(type) {
+		case *types.Interface:
+			return // interface-to-interface, no box
+		case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
+			return // pointer-shaped, stored directly in the interface word
+		case *types.Basic:
+			if u.Kind() == types.UnsafePointer || u.Info()&types.IsUntyped != 0 {
+				return
 			}
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
 		}
-		if iface, isIface := pt.Underlying().(*types.Interface); isIface {
-			checkBoxedValue(pass, arg, iface, "argument")
-		}
+		site(arg, "interface "+what+" boxes "+types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)),
+			" on a hot path; keep the value concrete or pass a pointer")
 	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch node := n.(type) {
+		case *ast.CompositeLit:
+			// Slice and map literals always allocate; struct/array literals
+			// when their address is taken.
+			t := info.TypeOf(node)
+			if t == nil {
+				return true
+			}
+			switch t.Underlying().(type) {
+			case *types.Slice:
+				site(node, "composite slice literal", " allocates on a hot path")
+			case *types.Map:
+				site(node, "composite map literal", " allocates on a hot path")
+			default:
+				if u, ok := parent[node].(*ast.UnaryExpr); ok && u.Op == token.AND {
+					site(node, "&"+types.TypeString(t, types.RelativeTo(pass.Pkg))+" composite literal",
+						" escapes to the heap on a hot path")
+				}
+			}
+
+		case *ast.FuncLit:
+			// Immediately invoked literals are inlined; one bound to a local
+			// is judged by that variable's uses (the Ident case).
+			if call, ok := parent[node].(*ast.CallExpr); ok && call.Fun == node {
+				return true
+			}
+			for _, l := range closures {
+				if l == node {
+					return true
+				}
+			}
+			site(node, "function literal", " on a hot path allocates its closure; hoist it or pass state explicitly")
+
+		case *ast.Ident:
+			// Any use of a local closure other than calling it means the
+			// closure escapes (and therefore allocates its context).
+			obj := info.Uses[node]
+			if _, local := closures[obj]; !local {
+				return true
+			}
+			if call, ok := parent[node].(*ast.CallExpr); ok && call.Fun == node {
+				return true
+			}
+			site(node, "closure "+obj.Name()+" escapes",
+				" its defining hot-path function; its captured variables move to the heap")
+
+		case *ast.AssignStmt:
+			if len(node.Lhs) != len(node.Rhs) {
+				return true
+			}
+			for i, lhs := range node.Lhs {
+				if isIface(info.TypeOf(lhs)) {
+					boxed(node.Rhs[i], "assignment")
+				}
+			}
+
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(node.Fun).(*ast.Ident); ok {
+				if b, ok := info.Uses[id].(*types.Builtin); ok {
+					switch b.Name() {
+					case "make", "new":
+						site(node, b.Name(), " allocates on a hot path; reuse a buffer or guard it as a lazy init (if buf == nil / if cap(buf) < n)")
+					case "append":
+						// Accepted when the destination has capacity provenance
+						// in this function (reset via buf[:0], sized with make,
+						// or a slice expression inline); anything else is a
+						// potential grow-and-copy.
+						if len(node.Args) == 0 {
+							return true
+						}
+						dst := ast.Unparen(node.Args[0])
+						if _, ok := dst.(*ast.SliceExpr); !ok && !provenanced[types.ExprString(dst)] {
+							site(node, "append without capacity provenance",
+								" on a hot path; pre-size the buffer (make with capacity, or reset with buf = buf[:0])")
+						}
+					case "panic":
+						for _, arg := range node.Args {
+							boxed(arg, "panic argument")
+						}
+					}
+					return true
+				}
+			}
+			if tv, ok := info.Types[node.Fun]; ok && tv.IsType() {
+				if isIface(tv.Type) && len(node.Args) == 1 {
+					boxed(node.Args[0], "conversion")
+				}
+				return true
+			}
+			if callee := funcObj(info, node); callee != nil {
+				key := funcKey(callee)
+				if hint, known := knownAllocating[key]; known {
+					site(node, key, " allocates its result on every call; "+hint)
+				} else if key != selfKey && pass.Summaries != nil && pass.Summaries.TransitivelyAllocates(key) {
+					site(node, "call on a hot path allocates transitively: "+shortFuncName(key)+" → "+pass.Summaries.AllocChain(key), "")
+				}
+			}
+			// Boxing of call arguments into interface parameters.
+			ft := info.TypeOf(node.Fun)
+			if ft == nil {
+				return true
+			}
+			sig, ok := ft.Underlying().(*types.Signature)
+			if !ok {
+				return true
+			}
+			params := sig.Params()
+			for i, arg := range node.Args {
+				var pt types.Type
+				switch {
+				case sig.Variadic() && i >= params.Len()-1:
+					if node.Ellipsis.IsValid() {
+						continue // slice passed through, no per-element boxing
+					}
+					pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+				case i < params.Len():
+					pt = params.At(i).Type()
+				}
+				if isIface(pt) {
+					boxed(arg, "argument")
+				}
+			}
+		}
+		return true
+	})
 }
 
-// checkHotAppend accepts append whose destination has capacity provenance
-// in this function (reset via buf[:0], sized with make, or a slice
-// expression inline); anything else is a potential grow-and-copy.
-func checkHotAppend(pass *Pass, call *ast.CallExpr, provenanced map[string]bool, inGuard func(ast.Node) bool) {
-	if len(call.Args) == 0 || inGuard(call) {
-		return
-	}
-	dst := ast.Unparen(call.Args[0])
-	if _, ok := dst.(*ast.SliceExpr); ok {
-		return // append(buf[:0], ...) — capacity reused in place
-	}
-	if provenanced[types.ExprString(dst)] {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"append without capacity provenance on a hot path; pre-size the buffer (make with capacity, or reset with buf = buf[:0])")
-}
-
-// checkBoxingAssign flags assignments that box a non-pointer value into an
-// interface-typed location.
-func checkBoxingAssign(pass *Pass, st *ast.AssignStmt) {
-	if len(st.Lhs) != len(st.Rhs) {
-		return
-	}
-	for i, lhs := range st.Lhs {
-		lt := pass.TypesInfo.TypeOf(lhs)
-		if lt == nil {
-			continue
-		}
-		if iface, ok := lt.Underlying().(*types.Interface); ok {
-			checkBoxedValue(pass, st.Rhs[i], iface, "assignment")
-		}
-	}
-}
-
-// checkBoxedValue reports arg when storing it in an interface allocates:
-// concrete, not pointer-shaped, and not a compile-time constant (constant
-// data is materialised in static memory by the compiler).
-func checkBoxedValue(pass *Pass, arg ast.Expr, _ *types.Interface, what string) {
-	tv, ok := pass.TypesInfo.Types[arg]
-	if !ok || tv.Value != nil {
-		return // constants never box at run time
-	}
-	t := tv.Type
+// isIface reports whether t (nil allowed) is an interface type.
+func isIface(t types.Type) bool {
 	if t == nil {
-		return
+		return false
 	}
-	switch u := t.Underlying().(type) {
-	case *types.Interface:
-		return // interface-to-interface, no box
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return // pointer-shaped, stored directly in the interface word
-	case *types.Basic:
-		if u.Kind() == types.UnsafePointer || u.Info()&types.IsUntyped != 0 {
-			return
-		}
-	}
-	pass.Reportf(arg.Pos(),
-		"interface %s boxes %s on a hot path; keep the value concrete or pass a pointer",
-		what, types.TypeString(t, types.RelativeTo(pass.Pkg)))
-}
-
-// typeAsSignature unwraps a call target's type to its signature.
-func typeAsSignature(t types.Type) (*types.Signature, bool) {
-	if t == nil {
-		return nil, false
-	}
-	sig, ok := t.Underlying().(*types.Signature)
-	return sig, ok
-}
-
-// kindName names a type's allocation-relevant kind for diagnostics.
-func kindName(t types.Type) string {
-	switch t.Underlying().(type) {
-	case *types.Slice:
-		return "slice"
-	case *types.Map:
-		return "map"
-	default:
-		return "value"
-	}
+	_, ok := t.Underlying().(*types.Interface)
+	return ok
 }
 
 // parentMap records each node's parent within root.
@@ -369,19 +379,4 @@ func localClosures(pass *Pass, body *ast.BlockStmt) map[types.Object]*ast.FuncLi
 		return true
 	})
 	return out
-}
-
-// checkFuncLit flags function literals that are neither immediately
-// invoked nor bound to a call-only local.
-func checkFuncLit(pass *Pass, lit *ast.FuncLit, parent map[ast.Node]ast.Node, closures map[types.Object]*ast.FuncLit) {
-	if call, ok := parent[lit].(*ast.CallExpr); ok && call.Fun == lit {
-		return // immediately invoked, inlined by the compiler
-	}
-	for _, l := range closures {
-		if l == lit {
-			return // judged via its variable's uses
-		}
-	}
-	pass.Reportf(lit.Pos(),
-		"function literal on a hot path allocates its closure; hoist it or pass state explicitly")
 }

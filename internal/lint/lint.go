@@ -13,10 +13,17 @@
 //   - detrand:   no ambient nondeterminism (math/rand, time.Now, os.Getenv)
 //     in deterministic packages; randomness flows through stats.RNG
 //   - maporder:  no order-sensitive work inside map iteration
-//   - hotalloc:  no allocation constructs in //bolt:hotpath functions
+//   - hotalloc:  no allocation construct in a //bolt:hotpath function or in
+//     anything it calls
 //   - snapshotdiscipline: DemandVersioner mutators bump the demand version,
 //     and observations are not retained across Place/Remove
 //   - rngstream: no stats.NewRNG inside a loop (stream splitting)
+//   - rcudiscipline: one atomic.Pointer Load per scope, CompareAndSwap
+//     writers, no parked snapshots
+//   - barriermerge: fan-out bodies write index-addressed slots, never
+//     shared state in completion order
+//   - timerleak: tickers are stopped and goroutines in deterministic
+//     packages are joined
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, analysistest-style golden tests) but is built on
@@ -33,8 +40,9 @@
 // placed on the offending line, on its own line directly above, or in the
 // doc comment of the enclosing function (suppressing for the whole body).
 // The reason is mandatory: a //bolt:nolint without `-- <reason>` suppresses
-// nothing and is itself reported. The analyzer list may be omitted to
-// suppress every analyzer for that line.
+// nothing and is itself reported, as is one naming an analyzer that does
+// not exist. The analyzer list may be omitted to suppress every analyzer
+// for that line.
 package lint
 
 import (
@@ -64,7 +72,7 @@ type Pass struct {
 
 	// Summaries is the module-wide function-fact index built over every
 	// package in the Run (summary.go). The interprocedural analyzers
-	// (hotcall, rcudiscipline, barriermerge, timerleak) consult it; the
+	// (hotalloc, rcudiscipline, barriermerge, timerleak) consult it; the
 	// intraprocedural ones ignore it.
 	Summaries *Summaries
 
@@ -228,8 +236,8 @@ func splitReason(rest *string) (reason string, ok bool) {
 }
 
 // Run executes the analyzers over the packages, applies //bolt:nolint
-// suppressions, reports malformed and unused suppressions, and returns the
-// surviving diagnostics sorted by position.
+// suppressions, reports malformed, misnamed and unused suppressions, and
+// returns the surviving diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	summaries := BuildSummaries(pkgs)
 
@@ -266,14 +274,24 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			}
 		}
 		for i := range sups {
-			if !sups[i].hasReason {
+			nolintf := func(format string, args ...any) {
 				all = append(all, Diagnostic{
 					Pos:      sups[i].pos,
 					Position: pkg.Fset.Position(sups[i].pos),
 					Analyzer: NolintAnalyzerName,
-					Message:  "//bolt:nolint requires a reason: //bolt:nolint <analyzer>[,<analyzer>] -- <reason>",
+					Message:  fmt.Sprintf(format, args...),
 				})
+			}
+			if !sups[i].hasReason {
+				nolintf("//bolt:nolint requires a reason: //bolt:nolint <analyzer>[,<analyzer>] -- <reason>")
 				continue
+			}
+			// A misspelt or retired analyzer name matches no diagnostic and
+			// can never be judged unused, so it would sit inert forever.
+			for _, name := range sups[i].analyzers {
+				if ByName(name) == nil {
+					nolintf("unknown analyzer %q in //bolt:nolint; it suppresses nothing", name)
+				}
 			}
 			// A suppression that matched nothing is stale: the code it
 			// excused has moved or been fixed, and a silent stale nolint
@@ -281,12 +299,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			// when every analyzer it names actually ran (a partial
 			// -analyzers run can't tell).
 			if !used[i] && runSetCovers(analyzers, sups[i].analyzers) {
-				all = append(all, Diagnostic{
-					Pos:      sups[i].pos,
-					Position: pkg.Fset.Position(sups[i].pos),
-					Analyzer: NolintAnalyzerName,
-					Message:  "unused //bolt:nolint: no diagnostic here to suppress; remove the stale suppression",
-				})
+				nolintf("unused //bolt:nolint: no diagnostic here to suppress; remove the stale suppression")
 			}
 		}
 	}

@@ -1,9 +1,9 @@
-// Test fixture for the hotcall analyzer: the acceptance case for the
+// Test fixture for hotalloc's transitive half: the acceptance case for the
 // interprocedural layer. Sum's annotated body contains no allocation
-// construct, so hotalloc (which inspects only the body) stays silent — the
-// TestHotcallCatchesWhatHotallocMisses guard pins that — but the callee
-// chain Sum → fill → scratch reaches a make, and hotcall reports it at the
-// call site with the full chain.
+// construct, so a walk of the body alone finds nothing, but the callee
+// chain Sum → fill → scratch reaches a make: the summary layer records
+// scratch's site with the same allocSites walker, and hotalloc reports it at
+// the call site with the full chain.
 package hotcall
 
 // scratch is the allocation two hops away.
@@ -41,7 +41,7 @@ func itoa(n int) string {
 	return string(buf)
 }
 
-// Sum is the hot path. Its own body allocates nothing — hotalloc finds no
+// Sum is the hot path. Its own body allocates nothing — there is no
 // construct here — but two of its calls reach allocations transitively.
 //
 //bolt:hotpath
@@ -58,4 +58,20 @@ func Sum(buf []int, n int) int {
 	label := formatted(n) // want `call on a hot path allocates transitively: hotcall.formatted → hotcall.itoa → append without capacity provenance \(hotcall.go:\d+\)`
 	_ = label
 	return total
+}
+
+// record is an allocation no make or literal betrays: storing a non-pointer
+// value in an interface boxes it.
+var last any
+
+func record(v float64) {
+	last = v
+}
+
+// Note allocates nothing itself; its callee only boxes. The one allocation
+// model counts boxing one call away exactly as it does in a hot body.
+//
+//bolt:hotpath
+func Note(v float64) {
+	record(v) // want `call on a hot path allocates transitively: hotcall.record → interface assignment boxes float64 \(hotcall.go:\d+\)`
 }
