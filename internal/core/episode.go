@@ -473,7 +473,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 	// sigErr scores profile i against one sibling core signature. The
 	// sibling runs at its own (unknown, below-peak) load, so a scalar
 	// α ∈ [0.7, 1.05] is fitted first, exactly as for the uncore mixture.
-	sigErr := func(sig sim.Vector, i int) float64 {
+	sigErr := func(sig *sim.Vector, i int) float64 {
 		num, den := 0.0, 0.0
 		for _, r := range sim.CoreResources() {
 			s := profiles[i].Pressure[r]
@@ -548,7 +548,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 		pred := 0.0
 		for _, i := range idxs {
 			d := sim.FromSlice(profiles[i].Pressure)
-			pred += d.Get(sim.LLC) * sim.CacheSpillFactor(d) * sim.SpillScale
+			pred += d.Get(sim.LLC) * sim.CacheSpillFactor(&d) * sim.SpillScale
 		}
 		diff := pred - e.mrcSlope
 		if diff < 0 {
@@ -562,9 +562,9 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 	const coreWeight = 1.0
 	score := func(idxs []int) float64 {
 		s := sumFit(idxs) + shutterErr(idxs) + mrcErr(idxs)
-		for ai, sig := range anchors {
+		for ai := range anchors {
 			if ai < len(idxs) {
-				s += coreWeight * sigErr(sig, idxs[ai]) / float64(maxInt(1, len(anchors)))
+				s += coreWeight * sigErr(&anchors[ai], idxs[ai]) / float64(maxInt(1, len(anchors)))
 			}
 		}
 		return s
@@ -574,7 +574,8 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 	// signature; for free slots, the best lone-explanation profiles.
 	const shortlist = 8
 	anchorLists := make([][]int, len(anchors))
-	for ai, sig := range anchors {
+	for ai := range anchors {
+		sig := &anchors[ai]
 		anchorLists[ai] = topByScore(entriesBuf, shortlist, func(i int) float64 {
 			return sigErr(sig, i) + 0.5*sumFitSingleBias(e, profiles, i)
 		})

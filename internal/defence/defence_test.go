@@ -132,7 +132,7 @@ func TestHostUsageAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := HostUsage(s, 0).Get(sim.LLC); got != 55 {
+	if got := HostUsage(s, 0)[sim.LLC]; got != 55 {
 		t.Fatalf("aggregate LLC usage = %v, want 55", got)
 	}
 }

@@ -6,6 +6,7 @@ func All() []*Analyzer {
 		DetrandAnalyzer,
 		MaporderAnalyzer,
 		HotallocAnalyzer,
+		HotcopyAnalyzer,
 		SnapshotAnalyzer,
 		RngstreamAnalyzer,
 		RCUDisciplineAnalyzer,

@@ -17,6 +17,7 @@ func TestAnalyzersRegistered(t *testing.T) {
 		"detrand",
 		"maporder",
 		"hotalloc",
+		"hotcopy",
 		"snapshotdiscipline",
 		"rngstream",
 		"rcudiscipline",

@@ -27,6 +27,7 @@ var goldenFixtures = []struct{ pkgPath, subdir string }{
 	{"bolt/internal/sim", "detrand"},
 	{"bolt/internal/mining", "hotalloc"},
 	{"bolt/internal/hotcall", "hotcall"},
+	{"bolt/internal/hotcopy", "hotcopy"},
 	{"bolt/internal/exper", "maporder"},
 	{"bolt/internal/exper", "nolintreason"},
 	{"bolt/internal/rcu", "rcu"},

@@ -15,6 +15,8 @@
 //   - maporder:  no order-sensitive work inside map iteration
 //   - hotalloc:  no allocation construct in a //bolt:hotpath function or in
 //     anything it calls
+//   - hotcopy:   no call, in a //bolt:hotpath function, to a method whose
+//     value receiver is an array or struct over 64 bytes
 //   - snapshotdiscipline: DemandVersioner mutators bump the demand version,
 //     and observations are not retained across Place/Remove
 //   - rngstream: no stats.NewRNG inside a loop (stream splitting)
@@ -108,7 +110,8 @@ const NolintAnalyzerName = "nolint"
 // nolintPrefix introduces a suppression comment.
 const nolintPrefix = "//bolt:nolint"
 
-// HotpathDirective marks a function whose body the hotalloc analyzer checks.
+// HotpathDirective marks a function whose body the hotalloc and hotcopy
+// analyzers check.
 const HotpathDirective = "//bolt:hotpath"
 
 // suppression is one parsed //bolt:nolint comment.

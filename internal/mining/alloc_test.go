@@ -78,7 +78,7 @@ var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
 	"DetectDense":       "TestDetectAllocationBudget",
 	"detect":            "TestDetectAllocationBudget",
-	"sortMatches":       "TestDetectAllocationBudget",
+	"rankBySimilarity":  "TestDetectAllocationBudget",
 	"proximity":         "TestDetectAllocationBudget",
 	"Dot":               "TestDetectAllocationBudget",
 	"Axpy":              "TestCompleteIntoAllocationFree",

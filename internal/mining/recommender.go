@@ -96,6 +96,16 @@ type detectScratch struct {
 	centred []float64 // mean-centred observation (n)
 	x       []float64 // projection input (n; PureCF)
 	u       []float64 // concept-space coordinates (rank; PureCF)
+	rank    []rankKey // ranking keys, one per training profile
+}
+
+// rankKey is what detect sorts: a profile's similarity and its index in the
+// training set. It holds no pointer, so moving keys is a plain memmove —
+// sorting the two-string Match structs themselves paid a write barrier per
+// moved element whenever the GC was marking.
+type rankKey struct {
+	sim float64
+	idx int32
 }
 
 // minConceptRank is the fewest similarity concepts the recommender retains.
@@ -196,6 +206,7 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			centred: make([]float64, n),
 			x:       make([]float64, n),
 			u:       make([]float64, conceptRank),
+			rank:    make([]rankKey, len(profiles)),
 		}
 	}
 	return r
@@ -407,8 +418,8 @@ func (r *Recommender) detect(pressure []float64, known []bool, s *detectScratch)
 	// different intensities are not the same application; the proximity
 	// factor (in (0, 1]) suppresses such matches while leaving near-copies
 	// untouched.
-	for i, p := range r.profiles {
-		prof := r.centred[i*r.n : (i+1)*r.n]
+	for i := range r.profiles {
+		prof, raw := r.centred[i*r.n:(i+1)*r.n], r.profiles[i].Pressure
 		var sim float64
 		switch {
 		case r.cfg.PureCF:
@@ -416,47 +427,48 @@ func (r *Recommender) detect(pressure []float64, known []bool, s *detectScratch)
 		case r.cfg.Unweighted:
 			// Pearson == WeightedPearson under all-ones weights; using the
 			// precomputed ones avoids Pearson's per-call allocation.
-			sim = WeightedPearson(centred, prof, r.ones) * proximity(pressure, p.Pressure, nil)
+			sim = WeightedPearson(centred, prof, r.ones) * proximity(pressure, raw, nil)
 		default:
-			sim = WeightedPearson(centred, prof, weights) * proximity(pressure, p.Pressure, weights)
+			sim = WeightedPearson(centred, prof, weights) * proximity(pressure, raw, weights)
 		}
-		res.Matches[i] = Match{Label: p.Label, Class: p.Class, Similarity: sim}
+		s.rank[i] = rankKey{sim: sim, idx: int32(i)}
 	}
-	sortMatches(res.Matches)
-	if r.cfg.PureCF {
-		// Pure collaborative filtering cannot assign labels (§3.2): it only
-		// clusters. Blank the labels so downstream accuracy metrics reflect
-		// the paper's argument that CF alone is insufficient.
-		for i := range res.Matches {
-			res.Matches[i].Label = ""
+	rankBySimilarity(s.rank)
+	for k, key := range s.rank {
+		p := &r.profiles[key.idx]
+		res.Matches[k] = Match{Label: p.Label, Class: p.Class, Similarity: key.sim}
+		if r.cfg.PureCF {
+			// Pure collaborative filtering cannot assign labels (§3.2): it
+			// only clusters. Blank the label so downstream accuracy metrics
+			// reflect the paper's argument that CF alone is insufficient.
+			res.Matches[k].Label = ""
 		}
 	}
 	return res
 }
 
-// sortMatches orders matches by decreasing similarity, stably. A stable
+// rankBySimilarity orders keys by decreasing similarity, stably. A stable
 // sort's output is uniquely determined by the comparator, so this binary
-// insertion sort produces exactly the ordering sort.SliceStable used to —
-// without the interface conversion and closure allocations, which were the
-// last per-call allocations on the detection hot path. Training sets are a
-// few hundred profiles, well inside insertion sort's comfort zone.
+// insertion sort produces exactly the ordering sort.SliceStable would —
+// without the interface conversion and closure allocations. Training sets
+// are a few hundred profiles, well inside insertion sort's comfort zone.
 //
 //bolt:hotpath
-func sortMatches(m []Match) {
-	for i := 1; i < len(m); i++ {
-		x := m[i]
+func rankBySimilarity(keys []rankKey) {
+	for i := 1; i < len(keys); i++ {
+		x := keys[i]
 		// Binary search for the first position whose similarity is strictly
 		// below x's: equal keys stay in input order (stability).
 		lo, hi := 0, i
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if m[mid].Similarity >= x.Similarity {
+			if keys[mid].sim >= x.sim {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		copy(m[lo+1:i+1], m[lo:i])
-		m[lo] = x
+		copy(keys[lo+1:i+1], keys[lo:i])
+		keys[lo] = x
 	}
 }

@@ -1,7 +1,9 @@
 package mining
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +238,73 @@ func TestRecommenderMatchesSorted(t *testing.T) {
 		if res.Matches[i].Similarity > res.Matches[i-1].Similarity {
 			t.Fatal("matches not sorted by decreasing similarity")
 		}
+	}
+}
+
+// TestRankBySimilarityMatchesStableSort pins the ranking routine against
+// sort.SliceStable by decreasing similarity. Similarities are drawn from a
+// handful of values so most keys tie and the index order carries the proof
+// of stability.
+func TestRankBySimilarityMatchesStableSort(t *testing.T) {
+	rng := stats.NewRNG(13)
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(160)
+		levels := 1 + rng.Intn(6)
+		got := make([]rankKey, n)
+		for i := range got {
+			got[i] = rankKey{sim: float64(rng.Intn(levels))/float64(levels) - 0.5, idx: int32(i)}
+		}
+		want := append([]rankKey(nil), got...)
+		sort.SliceStable(want, func(a, b int) bool { return want[a].sim > want[b].sim })
+		rankBySimilarity(got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d, %d levels): position %d is %+v, stable sort has %+v",
+					trial, n, levels, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDetectMatchesFollowRanking checks the gather step end to end: the
+// matches are a permutation of the training set, each carrying its own
+// profile's class, in decreasing similarity with ties in training order.
+func TestDetectMatchesFollowRanking(t *testing.T) {
+	train := synthTrain(stats.NewRNG(14))
+	train = append(train, train[0], train[0]) // forced three-way tie
+	index := map[string]int{}
+	for i := range train {
+		train[i].Label = fmt.Sprintf("p%02d", i)
+		index[train[i].Label] = i
+	}
+	res := NewRecommender(train, RecommenderConfig{}).DetectDense(train[0].Pressure)
+	if len(res.Matches) != len(train) {
+		t.Fatalf("got %d matches for %d profiles", len(res.Matches), len(train))
+	}
+	seen := map[int]bool{}
+	ties := 0
+	for k, m := range res.Matches {
+		i, ok := index[m.Label]
+		if !ok || seen[i] || m.Class != train[i].Class {
+			t.Fatalf("match %d (%q, class %q) is not a fresh training profile", k, m.Label, m.Class)
+		}
+		seen[i] = true
+		if k == 0 {
+			continue
+		}
+		prev := res.Matches[k-1]
+		switch {
+		case m.Similarity > prev.Similarity:
+			t.Fatalf("match %d: similarity %v above its predecessor's %v", k, m.Similarity, prev.Similarity)
+		case m.Similarity == prev.Similarity:
+			ties++
+			if index[prev.Label] > i {
+				t.Fatalf("tie at %d: %q ranked before %q", k, prev.Label, m.Label)
+			}
+		}
+	}
+	if ties < 2 {
+		t.Fatalf("%d ties ranked, the duplicated profile should give at least 2", ties)
 	}
 }
 

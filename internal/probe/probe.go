@@ -68,11 +68,13 @@ func (k *Kernels) Set(r sim.Resource, intensity float64) {
 	}
 }
 
-// Get returns the current intensity of the kernel for r.
+// Get returns the current intensity of the kernel for r. It indexes the
+// array rather than calling the pointer-receiver Vector.Get, which
+// snapshotdiscipline would have to treat as a write to Demand's state.
 func (k *Kernels) Get(r sim.Resource) float64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.intensity.Get(r)
+	return k.intensity[r]
 }
 
 // Reset idles every kernel.

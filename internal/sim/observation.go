@@ -158,7 +158,7 @@ func (s *Server) squeezeFor(o *obsPlane, observer *VM, t Tick) float64 {
 			return o.demand[i].Get(LLC) / 100 * s.cfg.Visibility.Get(LLC)
 		}
 	}
-	return observer.App.Demand(t).Get(LLC) / 100 * s.cfg.Visibility.Get(LLC)
+	return observer.App.Demand(t)[LLC] / 100 * s.cfg.Visibility.Get(LLC)
 }
 
 // ObservedPressure returns the contention a probe inside observer sees on
@@ -206,7 +206,7 @@ func (s *Server) observedPressureFrom(o *obsPlane, observer *VM, r Resource, t T
 		demand := &o.demand[i]
 		total += demand.Get(r)
 		if squeeze > 0 {
-			total += demand.Get(LLC) * CacheSpillFactor(*demand) * squeeze * SpillScale
+			total += demand.Get(LLC) * CacheSpillFactor(demand) * squeeze * SpillScale
 		}
 	}
 	total *= s.cfg.Visibility.Get(r)
@@ -223,7 +223,7 @@ func (s *Server) observedPressureFrom(o *obsPlane, observer *VM, r Resource, t T
 func (s *Server) observedPressureLive(observer *VM, r Resource, t Tick) float64 {
 	squeeze := 0.0
 	if r == MemBW && observer != nil {
-		squeeze = observer.App.Demand(t).Get(LLC) / 100 * s.cfg.Visibility.Get(LLC)
+		squeeze = observer.App.Demand(t)[LLC] / 100 * s.cfg.Visibility.Get(LLC)
 	}
 	total := 0.0
 	for _, vm := range s.vms {
@@ -236,7 +236,7 @@ func (s *Server) observedPressureLive(observer *VM, r Resource, t Tick) float64 
 		demand := vm.App.Demand(t)
 		total += demand.Get(r)
 		if squeeze > 0 {
-			total += demand.Get(LLC) * CacheSpillFactor(demand) * squeeze * SpillScale
+			total += demand.Get(LLC) * CacheSpillFactor(&demand) * squeeze * SpillScale
 		}
 	}
 	total *= s.cfg.Visibility.Get(r)
@@ -270,7 +270,7 @@ func (s *Server) ObservedCorePressure(observer *VM, coreIdx int, r Resource, t T
 	} else {
 		for _, vm := range s.vms {
 			if vm != observer && vm.occupiesCore(coreIdx) {
-				total += vm.App.Demand(t).Get(r)
+				total += vm.App.Demand(t)[r]
 			}
 		}
 	}
@@ -296,7 +296,7 @@ func accumulateObserved(totals *[NumResources]float64, demand *Vector, shares bo
 		}
 		totals[ri] += demand.Get(r)
 		if r == MemBW && squeeze > 0 {
-			totals[ri] += demand.Get(LLC) * CacheSpillFactor(*demand) * squeeze * SpillScale
+			totals[ri] += demand.Get(LLC) * CacheSpillFactor(demand) * squeeze * SpillScale
 		}
 	}
 }
@@ -366,7 +366,7 @@ func (s *Server) Interference(victim *VM, t Tick) Vector {
 func (s *Server) InterferenceLive(victim *VM, t Tick) Vector {
 	squeeze := 0.0
 	if victim != nil {
-		squeeze = victim.App.Demand(t).Get(LLC) / 100 * s.cfg.Visibility.Get(LLC)
+		squeeze = victim.App.Demand(t)[LLC] / 100 * s.cfg.Visibility.Get(LLC)
 	}
 	var totals [NumResources]float64
 	for _, vm := range s.vms {
@@ -454,7 +454,7 @@ func (s *Server) CPUUtilization(t Tick) float64 {
 		}
 	} else {
 		for _, vm := range s.vms {
-			total += vm.App.Demand(t).Get(CPU)
+			total += vm.App.Demand(t)[CPU]
 		}
 	}
 	if total > 100 {
@@ -472,12 +472,13 @@ func (s *Server) HostDemand(t Tick) Vector {
 	var total Vector
 	if o := s.observation(t); o != nil {
 		for i := range s.vms {
-			total = total.Add(o.demand[i])
+			total.accumulate(&o.demand[i])
 		}
 		return total
 	}
 	for _, vm := range s.vms {
-		total = total.Add(vm.App.Demand(t))
+		demand := vm.App.Demand(t)
+		total.accumulate(&demand)
 	}
 	return total
 }

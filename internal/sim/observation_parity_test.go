@@ -26,7 +26,7 @@ func refObservedPressure(s *sim.Server, observer *sim.VM, r sim.Resource, t sim.
 	vis := s.Config().Visibility
 	squeeze := 0.0
 	if r == sim.MemBW && observer != nil {
-		squeeze = observer.App.Demand(t).Get(sim.LLC) / 100 * vis.Get(sim.LLC)
+		squeeze = observer.App.Demand(t)[sim.LLC] / 100 * vis.Get(sim.LLC)
 	}
 	total := 0.0
 	for _, vm := range s.VMs() {
@@ -39,7 +39,7 @@ func refObservedPressure(s *sim.Server, observer *sim.VM, r sim.Resource, t sim.
 		demand := vm.App.Demand(t)
 		total += demand.Get(r)
 		if squeeze > 0 {
-			total += demand.Get(sim.LLC) * sim.CacheSpillFactor(demand) * squeeze * sim.SpillScale
+			total += demand.Get(sim.LLC) * sim.CacheSpillFactor(&demand) * squeeze * sim.SpillScale
 		}
 	}
 	total *= vis.Get(r)
@@ -66,9 +66,9 @@ func refObservedCorePressure(s *sim.Server, observer *sim.VM, coreIdx int, r sim
 	}
 	total := 0.0
 	for _, vm := range s.VMsOnCore(observer, coreIdx) {
-		total += vm.App.Demand(t).Get(r)
+		total += vm.App.Demand(t)[r]
 	}
-	total *= s.Config().Visibility.Get(r)
+	total *= s.Config().Visibility[r]
 	if total > 100 {
 		total = 100
 	}
@@ -85,7 +85,7 @@ func refSlowdown(s *sim.Server, victim *sim.VM, t sim.Tick) float64 {
 func refCPUUtilization(s *sim.Server, t sim.Tick) float64 {
 	total := 0.0
 	for _, vm := range s.VMs() {
-		total += vm.App.Demand(t).Get(sim.CPU)
+		total += vm.App.Demand(t)[sim.CPU]
 	}
 	if total > 100 {
 		total = 100

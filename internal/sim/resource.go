@@ -77,8 +77,11 @@ func UncoreResources() []Resource {
 // Vector is a per-resource pressure vector with entries in [0, 100].
 type Vector [NumResources]float64
 
-// Get returns the entry for r.
-func (v Vector) Get(r Resource) float64 { return v[r] }
+// Get returns the entry for r. The receiver is a pointer because r is a
+// run-time index: a value receiver would first copy all 80 bytes to the
+// stack on every call. Index a non-addressable result directly
+// (app.Demand(t)[r]).
+func (v *Vector) Get(r Resource) float64 { return v[r] }
 
 // Set assigns the entry for r, clamping to [0, 100].
 func (v *Vector) Set(r Resource, x float64) {
@@ -93,11 +96,16 @@ func (v *Vector) Set(r Resource, x float64) {
 
 // Add returns the entry-wise sum of v and o, clamped to [0, 100].
 func (v Vector) Add(o Vector) Vector {
-	var out Vector
+	v.accumulate(&o)
+	return v
+}
+
+// accumulate is Add in place and through pointers, for folds on the tick
+// path.
+func (v *Vector) accumulate(o *Vector) {
 	for i := range v {
-		out.Set(Resource(i), v[i]+o[i])
+		v.Set(Resource(i), v[i]+o[i])
 	}
-	return out
 }
 
 // Scale returns v scaled by f, clamped to [0, 100].

@@ -414,9 +414,10 @@ func (s *Server) VMsOnCore(observer *VM, coreIdx int) []*VM {
 // into extra DRAM traffic almost one-for-one, while a streaming workload is
 // already missing and barely changes. This is the physical effect behind
 // miss-ratio curves, and the signal the §3.3 future-work extension (per-job
-// cache miss rate curves) exploits.
-func CacheSpillFactor(d Vector) float64 {
-	llc, bw := d.Get(LLC), d.Get(MemBW)
+// cache miss rate curves) exploits. d is read through a pointer so the
+// snapshot's entries are not copied per co-resident.
+func CacheSpillFactor(d *Vector) float64 {
+	llc, bw := d[LLC], d[MemBW]
 	if llc == 0 {
 		return 0
 	}

@@ -27,37 +27,42 @@ type Spec struct {
 
 // sensitivity returns the effective sensitivity vector in 0-1: explicit if
 // set, otherwise proportional to the base profile (applications are most
-// sensitive to the resources they use most, §5.1).
-func (s Spec) sensitivity() sim.Vector {
-	var zero sim.Vector
-	src := s.Sens
-	if src == zero {
-		src = s.Base
+// sensitive to the resources they use most, §5.1). Pointer receiver: a
+// value receiver copies the whole 280-byte Spec per call.
+func (s *Spec) sensitivity() sim.Vector {
+	src := &s.Sens
+	if *src == (sim.Vector{}) {
+		src = &s.Base
 	}
 	return src.Scale(0.01)
 }
 
 // App is a running application instance: a Spec bound to a start time and a
 // deterministic noise stream. App implements sim.Demander. Demand is a pure
-// function of the tick, so repeated queries for the same time agree — the
-// simulator may evaluate a tick several times (probe ramps, utilisation
-// checks) and must see a consistent world.
+// function of the tick and Start, so repeated queries for the same time
+// agree — the simulator may evaluate a tick several times (probe ramps,
+// utilisation checks) and must see a consistent world. Spec and Pattern are
+// frozen at NewApp: Demand's memo is keyed on (tick, Start) only, so
+// mutating either after the first Demand call serves stale vectors. Start
+// may be set at any time.
 type App struct {
 	Spec    Spec
 	Pattern LoadPattern
 	Start   sim.Tick // tick at which the app began running
 	seed    uint64
 
-	// memoVal/memoTick cache the last Demand evaluation. Demand is a pure
-	// function of the tick (hash-based noise, no mutable RNG state), so the
-	// cache is bit-exact by construction. It matters because one simulator
-	// tick evaluates the same app several times — the observation snapshot
-	// asks every VM top-level, and a co-resident Reactive's one-step
-	// relaxation asks everyone again mid-build. An App belongs to one VM on
-	// one host and is evaluated only under that host's detection flow, so a
-	// plain field is safe (same single-flow argument as probe.Adversary).
+	// memoVal caches the last Demand evaluation, keyed on (memoTick,
+	// memoStart). Demand is a pure function of those two (hash-based noise,
+	// no mutable RNG state), so the cache is bit-exact by construction. It
+	// matters because one simulator tick evaluates the same app several
+	// times — the observation snapshot asks every VM top-level, and a
+	// co-resident Reactive's one-step relaxation asks everyone again
+	// mid-build. An App belongs to one VM on one host and is evaluated only
+	// under that host's detection flow, so a plain field is safe (same
+	// single-flow argument as probe.Adversary).
 	memoVal   sim.Vector
 	memoTick  sim.Tick
+	memoStart sim.Tick
 	memoValid bool
 }
 
@@ -69,47 +74,48 @@ func NewApp(spec Spec, pattern LoadPattern, seed uint64) *App {
 	return &App{Spec: spec, Pattern: pattern, seed: seed}
 }
 
-// hash64 mixes a tick into the app's seed (splitmix64 finaliser), providing
-// deterministic per-tick noise without mutable RNG state.
-func (a *App) hash64(t sim.Tick, salt uint64) uint64 {
-	z := a.seed ^ (uint64(t) * 0x9e3779b97f4a7c15) ^ (salt * 0xd6e8feb86659fd93)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// noise returns a deterministic multiplicative jitter factor around 1 for
-// resource r at tick t.
-func (a *App) noise(t sim.Tick, r sim.Resource) float64 {
-	if a.Spec.Jitter == 0 {
-		return 1
-	}
-	// Uniform in [1-2j, 1+2j]: cheap, bounded, mean 1.
-	u := float64(a.hash64(t, uint64(r)+1)>>11) / (1 << 53)
-	return 1 + a.Spec.Jitter*2*(2*u-1)
-}
-
 // Demand implements sim.Demander: the base profile split into a fixed and a
 // load-following component, modulated by the pattern and jitter.
+//
+// It is one fused pass per tick. Base and LoadScaled are indexed through
+// pointers (no 80-byte copies), the result is clamped straight into the
+// memo, and what does not depend on the resource is computed once: the
+// Jitter read and the per-tick half of the splitmix64 mix. The noise for
+// resource r at tick t is the splitmix64 finaliser of seed ^ t·φ ^ (r+1)·c
+// mapped to a uniform factor in [1-2j, 1+2j] (cheap, bounded, mean 1, no
+// mutable RNG state). Every floating-point expression keeps its historical
+// operand order, so the output is bit-identical to the straight-line form
+// the tests keep as a reference (referenceDemand).
+//
 //bolt:hotpath
 func (a *App) Demand(t sim.Tick) sim.Vector {
-	if a.memoValid && a.memoTick == t {
+	if a.memoValid && a.memoTick == t && a.memoStart == a.Start {
 		return a.memoVal
 	}
 	rel := t - a.Start
 	if rel < 0 {
 		return sim.Vector{}
 	}
+	// Factor runs before the in-place write below: a pattern that re-enters
+	// the observation plane must never find the memo half-written.
 	load := a.Pattern.Factor(rel)
-	var out sim.Vector
-	for r := sim.Resource(0); r < sim.NumResources; r++ {
-		base := a.Spec.Base.Get(r)
-		frac := a.Spec.LoadScaled.Get(r) / 100
-		level := base*(1-frac) + base*frac*load
-		out.Set(r, level*a.noise(t, r))
+	base, scaled, out := &a.Spec.Base, &a.Spec.LoadScaled, &a.memoVal
+	jitter := a.Spec.Jitter
+	tickMix := a.seed ^ (uint64(t) * 0x9e3779b97f4a7c15)
+	for r := range base {
+		b, frac := base[r], scaled[r]/100
+		level := b*(1-frac) + b*frac*load
+		if jitter != 0 {
+			z := tickMix ^ (uint64(r+1) * 0xd6e8feb86659fd93)
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			u := float64((z^(z>>31))>>11) / (1 << 53)
+			level *= 1 + jitter*2*(2*u-1)
+		}
+		out.Set(sim.Resource(r), level)
 	}
-	a.memoVal, a.memoTick, a.memoValid = out, t, true
-	return out
+	a.memoTick, a.memoStart, a.memoValid = t, a.Start, true
+	return a.memoVal
 }
 
 // Sensitivity implements sim.Demander.

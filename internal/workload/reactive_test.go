@@ -89,13 +89,13 @@ func TestReactiveDrainScalesWithSlowdown(t *testing.T) {
 	if err := s.Place(light); err != nil {
 		t.Fatal(err)
 	}
-	lightLLC := r.Demand(10).Get(sim.LLC)
+	lightLLC := r.Demand(10)[sim.LLC]
 	s.Remove("light")
 	heavy := &sim.VM{ID: "heavy", VCPUs: 2, App: kernelApp{sim.MemBW, 95}}
 	if err := s.Place(heavy); err != nil {
 		t.Fatal(err)
 	}
-	heavyLLC := r.Demand(10).Get(sim.LLC)
+	heavyLLC := r.Demand(10)[sim.LLC]
 	if heavyLLC >= lightLLC {
 		t.Fatalf("heavier stall should drain more: light %v, heavy %v", lightLLC, heavyLLC)
 	}

@@ -170,10 +170,10 @@ func TestSequencePhases(t *testing.T) {
 		t.Fatal("phase 2 should be memcached")
 	}
 	// SPEC has no network traffic; memcached does.
-	if seq.Demand(50).Get(sim.NetBW) > 5 {
+	if seq.Demand(50)[sim.NetBW] > 5 {
 		t.Fatal("SPEC phase should have ~no network demand")
 	}
-	if seq.Demand(150).Get(sim.NetBW) < 20 {
+	if seq.Demand(150)[sim.NetBW] < 20 {
 		t.Fatal("memcached phase should have network demand")
 	}
 	// Past the last phase the final spec keeps running.
