@@ -367,14 +367,16 @@ func BenchmarkSuite(b *testing.B) {
 
 // --- The fleet tick engine ---
 
-// benchFleetTick advances a populated fleet one tick per iteration on the
-// sharded engine, with every server running the representative monitor
-// body (one RNG draw, two observation-plane reads, a data-dependent
-// event). ticks/s is reported as the headline throughput — the number the
-// BENCH_fleet.json floor gates on — and server-ticks/s as the
-// size-independent rate. Output is byte-identical at every worker count,
-// so Fleet/*/workersN sweeps measure pure scheduling.
-func benchFleetTick(b *testing.B, servers, workers int) {
+// benchFleetTick advances a populated fleet span ticks per iteration on
+// the sharded engine (span 1 is Engine.Tick; span 16 is the attack
+// campaign's probe window), with every server running the representative
+// monitor body (one RNG draw, two observation-plane reads, a data-dependent
+// event). ns/op is per Advance call; ticks/s and server-ticks/s are per
+// *tick*, so rows of different spans compare directly. Output is
+// byte-identical at every worker count, so */workersN sweeps measure pure
+// scheduling — this sweep is where fleet.minShardServerTicks comes from
+// (DESIGN.md "Fleet tick barrier").
+func benchFleetTick(b *testing.B, servers, span, workers int) {
 	b.Helper()
 	fleet.SetShardWorkers(workers)
 	defer fleet.SetShardWorkers(0)
@@ -403,28 +405,32 @@ func benchFleetTick(b *testing.B, servers, workers int) {
 			w.Emit(int(r), "", p)
 		}
 	}
-	engine.Tick(0, monitor) // warm the demand memos and event buffers
+	engine.Advance(0, span, monitor) // warm the demand memos and event buffers
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Tick(sim.Tick(i+1), monitor)
+		engine.Advance(sim.Tick((i+1)*span), span, monitor)
 	}
 	b.StopTimer()
-	perTick := b.Elapsed().Seconds() / float64(b.N)
+	perTick := b.Elapsed().Seconds() / float64(b.N*span)
 	b.ReportMetric(1/perTick, "ticks/s")
 	b.ReportMetric(float64(servers)/perTick, "server-ticks/s")
 }
 
-// BenchmarkFleetTick sweeps fleet size × shard workers. The 4096-server
-// rows are the ISSUE's target datacenter (~20k VMs at 5 VMs/server).
+// BenchmarkFleetTick sweeps fleet size × span × shard workers. 256 servers
+// is what the fleet experiments (and the benchmark's fleet workloads) run,
+// 4096 the ISSUE's target datacenter (~20k VMs at 5 VMs/server), 1024 the
+// size between them where a single tick first crosses the fan-out grain.
 func BenchmarkFleetTick(b *testing.B) {
-	for _, servers := range []int{256, 4096} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			servers, workers := servers, workers
-			b.Run(fmt.Sprintf("servers%d/workers%d", servers, workers), func(b *testing.B) {
-				benchFleetTick(b, servers, workers)
-			})
+	for _, servers := range []int{256, 1024, 4096} {
+		for _, span := range []int{1, 16} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				servers, span, workers := servers, span, workers
+				b.Run(fmt.Sprintf("servers%d/span%d/workers%d", servers, span, workers), func(b *testing.B) {
+					benchFleetTick(b, servers, span, workers)
+				})
+			}
 		}
 	}
 }

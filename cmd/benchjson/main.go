@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchjson [-bench regex] [-benchtime 2x] [-pkg ./...] [-out BENCH_hotpath.json] [-append]
+//	benchjson [-bench regex] [-benchtime 2x] [-count N] [-pkg ./...] [-out BENCH_hotpath.json] [-append]
 //	benchjson -exec [-out BENCH_serve.json] [-append] -- command [args...]
 //
 // -append merges the new results into an existing -out file (replacing
@@ -13,6 +13,12 @@
 // iteration count and the slow suite benchmarks at a small one. A
 // benchmark name appearing twice — within one run, or surviving a merge —
 // is an error: the recorded trajectory keys on names.
+//
+// -count N (go test mode only) repeats every benchmark N times and records
+// the median of each value with the quartiles of ns/op, so a file compares
+// medians against a spread instead of single readings. Every file records
+// the GOMAXPROCS and CPU count it was measured under: a worker sweep means
+// nothing without them.
 //
 // By default it shells out to `go test -run ^$ -bench <regex> -benchmem`
 // and parses the standard benchmark output lines, e.g.
@@ -38,20 +44,29 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
+
+	"bolt/internal/stats"
 )
 
 // Result is one parsed benchmark line. BenchTime records the -benchtime
 // the result was collected at, since an appended report may mix runs
 // (e.g. microbenchmarks at a stable iteration count, the full suite at a
 // small one); -exec results carry no benchtime. Metrics holds every
-// value/unit pair beyond the three standard ones, keyed by unit.
+// value/unit pair beyond the three standard ones, keyed by unit. Under
+// -count N every value is the median of the N runs, Samples is N, and
+// NsPerOpQ1/Q3 are the quartiles of ns/op — the run-to-run spread a gate
+// comparing two rows has to allow for.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	NsPerOpQ1   float64            `json:"ns_per_op_q1,omitempty"`
+	NsPerOpQ3   float64            `json:"ns_per_op_q3,omitempty"`
+	Samples     int                `json:"samples,omitempty"`
 	BytesPerOp  int64              `json:"b_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
@@ -64,6 +79,8 @@ type Report struct {
 	GoOS        string   `json:"goos,omitempty"`
 	GoArch      string   `json:"goarch,omitempty"`
 	CPU         string   `json:"cpu,omitempty"`
+	GOMAXPROCS  int      `json:"gomaxprocs"`
+	NumCPU      int      `json:"num_cpu"`
 	Bench       string   `json:"bench"`
 	BenchTime   string   `json:"benchtime,omitempty"`
 	Benchmarks  []Result `json:"benchmarks"`
@@ -74,12 +91,18 @@ func main() {
 	benchtime := flag.String("benchtime", "2x", "value passed to go test -benchtime")
 	pkg := flag.String("pkg", ".", "package pattern passed to go test")
 	out := flag.String("out", "BENCH_hotpath.json", "output JSON path")
+	count := flag.Int("count", 1, "value passed to go test -count; above 1, each benchmark records the median and ns/op quartiles of its runs")
 	timeout := flag.String("timeout", "30m", "value passed to go test -timeout")
 	execMode := flag.Bool("exec", false,
 		"run the command after -- instead of go test, parsing its stdout as benchmark lines")
 	appendOut := flag.Bool("append", false,
 		"merge results into an existing -out file instead of replacing it (same-name benchmarks are overwritten)")
 	flag.Parse()
+
+	if *count < 1 || (*execMode && *count != 1) {
+		fmt.Fprintln(os.Stderr, "benchjson: -count must be at least 1, and applies to go test mode only")
+		os.Exit(2)
+	}
 
 	var cmd *exec.Cmd
 	var benchLabel, benchTime string
@@ -94,7 +117,7 @@ func main() {
 	} else {
 		cmd = exec.Command("go", "test", "-run", "^$",
 			"-bench", *bench, "-benchmem", "-benchtime", *benchtime,
-			"-timeout", *timeout, *pkg)
+			"-count", strconv.Itoa(*count), "-timeout", *timeout, *pkg)
 		benchLabel, benchTime = *bench, *benchtime
 	}
 	var buf bytes.Buffer
@@ -107,22 +130,27 @@ func main() {
 
 	report := parseReport(&buf)
 	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	// The child inherits this process's environment, so these are the
+	// values the benchmarks ran under.
+	report.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	report.NumCPU = runtime.NumCPU()
 	report.Bench = benchLabel
 	report.BenchTime = benchTime
-	for i := range report.Benchmarks {
-		report.Benchmarks[i].BenchTime = benchTime
-	}
 	if len(report.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines matched")
 		os.Exit(1)
 	}
-	// One run must yield one result per name: a duplicate means the regex
-	// matched the same benchmark in several packages (or -count > 1), and
-	// silently keeping both would make the recorded trajectory ambiguous —
-	// and -append's same-name replacement nondeterministic.
-	if dup := firstDuplicate(report.Benchmarks); dup != "" {
-		fmt.Fprintf(os.Stderr, "benchjson: benchmark %q appears more than once in this run; narrow -bench or -pkg so each name is unique\n", dup)
+	// One run must yield -count results per name: more means the regex
+	// matched the same benchmark in several packages, and silently keeping
+	// both would make the recorded trajectory ambiguous — and -append's
+	// same-name replacement nondeterministic.
+	var err error
+	if report.Benchmarks, err = collapse(report.Benchmarks, *count); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v; narrow -bench or -pkg so each name is unique\n", err)
 		os.Exit(1)
+	}
+	for i := range report.Benchmarks {
+		report.Benchmarks[i].BenchTime = benchTime
 	}
 
 	if *appendOut {
@@ -202,6 +230,59 @@ func mergeReports(old, fresh Report) (Report, error) {
 		return Report{}, fmt.Errorf("benchmark %q would appear more than once", dup)
 	}
 	return fresh, nil
+}
+
+// collapse folds the count results each benchmark name must have into one:
+// every value becomes the median over the runs, with the quartiles of
+// ns/op beside it. A name with any other number of results is an error.
+// Order of first appearance is kept.
+func collapse(results []Result, count int) ([]Result, error) {
+	byName := make(map[string][]Result, len(results))
+	var order []string
+	for _, r := range results {
+		if _, seen := byName[r.Name]; !seen {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		runs := byName[name]
+		if len(runs) != count {
+			return nil, fmt.Errorf("benchmark %q has %d results in this run, want %d", name, len(runs), count)
+		}
+		if count == 1 {
+			out = append(out, runs[0])
+			continue
+		}
+		// quartile q (0-100) of one field across the runs
+		at := func(q float64, get func(Result) float64) float64 {
+			xs := make([]float64, len(runs))
+			for i, r := range runs {
+				xs[i] = get(r)
+			}
+			return stats.Percentile(xs, q)
+		}
+		ns := func(r Result) float64 { return r.NsPerOp }
+		med := Result{
+			Name:        name,
+			Iterations:  runs[0].Iterations,
+			NsPerOp:     at(50, ns),
+			NsPerOpQ1:   at(25, ns),
+			NsPerOpQ3:   at(75, ns),
+			Samples:     count,
+			BytesPerOp:  int64(at(50, func(r Result) float64 { return float64(r.BytesPerOp) })),
+			AllocsPerOp: int64(at(50, func(r Result) float64 { return float64(r.AllocsPerOp) })),
+		}
+		for unit := range runs[0].Metrics {
+			if med.Metrics == nil {
+				med.Metrics = make(map[string]float64)
+			}
+			med.Metrics[unit] = at(50, func(r Result) float64 { return r.Metrics[unit] })
+		}
+		out = append(out, med)
+	}
+	return out, nil
 }
 
 // firstDuplicate returns the first benchmark name that appears more than

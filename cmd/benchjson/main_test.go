@@ -143,3 +143,42 @@ func TestFirstDuplicate(t *testing.T) {
 		t.Fatalf("duplicate = %q, want A", d)
 	}
 }
+
+func TestCollapseSingleRunRejectsRepeats(t *testing.T) {
+	got, err := collapse([]Result{{Name: "A", NsPerOp: 1}, {Name: "B", NsPerOp: 2}}, 1)
+	if err != nil || len(got) != 2 || got[0].Samples != 0 || got[1].NsPerOp != 2 {
+		t.Fatalf("collapse(count 1) = %+v, %v; want the input unchanged", got, err)
+	}
+	if _, err := collapse([]Result{{Name: "A"}, {Name: "B"}, {Name: "A"}}, 1); err == nil {
+		t.Fatal("a name appearing twice in a -count 1 run was accepted")
+	}
+	if _, err := collapse([]Result{{Name: "A"}, {Name: "A"}, {Name: "B"}}, 2); err == nil {
+		t.Fatal("a name with fewer results than -count was accepted")
+	}
+}
+
+func TestCollapseMedianAndQuartiles(t *testing.T) {
+	var runs []Result
+	for _, ns := range []float64{50, 10, 40, 20, 30} { // unsorted on purpose
+		runs = append(runs, Result{Name: "B", Iterations: 5, NsPerOp: ns, AllocsPerOp: int64(ns / 10),
+			Metrics: map[string]float64{"ticks/s": 1000 / ns}})
+		runs = append(runs, Result{Name: "A", Iterations: 5, NsPerOp: 7})
+	}
+	got, err := collapse(runs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Name != "B" || got[1].Name != "A" {
+		t.Fatalf("collapsed to %+v, want B then A (first-appearance order)", got)
+	}
+	b := got[0]
+	if b.NsPerOp != 30 || b.NsPerOpQ1 != 20 || b.NsPerOpQ3 != 40 || b.Samples != 5 {
+		t.Fatalf("B = %+v, want median 30, quartiles 20/40, 5 samples", b)
+	}
+	if b.AllocsPerOp != 3 || b.Metrics["ticks/s"] != 1000.0/30 {
+		t.Fatalf("B allocs %d metrics %v, want the medians 3 and %v", b.AllocsPerOp, b.Metrics, 1000.0/30)
+	}
+	if got[1].NsPerOp != 7 || got[1].NsPerOpQ1 != 7 || got[1].NsPerOpQ3 != 7 {
+		t.Fatalf("A = %+v, want 7 throughout", got[1])
+	}
+}

@@ -21,10 +21,13 @@
 // The fleet experiment additionally ticks its simulated datacenter on a
 // sharded worker pool (-shardworkers, default GOMAXPROCS); per-server RNG
 // pre-splitting and the server-id-ordered tick barrier keep stdout
-// byte-identical at every -shardworkers level too. -fleet pins the fleet's
-// server count (e.g. 4096 for the ~20k-VM datacenter run) and -defence
-// selects the defencesweep experiment's placement-policy ladder; unlike
-// the worker knobs these change the experiment itself, not its schedule.
+// byte-identical at every -shardworkers level too. The width is an upper
+// bound: an advance too small to repay a goroutine handoff (under 512
+// server-ticks per shard — any single tick of a 256-server fleet) runs
+// inline on the caller. -fleet pins the fleet's server count (e.g. 4096
+// for the ~20k-VM datacenter run) and -defence selects the defencesweep
+// experiment's placement-policy ladder; unlike the worker knobs these
+// change the experiment itself, not its schedule.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the
 // standard `go tool pprof` format); the memory profile is taken after a
@@ -62,7 +65,7 @@ func run() (code int) {
 	epworkers := flag.Int("epworkers", 0,
 		"max episodes in flight inside one experiment; 0 = GOMAXPROCS (results are identical at any level)")
 	shardworkers := flag.Int("shardworkers", 0,
-		"max fleet-tick shards in flight inside the fleet experiment; 0 = GOMAXPROCS (results are identical at any level)")
+		"max fleet-tick shards in flight inside the fleet experiments; 0 = GOMAXPROCS; small ticks run inline whatever the value (results are identical at any level)")
 	fleetSize := flag.Int("fleet", 0,
 		"server count for the fleet experiment; 0 sweeps the default fleet-size ladder (different values are different experiments)")
 	defence := flag.String("defence", "",

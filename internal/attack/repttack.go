@@ -68,7 +68,10 @@ type Hooks struct {
 	WarmupWindows int
 	// AfterTick runs after every fleet tick with the tick just advanced
 	// and the barrier-merged events (which include fleet.MonitorAlarm
-	// events from any monitors attached to the campaign's engine).
+	// events from any monitors attached to the campaign's engine). Non-nil
+	// makes the campaign advance tick by tick; nil lets a probe window
+	// share one barrier (fleet.Engine.Advance) — the Outcome is the same
+	// either way.
 	AfterTick func(t sim.Tick, events []fleet.Event)
 	// AfterWindow runs after each probe window with the per-server
 	// accumulated probe scores (CampaignProbeWindow samples of the victim
@@ -209,19 +212,25 @@ func (c *Campaign) HostHasVictim(s *sim.Server) bool {
 }
 
 // window runs one probe-window span of fleet ticks: scores reset, the
-// whole fleet ticks CampaignProbeWindow times under the probe monitor
-// (AfterTick firing between ticks), then AfterWindow sees the scores.
+// whole fleet advances CampaignProbeWindow ticks under the probe monitor,
+// then AfterWindow sees the scores. With no AfterTick hook nothing can act
+// between the window's ticks, so it is one Engine.Advance — one barrier,
+// each server's 16 samples taken back to back; an AfterTick hook steps the
+// same loop a tick at a time so the defender acts between ticks.
 func (c *Campaign) window(number int, hooks Hooks) {
 	for i := range c.scores {
 		c.scores[i] = 0
 	}
-	for w := 0; w < CampaignProbeWindow; w++ {
+	step := CampaignProbeWindow
+	if hooks.AfterTick != nil {
+		step = 1
+	}
+	for end := c.T + CampaignProbeWindow; c.T < end; c.T += sim.Tick(step) {
 		var events []fleet.Event
-		events, c.lastStats = c.Engine.Tick(c.T, c.monitor)
+		events, c.lastStats = c.Engine.Advance(c.T, step, c.monitor)
 		if hooks.AfterTick != nil {
 			hooks.AfterTick(c.T, events)
 		}
-		c.T++
 	}
 	if hooks.AfterWindow != nil {
 		hooks.AfterWindow(number, c.scores)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"bolt/internal/attack"
 	"bolt/internal/fleet"
 )
 
@@ -14,7 +15,18 @@ import (
 // server count. The engine-level parity test (internal/fleet) checks the
 // event stream; this one checks everything layered on top — scheduler
 // decisions, probe scores, candidate judgments, the formatted table.
+//
+// The fleet engine runs inline below its measured grain (512 server-ticks
+// per shard), so the comparison only means something above it: the default
+// ladder's 256-server campaigns advance 256 × 16 = 4096 server-ticks per
+// probe window, which still splits 8 ways. The guard below keeps a future
+// change to the ladder or the window from quietly making this a serial
+// test.
 func TestFleetExpParityAcrossShardWorkers(t *testing.T) {
+	sizes := fleetSizes()
+	if top := sizes[len(sizes)-1]; top*attack.CampaignProbeWindow < 8*512 {
+		t.Fatalf("top fleet size %d × window %d is below 8 shards' grain; this parity test would not fan out", top, attack.CampaignProbeWindow)
+	}
 	render := func(workers int) []byte {
 		fleet.SetShardWorkers(workers)
 		defer fleet.SetShardWorkers(0)

@@ -1,14 +1,17 @@
 // Package fleet advances a whole simulated datacenter — thousands of
-// cluster servers, tens of thousands of VMs — one tick at a time, with the
-// per-server work of each tick sharded across a worker pool and the
-// results merged at a deterministic tick barrier.
+// cluster servers, tens of thousands of VMs — a span of ticks at a time,
+// with the per-server work sharded across a worker pool and the results
+// merged at one deterministic barrier per Advance.
 //
-// The parallelism is safe because servers are independent within a tick:
-// every observable a probe or monitor reads at tick t (observed pressure,
-// slowdown, utilisation) is a function of one server's own VMs, served from
-// that server's per-(Server, Tick) demand snapshot. Cross-server mutation —
-// scheduling, migration, launch waves — happens *between* ticks, on the
-// caller's goroutine, exactly like placement changes between episode steps.
+// The parallelism is safe because servers are independent within an
+// advance: every observable a probe or monitor reads at tick t (observed
+// pressure, slowdown, utilisation) is a function of one server's own VMs,
+// served from that server's per-(Server, Tick) demand snapshot. Cross-server
+// mutation — scheduling, migration, launch waves — happens *between*
+// Advance calls, on the caller's goroutine, exactly like placement changes
+// between episode steps. The same independence makes the shard loop
+// server-major: a server runs all of its span's ticks back to back, while
+// its VMs are still in cache, before the shard moves to the next server.
 //
 // Determinism follows the repository's RNG-splitting and ordered-merge
 // discipline (DESIGN.md "Fleet tick barrier"):
@@ -18,7 +21,8 @@
 //     own stream, so the values consumed are independent of how servers
 //     land on workers;
 //   - servers are partitioned into contiguous shards whose boundaries are a
-//     pure function of (server count, worker count), one worker per shard;
+//     pure function of (server count, span, worker count), one worker per
+//     shard — the span enters only through the minShardServerTicks cap;
 //   - each server writes events into its own index-addressed buffer, and
 //     the tick barrier merges buffers in server-id order — so the emitted
 //     event sequence, and every float reduced across servers (reduced
@@ -80,7 +84,8 @@ const MonitorAlarm = -1
 // World is the view a tick body gets of one server: the server itself, the
 // tick being advanced, and the server's own pre-split RNG stream. A body
 // must touch only this server and its VMs and draw randomness only from
-// RNG — the two rules that make shards schedule-independent.
+// RNG — the two rules that make shards schedule-independent. There is one
+// World per shard per advance, re-pointed at each (server, tick) in turn.
 type World struct {
 	Index  int
 	Server *sim.Server
@@ -90,10 +95,10 @@ type World struct {
 	events *[]Event
 }
 
-// Emit records an event against this server. Events surface at the tick
-// barrier in server-id order (and, within one server, emission order).
-// The *World a tick body receives is reused for the next server on the
-// shard; bodies must not retain it past their return.
+// Emit records an event against this server. Events surface at the barrier
+// in server-id order (and, within one server, tick then emission order).
+// The *World a tick body receives is reused for the next tick and the next
+// server on the shard; bodies must not retain it past their return.
 func (w *World) Emit(kind int, vm string, value float64) {
 	*w.events = append(*w.events, Event{Server: w.Index, VM: vm, Kind: kind, Value: value})
 }
@@ -101,9 +106,9 @@ func (w *World) Emit(kind int, vm string, value float64) {
 // TickFunc is the per-server work of one fleet tick.
 type TickFunc func(w *World)
 
-// Stats is the fleet-wide view the barrier reduces after every tick. The
-// float fields are folded serially in server-id order, so they are
-// bit-identical at every worker count.
+// Stats is the fleet-wide view the barrier reduces after every advance,
+// sampled at its last tick. The float fields are folded serially in
+// server-id order, so they are bit-identical at every worker count.
 type Stats struct {
 	Servers   int
 	VMs       int     // VMs placed across the fleet
@@ -112,10 +117,10 @@ type Stats struct {
 }
 
 // Engine shards one cluster's servers across a worker pool and advances
-// them tick by tick. The fleet is fixed at construction: the per-server
-// RNG streams are split once, in server-id order, and adding servers later
-// would misalign them. VM placement and migration remain free to happen
-// between ticks.
+// them a span of ticks per barrier. The fleet is fixed at construction: the
+// per-server RNG streams are split once, in server-id order, and adding
+// servers later would misalign them. VM placement and migration remain free
+// to happen between advances.
 type Engine struct {
 	cl   *cluster.Cluster
 	rngs []*stats.RNG
@@ -127,8 +132,8 @@ type Engine struct {
 	// that owns its server, so sharded ticking stays deterministic.
 	monitors []*defence.Monitor
 
-	// Per-server slots written inside a tick, merged at the barrier.
-	// Reused across ticks so a steady-state tick allocates nothing.
+	// Per-server slots written inside an advance, merged at the barrier.
+	// Reused across advances so a steady-state one allocates nothing.
 	events [][]Event
 	cpu    []float64
 	vms    []int
@@ -179,51 +184,88 @@ func (e *Engine) Monitor(i int) *defence.Monitor {
 	return e.monitors[i]
 }
 
-// Tick advances every server through tick t: each shard's servers run fn
-// (which may be nil) and have their occupancy and utilisation sampled, all
-// shards concurrently; then the barrier merges per-server events in
-// server-id order and reduces fleet Stats serially. The returned event
-// slice is owned by the engine and valid until the next Tick.
+// minShardServerTicks is the least work, in server-ticks, a shard must
+// carry for handing it to another goroutine to win: Advance caps its worker
+// count at n·span / minShardServerTicks, so a 256-server single tick runs
+// inline on the caller while a 256×16 probe window or a 4096-server tick
+// still fans out. It is a measured constant, not a knob — DESIGN.md "Fleet
+// tick barrier" records the BenchmarkFleetTick sweep it came from (on the
+// 2-core reference box two shards break even at 64–192 server-ticks each
+// under sustained load and at 384–512 out of idle; 512 loses in neither).
+const minShardServerTicks = 512
+
+// Tick advances every server through the single tick t; see Advance.
 func (e *Engine) Tick(t sim.Tick, fn TickFunc) ([]Event, Stats) {
+	return e.Advance(t, 1, fn)
+}
+
+// Advance advances every server through ticks t0 … t0+span-1 at one
+// barrier. Shards run concurrently and each is server-major: a server runs
+// fn (which may be nil) and then its monitor sample for every tick of the
+// span back to back, and has its occupancy and utilisation sampled once, at
+// the last tick, before the shard moves on. That is legal because nothing a
+// server computes within an advance depends on any other server; callers
+// that must act between ticks (a defender migrating on an alarm) pass
+// span 1. The barrier then merges per-server events in server-id order and
+// reduces fleet Stats serially.
+//
+// With span > 1 the merged events are ordered by (server, tick, emission) —
+// not tick-major — and a MonitorAlarm's Value still carries the tick it
+// fired on; with span 1 the order is (server, emission), as it always was.
+// The returned slice is owned by the engine and valid until the next
+// Advance. Advance panics on span < 1.
+func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, Stats) {
+	if span < 1 {
+		panic(fmt.Sprintf("fleet: Advance span %d; a span is at least one tick", span))
+	}
 	n := len(e.cl.Servers)
 	if n != len(e.rngs) {
 		panic(fmt.Sprintf("fleet: cluster grew from %d to %d servers after NewEngine; per-server RNG streams are fixed at construction", len(e.rngs), n))
 	}
 	workers := ShardWorkers()
+	if grain := n * span / minShardServerTicks; workers > grain {
+		workers = grain // below the grain the handoff costs more than it moves
+	}
+	last := t0 + sim.Tick(span-1)
 
 	par.FanOutBlocks(n, workers,
 		func(lo int) string { return fmt.Sprintf("fleet shard at server %d", lo) },
 		func(lo, hi int) {
-			// One World per shard per tick, re-pointed at each server in
-			// turn: fn receives &w, which would otherwise heap-allocate a
-			// World per server per tick. Bodies must not retain the pointer
-			// past their return.
+			// One World per shard per advance, re-pointed at each server and
+			// tick in turn: fn receives &w, which would otherwise
+			// heap-allocate a World per server per tick. Bodies must not
+			// retain the pointer past their return.
 			var w World
 			for i := lo; i < hi; i++ {
 				s := e.cl.Servers[i]
 				e.events[i] = e.events[i][:0]
-				if fn != nil {
-					w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i], events: &e.events[i]}
-					fn(&w)
-				}
-				// The defence monitor samples after the body, appending its
-				// alarm edge after the body's own events for this server —
-				// a fixed order, so the merged stream stays deterministic.
+				var m *defence.Monitor
 				if e.monitors != nil {
-					if m := e.monitors[i]; m.Sample(s, t) {
+					m = e.monitors[i]
+				}
+				for t := t0; t <= last; t++ {
+					if fn != nil {
+						w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i], events: &e.events[i]}
+						fn(&w)
+					}
+					// The defence monitor samples after the body, appending
+					// its alarm edge after the body's own events for this
+					// server and tick — a fixed order, so the merged stream
+					// stays deterministic.
+					if m.Sample(s, t) {
 						e.events[i] = append(e.events[i], Event{Server: i, Kind: MonitorAlarm, Value: float64(t)})
 					}
 				}
 				// Sampling utilisation last means it rides the observation
 				// snapshot the body's queries already built.
-				e.cpu[i] = s.CPUUtilization(t)
+				e.cpu[i] = s.CPUUtilization(last)
 				e.vms[i] = s.VMCount()
 				e.free[i] = s.FreeVCPUs()
 			}
 		})
 
-	// Tick barrier: fold per-server samples serially in server-id order so
-	// the float sums see one fixed operation sequence, and splice the
+	// Barrier: fold per-server samples serially in server-id order so the
+	// float sums see one fixed operation sequence, and splice the
 	// per-server event buffers in the same order.
 	var st Stats
 	st.Servers = n

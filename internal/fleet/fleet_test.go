@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"bolt/internal/cluster"
+	"bolt/internal/defence"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
 	"bolt/internal/workload"
@@ -53,18 +55,71 @@ func probeTick(w *World) {
 	}
 }
 
-// runFleet ticks a freshly built world for `ticks` ticks at the given
-// worker count and returns the concatenated event stream and per-tick
-// stats.
-func runFleet(t *testing.T, workers, servers, ticks int) ([]Event, []Stats) {
+// shardWitness counts how many shards an advance really ran, without
+// goroutine ids: the engine hands every server of one shard the same
+// *World, so after an advance the number of distinct pointers across the
+// (contiguous) server range is the shard count. The pointers are kept only
+// so no two shards of one advance can share an address; they are never
+// dereferenced after the body returns.
+type shardWitness struct{ world []*World }
+
+func (sw *shardWitness) wrap(fn TickFunc) TickFunc {
+	return func(w *World) {
+		sw.world[w.Index] = w
+		fn(w)
+	}
+}
+
+func (sw *shardWitness) shards() int {
+	n := 0
+	for i, w := range sw.world {
+		if i == 0 || w != sw.world[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// wantShards is the engine's sharding rule restated: the configured width,
+// capped by the measured grain, never more shards than servers, never
+// fewer than one.
+func wantShards(servers, span, workers int) int {
+	if grain := servers * span / minShardServerTicks; workers > grain {
+		workers = grain
+	}
+	if workers > servers {
+		workers = servers
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
+
+// runFleet advances a freshly built world `advances` times by `span` ticks
+// at the given worker count and returns the concatenated event stream and
+// per-advance stats; setup (optional) prepares the engine first, e.g. by
+// attaching monitors. It fails the test if an advance did not run on
+// exactly the shard count the (servers, span, workers) rule promises —
+// below the grain the engine runs inline, and a parity test that never
+// fanned out would be a serial test in disguise.
+func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*Engine)) ([]Event, []Stats) {
 	t.Helper()
 	withShardWorkers(t, workers)
 	e := buildFleet(42, servers)
+	if setup != nil {
+		setup(e)
+	}
+	sw := &shardWitness{world: make([]*World, servers)}
+	body := sw.wrap(probeTick)
 	var events []Event
 	var sts []Stats
-	for tick := 0; tick < ticks; tick++ {
-		ev, st := e.Tick(sim.Tick(tick), probeTick)
-		events = append(events, ev...) // Tick's slice is reused; copy out
+	for a := 0; a < advances; a++ {
+		ev, st := e.Advance(sim.Tick(a*span), span, body)
+		if got, want := sw.shards(), wantShards(servers, span, workers); got != want {
+			t.Fatalf("servers=%d span=%d workers=%d ran on %d shards, want %d", servers, span, workers, got, want)
+		}
+		events = append(events, ev...) // the engine's slice is reused; copy out
 		sts = append(sts, st)
 	}
 	return events, sts
@@ -73,45 +128,176 @@ func runFleet(t *testing.T, workers, servers, ticks int) ([]Event, []Stats) {
 // TestTickParityAcrossShardWorkers is the fleet determinism contract: the
 // full event stream and every fleet Stats field are ==-identical between
 // the serial single-worker reference and every sharded width, including
-// widths that do not divide the server count.
+// widths that do not divide the server count. Both shapes are sized above
+// minShardServerTicks so the sharded widths really fan out (runFleet
+// checks the shard count): single ticks over a large fleet, and probe
+// windows over a small one.
 func TestTickParityAcrossShardWorkers(t *testing.T) {
-	const servers, ticks = 61, 12 // prime server count: uneven blocks at every width
-	refEvents, refStats := runFleet(t, 1, servers, ticks)
-	if len(refEvents) == 0 {
-		t.Fatal("reference run emitted no events; the parity check would be vacuous")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		events, sts := runFleet(t, workers, servers, ticks)
-		if len(events) != len(refEvents) {
-			t.Fatalf("workers=%d emitted %d events, serial reference %d", workers, len(events), len(refEvents))
+	for _, shape := range []struct{ servers, span, advances int }{
+		{4099, 1, 4}, // prime server count: uneven blocks at every width
+		{131, 32, 3},
+	} {
+		if wantShards(shape.servers, shape.span, 2) < 2 {
+			t.Fatalf("shape %+v is below the fan-out grain; the parity check would be serial", shape)
 		}
-		for i := range events {
-			if events[i] != refEvents[i] {
-				t.Fatalf("workers=%d event %d = %+v, serial reference %+v", workers, i, events[i], refEvents[i])
+		refEvents, refStats := runFleet(t, 1, shape.servers, shape.span, shape.advances, nil)
+		if len(refEvents) == 0 {
+			t.Fatal("reference run emitted no events; the parity check would be vacuous")
+		}
+		for _, workers := range []int{2, 4, 8} {
+			events, sts := runFleet(t, workers, shape.servers, shape.span, shape.advances, nil)
+			if len(events) != len(refEvents) {
+				t.Fatalf("%+v workers=%d emitted %d events, serial reference %d", shape, workers, len(events), len(refEvents))
 			}
-		}
-		for i := range sts {
-			if sts[i] != refStats[i] {
-				t.Fatalf("workers=%d tick %d stats = %+v, serial reference %+v", workers, i, sts[i], refStats[i])
+			for i := range events {
+				if events[i] != refEvents[i] {
+					t.Fatalf("%+v workers=%d event %d = %+v, serial reference %+v", shape, workers, i, events[i], refEvents[i])
+				}
+			}
+			for i := range sts {
+				if sts[i] != refStats[i] {
+					t.Fatalf("%+v workers=%d advance %d stats = %+v, serial reference %+v", shape, workers, i, sts[i], refStats[i])
+				}
 			}
 		}
 	}
 }
 
-// TestTickEventsArriveInServerIDOrder pins the barrier's merge rule.
+// TestSmallTicksRunInline pins the grain rule at the sizes the benchmark
+// runs: a 256-server single tick stays on the caller's goroutine at any
+// configured width, while a 256-server probe window fans out.
+func TestSmallTicksRunInline(t *testing.T) {
+	withShardWorkers(t, 8)
+	e := buildFleet(42, 256)
+	sw := &shardWitness{world: make([]*World, 256)}
+	e.Tick(0, sw.wrap(probeTick))
+	if got := sw.shards(); got != 1 {
+		t.Fatalf("256-server tick ran on %d shards, want 1 (inline below the grain)", got)
+	}
+	e.Advance(1, 16, sw.wrap(probeTick))
+	if got := sw.shards(); got != 8 {
+		t.Fatalf("256-server × 16-tick window ran on %d shards, want 8", got)
+	}
+}
+
+// TestAdvanceMatchesTicks is the span contract: Advance(t0, k) and k
+// single Ticks on a twin engine agree with == on everything a caller can
+// observe — per-server accumulators, the final Stats, every server's next
+// RNG draw, and the events, which Advance orders by (server, tick,
+// emission) where the per-tick reference is tick-major.
+func TestAdvanceMatchesTicks(t *testing.T) {
+	type tagged struct {
+		tick sim.Tick
+		ev   Event
+	}
+	sizes := stats.NewRNG(99)
+	for _, workers := range []int{1, 2, 4, 8} {
+		withShardWorkers(t, workers)
+		for _, span := range []int{1, 3, 16} {
+			servers := 1 + sizes.Intn(400) // up to 6400 server-ticks: both sides of the grain
+			seed := sizes.Uint64()
+			build := func() (*Engine, []float64, TickFunc) {
+				e := buildFleet(seed, servers)
+				for i := 0; i < servers; i += 3 {
+					e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: 2}))
+				}
+				acc := make([]float64, servers)
+				return e, acc, func(w *World) {
+					r := sim.Resource(w.RNG.Intn(sim.NumResources))
+					p := w.Server.ObservedPressure(nil, r, w.Tick) + w.RNG.Float64()
+					acc[w.Index] += p
+					if p > 40 {
+						w.Emit(int(r), "", p)
+					}
+				}
+			}
+			adv, advAcc, advBody := build()
+			ref, refAcc, refBody := build()
+
+			for round := 0; round < 2; round++ { // second round reuses warm buffers
+				t0 := sim.Tick(round * span)
+				got, gotStats := adv.Advance(t0, span, advBody)
+
+				var want []tagged
+				var wantStats Stats
+				for k := 0; k < span; k++ {
+					var ev []Event
+					ev, wantStats = ref.Tick(t0+sim.Tick(k), refBody)
+					for _, x := range ev {
+						want = append(want, tagged{t0 + sim.Tick(k), x})
+					}
+				}
+				// Stable by server: ticks stay ascending and emission order
+				// survives within a (server, tick).
+				sort.SliceStable(want, func(a, b int) bool { return want[a].ev.Server < want[b].ev.Server })
+
+				name := fmt.Sprintf("workers=%d servers=%d span=%d round=%d", workers, servers, span, round)
+				if len(want) == 0 {
+					t.Fatalf("%s: reference emitted no events; the check would be vacuous", name)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: Advance emitted %d events, %d ticks emitted %d", name, len(got), span, len(want))
+				}
+				for i := range want {
+					if got[i] != want[i].ev {
+						t.Fatalf("%s: event %d = %+v, tick-by-tick reference %+v (tick %d)", name, i, got[i], want[i].ev, want[i].tick)
+					}
+					if got[i].Kind == MonitorAlarm && got[i].Value != float64(want[i].tick) {
+						t.Fatalf("%s: alarm %+v does not carry its tick %d", name, got[i], want[i].tick)
+					}
+				}
+				if gotStats != wantStats {
+					t.Fatalf("%s: Stats = %+v, tick-by-tick reference %+v", name, gotStats, wantStats)
+				}
+				for i := range refAcc {
+					if advAcc[i] != refAcc[i] {
+						t.Fatalf("%s: server %d accumulated %v, tick-by-tick reference %v", name, i, advAcc[i], refAcc[i])
+					}
+				}
+			}
+			for i := 0; i < servers; i++ {
+				if g, w := adv.RNG(i).Uint64(), ref.RNG(i).Uint64(); g != w {
+					t.Fatalf("workers=%d servers=%d span=%d: server %d's next RNG draw %d, tick-by-tick reference %d", workers, servers, span, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestAdvancePanicsOnEmptySpan pins the span >= 1 contract.
+func TestAdvancePanicsOnEmptySpan(t *testing.T) {
+	e := buildFleet(42, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Advance with span 0 did not panic")
+		}
+	}()
+	e.Advance(0, 0, nil)
+}
+
+// TestTickEventsArriveInServerIDOrder pins the barrier's merge rule: events surface
+// ordered by (server, tick, emission) — for a single tick that is the
+// (server, emission) order Tick always had. The span is long enough that
+// the 33 servers really run on four shards.
 func TestTickEventsArriveInServerIDOrder(t *testing.T) {
+	const servers, span, t0 = 33, 64, 5
 	withShardWorkers(t, 4)
-	e := buildFleet(7, 33)
-	ev, _ := e.Tick(0, func(w *World) {
-		w.Emit(0, "", float64(w.Index))
-		w.Emit(1, "", float64(w.Index))
-	})
-	if len(ev) != 2*33 {
-		t.Fatalf("got %d events, want %d", len(ev), 2*33)
+	e := buildFleet(7, servers)
+	sw := &shardWitness{world: make([]*World, servers)}
+	ev, _ := e.Advance(t0, span, sw.wrap(func(w *World) {
+		w.Emit(0, "", float64(w.Tick))
+		w.Emit(1, "", float64(w.Tick))
+	}))
+	if got := sw.shards(); got != 4 {
+		t.Fatalf("ran on %d shards, want 4", got)
+	}
+	if len(ev) != 2*span*servers {
+		t.Fatalf("got %d events, want %d", len(ev), 2*span*servers)
 	}
 	for i, x := range ev {
-		if x.Server != i/2 || x.Kind != i%2 {
-			t.Fatalf("event %d is server %d kind %d, want server %d kind %d", i, x.Server, x.Kind, i/2, i%2)
+		want := Event{Server: i / (2 * span), Kind: i % 2, Value: float64(t0 + i/2%span)}
+		if x != want {
+			t.Fatalf("event %d = %+v, want %+v", i, x, want)
 		}
 	}
 }
@@ -145,28 +331,30 @@ func TestTickStats(t *testing.T) {
 	}
 }
 
-// TestTickSteadyStateAllocs: after the first tick warms the buffers, a
-// fleet tick's allocation count is a small constant — the tick-body
-// closure and the per-shard World — and does not scale with the number of
-// servers. A per-server allocation creeping into the loop is the
-// regression this guards against: at 4096 servers it would turn one tick
-// into thousands of allocations.
+// TestTickSteadyStateAllocs: after the first advances warm the buffers, an
+// advance's allocation count is a small constant — the tick-body closure
+// and the per-shard World — and scales with neither the number of servers
+// nor the span. A per-server or per-tick allocation creeping into the loop
+// is the regression this guards against: at 4096 servers it would turn one
+// tick into thousands of allocations.
 func TestTickSteadyStateAllocs(t *testing.T) {
 	withShardWorkers(t, 1) // inline path isolates engine allocations from pool goroutines
-	perTick := func(servers int) float64 {
+	perAdvance := func(servers, span int) float64 {
 		e := buildFleet(42, servers)
-		e.Tick(0, probeTick)
-		e.Tick(1, probeTick)
+		e.Advance(0, span, probeTick)
+		e.Advance(0, span, probeTick)
 		return testing.AllocsPerRun(50, func() {
-			e.Tick(2, probeTick) // constant tick: demand memos stay warm
+			e.Advance(0, span, probeTick)
 		})
 	}
-	small, large := perTick(32), perTick(256)
-	if small > 4 {
-		t.Fatalf("steady-state Tick allocates %.1f times per run, want a small constant (≤4)", small)
-	}
-	if large > small {
-		t.Fatalf("Tick allocations scale with fleet size: %.1f at 32 servers, %.1f at 256", small, large)
+	for _, span := range []int{1, 16} {
+		small, large := perAdvance(32, span), perAdvance(256, span)
+		if small > 4 {
+			t.Fatalf("steady-state Advance(span %d) allocates %.1f times per run, want a small constant (≤4)", span, small)
+		}
+		if large > small {
+			t.Fatalf("Advance(span %d) allocations scale with fleet size: %.1f at 32 servers, %.1f at 256", span, small, large)
+		}
 	}
 }
 

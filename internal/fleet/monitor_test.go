@@ -79,22 +79,28 @@ func TestMonitorAlarmOrderedAfterBodyEvents(t *testing.T) {
 
 // TestMonitorParityAcrossShardWorkers extends the determinism contract to
 // monitored fleets: alarm events land at identical positions at every
-// worker count.
+// worker count. Sized above the fan-out grain (runFleet checks the shard
+// count), so monitors really are sampled on several goroutines at once.
 func TestMonitorParityAcrossShardWorkers(t *testing.T) {
+	const servers, span, advances = 131, 32, 2
 	run := func(workers int) []Event {
-		withShardWorkers(t, workers)
-		e := buildFleet(7, 13)
-		for i := 0; i < 13; i += 3 {
-			e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: 2}))
-		}
-		var all []Event
-		for tick := 0; tick < 6; tick++ {
-			ev, _ := e.Tick(sim.Tick(tick), probeTick)
-			all = append(all, ev...)
-		}
+		all, _ := runFleet(t, workers, servers, span, advances, func(e *Engine) {
+			for i := 0; i < servers; i += 3 {
+				e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: 2}))
+			}
+		})
 		return all
 	}
 	ref := run(1)
+	alarms := 0
+	for _, x := range ref {
+		if x.Kind == MonitorAlarm {
+			alarms++
+		}
+	}
+	if alarms == 0 {
+		t.Fatal("reference run raised no alarms; the parity check would be vacuous")
+	}
 	for _, workers := range []int{2, 4, 8} {
 		got := run(workers)
 		if len(got) != len(ref) {
