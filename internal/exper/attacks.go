@@ -20,12 +20,13 @@ import (
 // (PlanDoS targets each critical resource at pressure + headroom). Those raw
 // floats flow on into the latency simulation and out into the report, so the
 // emitted bytes are sensitive to the completion solve at machine precision.
-// The convergence-gated fold-in lands within 2⁻⁴⁸ of the fixed-sweep
-// solution — far below anything the simulation resolves — but the suite's
-// regression contract is byte-identical output across runs and code
-// changes, so these experiments pin the historical fixed sweep count.
-// TrainCached keys on the resolved config, so this costs one extra cached
-// training pass; every other experiment keeps the gated fast path.
+// The default fold-in computes the 2000th sweep iterate by matrix powers and
+// lands within ~1e-12 of the sequential sweeps — far below anything the
+// simulation resolves — but the suite's regression contract is
+// byte-identical output across runs and code changes, so these experiments
+// pin the historical sequential-sweep arithmetic. TrainCached keys on the
+// resolved config, so this costs one extra cached training pass; every
+// other experiment keeps the matrix-power fast path.
 func attackPlanConfig() core.Config {
 	return core.Config{Recommender: mining.RecommenderConfig{
 		Completion: mining.CompletionConfig{FixedFoldIn: true},

@@ -8,17 +8,17 @@ import (
 	"bolt/internal/mining"
 )
 
-// TestSuiteParityGatedVsFixedFoldIn is the regression contract of the
-// convergence-gated fold-in: running the entire experiment suite with the
-// gate active must emit byte-for-byte the output of the historical
-// fixed-2000-sweep solve. The gate stops the solve once a full sweep moves
-// no coordinate by more than 2⁻⁴⁸ of the iterate's magnitude — orders of
-// magnitude below anything the reports resolve — and the two experiments
-// that are sensitive at machine precision (the DoS planners) pin
-// FixedFoldIn explicitly, so the suites must agree exactly. A failure here
-// means either the gate fires too early or a new experiment started
-// consuming raw completed-pressure floats and needs the same pinning.
-func TestSuiteParityGatedVsFixedFoldIn(t *testing.T) {
+// TestSuiteParityPowerVsSweepFoldIn is the whole-suite differential test of
+// the matrix-power fold-in: running the entire experiment suite with the
+// fold-in iterate computed by matrix powers (the default) must emit
+// byte-for-byte the output of the sequential 2000-sweep solve. The two agree
+// to ~1e-12 of the factor row — orders of magnitude below anything the
+// reports resolve — and the two experiments that are sensitive at machine
+// precision (the DoS planners) pin FixedFoldIn explicitly, so the suites
+// must agree exactly. A failure here means either the kernel drifted from
+// the sweeps or a new experiment started consuming raw completed-pressure
+// floats and needs the same pinning.
+func TestSuiteParityPowerVsSweepFoldIn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite twice")
 	}
@@ -38,28 +38,28 @@ func TestSuiteParityGatedVsFixedFoldIn(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	gated := render()
+	power := render()
 	mining.SetForceFixedFoldIn(true)
 	defer mining.SetForceFixedFoldIn(false)
-	fixed := render()
+	sweeps := render()
 
-	if !bytes.Equal(gated, fixed) {
+	if !bytes.Equal(power, sweeps) {
 		i := 0
-		for i < len(gated) && i < len(fixed) && gated[i] == fixed[i] {
+		for i < len(power) && i < len(sweeps) && power[i] == sweeps[i] {
 			i++
 		}
 		lo := i - 60
 		if lo < 0 {
 			lo = 0
 		}
-		hiG, hiF := i+60, i+60
-		if hiG > len(gated) {
-			hiG = len(gated)
+		hiP, hiS := i+60, i+60
+		if hiP > len(power) {
+			hiP = len(power)
 		}
-		if hiF > len(fixed) {
-			hiF = len(fixed)
+		if hiS > len(sweeps) {
+			hiS = len(sweeps)
 		}
-		t.Fatalf("suite output diverged at byte %d:\n  gated: …%s…\n  fixed: …%s…",
-			i, gated[lo:hiG], fixed[lo:hiF])
+		t.Fatalf("suite output diverged at byte %d:\n  matrix powers:     …%s…\n  sequential sweeps: …%s…",
+			i, power[lo:hiP], sweeps[lo:hiS])
 	}
 }

@@ -315,8 +315,10 @@ func (p *Plane) restore() {
 
 // defaultCfg is the process-wide fallback config, installed by the
 // boltbench -faultrate flag before the experiment suite starts (mirroring
-// mining.SetForceFixedFoldIn). Adversaries whose own probe config carries
-// a disabled fault config fall back to it.
+// mining.SetForceFixedFoldIn, the process-wide switch from the fold-in
+// iterate by matrix powers to the historical sequential-sweep arithmetic).
+// Adversaries whose own probe config carries a disabled fault config fall
+// back to it.
 var defaultCfg atomic.Value // Config
 
 // SetDefault installs cfg as the process-wide default fault config. Call

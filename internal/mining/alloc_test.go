@@ -34,21 +34,30 @@ func TestDetectAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestCompleteIntoAllocationFree covers every fold-in solve CompleteInto can
+// reach: foldPower on the default path, and under FixedFoldIn foldSolve6 at
+// the default rank and the generic foldSolve at another.
 func TestCompleteIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
 	}
 	train := trainMatrix(22, 30, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 3})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[2], known[2] = 40, true
 	obs[7], known[7] = 60, true
 	dst := make([]float64, 10)
-	c.CompleteInto(dst, obs, known) // populate the scratch pool
-	allocs := testing.AllocsPerRun(100, func() { c.CompleteInto(dst, obs, known) })
-	if allocs > 0.5 {
-		t.Errorf("CompleteInto allocated %.2f objects/op, want 0", allocs)
+	for name, cfg := range map[string]CompletionConfig{
+		"foldPower":  {MaxVal: 100, Seed: 3},
+		"foldSolve6": {MaxVal: 100, Seed: 3, FixedFoldIn: true},
+		"foldSolve":  {MaxVal: 100, Seed: 3, FixedFoldIn: true, Rank: 4},
+	} {
+		c := NewCompleter(train, cfg)
+		c.CompleteInto(dst, obs, known) // populate the scratch pool
+		allocs := testing.AllocsPerRun(100, func() { c.CompleteInto(dst, obs, known) })
+		if allocs > 0.5 {
+			t.Errorf("%s: CompleteInto allocated %.2f objects/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -86,6 +95,9 @@ var hotpathBudget = map[string]string{
 	"foldStep":          "TestCompleteIntoAllocationFree",
 	"foldSolve":         "TestCompleteIntoAllocationFree",
 	"foldSolve6":        "TestCompleteIntoAllocationFree",
+	"foldPower":         "TestCompleteIntoAllocationFree",
+	"matVec":            "TestCompleteIntoAllocationFree",
+	"matMul":            "TestCompleteIntoAllocationFree",
 	"CompleteInto":      "TestCompleteIntoAllocationFree",
 	"neighbourEstimate": "TestCompleteIntoAllocationFree",
 	"gaussKernel":       "TestCompleteIntoAllocationFree",

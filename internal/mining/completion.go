@@ -8,23 +8,12 @@ import (
 	"bolt/internal/stats"
 )
 
-// foldInIters is the fixed iteration budget of the fold-in solve. With the
-// convergence gate (the default) it is an upper bound that is rarely reached;
-// with FixedFoldIn it is the exact iteration count.
+// foldInIters is the number of fold-in sweeps whose iterate CompleteInto
+// reports: computed by matrix powers (foldPower) by default, run one by one
+// (foldSolve) with FixedFoldIn.
 const foldInIters = 2000
 
-// foldInTol is the convergence-gate threshold: the fold-in stops once a full
-// sweep moves no factor coordinate by more than 2⁻⁴⁸·‖u‖∞ — sixteen times
-// the double-precision machine epsilon, i.e. a handful of ULPs. Beyond that
-// point the iteration is only toggling last bits (measured residual drift to
-// the full 2000-sweep result is below 4e-13 on every probed observation,
-// eleven orders of magnitude under the 0.1-pressure-point resolution any
-// experiment reports), so typical observations stop after 40-250 sweeps
-// instead of 2000. The determinism parity test runs the entire experiment
-// suite with the gate on and off and asserts byte-identical output.
-const foldInTol = 0x1p-48
-
-// forceFixedFoldIn globally disables the fold-in convergence gate, as if
+// forceFixedFoldIn globally selects the sequential fold-in sweeps, as if
 // every CompletionConfig had FixedFoldIn set. It exists for the determinism
 // parity test, which runs the whole experiment suite both ways inside one
 // binary and asserts byte-identical output. Atomic because the parallel
@@ -32,7 +21,7 @@ const foldInTol = 0x1p-48
 var forceFixedFoldIn atomic.Bool
 
 // SetForceFixedFoldIn toggles the global fold-in escape hatch (see
-// FixedFoldIn). Intended for tests; the default false enables the gate.
+// FixedFoldIn). Intended for tests; the default is false.
 func SetForceFixedFoldIn(v bool) { forceFixedFoldIn.Store(v) }
 
 // CompletionConfig tunes the SGD PQ-reconstruction used to recover the
@@ -45,15 +34,15 @@ type CompletionConfig struct {
 	Seed      uint64  // factor initialisation seed
 	MinVal    float64 // clamp floor for predictions (pressure: 0)
 	MaxVal    float64 // clamp ceiling for predictions (pressure: 100)
-	// FixedFoldIn forces Complete to run the full fold-in iteration budget
-	// instead of stopping at the convergence gate. The gated solve tracks
-	// the fixed one to within a few ULPs (the gate only skips sweeps whose
-	// largest coordinate move is below 2⁻⁴⁸·‖u‖∞), which no consumer of
-	// completed pressure resolves — except code that feeds the raw floats
-	// onward into further simulation, like the DoS attack planners, which
-	// set this flag to reproduce the historical fixed-sweep arithmetic bit
-	// for bit. The determinism parity test runs the experiment suite both
-	// ways and asserts byte-identical output.
+	// FixedFoldIn makes Complete run the historical sequential-sweep
+	// arithmetic: foldInIters ridge-SGD sweeps, one after another. The
+	// default computes the same iterate by matrix powers and agrees with
+	// the sweeps to ~1e-12 relative, which no consumer of completed
+	// pressure resolves — except code that feeds the raw floats onward
+	// into further simulation, like the DoS attack planners, which set
+	// this flag to keep their results bit for bit. The determinism parity
+	// test runs the experiment suite both ways and asserts byte-identical
+	// output.
 	FixedFoldIn bool
 }
 
@@ -79,10 +68,25 @@ func (c CompletionConfig) withDefaults(n int) CompletionConfig {
 // completeScratch holds the per-call working memory of Complete, pooled so
 // steady-state completions allocate nothing beyond the returned slice.
 type completeScratch struct {
-	u     []float64 // fold-in factor row (rank)
-	uPrev []float64 // sweep-boundary snapshot for the convergence gate
-	est   []float64 // neighbourhood estimate (n)
-	kidx  []int     // indices of the known observations
+	u       []float64 // fold-in factor row (rank)
+	b, v    []float64 // foldPower: sweep offset and a temporary (rank)
+	m, p, t []float64 // foldPower: sweep matrix, its power, product buffer (rank²)
+	est     []float64 // neighbourhood estimate (n)
+	kidx    []int     // indices of the known observations
+}
+
+// newCompleteScratch sizes a scratch for rank r and n resource columns.
+func newCompleteScratch(r, n int) *completeScratch {
+	return &completeScratch{
+		u:    make([]float64, r),
+		b:    make([]float64, r),
+		v:    make([]float64, r),
+		m:    make([]float64, r*r),
+		p:    make([]float64, r*r),
+		t:    make([]float64, r*r),
+		est:  make([]float64, n),
+		kidx: make([]int, 0, n),
+	}
 }
 
 // Completer performs PQ matrix completion with stochastic gradient descent:
@@ -154,21 +158,15 @@ func NewCompleter(train *Matrix, cfg CompletionConfig) *Completer {
 			c.colMeans[j] = sum / float64(m)
 		}
 	}
-	c.scratch.New = func() any {
-		return &completeScratch{
-			u:     make([]float64, r),
-			uPrev: make([]float64, r),
-			est:   make([]float64, n),
-			kidx:  make([]int, 0, n),
-		}
-	}
+	c.scratch.New = func() any { return newCompleteScratch(r, n) }
 	return c
 }
 
 // Complete folds a sparse observation vector into the learned factor space
 // and returns the dense prediction. known[j] must be true where observed[j]
-// is a real measurement; other entries of observed are ignored. When fewer
-// than one entry is known the training column means are returned.
+// is a real measurement; other entries of observed are ignored. When nothing
+// is known every entry is 0.7·(training column mean) + 0.3·clamp(0): the
+// neighbourhood falls back to the means and the zero factor row predicts 0.
 func (c *Completer) Complete(observed []float64, known []bool) []float64 {
 	out := make([]float64, c.n)
 	c.CompleteInto(out, observed, known)
@@ -200,26 +198,21 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	}
 
 	// Solve for the new row's factors by ridge-regularised least squares on
-	// the known entries, iterated for stability (equivalent to fold-in SGD
-	// but deterministic). The loop is gated (see foldInTol): once a full
-	// sweep's largest coordinate delta underflows machine precision the
-	// solve is only toggling last bits and stops — a ~10x iteration drop on
-	// typical observations with no observable output change.
-	u := s.u[:r]
-	for k := range u {
-		u[k] = 0
-	}
-	// The fold-in row has very few observations; the training-time
-	// regulariser would shrink it toward zero and bias every prediction
-	// low, so it is relaxed here.
+	// the known entries: the foldInIters-th sweep iterate from zero
+	// (equivalent to fold-in SGD but deterministic). The fold-in row has
+	// very few observations; the training-time regulariser would shrink it
+	// toward zero and bias every prediction low, so it is relaxed here.
+	u := s.u
 	lr, reg := 0.01, c.cfg.Reg*0.1
-	fixed := c.cfg.FixedFoldIn || forceFixedFoldIn.Load()
-	if r == 6 {
+	switch {
+	case !c.cfg.FixedFoldIn && !forceFixedFoldIn.Load():
+		foldPower(s, c.q.Data, s.kidx, observed, lr, reg)
+	case r == 6:
 		// The default rank; the specialised solve keeps the six factor
-		// coordinates in registers across the whole gated loop.
-		foldSolve6(u, c.q.Data, s.kidx, observed, lr, reg, fixed)
-	} else {
-		foldSolve(u, s.uPrev[:r], c.q.Data, s.kidx, observed, lr, reg, fixed)
+		// coordinates in registers across all the sweeps.
+		foldSolve6(u, c.q.Data, s.kidx, observed, lr, reg)
+	default:
+		foldSolve(u, c.q.Data, s.kidx, observed, lr, reg)
 	}
 
 	neighbour := c.neighbourEstimate(s, observed)
@@ -286,12 +279,14 @@ func (c *Completer) neighbourEstimate(s *completeScratch, observed []float64) []
 const kernelWidth = 12.0
 
 // gaussKernel returns exp(−rms²/(2w²)) given the squared RMS distance,
-// cutting off to exactly zero for far rows.
+// cutting off to exactly zero for far rows — and for a NaN distance, so a
+// NaN observation falls back to the column means instead of poisoning the
+// estimate.
 //
 //bolt:hotpath
 func gaussKernel(rmsSquared, width float64) float64 {
 	x := rmsSquared / (2 * width * width)
-	if x > 30 {
+	if !(x <= 30) {
 		return 0
 	}
 	return math.Exp(-x)

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -32,32 +33,117 @@ func TestCompleterDeterministic(t *testing.T) {
 	}
 }
 
+// completerPair builds the same factorisation twice: once completing by
+// matrix powers (the default) and once by sequential sweeps (FixedFoldIn).
+func completerPair(train *Matrix, cfg CompletionConfig) (power, sweeps *Completer) {
+	power = NewCompleter(train, cfg)
+	cfg.FixedFoldIn = true
+	return power, NewCompleter(train, cfg)
+}
+
+// stretchRow rescales factor row j of both completers to lr·‖q_j‖² = target
+// (lr is CompleteInto's fold-in step, 0.01). At 2 and beyond the sweep over
+// column j is expansive: the iterates grow geometrically and overflow.
+func stretchRow(power, sweeps *Completer, j int, target float64) {
+	r := power.cfg.Rank
+	qj := power.q.Data[j*r : (j+1)*r]
+	scale := math.Sqrt(target / (0.01 * Dot(qj, qj)))
+	for k := range qj {
+		qj[k] *= scale
+	}
+	copy(sweeps.q.Data[j*r:(j+1)*r], qj)
+}
+
+// boundTol absorbs the last-bit rounding a convex combination of in-range
+// values can pick up; completion output must stay within the configured
+// [MinVal, MaxVal] up to this slack.
+const boundTol = 1e-9
+
+// checkCompletionContract completes one observation on both fold-in paths
+// and asserts CompleteInto's output contract on each — known entries pass
+// through bit for bit, every other entry is finite and inside [0, 100] —
+// and that the two paths agree to within tol: a coordinate that clamps on
+// one path clamps to the same side on the other, and an unclamped one
+// matches to rounding.
+func checkCompletionContract(t testing.TB, power, sweeps *Completer, observed []float64, known []bool, tol float64) {
+	t.Helper()
+	a, b := power.Complete(observed, known), sweeps.Complete(observed, known)
+	for name, out := range map[string][]float64{"matrix powers": a, "sequential sweeps": b} {
+		for j, v := range out {
+			switch {
+			case known[j]:
+				if math.Float64bits(v) != math.Float64bits(observed[j]) {
+					t.Fatalf("%s: known entry %d rewritten: %g -> %g", name, j, observed[j], v)
+				}
+			case math.IsNaN(v) || v < -boundTol || v > 100+boundTol:
+				t.Fatalf("%s: out[%d] = %g outside [0, 100] (observed=%v known=%v)", name, j, v, observed, known)
+			}
+		}
+	}
+	for j := range a {
+		if !known[j] && math.Abs(a[j]-b[j]) > tol {
+			t.Fatalf("paths disagree at %d: matrix powers %g, sequential sweeps %g (observed=%v known=%v)",
+				j, a[j], b[j], observed, known)
+		}
+	}
+}
+
 func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 	train := trainMatrix(2, 40, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 1})
-	f := func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		obs := make([]float64, 10)
-		known := make([]bool, 10)
+	power, sweeps := completerPair(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	randomObservation := func(rng *stats.RNG) (obs []float64, known []bool) {
+		obs = make([]float64, 10)
+		known = make([]bool, 10)
 		for i := range obs {
 			if rng.Bool(0.4) {
 				obs[i] = rng.Range(0, 100)
 				known[i] = true
 			}
 		}
-		dense := c.Complete(obs, known)
-		for i, v := range dense {
-			if known[i] && v != obs[i] {
-				return false // known entries must pass through untouched
-			}
-			if v < 0 || v > 100 {
-				return false
-			}
-		}
+		return obs, known
+	}
+	f := func(seed uint64) bool {
+		obs, known := randomObservation(stats.NewRNG(seed))
+		checkCompletionContract(t, power, sweeps, obs, known, 1e-6)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Out-of-domain observations: upstream clamps pressures to [0, 100], but
+	// a diverged or overflowed fold-in must still not leak through. The
+	// extreme value replaces the first known entry, then every known entry.
+	rng := stats.NewRNG(3)
+	extremes := []float64{1e150, -1e150, 1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+	for rep := 0; rep < 40; rep++ {
+		base, known := randomObservation(rng)
+		for _, x := range extremes {
+			for _, all := range []bool{false, true} {
+				obs := append([]float64(nil), base...)
+				for j := range obs {
+					if known[j] {
+						obs[j] = x
+						if !all {
+							break
+						}
+					}
+				}
+				checkCompletionContract(t, power, sweeps, obs, known, 1e-6)
+			}
+		}
+	}
+
+	// A factor row long enough that the sweep over its column diverges.
+	for _, target := range []float64{2, 3, 50} {
+		power, sweeps := completerPair(train, CompletionConfig{MaxVal: 100, Seed: 1})
+		const j = 4
+		stretchRow(power, sweeps, j, target)
+		for rep := 0; rep < 40; rep++ {
+			obs, known := randomObservation(rng)
+			obs[j], known[j] = rng.Range(0, 100), true
+			checkCompletionContract(t, power, sweeps, obs, known, 1e-6)
+		}
 	}
 }
 

@@ -8,77 +8,66 @@ import (
 	"bolt/internal/stats"
 )
 
-// fuzzCompleter is built once per process: a small deterministic training
-// matrix over 6 columns with pressure-scale values, clamped like real
-// profiles to [0, 100].
-var fuzzCompleterOnce = struct {
+// fuzzCompleters are built once per process: a small deterministic training
+// matrix over 6 columns with pressure-scale values in [0, 100], factorised
+// for both fold-in paths (completerPair) — plus a second pair whose factor
+// row 0 is stretched to lr·‖q_0‖² = 3, where sweeping column 0 diverges.
+var fuzzCompleters struct {
 	sync.Once
-	c *Completer
-}{}
+	power, sweeps                   *Completer
+	stretchedPower, stretchedSweeps *Completer
+}
 
 const fuzzCols = 6
 
-func fuzzCompleter() *Completer {
-	fuzzCompleterOnce.Do(func() {
-		rng := stats.NewRNG(1701)
-		rows := 12
-		m := NewMatrix(rows, fuzzCols)
-		for i := range m.Data {
-			m.Data[i] = rng.Range(0, 100)
-		}
-		fuzzCompleterOnce.c = NewCompleter(m, CompletionConfig{
-			Seed:   7,
-			MinVal: 0,
-			MaxVal: 100,
-		})
-	})
-	return fuzzCompleterOnce.c
+func buildFuzzCompleters() {
+	rng := stats.NewRNG(1701)
+	m := NewMatrix(12, fuzzCols)
+	for i := range m.Data {
+		m.Data[i] = rng.Range(0, 100)
+	}
+	fc := &fuzzCompleters
+	cfg := CompletionConfig{Seed: 7, MinVal: 0, MaxVal: 100}
+	fc.power, fc.sweeps = completerPair(m, cfg)
+	fc.stretchedPower, fc.stretchedSweeps = completerPair(m, cfg)
+	stretchRow(fc.stretchedPower, fc.stretchedSweeps, 0, 3)
 }
 
-// boundTol absorbs the last-bit rounding a convex combination of in-range
-// values can pick up; completion output must stay within the configured
-// [MinVal, MaxVal] up to this slack.
-const boundTol = 1e-9
-
-// FuzzCompleterBounded feeds arbitrary observation vectors and known-masks
-// through the matrix completer and asserts the recommender's input
-// contract: every completed entry is finite and within the configured
-// bounds, known entries pass through unchanged, and the all-missing row
-// (the fully degraded fault-plane case) still completes in range.
+// FuzzCompleterBounded feeds arbitrary observation vectors — in the pressure
+// domain or far outside it, non-finite included — and known-masks through
+// the matrix completer on both fold-in paths and asserts the recommender's
+// input contract (checkCompletionContract): every completed entry is finite
+// and within the configured bounds, known entries pass through unchanged,
+// the all-missing row (the fully degraded fault-plane case) still completes
+// in range, and the two paths agree.
 func FuzzCompleterBounded(f *testing.F) {
 	f.Add(50.0, 60.0, 70.0, 10.0, 20.0, 30.0, uint8(0b111111))
 	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0)) // all missing
 	f.Add(100.0, 100.0, 100.0, 100.0, 100.0, 100.0, uint8(0b000001))
 	f.Add(99.9, 0.1, 55.5, 3.25, 80.0, 42.0, uint8(0b101010))
+	f.Add(1e150, -1e150, 55.5, 3.25, 80.0, 42.0, uint8(0b000111))
+	f.Add(1e308, 1e308, 1e308, -1e308, 1e308, 1e308, uint8(0b011011))
+	f.Add(math.Inf(1), 20.0, math.Inf(-1), 40.0, 50.0, 60.0, uint8(0b001111))
+	f.Add(math.NaN(), 20.0, 30.0, 40.0, 50.0, math.NaN(), uint8(0b100011))
 	f.Fuzz(func(t *testing.T, v0, v1, v2, v3, v4, v5 float64, mask uint8) {
-		raw := [fuzzCols]float64{v0, v1, v2, v3, v4, v5}
-		observed := make([]float64, fuzzCols)
+		observed := []float64{v0, v1, v2, v3, v4, v5}
 		known := make([]bool, fuzzCols)
-		for j, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Skip("non-finite observation")
-			}
-			// Upstream pressures are clamped before they reach the
-			// completer; mirror that contract so the fuzzer explores the
-			// mask/value space, not the out-of-domain input space.
-			observed[j] = clamp(v, 0, 100)
+		// The paths agree to rounding relative to the fold-in row, which
+		// scales with the observations: hold them to 1e-7 of the largest
+		// finite known magnitude, never tighter than the pressure domain's.
+		scale := 100.0
+		for j, v := range observed {
 			known[j] = mask&(1<<j) != 0
-		}
-		out := fuzzCompleter().Complete(observed, known)
-		if len(out) != fuzzCols {
-			t.Fatalf("Complete returned %d entries, want %d", len(out), fuzzCols)
-		}
-		for j, v := range out {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("out[%d] = %g not finite (observed=%v known=%v)", j, v, observed, known)
-			}
-			if v < -boundTol || v > 100+boundTol {
-				t.Fatalf("out[%d] = %g outside [0, 100] (observed=%v known=%v)", j, v, observed, known)
-			}
-			if known[j] && v != observed[j] {
-				t.Fatalf("known entry %d rewritten: %g -> %g", j, observed[j], v)
+			if known[j] && !math.IsInf(v, 0) && math.Abs(v) > scale {
+				scale = math.Abs(v)
 			}
 		}
+		fc := &fuzzCompleters
+		fc.Do(buildFuzzCompleters)
+		checkCompletionContract(t, fc.power, fc.sweeps, observed, known, 1e-7*scale)
+		// A diverging solve amplifies rounding without limit before it
+		// overflows, so there only the output contract is common ground.
+		checkCompletionContract(t, fc.stretchedPower, fc.stretchedSweeps, observed, known, math.Inf(1))
 	})
 }
 

@@ -7,7 +7,7 @@
 // updates that the call sites previously spelled out element by element.
 package mining
 
-import "math"
+import "math/bits"
 
 // Dot returns the inner product of two equal-length vectors. The sum is
 // accumulated strictly left to right, exactly like the naive loop.
@@ -91,36 +91,20 @@ func foldStep(u, q []float64, lr, err, reg float64) {
 	}
 }
 
-// foldSolve is CompleteInto's gated fold-in solve at any rank r = len(u):
-// up to foldInIters sweeps of foldStep over the known columns kidx of the
-// row-major n×r factor matrix qdata, stopping once a full sweep moves no
-// coordinate by more than foldInTol·‖u‖∞ (never, when fixed). prev is
-// scratch of length r for the sweep-boundary snapshot.
+// foldSolve is the sequential fold-in solve at any rank r = len(u): from
+// u = 0, exactly foldInIters sweeps of foldStep over the known columns kidx
+// of the row-major n×r factor matrix qdata. It is the arithmetic FixedFoldIn
+// reproduces bit for bit and the reference foldPower is tested against.
 //
 //bolt:hotpath
-func foldSolve(u, prev, qdata []float64, kidx []int, observed []float64, lr, reg float64, fixed bool) {
+func foldSolve(u, qdata []float64, kidx []int, observed []float64, lr, reg float64) {
 	r := len(u)
+	clear(u)
 	for it := 0; it < foldInIters; it++ {
-		copy(prev, u)
 		for _, j := range kidx {
 			qj := qdata[j*r : (j+1)*r : (j+1)*r]
 			err := observed[j] - Dot(u, qj)
 			foldStep(u, qj, lr, err, reg)
-		}
-		if fixed {
-			continue
-		}
-		maxDelta, maxU := 0.0, 0.0
-		for k := range u {
-			if d := math.Abs(u[k] - prev[k]); d > maxDelta {
-				maxDelta = d
-			}
-			if a := math.Abs(u[k]); a > maxU {
-				maxU = a
-			}
-		}
-		if maxDelta <= foldInTol*maxU {
-			break
 		}
 	}
 }
@@ -129,16 +113,14 @@ func foldSolve(u, prev, qdata []float64, kidx []int, observed []float64, lr, reg
 // loop with the six factor coordinates held in registers, so a sweep touches
 // memory only for q and the observed entries. Each statement replicates
 // foldSolve's floating-point sequence: the dot product accumulates left to
-// right exactly like Dot, the update is foldStep's expression per coordinate,
-// and the convergence gate runs the same per-coordinate comparisons in the
-// same order. Bit-identity with foldSolve is pinned by
+// right exactly like Dot and the update is foldStep's expression per
+// coordinate. Bit-identity with foldSolve is pinned by
 // TestFoldSolve6MatchesGenericBitExact.
 //
 //bolt:hotpath
-func foldSolve6(u, qdata []float64, kidx []int, observed []float64, lr, reg float64, fixed bool) {
-	u0, u1, u2, u3, u4, u5 := u[0], u[1], u[2], u[3], u[4], u[5]
+func foldSolve6(u, qdata []float64, kidx []int, observed []float64, lr, reg float64) {
+	var u0, u1, u2, u3, u4, u5 float64
 	for it := 0; it < foldInIters; it++ {
-		p0, p1, p2, p3, p4, p5 := u0, u1, u2, u3, u4, u5
 		for _, j := range kidx {
 			q := qdata[j*6 : j*6+6 : j*6+6]
 			s := 0.0
@@ -156,49 +138,104 @@ func foldSolve6(u, qdata []float64, kidx []int, observed []float64, lr, reg floa
 			u4 += lr * (err*q[4] - reg*u4)
 			u5 += lr * (err*q[5] - reg*u5)
 		}
-		if fixed {
-			continue
-		}
-		maxDelta, maxU := 0.0, 0.0
-		if d := math.Abs(u0 - p0); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(u0); a > maxU {
-			maxU = a
-		}
-		if d := math.Abs(u1 - p1); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(u1); a > maxU {
-			maxU = a
-		}
-		if d := math.Abs(u2 - p2); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(u2); a > maxU {
-			maxU = a
-		}
-		if d := math.Abs(u3 - p3); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(u3); a > maxU {
-			maxU = a
-		}
-		if d := math.Abs(u4 - p4); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(u4); a > maxU {
-			maxU = a
-		}
-		if d := math.Abs(u5 - p5); d > maxDelta {
-			maxDelta = d
-		}
-		if a := math.Abs(u5); a > maxU {
-			maxU = a
-		}
-		if maxDelta <= foldInTol*maxU {
-			break
-		}
 	}
 	u[0], u[1], u[2], u[3], u[4], u[5] = u0, u1, u2, u3, u4, u5
+}
+
+// foldPower writes into s.u the iterate foldSolve reaches from u = 0 after
+// foldInIters sweeps, without running them. One sweep over kidx is an affine
+// map u ← M·u + b: column j contributes the factor (1−lr·reg)·I − lr·q_j·q_jᵀ
+// to M, and b is the first sweep iterate. From u_0 = 0 the k-th iterate is
+// u_k = (I + M + … + M^(k−1))·b, so the pair (P, u) = (M^k, u_k) doubles by
+// u_2k = u_k + P·u_k, P ← P·P and increments by u_(k+1) = M·u_k + b,
+// P ← P·M. Walking the bits of foldInIters below its leading one reaches
+// u_foldInIters in a number of r×r products that depends on neither kidx nor
+// observed. The result is the foldInIters-th iterate, not the fixed point
+// (I−M)⁻¹·b the sweeps may still be far from (TestFoldPowerMatchesSweeps).
+//
+//bolt:hotpath
+func foldPower(s *completeScratch, qdata []float64, kidx []int, observed []float64, lr, reg float64) {
+	u, b, v := s.u, s.b, s.v
+	r := len(u)
+	m, p, t := s.m, s.p, s.t
+
+	clear(m)
+	clear(b)
+	for k := 0; k < r; k++ {
+		m[k*r+k] = 1
+	}
+	decay := 1 - lr*reg
+	for _, j := range kidx {
+		q := qdata[j*r : (j+1)*r : (j+1)*r]
+		// M ← decay·M − lr·q·(qᵀM), with v holding qᵀM.
+		clear(v)
+		for k, qk := range q {
+			row := m[k*r : (k+1)*r : (k+1)*r]
+			for c := range v {
+				v[c] += qk * row[c]
+			}
+		}
+		for k, qk := range q {
+			row := m[k*r : (k+1)*r : (k+1)*r]
+			a := lr * qk
+			for c := range row {
+				row[c] = decay*row[c] - a*v[c]
+			}
+		}
+		err := observed[j] - Dot(b, q)
+		foldStep(b, q, lr, err, reg)
+	}
+
+	copy(p, m)
+	copy(u, b)
+	for bit := bits.Len(foldInIters) - 2; bit >= 0; bit-- {
+		matVec(v, p, u)
+		for k := range u {
+			u[k] += v[k]
+		}
+		// Only a doubling reads P, so it is not advanced past the last one.
+		if bit > 0 {
+			matMul(t, p, p, r)
+			p, t = t, p
+		}
+		if foldInIters>>bit&1 == 0 {
+			continue
+		}
+		matVec(v, m, u)
+		for k := range u {
+			u[k] = v[k] + b[k]
+		}
+		if bit > 0 {
+			matMul(t, p, m, r)
+			p, t = t, p
+		}
+	}
+}
+
+// matVec sets dst = a·x for a row-major r×r matrix a, r = len(x).
+//
+//bolt:hotpath
+func matVec(dst, a, x []float64) {
+	r := len(x)
+	for i := range dst {
+		dst[i] = Dot(a[i*r:(i+1)*r:(i+1)*r], x)
+	}
+}
+
+// matMul sets dst = a·b for row-major r×r matrices; dst may alias neither
+// operand.
+//
+//bolt:hotpath
+func matMul(dst, a, b []float64, r int) {
+	for i := 0; i < r; i++ {
+		di := dst[i*r : (i+1)*r : (i+1)*r]
+		clear(di)
+		for k, aik := range a[i*r : (i+1)*r] {
+			bk := b[k*r : (k+1)*r : (k+1)*r]
+			bk = bk[:len(di)]
+			for c := range di {
+				di[c] += aik * bk[c]
+			}
+		}
+	}
 }
