@@ -234,7 +234,7 @@ func TestCoResidencyFindsVictim(t *testing.T) {
 		RNG:      stats.NewRNG(8),
 		Receiver: func(h *sim.Server) *latency.Service { return services[h.Name()] },
 	}
-	res := atk.Run(CoResidencyConfig{Senders: 10, TargetClass: "mysql"}, 1, 0)
+	res := atk.Run(10, "mysql", 1, 0)
 	// The analytic P(f) models independent placement: 1-(1-1/10)^10 ≈ 0.65.
 	// The simulated launch lands senders on distinct hosts, so coverage is
 	// actually complete here.
@@ -272,7 +272,7 @@ func TestCoResidencyNoTarget(t *testing.T) {
 		RNG:      stats.NewRNG(9),
 		Receiver: func(*sim.Server) *latency.Service { return nil },
 	}
-	res := atk.Run(CoResidencyConfig{Senders: 4, TargetClass: "mysql"}, 1, 0)
+	res := atk.Run(4, "mysql", 1, 0)
 	if res.Found {
 		t.Fatal("empty cluster cannot contain the victim")
 	}

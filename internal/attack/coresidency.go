@@ -9,33 +9,14 @@ import (
 	"bolt/internal/stats"
 )
 
-// CoResidencyConfig parameterises the §5.3 attack.
-type CoResidencyConfig struct {
-	// Senders is the number of adversarial VMs launched simultaneously.
-	Senders int
-	// SenderVCPUs sizes each sender; 0 means 4.
-	SenderVCPUs int
-	// TargetClass is the workload class of the victim (e.g. "mysql").
-	TargetClass string
-	// LatencyRatio is the receiver-side degradation that confirms
-	// co-residency; 0 means 2 (the paper observes ~3×).
-	LatencyRatio float64
-	// BurstIntensity is the sender's contention intensity; 0 means 90.
-	BurstIntensity float64
-}
-
-func (c CoResidencyConfig) withDefaults() CoResidencyConfig {
-	if c.SenderVCPUs == 0 {
-		c.SenderVCPUs = 4
-	}
-	if c.LatencyRatio == 0 {
-		c.LatencyRatio = 2
-	}
-	if c.BurstIntensity == 0 {
-		c.BurstIntensity = 90
-	}
-	return c
-}
+// The §5.3 confirmation probe: each sender is a 4-vCPU adversary (§3.4)
+// bursting at burstIntensity percent, and a receiver-side latency ratio of
+// confirmRatio confirms co-residency (the paper observes ~3×).
+const (
+	senderVCPUs    = 4
+	burstIntensity = 90.0
+	confirmRatio   = 2.0
+)
 
 // CoResidencyResult reports the attack outcome.
 type CoResidencyResult struct {
@@ -73,33 +54,33 @@ type CoResidency struct {
 	Receiver func(host *sim.Server) *latency.Service
 }
 
-// Run executes the attack and returns the outcome. victimVMs is the k of
-// the placement-probability formula (how many instances the victim user
-// runs).
-func (a *CoResidency) Run(cfg CoResidencyConfig, victimVMs int, start sim.Tick) CoResidencyResult {
-	cfg = cfg.withDefaults()
+// Run executes the attack and returns the outcome: senders adversarial VMs
+// are launched simultaneously to find a victim of workload class
+// targetClass (e.g. "mysql"). victimVMs is the k of the
+// placement-probability formula (how many instances the victim user runs).
+func (a *CoResidency) Run(senders int, targetClass string, victimVMs int, start sim.Tick) CoResidencyResult {
 	res := CoResidencyResult{
-		SendersUsed:          cfg.Senders,
-		PlacementProbability: PlacementProbability(len(a.Cluster.Servers), victimVMs, cfg.Senders),
+		SendersUsed:          senders,
+		PlacementProbability: PlacementProbability(len(a.Cluster.Servers), victimVMs, senders),
 	}
 
 	// Phase 1: simultaneous launch of sender VMs on random hosts.
-	hosts := RandomHosts(a.RNG, len(a.Cluster.Servers), cfg.Senders)
+	hosts := RandomHosts(a.RNG, len(a.Cluster.Servers), senders)
 	type placed struct {
 		adv  *probe.Adversary
 		host *sim.Server
 	}
-	var senders []placed
+	var launched []placed
 	for i, h := range hosts {
-		adv := probe.NewAdversary("coresidency-sender-"+string(rune('a'+i)), cfg.SenderVCPUs,
+		adv := probe.NewAdversary("coresidency-sender-"+string(rune('a'+i)), senderVCPUs,
 			probe.Config{}, a.RNG.Split())
 		if err := a.Cluster.Servers[h].Place(adv.VM); err != nil {
 			continue // host full: this sender is wasted, as in a real launch
 		}
-		senders = append(senders, placed{adv, a.Cluster.Servers[h]})
+		launched = append(launched, placed{adv, a.Cluster.Servers[h]})
 	}
 	defer func() {
-		for _, s := range senders {
+		for _, s := range launched {
 			s.host.Remove(s.adv.VM.ID)
 		}
 	}()
@@ -109,7 +90,7 @@ func (a *CoResidency) Run(cfg CoResidencyConfig, victimVMs int, start sim.Tick) 
 	// the target class.
 	var candidates []placed
 	maxTicks := sim.Tick(0)
-	for _, s := range senders {
+	for _, s := range launched {
 		det := a.Detector.Detect(s.host, s.adv, t, 3)
 		if det.Ticks > maxTicks {
 			maxTicks = det.Ticks
@@ -118,7 +99,7 @@ func (a *CoResidency) Run(cfg CoResidencyConfig, victimVMs int, start sim.Tick) 
 		// class appears among any co-resident's top matches. False
 		// positives only cost one confirmation burst; a false negative
 		// loses the victim.
-		if detectionMentionsClass(det, cfg.TargetClass, 3) {
+		if detectionMentionsClass(det, targetClass, 3) {
 			candidates = append(candidates, s)
 		}
 	}
@@ -134,13 +115,13 @@ func (a *CoResidency) Run(cfg CoResidencyConfig, victimVMs int, start sim.Tick) 
 			continue
 		}
 		quiet := svc.Measure(c.host, t).MeanMs
-		for _, r := range sim.FromSlice(a.victimProfile(cfg.TargetClass)).TopK(2) {
-			c.adv.Kernels.Set(r, cfg.BurstIntensity)
+		for _, r := range sim.FromSlice(a.victimProfile(targetClass)).TopK(2) {
+			c.adv.Kernels.Set(r, burstIntensity)
 		}
 		loud := svc.Measure(c.host, t+burstTicks/2).MeanMs
 		c.adv.Kernels.Reset()
 		t += burstTicks
-		if quiet > 0 && loud/quiet >= cfg.LatencyRatio {
+		if quiet > 0 && loud/quiet >= confirmRatio {
 			res.Found = true
 			res.Host = c.host.Name()
 			res.LatencyRatio = loud / quiet

@@ -16,18 +16,15 @@ type RFA struct {
 	// Target is the resource the helper saturates (the victim's dominant
 	// resource, obtained from Bolt's detection).
 	Target sim.Resource
-	// Intensity is the helper's kernel intensity; 0 means 95.
-	Intensity float64
 }
+
+// rfaIntensity is the helper's kernel intensity in percent.
+const rfaIntensity = 95
 
 // Start turns the helper on.
 func (r *RFA) Start() {
-	intensity := r.Intensity
-	if intensity == 0 {
-		intensity = 95
-	}
 	r.Helper.Kernels.Reset()
-	r.Helper.Kernels.Set(r.Target, intensity)
+	r.Helper.Kernels.Set(r.Target, rfaIntensity)
 }
 
 // Stop turns the helper off.

@@ -24,41 +24,35 @@ type Config struct {
 	// ExtraBench adds uncore benchmarks to every profiling iteration
 	// (Fig. 10c sweeps this). 0 means none beyond the §3.2 default.
 	ExtraBench int
-	// ShutterSamples is the number of brief samples per shutter window
-	// (§3.3). 0 means 20.
-	ShutterSamples int
 	// DisableShutter turns shutter profiling off (ablation).
 	DisableShutter bool
 	// DisableMRC turns the miss-ratio-curve probe off (ablation; the §3.3
 	// future-work signal for constant-load mixtures).
 	DisableMRC bool
-	// StopSimilarity is the best-match similarity at which Detect stops
+}
+
+const (
+	// shutterSamples is the number of brief samples per shutter window
+	// (§3.3).
+	shutterSamples = 20
+	// stopSimilarity is the best-match similarity at which an episode stops
 	// re-profiling. It is deliberately far above the 0.1 confidence floor:
 	// the floor distinguishes "seen before" from "mixture/unseen", while
 	// stopping early on a weak match wastes the remaining iterations'
-	// sharpening. 0 means 0.75.
-	StopSimilarity float64
-	// MinConfidence is the observation-confidence floor below which a
+	// sharpening.
+	stopSimilarity = 0.75
+	// minConfidence is the observation-confidence floor below which a
 	// detection degrades to UnknownLabel instead of guessing (graceful
 	// degradation under measurement faults; see Detection.Label). The score
 	// blends the fraction of the recommender's Eq. 1 weight mass that was
 	// directly observed with the raw observed-entry fraction, so it is 1
-	// for a fully observed vector. 0 means 0.35.
-	MinConfidence float64
-}
+	// for a fully observed vector.
+	minConfidence = 0.35
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 6
-	}
-	if c.ShutterSamples == 0 {
-		c.ShutterSamples = 20
-	}
-	if c.StopSimilarity == 0 {
-		c.StopSimilarity = 0.75
-	}
-	if c.MinConfidence == 0 {
-		c.MinConfidence = 0.35
 	}
 	return c
 }
@@ -132,9 +126,6 @@ type Detection struct {
 	// episodes score 1; heavy fault injection drives it down as profiles
 	// arrive sparse.
 	Confidence float64
-	// minConfidence is the detector's floor, captured so Label/Unknown are
-	// self-contained on the returned value.
-	minConfidence float64
 }
 
 // UnknownLabel is what a degraded detection reports instead of a
@@ -143,10 +134,10 @@ const UnknownLabel = "unknown"
 
 // Unknown reports whether the detection degraded below the confidence
 // floor: either the observation itself carried too little evidence
-// (Confidence below the detector's MinConfidence) or no training profile
+// (Confidence below minConfidence) or no training profile
 // cleared the recommender's similarity floor.
 func (det *Detection) Unknown() bool {
-	return det.Confidence < det.minConfidence || !det.Result.Confident()
+	return det.Confidence < minConfidence || !det.Result.Confident()
 }
 
 // Label returns the primary detection's label after the
@@ -177,7 +168,7 @@ func (d *Detector) Detect(s *sim.Server, adv *probe.Adversary, start sim.Tick, m
 	var res *mining.Result
 	for i := 0; i < d.cfg.MaxIterations; i++ {
 		res = e.Step(start)
-		if res.Best().Similarity >= d.cfg.StopSimilarity {
+		if res.Best().Similarity >= stopSimilarity {
 			break
 		}
 	}
@@ -192,13 +183,8 @@ func (d *Detector) Detect(s *sim.Server, adv *probe.Adversary, start sim.Tick, m
 	// distribution; CoResidents carries the mixture decomposition.
 	det.CoResidents = e.Candidates(maxVictims)
 	det.Confidence = e.Confidence()
-	det.minConfidence = d.cfg.MinConfidence
 	return det
 }
-
-// MinConfidence returns the confidence floor below which this detector's
-// detections degrade to UnknownLabel.
-func (d *Detector) MinConfidence() float64 { return d.cfg.MinConfidence }
 
 // ProfileDetection is the outcome of one profile-only detection query: the
 // recommender's ranked answer for a sparse observed pressure vector, plus
@@ -213,15 +199,12 @@ type ProfileDetection struct {
 	// Confidence scores the observation's evidence in [0, 1], exactly as
 	// Detection.Confidence does for an episode.
 	Confidence float64
-	// minConfidence is the detector's floor, captured so Label/Unknown are
-	// self-contained on the returned value.
-	minConfidence float64
 }
 
 // Unknown reports whether the query degraded below the confidence floor
 // (same rule as Detection.Unknown).
 func (pd *ProfileDetection) Unknown() bool {
-	return pd.Confidence < pd.minConfidence || !pd.Result.Confident()
+	return pd.Confidence < minConfidence || !pd.Result.Confident()
 }
 
 // Label returns the best-match label, or UnknownLabel when the evidence is
@@ -238,7 +221,7 @@ func (pd *ProfileDetection) Label() string {
 // score. known[j] marks the directly measured entries of observed. It is the
 // only detection path; the service answers every request through it.
 func (d *Detector) DetectProfile(observed []float64, known []bool) ProfileDetection {
-	return d.profileDetection(d.Rec.Detect(observed, known), known)
+	return ProfileDetection{Result: d.Rec.Detect(observed, known), Confidence: d.confidence(known)}
 }
 
 // DetectProfileBatch answers queries sharing one known mask: row i of the
@@ -251,14 +234,6 @@ func (d *Detector) DetectProfileBatch(observed [][]float64, known []bool) []Prof
 		out[i] = d.DetectProfile(obs, known)
 	}
 	return out
-}
-
-func (d *Detector) profileDetection(res *mining.Result, known []bool) ProfileDetection {
-	return ProfileDetection{
-		Result:        res,
-		Confidence:    d.confidence(known),
-		minConfidence: d.cfg.MinConfidence,
-	}
 }
 
 // confidence scores how much evidence a combined observation mask carries:

@@ -80,7 +80,7 @@ func TestDetectConsumesTime(t *testing.T) {
 	}
 	// One iteration is 2-3 microbenchmarks at ≤20 ramp steps each, i.e. a
 	// few seconds — the paper's 2-5 s per iteration. An iteration that
-	// escalates (a shutter pass adds a ShutterSamples*3-tick window, an MRC
+	// escalates (a shutter pass adds a shutterSamples*3-tick window, an MRC
 	// probe its ramp) can roughly double that, so the bound sits at the
 	// fully escalated ceiling rather than the happy path.
 	secs := det.Ticks.Seconds() / float64(det.Iterations)

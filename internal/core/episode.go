@@ -8,11 +8,6 @@ import (
 	"bolt/internal/sim"
 )
 
-// Thin wrappers keep the decomposition code readable.
-func mathSqrt(x float64) float64   { return math.Sqrt(x) }
-func mathInf() float64             { return math.Inf(1) }
-func mathExpNeg(x float64) float64 { return math.Exp(-x) }
-
 // indexScore is an index/score pair used by the decomposition search.
 type indexScore struct {
 	i int
@@ -217,7 +212,7 @@ func (e *Episode) Step(start sim.Tick) *mining.Result {
 
 	obs, known := e.combined()
 	res := e.detect(obs, known)
-	if res.Best().Similarity >= e.det.cfg.StopSimilarity {
+	if res.Best().Similarity >= stopSimilarity {
 		return res
 	}
 
@@ -251,8 +246,8 @@ func (e *Episode) Step(start sim.Tick) *mining.Result {
 		e.Ticks += used
 		e.mrcSlope = slope
 	case !e.det.cfg.DisableShutter:
-		window := sim.Tick(e.det.cfg.ShutterSamples * 3)
-		minV := e.adv.ShutterMin(e.s, start+e.Ticks, e.det.cfg.ShutterSamples, window)
+		window := sim.Tick(shutterSamples * 3)
+		minV := e.adv.ShutterMin(e.s, start+e.Ticks, shutterSamples, window)
 		e.Ticks += window
 		e.UsedShutter = true
 		for _, r := range sim.UncoreResources() {
@@ -276,7 +271,7 @@ func (e *Episode) Confidence() float64 {
 // match clears the recommender's similarity floor.
 func (e *Episode) Grade(res *mining.Result) (label string, confidence float64, unknown bool) {
 	confidence = e.Confidence()
-	unknown = confidence < e.det.cfg.MinConfidence || !res.Confident()
+	unknown = confidence < minConfidence || !res.Confident()
 	label = res.Best().Label
 	if unknown {
 		label = UnknownLabel
@@ -335,15 +330,6 @@ const saturatedFloor = 92
 // measurement noise with phantom tenants.
 const kAcceptRatio = 0.8
 
-// Candidates disentangles the accumulated observations into up to
-// maxVictims per-co-resident results, strongest first (§3.3). The §3.3
-// linear-additivity assumption is applied directly: the set of training
-// profiles whose summed uncore pressure best explains the measured mixture
-// is searched exhaustively (pairs, then a greedy third and fourth), with
-// the hyperthread-sibling's core signature anchoring one component when a
-// core is shared, and the shutter minima rewarding components that match a
-// quiet-phase observation otherwise. Extra components are only accepted
-// when they improve the fit substantially.
 // Candidates disentangles the accumulated observations into up to
 // maxVictims per-co-resident results, strongest first. The §3.3
 // linear-additivity assumption is applied directly: the set of training
@@ -467,7 +453,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 		if wsum == 0 {
 			return 0
 		}
-		return mathSqrt(err / wsum)
+		return math.Sqrt(err / wsum)
 	}
 
 	// sigErr scores profile i against one sibling core signature. The
@@ -496,7 +482,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 			err += d * d
 			wsum++
 		}
-		return mathSqrt(err / wsum)
+		return math.Sqrt(err / wsum)
 	}
 
 	// Shutter anchor: reward a component that matches the quiet-phase
@@ -520,7 +506,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 		if !shutterUseful || e.shutter.knownCount() == 0 {
 			return 0
 		}
-		best := mathInf()
+		best := math.Inf(1)
 		for _, i := range idxs {
 			err, wsum := 0.0, 0.0
 			for _, r := range sim.UncoreResources() {
@@ -531,7 +517,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 				err += d * d
 				wsum++
 			}
-			if s := mathSqrt(err / wsum); s < best {
+			if s := math.Sqrt(err / wsum); s < best {
 				best = s
 			}
 		}
@@ -626,7 +612,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 				err += d * d
 				wsum++
 			}
-			return mathSqrt(err / wsum)
+			return math.Sqrt(err / wsum)
 		}
 		freeList = append(topByScore(entriesBuf, 10, diffErr), freeList...)
 	}
@@ -702,7 +688,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 			Matches: []mining.Match{{
 				Label:      p.Label,
 				Class:      p.Class,
-				Similarity: mathExpNeg(bestScore / 20),
+				Similarity: math.Exp(-bestScore / 20),
 			}},
 		})
 	}
@@ -728,7 +714,7 @@ func sumFitSingleBias(e *Episode, profiles []mining.LabeledProfile, i int) float
 	if wsum == 0 {
 		return 0
 	}
-	return mathSqrt(err / wsum)
+	return math.Sqrt(err / wsum)
 }
 
 // topByScore returns the indices of the k smallest scores among

@@ -24,42 +24,6 @@ func probeVectors(n int) [][]float64 {
 	return append(out, zero, full)
 }
 
-// TestDetectFullyObservedMatchesDense pins the sparse path's degenerate
-// case: when every resource is directly observed, completion passes the
-// vector through untouched and the measured-resource boost multiplies every
-// weight by the same power of two — which cancels exactly in both the
-// weighted Pearson correlation and the proximity factor. The two paths must
-// therefore agree bit for bit, not just approximately.
-func TestDetectFullyObservedMatchesDense(t *testing.T) {
-	det := trainedDetector(t)
-	rec := det.Rec
-	allKnown := make([]bool, rec.ResourceCount())
-	for j := range allKnown {
-		allKnown[j] = true
-	}
-	for vi, v := range probeVectors(24) {
-		sparse := rec.Detect(v, allKnown)
-		dense := rec.DetectDense(v)
-		for j := range v {
-			if sparse.Pressure[j] != v[j] {
-				t.Fatalf("vector %d: completion altered fully observed entry %d: %g -> %g",
-					vi, j, v[j], sparse.Pressure[j])
-			}
-		}
-		if len(sparse.Matches) != len(dense.Matches) {
-			t.Fatalf("vector %d: match counts differ: %d vs %d",
-				vi, len(sparse.Matches), len(dense.Matches))
-		}
-		for i := range sparse.Matches {
-			sm, dm := sparse.Matches[i], dense.Matches[i]
-			if sm.Label != dm.Label || sm.Similarity != dm.Similarity {
-				t.Fatalf("vector %d match %d: sparse (%s, %v) != dense (%s, %v)",
-					vi, i, sm.Label, sm.Similarity, dm.Label, dm.Similarity)
-			}
-		}
-	}
-}
-
 // simTieTol is the similarity margin below which two training profiles are
 // considered tied for the purposes of the reorder-invariance property:
 // reordering the training rows reorders floating-point summations (SVD
@@ -80,10 +44,14 @@ func TestLabelInvariantUnderTrainingReorder(t *testing.T) {
 	}
 	d1 := Train(specs, Config{})
 	d2 := Train(shuffled, Config{})
+	allKnown := make([]bool, d1.Rec.ResourceCount())
+	for j := range allKnown {
+		allKnown[j] = true
+	}
 
 	for vi, v := range probeVectors(24) {
-		r1 := d1.Rec.DetectDense(v)
-		r2 := d2.Rec.DetectDense(v)
+		r1 := d1.Rec.Detect(v, allKnown)
+		r2 := d2.Rec.Detect(v, allKnown)
 		b1, b2 := r1.Best(), r2.Best()
 		if math.Abs(b1.Similarity-b2.Similarity) > simTieTol {
 			t.Fatalf("vector %d: best similarity moved under reorder: %v (%s) vs %v (%s)",

@@ -45,7 +45,6 @@ func TestTrainCachedDefaultsResolvedKey(t *testing.T) {
 	cfgs := []core.Config{
 		{},
 		{MaxIterations: 6},
-		{MaxIterations: 6, ShutterSamples: 20, StopSimilarity: 0.75, MinConfidence: 0.35},
 	}
 	dets := make([]*core.Detector, len(cfgs))
 	var wg sync.WaitGroup

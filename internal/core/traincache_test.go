@@ -15,7 +15,7 @@ func TestTrainCachedReturnsSameDetector(t *testing.T) {
 		t.Fatal("identical specs+config should share one detector")
 	}
 	// The zero config and its resolved form are the same training run.
-	c := TrainCached(specs, Config{MaxIterations: 6, ShutterSamples: 20, StopSimilarity: 0.75})
+	c := TrainCached(specs, Config{MaxIterations: 6})
 	if a != c {
 		t.Fatal("explicitly defaulted config should hit the zero-config entry")
 	}

@@ -474,10 +474,7 @@ func CoResidencyExp(seed uint64) *Report {
 	var result attack.CoResidencyResult
 	attempts := 0
 	for ; attempts < 32; attempts++ {
-		result = atk.Run(attack.CoResidencyConfig{
-			Senders:     10,
-			TargetClass: vspec.Class,
-		}, 1, sim.Tick(attempts*20000))
+		result = atk.Run(10, vspec.Class, 1, sim.Tick(attempts*20000))
 		if result.Found {
 			break
 		}

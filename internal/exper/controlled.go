@@ -17,24 +17,28 @@ import (
 // ControlledConfig parameterises the §3.4 controlled experiment: a
 // 40-server cluster, 108 victims placed by a scheduler, one 4-vCPU
 // adversarial VM per server, and per-victim detection episodes that stop
-// on correct identification or after MaxIterations (the paper's
+// on correct identification or after maxIterations (the paper's
 // methodology for Table 1 and Figs. 6-9).
 type ControlledConfig struct {
-	Seed          uint64
-	Servers       int // 0 means 40
-	Victims       int // 0 means 108
-	AdvVCPUs      int // 0 means 4
-	MaxIterations int // 0 means 6
-	Scheduler     cluster.Scheduler
-	ServerCfg     sim.ServerConfig // zero value: 8 cores × 2 threads, full visibility
-	DetectorCfg   core.Config
-	ProbeCfg      probe.Config
+	Seed      uint64
+	Servers   int // 0 means 40
+	Victims   int // 0 means 108
+	Scheduler cluster.Scheduler
+	ServerCfg sim.ServerConfig // zero value: 8 cores × 2 threads, full visibility
+	ProbeCfg  probe.Config
 	// Detector overrides training when non-nil (reused across sweeps to
-	// avoid retraining).
+	// avoid retraining, and how a sweep varies the detector's config).
 	Detector *core.Detector
-	// MaxVictimVCPUs bounds victim sizes (uniform 1..max); 0 means 6.
-	MaxVictimVCPUs int
 }
+
+// The fixed parts of the §3.4 methodology: the adversary's size, the
+// per-victim iteration budget (no benefit past six, Fig. 7), and the bound
+// on victim sizes (uniform 1..max).
+const (
+	advVCPUs       = 4
+	maxIterations  = 6
+	maxVictimVCPUs = 6
+)
 
 func (c ControlledConfig) withDefaults() ControlledConfig {
 	if c.Servers == 0 {
@@ -43,17 +47,8 @@ func (c ControlledConfig) withDefaults() ControlledConfig {
 	if c.Victims == 0 {
 		c.Victims = 108
 	}
-	if c.AdvVCPUs == 0 {
-		c.AdvVCPUs = 4
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 6
-	}
 	if c.Scheduler == nil {
 		c.Scheduler = cluster.LeastLoaded{}
-	}
-	if c.MaxVictimVCPUs == 0 {
-		c.MaxVictimVCPUs = 6
 	}
 	return c
 }
@@ -64,7 +59,7 @@ type VictimRecord struct {
 	Host        string
 	CoResidents int // victims sharing the host (including this one)
 	// CorrectIteration is the 1-based iteration at which the victim was
-	// first correctly identified; 0 means never within MaxIterations.
+	// first correctly identified; 0 means never within maxIterations.
 	CorrectIteration int
 	// Characterised reports whether the final detection at least matched
 	// the victim's resource characteristics.
@@ -144,7 +139,7 @@ func (cr *ControlledResult) ClassAccuracy() map[string]float64 {
 // start ticks in the controlled experiment. Hosts are independent worlds
 // (the tick only phases each host's own load patterns), so the stride
 // carries no physics — it only needs to dwarf the longest episode
-// (MaxIterations × ramps + shutter windows + fault backoff, well under a
+// (maxIterations × ramps + shutter windows + fault backoff, well under a
 // thousand ticks) so per-host timelines read sensibly in traces.
 const episodeTickStride = 1 << 13
 
@@ -158,7 +153,7 @@ func RunControlled(cfg ControlledConfig) *ControlledResult {
 func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 	det := cfg.Detector
 	if det == nil {
-		det = core.TrainCached(workload.TrainingSpecs(cfg.Seed), cfg.DetectorCfg)
+		det = core.TrainCached(workload.TrainingSpecs(cfg.Seed), core.Config{})
 	}
 
 	cl := cluster.New(cfg.Servers, cfg.ServerCfg, cfg.Scheduler)
@@ -167,7 +162,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 	// each machine goes to friendly VMs).
 	advs := make(map[string]*probe.Adversary, cfg.Servers)
 	for _, s := range cl.Servers {
-		adv := probe.NewAdversary("bolt-"+s.Name(), cfg.AdvVCPUs, cfg.ProbeCfg, rng.Split())
+		adv := probe.NewAdversary("bolt-"+s.Name(), advVCPUs, cfg.ProbeCfg, rng.Split())
 		if err := s.Place(adv.VM); err != nil {
 			continue // host too small for the adversary: skip it
 		}
@@ -184,7 +179,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 	}
 	var victims []placedVictim
 	for i, spec := range specs {
-		vcpus := 1 + rng.Intn(cfg.MaxVictimVCPUs)
+		vcpus := 1 + rng.Intn(maxVictimVCPUs)
 		// A small deployment drives proportionally less host-wide traffic:
 		// scale the uncore footprint with size (core pressure is per-core
 		// and does not scale). The reference deployment is ~4 vCPUs.
@@ -263,7 +258,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 		charOK := make([]bool, len(vs))
 		ep := det.NewEpisode(host, adv)
 		var lastRes *mining.Result
-		for it := 1; it <= cfg.MaxIterations; it++ {
+		for it := 1; it <= maxIterations; it++ {
 			stepRes := ep.Step(when)
 			lastRes = stepRes
 			// Bolt's hypotheses this iteration: the disentangled

@@ -191,7 +191,12 @@ func Figure5(seed uint64) *Report {
 		})
 	}
 	recSys := mining.NewRecommender(profiles, mining.RecommenderConfig{})
-	result := recSys.DetectDense(unknown.Base.Slice())
+	// The unknown job's profile is fully observed.
+	allKnown := make([]bool, sim.NumResources)
+	for j := range allKnown {
+		allKnown[j] = true
+	}
+	result := recSys.Detect(unknown.Base.Slice(), allKnown)
 	simWC, simRec := 0.0, 0.0
 	for _, m := range result.Matches {
 		if m.Label == wc.Label && simWC == 0 {

@@ -35,19 +35,6 @@ func EpisodeWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WorkerPanic is the panic wrapper re-raised on the caller's goroutine when
-// a pool body panics. The type (and the fan-out discipline around it) moved
-// to internal/par so the fleet tick engine could share them; the alias
-// keeps exper's public contract — Run and forEachEpisode re-raise
-// *WorkerPanic — spelled the way callers recovered it before the move.
-type WorkerPanic = par.WorkerPanic
-
-// fanOut runs body(i) for every i in [0, n) with at most workers bodies in
-// flight; see par.FanOut for the merge and panic discipline.
-func fanOut(n, workers int, label func(int) string, body func(int)) {
-	par.FanOut(n, workers, label, body)
-}
-
 // forEachEpisode runs body(i) for every i in [0, n) on the episode worker
 // pool. It is the intra-experiment counterpart of Run: the caller splits
 // one RNG stream per episode serially up front, bodies consume only their
@@ -55,7 +42,8 @@ func fanOut(n, workers int, label func(int) string, body func(int)) {
 // slots in input order afterwards — so output bytes are identical at every
 // pool width. Concurrent bodies must touch disjoint servers/VMs (episodes
 // on different hosts, or trials on private servers); shared detectors are
-// safe by their immutability contract.
+// safe by their immutability contract. A body panic is re-raised on the
+// caller as a *par.WorkerPanic (see par.FanOut).
 func forEachEpisode(n int, body func(int)) {
-	fanOut(n, EpisodeWorkers(), nil, body)
+	par.FanOut(n, EpisodeWorkers(), nil, body)
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"bolt/internal/par"
 )
 
 // withEpisodeWorkers pins the episode pool width for one test and restores
@@ -56,7 +58,7 @@ func TestForEachEpisodePanicPropagation(t *testing.T) {
 	ran := make([]atomic.Bool, 8)
 	defer func() {
 		v := recover()
-		wp, ok := v.(*WorkerPanic)
+		wp, ok := v.(*par.WorkerPanic)
 		if !ok {
 			t.Fatalf("recovered %T (%v), want *WorkerPanic", v, v)
 		}
@@ -107,7 +109,7 @@ func TestRunPanicNamesExperiment(t *testing.T) {
 	}
 	defer func() {
 		v := recover()
-		wp, ok := v.(*WorkerPanic)
+		wp, ok := v.(*par.WorkerPanic)
 		if !ok {
 			t.Fatalf("recovered %T (%v), want *WorkerPanic", v, v)
 		}

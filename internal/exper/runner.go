@@ -3,6 +3,8 @@ package exper
 import (
 	"runtime"
 	"time"
+
+	"bolt/internal/par"
 )
 
 // RunResult is one experiment's finished output.
@@ -24,8 +26,8 @@ type RunResult struct {
 // is the sole field a caller must not compare across runs.
 //
 // A panic inside an experiment does not take the process down with a bare
-// worker-goroutine trace: fanOut recovers it, lets the other experiments
-// finish, and re-raises it on the caller's goroutine as a *WorkerPanic
+// worker-goroutine trace: par.FanOut recovers it, lets the other experiments
+// finish, and re-raises it on the caller's goroutine as a *par.WorkerPanic
 // naming the experiment — so the caller's defers (boltbench's profile
 // writers in particular) still run.
 func Run(exps []Experiment, seed uint64, parallel int) []RunResult {
@@ -33,7 +35,7 @@ func Run(exps []Experiment, seed uint64, parallel int) []RunResult {
 		parallel = runtime.GOMAXPROCS(0)
 	}
 	results := make([]RunResult, len(exps))
-	fanOut(len(exps), parallel,
+	par.FanOut(len(exps), parallel,
 		func(i int) string { return "experiment " + exps[i].ID },
 		func(i int) {
 			start := time.Now() //bolt:nolint detrand -- Elapsed is diagnostic-only and documented as never compared across runs; no report bytes derive from it

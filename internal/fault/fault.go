@@ -66,7 +66,19 @@ const (
 	churnPerBoundary     = 1.0 / 4
 )
 
-// Config selects the fault intensity and per-class parameters. The zero
+// spikeMax bounds a corruption spike's magnitude in pressure points (the
+// corrupted reading is re-clamped to [0, 100]).
+const spikeMax = 30.0
+
+// MaxRetries caps how many times a transiently failed ramp is retried
+// before the measurement is abandoned, and BackoffCap the exponential retry
+// backoff in ticks (1, 2, 4, ... up to the cap). probe.measure reads both.
+const (
+	MaxRetries = 3
+	BackoffCap = sim.Tick(8)
+)
+
+// Config selects the fault intensity and which classes fire. The zero
 // value injects nothing.
 type Config struct {
 	// Rate is the headline fault intensity in [0, 1]: the per-ramp
@@ -75,21 +87,10 @@ type Config struct {
 	// outside [0, 1] are clamped.
 	Rate float64
 
-	// SpikeMax bounds a corruption spike's magnitude in pressure points
-	// (the corrupted reading is re-clamped to [0, 100]). 0 means 30.
-	SpikeMax float64
-
-	// MaxRetries caps how many times a transiently failed ramp is retried
-	// before the measurement is abandoned. 0 means 3.
-	MaxRetries int
-
-	// BackoffCap caps the exponential retry backoff in ticks (1, 2, 4, ...
-	// up to the cap). 0 means 8.
-	BackoffCap sim.Tick
-
 	// DisableDropout, DisableCorruption, DisableChurn and
-	// DisableProbeFailure turn off individual classes, for experiments
-	// isolating one pathology.
+	// DisableProbeFailure turn off individual classes. No experiment or
+	// binary sets them; they are the seam the fault, probe and serve tests
+	// use to isolate one pathology.
 	DisableDropout      bool
 	DisableCorruption   bool
 	DisableChurn        bool
@@ -98,25 +99,6 @@ type Config struct {
 
 // Enabled reports whether this config injects anything.
 func (c Config) Enabled() bool { return c.Rate > 0 }
-
-func (c Config) withDefaults() Config {
-	if c.Rate < 0 {
-		c.Rate = 0
-	}
-	if c.Rate > 1 {
-		c.Rate = 1
-	}
-	if c.SpikeMax == 0 {
-		c.SpikeMax = 30
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 8
-	}
-	return c
-}
 
 // Plane injects faults for one adversary. It is not safe for concurrent
 // use; each adversary owns one plane, mirroring how each adversary owns
@@ -140,7 +122,7 @@ var _ sim.ObservationFault = (*Plane)(nil)
 // returns nil without touching rng — a nil *Plane is a valid, method-safe
 // no-op plane.
 func New(cfg Config, rng *stats.RNG) *Plane {
-	cfg = cfg.withDefaults()
+	cfg.Rate = stats.Clamp(cfg.Rate, 0, 1)
 	if !cfg.Enabled() {
 		return nil
 	}
@@ -158,23 +140,6 @@ func (p *Plane) Counts() [NumClasses]uint64 {
 		return [NumClasses]uint64{}
 	}
 	return p.counts
-}
-
-// MaxRetries returns the retry cap for transiently failed ramps (0 for a
-// disabled plane, where no ramp ever fails).
-func (p *Plane) MaxRetries() int {
-	if p == nil {
-		return 0
-	}
-	return p.cfg.MaxRetries
-}
-
-// BackoffCap returns the backoff ceiling in ticks for ramp retries.
-func (p *Plane) BackoffCap() sim.Tick {
-	if p == nil {
-		return 0
-	}
-	return p.cfg.BackoffCap
 }
 
 // fire draws one class decision from the plane's stream and counts it.
@@ -216,7 +181,7 @@ func (p *Plane) Perturb(observer *sim.VM, r sim.Resource, t sim.Tick, v float64)
 	if p == nil || !p.fire(Corruption, corruptionPerReading, p.cfg.DisableCorruption) {
 		return v
 	}
-	return stats.Clamp(v+p.rng.Range(-p.cfg.SpikeMax, p.cfg.SpikeMax), 0, 100)
+	return stats.Clamp(v+p.rng.Range(-spikeMax, spikeMax), 0, 100)
 }
 
 // FaultProfile injects the two request-level fault classes into an already
@@ -314,11 +279,8 @@ func (p *Plane) restore() {
 }
 
 // defaultCfg is the process-wide fallback config, installed by the
-// boltbench -faultrate flag before the experiment suite starts (mirroring
-// mining.SetForceFixedFoldIn, the process-wide switch from the fold-in
-// iterate by matrix powers to the historical sequential-sweep arithmetic).
-// Adversaries whose own probe config carries a disabled fault config fall
-// back to it.
+// boltbench -faultrate flag before the experiment suite starts. Adversaries
+// whose own probe config carries a disabled fault config fall back to it.
 var defaultCfg atomic.Value // Config
 
 // SetDefault installs cfg as the process-wide default fault config. Call

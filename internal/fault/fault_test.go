@@ -40,12 +40,6 @@ func TestNilPlaneIsANoOp(t *testing.T) {
 	if c := p.Counts(); c != [NumClasses]uint64{} {
 		t.Errorf("nil plane Counts = %v, want all zero", c)
 	}
-	if got := p.MaxRetries(); got != 0 {
-		t.Errorf("nil plane MaxRetries = %d, want 0", got)
-	}
-	if got := p.BackoffCap(); got != 0 {
-		t.Errorf("nil plane BackoffCap = %d, want 0", got)
-	}
 	if p.DropMeasurement(sim.LLC) {
 		t.Error("nil plane drops measurements")
 	}
@@ -76,12 +70,6 @@ func TestConfigDefaultsAndClamping(t *testing.T) {
 	p := New(Config{Rate: 0.5}, stats.NewRNG(2))
 	if !p.Enabled() {
 		t.Fatal("plane with Rate 0.5 not enabled")
-	}
-	if got := p.MaxRetries(); got != 3 {
-		t.Errorf("default MaxRetries = %d, want 3", got)
-	}
-	if got := p.BackoffCap(); got != sim.Tick(8) {
-		t.Errorf("default BackoffCap = %d, want 8", got)
 	}
 
 	// Rates above 1 clamp to 1: every per-ramp decision fires.
@@ -149,8 +137,7 @@ func TestDeterministicDecisionSequence(t *testing.T) {
 }
 
 func TestPerturbSpikesAreBounded(t *testing.T) {
-	const spikeMax = 25.0
-	p := New(Config{Rate: 1, SpikeMax: spikeMax}, stats.NewRNG(5))
+	p := New(Config{Rate: 1}, stats.NewRNG(5))
 	changed := 0
 	for i := 0; i < 800; i++ {
 		v := 50.0
@@ -161,7 +148,7 @@ func TestPerturbSpikesAreBounded(t *testing.T) {
 		if got != v {
 			changed++
 			if diff := got - v; diff > spikeMax || diff < -spikeMax {
-				t.Fatalf("spike magnitude %g exceeds SpikeMax %g", diff, spikeMax)
+				t.Fatalf("spike magnitude %g exceeds spikeMax %g", diff, spikeMax)
 			}
 		}
 	}
@@ -268,15 +255,64 @@ func TestChurnWithNoCoResidentsInjectsNothing(t *testing.T) {
 	}
 }
 
+// TestFaultProfileDropsThenCorrupts drives the request-level entry point the
+// detection service uses: dropout clears and zeroes known entries, surviving
+// entries may pick up a bounded spike, unknown entries are never touched, and
+// the returned counts are exactly what happened to the slices.
+func TestFaultProfileDropsThenCorrupts(t *testing.T) {
+	const n = 400
+	fresh := func() ([]float64, []bool) {
+		obs, known := make([]float64, n), make([]bool, n)
+		for j := range obs {
+			obs[j], known[j] = 50, j%2 == 0
+		}
+		return obs, known
+	}
+
+	obs, known := fresh()
+	if d, c := (*Plane)(nil).FaultProfile(obs, known); d != 0 || c != 0 {
+		t.Fatalf("nil plane injected: dropped %d, corrupted %d", d, c)
+	}
+
+	dropOnly := New(Config{Rate: 1, DisableCorruption: true}, stats.NewRNG(31))
+	if d, c := dropOnly.FaultProfile(obs, known); d != n/2 || c != 0 {
+		t.Fatalf("rate-1 dropout: dropped %d, corrupted %d, want %d, 0", d, c, n/2)
+	}
+	for j := range obs {
+		if known[j] || (j%2 == 0 && obs[j] != 0) || (j%2 == 1 && obs[j] != 50) {
+			t.Fatalf("entry %d after dropout: obs %g, known %v", j, obs[j], known[j])
+		}
+	}
+
+	obs, known = fresh()
+	spikeOnly := New(Config{Rate: 1, DisableDropout: true}, stats.NewRNG(32))
+	d, c := spikeOnly.FaultProfile(obs, known)
+	changed := 0
+	for j := range obs {
+		if known[j] != (j%2 == 0) {
+			t.Fatalf("corruption changed known[%d]", j)
+		}
+		if diff := obs[j] - 50; diff != 0 {
+			changed++
+			if !known[j] || diff > spikeMax || diff < -spikeMax {
+				t.Fatalf("entry %d (known %v) moved by %g, bound ±%g", j, known[j], diff, spikeMax)
+			}
+		}
+	}
+	if d != 0 || c != changed || c == 0 {
+		t.Fatalf("dropped %d, corrupted %d, changed entries %d; want 0 and equal non-zero counts", d, c, changed)
+	}
+}
+
 func TestSetDefaultRoundTrip(t *testing.T) {
 	defer SetDefault(Config{})
 	if got := Default(); got.Enabled() {
 		t.Fatalf("Default() enabled before SetDefault: %+v", got)
 	}
-	SetDefault(Config{Rate: 0.2, SpikeMax: 10})
-	got := Default()
-	if got.Rate != 0.2 || got.SpikeMax != 10 {
-		t.Errorf("Default() = %+v after SetDefault(Rate 0.2, SpikeMax 10)", got)
+	want := Config{Rate: 0.2, DisableChurn: true}
+	SetDefault(want)
+	if got := Default(); got != want {
+		t.Errorf("Default() = %+v after SetDefault(%+v)", got, want)
 	}
 	SetDefault(Config{})
 	if Default().Enabled() {

@@ -16,7 +16,7 @@ import (
 //
 // Fan-out entry points come from the summary layer: par.FanOut and
 // par.FanOutBlocks are seeded, and wrappers that forward their body
-// parameter (exper.fanOut, exper.forEachEpisode, and any future ones) are
+// parameter (exper.forEachEpisode and any future ones) are
 // discovered by the fixed point — so the rule follows the helpers as the
 // codebase grows, without a per-wrapper list.
 //

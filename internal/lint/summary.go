@@ -31,7 +31,7 @@ import (
 // and an on-disk cache of it let stale facts pass the golden inventory.
 
 // ParamForward records one call argument that is a func-typed parameter of
-// the enclosing function, e.g. exper.fanOut passing its body through to
+// the enclosing function, e.g. exper.forEachEpisode passing its body through to
 // par.FanOut. The fixed point uses these to learn which wrappers are
 // fan-out entry points.
 type ParamForward struct {
@@ -82,7 +82,7 @@ type FuncFacts struct {
 
 // fanOutSeeds are the ground-truth fan-out entry points: par.FanOut and
 // par.FanOutBlocks run their 4th argument as the concurrent body. Wrappers
-// (exper.fanOut, exper.forEachEpisode, and whatever comes next) are learned
+// (exper.forEachEpisode and whatever comes next) are learned
 // from ParamForwards at fixed point, so the seed list never needs to grow.
 var fanOutSeeds = map[string][]int{
 	"bolt/internal/par.FanOut":       {3},

@@ -48,9 +48,9 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 	obs[7], known[7] = 60, true
 	dst := make([]float64, 10)
 	for name, cfg := range map[string]CompletionConfig{
-		"foldPower":  {MaxVal: 100, Seed: 3},
-		"foldSolve6": {MaxVal: 100, Seed: 3, FixedFoldIn: true},
-		"foldSolve":  {MaxVal: 100, Seed: 3, FixedFoldIn: true, Rank: 4},
+		"foldPower":  {Seed: 3},
+		"foldSolve6": {Seed: 3, FixedFoldIn: true},
+		"foldSolve":  {Seed: 3, FixedFoldIn: true, Rank: 4},
 	} {
 		c := NewCompleter(train, cfg)
 		c.CompleteInto(dst, obs, known) // populate the scratch pool
@@ -66,7 +66,7 @@ func TestCompleteAllocationBudget(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
 	}
 	train := trainMatrix(23, 30, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 3})
+	c := NewCompleter(train, CompletionConfig{Seed: 3})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[1], known[1] = 25, true
@@ -85,8 +85,6 @@ func TestCompleteAllocationBudget(t *testing.T) {
 // exercised under an AllocsPerRun budget, directly or via its sole caller.
 var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
-	"DetectDense":       "TestDetectAllocationBudget",
-	"detect":            "TestDetectAllocationBudget",
 	"rankBySimilarity":  "TestDetectAllocationBudget",
 	"proximity":         "TestDetectAllocationBudget",
 	"Dot":               "TestDetectAllocationBudget",

@@ -3,7 +3,6 @@ package mining
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"bolt/internal/stats"
 )
@@ -13,36 +12,28 @@ import (
 // (foldSolve) with FixedFoldIn.
 const foldInIters = 2000
 
-// forceFixedFoldIn globally selects the sequential fold-in sweeps, as if
-// every CompletionConfig had FixedFoldIn set. It exists for the determinism
-// parity test, which runs the whole experiment suite both ways inside one
-// binary and asserts byte-identical output. Atomic because the parallel
-// experiment runner calls Complete from many goroutines.
-var forceFixedFoldIn atomic.Bool
-
-// SetForceFixedFoldIn toggles the global fold-in escape hatch (see
-// FixedFoldIn). Intended for tests; the default is false.
-func SetForceFixedFoldIn(v bool) { forceFixedFoldIn.Store(v) }
+// The training-time SGD schedule, and the range predictions are clamped to
+// (resource pressure is a percentage).
+const (
+	sgdLearnRate = 0.005 // step size
+	sgdReg       = 0.02  // L2 regularisation
+	sgdEpochs    = 400   // passes over the training cells
+	minVal       = 0.0
+	maxVal       = 100.0
+)
 
 // CompletionConfig tunes the SGD PQ-reconstruction used to recover the
 // pressure a victim places on resources Bolt did not profile directly.
 type CompletionConfig struct {
-	Rank      int     // latent factor dimensionality; 0 means min(n, 6)
-	LearnRate float64 // SGD step size; 0 means 0.005
-	Reg       float64 // L2 regularisation; 0 means 0.02
-	Epochs    int     // SGD passes over the known ratings; 0 means 400
-	Seed      uint64  // factor initialisation seed
-	MinVal    float64 // clamp floor for predictions (pressure: 0)
-	MaxVal    float64 // clamp ceiling for predictions (pressure: 100)
+	Rank int    // latent factor dimensionality; 0 means min(n, 6)
+	Seed uint64 // factor initialisation seed
 	// FixedFoldIn makes Complete run the historical sequential-sweep
 	// arithmetic: foldInIters ridge-SGD sweeps, one after another. The
 	// default computes the same iterate by matrix powers and agrees with
 	// the sweeps to ~1e-12 relative, which no consumer of completed
 	// pressure resolves — except code that feeds the raw floats onward
 	// into further simulation, like the DoS attack planners, which set
-	// this flag to keep their results bit for bit. The determinism parity
-	// test runs the experiment suite both ways and asserts byte-identical
-	// output.
+	// this flag to keep their results bit for bit.
 	FixedFoldIn bool
 }
 
@@ -52,15 +43,6 @@ func (c CompletionConfig) withDefaults(n int) CompletionConfig {
 		if n < c.Rank {
 			c.Rank = n
 		}
-	}
-	if c.LearnRate == 0 {
-		c.LearnRate = 0.005
-	}
-	if c.Reg == 0 {
-		c.Reg = 0.02
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 400
 	}
 	return c
 }
@@ -135,16 +117,15 @@ func NewCompleter(train *Matrix, cfg CompletionConfig) *Completer {
 	// PermInto reshuffles it in place with the exact random stream Perm
 	// would consume, making every epoch allocation-free and byte-identical
 	// to the historical per-epoch rng.Perm.
-	lr, reg := cfg.LearnRate, cfg.Reg
 	perm := make([]int, m*n)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < sgdEpochs; epoch++ {
 		rng.PermInto(perm)
 		for _, idx := range perm {
 			i, j := idx/n, idx%n
 			pi := c.p.Data[i*r : (i+1)*r : (i+1)*r]
 			qj := c.q.Data[j*r : (j+1)*r : (j+1)*r]
 			err := train.Data[idx] - Dot(pi, qj)
-			sgdStep(pi, qj, lr, err, reg)
+			sgdStep(pi, qj, sgdLearnRate, err, sgdReg)
 		}
 	}
 
@@ -203,9 +184,9 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	// very few observations; the training-time regulariser would shrink it
 	// toward zero and bias every prediction low, so it is relaxed here.
 	u := s.u
-	lr, reg := 0.01, c.cfg.Reg*0.1
+	lr, reg := 0.01, sgdReg*0.1
 	switch {
-	case !c.cfg.FixedFoldIn && !forceFixedFoldIn.Load():
+	case !c.cfg.FixedFoldIn:
 		foldPower(s, c.q.Data, s.kidx, observed, lr, reg)
 	case r == 6:
 		// The default rank; the specialised solve keeps the six factor
@@ -222,7 +203,7 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 			continue
 		}
 		qj := c.q.Data[j*r : (j+1)*r]
-		v := clamp(Dot(u, qj), c.cfg.MinVal, c.cfg.MaxVal)
+		v := clamp(Dot(u, qj))
 		// Blend the latent-factor prediction with the neighbourhood
 		// estimate; the latter dominates because it can only produce
 		// pressure values actually seen in training.
@@ -296,21 +277,22 @@ func gaussKernel(rmsSquared, width float64) float64 {
 // by tests to verify the factorisation fits the training data.
 func (c *Completer) Predict(i, j int) float64 {
 	r := c.cfg.Rank
-	return clamp(Dot(c.p.Data[i*r:(i+1)*r], c.q.Data[j*r:(j+1)*r]), c.cfg.MinVal, c.cfg.MaxVal)
+	return clamp(Dot(c.p.Data[i*r:(i+1)*r], c.q.Data[j*r:(j+1)*r]))
 }
 
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
+// clamp forces a prediction into [minVal, maxVal].
+func clamp(x float64) float64 {
+	if x < minVal {
+		return minVal
 	}
-	if x > hi {
-		return hi
+	if x > maxVal {
+		return maxVal
 	}
 	if x != x {
 		// NaN falls through both comparisons; pin it to the lower bound so a
 		// diverged fold-in on pathological observed values cannot leak NaN
 		// into a completed vector.
-		return lo
+		return minVal
 	}
 	return x
 }

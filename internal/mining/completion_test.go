@@ -19,8 +19,8 @@ func trainMatrix(seed uint64, rows, cols int) *Matrix {
 
 func TestCompleterDeterministic(t *testing.T) {
 	train := trainMatrix(1, 30, 10)
-	a := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 5})
-	b := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 5})
+	a := NewCompleter(train, CompletionConfig{Seed: 5})
+	b := NewCompleter(train, CompletionConfig{Seed: 5})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[2], known[2] = 40, true
@@ -56,7 +56,7 @@ func stretchRow(power, sweeps *Completer, j int, target float64) {
 
 // boundTol absorbs the last-bit rounding a convex combination of in-range
 // values can pick up; completion output must stay within the configured
-// [MinVal, MaxVal] up to this slack.
+// [minVal, maxVal] up to this slack.
 const boundTol = 1e-9
 
 // checkCompletionContract completes one observation on both fold-in paths
@@ -90,7 +90,7 @@ func checkCompletionContract(t testing.TB, power, sweeps *Completer, observed []
 
 func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 	train := trainMatrix(2, 40, 10)
-	power, sweeps := completerPair(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	power, sweeps := completerPair(train, CompletionConfig{Seed: 1})
 	randomObservation := func(rng *stats.RNG) (obs []float64, known []bool) {
 		obs = make([]float64, 10)
 		known = make([]bool, 10)
@@ -136,7 +136,7 @@ func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 
 	// A factor row long enough that the sweep over its column diverges.
 	for _, target := range []float64{2, 3, 50} {
-		power, sweeps := completerPair(train, CompletionConfig{MaxVal: 100, Seed: 1})
+		power, sweeps := completerPair(train, CompletionConfig{Seed: 1})
 		const j = 4
 		stretchRow(power, sweeps, j, target)
 		for rep := 0; rep < 40; rep++ {
@@ -149,7 +149,7 @@ func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 
 func TestCompleterNoObservations(t *testing.T) {
 	train := trainMatrix(3, 20, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	c := NewCompleter(train, CompletionConfig{Seed: 1})
 	dense := c.Complete(make([]float64, 10), make([]bool, 10))
 	// With nothing known the neighbourhood falls back to column means,
 	// blended with the (zero-factor) latent prediction: finite, in-range,
@@ -172,7 +172,7 @@ func TestCompleterNoObservations(t *testing.T) {
 
 func TestCompleterLengthMismatchPanics(t *testing.T) {
 	train := trainMatrix(4, 10, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100})
+	c := NewCompleter(train, CompletionConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("length mismatch did not panic")
@@ -189,7 +189,7 @@ func TestNeighbourEstimatePrefersCloseRows(t *testing.T) {
 		rows = append(rows, []float64{80, 80, 80, 10, 10, 10, 10, 10, 10, 10}) // cluster A
 		rows = append(rows, []float64{10, 10, 10, 80, 80, 80, 80, 80, 80, 80}) // cluster B
 	}
-	c := NewCompleter(FromRows(rows), CompletionConfig{MaxVal: 100, Seed: 2})
+	c := NewCompleter(FromRows(rows), CompletionConfig{Seed: 2})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[0], known[0] = 79, true

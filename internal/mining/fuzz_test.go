@@ -27,7 +27,7 @@ func buildFuzzCompleters() {
 		m.Data[i] = rng.Range(0, 100)
 	}
 	fc := &fuzzCompleters
-	cfg := CompletionConfig{Seed: 7, MinVal: 0, MaxVal: 100}
+	cfg := CompletionConfig{Seed: 7}
 	fc.power, fc.sweeps = completerPair(m, cfg)
 	fc.stretchedPower, fc.stretchedSweeps = completerPair(m, cfg)
 	stretchRow(fc.stretchedPower, fc.stretchedSweeps, 0, 3)

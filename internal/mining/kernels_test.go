@@ -159,7 +159,7 @@ func TestFoldPowerMatchesSweeps(t *testing.T) {
 		for i := range normQ {
 			normQ[i] = rng.Norm(0, 0.5)
 		}
-		trained := NewCompleter(trainMatrix(uint64(40+r), 30, n), CompletionConfig{Rank: r, MaxVal: 100, Seed: 9})
+		trained := NewCompleter(trainMatrix(uint64(40+r), 30, n), CompletionConfig{Rank: r, Seed: 9})
 		for qi, qdata := range [][]float64{normQ, trained.q.Data} {
 			for nk := 0; nk <= n; nk++ {
 				for rep := 0; rep < 4; rep++ {

@@ -135,9 +135,6 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 	if cfg.EnergyFraction == 0 {
 		cfg.EnergyFraction = 0.9
 	}
-	if cfg.Completion.MaxVal == 0 {
-		cfg.Completion.MaxVal = 100
-	}
 
 	train := FromRows(rows)
 	means := make([]float64, n)
@@ -308,20 +305,6 @@ func (r *Recommender) ResourceValue() []float64 {
 	return val
 }
 
-// Detect runs the full pipeline on a sparse profiling observation:
-// completion of the missing resources, then similarity ranking against
-// every training profile. Directly measured resources carry more weight in
-// the match than completed (inferred) ones, since the latter inherit the
-// training set's biases.
-//
-//bolt:hotpath
-func (r *Recommender) Detect(observed []float64, known []bool) *Result {
-	s := r.scratch.Get().(*detectScratch)
-	defer r.scratch.Put(s)
-	r.complete.CompleteInto(s.dense, observed, known)
-	return r.detect(s.dense, known, s)
-}
-
 // measuredBoost is the weight multiplier a directly profiled resource gets
 // over an inferred one in the similarity computation.
 const measuredBoost = 4.0
@@ -352,8 +335,13 @@ func proximity(a, b, weights []float64) float64 {
 	return math.Exp(-math.Sqrt(num/den) / proximityScale)
 }
 
-// DetectDense ranks a fully observed pressure vector against the training
-// set without the completion step.
+// Detect runs the full pipeline on a sparse profiling observation:
+// completion of the missing resources, then similarity ranking against
+// every training profile. Directly measured resources (known[j]) carry more
+// weight in the match than completed (inferred) ones, since the latter
+// inherit the training set's biases; a fully observed vector takes an
+// all-true mask. Working buffers come from the scratch pool; only the
+// returned Result is allocated.
 //
 // The content-based stage applies Eq. 1's weighted Pearson correlation to
 // the resource-space profiles, with per-resource weights derived from the
@@ -364,33 +352,20 @@ func proximity(a, b, weights []float64) float64 {
 // unweighted coefficient.
 //
 //bolt:hotpath
-func (r *Recommender) DetectDense(pressure []float64) *Result {
+func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
-	return r.detect(pressure, nil, s)
-}
-
-// detect ranks pressure against the training profiles; known (optional)
-// marks which entries were directly measured and should dominate the match.
-// s supplies the working buffers; only the returned Result is allocated.
-//
-//bolt:hotpath
-func (r *Recommender) detect(pressure []float64, known []bool, s *detectScratch) *Result {
-	if len(pressure) != r.n {
-		panic("mining: DetectDense length mismatch")
-	}
+	pressure := s.dense
+	r.complete.CompleteInto(pressure, observed, known)
 	res := &Result{ //bolt:nolint hotalloc -- the escaping Result is the documented output; TestDetectAllocationBudget pins Detect at exactly these 3 allocs
 		Pressure: append([]float64(nil), pressure...), //bolt:nolint hotalloc -- alloc 2 of 3 in the pinned budget: the caller keeps Pressure after scratch is recycled
 		Matches:  make([]Match, len(r.profiles)),      //bolt:nolint hotalloc -- alloc 3 of 3 in the pinned budget: the caller keeps Matches after scratch is recycled
 	}
-	weights := r.weights
-	if known != nil {
-		weights = s.weights
-		copy(weights, r.weights)
-		for j, k := range known {
-			if k {
-				weights[j] *= measuredBoost
-			}
+	weights := s.weights
+	copy(weights, r.weights)
+	for j, k := range known {
+		if k {
+			weights[j] *= measuredBoost
 		}
 	}
 	var u []float64

@@ -153,7 +153,7 @@ func TestCompleterFitsTraining(t *testing.T) {
 		rows[i] = p.Pressure
 	}
 	train := FromRows(rows)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	c := NewCompleter(train, CompletionConfig{Seed: 1})
 	// Reconstruction error on training cells should be modest.
 	sumErr, cells := 0.0, 0
 	for i := 0; i < train.Rows; i++ {
@@ -174,7 +174,7 @@ func TestCompleterRecoversMissing(t *testing.T) {
 	for i, p := range profiles {
 		rows[i] = p.Pressure
 	}
-	c := NewCompleter(FromRows(rows), CompletionConfig{MaxVal: 100, Seed: 2})
+	c := NewCompleter(FromRows(rows), CompletionConfig{Seed: 2})
 
 	// Observe only three entries of a fresh memcached-like profile; the
 	// completion should predict near-zero disk pressure (memcached's
@@ -197,13 +197,22 @@ func TestCompleterRecoversMissing(t *testing.T) {
 	}
 }
 
+// allKnown is the mask of a fully observed n-resource vector.
+func allKnown(n int) []bool {
+	known := make([]bool, n)
+	for j := range known {
+		known[j] = true
+	}
+	return known
+}
+
 func TestRecommenderRanksCorrectClass(t *testing.T) {
 	rng := stats.NewRNG(9)
 	profiles := synthTrain(rng)
 	rec := NewRecommender(profiles, RecommenderConfig{})
 
 	victim := []float64{89, 58, 31, 79, 41, 49, 36, 61, 1, 0} // memcached-like
-	res := rec.DetectDense(victim)
+	res := rec.Detect(victim, allKnown(len(victim)))
 	if res.Best().Class != "memcached" {
 		t.Fatalf("best match class = %q, want memcached (matches: %v)",
 			res.Best().Class, res.Matches[:3])
@@ -233,7 +242,7 @@ func TestRecommenderSparseDetection(t *testing.T) {
 func TestRecommenderMatchesSorted(t *testing.T) {
 	rng := stats.NewRNG(11)
 	rec := NewRecommender(synthTrain(rng), RecommenderConfig{})
-	res := rec.DetectDense([]float64{50, 50, 50, 50, 50, 50, 50, 50, 50, 50})
+	res := rec.Detect([]float64{50, 50, 50, 50, 50, 50, 50, 50, 50, 50}, allKnown(10))
 	for i := 1; i < len(res.Matches); i++ {
 		if res.Matches[i].Similarity > res.Matches[i-1].Similarity {
 			t.Fatal("matches not sorted by decreasing similarity")
@@ -277,7 +286,7 @@ func TestDetectMatchesFollowRanking(t *testing.T) {
 		train[i].Label = fmt.Sprintf("p%02d", i)
 		index[train[i].Label] = i
 	}
-	res := NewRecommender(train, RecommenderConfig{}).DetectDense(train[0].Pressure)
+	res := NewRecommender(train, RecommenderConfig{}).Detect(train[0].Pressure, allKnown(len(train[0].Pressure)))
 	if len(res.Matches) != len(train) {
 		t.Fatalf("got %d matches for %d profiles", len(res.Matches), len(train))
 	}
@@ -311,7 +320,7 @@ func TestDetectMatchesFollowRanking(t *testing.T) {
 func TestRecommenderPureCFHasNoLabels(t *testing.T) {
 	rng := stats.NewRNG(12)
 	rec := NewRecommender(synthTrain(rng), RecommenderConfig{PureCF: true})
-	res := rec.DetectDense([]float64{89, 58, 31, 79, 41, 49, 36, 61, 1, 0})
+	res := rec.Detect([]float64{89, 58, 31, 79, 41, 49, 36, 61, 1, 0}, allKnown(10))
 	for _, m := range res.Matches {
 		if m.Label != "" {
 			t.Fatal("pure CF should not assign labels")

@@ -112,14 +112,18 @@ func (k *Kernels) DemandVersion() uint64 {
 var _ sim.Demander = (*Kernels)(nil)
 var _ sim.DemandVersioner = (*Kernels)(nil)
 
+// rampStep is the intensity increment per ramp step in percent, and
+// ticksPerStep how long each step takes (one tick, 100 ms): the §3.2
+// ramp-until-degradation procedure.
+const (
+	rampStep     = 4.0
+	ticksPerStep = sim.Tick(1)
+)
+
 // Config tunes the profiling procedure.
 type Config struct {
-	// Step is the intensity increment per ramp step in percent; 0 means 4.
-	Step float64
 	// NoiseSD is the measurement noise on the degradation check; 0 means 2.5.
 	NoiseSD float64
-	// TicksPerStep is how long each ramp step takes; 0 means 1 (100 ms).
-	TicksPerStep sim.Tick
 	// Faults configures deterministic fault injection on this adversary's
 	// measurements (internal/fault). The zero value injects nothing and
 	// leaves the probe's random streams untouched; an adversary whose own
@@ -129,14 +133,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Step == 0 {
-		c.Step = 4
-	}
 	if c.NoiseSD == 0 {
 		c.NoiseSD = 2.5
-	}
-	if c.TicksPerStep == 0 {
-		c.TicksPerStep = 1
 	}
 	return c
 }
@@ -225,14 +223,14 @@ func (a *Adversary) measure(s *sim.Server, r sim.Resource, start sim.Tick) (Meas
 			m.Ticks = used
 			return m, !a.faults.DropMeasurement(r)
 		}
-		if attempt >= a.faults.MaxRetries() {
+		if attempt >= fault.MaxRetries {
 			m.Ticks = used
 			return m, false
 		}
 		used += backoff
 		backoff *= 2
-		if bc := a.faults.BackoffCap(); backoff > bc {
-			backoff = bc
+		if backoff > fault.BackoffCap {
+			backoff = fault.BackoffCap
 		}
 	}
 }
@@ -266,14 +264,14 @@ type Measurement struct {
 func (a *Adversary) Ramp(s *sim.Server, r sim.Resource, start sim.Tick) Measurement {
 	defer a.Kernels.Set(r, 0)
 	var used sim.Tick
-	for x := a.cfg.Step; x <= a.Kernels.MaxIntensity; x += a.cfg.Step {
+	for x := rampStep; x <= a.Kernels.MaxIntensity; x += rampStep {
 		a.Kernels.Set(r, x)
 		t := start + used
-		used += a.cfg.TicksPerStep
+		used += ticksPerStep
 		observed := s.ObservedPressure(a.VM, r, t)
 		noise := a.rng.Norm(0, a.cfg.NoiseSD)
 		if x+observed+noise >= 100+detectMargin {
-			ci := 100 - x + a.cfg.Step/2 // midpoint of the quantisation bin
+			ci := 100 - x + rampStep/2 // midpoint of the quantisation bin
 			return Measurement{
 				Resource:  r,
 				Pressure:  stats.Clamp(ci, 0, 100),
@@ -477,15 +475,15 @@ func (a *Adversary) CoreSignatures(s *sim.Server, start sim.Tick) ([]sim.Vector,
 // rampCore is Ramp restricted to one physical core's sibling pressure.
 func (a *Adversary) rampCore(s *sim.Server, coreIdx int, r sim.Resource, start sim.Tick) Measurement {
 	var used sim.Tick
-	for x := a.cfg.Step; x <= a.Kernels.MaxIntensity; x += a.cfg.Step {
+	for x := rampStep; x <= a.Kernels.MaxIntensity; x += rampStep {
 		t := start + used
-		used += a.cfg.TicksPerStep
+		used += ticksPerStep
 		observed := s.ObservedCorePressure(a.VM, coreIdx, r, t)
 		noise := a.rng.Norm(0, a.cfg.NoiseSD)
 		if x+observed+noise >= 100+detectMargin {
 			return Measurement{
 				Resource:  r,
-				Pressure:  stats.Clamp(100-x+a.cfg.Step/2, 0, 100),
+				Pressure:  stats.Clamp(100-x+rampStep/2, 0, 100),
 				Ticks:     used,
 				Saturated: true,
 			}

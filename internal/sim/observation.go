@@ -21,8 +21,8 @@ package sim
 //     Demander must not call the server's cached observation methods from
 //     inside Demand; re-entrant evaluation (Reactive's one-step
 //     relaxation) must use InterferenceLive, which never touches the
-//     snapshot. As a safety net the plane carries a `building` flag and
-//     every cached method falls back to the live path while it is set.
+//     snapshot. The plane carries a `building` flag and panics when a
+//     Demander breaks this rule.
 //
 // Reactive re-entrancy contract: workload.Reactive computes its demand
 // from the interference its host reports, which in turn depends on the
@@ -102,14 +102,15 @@ func (o *obsPlane) versionsCurrent() bool {
 }
 
 // observation returns the snapshot for tick t, rebuilding it if stale. It
-// returns nil while a rebuild is in progress (a Demander re-entered the
-// observation plane); callers then use the live path.
+// panics when called while a rebuild is in progress: the nested view a
+// re-entrant Demander needs differs from the snapshot's (see the file
+// comment), so serving either from the other's path would be wrong.
 //
 //bolt:hotpath
 func (s *Server) observation(t Tick) *obsPlane {
 	o := &s.obs
 	if o.building {
-		return nil
+		panic("sim: Demander re-entered the cached observation plane; use InterferenceLive")
 	}
 	if o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent() {
 		return o
@@ -138,7 +139,7 @@ func (s *Server) observation(t Tick) *obsPlane {
 // rebuild when nothing else observes this tick.
 func (s *Server) freshObservation(t Tick) *obsPlane {
 	o := &s.obs
-	if !o.building && o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent() {
+	if o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent() {
 		return o
 	}
 	return nil
@@ -181,10 +182,7 @@ func (s *Server) ObservedPressure(observer *VM, r Resource, t Tick) float64 {
 		// spike even when the true reading is zero.
 		return s.faulted(observer, r, t, 0)
 	}
-	if o := s.observation(t); o != nil {
-		return s.faulted(observer, r, t, s.observedPressureFrom(o, observer, r, t))
-	}
-	return s.faulted(observer, r, t, s.observedPressureLive(observer, r, t))
+	return s.faulted(observer, r, t, s.observedPressureFrom(s.observation(t), observer, r, t))
 }
 
 // observedPressureFrom answers a single-resource query from the snapshot.
@@ -207,36 +205,6 @@ func (s *Server) observedPressureFrom(o *obsPlane, observer *VM, r Resource, t T
 		total += demand.Get(r)
 		if squeeze > 0 {
 			total += demand.Get(LLC) * CacheSpillFactor(demand) * squeeze * SpillScale
-		}
-	}
-	total *= s.cfg.Visibility.Get(r)
-	if total > 100 {
-		total = 100
-	}
-	return total
-}
-
-// observedPressureLive is the uncached single-resource path, used while
-// the snapshot is being rebuilt. It is the pre-snapshot implementation.
-//
-//bolt:hotpath
-func (s *Server) observedPressureLive(observer *VM, r Resource, t Tick) float64 {
-	squeeze := 0.0
-	if r == MemBW && observer != nil {
-		squeeze = observer.App.Demand(t)[LLC] / 100 * s.cfg.Visibility.Get(LLC)
-	}
-	total := 0.0
-	for _, vm := range s.vms {
-		if vm == observer {
-			continue
-		}
-		if r.IsCore() && !s.SharesCore(observer, vm) {
-			continue
-		}
-		demand := vm.App.Demand(t)
-		total += demand.Get(r)
-		if squeeze > 0 {
-			total += demand.Get(LLC) * CacheSpillFactor(&demand) * squeeze * SpillScale
 		}
 	}
 	total *= s.cfg.Visibility.Get(r)
@@ -337,10 +305,7 @@ func (s *Server) observedVectorFrom(o *obsPlane, observer *VM, t Tick) Vector {
 //
 //bolt:hotpath
 func (s *Server) ObservedVector(observer *VM, t Tick) Vector {
-	if o := s.observation(t); o != nil {
-		return s.observedVectorFrom(o, observer, t)
-	}
-	return s.InterferenceLive(observer, t)
+	return s.observedVectorFrom(s.observation(t), observer, t)
 }
 
 // Interference returns, for each resource, the contention pressure the
@@ -388,20 +353,18 @@ func (s *Server) InterferenceLive(victim *VM, t Tick) Vector {
 //
 //bolt:hotpath
 func (s *Server) Slowdown(victim *VM, t Tick) float64 {
-	if o := s.observation(t); o != nil {
-		demand, found := Vector{}, false
-		for i, vm := range s.vms {
-			if vm == victim {
-				demand, found = o.demand[i], true
-				break
-			}
+	o := s.observation(t)
+	demand, found := Vector{}, false
+	for i, vm := range s.vms {
+		if vm == victim {
+			demand, found = o.demand[i], true
+			break
 		}
-		if !found {
-			demand = victim.App.Demand(t)
-		}
-		return SlowdownFor(demand, victim.App.Sensitivity(), s.observedVectorFrom(o, victim, t))
 	}
-	return SlowdownFor(victim.App.Demand(t), victim.App.Sensitivity(), s.InterferenceLive(victim, t))
+	if !found {
+		demand = victim.App.Demand(t)
+	}
+	return SlowdownFor(demand, victim.App.Sensitivity(), s.observedVectorFrom(o, victim, t))
 }
 
 // SlowdownFor is the contention arithmetic behind Server.Slowdown, exposed
@@ -447,15 +410,10 @@ func slowdownWeight(r Resource) float64 {
 //
 //bolt:hotpath
 func (s *Server) CPUUtilization(t Tick) float64 {
+	o := s.observation(t)
 	total := 0.0
-	if o := s.observation(t); o != nil {
-		for i := range s.vms {
-			total += o.demand[i].Get(CPU)
-		}
-	} else {
-		for _, vm := range s.vms {
-			total += vm.App.Demand(t)[CPU]
-		}
+	for i := range s.vms {
+		total += o.demand[i].Get(CPU)
 	}
 	if total > 100 {
 		total = 100
@@ -469,16 +427,10 @@ func (s *Server) CPUUtilization(t Tick) float64 {
 //
 //bolt:hotpath
 func (s *Server) HostDemand(t Tick) Vector {
+	o := s.observation(t)
 	var total Vector
-	if o := s.observation(t); o != nil {
-		for i := range s.vms {
-			total.accumulate(&o.demand[i])
-		}
-		return total
-	}
-	for _, vm := range s.vms {
-		demand := vm.App.Demand(t)
-		total.accumulate(&demand)
+	for i := range s.vms {
+		total.accumulate(&o.demand[i])
 	}
 	return total
 }

@@ -402,3 +402,35 @@ func TestLookup(t *testing.T) {
 		t.Fatal("Lookup misbehaved")
 	}
 }
+
+// reentrantApp breaks the observation-plane contract: its Demand asks the
+// host's cached plane what its own VM observes.
+type reentrantApp struct {
+	host *Server
+	vm   *VM
+}
+
+func (r *reentrantApp) Demand(t Tick) Vector {
+	var v Vector
+	v.Set(MemBW, r.host.ObservedPressure(r.vm, MemBW, t))
+	return v
+}
+func (r *reentrantApp) Sensitivity() Vector { return Vector{} }
+
+func TestReentrantDemanderPanics(t *testing.T) {
+	s := NewServer("s0", ServerConfig{})
+	app := &reentrantApp{host: s}
+	app.vm = &VM{ID: "reentrant", VCPUs: 2, App: app}
+	for _, vm := range []*VM{app.vm, newVM("b", 2, vec(map[Resource]float64{MemBW: 40}))} {
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		const want = "sim: Demander re-entered the cached observation plane; use InterferenceLive"
+		if got := recover(); got != want {
+			t.Fatalf("recovered %v, want panic %q", got, want)
+		}
+	}()
+	s.CPUUtilization(0)
+}
