@@ -87,6 +87,8 @@ var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
 	"rankBySimilarity":  "TestDetectAllocationBudget",
 	"proximity":         "TestDetectAllocationBudget",
+	"momentsOf":         "TestDetectAllocationBudget",
+	"pearsonAgainst":    "TestDetectAllocationBudget",
 	"Dot":               "TestDetectAllocationBudget",
 	"Axpy":              "TestCompleteIntoAllocationFree",
 	"sgdStep":           "TestCompleteIntoAllocationFree",

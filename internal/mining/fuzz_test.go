@@ -110,9 +110,14 @@ func FuzzPearsonSymmetry(f *testing.F) {
 			t.Fatalf("asymmetric: WeightedPearson(a,b)=%g, WeightedPearson(b,a)=%g\na=%v b=%v sigma=%v",
 				r1, r2, a, b, sigma)
 		}
-		// The unweighted form must agree with the all-ones weighting and be
-		// symmetric for the same reason.
-		p1, p2 := Pearson(a, b), Pearson(b, a)
+		// The kernel Detect runs must be the reference, bit for bit.
+		if got := pearsonAgainst(a, b, sigma, momentsOf(a, sigma)); got != r1 {
+			t.Fatalf("pearsonAgainst = %g, WeightedPearson = %g\na=%v b=%v sigma=%v", got, r1, a, b, sigma)
+		}
+		// The unweighted form is the all-ones weighting, symmetric and
+		// bounded for the same reason.
+		ones := []float64{1, 1, 1, 1}
+		p1, p2 := WeightedPearson(a, b, ones), WeightedPearson(b, a, ones)
 		if math.IsNaN(p1) || p1 < -1 || p1 > 1 || math.Abs(p1-p2) > 1e-9 {
 			t.Fatalf("Pearson asymmetric or out of range: %g vs %g", p1, p2)
 		}

@@ -64,14 +64,63 @@ func WeightedPearson(a, b, sigma []float64) float64 {
 	return r
 }
 
-// Pearson is the classic unweighted correlation coefficient, retained for
-// the ablation study that compares it against the weighted form.
-func Pearson(a, b []float64) float64 {
-	ones := make([]float64, len(a))
-	for i := range ones {
-		ones[i] = 1
+// queryMoments is the half of Eq. 1 that depends only on the query a and
+// the weights: Σσ, the query's weighted mean and its weighted variance,
+// each the value WeightedPearson derives for its first operand. Detect
+// computes them once per query and hands them to pearsonAgainst for every
+// training profile.
+type queryMoments struct {
+	den, mean, variance float64
+}
+
+// momentsOf computes the query half of Eq. 1 for query a under weights sigma.
+//
+//bolt:hotpath
+func momentsOf(a, sigma []float64) queryMoments {
+	den := 0.0
+	for _, w := range sigma {
+		den += w
 	}
-	return WeightedPearson(a, b, ones)
+	return queryMoments{den: den, mean: WeightedMean(a, sigma), variance: WeightedCov(a, a, sigma)}
+}
+
+// pearsonAgainst returns WeightedPearson(a, b, sigma), bit for bit, given
+// q = momentsOf(a, sigma). Per profile it makes one pass for b's weighted
+// mean and one fused pass accumulating b's variance and the covariance;
+// every sum runs over the same terms in the same order, with each product
+// grouped as WeightedCov groups it, so the roundings — and the result —
+// are WeightedPearson's own. WeightedPearson stays the reference the tests
+// hold this to.
+//
+//bolt:hotpath
+func pearsonAgainst(a, b, sigma []float64, q queryMoments) float64 {
+	if len(a) != len(b) || len(a) != len(sigma) {
+		panic("mining: pearsonAgainst length mismatch")
+	}
+	if q.variance <= 0 { // also Σσ = 0: WeightedCov reports 0 for it
+		return 0
+	}
+	mb := WeightedMean(b, sigma)
+	nb, nab := 0.0, 0.0
+	for i := range b {
+		nb += sigma[i] * (b[i] - mb) * (b[i] - mb)
+		nab += sigma[i] * (a[i] - q.mean) * (b[i] - mb)
+	}
+	vb := nb / q.den
+	if vb <= 0 {
+		return 0
+	}
+	r := (nab / q.den) / math.Sqrt(q.variance*vb)
+	if r != r {
+		return 0
+	}
+	if r > 1 {
+		r = 1
+	}
+	if r < -1 {
+		r = -1
+	}
+	return r
 }
 
 // CosineSimilarity returns the cosine of the angle between a and b, used by

@@ -387,6 +387,15 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	for j := range centred {
 		centred[j] = pressure[j] - r.means[j]
 	}
+	// The Unweighted ablation is the same kernel under all-ones weights
+	// (and a uniform proximity). Eq. 1's query half — Σσ and the query's
+	// weighted mean and variance — is the same for every training profile,
+	// so it is computed once here, not once per profile.
+	sigma, proxWeights := weights, weights
+	if r.cfg.Unweighted {
+		sigma, proxWeights = r.ones, nil
+	}
+	q := momentsOf(centred, sigma)
 	// The content-based stage also exploits the contextual information the
 	// correlation discards — how close the two profiles are in absolute
 	// pressure. Two workloads with proportionally similar shapes but very
@@ -394,17 +403,12 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	// factor (in (0, 1]) suppresses such matches while leaving near-copies
 	// untouched.
 	for i := range r.profiles {
-		prof, raw := r.centred[i*r.n:(i+1)*r.n], r.profiles[i].Pressure
 		var sim float64
-		switch {
-		case r.cfg.PureCF:
+		if r.cfg.PureCF {
 			sim = CosineSimilarity(u, r.concepts[i])
-		case r.cfg.Unweighted:
-			// Pearson == WeightedPearson under all-ones weights; using the
-			// precomputed ones avoids Pearson's per-call allocation.
-			sim = WeightedPearson(centred, prof, r.ones) * proximity(pressure, raw, nil)
-		default:
-			sim = WeightedPearson(centred, prof, weights) * proximity(pressure, raw, weights)
+		} else {
+			prof, raw := r.centred[i*r.n:(i+1)*r.n], r.profiles[i].Pressure
+			sim = pearsonAgainst(centred, prof, sigma, q) * proximity(pressure, raw, proxWeights)
 		}
 		s.rank[i] = rankKey{sim: sim, idx: int32(i)}
 	}

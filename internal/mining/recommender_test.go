@@ -63,8 +63,67 @@ func TestWeightedPearsonMatchesUnweightedWithUniformSigma(t *testing.T) {
 		b[i] = rng.Range(0, 10)
 		ones[i] = 1
 	}
-	if w, u := WeightedPearson(a, b, ones), Pearson(a, b); !almostEq(w, u, 1e-12) {
+	// The classic coefficient, from its textbook definition.
+	ma, mb := stats.Mean(a), stats.Mean(b)
+	sab, saa, sbb := 0.0, 0.0, 0.0
+	for i := range a {
+		sab += (a[i] - ma) * (b[i] - mb)
+		saa += (a[i] - ma) * (a[i] - ma)
+		sbb += (b[i] - mb) * (b[i] - mb)
+	}
+	if w, u := WeightedPearson(a, b, ones), sab/math.Sqrt(saa*sbb); !almostEq(w, u, 1e-12) {
 		t.Fatalf("uniform-weight Pearson %v != classic %v", w, u)
+	}
+}
+
+// TestSimilarityKernelMatchesWeightedPearsonBitExact holds Detect's hoisted
+// kernel to the exported reference with ==, not a tolerance: every golden
+// in the repo rests on the two rounding identically.
+func TestSimilarityKernelMatchesWeightedPearsonBitExact(t *testing.T) {
+	rng := stats.NewRNG(4242)
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(12)
+		a, b, sigma := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = rng.Range(-100, 100), rng.Range(-100, 100)
+		}
+		switch trial % 5 {
+		case 0: // zero-variance query
+			for i := range a {
+				a[i] = a[0]
+			}
+		case 1: // zero-variance profile
+			for i := range b {
+				b[i] = b[0]
+			}
+		}
+		switch trial % 4 {
+		case 0: // all-ones (the Unweighted arm)
+			for i := range sigma {
+				sigma[i] = 1
+			}
+		case 1: // floor weights
+			for i := range sigma {
+				sigma[i] = 1e-9
+			}
+		case 2: // trained weights under a boosted mask
+			for i := range sigma {
+				sigma[i] = rng.Range(1e-9, 50)
+				if rng.Intn(3) == 0 {
+					sigma[i] *= measuredBoost
+				}
+			}
+		case 3: // some weights exactly zero, sometimes all of them
+			for i := range sigma {
+				if trial%8 == 3 && rng.Intn(2) == 0 {
+					sigma[i] = rng.Range(0, 10)
+				}
+			}
+		}
+		want := WeightedPearson(a, b, sigma)
+		if got := pearsonAgainst(a, b, sigma, momentsOf(a, sigma)); got != want {
+			t.Fatalf("trial %d: kernel %v != WeightedPearson %v\na=%v\nb=%v\nsigma=%v", trial, got, want, a, b, sigma)
+		}
 	}
 }
 

@@ -1,18 +1,27 @@
 // Wire protocol: newline-delimited JSON over a stream socket, one request
 // per line, one response per line, answered in request order per
 // connection; concurrency comes from many connections sharing the server's
-// queue. JSON encodes float64 with the shortest representation that
-// round-trips exactly, so the bit-exactness contract survives the wire: a
-// pressure or similarity value decoded by the client is the same float the
-// detector produced.
+// queue. A message is one flat JSON object on one line of at most
+// maxLineBytes, its keys in any order, JSON whitespace anywhere; wirecodec.go
+// holds the codec and states what it rejects. Floats travel as the shortest
+// decimal that round-trips, so the bit-exactness contract survives the wire:
+// a pressure or similarity value decoded by the client is the same float the
+// detector produced. The bytes are exactly what encoding/json would write
+// for the two structs below, and any JSON client can speak the protocol.
 package serve
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 )
+
+// maxLineBytes bounds one wire line, newline included. A request for the
+// paper's ten resources is under 300 bytes and a response under 500; the
+// bound leaves room for a few hundred resources while keeping what one
+// connection can make the server hold to a fixed buffer. A longer line
+// drops the connection.
+const maxLineBytes = 8 << 10
 
 // WireRequest is one detection query on the wire. ID is echoed back
 // verbatim so clients can correlate.
@@ -79,18 +88,25 @@ func ServeListener(l net.Listener, s *Server) error {
 	}
 }
 
-// handleConn serves one connection synchronously: decode a request, answer
-// it, encode the response. A decode error (malformed JSON, EOF) drops the
-// connection; a request error (busy, bad request) is reported in-band so
-// the client can retry without reconnecting.
+// handleConn serves one connection synchronously: decode a request line,
+// answer it, write the response line. A line that does not decode
+// (malformed, over maxLineBytes, cut short by EOF) drops the connection; a
+// request error (busy, bad request) is reported in-band so the client can
+// retry without reconnecting.
 func handleConn(conn net.Conn, s *Server) {
 	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
+	r := bufio.NewReaderSize(conn, maxLineBytes)
+	var (
+		dec decoder
+		req WireRequest // its slices are reused; Server.Detect copies them
+		buf []byte
+	)
 	for {
-		var req WireRequest
-		if err := dec.Decode(&req); err != nil {
+		line, err := r.ReadSlice('\n')
+		if err != nil {
+			return
+		}
+		if err := dec.request(line, &req); err != nil {
 			return
 		}
 		var wr WireResponse
@@ -100,10 +116,10 @@ func handleConn(conn net.Conn, s *Server) {
 		} else {
 			wr = wireResponse(req.ID, resp)
 		}
-		if err := enc.Encode(&wr); err != nil {
+		if buf, err = encodeResponse(buf, &wr); err != nil {
 			return
 		}
-		if err := w.Flush(); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			return
 		}
 	}
@@ -113,10 +129,10 @@ func handleConn(conn net.Conn, s *Server) {
 // Use one Client per driving goroutine.
 type Client struct {
 	conn net.Conn
-	dec  *json.Decoder
-	w    *bufio.Writer
-	enc  *json.Encoder
-	req  WireRequest
+	r    *bufio.Reader
+	dec  decoder
+	buf  []byte
+	resp WireResponse // decode target; its Pressure is scratch
 	id   uint64
 }
 
@@ -126,37 +142,35 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		w:    bufio.NewWriter(conn),
-	}
-	c.enc = json.NewEncoder(c.w)
-	return c, nil
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, maxLineBytes)}, nil
 }
 
 // Detect sends one query and blocks for its answer. A response whose Error
 // field is set is returned with a nil error — in-band errors (busy, bad
 // request) are the client's to handle; a non-nil error means the
-// connection itself failed.
+// connection itself failed. The returned response owns its Pressure.
 func (c *Client) Detect(observed []float64, known []bool) (WireResponse, error) {
 	c.id++
-	c.req.ID = c.id
-	c.req.Observed = observed
-	c.req.Known = known
-	if err := c.enc.Encode(&c.req); err != nil {
+	req := WireRequest{ID: c.id, Observed: observed, Known: known}
+	var err error
+	if c.buf, err = encodeRequest(c.buf, &req); err != nil {
 		return WireResponse{}, err
 	}
-	if err := c.w.Flush(); err != nil {
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return WireResponse{}, err
 	}
-	var wr WireResponse
-	if err := c.dec.Decode(&wr); err != nil {
+	line, err := c.r.ReadSlice('\n')
+	if err != nil {
 		return WireResponse{}, err
 	}
-	if wr.ID != c.id {
+	if err := c.dec.response(line, &c.resp); err != nil {
+		return WireResponse{}, err
+	}
+	if c.resp.ID != c.id {
 		return WireResponse{}, errors.New("serve: response id mismatch")
 	}
+	wr := c.resp
+	wr.Pressure = append([]float64(nil), c.resp.Pressure...)
 	return wr, nil
 }
 

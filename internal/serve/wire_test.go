@@ -1,10 +1,14 @@
 package serve_test
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"bolt/internal/serve"
 	"bolt/internal/stats"
@@ -110,19 +114,79 @@ func TestWireBadRequest(t *testing.T) {
 	}
 }
 
-// TestWireMalformedJSON: a connection sending garbage is dropped.
-func TestWireMalformedJSON(t *testing.T) {
+// TestWireDropsBadLines: a line the strict decoder refuses — or one that
+// never ends — costs the sender its connection, with nothing written back,
+// and costs nobody else anything: the next connection is served.
+func TestWireDropsBadLines(t *testing.T) {
 	addr, _ := startWireServer(t, serve.Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	det := testDetector(t)
+	n := det.Rec.ResourceCount()
+	obs, known := genRequest(stats.NewRNG(9), testMasks(n), n)
+	good := func() string {
+		line, err := json.Marshal(serve.WireRequest{ID: 1, Observed: obs, Known: known})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(line)
+	}()
+	withObserved := func(array string) string {
+		return `{"id":1,"observed":` + array + `,"known":[true]}` + "\n"
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	buf := make([]byte, 64)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected the server to drop the connection")
+	for name, c := range map[string]struct {
+		send      string
+		halfClose bool
+	}{
+		"oversized line":      {send: strings.Repeat(" ", 1<<20)},
+		"garbage":             {send: "this is not json\n"},
+		"trailing bytes":      {send: good + "x\n"},
+		"two objects a line":  {send: good + good + "\n"},
+		"duplicate key":       {send: good[:len(good)-1] + `,"id":2}` + "\n"},
+		"unknown key":         {send: good[:len(good)-1] + `,"batch":4}` + "\n"},
+		"case-folded key":     {send: strings.Replace(good, `"id"`, `"ID"`, 1) + "\n"},
+		"number +1":           {send: withObserved("[+1]")},
+		"number 01":           {send: withObserved("[01]")},
+		"number NaN":          {send: withObserved("[NaN]")},
+		"number 1e999":        {send: withObserved("[1e999]")},
+		"half-close mid-line": {send: good[:len(good)/2], halfClose: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			// A good request first: the connection works until the bad line.
+			if _, err := conn.Write([]byte(good + "\n")); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			r := bufio.NewReader(conn)
+			if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, `{"id":1,"label":`) {
+				t.Fatalf("good request answered %q, %v", line, err)
+			}
+			// The server may hang up while an oversized line is still being
+			// written, so a write error is not a failure here.
+			conn.Write([]byte(c.send))
+			if c.halfClose {
+				conn.(*net.TCPConn).CloseWrite()
+			}
+			rest, err := io.ReadAll(r)
+			if len(rest) != 0 {
+				t.Fatalf("server answered a bad line: %q", rest)
+			}
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("server kept the connection open")
+			}
+
+			c2, err := serve.Dial(addr)
+			if err != nil {
+				t.Fatalf("dial after drop: %v", err)
+			}
+			defer c2.Close()
+			if wr, err := c2.Detect(obs, known); err != nil || wr.Error != "" {
+				t.Fatalf("fresh connection not served: %v %q", err, wr.Error)
+			}
+		})
 	}
 }
