@@ -358,6 +358,56 @@ func BenchmarkEpisodeStep(b *testing.B) {
 	}
 }
 
+// BenchmarkEpisodeCandidates measures one §3.3 mixture search
+// (Episode.Candidates), the call the controlled experiments make after
+// every step of every host episode. The corpus is fixed: 16 hosts carrying
+// 2–4 catalog applications, half of them with a bursty tenant, each
+// episode stepped six times (through its escalation ladder) before the
+// timer starts. Each iteration searches the next episode of the ring, so
+// ns/op is the corpus mean; every episode has searched once already, so
+// allocs/op counts only the returned results.
+func BenchmarkEpisodeCandidates(b *testing.B) {
+	det := core.TrainCached(workload.TrainingSpecs(benchSeed), core.Config{})
+	rng := stats.NewRNG(benchSeed)
+	gens := workload.Generators()
+	eps := make([]*core.Episode, 16)
+	for h := range eps {
+		s := sim.NewServer(fmt.Sprintf("h%d", h), sim.ServerConfig{})
+		adv := probe.NewAdversary("adv", 4, probe.Config{}, rng.Split())
+		if err := s.Place(adv.VM); err != nil {
+			b.Fatal(err)
+		}
+		for v := 0; v < 2+h%3; v++ {
+			spec := gens[rng.Intn(len(gens))].Make(rng.Split(), rng.Intn(24))
+			var load workload.LoadPattern = workload.Constant{Level: rng.Range(0.8, 1)}
+			if v == 0 && h%2 == 0 {
+				load = workload.Bursty{OnLevel: 0.95, OffLevel: 0.3, OnTicks: 100, OffTicks: 40}
+			}
+			vm := &sim.VM{ID: fmt.Sprintf("v%d", v), VCPUs: 1 + rng.Intn(3), App: workload.NewApp(spec, load, rng.Uint64())}
+			if err := s.Place(vm); err != nil {
+				b.Fatal(err)
+			}
+		}
+		e := det.NewEpisode(s, adv)
+		for it := 0; it < 6; it++ {
+			e.Step(0)
+		}
+		eps[h] = e
+	}
+	for _, maxV := range []int{2, 3} {
+		b.Run(fmt.Sprintf("max%d", maxV), func(b *testing.B) {
+			for _, e := range eps {
+				e.Candidates(maxV)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eps[i%len(eps)].Candidates(maxV)
+			}
+		})
+	}
+}
+
 // --- The experiment runner ---
 
 // benchRunner runs the full suite through exper.Run at a given parallelism.

@@ -8,37 +8,6 @@ import (
 	"bolt/internal/sim"
 )
 
-// indexScore is an index/score pair used by the decomposition search.
-type indexScore struct {
-	i int
-	s float64
-}
-
-// sortEntries orders index/score pairs by ascending score, ties by
-// ascending index. The comparator is a total order (indices are distinct),
-// so any correct sort produces the exact ordering sort.SliceStable used to
-// — this binary insertion sort does so without the closure and interface
-// allocations, which mattered once the decomposition search became the
-// last allocation site on the episode path. Entry counts are the training
-// catalog size (about a hundred), well inside insertion sort's range.
-func sortEntries(entries []indexScore) {
-	for i := 1; i < len(entries); i++ {
-		x := entries[i]
-		lo, hi := 0, i
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			e := entries[mid]
-			if x.s < e.s || (x.s == e.s && x.i < e.i) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		copy(entries[lo+1:i+1], entries[lo:i])
-		entries[lo] = x
-	}
-}
-
 // signal is one accumulated observation stream: running-mean values plus a
 // known mask. Repeated measurements of the same resource are averaged, so
 // each extra iteration reduces the measurement variance instead of just
@@ -129,6 +98,9 @@ type Episode struct {
 	memoObs   [sim.NumResources]float64
 	memoKnown [sim.NumResources]bool
 	memoRes   *mining.Result
+
+	// mix is Candidates' working memory, reused across its calls.
+	mix mixSearch
 }
 
 // detect is Rec.Detect behind the single-entry memo. Callers treat the
@@ -330,6 +302,14 @@ const saturatedFloor = 92
 // measurement noise with phantom tenants.
 const kAcceptRatio = 0.8
 
+// The mixture fit gives every component an intensity scalar α ∈
+// [alphaLo, alphaHi], regularised toward alphaPrior with weight lambda.
+const (
+	alphaLo, alphaHi = 0.5, 1.15
+	alphaPrior       = 0.85
+	lambda           = 300.0
+)
+
 // Candidates disentangles the accumulated observations into up to
 // maxVictims per-co-resident results, strongest first. The §3.3
 // linear-additivity assumption is applied directly: the set of training
@@ -351,332 +331,13 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 	}
 
 	profiles := e.det.Rec.TrainingProfiles()
-	n := len(profiles)
-
-	// Working memory for the whole search, allocated once up front: the
-	// coordinate-descent intensity scalars, the scored-candidate scratch
-	// behind topByScore, and the trial component sets of the greedy
-	// extension and refinement loops below. The search evaluates score()
-	// hundreds of times; before the hoist each evaluation allocated its
-	// own copies.
-	alphaBuf := make([]float64, maxVictims)
-	entriesBuf := make([]indexScore, n)
-
-	// The uncore readings the mixture fit runs against are fixed for the
-	// whole search, so hoist them out of the coordinate-descent inner
-	// loop: fitR/fitM hold the known, non-saturated resources the descent
-	// iterates (in uncore order, so the arithmetic sequence is unchanged),
-	// errR/errM the known ones the residual-error pass iterates, and
-	// profT the training pressures transposed to fitR-major so the
-	// residual loop reads a flat row instead of chasing a profile slice
-	// per term.
-	var fitR, errR []sim.Resource
-	var fitM, errM []float64
-	for r := sim.Resource(0); r < sim.NumResources; r++ {
-		if r.IsCore() || !e.uncore.known[r] {
-			continue
-		}
-		m := e.uncore.obs.Get(r)
-		errR, errM = append(errR, r), append(errM, m)
-		if m < saturatedFloor {
-			fitR, fitM = append(fitR, r), append(fitM, m)
-		}
-	}
-	profT := make([]float64, len(fitR)*n)
-	for k, r := range fitR {
-		row := profT[k*n : (k+1)*n]
-		for i := range profiles {
-			row[i] = profiles[i].Pressure[r]
-		}
-	}
-
-	// Anchors: one per distinct sibling signature, capped at maxVictims.
-	anchors := e.sigs
-	if len(anchors) > maxVictims {
-		anchors = anchors[:maxVictims]
-	}
-
-	// Mixture-fit error of a candidate component set. Each co-resident
-	// runs at its own (unknown) load and deployment size, so the fit gives
-	// every component an intensity scalar αᵢ ∈ [0.5, 1.15], solved by
-	// regularised coordinate descent on the non-saturated resources —
-	// training profiles are measured at the reference deployment.
-	sumFit := func(idxs []int) float64 {
-		const (
-			alphaLo, alphaHi = 0.5, 1.15
-			alphaPrior       = 0.85
-			lambda           = 300.0 // regulariser toward the prior
-		)
-		alphas := alphaBuf[:len(idxs)]
-		for i := range alphas {
-			alphas[i] = alphaPrior
-		}
-		for pass := 0; pass < 12; pass++ {
-			for ci, i := range idxs {
-				num, den := lambda*alphaPrior, lambda
-				for k := range fitR {
-					row := profT[k*n : (k+1)*n]
-					s := row[i]
-					resid := fitM[k]
-					for cj, j := range idxs {
-						if cj != ci {
-							resid -= alphas[cj] * row[j]
-						}
-					}
-					num += s * resid
-					den += s * s
-				}
-				a := num / den
-				if a < alphaLo {
-					a = alphaLo
-				}
-				if a > alphaHi {
-					a = alphaHi
-				}
-				alphas[ci] = a
-			}
-		}
-		err, wsum := 0.0, 0.0
-		for k, r := range errR {
-			m := errM[k]
-			pred := 0.0
-			for ci, i := range idxs {
-				pred += alphas[ci] * profiles[i].Pressure[r]
-			}
-			d := pred - m
-			if m >= saturatedFloor && d > 0 {
-				d = 0 // clamped: the mixture may truly exceed the reading
-			}
-			err += d * d
-			wsum++
-		}
-		if wsum == 0 {
-			return 0
-		}
-		return math.Sqrt(err / wsum)
-	}
-
-	// sigErr scores profile i against one sibling core signature. The
-	// sibling runs at its own (unknown, below-peak) load, so a scalar
-	// α ∈ [0.7, 1.05] is fitted first, exactly as for the uncore mixture.
-	sigErr := func(sig *sim.Vector, i int) float64 {
-		num, den := 0.0, 0.0
-		for _, r := range sim.CoreResources() {
-			s := profiles[i].Pressure[r]
-			num += s * sig.Get(r)
-			den += s * s
-		}
-		alpha := 1.0
-		if den > 0 {
-			alpha = num / den
-			if alpha < 0.7 {
-				alpha = 0.7
-			}
-			if alpha > 1.05 {
-				alpha = 1.05
-			}
-		}
-		err, wsum := 0.0, 0.0
-		for _, r := range sim.CoreResources() {
-			d := alpha*profiles[i].Pressure[r] - sig.Get(r)
-			err += d * d
-			wsum++
-		}
-		return math.Sqrt(err / wsum)
-	}
-
-	// Shutter anchor: reward a component that matches the quiet-phase
-	// minima (the steady co-resident alone). Only meaningful when the
-	// shutter actually caught a quiet phase — the minima must fall well
-	// below the mean mixture somewhere; with constant-load co-residents
-	// they track the mixture itself and carry no per-component signal
-	// (§3.3's stated limitation).
-	shutterUseful := false
-	if e.UsedShutter {
-		for _, r := range sim.UncoreResources() {
-			if e.shutter.known[r] && e.uncore.known[r] &&
-				e.shutter.obs.Get(r) < 0.72*e.uncore.obs.Get(r) &&
-				e.uncore.obs.Get(r) > 25 {
-				shutterUseful = true
-				break
-			}
-		}
-	}
-	shutterErr := func(idxs []int) float64 {
-		if !shutterUseful || e.shutter.knownCount() == 0 {
-			return 0
-		}
-		best := math.Inf(1)
-		for _, i := range idxs {
-			err, wsum := 0.0, 0.0
-			for _, r := range sim.UncoreResources() {
-				if !e.shutter.known[r] {
-					continue
-				}
-				d := profiles[i].Pressure[r] - e.shutter.obs.Get(r)
-				err += d * d
-				wsum++
-			}
-			if s := math.Sqrt(err / wsum); s < best {
-				best = s
-			}
-		}
-		return best * 0.4 // soft: minima are biased low
-	}
-
-	// mrcErr compares the measured cache-spill slope against what the
-	// candidate set predicts (the §3.3 miss-ratio-curve extension). The
-	// predicted response of component i is LLCᵢ·spillᵢ·spillScale.
-	mrcErr := func(idxs []int) float64 {
-		if e.mrcSlope < 0 {
-			return 0
-		}
-		pred := 0.0
-		for _, i := range idxs {
-			d := sim.FromSlice(profiles[i].Pressure)
-			pred += d.Get(sim.LLC) * sim.CacheSpillFactor(&d) * sim.SpillScale
-		}
-		diff := pred - e.mrcSlope
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff * 0.25 // soft term: one equation among many
-	}
-
-	// score evaluates anchored slots (first len(anchors) entries of idxs,
-	// matched positionally to anchors) plus free slots.
-	const coreWeight = 1.0
-	score := func(idxs []int) float64 {
-		s := sumFit(idxs) + shutterErr(idxs) + mrcErr(idxs)
-		for ai := range anchors {
-			if ai < len(idxs) {
-				s += coreWeight * sigErr(&anchors[ai], idxs[ai]) / float64(maxInt(1, len(anchors)))
-			}
-		}
-		return s
-	}
-
-	// Shortlists: per anchor, the profiles whose core profile matches its
-	// signature; for free slots, the best lone-explanation profiles.
-	const shortlist = 8
-	anchorLists := make([][]int, len(anchors))
-	for ai := range anchors {
-		sig := &anchors[ai]
-		anchorLists[ai] = topByScore(entriesBuf, shortlist, func(i int) float64 {
-			return sigErr(sig, i) + 0.5*sumFitSingleBias(e, profiles, i)
-		})
-	}
-	freeList := topByScore(entriesBuf, 40, func(i int) float64 {
-		return sumFitSingleBias(e, profiles, i)
-	})
-	if shutterUseful {
-		// The mixture minus the quiet-phase minima approximates the bursty
-		// co-resident's own load-dependent footprint — an uncore anchor for
-		// one unanchored component.
-		var diff sim.Vector
-		for _, r := range sim.UncoreResources() {
-			if e.uncore.known[r] && e.shutter.known[r] {
-				d := e.uncore.obs.Get(r) - e.shutter.obs.Get(r)
-				if d < 0 {
-					d = 0
-				}
-				diff.Set(r, d)
-			}
-		}
-		diffErr := func(i int) float64 {
-			num, den := 0.0, 0.0
-			for _, r := range sim.UncoreResources() {
-				if !e.uncore.known[r] || !e.shutter.known[r] {
-					continue
-				}
-				s := profiles[i].Pressure[r]
-				num += s * diff.Get(r)
-				den += s * s
-			}
-			alpha := 1.0
-			if den > 0 {
-				alpha = num / den
-				if alpha < 0.4 {
-					alpha = 0.4
-				}
-				if alpha > 1.1 {
-					alpha = 1.1
-				}
-			}
-			err, wsum := 0.0, 0.0
-			for _, r := range sim.UncoreResources() {
-				if !e.uncore.known[r] || !e.shutter.known[r] {
-					continue
-				}
-				d := alpha*profiles[i].Pressure[r] - diff.Get(r)
-				err += d * d
-				wsum++
-			}
-			return math.Sqrt(err / wsum)
-		}
-		freeList = append(topByScore(entriesBuf, 10, diffErr), freeList...)
-	}
-
-	// Initial set: the best shortlist entry per anchor.
-	set := make([]int, len(anchors))
-	for ai := range anchors {
-		set[ai] = anchorLists[ai][0]
-	}
-	if len(set) == 0 {
-		// No anchors: start from the best single explanation.
-		set = []int{freeList[0]}
-	}
-	bestScore := score(set)
-
-	// Greedy extension with unanchored components, accepted only on a
-	// substantial fit improvement. Without a core anchor there is no direct
-	// evidence of multi-tenancy at all, so the bar is far higher — a lone
-	// co-resident must not be split into phantoms.
-	accept := kAcceptRatio
-	if len(anchors) == 0 {
-		accept = 0.45
-	}
-	trial := make([]int, 0, maxVictims)
-	for len(set) < maxVictims {
-		extBest, extScore := -1, bestScore
-		for _, i := range freeList {
-			trial = append(append(trial[:0], set...), i)
-			if s := score(trial); s < extScore {
-				extBest, extScore = i, s
-			}
-		}
-		if extBest < 0 || extScore >= bestScore*accept {
-			break
-		}
-		set = append(set, extBest)
-		bestScore = extScore
-	}
-
-	// Coordinate-descent refinement: revisit each slot against its
-	// shortlist (anchored) or the free list (unanchored), two passes. The
-	// trial buffer is re-filled from set each time, and an improvement is
-	// copied back rather than swapped in, so set never aliases the buffer
-	// the next trial overwrites.
-	for pass := 0; pass < 2; pass++ {
-		for si := range set {
-			candidatesFor := freeList
-			if si < len(anchorLists) {
-				candidatesFor = anchorLists[si]
-			}
-			for _, alt := range candidatesFor {
-				trial = append(trial[:0], set...)
-				trial[si] = alt
-				if s := score(trial); s < bestScore {
-					copy(set, trial)
-					bestScore = s
-				}
-			}
-		}
-	}
+	m := &e.mix
+	m.fill(e, profiles, maxVictims)
+	set, bestScore := m.search(maxVictims)
 
 	// A lone component with no anchors means the single-victim hypothesis
 	// carries the day — return the full-distribution result for it.
-	if len(set) == 1 && len(anchors) == 0 {
+	if len(set) == 1 && m.na == 0 {
 		return []*mining.Result{single}
 	}
 
@@ -695,53 +356,500 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 	return out
 }
 
-// sumFitSingleBias scores profile i as a lone explanation of the mixture
-// with one-sided error: overshoot is forgiven (another tenant may supply
-// the rest), undershoot beyond the mixture is impossible and penalised.
-func sumFitSingleBias(e *Episode, profiles []mining.LabeledProfile, i int) float64 {
-	err, wsum := 0.0, 0.0
-	for _, r := range sim.UncoreResources() {
-		if !e.uncore.known[r] {
+// mixSearch is the working memory of the decomposition search: tables of
+// every score term that depends on one training profile alone, computed
+// once per search by fill, plus the shortlists and trial sets. An episode
+// owns one and reuses it, so after its first search a Candidates call
+// allocates only the results it returns.
+type mixSearch struct {
+	n  int // training profiles
+	na int // anchors: sibling signatures in use, at most maxVictims
+
+	// The known uncore readings in resource order: meas[k] is the k-th
+	// reading; rows[k*n+i] is profile i's training pressure on its
+	// resource; fit[:nfit] are the k of the non-saturated readings, the
+	// ones the coordinate descent fits.
+	nk, nfit int
+	meas     [sim.NumResources]float64
+	fit      [sim.NumResources]int
+	rows     []float64
+
+	// Per-profile terms, indexed by profile.
+	den  []float64 // λ + Σ s² over the fit rows: the descent's denominator
+	lone []float64 // the profile as a lone, one-sided explanation of the mixture
+	sig  []float64 // [ai*n+i]: anchor ai's share of the score for profile i
+	shut []float64 // distance to the shutter minima, when shutterOn
+	mrc  []float64 // predicted cache-spill slope LLC·spill·SpillScale
+	key  []float64 // the shortlist being ranked
+
+	shutterOn bool
+	mrcSlope  float64 // the episode's measured slope; negative: no MRC term
+
+	top         []indexScore // topByScore's bounded buffer
+	lists       []int        // backing store of every shortlist
+	anchorLists [][]int
+	free        []int
+	alphas      []float64
+	set, trial  []int
+}
+
+// indexScore is an index/score pair of a shortlist being ranked.
+type indexScore struct {
+	i int
+	s float64
+}
+
+// fill computes the search's per-profile tables and shortlists for the
+// episode's current observations, with up to maxVictims anchors.
+//
+//bolt:hotpath
+func (m *mixSearch) fill(e *Episode, profiles []mining.LabeledProfile, maxVictims int) {
+	// Shortlist lengths: per anchor, for the shutter-difference anchor, and
+	// for the unanchored (free) slots.
+	const anchorShortlist, diffShortlist, freeShortlist = 8, 10, 40
+	const coreWeight = 1.0
+
+	n := len(profiles)
+	na := len(e.sigs)
+	if na > maxVictims {
+		na = maxVictims
+	}
+	m.n, m.na = n, na
+
+	var res [sim.NumResources]sim.Resource
+	nk, nfit := 0, 0
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		if r.IsCore() || !e.uncore.known[r] {
 			continue
 		}
-		d := profiles[i].Pressure[r] - e.uncore.obs.Get(r)
-		if d < 0 {
-			d = 0 // the rest of the mixture covers it
+		v := e.uncore.obs.Get(r)
+		res[nk], m.meas[nk] = r, v
+		if v < saturatedFloor {
+			m.fit[nfit] = nk
+			nfit++
 		}
+		nk++
+	}
+	m.nk, m.nfit = nk, nfit
+
+	// Shutter anchor: reward a component that matches the quiet-phase
+	// minima (the steady co-resident alone). Only meaningful when the
+	// shutter actually caught a quiet phase — the minima must fall well
+	// below the mean mixture somewhere; with constant-load co-residents
+	// they track the mixture itself and carry no per-component signal
+	// (§3.3's stated limitation).
+	m.shutterOn = false
+	if e.UsedShutter {
+		for r := sim.Resource(0); r < sim.NumResources; r++ {
+			if !r.IsCore() && e.shutter.known[r] && e.uncore.known[r] &&
+				e.shutter.obs.Get(r) < 0.72*e.uncore.obs.Get(r) &&
+				e.uncore.obs.Get(r) > 25 {
+				m.shutterOn = true
+				break
+			}
+		}
+	}
+	m.mrcSlope = e.mrcSlope
+
+	if cap(m.den) < n {
+		m.den, m.lone, m.shut = make([]float64, n), make([]float64, n), make([]float64, n)
+		m.mrc, m.key = make([]float64, n), make([]float64, n)
+	}
+	if cap(m.rows) < nk*n {
+		// Room for every uncore resource: nk only grows over an episode.
+		m.rows = make([]float64, len(sim.UncoreResources())*n)
+	}
+	if cap(m.sig) < na*n {
+		m.sig = make([]float64, na*n)
+	}
+	if cap(m.anchorLists) < na {
+		m.anchorLists = make([][]int, na)
+	}
+	if need := na*anchorShortlist + diffShortlist + freeShortlist; cap(m.lists) < need {
+		m.lists = make([]int, need)
+	}
+	if cap(m.alphas) < maxVictims {
+		m.alphas = make([]float64, maxVictims)
+		m.set, m.trial = make([]int, 0, maxVictims), make([]int, 0, maxVictims)
+	}
+	rows, den, lone, key := m.rows[:nk*n], m.den[:n], m.lone[:n], m.key[:n]
+
+	for i := range profiles {
+		p := profiles[i].Pressure
+		for k := 0; k < nk; k++ {
+			rows[k*n+i] = p[res[k]]
+		}
+		sq := lambda
+		for _, k := range m.fit[:nfit] {
+			s := rows[k*n+i]
+			sq += s * s
+		}
+		den[i] = sq
+		// Lone explanation, with one-sided error: overshoot is forgiven
+		// (another tenant may supply the rest), undershoot beyond the
+		// mixture is impossible and penalised.
+		err := 0.0
+		for k := 0; k < nk; k++ {
+			d := rows[k*n+i] - m.meas[k]
+			if d < 0 {
+				d = 0 // the rest of the mixture covers it
+			}
+			err += d * d
+		}
+		lone[i] = math.Sqrt(err / float64(nk))
+		if m.shutterOn {
+			err, wsum := 0.0, 0.0
+			for r := sim.Resource(0); r < sim.NumResources; r++ {
+				if r.IsCore() || !e.shutter.known[r] {
+					continue
+				}
+				d := p[r] - e.shutter.obs.Get(r)
+				err += d * d
+				wsum++
+			}
+			m.shut[i] = math.Sqrt(err / wsum)
+		}
+		if m.mrcSlope >= 0 {
+			v := sim.FromSlice(p)
+			m.mrc[i] = v.Get(sim.LLC) * sim.CacheSpillFactor(&v) * sim.SpillScale
+		}
+	}
+
+	// Shortlists: per anchor, the profiles whose core profile matches its
+	// signature; for free slots, the best lone-explanation profiles.
+	lists := m.lists[:cap(m.lists)]
+	m.anchorLists = m.anchorLists[:na]
+	for ai := 0; ai < na; ai++ {
+		sig := &e.sigs[ai]
+		for i := range profiles {
+			se := sigErr(sig, profiles[i].Pressure)
+			m.sig[ai*n+i] = coreWeight * se / float64(na)
+			key[i] = se + 0.5*lone[i]
+		}
+		m.anchorLists[ai] = m.topByScore(lists, key, anchorShortlist)
+		lists = lists[len(m.anchorLists[ai]):]
+	}
+	nd := 0
+	if m.shutterOn {
+		// The mixture minus the quiet-phase minima approximates the bursty
+		// co-resident's own load-dependent footprint — an uncore anchor for
+		// one unanchored component, ranked ahead of the free list.
+		var diff sim.Vector
+		for r := sim.Resource(0); r < sim.NumResources; r++ {
+			if !r.IsCore() && e.uncore.known[r] && e.shutter.known[r] {
+				d := e.uncore.obs.Get(r) - e.shutter.obs.Get(r)
+				if d < 0 {
+					d = 0
+				}
+				diff.Set(r, d)
+			}
+		}
+		for i := range profiles {
+			key[i] = diffErr(e, &diff, profiles[i].Pressure)
+		}
+		nd = len(m.topByScore(lists, key, diffShortlist))
+	}
+	m.free = lists[:nd+len(m.topByScore(lists[nd:], lone, freeShortlist))]
+}
+
+// sigErr scores training pressures p against one sibling core signature.
+// The sibling runs at its own (unknown, below-peak) load, so a scalar
+// α ∈ [0.7, 1.05] is fitted first, exactly as for the uncore mixture.
+func sigErr(sig *sim.Vector, p []float64) float64 {
+	num, den := 0.0, 0.0
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		if !r.IsCore() {
+			continue
+		}
+		s := p[r]
+		num += s * sig.Get(r)
+		den += s * s
+	}
+	alpha := 1.0
+	if den > 0 {
+		alpha = num / den
+		if alpha < 0.7 {
+			alpha = 0.7
+		}
+		if alpha > 1.05 {
+			alpha = 1.05
+		}
+	}
+	err, wsum := 0.0, 0.0
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		if !r.IsCore() {
+			continue
+		}
+		d := alpha*p[r] - sig.Get(r)
 		err += d * d
 		wsum++
-	}
-	if wsum == 0 {
-		return 0
 	}
 	return math.Sqrt(err / wsum)
 }
 
-// topByScore returns the indices of the k smallest scores among
-// [0, len(entries)), using entries as scratch so callers evaluating
-// several score functions over the same index range share one buffer.
-// The returned shortlist is freshly allocated: callers hold several
-// shortlists at once.
-func topByScore(entries []indexScore, k int, score func(int) float64) []int {
-	n := len(entries)
-	for i := 0; i < n; i++ {
-		entries[i] = indexScore{i, score(i)}
+// diffErr scores training pressures p against diff, the mixture minus the
+// shutter minima, over the resources both streams measured, after fitting
+// a scalar α ∈ [0.4, 1.1].
+func diffErr(e *Episode, diff *sim.Vector, p []float64) float64 {
+	num, den := 0.0, 0.0
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		if r.IsCore() || !e.uncore.known[r] || !e.shutter.known[r] {
+			continue
+		}
+		s := p[r]
+		num += s * diff.Get(r)
+		den += s * s
 	}
-	sortEntries(entries)
-	if k > n {
-		k = n
+	alpha := 1.0
+	if den > 0 {
+		alpha = num / den
+		if alpha < 0.4 {
+			alpha = 0.4
+		}
+		if alpha > 1.1 {
+			alpha = 1.1
+		}
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = entries[i].i
+	err, wsum := 0.0, 0.0
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		if r.IsCore() || !e.uncore.known[r] || !e.shutter.known[r] {
+			continue
+		}
+		d := alpha*p[r] - diff.Get(r)
+		err += d * d
+		wsum++
 	}
-	return out
+	return math.Sqrt(err / wsum)
 }
 
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// topByScore writes to dst, which must have room for k, the indices of the
+// k smallest keys in ascending (key, index) order, and returns that prefix
+// of dst. A sorted buffer of the best k so far is kept by binary insertion.
+// Keys arrive in index order, so a later key displaces or precedes an
+// earlier one only when strictly smaller; that is the (key, index) order,
+// a total order on finite keys, so the result is exactly the first k of a
+// full sort. A NaN key sorts after everything, as it did in the full sort.
+//
+//bolt:hotpath
+func (m *mixSearch) topByScore(dst []int, keys []float64, k int) []int {
+	if k > len(keys) {
+		k = len(keys)
 	}
-	return b
+	if cap(m.top) < k {
+		m.top = make([]indexScore, k)
+	}
+	top := m.top[:k]
+	c := 0
+	for i, s := range keys {
+		if c == k {
+			if !(s < top[c-1].s) {
+				continue
+			}
+			c--
+		}
+		lo, hi := 0, c
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s < top[mid].s {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		copy(top[lo+1:c+1], top[lo:c])
+		top[lo] = indexScore{i, s}
+		c++
+	}
+	dst = dst[:c]
+	for j := range dst {
+		dst[j] = top[j].i
+	}
+	return dst
+}
+
+// search runs the decomposition over the filled tables: the best anchored
+// start, greedy extension with unanchored components, then coordinate-
+// descent refinement. It returns the chosen set (the search's own buffer)
+// and its score.
+//
+//bolt:hotpath
+func (m *mixSearch) search(maxVictims int) ([]int, float64) {
+	// Initial set: the best shortlist entry per anchor.
+	set := m.set[:0]
+	for ai := 0; ai < m.na; ai++ {
+		set = append(set, m.anchorLists[ai][0])
+	}
+	if len(set) == 0 {
+		// No anchors: start from the best single explanation.
+		set = append(set, m.free[0])
+	}
+	bestScore := m.score(set)
+
+	// Greedy extension with unanchored components, accepted only on a
+	// substantial fit improvement. Without a core anchor there is no direct
+	// evidence of multi-tenancy at all, so the bar is far higher — a lone
+	// co-resident must not be split into phantoms.
+	accept := kAcceptRatio
+	if m.na == 0 {
+		accept = 0.45
+	}
+	trial := m.trial[:0]
+	for len(set) < maxVictims {
+		extBest, extScore := -1, bestScore
+		for _, i := range m.free {
+			trial = append(trial[:0], set...)
+			trial = append(trial, i)
+			if s := m.score(trial); s < extScore {
+				extBest, extScore = i, s
+			}
+		}
+		if extBest < 0 || extScore >= bestScore*accept {
+			break
+		}
+		set = append(set, extBest)
+		bestScore = extScore
+	}
+
+	// Coordinate-descent refinement: revisit each slot against its
+	// shortlist (anchored) or the free list (unanchored), up to two passes.
+	// The trial buffer is re-filled from set each time, and an improvement
+	// is copied back rather than swapped in, so set never aliases the
+	// buffer the next trial overwrites. No trial is scored twice to the
+	// same end: alt == set[si] is set itself, whose score is bestScore, and
+	// a pass that improves nothing leaves the next pass the same inputs.
+	for pass := 0; pass < 2; pass++ {
+		improved := false
+		for si := range set {
+			candidatesFor := m.free
+			if si < m.na {
+				candidatesFor = m.anchorLists[si]
+			}
+			for _, alt := range candidatesFor {
+				if alt == set[si] {
+					continue
+				}
+				trial = append(trial[:0], set...)
+				trial[si] = alt
+				if s := m.score(trial); s < bestScore {
+					copy(set, trial)
+					bestScore = s
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	m.set, m.trial = set, trial
+	return set, bestScore
+}
+
+// score evaluates a component set: anchored slots (the first na entries of
+// idxs, matched positionally to the anchors) plus free slots.
+//
+//bolt:hotpath
+func (m *mixSearch) score(idxs []int) float64 {
+	s := m.sumFit(idxs) + m.shutterErr(idxs) + m.mrcErr(idxs)
+	for ai := 0; ai < m.na && ai < len(idxs); ai++ {
+		s += m.sig[ai*m.n+idxs[ai]]
+	}
+	return s
+}
+
+// sumFit is the mixture-fit error of a component set. Each co-resident
+// runs at its own (unknown) load and deployment size, so the fit gives
+// every component an intensity scalar αᵢ ∈ [alphaLo, alphaHi], solved by
+// regularised coordinate descent on the non-saturated resources — training
+// profiles are measured at the reference deployment. The descent stops at
+// the first pass that changes no α: a pass is a pure function of the α it
+// starts from, so every later pass would return the same bits. A NaN α
+// never compares equal and runs all twelve passes.
+//
+//bolt:hotpath
+func (m *mixSearch) sumFit(idxs []int) float64 {
+	n := m.n
+	alphas := m.alphas[:len(idxs)]
+	for i := range alphas {
+		alphas[i] = alphaPrior
+	}
+	for pass := 0; pass < 12; pass++ {
+		changed := false
+		for ci, i := range idxs {
+			num := lambda * alphaPrior
+			for _, k := range m.fit[:m.nfit] {
+				row := m.rows[k*n : (k+1)*n]
+				resid := m.meas[k]
+				for cj, j := range idxs {
+					if cj != ci {
+						resid -= alphas[cj] * row[j]
+					}
+				}
+				num += row[i] * resid
+			}
+			a := num / m.den[i]
+			if a < alphaLo {
+				a = alphaLo
+			}
+			if a > alphaHi {
+				a = alphaHi
+			}
+			if a != alphas[ci] {
+				changed = true
+			}
+			alphas[ci] = a
+		}
+		if !changed {
+			break
+		}
+	}
+	err := 0.0
+	for k := 0; k < m.nk; k++ {
+		row := m.rows[k*n : (k+1)*n]
+		meas := m.meas[k]
+		pred := 0.0
+		for ci, i := range idxs {
+			pred += alphas[ci] * row[i]
+		}
+		d := pred - meas
+		if meas >= saturatedFloor && d > 0 {
+			d = 0 // clamped: the mixture may truly exceed the reading
+		}
+		err += d * d
+	}
+	return math.Sqrt(err / float64(m.nk))
+}
+
+// shutterErr is the set's best match to the shutter minima, softened
+// because minima are biased low; zero when the shutter caught no quiet
+// phase.
+func (m *mixSearch) shutterErr(idxs []int) float64 {
+	if !m.shutterOn {
+		return 0
+	}
+	best := math.Inf(1)
+	for _, i := range idxs {
+		if s := m.shut[i]; s < best {
+			best = s
+		}
+	}
+	return best * 0.4
+}
+
+// mrcErr compares the measured cache-spill slope against what the set
+// predicts (the §3.3 miss-ratio-curve extension), as a soft term: one
+// equation among many. Zero before the slope is measured.
+func (m *mixSearch) mrcErr(idxs []int) float64 {
+	if m.mrcSlope < 0 {
+		return 0
+	}
+	pred := 0.0
+	for _, i := range idxs {
+		pred += m.mrc[i]
+	}
+	diff := pred - m.mrcSlope
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff * 0.25
 }
