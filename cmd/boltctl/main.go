@@ -1,6 +1,6 @@
 // Command boltctl runs Bolt interactively against a single simulated host:
 // it places one or more victim applications, injects the adversarial VM,
-// runs detection, and prints the similarity distribution, the recovered
+// runs detection, and prints the top of the similarity ranking, the recovered
 // resource profile, and a ready-to-launch DoS plan.
 //
 // Usage:
@@ -25,6 +25,11 @@ import (
 	"bolt/internal/stats"
 	"bolt/internal/workload"
 )
+
+// shownMatches is how many of the ranked matches boltctl prints. Detect
+// returns only the first mining.MatchesKept, so it may not exceed that
+// (TestShownMatchesWithinMatchesKept).
+const shownMatches = 5
 
 func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -137,8 +142,8 @@ func main() {
 
 	fmt.Println("similarity distribution (single-victim hypothesis):")
 	top := det2.Result.Matches
-	if len(top) > 5 {
-		top = top[:5]
+	if len(top) > shownMatches {
+		top = top[:shownMatches]
 	}
 	for _, m := range top {
 		fmt.Printf("  %-26s %5.1f%%\n", m.Label, 100*m.Similarity)

@@ -7,6 +7,7 @@ import (
 	"bolt/internal/cluster"
 	"bolt/internal/core"
 	"bolt/internal/latency"
+	"bolt/internal/mining"
 	"bolt/internal/probe"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
@@ -275,5 +276,13 @@ func TestCoResidencyNoTarget(t *testing.T) {
 	res := atk.Run(4, "mysql", 1, 0)
 	if res.Found {
 		t.Fatal("empty cluster cannot contain the victim")
+	}
+}
+
+// TestConfirmDepthWithinMatchesKept: the co-residency pruning cannot read
+// deeper into a co-resident's ranking than Detect keeps.
+func TestConfirmDepthWithinMatchesKept(t *testing.T) {
+	if confirmDepth > mining.MatchesKept {
+		t.Fatalf("pruning reads the top %d matches, Detect keeps %d", confirmDepth, mining.MatchesKept)
 	}
 }

@@ -99,7 +99,7 @@ func (a *CoResidency) Run(senders int, targetClass string, victimVMs int, start 
 		// class appears among any co-resident's top matches. False
 		// positives only cost one confirmation burst; a false negative
 		// loses the victim.
-		if detectionMentionsClass(det, targetClass, 3) {
+		if detectionMentionsClass(det, targetClass) {
 			candidates = append(candidates, s)
 		}
 	}
@@ -132,15 +132,20 @@ func (a *CoResidency) Run(senders int, targetClass string, victimVMs int, start 
 	return res
 }
 
+// confirmDepth is how many of each co-resident's top matches the pruning
+// reads. Detect returns only the first mining.MatchesKept, so it may not
+// exceed that (TestConfirmDepthWithinMatchesKept).
+const confirmDepth = 3
+
 // detectionMentionsClass reports whether the target class appears among
-// the top-k matches of any disentangled co-resident.
-func detectionMentionsClass(det core.Detection, class string, k int) bool {
+// the top confirmDepth matches of any disentangled co-resident.
+func detectionMentionsClass(det core.Detection, class string) bool {
 	results := det.CoResidents
 	if det.Result != nil {
 		results = append(results, det.Result)
 	}
 	for _, r := range results {
-		limit := k
+		limit := confirmDepth
 		if limit > len(r.Matches) {
 			limit = len(r.Matches)
 		}

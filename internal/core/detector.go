@@ -179,8 +179,8 @@ func (d *Detector) Detect(s *sim.Server, adv *probe.Adversary, start sim.Tick, m
 		UsedShutter: e.UsedShutter,
 		CoreShared:  e.CoreShared,
 	}
-	// Result keeps the single-victim hypothesis with its full similarity
-	// distribution; CoResidents carries the mixture decomposition.
+	// Result keeps the single-victim hypothesis with the head of its
+	// similarity ranking; CoResidents carries the mixture decomposition.
 	det.CoResidents = e.Candidates(maxVictims)
 	det.Confidence = e.Confidence()
 	return det
@@ -193,8 +193,8 @@ func (d *Detector) Detect(s *sim.Server, adv *probe.Adversary, start sim.Tick, m
 // it skips the probing loop entirely — the caller already holds an observed
 // profile — so it is a pure function of (detector, observed, known).
 type ProfileDetection struct {
-	// Result is the recommender output: completed pressure plus the ranked
-	// similarity distribution.
+	// Result is the recommender output: completed pressure plus the head of
+	// the similarity ranking.
 	Result *mining.Result
 	// Confidence scores the observation's evidence in [0, 1], exactly as
 	// Detection.Confidence does for an episode.

@@ -11,8 +11,7 @@ import (
 // TestDetectProfileBatchBitExact pins the seam the frozen benchmark still
 // calls: for a shared mask, every row of DetectProfileBatch must be
 // bit-identical to a solo DetectProfile call on the same observation —
-// pressure vector, full ranked similarity distribution, confidence, and
-// label.
+// pressure vector, ranked matches, confidence, and label.
 func TestDetectProfileBatchBitExact(t *testing.T) {
 	det := core.TrainCached(workload.TrainingSpecs(42), core.Config{})
 	n := det.Rec.ResourceCount()

@@ -336,7 +336,7 @@ func (e *Episode) Candidates(maxVictims int) []*mining.Result {
 	set, bestScore := m.search(maxVictims)
 
 	// A lone component with no anchors means the single-victim hypothesis
-	// carries the day — return the full-distribution result for it.
+	// carries the day — return the ranked single-victim result for it.
 	if len(set) == 1 && m.na == 0 {
 		return []*mining.Result{single}
 	}

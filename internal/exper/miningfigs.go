@@ -196,16 +196,8 @@ func Figure5(seed uint64) *Report {
 	for j := range allKnown {
 		allKnown[j] = true
 	}
-	result := recSys.Detect(unknown.Base.Slice(), allKnown)
-	simWC, simRec := 0.0, 0.0
-	for _, m := range result.Matches {
-		if m.Label == wc.Label && simWC == 0 {
-			simWC = m.Similarity
-		}
-		if m.Label == rec.Label && simRec == 0 {
-			simRec = m.Similarity
-		}
-	}
+	simWC := recSys.LabelSimilarity(unknown.Base.Slice(), allKnown, wc.Label)
+	simRec := recSys.LabelSimilarity(unknown.Base.Slice(), allKnown, rec.Label)
 	rep.Metrics["similarity_wordcount"] = simWC
 	rep.Metrics["similarity_recommender"] = simRec
 

@@ -27,8 +27,9 @@ func TestDetectAllocationBudget(t *testing.T) {
 	known := []bool{true, false, false, true, false, true, false, false, false, false}
 	rec.Detect(obs, known) // populate the scratch pool
 	allocs := testing.AllocsPerRun(100, func() { rec.Detect(obs, known) })
-	// Result struct + Pressure copy + Matches slice. A cold scratch-pool
-	// refill (GC can empty the pool mid-run) only nudges the average.
+	// Result struct + Pressure copy + the MatchesKept-entry Matches head. A
+	// cold scratch-pool refill (GC can empty the pool mid-run) only nudges
+	// the average.
 	if allocs > 4 {
 		t.Errorf("Detect allocated %.2f objects/op, budget is 4", allocs)
 	}
@@ -85,7 +86,7 @@ func TestCompleteAllocationBudget(t *testing.T) {
 // exercised under an AllocsPerRun budget, directly or via its sole caller.
 var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
-	"rankBySimilarity":  "TestDetectAllocationBudget",
+	"insertRanked":      "TestDetectAllocationBudget",
 	"proximity":         "TestDetectAllocationBudget",
 	"momentsOf":         "TestDetectAllocationBudget",
 	"pearsonAgainst":    "TestDetectAllocationBudget",

@@ -8,7 +8,7 @@ import (
 
 // ExampleRecommender shows the full §3.2 pipeline on a toy training set:
 // three labelled workloads, a sparse two-resource observation, completion
-// of the missing entries, and the ranked similarity distribution.
+// of the missing entries, and the head of the similarity ranking.
 func ExampleRecommender() {
 	profiles := []mining.LabeledProfile{
 		{Label: "kv-store", Class: "kv", Pressure: []float64{90, 60, 30, 80, 40, 50, 35, 60, 0, 0}},

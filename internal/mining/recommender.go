@@ -15,19 +15,29 @@ type LabeledProfile struct {
 	Pressure []float64
 }
 
-// Match is one entry of the similarity distribution the recommender emits.
+// Match is one entry of the similarity ranking the recommender emits.
 type Match struct {
 	Label      string
 	Class      string
 	Similarity float64 // weighted Pearson in [-1, 1]
 }
 
-// Result is the full output of one detection: a dense reconstruction of the
-// victim's resource pressure plus the ranked similarity distribution over
+// MatchesKept is how many entries of the similarity ranking Detect returns.
+// Every reader reads a short prefix: Result.Best and Result.Confident read
+// entry 0, the co-residency attack's pruning the top 3
+// (attack.ConfirmDepth), boltctl prints the top 5; the wire carries only
+// Best.
+const MatchesKept = 8
+
+// Result is the output of one detection: a dense reconstruction of the
+// victim's resource pressure plus the head of the similarity ranking over
 // the training set.
 type Result struct {
 	Pressure []float64 // completed pressure vector, one entry per resource
-	Matches  []Match   // sorted by decreasing similarity
+	// Matches is the first min(MatchesKept, training profiles) entries of
+	// the ranking by decreasing similarity, ties in training order; a NaN
+	// similarity ranks below every number.
+	Matches []Match
 }
 
 // Best returns the top match, or a zero Match if the distribution is empty.
@@ -96,12 +106,17 @@ type detectScratch struct {
 	centred []float64 // mean-centred observation (n)
 	x       []float64 // projection input (n; PureCF)
 	u       []float64 // concept-space coordinates (rank; PureCF)
-	rank    []rankKey // ranking keys, one per training profile
+	top     []rankKey // the ranking's head, min(MatchesKept, profiles) slots
+
+	// Eq. 1 for the prepared query: its weights, the proximity weights (nil
+	// means uniform) and the query half of the weighted Pearson.
+	sigma, proxWeights []float64
+	q                  queryMoments
 }
 
-// rankKey is what detect sorts: a profile's similarity and its index in the
+// rankKey is what Detect ranks: a profile's similarity and its index in the
 // training set. It holds no pointer, so moving keys is a plain memmove —
-// sorting the two-string Match structs themselves paid a write barrier per
+// moving the two-string Match structs themselves paid a write barrier per
 // moved element whenever the GC was marking.
 type rankKey struct {
 	sim float64
@@ -203,7 +218,7 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			centred: make([]float64, n),
 			x:       make([]float64, n),
 			u:       make([]float64, conceptRank),
-			rank:    make([]rankKey, len(profiles)),
+			top:     make([]rankKey, min(MatchesKept, len(profiles))),
 		}
 	}
 	return r
@@ -337,11 +352,12 @@ func proximity(a, b, weights []float64) float64 {
 
 // Detect runs the full pipeline on a sparse profiling observation:
 // completion of the missing resources, then similarity ranking against
-// every training profile. Directly measured resources (known[j]) carry more
-// weight in the match than completed (inferred) ones, since the latter
-// inherit the training set's biases; a fully observed vector takes an
-// all-true mask. Working buffers come from the scratch pool; only the
-// returned Result is allocated.
+// every training profile, of which the top MatchesKept are returned.
+// Directly measured resources (known[j]) carry more weight in the match
+// than completed (inferred) ones, since the latter inherit the training
+// set's biases; a fully observed vector takes an all-true mask. Working
+// buffers come from the scratch pool; only the returned Result is
+// allocated.
 //
 // The content-based stage applies Eq. 1's weighted Pearson correlation to
 // the resource-space profiles, with per-resource weights derived from the
@@ -355,65 +371,39 @@ func proximity(a, b, weights []float64) float64 {
 func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
-	pressure := s.dense
-	r.complete.CompleteInto(pressure, observed, known)
-	res := &Result{ //bolt:nolint hotalloc -- the escaping Result is the documented output; TestDetectAllocationBudget pins Detect at exactly these 3 allocs
-		Pressure: append([]float64(nil), pressure...), //bolt:nolint hotalloc -- alloc 2 of 3 in the pinned budget: the caller keeps Pressure after scratch is recycled
-		Matches:  make([]Match, len(r.profiles)),      //bolt:nolint hotalloc -- alloc 3 of 3 in the pinned budget: the caller keeps Matches after scratch is recycled
-	}
-	weights := s.weights
-	copy(weights, r.weights)
-	for j, k := range known {
-		if k {
-			weights[j] *= measuredBoost
-		}
-	}
-	var u []float64
-	if r.cfg.PureCF {
-		copy(s.x, pressure)
-		for j := range s.x {
-			s.x[j] -= r.means[j]
-		}
-		r.svd.ProjectInto(s.u, s.x)
-		u = s.u
-	}
-	// Centre by the training column means so that magnitude differences
-	// become pattern differences: Pearson alone is scale-invariant and
-	// cannot tell two profiles of the same shape at different intensities
-	// apart, but "above-average LLC" vs "below-average LLC" anti-correlate
-	// once centred — the same effect Eq. 1 gets from correlating in the
-	// concept space of the centred SVD.
-	centred := s.centred
-	for j := range centred {
-		centred[j] = pressure[j] - r.means[j]
-	}
-	// The Unweighted ablation is the same kernel under all-ones weights
-	// (and a uniform proximity). Eq. 1's query half — Σσ and the query's
-	// weighted mean and variance — is the same for every training profile,
-	// so it is computed once here, not once per profile.
-	sigma, proxWeights := weights, weights
-	if r.cfg.Unweighted {
-		sigma, proxWeights = r.ones, nil
-	}
-	q := momentsOf(centred, sigma)
+	r.prepare(s, observed, known)
 	// The content-based stage also exploits the contextual information the
 	// correlation discards — how close the two profiles are in absolute
 	// pressure. Two workloads with proportionally similar shapes but very
 	// different intensities are not the same application; the proximity
-	// factor (in (0, 1]) suppresses such matches while leaving near-copies
+	// factor (in [0, 1]) suppresses such matches while leaving near-copies
 	// untouched.
+	top, c := s.top, 0
 	for i := range r.profiles {
 		var sim float64
 		if r.cfg.PureCF {
-			sim = CosineSimilarity(u, r.concepts[i])
+			sim = CosineSimilarity(s.u, r.concepts[i])
 		} else {
-			prof, raw := r.centred[i*r.n:(i+1)*r.n], r.profiles[i].Pressure
-			sim = pearsonAgainst(centred, prof, sigma, q) * proximity(pressure, raw, proxWeights)
+			sim = pearsonAgainst(s.centred, r.centred[i*r.n:(i+1)*r.n], s.sigma, s.q)
+			// Once the head is full, a profile whose Pearson value bounds its
+			// similarity at or below the last kept one cannot enter it, so it
+			// skips the proximity exp. For sim ≥ 0, sim·prox ≤ sim; for
+			// sim < 0, sim·prox ≤ 0, and a −0 product equals 0. Neither
+			// strictly beats a threshold ≥ both, and a NaN product beats no
+			// number. A NaN threshold fails the test, so nothing is skipped
+			// against it.
+			if c == len(top) && sim <= top[c-1].sim && top[c-1].sim >= 0 {
+				continue
+			}
+			sim *= proximity(s.dense, r.profiles[i].Pressure, s.proxWeights)
 		}
-		s.rank[i] = rankKey{sim: sim, idx: int32(i)}
+		c = insertRanked(top, c, rankKey{sim: sim, idx: int32(i)})
 	}
-	rankBySimilarity(s.rank)
-	for k, key := range s.rank {
+	res := &Result{ //bolt:nolint hotalloc -- the escaping Result is the documented output; TestDetectAllocationBudget pins Detect at exactly these 3 allocs
+		Pressure: append([]float64(nil), s.dense...), //bolt:nolint hotalloc -- alloc 2 of 3 in the pinned budget: the caller keeps Pressure after scratch is recycled
+		Matches:  make([]Match, c),                   //bolt:nolint hotalloc -- alloc 3 of 3 in the pinned budget: the caller keeps the ranking's head, at most MatchesKept entries, after scratch is recycled
+	}
+	for k, key := range top[:c] {
 		p := &r.profiles[key.idx]
 		res.Matches[k] = Match{Label: p.Label, Class: p.Class, Similarity: key.sim}
 		if r.cfg.PureCF {
@@ -426,28 +416,108 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	return res
 }
 
-// rankBySimilarity orders keys by decreasing similarity, stably. A stable
-// sort's output is uniquely determined by the comparator, so this binary
-// insertion sort produces exactly the ordering sort.SliceStable would —
-// without the interface conversion and closure allocations. Training sets
-// are a few hundred profiles, well inside insertion sort's comfort zone.
+// prepare completes the observation into s.dense and readies s for scoring
+// it: under PureCF its concept-space coordinates, otherwise its centred copy
+// and Eq. 1's weights and query half.
+func (r *Recommender) prepare(s *detectScratch, observed []float64, known []bool) {
+	pressure := s.dense
+	r.complete.CompleteInto(pressure, observed, known)
+	if r.cfg.PureCF {
+		copy(s.x, pressure)
+		for j := range s.x {
+			s.x[j] -= r.means[j]
+		}
+		r.svd.ProjectInto(s.u, s.x)
+		return
+	}
+	copy(s.weights, r.weights)
+	for j, k := range known {
+		if k {
+			s.weights[j] *= measuredBoost
+		}
+	}
+	// Centre by the training column means so that magnitude differences
+	// become pattern differences: Pearson alone is scale-invariant and
+	// cannot tell two profiles of the same shape at different intensities
+	// apart, but "above-average LLC" vs "below-average LLC" anti-correlate
+	// once centred — the same effect Eq. 1 gets from correlating in the
+	// concept space of the centred SVD.
+	for j := range s.centred {
+		s.centred[j] = pressure[j] - r.means[j]
+	}
+	// The Unweighted ablation is the same kernel under all-ones weights
+	// (and a uniform proximity). Eq. 1's query half — Σσ and the query's
+	// weighted mean and variance — is the same for every training profile,
+	// so it is computed once here, not once per profile.
+	s.sigma, s.proxWeights = s.weights, s.weights
+	if r.cfg.Unweighted {
+		s.sigma, s.proxWeights = r.ones, nil
+	}
+	s.q = momentsOf(s.centred, s.sigma)
+}
+
+// ranksAbove reports whether similarity a ranks strictly ahead of b: it is
+// larger, or b is NaN and a is not. A NaN similarity ranks below every
+// number, so one NaN observation cannot float a profile to the top.
+func ranksAbove(a, b float64) bool { return a > b || (b != b && a == a) }
+
+// insertRanked offers key to the ranking head top, whose first c slots hold
+// the best keys so far in rank order, and returns the new fill. Keys arrive
+// in training order, so a key goes after every kept key it does not rank
+// above, and ties stay in training order; a full head drops its last entry
+// to make room, or drops key if it ranks above none. (similarity, index)
+// is a total order on numbers, so the head is exactly the first len(top)
+// entries of the stable full sort.
 //
 //bolt:hotpath
-func rankBySimilarity(keys []rankKey) {
-	for i := 1; i < len(keys); i++ {
-		x := keys[i]
-		// Binary search for the first position whose similarity is strictly
-		// below x's: equal keys stay in input order (stability).
-		lo, hi := 0, i
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if keys[mid].sim >= x.sim {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+func insertRanked(top []rankKey, c int, key rankKey) int {
+	if c == len(top) {
+		if !ranksAbove(key.sim, top[c-1].sim) {
+			return c
 		}
-		copy(keys[lo+1:i+1], keys[lo:i])
-		keys[lo] = x
+		c--
 	}
+	lo, hi := 0, c
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ranksAbove(key.sim, top[mid].sim) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	copy(top[lo+1:c+1], top[lo:c])
+	top[lo] = key
+	return c + 1
+}
+
+// LabelSimilarity scores the observation against the training profiles
+// labelled label and returns, in Detect's ranking order, the first nonzero
+// similarity among them; if all are zero, the last one's zero; if none
+// carries the label, 0. That is what scanning the whole ranking for the
+// label reads. Pure CF blanks every label (§3.2), so under PureCF it is 0.
+func (r *Recommender) LabelSimilarity(observed []float64, known []bool, label string) float64 {
+	if r.cfg.PureCF {
+		return 0
+	}
+	s := r.scratch.Get().(*detectScratch)
+	defer r.scratch.Put(s)
+	r.prepare(s, observed, known)
+	best, found := 0.0, false
+	for i := range r.profiles {
+		if r.profiles[i].Label != label {
+			continue
+		}
+		sim := pearsonAgainst(s.centred, r.centred[i*r.n:(i+1)*r.n], s.sigma, s.q) *
+			proximity(s.dense, r.profiles[i].Pressure, s.proxWeights)
+		switch {
+		case sim == 0:
+			if !found {
+				best = sim
+			}
+		case !found || ranksAbove(sim, best):
+			best, found = sim, true
+		}
+	}
+	return best
 }

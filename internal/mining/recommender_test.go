@@ -309,34 +309,54 @@ func TestRecommenderMatchesSorted(t *testing.T) {
 	}
 }
 
-// TestRankBySimilarityMatchesStableSort pins the ranking routine against
-// sort.SliceStable by decreasing similarity. Similarities are drawn from a
-// handful of values so most keys tie and the index order carries the proof
-// of stability.
-func TestRankBySimilarityMatchesStableSort(t *testing.T) {
+// TestInsertRankedMatchesStableSort pins the bounded ranking against
+// sort.SliceStable under the ranking rule: for every head size k the head
+// holds exactly the sort's first min(k, n) keys. Similarities are drawn
+// from a handful of values (with NaN and −0 among them) so most keys tie
+// and the index order carries the proof of stability.
+func TestInsertRankedMatchesStableSort(t *testing.T) {
 	rng := stats.NewRNG(13)
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(160)
 		levels := 1 + rng.Intn(6)
-		got := make([]rankKey, n)
-		for i := range got {
-			got[i] = rankKey{sim: float64(rng.Intn(levels))/float64(levels) - 0.5, idx: int32(i)}
+		keys := make([]rankKey, n)
+		for i := range keys {
+			var sim float64
+			switch l := rng.Intn(levels + 2); l {
+			case levels:
+				sim = math.NaN()
+			case levels + 1:
+				sim = math.Copysign(0, -1)
+			default:
+				sim = float64(l)/float64(levels) - 0.5
+			}
+			keys[i] = rankKey{sim: sim, idx: int32(i)}
 		}
-		want := append([]rankKey(nil), got...)
-		sort.SliceStable(want, func(a, b int) bool { return want[a].sim > want[b].sim })
-		rankBySimilarity(got)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (n=%d, %d levels): position %d is %+v, stable sort has %+v",
-					trial, n, levels, i, got[i], want[i])
+		want := append([]rankKey(nil), keys...)
+		sort.SliceStable(want, func(a, b int) bool { return ranksAbove(want[a].sim, want[b].sim) })
+		for _, k := range []int{1, 3, MatchesKept, n, n + 5} {
+			top := make([]rankKey, min(k, n))
+			c := 0
+			for _, key := range keys {
+				c = insertRanked(top, c, key)
+			}
+			if c != len(top) {
+				t.Fatalf("trial %d (n=%d, k=%d): head holds %d keys, want %d", trial, n, k, c, len(top))
+			}
+			for i, got := range top {
+				if got.idx != want[i].idx || math.Float64bits(got.sim) != math.Float64bits(want[i].sim) {
+					t.Fatalf("trial %d (n=%d, k=%d, %d levels): position %d is %+v, stable sort has %+v",
+						trial, n, k, levels, i, got, want[i])
+				}
 			}
 		}
 	}
 }
 
 // TestDetectMatchesFollowRanking checks the gather step end to end: the
-// matches are a permutation of the training set, each carrying its own
-// profile's class, in decreasing similarity with ties in training order.
+// matches are the ranking's head — MatchesKept distinct training profiles,
+// each carrying its own class, in decreasing similarity with ties in
+// training order.
 func TestDetectMatchesFollowRanking(t *testing.T) {
 	train := synthTrain(stats.NewRNG(14))
 	train = append(train, train[0], train[0]) // forced three-way tie
@@ -346,8 +366,8 @@ func TestDetectMatchesFollowRanking(t *testing.T) {
 		index[train[i].Label] = i
 	}
 	res := NewRecommender(train, RecommenderConfig{}).Detect(train[0].Pressure, allKnown(len(train[0].Pressure)))
-	if len(res.Matches) != len(train) {
-		t.Fatalf("got %d matches for %d profiles", len(res.Matches), len(train))
+	if len(res.Matches) != MatchesKept {
+		t.Fatalf("got %d matches from %d profiles, want the top %d", len(res.Matches), len(train), MatchesKept)
 	}
 	seen := map[int]bool{}
 	ties := 0
@@ -374,6 +394,255 @@ func TestDetectMatchesFollowRanking(t *testing.T) {
 	if ties < 2 {
 		t.Fatalf("%d ties ranked, the duplicated profile should give at least 2", ties)
 	}
+}
+
+// noisyProfile returns base with N(0, sd) noise on every resource, clamped
+// to [0, 100].
+func noisyProfile(rng *stats.RNG, base []float64, sd float64) []float64 {
+	p := make([]float64, len(base))
+	for j, x := range base {
+		p[j] = stats.Clamp(x+rng.Norm(0, sd), 0, 100)
+	}
+	return p
+}
+
+// trainingSet is a named training set of the differential corpus.
+type trainingSet struct {
+	name  string
+	train []LabeledProfile
+}
+
+// prefixSets builds the differential corpus's training sets, over 10
+// resources: a four-class catalog with duplicated profiles (heavy ties)
+// and a dozen near-copies of its first profile, each closer than the last
+// (so an exact query meets similarities ever nearer 1 at the head's
+// boundary); a set anti-correlated with its first profile (so queries near
+// it leave the head's last similarity negative); and three profiles, fewer
+// than MatchesKept, the third the column mean under the first one's label
+// (an exactly zero similarity).
+func prefixSets(rng *stats.RNG) []trainingSet {
+	bases := [][]float64{
+		{90, 60, 30, 80, 40, 50, 35, 60, 0, 0},
+		{30, 40, 35, 40, 50, 45, 70, 40, 80, 75},
+		{40, 55, 40, 70, 85, 90, 60, 30, 20, 15},
+		{10, 20, 95, 30, 60, 20, 10, 90, 50, 100},
+	}
+	var catalog []LabeledProfile
+	for v := 0; v < 10; v++ {
+		for c, b := range bases {
+			catalog = append(catalog, LabeledProfile{
+				Label: fmt.Sprintf("c%d:v%d", c, v), Class: fmt.Sprintf("c%d", c), Pressure: noisyProfile(rng, b, 8),
+			})
+		}
+	}
+	// Three more copies of profile 3 under its own label, two of profile 7
+	// under new ones.
+	catalog = append(catalog, catalog[3], catalog[3], catalog[3], catalog[7], catalog[7])
+	catalog[len(catalog)-2].Label, catalog[len(catalog)-1].Label = "dup:a", "dup:b"
+	for v := 0; v < 12; v++ {
+		near := noisyProfile(rng, catalog[0].Pressure, math.Pow(10, -float64(v+1)))
+		catalog = append(catalog, LabeledProfile{Label: fmt.Sprintf("near:%d", v), Class: "c0", Pressure: near})
+	}
+
+	x := []float64{95, 5, 95, 5, 95, 5, 95, 5, 95, 5}
+	y := []float64{5, 95, 5, 95, 5, 95, 5, 95, 5, 95}
+	anti := []LabeledProfile{{Label: "x", Class: "x", Pressure: x}}
+	for v := 0; v < 30; v++ {
+		anti = append(anti, LabeledProfile{Label: fmt.Sprintf("y:%d", v), Class: "y", Pressure: noisyProfile(rng, y, 0.5)})
+	}
+
+	mid := make([]float64, len(bases[0]))
+	for j := range mid {
+		mid[j] = (bases[0][j] + bases[1][j]) / 2
+	}
+	three := []LabeledProfile{
+		{Label: "t0", Class: "t0", Pressure: bases[0]},
+		{Label: "t1", Class: "t1", Pressure: bases[1]},
+		{Label: "t0", Class: "t0", Pressure: mid},
+	}
+	return []trainingSet{{"catalog", catalog}, {"anti", anti}, {"three", three}}
+}
+
+// prefixCorpus is the differential corpus of TestDetectPrefixMatchesReference:
+// every prefixSets training set under the default, Unweighted and PureCF
+// configs, with 60 seeded queries each — near a training profile, near or
+// exactly the first profile, uniform, and at the 0/100 clamp edges — over
+// every mask size 0–10.
+func prefixCorpus(visit func(set string, rec *Recommender, obs []float64, known []bool)) {
+	rng := stats.NewRNG(26)
+	configs := []struct {
+		name string
+		cfg  RecommenderConfig
+	}{{"default", RecommenderConfig{}}, {"unweighted", RecommenderConfig{Unweighted: true}}, {"purecf", RecommenderConfig{PureCF: true}}}
+	for _, set := range prefixSets(rng) {
+		nres := len(set.train[0].Pressure)
+		for _, cfg := range configs {
+			rec := NewRecommender(set.train, cfg.cfg)
+			for q := 0; q < 60; q++ {
+				var obs []float64
+				switch q % 5 {
+				case 0:
+					obs = noisyProfile(rng, set.train[rng.Intn(len(set.train))].Pressure, 5)
+				case 1:
+					obs = noisyProfile(rng, set.train[0].Pressure, 3)
+				case 4:
+					obs = noisyProfile(rng, set.train[0].Pressure, 0)
+				case 2:
+					obs = make([]float64, nres)
+					for j := range obs {
+						obs[j] = rng.Range(0, 100)
+					}
+				case 3:
+					obs = make([]float64, nres)
+					for j := range obs {
+						obs[j] = [...]float64{0, 100, rng.Range(0, 100)}[rng.Intn(3)]
+					}
+				}
+				known := make([]bool, nres)
+				for _, j := range rng.Perm(nres)[:q%(nres+1)] {
+					known[j] = true
+				}
+				visit(set.name+"/"+cfg.name, rec, obs, known)
+			}
+		}
+	}
+}
+
+// TestDetectPrefixMatchesReference holds Detect to the full ranking it
+// replaced: its matches are the reference's first min(MatchesKept, n),
+// similarity compared with ==, and the completed pressure is identical.
+// It also checks the corpus reaches both sides of the proximity skip: a
+// negative last kept similarity, and negative similarities skipped against
+// a non-negative one.
+func TestDetectPrefixMatchesReference(t *testing.T) {
+	queries, negThr, negSkipped := 0, 0, 0
+	prefixCorpus(func(set string, rec *Recommender, obs []float64, known []bool) {
+		queries++
+		got, want := rec.Detect(obs, known), rec.detectReference(obs, known)
+		k := min(MatchesKept, len(want.Matches))
+		if len(got.Matches) != k {
+			t.Fatalf("%s query %d: %d matches, want %d", set, queries, len(got.Matches), k)
+		}
+		for i := range got.Matches {
+			if got.Matches[i] != want.Matches[i] {
+				t.Fatalf("%s query %d: match %d is %+v, reference has %+v", set, queries, i, got.Matches[i], want.Matches[i])
+			}
+		}
+		for j := range want.Pressure {
+			if got.Pressure[j] != want.Pressure[j] {
+				t.Fatalf("%s query %d: pressure[%d] %v, reference %v", set, queries, j, got.Pressure[j], want.Pressure[j])
+			}
+		}
+		if rec.cfg.PureCF || len(want.Matches) <= k {
+			return
+		}
+		if thr := want.Matches[k-1].Similarity; thr < 0 {
+			negThr++
+		} else if want.Matches[len(want.Matches)-1].Similarity < 0 {
+			negSkipped++
+		}
+	})
+	if queries < 500 {
+		t.Fatalf("corpus has %d queries, want at least 500", queries)
+	}
+	if negThr == 0 || negSkipped == 0 {
+		t.Fatalf("corpus missed a skip branch: %d queries with a negative threshold, %d skipping negative similarities", negThr, negSkipped)
+	}
+}
+
+// TestLabelSimilarityMatchesRankedScan holds LabelSimilarity to the scan
+// Fig. 5 used to make over the full ranking — the first nonzero similarity
+// carrying the label, else the last zero — for unique, duplicated and
+// absent labels, compared by bits.
+func TestLabelSimilarityMatchesRankedScan(t *testing.T) {
+	scan := func(matches []Match, label string) float64 {
+		sim := 0.0
+		for _, m := range matches {
+			if m.Label == label && sim == 0 {
+				sim = m.Similarity
+			}
+		}
+		return sim
+	}
+	prefixCorpus(func(set string, rec *Recommender, obs []float64, known []bool) {
+		ranking := rec.detectReference(obs, known).Matches
+		for _, label := range []string{"c0:v0", "c1:v3", "c3:v0", "dup:a", "near:5", "x", "y:7", "t0", "t1", "absent"} {
+			got, want := rec.LabelSimilarity(obs, known, label), scan(ranking, label)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: LabelSimilarity(%q) = %v, ranked scan reads %v", set, label, got, want)
+			}
+		}
+	})
+}
+
+// TestDetectNaNRanksLast pins the ranking rule for NaN similarities: a NaN
+// ranks below every number, ties in training order. A NaN in a known
+// observed entry makes every similarity NaN, and the head is then the first
+// profiles in training order; with NaN only in some profiles, the numbers
+// lead and the NaNs follow in training order.
+func TestDetectNaNRanksLast(t *testing.T) {
+	train := prefixSets(stats.NewRNG(26))[0].train
+	obs := []float64{80, 55, 30, 70, 40, 50, 35, 55, 2, 1}
+	known := []bool{true, false, false, true, false, true, false, false, false, false}
+
+	t.Run("all", func(t *testing.T) {
+		nan := append([]float64(nil), obs...)
+		nan[0] = math.NaN()
+		res := NewRecommender(train, RecommenderConfig{}).Detect(nan, known)
+		for k, m := range res.Matches {
+			if m.Label != train[k].Label || !math.IsNaN(m.Similarity) {
+				t.Fatalf("match %d is %+v, want %q with a NaN similarity", k, m, train[k].Label)
+			}
+		}
+	})
+
+	t.Run("mixed", func(t *testing.T) {
+		for _, nanCount := range []int{5, len(train) - 3} {
+			// Poison the raw pressure of the nanCount profiles the query
+			// matches best: only their proximity factor reads it, so their
+			// similarity alone turns NaN.
+			own := make([]LabeledProfile, len(train))
+			for i, p := range train {
+				own[i] = LabeledProfile{Label: fmt.Sprintf("p%02d", i), Class: p.Class, Pressure: append([]float64(nil), p.Pressure...)}
+			}
+			rec := NewRecommender(own, RecommenderConfig{})
+			ranking := rec.detectReference(obs, known).Matches
+			index := map[string]int{}
+			for i, p := range own {
+				index[p.Label] = i
+			}
+			poisoned := map[int]bool{}
+			for _, m := range ranking[:nanCount] {
+				i := index[m.Label]
+				poisoned[i] = true
+				own[i].Pressure[2] = math.NaN()
+			}
+			var want []int
+			for _, m := range ranking {
+				if i := index[m.Label]; !poisoned[i] {
+					want = append(want, i)
+				}
+			}
+			for i := range own {
+				if poisoned[i] {
+					want = append(want, i)
+				}
+			}
+			res := rec.Detect(obs, known)
+			if len(res.Matches) != MatchesKept {
+				t.Fatalf("%d poisoned: %d matches, want %d", nanCount, len(res.Matches), MatchesKept)
+			}
+			for k, m := range res.Matches {
+				i := want[k]
+				if m.Label != own[i].Label || math.IsNaN(m.Similarity) != poisoned[i] {
+					t.Fatalf("%d poisoned: match %d is %+v, want %q (NaN %v)", nanCount, k, m, own[i].Label, poisoned[i])
+				}
+			}
+			if math.IsNaN(res.Best().Similarity) {
+				t.Fatalf("%d poisoned: Best() is a NaN match %+v", nanCount, res.Best())
+			}
+		}
+	})
 }
 
 func TestRecommenderPureCFHasNoLabels(t *testing.T) {

@@ -51,8 +51,8 @@ func genRequest(rng *stats.RNG, masks [][]bool, n int) ([]float64, []bool) {
 // TestServeParityAcrossConfigs is the service-boundary bit-exactness test:
 // at every worker count, under concurrent clients mixing all the mask
 // shapes, every served answer must be bit-identical to a direct
-// core.Detector.DetectProfile call — completed pressure, full ranked
-// similarity distribution, confidence, and label.
+// core.Detector.DetectProfile call — completed pressure, ranked matches,
+// confidence, and label.
 func TestServeParityAcrossConfigs(t *testing.T) {
 	det := testDetector(t)
 	n := det.Rec.ResourceCount()
