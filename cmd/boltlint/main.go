@@ -1,19 +1,17 @@
-// Command boltlint runs the repository's determinism, RNG, hot-path, and
+// Command boltlint runs the repository's determinism, hot-path, and
 // concurrency-contract analyzers over the given packages and exits non-zero
 // on any diagnostic.
 //
 // Usage:
 //
 //	go run ./cmd/boltlint ./...
-//	go run ./cmd/boltlint -analyzers detrand,hotalloc ./internal/sim
 //	go run ./cmd/boltlint -json ./... | jq .
 //
 // Exit codes: 0 when the packages are clean, 1 when diagnostics were
-// reported, 2 on usage or load errors (unknown analyzer, packages that do
-// not build). CI keys on this split: 1 means "the code violates a
-// contract", 2 means "the lint run itself is broken". To observe the
-// split, invoke a built binary — `go run` collapses every non-zero child
-// exit to 1.
+// reported, 2 on usage or load errors (packages that do not build). CI
+// keys on this split: 1 means "the code violates a contract", 2 means "the
+// lint run itself is broken". To observe the split, invoke a built binary —
+// `go run` collapses every non-zero child exit to 1.
 //
 // With -json the diagnostics are written to stdout as one JSON array of
 // {file, line, col, analyzer, message} objects (an empty array when clean)
@@ -31,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"bolt/internal/lint"
 )
@@ -46,10 +43,9 @@ type jsonDiagnostic struct {
 }
 
 func main() {
-	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: boltlint [-analyzers a,b] [-json] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: boltlint [-json] [packages]\n\nanalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", a.Name, a.Doc)
 		}
@@ -57,26 +53,13 @@ func main() {
 	}
 	flag.Parse()
 
-	analyzers := lint.All()
-	if *names != "" {
-		analyzers = analyzers[:0]
-		for _, n := range strings.Split(*names, ",") {
-			a := lint.ByName(strings.TrimSpace(n))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "boltlint: unknown analyzer %q\n", n)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
 	pkgs, err := lint.Load(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "boltlint: %v\n", err)
 		os.Exit(2)
 	}
 
-	diags := lint.Run(pkgs, analyzers)
+	diags := lint.Run(pkgs, lint.All())
 	if *asJSON {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {

@@ -158,7 +158,6 @@ func runConfig(mode, addr string, det *core.Detector, n int, cfg serve.Config, c
 		// The accept loop is fire-and-forget by design: it exits when
 		// teardown closes the listener, and handleConn goroutines are
 		// connection-bounded (see serve.ServeListener).
-		//bolt:nolint timerleak -- accept loop exits when teardown closes the listener; nothing downstream outlives srv.Close
 		go serve.ServeListener(l, srv)
 		teardown = func() { l.Close(); srv.Close() }
 		addr = l.Addr().String()

@@ -8,10 +8,8 @@ func All() []*Analyzer {
 		HotallocAnalyzer,
 		HotcopyAnalyzer,
 		SnapshotAnalyzer,
-		RngstreamAnalyzer,
 		RCUDisciplineAnalyzer,
 		BarrierMergeAnalyzer,
-		TimerLeakAnalyzer,
 	}
 }
 

@@ -19,10 +19,8 @@ func TestAnalyzersRegistered(t *testing.T) {
 		"hotalloc",
 		"hotcopy",
 		"snapshotdiscipline",
-		"rngstream",
 		"rcudiscipline",
 		"barriermerge",
-		"timerleak",
 	}
 	all := All()
 	if len(all) != len(wantNames) {

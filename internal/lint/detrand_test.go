@@ -20,3 +20,10 @@ func TestDetrandIgnoresOtherPackages(t *testing.T) {
 		t.Errorf("unexpected diagnostic outside deterministic packages: %s: %s", d.Position, d.Message)
 	}
 }
+
+// TestNolintWithoutReason pins the suppression contract: a bare
+// //bolt:nolint with no `-- reason` suppresses nothing, and the malformed
+// directive is itself reported under the pseudo-analyzer name "nolint".
+func TestNolintWithoutReason(t *testing.T) {
+	runAnalysisTest(t, DetrandAnalyzer, "bolt/internal/exper", "nolintreason")
+}

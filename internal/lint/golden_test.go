@@ -31,9 +31,7 @@ var goldenFixtures = []struct{ pkgPath, subdir string }{
 	{"bolt/internal/exper", "maporder"},
 	{"bolt/internal/exper", "nolintreason"},
 	{"bolt/internal/rcu", "rcu"},
-	{"bolt/internal/exper", "rngstream"},
 	{"bolt/internal/attack", "snapshot"},
-	{"bolt/internal/serve", "timerleak"},
 	{"bolt/internal/sim", "unusednolint"},
 }
 

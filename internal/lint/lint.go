@@ -1,6 +1,6 @@
 // Package lint implements boltlint, a suite of static analyzers that enforce
-// the repository's determinism, RNG-discipline, and hot-path contracts at
-// build time.
+// the repository's determinism, concurrency, and hot-path contracts at build
+// time.
 //
 // Every result in this reproduction rests on invariants the Go compiler
 // cannot see: suite output at seed 42 must be byte-identical at every
@@ -19,13 +19,13 @@
 //     value receiver is an array or struct over 64 bytes
 //   - snapshotdiscipline: DemandVersioner mutators bump the demand version,
 //     and observations are not retained across Place/Remove
-//   - rngstream: no stats.NewRNG inside a loop (stream splitting)
 //   - rcudiscipline: one atomic.Pointer Load per scope, CompareAndSwap
 //     writers, no parked snapshots
 //   - barriermerge: fan-out bodies write index-addressed slots, never
 //     shared state in completion order
-//   - timerleak: tickers are stopped and goroutines in deterministic
-//     packages are joined
+//
+// DESIGN.md "Determinism contract" records, for each, the bug it encodes
+// and why the golden outputs and -race do not catch that bug reliably.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, analysistest-style golden tests) but is built on
@@ -74,7 +74,7 @@ type Pass struct {
 
 	// Summaries is the module-wide function-fact index built over every
 	// package in the Run (summary.go). The interprocedural analyzers
-	// (hotalloc, rcudiscipline, barriermerge, timerleak) consult it; the
+	// (hotalloc, rcudiscipline, barriermerge) consult it; the
 	// intraprocedural ones ignore it.
 	Summaries *Summaries
 
@@ -298,9 +298,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			}
 			// A suppression that matched nothing is stale: the code it
 			// excused has moved or been fixed, and a silent stale nolint
-			// would hide the next real diagnostic on that line. Only judged
-			// when every analyzer it names actually ran (a partial
-			// -analyzers run can't tell).
+			// would hide the next real diagnostic on that line. One that
+			// kept an allocation out of the summaries is in use. Only
+			// judged when every analyzer it names actually ran.
+			used[i] = used[i] || summaries.hidSite[pkg.Fset.Position(sups[i].pos)]
 			if !used[i] && runSetCovers(analyzers, sups[i].analyzers) {
 				nolintf("unused //bolt:nolint: no diagnostic here to suppress; remove the stale suppression")
 			}
@@ -324,7 +325,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // runSetCovers reports whether the analyzers that ran include everything a
 // suppression names (or, for a bare suppress-all comment, the full
-// analyzer set) — the precondition for judging the suppression unused.
+// analyzer set) — the precondition for judging the suppression unused, so
+// a test that runs one analyzer does not flag another's suppressions.
 func runSetCovers(ran []*Analyzer, named []string) bool {
 	inRun := func(name string) bool {
 		for _, a := range ran {

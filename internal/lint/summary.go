@@ -17,15 +17,14 @@ import (
 //
 //  1. Per-function facts are extracted from each package's already
 //     type-checked AST: its first allocation site (allocSites, hotalloc.go),
-//     which atomic.Pointer fields it Loads/CASes, which sync.WaitGroups it
-//     Dones/Waits, its static call edges, and which of its func-typed
-//     parameters it forwards as fan-out bodies.
+//     which atomic.Pointer fields it Loads/CASes, its static call edges,
+//     and which of its func-typed parameters it forwards as fan-out bodies.
 //  2. Facts propagate across the call graph with fixed-point iteration.
 //     Interface method calls fan out to every implementation declared in
 //     the analyzed packages, so a hot path calling through an interface is
 //     still tracked. Cycles converge because the facts are monotone.
 //
-// hotalloc, rcudiscipline, barriermerge and timerleak consume the index
+// hotalloc, rcudiscipline and barriermerge consume the index
 // through Pass.Summaries. It is rebuilt from source on every Run:
 // extraction costs ≈0.1 s on the whole tree, less than `go list -export`,
 // and an on-disk cache of it let stale facts pass the golden inventory.
@@ -56,12 +55,6 @@ type FuncFacts struct {
 	PtrLoads []string
 	PtrCAS   []string
 
-	// WGDone/WGWait are the sync.WaitGroup *fields* this body calls
-	// Done/Wait on (field keys). Local WaitGroups are intra-function and
-	// need no summary.
-	WGDone []string
-	WGWait []string
-
 	// Calls are the statically resolved callee keys, deduplicated, in
 	// source order (the order matters: transitive-allocation chains pick
 	// the first allocating callee deterministically).
@@ -76,7 +69,6 @@ type FuncFacts struct {
 
 	transAlloc bool
 	allocVia   string   // first callee (source order) the allocation is reached through; "" = local
-	transDone  []string // WaitGroup field keys Done()d transitively
 	transLoads []string // atomic.Pointer field keys Loaded transitively
 }
 
@@ -93,6 +85,12 @@ var fanOutSeeds = map[string][]int{
 type Summaries struct {
 	funcs map[string]*FuncFacts
 	keys  []string // sorted keys of funcs, for deterministic iteration
+
+	// hidSite holds the positions of the reasoned hotalloc suppressions
+	// that kept an allocation site out of a function's facts. Run counts
+	// them as used: deleting one makes the function allocate, and every
+	// hot caller then reports it.
+	hidSite map[token.Position]bool
 }
 
 // funcKey is the summary key of a *types.Func: the generic origin's
@@ -115,16 +113,6 @@ func (s *Summaries) TransitivelyAllocates(key string) bool {
 	return f != nil && f.transAlloc
 }
 
-// TransitiveWGDone returns the WaitGroup field keys key Done()s,
-// transitively.
-func (s *Summaries) TransitiveWGDone(key string) []string {
-	f := s.funcs[key]
-	if f == nil {
-		return nil
-	}
-	return f.transDone
-}
-
 // TransitivePtrLoads returns the atomic.Pointer field keys key Load()s,
 // transitively.
 func (s *Summaries) TransitivePtrLoads(key string) []string {
@@ -133,19 +121,6 @@ func (s *Summaries) TransitivePtrLoads(key string) []string {
 		return nil
 	}
 	return f.transLoads
-}
-
-// WGWaitExists reports whether any summarized function Waits on the given
-// WaitGroup field key — the module-wide half of the goroutine-join check.
-func (s *Summaries) WGWaitExists(fieldKey string) bool {
-	for _, k := range s.keys {
-		for _, w := range s.funcs[k].WGWait {
-			if w == fieldKey {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // FanOutParams returns the fan-out body-parameter indices of key (seeded
@@ -210,11 +185,11 @@ func shortFuncName(key string) string {
 // deterministic: iteration orders are pinned by sorted keys and source
 // order, never map order.
 func BuildSummaries(pkgs []*Package) *Summaries {
-	s := &Summaries{funcs: map[string]*FuncFacts{}}
+	s := &Summaries{funcs: map[string]*FuncFacts{}, hidSite: map[token.Position]bool{}}
 
 	// Phase 1: local facts per package.
 	for _, pkg := range pkgs {
-		extractPackageFacts(pkg, s.funcs)
+		extractPackageFacts(pkg, s)
 	}
 
 	// Phase 2: synthesize entries for callees that have no body here —
@@ -247,7 +222,6 @@ func BuildSummaries(pkgs []*Package) *Summaries {
 		for _, k := range s.keys {
 			f := s.funcs[k]
 			ta, av := f.Allocates, ""
-			done := append([]string(nil), f.WGDone...)
 			loads := append([]string(nil), f.PtrLoads...)
 			for _, callee := range f.Calls {
 				cf := s.funcs[callee]
@@ -257,7 +231,6 @@ func BuildSummaries(pkgs []*Package) *Summaries {
 				if cf.transAlloc && !ta {
 					ta, av = true, callee
 				}
-				done = mergeStrings(done, cf.transDone)
 				loads = mergeStrings(loads, cf.transLoads)
 			}
 			var fan []int
@@ -274,12 +247,10 @@ func BuildSummaries(pkgs []*Package) *Summaries {
 				}
 			}
 			if ta != f.transAlloc || av != f.allocVia ||
-				len(done) != len(f.transDone) || len(loads) != len(f.transLoads) ||
-				len(fan) != len(f.FanOutParams) {
+				len(loads) != len(f.transLoads) || len(fan) != len(f.FanOutParams) {
 				changed = true
 			}
-			f.transAlloc, f.allocVia = ta, av
-			f.transDone, f.transLoads = done, loads
+			f.transAlloc, f.allocVia, f.transLoads = ta, av, loads
 			f.FanOutParams = fan
 		}
 	}
@@ -402,10 +373,10 @@ func lookupInterface(pkgs []*Package, pkgPath, typeName string) *types.Interface
 }
 
 // extractPackageFacts adds the local facts of every function declared in
-// pkg to out. Suppressed allocation sites (//bolt:nolint hotalloc with a
+// pkg to s. Suppressed allocation sites (//bolt:nolint hotalloc with a
 // reason) do not contribute facts: a documented, budget-pinned allocation
 // must not poison every transitive caller.
-func extractPackageFacts(pkg *Package, out map[string]*FuncFacts) {
+func extractPackageFacts(pkg *Package, s *Summaries) {
 	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info}
 	sups := parseSuppressions(pkg)
 	for _, file := range pkg.Files {
@@ -418,7 +389,7 @@ func extractPackageFacts(pkg *Package, out map[string]*FuncFacts) {
 			if !ok {
 				continue
 			}
-			out[funcKey(obj)] = extractFuncFacts(pass, fn, sups)
+			s.funcs[funcKey(obj)] = extractFuncFacts(pass, fn, sups, s.hidSite)
 		}
 	}
 }
@@ -427,7 +398,7 @@ func extractPackageFacts(pkg *Package, out map[string]*FuncFacts) {
 // their effects run under this function's dynamic extent, and a closure
 // passed elsewhere is summarized at its capture site, which is as precise
 // as a flow-insensitive summary gets).
-func extractFuncFacts(pass *Pass, fn *ast.FuncDecl, sups []suppression) *FuncFacts {
+func extractFuncFacts(pass *Pass, fn *ast.FuncDecl, sups []suppression, hidSite map[token.Position]bool) *FuncFacts {
 	f := &FuncFacts{}
 	allocSites(pass, fn, func(pos token.Pos, desc, _ string) {
 		if f.Allocates {
@@ -436,6 +407,7 @@ func extractFuncFacts(pass *Pass, fn *ast.FuncDecl, sups []suppression) *FuncFac
 		p := pass.Fset.Position(pos)
 		for i := range sups {
 			if sups[i].hasReason && sups[i].covers(HotallocAnalyzer.Name, p.Filename, p.Line) {
+				hidSite[pass.Fset.Position(sups[i].pos)] = true
 				return
 			}
 		}
@@ -455,7 +427,7 @@ func extractFuncFacts(pass *Pass, fn *ast.FuncDecl, sups []suppression) *FuncFac
 }
 
 // extractCallFacts records one call's structural facts: call edges,
-// atomic.Pointer and WaitGroup operations, and parameter forwarding.
+// atomic.Pointer operations, and parameter forwarding.
 func extractCallFacts(pass *Pass, f *FuncFacts, call *ast.CallExpr, params map[types.Object]int, seenCall map[string]bool) {
 	callee := funcObj(pass.TypesInfo, call)
 	if callee == nil {
@@ -463,35 +435,17 @@ func extractCallFacts(pass *Pass, f *FuncFacts, call *ast.CallExpr, params map[t
 	}
 	key := funcKey(callee)
 
-	// atomic.Pointer and sync.WaitGroup operations are structural facts,
-	// not call edges.
-	if callee.Pkg() != nil {
-		switch callee.Pkg().Path() {
-		case "sync/atomic":
-			if recvTypeName(callee) == "Pointer" {
-				if fk := atomicFieldKey(pass, call); fk != "" {
-					switch callee.Name() {
-					case "Load":
-						f.PtrLoads = mergeStrings(f.PtrLoads, []string{fk})
-					case "CompareAndSwap":
-						f.PtrCAS = mergeStrings(f.PtrCAS, []string{fk})
-					}
-				}
-				return
-			}
-		case "sync":
-			if recvTypeName(callee) == "WaitGroup" {
-				if fk := atomicFieldKey(pass, call); fk != "" {
-					switch callee.Name() {
-					case "Done":
-						f.WGDone = mergeStrings(f.WGDone, []string{fk})
-					case "Wait":
-						f.WGWait = mergeStrings(f.WGWait, []string{fk})
-					}
-				}
-				return
+	// atomic.Pointer operations are structural facts, not call edges.
+	if callee.Pkg() != nil && callee.Pkg().Path() == "sync/atomic" && recvTypeName(callee) == "Pointer" {
+		if fk := atomicFieldKey(pass, call); fk != "" {
+			switch callee.Name() {
+			case "Load":
+				f.PtrLoads = mergeStrings(f.PtrLoads, []string{fk})
+			case "CompareAndSwap":
+				f.PtrCAS = mergeStrings(f.PtrCAS, []string{fk})
 			}
 		}
+		return
 	}
 
 	if !seenCall[key] {
@@ -538,8 +492,8 @@ func recvTypeName(fn *types.Func) string {
 	return named.Obj().Name()
 }
 
-// atomicFieldKey resolves the storage a method like s.snap.Load() or
-// s.wg.Done() operates on to a stable key: "pkg/path.Type.field" for struct fields,
+// atomicFieldKey resolves the storage a method like s.snap.Load() operates
+// on to a stable key: "pkg/path.Type.field" for struct fields,
 // "pkg/path.var" for package-level vars, "" otherwise (locals are
 // intra-function and keyed by object identity in the analyzers).
 func atomicFieldKey(pass *Pass, call *ast.CallExpr) string {

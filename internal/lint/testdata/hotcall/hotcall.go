@@ -75,3 +75,21 @@ func record(v float64) {
 func Note(v float64) {
 	record(v) // want `call on a hot path allocates transitively: hotcall.record → interface assignment boxes float64 \(hotcall.go:\d+\)`
 }
+
+// excusedScratch is not a hot path, but its allocation is excused where it
+// happens: the suppression keeps Excused clean, so it is in use — deleting
+// it makes Excused report the make — and must not be judged stale.
+func excusedScratch(n int) []int {
+	return make([]int, n) //bolt:nolint hotalloc -- fixture: the caller's budget test pins this one allocation
+}
+
+// staleScratch lost the allocation its suppression excused, so that
+// suppression hides nothing and is stale.
+func staleScratch(buf []int) []int {
+	return buf[:0] //bolt:nolint hotalloc -- fixture: the make it excused was removed // want `unused //bolt:nolint`
+}
+
+//bolt:hotpath
+func Excused(buf []int, n int) int {
+	return len(excusedScratch(n)) + len(staleScratch(buf))
+}

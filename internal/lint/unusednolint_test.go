@@ -11,8 +11,9 @@ func TestUnusedNolint(t *testing.T) {
 
 // TestUnusedNolintNeedsFullRunSet pins the judging precondition: when the
 // analyzers a suppression names did not run, staleness cannot be decided
-// and nothing is reported — a partial -analyzers run must not flag
-// suppressions for analyzers it skipped.
+// and nothing is reported — a run over an analyzer subset, as every
+// per-analyzer test is, must not flag suppressions for analyzers it
+// skipped.
 func TestUnusedNolintNeedsFullRunSet(t *testing.T) {
 	diags, _ := analyzeTestdata(t, MaporderAnalyzer, "bolt/internal/sim", "unusednolint")
 	for _, d := range diags {

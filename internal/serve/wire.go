@@ -83,7 +83,6 @@ func ServeListener(l net.Listener, s *Server) error {
 		// only shared state it touches is Server.Detect, which answers
 		// ErrClosed after Close. Joining them would make shutdown wait on
 		// arbitrarily slow clients.
-		//bolt:nolint timerleak -- connection-bounded handler; Detect fails fast with ErrClosed after Close, so no join is needed
 		go handleConn(conn, s)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,6 +38,60 @@ func startWireServer(t *testing.T, cfg serve.Config) (string, *serve.Server) {
 		srv.Close()
 	})
 	return l.Addr().String(), srv
+}
+
+// TestServeCloseLeavesNoGoroutines checks the socket path's goroutine
+// lifetimes at run time: once the clients, the listener and the Server are
+// closed, the accept loop, every per-connection handler and every worker
+// have exited, so the goroutine count returns to what it was before.
+func TestServeCloseLeavesNoGoroutines(t *testing.T) {
+	det := testDetector(t)
+	n := det.Rec.ResourceCount()
+	masks := testMasks(n)
+	base := runtime.NumGoroutine()
+
+	srv := serve.New(det, serve.Config{Workers: 2})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	accepted := make(chan error, 1)
+	go func() { accepted <- serve.ServeListener(l, srv) }()
+
+	var wg sync.WaitGroup
+	for _, rng := range stats.NewRNG(17).SplitN(4) {
+		c, err := serve.Dial(l.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			for k := 0; k < 16; k++ {
+				obs, known := genRequest(rng, masks, n)
+				if wr, err := c.Detect(obs, known); err != nil || wr.Error != "" {
+					t.Errorf("query %d: %v %q", k, err, wr.Error)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	l.Close()
+	if err := <-accepted; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("ServeListener: %v", err)
+	}
+	srv.Close()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines left after Close, %d before:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestWireRoundTrip pins bit-exactness across the socket: JSON's
