@@ -43,37 +43,14 @@ type RFAOutcome struct {
 	VictimMetric string
 }
 
-// MeasureServiceRFA runs the attack against an interactive victim: it
-// compares the victim's throughput and the beneficiary's execution time
-// with the helper off and on.
+// MeasureBatchRFA runs the attack against a batch victim: both victim and
+// beneficiary are measured by execution time, with the helper off and on.
 //
 // Both measurements happen at the same tick with only the helper kernels
 // toggled in between — the case that requires the helper's probe.Kernels
 // to implement sim.DemandVersioner: the host's per-tick demand snapshot
 // invalidates on the kernel version bump, so the on-measurement sees the
-// helper's pressure (and the reactive victim's response to it) instead of
-// the cached off-state.
-func MeasureServiceRFA(r *RFA, host *sim.Server, victim *latency.Service,
-	beneficiary *latency.BatchJob, start sim.Tick) RFAOutcome {
-	r.Stop()
-	baseQPS := victim.Measure(host, start).QPS
-	baseTicks, _ := beneficiary.Run(host, start, 0)
-
-	r.Start()
-	atkQPS := victim.Measure(host, start).QPS
-	atkTicks, _ := beneficiary.Run(host, start, 0)
-	r.Stop()
-
-	return RFAOutcome{
-		Target:                 r.Target,
-		VictimDegradation:      pctLoss(baseQPS, atkQPS),
-		BeneficiaryImprovement: pctLoss(float64(baseTicks), float64(atkTicks)),
-		VictimMetric:           "QPS",
-	}
-}
-
-// MeasureBatchRFA runs the attack against a batch victim: both victim and
-// beneficiary are measured by execution time.
+// helper's pressure instead of the cached off-state.
 func MeasureBatchRFA(r *RFA, host *sim.Server, victim, beneficiary *latency.BatchJob,
 	start sim.Tick) RFAOutcome {
 	r.Stop()

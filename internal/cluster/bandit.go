@@ -98,15 +98,6 @@ func (b *Bandit) Observe(server int, leak float64) {
 	b.total++
 }
 
-// MeanLeak returns the observed mean leak of a server (0 when unobserved),
-// for reports and tests.
-func (b *Bandit) MeanLeak(server int) float64 {
-	if server < 0 || server >= len(b.n) || b.n[server] == 0 {
-		return 0
-	}
-	return b.sum[server] / b.n[server]
-}
-
 // score is the quantity Pick minimises for one arm.
 func (b *Bandit) score(i int) float64 {
 	if i >= len(b.n) || b.n[i] == 0 {

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"bolt/internal/sim"
-	"bolt/internal/workload"
 )
 
 // Scheduler picks a server for a VM.
@@ -140,33 +139,6 @@ func (c *Cluster) Migrate(id string, t sim.Tick) (*sim.Server, error) {
 	return c.Servers[best], nil
 }
 
-// MeanUtilization returns the average CPU utilisation across servers.
-func (c *Cluster) MeanUtilization(t sim.Tick) float64 {
-	if len(c.Servers) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, s := range c.Servers {
-		total += s.CPUUtilization(t)
-	}
-	return total / float64(len(c.Servers))
-}
-
-// VCPUUtilization returns the fraction of hyperthreads allocated, across
-// the cluster, in percent — the provisioning-level utilisation §6 trades
-// against security.
-func (c *Cluster) VCPUUtilization() float64 {
-	total, used := 0, 0
-	for _, s := range c.Servers {
-		total += s.TotalVCPUs()
-		used += s.TotalVCPUs() - s.FreeVCPUs()
-	}
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(used) / float64(total)
-}
-
 // LeastLoaded is the paper's default scheduler: it places each VM on the
 // machine with the most available compute (free hyperthreads), breaking
 // ties by index. It is contention-oblivious.
@@ -250,18 +222,4 @@ func DefaultMigrationPolicy() MigrationPolicy {
 // policy.
 func (p MigrationPolicy) ShouldMigrate(s *sim.Server, t sim.Tick) bool {
 	return s.CPUUtilization(t) > p.Threshold
-}
-
-// VMSpec couples an application spec with a size, for driving cluster
-// experiments.
-type VMSpec struct {
-	ID    string
-	VCPUs int
-	Spec  workload.Spec
-	App   sim.Demander
-}
-
-// NewVM materialises the VMSpec into a placeable VM.
-func (v VMSpec) NewVM() *sim.VM {
-	return &sim.VM{ID: v.ID, VCPUs: v.VCPUs, App: v.App}
 }

@@ -177,28 +177,3 @@ type constApp struct{ d sim.Vector }
 
 func (c constApp) Demand(sim.Tick) sim.Vector { return c.d }
 func (c constApp) Sensitivity() sim.Vector    { return sim.Vector{} }
-
-func TestUtilizationMetrics(t *testing.T) {
-	c := New(2, sim.ServerConfig{}, LeastLoaded{})
-	var burn sim.Vector
-	burn.Set(sim.CPU, 50)
-	if err := c.Servers[0].Place(&sim.VM{ID: "a", VCPUs: 8, App: constApp{burn}}); err != nil {
-		t.Fatal(err)
-	}
-	if u := c.MeanUtilization(0); u != 25 {
-		t.Fatalf("MeanUtilization = %v, want 25", u)
-	}
-	if u := c.VCPUUtilization(); u != 25 {
-		t.Fatalf("VCPUUtilization = %v, want 25 (8 of 32)", u)
-	}
-}
-
-func TestVMSpecNewVM(t *testing.T) {
-	spec := workload.VictimSpecs(1, 1)[0]
-	vs := VMSpec{ID: "v", VCPUs: 3, Spec: spec,
-		App: workload.NewApp(spec, workload.Constant{Level: 1}, 1)}
-	vm := vs.NewVM()
-	if vm.ID != "v" || vm.VCPUs != 3 || vm.App == nil {
-		t.Fatal("NewVM mapping wrong")
-	}
-}

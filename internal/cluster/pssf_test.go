@@ -163,14 +163,11 @@ func TestBanditObserveClampsAndIgnoresBadInput(t *testing.T) {
 	b.Observe(-1, 0.5) // ignored
 	b.Observe(2, -3)   // clamped to 0
 	b.Observe(2, 7)    // clamped to 1
-	if got := b.MeanLeak(2); got != 0.5 {
-		t.Fatalf("MeanLeak(2) = %g, want 0.5 from clamped {0, 1}", got)
+	if len(b.n) != 3 || b.n[2] != 2 {
+		t.Fatalf("observation counts = %v, want 2 on server 2 and the negative index ignored", b.n)
 	}
-	if got := b.MeanLeak(-1); got != 0 {
-		t.Fatalf("MeanLeak(-1) = %g, want 0", got)
-	}
-	if got := b.MeanLeak(99); got != 0 {
-		t.Fatalf("MeanLeak(unobserved) = %g, want 0", got)
+	if got := b.sum[2] / b.n[2]; got != 0.5 {
+		t.Fatalf("mean leak of server 2 = %g, want 0.5 from clamped {0, 1}", got)
 	}
 }
 

@@ -62,8 +62,8 @@ func (c Config) withDefaults() Config {
 //
 // A Detector is immutable once Train returns: the recommender, the
 // completer, and the byLabel lookup are built in full during training and
-// only read afterwards (Detect, NewEpisode, and Tracker keep all mutable
-// episode state outside the Detector). It is therefore safe for concurrent
+// only read afterwards (Detect and NewEpisode keep all mutable episode
+// state outside the Detector). It is therefore safe for concurrent
 // use by any number of goroutines — the parallel experiment runner and the
 // TrainCached memo depend on this property; anything added to Detector must
 // preserve it or take a lock.
@@ -149,15 +149,6 @@ func (det *Detection) Label() string {
 		return UnknownLabel
 	}
 	return det.Result.Best().Label
-}
-
-// Labels returns the best-match label of each disentangled co-resident.
-func (det *Detection) Labels() []string {
-	out := make([]string, 0, len(det.CoResidents))
-	for _, r := range det.CoResidents {
-		out = append(out, r.Best().Label)
-	}
-	return out
 }
 
 // Detect runs a full episode: up to MaxIterations steps, stopping early

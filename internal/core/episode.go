@@ -279,19 +279,6 @@ func (e *Episode) missingUncore() []sim.Resource {
 	return out
 }
 
-// Observation returns the episode's combined sparse observation (the
-// single-victim hypothesis view).
-func (e *Episode) Observation() (sim.Vector, [sim.NumResources]bool) {
-	obs, known := e.combined()
-	var v sim.Vector
-	var k [sim.NumResources]bool
-	for i := range obs {
-		v.Set(sim.Resource(i), obs[i])
-		k[i] = known[i]
-	}
-	return v, k
-}
-
 // saturatedFloor is the measured mixture level above which a resource is
 // treated as clamped: the true aggregate demand may exceed it, so only
 // underprediction is penalised there.

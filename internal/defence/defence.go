@@ -108,7 +108,6 @@ type MultiResourceAnomaly struct {
 	anomalous sim.Tick
 	alarmed   bool
 	alarmedAt sim.Tick
-	trippedBy sim.Resource
 }
 
 // NewMultiResourceAnomaly returns the detector with defaults.
@@ -152,9 +151,6 @@ func (m *MultiResourceAnomaly) Observe(t sim.Tick, usage sim.Vector) {
 		}
 		if math.Abs(usage.Get(r)-m.mean.Get(r)) > m.Sigma*sd {
 			hit = true
-			if !m.alarmed {
-				m.trippedBy = r
-			}
 			break
 		}
 	}
@@ -185,11 +181,7 @@ func (m *MultiResourceAnomaly) Reset() {
 	m.anomalous = 0
 	m.alarmed = false
 	m.alarmedAt = 0
-	m.trippedBy = 0
 }
-
-// TrippedBy returns the resource whose deviation fired the alarm.
-func (m *MultiResourceAnomaly) TrippedBy() sim.Resource { return m.trippedBy }
 
 // HostUsage returns the aggregate per-resource demand on a server at time
 // t — the signal a provider-side monitor samples. It is served from the

@@ -25,7 +25,6 @@ func TestConfigSurface(t *testing.T) {
 		{probe.Config{}, "NoiseSD Faults"},
 		{fault.Config{}, "Rate DisableDropout DisableCorruption DisableChurn DisableProbeFailure"},
 		{core.Config{}, "Recommender MaxIterations ExtraBench DisableShutter DisableMRC"},
-		{core.TrackerConfig{}, "Interval MaxVictims History"},
 		{mining.CompletionConfig{}, "Rank Seed FixedFoldIn"},
 		{study.Config{}, "Users Jobs Instances Span Seed"},
 		{ControlledConfig{}, "Seed Servers Victims Scheduler ServerCfg ProbeCfg Detector"},

@@ -83,7 +83,7 @@ func Confusion(seed uint64) *Report {
 			correct++
 			continue
 		}
-		prof, ok := profileFor(det, out.gotLabel)
+		prof, ok := det.TrainingProfile(out.gotLabel)
 		m := miss{truth: spec.Class, got: out.gotClass}
 		if ok {
 			truthTop := spec.Base.TopK(2)
@@ -148,9 +148,4 @@ func Confusion(seed uint64) *Report {
 	rep.Notes = append(rep.Notes,
 		"paper (§3.4): misclassified jobs are typically identified as workloads with the same or similar critical resources — measured here as dominant-resource agreement among misses")
 	return rep
-}
-
-// profileFor fetches the pressure vector behind a training label.
-func profileFor(det *core.Detector, label string) (sim.Vector, bool) {
-	return det.TrainingProfile(label)
 }

@@ -107,7 +107,7 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := Figure5(3)
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteAllJSON(&buf, 3, []*Report{rep}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

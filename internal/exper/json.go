@@ -29,13 +29,6 @@ type jsonSeries struct {
 	Y      []float64 `json:"y"`
 }
 
-// WriteJSON emits the report as a single JSON object.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.toJSON())
-}
-
 // WriteAllJSON emits one JSON document holding the seed and every report,
 // in order. A run's machine-readable output is a single valid document —
 // consumers unmarshal one object rather than splitting a stream of

@@ -99,7 +99,7 @@ func Figure10(seed uint64) *Report {
 	rep.Figures = append(rep.Figures,
 		fig10aInterval(seed, det, rep),
 		fig10bVMSize(seed, det, rep),
-		fig10cBenchmarks(seed, det, rep),
+		fig10cBenchmarks(seed, rep),
 	)
 	rep.Notes = append(rep.Notes,
 		"paper: accuracy collapses past 30 s intervals; <4 vCPU adversaries are blind; >3 benchmarks have diminishing returns")
@@ -226,7 +226,7 @@ func fig10bVMSize(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
 
 // fig10cBenchmarks: single-iteration detection accuracy vs the number of
 // profiling microbenchmarks (1 = the core benchmark alone).
-func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
+func fig10cBenchmarks(seed uint64, rep *Report) *trace.Figure {
 	rng := stats.NewRNG(seed ^ 0xf1603)
 	counts := []int{1, 2, 3, 4, 6, 8, 10}
 	const trials = 40
@@ -236,10 +236,9 @@ func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figur
 	hits := make([]bool, trials)
 	for _, n := range counts {
 		detN := core.TrainCached(workload.TrainingSpecs(seed), core.Config{
-			ExtraBench:    maxInt(0, n-2),
+			ExtraBench:    max(0, n-2),
 			MaxIterations: 1,
 		})
-		_ = det
 		victims := workload.VictimSpecs(seed^uint64(n)<<8, trials)
 		// Pre-split one stream per trial, fan the trials out, count in order.
 		for tr := range trialRngs {
@@ -257,7 +256,6 @@ func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figur
 			if err := s.Place(adv.VM); err != nil {
 				panic(err)
 			}
-			ep := detN.NewEpisode(s, adv)
 			var best string
 			if n == 1 {
 				// A single benchmark: one core ramp only, no uncore.
@@ -266,7 +264,7 @@ func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figur
 				res := detN.Rec.Detect(obs, known)
 				best = res.Best().Label
 			} else {
-				res := ep.Step(sim.Tick(tr * 5000))
+				res := detN.NewEpisode(s, adv).Step(sim.Tick(tr * 5000))
 				best = res.Best().Label
 			}
 			hits[tr] = core.LabelMatches(best, spec.Label)
@@ -286,11 +284,4 @@ func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figur
 		"benchmarks per iteration", "accuracy (%)")
 	fig.AddSeries("accuracy", xs, ys)
 	return fig
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

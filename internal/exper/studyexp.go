@@ -149,7 +149,7 @@ func runStudy(seed uint64) ([]studyOutcome, *study.Study, []int, [][]int) {
 					peers++
 				}
 			}
-			d := det.Detect(host, adv, mid, maxInt(peers, 1))
+			d := det.Detect(host, adv, mid, max(peers, 1))
 			out := studyOutcome{job: p.job, activePeers: peers}
 			for _, cand := range d.CoResidents {
 				if core.LabelMatches(cand.Best().Label, p.job.Spec.Label) ||

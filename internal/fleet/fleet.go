@@ -156,9 +156,6 @@ func NewEngine(cl *cluster.Cluster, rng *stats.RNG) *Engine {
 	}
 }
 
-// Servers returns the fleet size the engine was built over.
-func (e *Engine) Servers() int { return len(e.rngs) }
-
 // RNG returns server i's pre-split stream, for callers that need to seed
 // per-server state (a resident adversary's probe) from the same stream its
 // tick bodies will draw from.

@@ -38,15 +38,14 @@ var HotallocAnalyzer = &Analyzer{
 // bodies the analyzed packages do not contain; the repo rows carry a fix
 // hint for convenience helpers that have an in-package allocation-free form.
 var knownAllocating = map[string]string{
-	"bolt/internal/sim.AllResources":            "loop over Resource(0)..NumResources instead",
-	"bolt/internal/sim.CoreResources":           "loop over the resource indices directly",
-	"bolt/internal/sim.UncoreResources":         "loop over the resource indices directly",
-	"(*bolt/internal/sim.Server).VMs":           "iterate s.vms directly in package sim",
-	"(*bolt/internal/sim.Server).CoreNeighbors": "iterate s.vms with SharesCore",
-	"(*bolt/internal/sim.Server).VMsOnCore":     "iterate s.vms with occupiesCore",
-	"(*bolt/internal/sim.VM).Slots":             "iterate vm.slots directly in package sim",
-	"(*bolt/internal/sim.VM).Cores":             "use vm.coreList / vm.coreMask in package sim",
-	"(*bolt/internal/stats.RNG).Perm":           "use RNG.PermInto with a reused buffer",
+	"bolt/internal/sim.AllResources":        "loop over Resource(0)..NumResources instead",
+	"bolt/internal/sim.CoreResources":       "loop over the resource indices directly",
+	"bolt/internal/sim.UncoreResources":     "loop over the resource indices directly",
+	"(*bolt/internal/sim.Server).VMs":       "iterate s.vms directly in package sim",
+	"(*bolt/internal/sim.Server).VMsOnCore": "iterate s.vms with occupiesCore",
+	"(*bolt/internal/sim.VM).Slots":         "iterate vm.slots directly in package sim",
+	"(*bolt/internal/sim.VM).Cores":         "use vm.coreList / vm.coreMask in package sim",
+	"(*bolt/internal/stats.RNG).Perm":       "use RNG.PermInto with a reused buffer",
 
 	"fmt.Sprintf":  offHotPath,
 	"fmt.Sprint":   offHotPath,

@@ -17,7 +17,7 @@ import (
 //     staleness bug the epoch/version key exists to prevent.
 //
 //  2. Snapshot retention — outside internal/sim, a value observed from a
-//     server (Interference, ObservedVector, HostDemand, Observation, ...)
+//     server (ObservedVector, Slowdown, HostDemand, Observation, ...)
 //     describes the placement at the moment of the call. Using such a value
 //     after a Place/Remove on any server in the same function treats a
 //     stale observation as current; re-observe after mutating placement
@@ -34,7 +34,7 @@ const simPkgPath = "bolt/internal/sim"
 // observationMethods are the (*sim.Server) methods whose result is a
 // placement-dependent observation.
 var observationMethods = map[string]bool{
-	"Interference": true, "InterferenceLive": true, "ObservedVector": true,
+	"InterferenceLive": true, "ObservedVector": true,
 	"ObservedPressure": true, "ObservedCorePressure": true, "Slowdown": true,
 	"CPUUtilization": true, "HostDemand": true, "Observation": true,
 }

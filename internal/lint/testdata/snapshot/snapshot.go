@@ -37,7 +37,7 @@ func (k *kern) SetQuiet(r sim.Resource, v float64) {
 }
 
 func retention(srv *sim.Server, vm, other *sim.VM, t sim.Tick) float64 {
-	v := srv.Interference(vm, t)
+	v := srv.ObservedVector(vm, t)
 	_ = srv.Place(other)
 	return v.Get(sim.LLC) // want `observation "v" was taken before a Place/Remove`
 }
@@ -45,7 +45,7 @@ func retention(srv *sim.Server, vm, other *sim.VM, t sim.Tick) float64 {
 // reobserveOK observes after the placement change.
 func reobserveOK(srv *sim.Server, vm, other *sim.VM, t sim.Tick) float64 {
 	_ = srv.Place(other)
-	v := srv.Interference(vm, t)
+	v := srv.ObservedVector(vm, t)
 	return v.Get(sim.LLC)
 }
 

@@ -62,23 +62,6 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 	}
 }
 
-func TestCompleteAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
-	}
-	train := trainMatrix(23, 30, 10)
-	c := NewCompleter(train, CompletionConfig{Seed: 3})
-	obs := make([]float64, 10)
-	known := make([]bool, 10)
-	obs[1], known[1] = 25, true
-	c.Complete(obs, known) // populate the scratch pool
-	allocs := testing.AllocsPerRun(100, func() { c.Complete(obs, known) })
-	// Exactly the returned dense slice.
-	if allocs > 1.5 {
-		t.Errorf("Complete allocated %.2f objects/op, budget is 1", allocs)
-	}
-}
-
 // hotpathBudget maps every //bolt:hotpath-annotated function in this
 // package to the allocation-budget test that pins its behaviour. The
 // boltlint hotalloc analyzer checks annotated functions statically; this

@@ -27,7 +27,7 @@ const (
 type CompletionConfig struct {
 	Rank int    // latent factor dimensionality; 0 means min(n, 6)
 	Seed uint64 // factor initialisation seed
-	// FixedFoldIn makes Complete run the historical sequential-sweep
+	// FixedFoldIn makes CompleteInto run the historical sequential-sweep
 	// arithmetic: foldInIters ridge-SGD sweeps, one after another. The
 	// default computes the same iterate by matrix powers and agrees with
 	// the sweeps to ~1e-12 relative, which no consumer of completed
@@ -47,8 +47,8 @@ func (c CompletionConfig) withDefaults(n int) CompletionConfig {
 	return c
 }
 
-// completeScratch holds the per-call working memory of Complete, pooled so
-// steady-state completions allocate nothing beyond the returned slice.
+// completeScratch holds the per-call working memory of CompleteInto, pooled
+// so steady-state completions allocate nothing.
 type completeScratch struct {
 	u       []float64 // fold-in factor row (rank)
 	b, v    []float64 // foldPower: sweep offset and a temporary (rank)
@@ -143,26 +143,18 @@ func NewCompleter(train *Matrix, cfg CompletionConfig) *Completer {
 	return c
 }
 
-// Complete folds a sparse observation vector into the learned factor space
-// and returns the dense prediction. known[j] must be true where observed[j]
-// is a real measurement; other entries of observed are ignored. When nothing
-// is known every entry is 0.7·(training column mean) + 0.3·clamp(0): the
-// neighbourhood falls back to the means and the zero factor row predicts 0.
-func (c *Completer) Complete(observed []float64, known []bool) []float64 {
-	out := make([]float64, c.n)
-	c.CompleteInto(out, observed, known)
-	return out
-}
-
-// CompleteInto is Complete writing its prediction into dst (length n)
-// instead of allocating it — the allocation-free form the recommender's
-// detection hot path uses. dst may alias neither observed nor the scratch
-// internals; it is fully overwritten.
+// CompleteInto folds a sparse observation vector into the learned factor
+// space and writes the dense prediction into dst (length n), allocating
+// nothing. known[j] must be true where observed[j] is a real measurement;
+// other entries of observed are ignored. When nothing is known every entry
+// is 0.7·(training column mean) + 0.3·clamp(0): the neighbourhood falls
+// back to the means and the zero factor row predicts 0. dst may alias
+// neither observed nor the scratch internals; it is fully overwritten.
 //
 //bolt:hotpath
 func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	if len(observed) != c.n || len(known) != c.n {
-		panic("mining: Complete length mismatch")
+		panic("mining: CompleteInto length mismatch")
 	}
 	if len(dst) != c.n {
 		panic("mining: CompleteInto dst length mismatch")

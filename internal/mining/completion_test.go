@@ -17,6 +17,13 @@ func trainMatrix(seed uint64, rows, cols int) *Matrix {
 	return m
 }
 
+// complete runs CompleteInto into a fresh slice.
+func complete(c *Completer, observed []float64, known []bool) []float64 {
+	out := make([]float64, len(observed))
+	c.CompleteInto(out, observed, known)
+	return out
+}
+
 func TestCompleterDeterministic(t *testing.T) {
 	train := trainMatrix(1, 30, 10)
 	a := NewCompleter(train, CompletionConfig{Seed: 5})
@@ -25,7 +32,7 @@ func TestCompleterDeterministic(t *testing.T) {
 	known := make([]bool, 10)
 	obs[2], known[2] = 40, true
 	obs[7], known[7] = 60, true
-	da, db := a.Complete(obs, known), b.Complete(obs, known)
+	da, db := complete(a, obs, known), complete(b, obs, known)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, da[i], db[i])
@@ -67,7 +74,7 @@ const boundTol = 1e-9
 // matches to rounding.
 func checkCompletionContract(t testing.TB, power, sweeps *Completer, observed []float64, known []bool, tol float64) {
 	t.Helper()
-	a, b := power.Complete(observed, known), sweeps.Complete(observed, known)
+	a, b := complete(power, observed, known), complete(sweeps, observed, known)
 	for name, out := range map[string][]float64{"matrix powers": a, "sequential sweeps": b} {
 		for j, v := range out {
 			switch {
@@ -150,7 +157,7 @@ func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 func TestCompleterNoObservations(t *testing.T) {
 	train := trainMatrix(3, 20, 10)
 	c := NewCompleter(train, CompletionConfig{Seed: 1})
-	dense := c.Complete(make([]float64, 10), make([]bool, 10))
+	dense := complete(c, make([]float64, 10), make([]bool, 10))
 	// With nothing known the neighbourhood falls back to column means,
 	// blended with the (zero-factor) latent prediction: finite, in-range,
 	// and non-degenerate.
@@ -178,7 +185,7 @@ func TestCompleterLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	c.Complete(make([]float64, 3), make([]bool, 3))
+	complete(c, make([]float64, 3), make([]bool, 3))
 }
 
 func TestNeighbourEstimatePrefersCloseRows(t *testing.T) {
@@ -194,7 +201,7 @@ func TestNeighbourEstimatePrefersCloseRows(t *testing.T) {
 	known := make([]bool, 10)
 	obs[0], known[0] = 79, true
 	obs[1], known[1] = 81, true
-	dense := c.Complete(obs, known)
+	dense := complete(c, obs, known)
 	if dense[2] < 60 {
 		t.Fatalf("column 2 should follow cluster A (≈80), got %v", dense[2])
 	}
@@ -226,20 +233,6 @@ func TestDetectDoesNotMutateInputs(t *testing.T) {
 	for i := range obs {
 		if obs[i] != obsCopy[i] {
 			t.Fatal("Detect mutated its observation slice")
-		}
-	}
-}
-
-func TestConceptResourceLoadingShape(t *testing.T) {
-	rng := stats.NewRNG(8)
-	rec := NewRecommender(synthTrain(rng), RecommenderConfig{})
-	m := rec.ConceptResourceLoading()
-	if m.Rows != 10 || m.Cols != rec.Rank() {
-		t.Fatalf("loading matrix %dx%d, want 10x%d", m.Rows, m.Cols, rec.Rank())
-	}
-	for _, v := range m.Data {
-		if v < 0 {
-			t.Fatal("loadings must be absolute values")
 		}
 	}
 }

@@ -52,15 +52,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := range out {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)

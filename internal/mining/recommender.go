@@ -251,23 +251,6 @@ func (r *Recommender) Sigma() []float64 {
 	return append([]float64(nil), r.svd.Sigma...)
 }
 
-// ConceptResourceLoading returns |V[resource][concept]|, how strongly each
-// resource participates in each retained similarity concept. The paper uses
-// this to argue which resources leak the most information (§3.2).
-func (r *Recommender) ConceptResourceLoading() *Matrix {
-	out := NewMatrix(r.svd.V.Rows, len(r.svd.Sigma))
-	for i := 0; i < out.Rows; i++ {
-		for k := 0; k < out.Cols; k++ {
-			v := r.svd.V.At(i, k)
-			if v < 0 {
-				v = -v
-			}
-			out.Set(i, k, v)
-		}
-	}
-	return out
-}
-
 // ObservedWeightMass returns the fraction of the total per-resource Eq. 1
 // weight (σₖ·|V[j][k]| summed over retained concepts) carried by the
 // resources marked known — how much of the similarity stage's

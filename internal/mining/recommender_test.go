@@ -240,7 +240,7 @@ func TestCompleterRecoversMissing(t *testing.T) {
 	// signature) rather than the column mean.
 	truth := []float64{88, 62, 28, 78, 42, 52, 33, 58, 2, 1}
 	known := []bool{true, false, false, true, false, true, false, false, false, false}
-	dense := c.Complete(truth, known)
+	dense := complete(c, truth, known)
 	for j, k := range known {
 		if k && dense[j] != truth[j] {
 			t.Fatalf("known entry %d overwritten: %v != %v", j, dense[j], truth[j])

@@ -118,13 +118,9 @@ func TestProfileOnceAllDroppedGoesOutSparse(t *testing.T) {
 	if p.CoreShared {
 		t.Error("CoreShared true with no observed core measurement")
 	}
-	obs, known := p.Sparse()
-	for j := range known {
-		if known[j] {
-			t.Fatalf("Sparse known[%d] = true", j)
-		}
-		if obs[j] != 0 {
-			t.Fatalf("Sparse obs[%d] = %g, want 0", j, obs[j])
+	for j, k := range p.Known {
+		if k {
+			t.Fatalf("Known[%d] = true", j)
 		}
 	}
 }

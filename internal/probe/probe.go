@@ -305,12 +305,6 @@ type Profile struct {
 	CoreShared bool
 }
 
-// Sparse converts the profile into the (observed, known) pair the
-// recommender consumes.
-func (p *Profile) Sparse() ([]float64, []bool) {
-	return p.Observed.Slice(), append([]bool(nil), p.Known[:]...)
-}
-
 // ProfileOnce performs one profiling iteration per §3.2: one randomly
 // chosen core benchmark and one uncore benchmark; if the core benchmark
 // reports zero pressure (no shared core) a second uncore benchmark is
@@ -641,41 +635,13 @@ func meanOf(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// ShutterSample is one brief uncore observation.
-type ShutterSample struct {
-	At       sim.Tick
-	Observed sim.Vector // uncore entries only
-}
-
-// Shutter runs the shutter profiling mode of §3.3: many brief (one-tick)
+// ShutterMin runs the shutter profiling mode of §3.3: many brief (one-tick)
 // uncore observations spread over a window, hoping to catch at least one
-// co-resident in a low-load phase. It returns the samples plus the
-// per-resource minimum across the window — the quietest moment, which
-// approximates the pressure of the busiest single co-resident when another
-// one idles.
-func (a *Adversary) Shutter(s *sim.Server, start sim.Tick, samples int, window sim.Tick) ([]ShutterSample, sim.Vector) {
-	if samples <= 0 {
-		samples = 10
-	}
-	out := make([]ShutterSample, 0, samples)
-	minV := a.shutterPass(s, start, samples, window, func(sm ShutterSample) {
-		out = append(out, sm)
-	})
-	return out, minV
-}
-
-// ShutterMin is Shutter returning only the per-resource minima, for callers
-// that fold the quietest moment into a stream and discard the individual
-// samples (the episode escalation ladder). It consumes exactly the random
-// draws Shutter does, so swapping between the two shifts no stream, and it
+// co-resident in a low-load phase. It returns the per-resource minimum
+// across the window — the quietest moment, which approximates the pressure
+// of the busiest single co-resident when another one idles — and
 // allocates nothing.
 func (a *Adversary) ShutterMin(s *sim.Server, start sim.Tick, samples int, window sim.Tick) sim.Vector {
-	return a.shutterPass(s, start, samples, window, nil)
-}
-
-// shutterPass is the shared shutter loop: visit (optional) receives every
-// sample, and the per-resource minima are returned.
-func (a *Adversary) shutterPass(s *sim.Server, start sim.Tick, samples int, window sim.Tick, visit func(ShutterSample)) sim.Vector {
 	a.installFaults(s)
 	if samples <= 0 {
 		samples = 10
@@ -689,16 +655,11 @@ func (a *Adversary) shutterPass(s *sim.Server, start sim.Tick, samples int, wind
 	}
 	for i := 0; i < samples; i++ {
 		t := start + sim.Tick(a.rng.Intn(int(window)))
-		var obs sim.Vector
 		for _, r := range sim.UncoreResources() {
 			v := s.ObservedPressure(a.VM, r, t) + a.rng.Norm(0, a.cfg.NoiseSD/2)
-			obs.Set(r, v)
 			if v < minV.Get(r) {
 				minV.Set(r, stats.Clamp(v, 0, 100))
 			}
-		}
-		if visit != nil {
-			visit(ShutterSample{At: t, Observed: obs})
 		}
 	}
 	return minV

@@ -225,24 +225,6 @@ func TestProfileOnceExtraBench(t *testing.T) {
 	}
 }
 
-func TestProfileSparse(t *testing.T) {
-	s := sim.NewServer("s0", sim.ServerConfig{})
-	adv := NewAdversary("adv", 4, Config{}, stats.NewRNG(8))
-	if err := s.Place(adv.VM); err != nil {
-		t.Fatal(err)
-	}
-	p := adv.ProfileOnce(s, 0, 0)
-	obs, known := p.Sparse()
-	if len(obs) != sim.NumResources || len(known) != sim.NumResources {
-		t.Fatal("Sparse shapes wrong")
-	}
-	for i := range known {
-		if known[i] != p.Known[i] {
-			t.Fatal("Sparse known mask mismatch")
-		}
-	}
-}
-
 func TestProfileCore(t *testing.T) {
 	s := sim.NewServer("s0", sim.ServerConfig{})
 	adv := NewAdversary("adv", 2, Config{NoiseSD: 0.001}, stats.NewRNG(9))
@@ -312,7 +294,7 @@ func TestShutterFindsQuietPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, minV := adv.Shutter(s, 0, 40, 80)
+	minV := adv.ShutterMin(s, 0, 40, 80)
 	// During the bursty victim's off phase only the steady 40% remains.
 	if math.Abs(minV.Get(sim.MemBW)-40) > 6 {
 		t.Fatalf("shutter min MemBW = %v, want ≈40", minV.Get(sim.MemBW))
@@ -320,17 +302,18 @@ func TestShutterFindsQuietPhase(t *testing.T) {
 }
 
 func TestShutterSampleCount(t *testing.T) {
-	s := sim.NewServer("s0", sim.ServerConfig{})
-	adv := NewAdversary("adv", 4, Config{}, stats.NewRNG(11))
-	if err := s.Place(adv.VM); err != nil {
-		t.Fatal(err)
+	// Zero samples and window mean 10 samples over a 10-tick window: the
+	// same draws, so the same minima, as asking for them explicitly.
+	run := func(samples int, window sim.Tick) sim.Vector {
+		s := sim.NewServer("s0", sim.ServerConfig{})
+		adv := NewAdversary("adv", 4, Config{}, stats.NewRNG(11))
+		if err := s.Place(adv.VM); err != nil {
+			t.Fatal(err)
+		}
+		placeVictim(t, s, "v", 2, specWith(map[sim.Resource]float64{sim.MemBW: 40}))
+		return adv.ShutterMin(s, 0, samples, window)
 	}
-	samples, _ := adv.Shutter(s, 0, 25, 50)
-	if len(samples) != 25 {
-		t.Fatalf("got %d samples, want 25", len(samples))
-	}
-	samples, _ = adv.Shutter(s, 0, 0, 0)
-	if len(samples) != 10 {
-		t.Fatalf("default sample count should be 10, got %d", len(samples))
+	if got, want := run(0, 0), run(10, 10); got != want {
+		t.Fatalf("ShutterMin(0, 0) = %v, want ShutterMin(10, 10) = %v", got, want)
 	}
 }

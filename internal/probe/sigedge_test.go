@@ -84,35 +84,3 @@ func TestMergeSignaturesDoesNotMutateInputs(t *testing.T) {
 		t.Error("MergeSignatures mutated its input slices")
 	}
 }
-
-func TestProfileSparseRoundTrip(t *testing.T) {
-	var p Profile
-	p.Observed.Set(sim.MemBW, 63.5)
-	p.Observed.Set(sim.CPU, 12.25)
-	p.Known[sim.MemBW] = true
-	p.Known[sim.CPU] = true
-
-	obs, known := p.Sparse()
-	if len(obs) != sim.NumResources || len(known) != sim.NumResources {
-		t.Fatalf("Sparse lengths = %d/%d, want %d", len(obs), len(known), sim.NumResources)
-	}
-	for j := 0; j < sim.NumResources; j++ {
-		if obs[j] != p.Observed.Get(sim.Resource(j)) {
-			t.Errorf("obs[%d] = %g, want %g", j, obs[j], p.Observed.Get(sim.Resource(j)))
-		}
-		if known[j] != p.Known[j] {
-			t.Errorf("known[%d] = %v, want %v", j, known[j], p.Known[j])
-		}
-	}
-
-	// The returned slices are copies: mutating them must not write through
-	// to the profile.
-	obs[int(sim.MemBW)] = -1
-	known[int(sim.CPU)] = false
-	if got := p.Observed.Get(sim.MemBW); got != 63.5 {
-		t.Errorf("mutating Sparse obs wrote through: Observed[MemBW] = %g", got)
-	}
-	if !p.Known[sim.CPU] {
-		t.Error("mutating Sparse known wrote through: Known[CPU] flipped")
-	}
-}

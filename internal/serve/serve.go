@@ -7,8 +7,8 @@
 // Three contracts define the serving plane (see DESIGN.md "Serving plane"):
 //
 //   - RCU snapshots. The trained detector is held behind an
-//     atomic.Pointer and replaced wholesale by Swap. core.TrainCached's
-//     immutability-after-Train guarantee makes the read side lock-free:
+//     atomic.Pointer and replaced wholesale by Swap. A core.Detector is
+//     immutable once core.Train returns, which makes the read side lock-free:
 //     a worker loads the pointer once per request, and a request in flight
 //     keeps answering from the snapshot it loaded while a background
 //     retrain installs the next one. Nothing is ever mutated in place, so

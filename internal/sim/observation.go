@@ -1,12 +1,12 @@
 package sim
 
 // This file is the server's observation plane: every query about what a VM
-// can see or feel at a tick — ObservedPressure, ObservedVector,
-// Interference, Slowdown, CPUUtilization, HostDemand — is answered from a
-// per-(Server, Tick) demand snapshot in which each VM's Demand(t) was
-// evaluated exactly once. The cached paths reproduce the original
-// per-resource loops operation for operation (same summation order, same
-// clamping), so results are bit-identical to evaluating demands inline.
+// can see or feel at a tick — ObservedPressure, ObservedVector, Slowdown,
+// CPUUtilization, HostDemand — is answered from a per-(Server, Tick)
+// demand snapshot in which each VM's Demand(t) was evaluated exactly once.
+// The cached paths reproduce the original per-resource loops operation for
+// operation (same summation order, same clamping), so results are
+// bit-identical to evaluating demands inline.
 //
 // Snapshot lifetime and invalidation:
 //
@@ -49,7 +49,7 @@ type ObservationFault interface {
 // taken by observer; a nil f clears the hook. The hook applies only to
 // ObservedPressure/ObservedCorePressure queries whose observer matches the
 // registered VM — other VMs' observations and the interference physics
-// (ObservedVector, Interference, Slowdown, HostDemand) are never touched:
+// (ObservedVector, Slowdown, HostDemand) are never touched:
 // faults corrupt what the probe *reads*, not what co-residents *feel*.
 func (s *Server) SetObservationFault(observer *VM, f ObservationFault) {
 	s.obsFaultVM, s.obsFault = observer, f
@@ -308,24 +308,14 @@ func (s *Server) ObservedVector(observer *VM, t Tick) Vector {
 	return s.observedVectorFrom(s.observation(t), observer, t)
 }
 
-// Interference returns, for each resource, the contention pressure the
-// victim experiences from all co-residents (core resources only from
-// core-sharing neighbours), attenuated by isolation visibility. This is the
-// input to the slowdown and latency models. It is served from the per-tick
-// snapshot; re-entrant evaluation must use InterferenceLive.
-//
-//bolt:hotpath
-func (s *Server) Interference(victim *VM, t Tick) Vector {
-	return s.ObservedVector(victim, t)
-}
-
-// InterferenceLive is Interference computed directly from the VMs' current
-// demands, bypassing the per-tick snapshot. It exists for demanders that
-// evaluate their own output from the host's state — workload.Reactive's
-// one-step relaxation calls it while the snapshot may be mid-build, and
-// the values it sees there (raw demand from the VM being computed, full
-// demand from everyone else) are deliberately different from the top-level
-// snapshot view.
+// InterferenceLive is ObservedVector — the contention pressure a victim
+// experiences from all co-residents, the input to the slowdown and latency
+// models — computed directly from the VMs' current demands, bypassing the
+// per-tick snapshot. It exists for demanders that evaluate their own output
+// from the host's state — workload.Reactive's one-step relaxation calls it
+// while the snapshot may be mid-build, and the values it sees there (raw
+// demand from the VM being computed, full demand from everyone else) are
+// deliberately different from the top-level snapshot view.
 //
 //bolt:hotpath
 func (s *Server) InterferenceLive(victim *VM, t Tick) Vector {

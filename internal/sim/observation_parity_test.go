@@ -189,9 +189,6 @@ func (w *parityWorld) check(t *testing.T, at sim.Tick) {
 		if gotV != wantV {
 			t.Fatalf("t=%d observer=%s ObservedVector: got %v want %v", at, name, gotV, wantV)
 		}
-		if inter := s.Interference(obs, at); inter != wantV {
-			t.Fatalf("t=%d observer=%s Interference: got %v want %v", at, name, inter, wantV)
-		}
 		for core := 0; core < s.Config().Cores; core++ {
 			for _, r := range sim.CoreResources() {
 				got := s.ObservedCorePressure(obs, core, r, at)

@@ -384,18 +384,6 @@ func (s *Server) sharesAnyCore(observer *VM) bool {
 	return false
 }
 
-// CoreNeighbors returns the co-resident VMs sharing at least one physical
-// core with vm.
-func (s *Server) CoreNeighbors(vm *VM) []*VM {
-	var out []*VM
-	for _, other := range s.vms {
-		if other != vm && s.SharesCore(vm, other) {
-			out = append(out, other)
-		}
-	}
-	return out
-}
-
 // VMsOnCore returns the VMs other than observer holding a hyperthread of
 // the given physical core.
 func (s *Server) VMsOnCore(observer *VM, coreIdx int) []*VM {

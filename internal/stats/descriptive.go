@@ -89,58 +89,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Histogram is a fixed-width-bin histogram over [Lo, Hi). Values outside the
-// range clamp into the first or last bin. The zero value is not usable;
-// construct with NewHistogram.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// PDF returns each bin's share of the total observations, in percent.
-// An empty histogram yields all zeros.
-func (h *Histogram) PDF() []float64 {
-	pdf := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return pdf
-	}
-	for i, c := range h.Counts {
-		pdf[i] = 100 * float64(c) / float64(h.total)
-	}
-	return pdf
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
 // Counter tallies occurrences of string keys, used for building categorical
 // PDFs (e.g. iterations-until-detection, app-type distributions).
 type Counter struct {
@@ -164,9 +112,6 @@ func (c *Counter) AddN(key string, n int) {
 
 // Count returns the tally for key.
 func (c *Counter) Count(key string) int { return c.counts[key] }
-
-// Total returns the sum of all tallies.
-func (c *Counter) Total() int { return c.total }
 
 // Share returns key's fraction of the total in percent.
 func (c *Counter) Share(key string) float64 {

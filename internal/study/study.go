@@ -221,14 +221,3 @@ func (s *Study) OccurrencePDF() *stats.Counter {
 	}
 	return c
 }
-
-// TrainableJobs counts jobs whose type exists in Bolt's training set.
-func (s *Study) TrainableJobs() int {
-	n := 0
-	for _, j := range s.Jobs {
-		if j.Type.Trainable {
-			n++
-		}
-	}
-	return n
-}

@@ -26,17 +26,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Addf appends a row of formatted cells.
-func (t *Table) Addf(format []string, vals ...any) {
-	row := make([]string, len(format))
-	for i := range format {
-		if i < len(vals) {
-			row[i] = fmt.Sprintf(format[i], vals[i])
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Headers))

@@ -21,14 +21,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableAddf(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.Addf([]string{"%s", "%.1f"}, "x", 3.14159)
-	if tb.Rows[0][1] != "3.1" {
-		t.Fatalf("Addf formatting wrong: %v", tb.Rows[0])
-	}
-}
-
 func TestTableAlignsColumns(t *testing.T) {
 	tb := NewTable("", "short", "x")
 	tb.Add("muchlongercell", "y")

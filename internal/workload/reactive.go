@@ -40,7 +40,7 @@ func (r *Reactive) Bind(host *sim.Server, vm *sim.VM) {
 // fixed point, deterministic and plenty accurate for this model).
 //
 // The nested evaluation goes through sim.Server.InterferenceLive, never
-// the cached Interference: the host's observation plane may be mid-build
+// the cached ObservedVector: the host's observation plane may be mid-build
 // when it evaluates this VM's demand, and the values the relaxation must
 // see (this VM answering with raw demand, everyone else with their full
 // demand) are by design different from the top-level snapshot view. See
