@@ -1,8 +1,8 @@
 // Command boltd runs the detection service as a long-lived daemon: it
 // trains a detector, then answers newline-delimited JSON detection queries
-// over TCP (see internal/serve's wire protocol): requests share a bounded
-// queue and each worker answers one at a time from an immutable RCU-style
-// detector snapshot.
+// over TCP (see internal/serve's wire protocol): each connection's handler
+// answers its own requests, at most -workers of them detecting at once, from
+// an immutable RCU-style detector snapshot.
 //
 // Usage:
 //
@@ -14,9 +14,9 @@
 // from -faultseed. With -retrain > 0 the daemon periodically retrains in
 // the background on a reseeded training set and swaps the new detector in
 // atomically — a request in flight finishes on the snapshot it loaded, the
-// next one sees the new generation. SIGINT or
-// SIGTERM stops accepting connections, drains the queue, and prints the
-// serving counters to stderr.
+// next one sees the new generation. SIGINT or SIGTERM stops accepting
+// connections, lets admitted requests finish, and prints the serving
+// counters to stderr.
 package main
 
 import (
@@ -42,8 +42,8 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:9412", "listen address")
 	seed := flag.Uint64("seed", 42, "training-set seed for the initial detector")
-	workers := flag.Int("workers", 1, "workers pulling from the shared queue")
-	queue := flag.Int("queue", 0, "request queue depth (0 = 256); a full queue sheds with ErrBusy")
+	workers := flag.Int("workers", 1, "detection slots: requests answered at once")
+	queue := flag.Int("queue", 0, "requests that may wait for a slot (0 = 256); one more sheds with ErrBusy")
 	faultrate := flag.Float64("faultrate", 0, "request-level fault intensity in [0,1] (0 = no injection)")
 	faultseed := flag.Uint64("faultseed", 1, "fault-plane RNG seed")
 	retrain := flag.Duration("retrain", 0, "background retrain+swap period (0 = never)")

@@ -56,7 +56,7 @@ func run() int {
 	workersCSV := flag.String("workers", "1,2", "CSV of worker counts to sweep")
 	clientsCSV := flag.String("clients", "16", "CSV of closed-loop client counts to sweep")
 	requests := flag.Int("requests", 65536, "requests answered per configuration")
-	queue := flag.Int("queue", 0, "queue depth (0 = 256)")
+	queue := flag.Int("queue", 0, "requests that may wait for a slot (0 = 256)")
 	seed := flag.Uint64("seed", 42, "workload seed (training set + request streams)")
 	faultrate := flag.Float64("faultrate", 0, "request-level fault intensity in [0,1]")
 	flag.Parse()

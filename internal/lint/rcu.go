@@ -7,11 +7,11 @@ import (
 
 // RCUDisciplineAnalyzer pins the serving plane's RCU snapshot contract
 // (DESIGN.md "Serving plane"): an atomic.Pointer snapshot field is loaded
-// exactly once per batch scope — one Load pins one generation, and every
+// exactly once per request scope — one Load pins one generation, and every
 // read in the scope answers from that pin. Concretely, per function body:
 //
 //   - a second Load of the same field is a re-load: the two pointers may
-//     straddle a Swap, splitting one batch across two detector generations;
+//     straddle a Swap, splitting one request across two detector generations;
 //   - a Load inside a loop re-pins every iteration, same hazard;
 //   - calling a function that itself (transitively) Loads the field from a
 //     scope that already holds a pin is the interprocedural form of the
@@ -24,7 +24,7 @@ import (
 //     is a local built in the same function and not yet shared — are the
 //     one legitimate Store and are exempt;
 //   - a loaded snapshot pointer assigned into a field or package variable
-//     is retained across the batch scope that pinned it; later readers
+//     is retained beyond the scope that pinned it; later readers
 //     would see an arbitrarily stale generation without any Load at all.
 //
 // The field-identity granularity comes from the summary layer's storage
@@ -129,7 +129,7 @@ func checkRCUFunc(pass *Pass, fn *ast.FuncDecl) {
 		loads[op.key]++
 		if loads[op.key] > 1 {
 			pass.Reportf(op.call.Pos(),
-				"atomic.Pointer %s loaded again in the same scope; load once per batch and answer everything from that snapshot (a re-load may straddle a Swap)", shortFieldKey(op.key))
+				"atomic.Pointer %s loaded again in the same scope; load once per request and answer it from that snapshot (a re-load may straddle a Swap)", shortFieldKey(op.key))
 			continue
 		}
 		if op.inLoop {
@@ -156,7 +156,7 @@ func checkRCUFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 			if dst := storageKey(pass, st.Lhs[i]); dst != "" {
 				pass.Reportf(st.Lhs[i].Pos(),
-					"snapshot loaded from atomic.Pointer %s retained in %s beyond the batch scope; pass the pointer down instead of parking it", shortFieldKey(key), shortFieldKey(dst))
+					"snapshot loaded from atomic.Pointer %s retained in %s beyond the scope that loaded it; pass the pointer down instead of parking it", shortFieldKey(key), shortFieldKey(dst))
 			}
 		}
 		return true

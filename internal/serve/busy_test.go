@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"bolt/internal/core"
@@ -10,17 +11,18 @@ import (
 )
 
 // TestServeBusy pins the load-shedding path deterministically. A black-box
-// burst cannot: on a single-P runtime the channel's direct handoff wakes the
-// worker between submissions, so a full queue is never actually observed.
-// Instead the server is built without starting its workers, the depth-1
-// queue is wedged by hand, and the next submission must fail fast with
-// ErrBusy instead of blocking. Starting the workers afterwards drains the
-// wedged call and answers it bit-exactly, proving shedding never corrupts
-// the accepted traffic around it.
+// burst cannot: whether two callers ever overlap depends on the scheduler.
+// Instead the only slot of a Workers 1, QueueDepth 1 server is taken by hand,
+// outside admission, as a detection in progress would hold it. Two callers
+// then wait for it, which fills the admission bound of Workers + QueueDepth,
+// and the next submission must fail fast with ErrBusy instead of waiting.
+// Handing the slot back lets both waiting callers answer bit-exactly,
+// proving shedding never corrupts the accepted traffic around it.
 func TestServeBusy(t *testing.T) {
 	det := core.TrainCached(workload.TrainingSpecs(42), core.Config{})
 	n := det.Rec.ResourceCount()
-	s := newServer(det, Config{Workers: 1, QueueDepth: 1})
+	s := New(det, Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
 
 	rng := stats.NewRNG(3)
 	obs := make([]float64, n)
@@ -31,32 +33,43 @@ func TestServeBusy(t *testing.T) {
 			obs[j] = stats.Clamp(rng.Range(0, 100), 0, 100)
 		}
 	}
+	want := det.DetectProfile(obs, known)
 
-	// Wedge the queue: no worker is running, so this call stays buffered and
-	// queue depth 1 is exhausted.
-	wedged := s.pool.Get().(*call)
-	copy(wedged.observed, obs)
-	copy(wedged.known, known)
-	s.queue <- wedged
+	held := <-s.slots
+	type answer struct {
+		resp Response
+		err  error
+	}
+	waited := make(chan answer, 2)
+	for range 2 {
+		go func() {
+			resp, err := s.Detect(obs, known)
+			waited <- answer{resp, err}
+		}()
+	}
+	for s.admitted.Load() < s.limit {
+		runtime.Gosched()
+	}
 
-	// The submit path must now shed, not block.
+	// The submit path must now shed, not wait.
 	if _, err := s.Detect(obs, known); !errors.Is(err, ErrBusy) {
-		t.Fatalf("submit against a full queue: err = %v, want ErrBusy", err)
+		t.Fatalf("submit past the admission bound: err = %v, want ErrBusy", err)
 	}
 	if st := s.Stats(); st.Shed != 1 || st.Served != 0 {
 		t.Fatalf("stats after shed: served=%d shed=%d, want 0/1", st.Served, st.Shed)
 	}
 
-	// Start the workers: the wedged call drains and answers from the solo
-	// path, and the same submission now succeeds.
-	s.start()
-	<-wedged.done
-	if wedged.err != nil {
-		t.Fatalf("wedged call answered with error: %v", wedged.err)
-	}
-	want := det.DetectProfile(obs, known)
-	if wedged.resp.Confidence != want.Confidence || wedged.resp.Label() != want.Label() {
-		t.Fatal("wedged call's answer diverges from the solo path")
+	// Hand the slot back: both waiting callers answer from the solo path,
+	// and the same submission now succeeds.
+	s.slots <- held
+	for range 2 {
+		a := <-waited
+		if a.err != nil {
+			t.Fatalf("waiting caller answered with error: %v", a.err)
+		}
+		if a.resp.Confidence != want.Confidence || a.resp.Label() != want.Label() {
+			t.Fatal("waiting caller's answer diverges from the solo path")
+		}
 	}
 	resp, err := s.Detect(obs, known)
 	if err != nil {
@@ -65,8 +78,41 @@ func TestServeBusy(t *testing.T) {
 	if resp.Label() != want.Label() || resp.Confidence != want.Confidence {
 		t.Fatal("post-drain answer diverges from the solo path")
 	}
-	if st := s.Stats(); st.Served != 2 || st.Shed != 1 {
-		t.Fatalf("final stats: served=%d shed=%d, want 2/1", st.Served, st.Shed)
+	if st := s.Stats(); st.Served != 3 || st.Shed != 1 {
+		t.Fatalf("final stats: served=%d shed=%d, want 3/1", st.Served, st.Shed)
 	}
-	s.Close()
+}
+
+// TestServeCloseWaitsForHeldSlot pins Close against a detection in
+// progress, here a slot taken by hand: Close refuses new callers at once
+// but does not return until the slot comes back, and then every caller
+// gets ErrClosed.
+func TestServeCloseWaitsForHeldSlot(t *testing.T) {
+	det := core.TrainCached(workload.TrainingSpecs(42), core.Config{})
+	n := det.Rec.ResourceCount()
+	s := New(det, Config{Workers: 1})
+	obs, known := make([]float64, n), make([]bool, n)
+
+	held := <-s.slots
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for !s.closed.Load() {
+		runtime.Gosched()
+	}
+	if _, err := s.Detect(obs, known); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Detect while Close drains: err = %v, want ErrClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a slot was still held")
+	default:
+	}
+	s.slots <- held
+	<-closed
+	if _, err := s.Detect(obs, known); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Detect after Close: err = %v, want ErrClosed", err)
+	}
 }

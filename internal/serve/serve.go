@@ -1,38 +1,41 @@
 // Package serve promotes detection from batch experiments to a long-running
 // service. A Server answers profile-only detection queries (an observed
 // victim pressure vector plus its known mask) from an immutable trained
-// detector snapshot: requests enter a bounded queue and each worker answers
-// one at a time through core.Detector.DetectProfile.
+// detector snapshot: the goroutine that calls Detect answers its own query
+// through core.Detector.DetectProfile once it holds one of the server's
+// detection slots.
 //
 // Three contracts define the serving plane (see DESIGN.md "Serving plane"):
 //
 //   - RCU snapshots. The trained detector is held behind an
 //     atomic.Pointer and replaced wholesale by Swap. A core.Detector is
 //     immutable once core.Train returns, which makes the read side lock-free:
-//     a worker loads the pointer once per request, and a request in flight
+//     a caller loads the pointer once per request, and a request in flight
 //     keeps answering from the snapshot it loaded while a background
 //     retrain installs the next one. Nothing is ever mutated in place, so
 //     there is no quiescence protocol to get wrong.
 //
-//   - Bounded queueing with load shedding. Requests enter a fixed-depth
-//     queue; when it is full, Detect fails fast with ErrBusy instead of
-//     queueing unboundedly. Overload degrades throughput, never memory.
+//   - Bounded admission with load shedding. At most Workers queries are
+//     detected at once and at most QueueDepth more callers wait for a slot;
+//     beyond that, Detect fails fast with ErrBusy instead of waiting
+//     unboundedly. Overload degrades throughput, never memory.
 //
 //   - Bit-exactness. A served answer is bit-identical to a direct
 //     core.Detector.DetectProfile call at every worker count, by
-//     construction: that call is what a worker makes. The serve parity
+//     construction: that call is what Detect makes. The serve parity
 //     test pins it at the service boundary.
 //
 // The request path draws no randomness. The only RNG in the package feeds
 // the optional fault plane (Config.Fault), which perturbs live traffic the
-// way PR 5's plane perturbs simulated probes — and a disabled fault config
-// injects nothing and costs nothing.
+// way the probe-side plane perturbs simulated probes — and a disabled fault
+// config injects nothing and costs nothing.
 package serve
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -41,19 +44,18 @@ import (
 	"bolt/internal/stats"
 )
 
-// Config tunes a Server. The zero value serves correctly: one worker,
-// queue depth 256, no fault injection.
+// Config tunes a Server. The zero value serves correctly: one slot, room
+// for 256 waiting callers, no fault injection.
 type Config struct {
-	// Workers is the number of workers pulling from the shared queue. Each
-	// answers one request at a time, so this bounds the number of
+	// Workers is the number of detection slots, so it bounds the number of
 	// concurrent detections. 0 means 1.
 	Workers int
-	// QueueDepth bounds the request queue; a full queue sheds load with
-	// ErrBusy. 0 means defaultQueueDepth.
+	// QueueDepth bounds how many callers may wait for a slot; a caller
+	// beyond it is shed with ErrBusy. 0 means defaultQueueDepth.
 	QueueDepth int
 	// Fault, when enabled, injects the request-level fault classes
 	// (dropout, corruption) into live traffic before detection, drawing
-	// from per-worker streams split from FaultSeed. Responses report what
+	// from per-slot streams split from FaultSeed. Responses report what
 	// was injected; the confidence score degrades exactly as it does under
 	// the probe-side plane.
 	Fault fault.Config
@@ -61,7 +63,7 @@ type Config struct {
 	FaultSeed uint64
 }
 
-// defaultQueueDepth is the queue bound a zero Config.QueueDepth selects.
+// defaultQueueDepth is the wait bound a zero Config.QueueDepth selects.
 const defaultQueueDepth = 256
 
 func (c Config) withDefaults() Config {
@@ -76,8 +78,9 @@ func (c Config) withDefaults() Config {
 
 // Sentinel errors of the request path.
 var (
-	// ErrBusy is the load-shedding error: the queue is full and the
-	// request was dropped without being enqueued. Retryable.
+	// ErrBusy is the load-shedding error: every slot is taken and
+	// QueueDepth callers already wait, so the request was dropped without
+	// being admitted. Retryable.
 	ErrBusy = errors.New("serve: queue full, request shed")
 	// ErrClosed reports a request submitted after Close.
 	ErrClosed = errors.New("serve: server closed")
@@ -116,91 +119,63 @@ type Stats struct {
 	Swaps     uint64 // snapshot swaps since construction
 }
 
-// snapshot is one immutable detector generation. Workers load it once per
+// snapshot is one immutable detector generation. A caller loads it once per
 // request; Swap installs a successor without disturbing loads in flight.
 type snapshot struct {
 	det     *core.Detector
 	version uint64
-	n       int // resource count, cached for request validation
 }
 
-// call is one in-flight request. Calls are pooled: the done channel and the
-// observed/known buffers are reused across requests, so the steady-state
-// submit path allocates nothing.
-type call struct {
+// slot is what one concurrent detection owns: its fault plane (single-owner,
+// like an adversary's) and the buffers a request is copied into before the
+// plane faults it, so injection never touches caller memory.
+type slot struct {
+	plane    *fault.Plane
 	observed []float64
 	known    []bool
-	resp     Response
-	err      error
-	done     chan struct{} // buffered 1; worker sends exactly once per cycle
 }
 
 // Server is the long-running detection service. Construct with New, submit
 // with Detect (safe for any number of goroutines), retire with Close.
 type Server struct {
-	cfg   Config
+	n     int   // resource count every snapshot expects; Swap keeps it fixed
+	limit int64 // callers admitted at once: Workers + QueueDepth
 	snap  atomic.Pointer[snapshot]
-	queue chan *call
-	pool  sync.Pool
+	// slots holds the idle slots; a caller takes one for its detection and
+	// puts it back. Close takes them all, then closes the channel.
+	slots     chan *slot
+	closed    atomic.Bool
+	closeOnce sync.Once
 
-	// mu guards closed and orders Detect's queue sends before Close's
-	// close(queue); workers hold neither.
-	mu     sync.RWMutex
-	closed bool
-	wg     sync.WaitGroup
-
+	admitted               atomic.Int64 // callers detecting or waiting for a slot
 	served, shed, rejected atomic.Uint64
 	dropped, corrupted     atomic.Uint64
 	swaps                  atomic.Uint64
 }
 
-// New builds and starts a Server answering from det. The detector must
-// already be trained (it is immutable, per the core.Detector contract);
-// train on another goroutine and Swap to replace it later.
+// New builds a Server answering from det. The detector must already be
+// trained (it is immutable, per the core.Detector contract); train on
+// another goroutine and Swap to replace it later. New starts no goroutines.
+//
+// Per-slot fault planes are split in slot order: giving each slot its own
+// stream keeps injection decisions independent of which caller holds which
+// slot.
 func New(det *core.Detector, cfg Config) *Server {
-	s := newServer(det, cfg)
-	s.start()
-	return s
-}
-
-// newServer builds the server without starting its workers; split from New
-// so white-box tests can exercise the submit path against a quiescent
-// queue.
-func newServer(det *core.Detector, cfg Config) *Server {
 	if det == nil {
 		panic("serve: New(nil detector)")
 	}
 	cfg = cfg.withDefaults()
-	n := det.Rec.ResourceCount()
 	s := &Server{
-		cfg:   cfg,
-		queue: make(chan *call, cfg.QueueDepth),
+		n:     det.Rec.ResourceCount(),
+		limit: int64(cfg.Workers + cfg.QueueDepth),
+		slots: make(chan *slot, cfg.Workers),
 	}
-	s.snap.Store(&snapshot{det: det, version: 1, n: n})
-	s.pool.New = func() any {
-		return &call{
-			observed: make([]float64, n),
-			known:    make([]bool, n),
-			done:     make(chan struct{}, 1),
-		}
+	s.snap.Store(&snapshot{det: det, version: 1})
+	rng := stats.NewRNG(cfg.FaultSeed)
+	for range cfg.Workers {
+		s.slots <- &slot{plane: fault.New(cfg.Fault, rng.Split())}
 	}
 	return s
-}
-
-// start launches the workers. Per-worker fault planes are split in
-// worker order: a Plane is single-owner (like an adversary's), and giving
-// each worker its own stream keeps injection decisions independent of which
-// worker drains which request.
-func (s *Server) start() {
-	rng := stats.NewRNG(s.cfg.FaultSeed)
-	planes := make([]*fault.Plane, s.cfg.Workers)
-	for i := range planes {
-		planes[i] = fault.New(s.cfg.Fault, rng.Split())
-	}
-	s.wg.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go s.worker(planes[i])
-	}
 }
 
 // Snapshot returns the current detector and its version. The detector is
@@ -210,23 +185,22 @@ func (s *Server) Snapshot() (*core.Detector, uint64) {
 	return sn.det, sn.version
 }
 
-// Swap installs det as the new answering snapshot, RCU-style: requests
-// picked up after the swap see the new detector, a request already being
-// answered keeps the snapshot it loaded, and nothing blocks. It returns the
-// new snapshot's version. The new detector must expect the same resource
-// count as the current one — requests are validated against the snapshot
-// at submit time, so a width change would invalidate queued requests.
+// Swap installs det as the new answering snapshot, RCU-style: a request that
+// takes its slot after the swap sees the new detector, a request already
+// being answered keeps the snapshot it loaded, and nothing blocks. It
+// returns the new snapshot's version. The new detector must expect the same
+// resource count as the current one: requests are validated against it
+// before they wait for a slot.
 func (s *Server) Swap(det *core.Detector) uint64 {
 	if det == nil {
 		panic("serve: Swap(nil detector)")
 	}
-	n := det.Rec.ResourceCount()
+	if n := det.Rec.ResourceCount(); n != s.n {
+		panic(fmt.Sprintf("serve: Swap detector expects %d resources, serving %d", n, s.n))
+	}
 	for {
 		cur := s.snap.Load()
-		if n != cur.n {
-			panic(fmt.Sprintf("serve: Swap detector expects %d resources, serving %d", n, cur.n))
-		}
-		next := &snapshot{det: det, version: cur.version + 1, n: n}
+		next := &snapshot{det: det, version: cur.version + 1}
 		if s.snap.CompareAndSwap(cur, next) {
 			s.swaps.Add(1)
 			return next.version
@@ -234,21 +208,20 @@ func (s *Server) Swap(det *core.Detector) uint64 {
 	}
 }
 
-// Detect submits one query and blocks until it is answered or shed. The
-// request slices are copied at submit time: the server never retains or
-// mutates caller memory, and the returned Response owns all its data.
+// Detect answers one query on the calling goroutine, waiting first for a
+// free slot if all Workers are taken. The server never retains or mutates
+// the request slices, and the returned Response owns all its data.
 //
-// Errors: ErrBusy when the queue is full (the request was not enqueued;
-// retry or back off), ErrClosed after Close, and ErrBadRequest (wrapped,
-// with detail) for malformed requests — mismatched lengths against the
-// current snapshot, or a known entry that is NaN, infinite, or outside the
-// [0, 100] pressure range.
+// Errors: ErrBusy when QueueDepth callers already wait (the request was not
+// admitted; retry or back off), ErrClosed after Close, and ErrBadRequest
+// (wrapped, with detail) for malformed requests — mismatched lengths
+// against the served resource count, or a known entry that is NaN,
+// infinite, or outside the [0, 100] pressure range.
 func (s *Server) Detect(observed []float64, known []bool) (Response, error) {
-	sn := s.snap.Load()
-	if len(observed) != sn.n || len(known) != sn.n {
+	if len(observed) != s.n || len(known) != s.n {
 		s.rejected.Add(1)
 		return Response{}, fmt.Errorf("%w: got %d observed / %d known entries, want %d",
-			ErrBadRequest, len(observed), len(known), sn.n)
+			ErrBadRequest, len(observed), len(known), s.n)
 	}
 	for j, k := range known {
 		if !k {
@@ -261,42 +234,45 @@ func (s *Server) Detect(observed []float64, known []bool) (Response, error) {
 		}
 	}
 
-	c := s.pool.Get().(*call)
-	copy(c.observed, observed)
-	copy(c.known, known)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.pool.Put(c)
+	if s.closed.Load() {
 		return Response{}, ErrClosed
 	}
-	select {
-	case s.queue <- c:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.pool.Put(c)
+	if s.admitted.Add(1) > s.limit {
+		s.admitted.Add(-1)
 		s.shed.Add(1)
 		return Response{}, ErrBusy
 	}
-
-	<-c.done
-	resp, err := c.resp, c.err
-	s.pool.Put(c)
-	return resp, err
+	defer s.admitted.Add(-1)
+	sl, ok := <-s.slots
+	if !ok {
+		return Response{}, ErrClosed
+	}
+	resp := s.answer(sl, observed, known)
+	s.slots <- sl
+	if s.admitted.Load() > int64(cap(s.slots)) {
+		// A caller waits for a slot, and the send made it runnable on this
+		// processor, where it would sit out the rest of this caller's
+		// request (over the wire: encode, write, read). Yield so the slot's
+		// next detection starts now; DESIGN.md "Why the caller answers"
+		// has the measurement.
+		runtime.Gosched()
+	}
+	return resp, nil
 }
 
-// Close stops accepting requests, drains and answers everything already
-// queued, and waits for the workers to exit. Idempotent; concurrent Detect
-// calls either complete normally or return ErrClosed.
+// Close stops admitting requests, lets every admitted one finish, and
+// returns once none is left. Idempotent; concurrent Detect calls either
+// complete normally or return ErrClosed.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.closeOnce.Do(func() {
+		s.closed.Store(true)
+		for range cap(s.slots) {
+			<-s.slots
+		}
+		// Every slot is held here, so no caller can send one back; callers
+		// still waiting for one wake to ErrClosed.
+		close(s.slots)
+	})
 }
 
 // Stats returns a point-in-time snapshot of the server's counters.
@@ -314,32 +290,26 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// worker answers queued requests one at a time until the queue is closed
-// and drained.
-func (s *Server) worker(plane *fault.Plane) {
-	defer s.wg.Done()
-	for c := range s.queue {
-		s.answer(c, plane)
-	}
-}
-
-// answer serves one request: load the snapshot (the RCU read), run the
-// worker's fault plane over the request, detect, and reply.
-func (s *Server) answer(c *call, plane *fault.Plane) {
-	sn := s.snap.Load()
+// answer serves one request in the slot it holds: run the slot's fault
+// plane over a copy of the request, load the snapshot (the RCU read), and
+// detect.
+func (s *Server) answer(sl *slot, observed []float64, known []bool) Response {
 	dropped, corrupted := 0, 0
-	if plane.Enabled() {
-		dropped, corrupted = plane.FaultProfile(c.observed, c.known)
+	if sl.plane.Enabled() {
+		sl.observed = append(sl.observed[:0], observed...)
+		sl.known = append(sl.known[:0], known...)
+		observed, known = sl.observed, sl.known
+		dropped, corrupted = sl.plane.FaultProfile(observed, known)
 		s.dropped.Add(uint64(dropped))
 		s.corrupted.Add(uint64(corrupted))
 	}
-	c.resp = Response{
-		ProfileDetection: sn.det.DetectProfile(c.observed, c.known),
+	sn := s.snap.Load()
+	resp := Response{
+		ProfileDetection: sn.det.DetectProfile(observed, known),
 		Snapshot:         sn.version,
 		Dropped:          dropped,
 		Corrupted:        corrupted,
 	}
-	c.err = nil
 	s.served.Add(1)
-	c.done <- struct{}{}
+	return resp
 }

@@ -1,7 +1,7 @@
 // Wire protocol: newline-delimited JSON over a stream socket, one request
 // per line, one response per line, answered in request order per
 // connection; concurrency comes from many connections sharing the server's
-// queue. A message is one flat JSON object on one line of at most
+// detection slots. A message is one flat JSON object on one line of at most
 // maxLineBytes, its keys in any order, JSON whitespace anywhere; wirecodec.go
 // holds the codec and states what it rejects. Floats travel as the shortest
 // decimal that round-trips, so the bit-exactness contract survives the wire:

@@ -41,9 +41,10 @@ func startWireServer(t *testing.T, cfg serve.Config) (string, *serve.Server) {
 }
 
 // TestServeCloseLeavesNoGoroutines checks the socket path's goroutine
-// lifetimes at run time: once the clients, the listener and the Server are
-// closed, the accept loop, every per-connection handler and every worker
-// have exited, so the goroutine count returns to what it was before.
+// lifetimes at run time: a Server starts none of its own, since callers
+// answer their own queries, and once the clients, the listener and the
+// Server are closed, the accept loop and every per-connection handler have
+// exited, so the goroutine count returns to what it was before.
 func TestServeCloseLeavesNoGoroutines(t *testing.T) {
 	det := testDetector(t)
 	n := det.Rec.ResourceCount()
@@ -51,6 +52,9 @@ func TestServeCloseLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	srv := serve.New(det, serve.Config{Workers: 2})
+	if g := runtime.NumGoroutine(); g > base {
+		t.Fatalf("New started %d goroutines, want none", g-base)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

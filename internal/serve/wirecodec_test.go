@@ -399,7 +399,7 @@ func TestWireCodecAllocations(t *testing.T) {
 // TestWireRoundTripAllocationBudget pins one served query over loopback TCP,
 // client and server together: the detector's three (Result, Pressure,
 // Matches) and the client's three (Pressure, Label, Best). The plumbing
-// between them — both codecs, the queue hand-off, the socket — adds none.
+// between them — both codecs, the slot, the socket — adds none.
 func TestWireRoundTripAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
