@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"bolt/internal/exper"
-	"bolt/internal/fault"
 	"bolt/internal/fleet"
 )
 
@@ -72,17 +71,10 @@ func run() (code int) {
 		"comma-separated placement policies for the defencesweep experiment (none, pssf, bandit-eps, bandit-ucb, mtd); empty runs the full ladder (different values are different experiments)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after final GC) to this file")
-	faultRate := flag.Float64("faultrate", 0,
-		"inject measurement faults at this rate (0..1) into every adversary without an explicit per-experiment fault config; 0 (default) injects nothing and is byte-identical to builds without the fault plane")
 	flag.Parse()
 
-	if *faultRate < 0 || *faultRate > 1 {
-		fmt.Fprintf(os.Stderr, "boltbench: -faultrate %g outside [0, 1]\n", *faultRate)
-		return 2
-	}
 	// Installed once, before any experiment runs (the deterministic-suite
-	// contract forbids flipping either knob mid-run).
-	fault.SetDefault(fault.Config{Rate: *faultRate})
+	// contract forbids flipping a knob mid-run).
 	exper.SetEpisodeWorkers(*epworkers)
 	fleet.SetShardWorkers(*shardworkers)
 	exper.SetFleetServers(*fleetSize)

@@ -54,10 +54,7 @@ func Confusion(seed uint64) *Report {
 	type trialOutcome struct {
 		gotLabel, gotClass string
 	}
-	trialRngs := make([]*stats.RNG, len(victims))
-	for i := range trialRngs {
-		trialRngs[i] = rng.Split()
-	}
+	trialRngs := rng.SplitN(len(victims))
 	outcomes := make([]trialOutcome, len(victims))
 	forEachEpisode(len(victims), func(i int) {
 		trng := trialRngs[i]

@@ -110,10 +110,7 @@ func DefenceSweep(seed uint64) *Report {
 	// Cells are independent campaigns on private clusters, so they fan out
 	// on the episode pool: one RNG stream per cell split serially up front,
 	// results merged in sweep order (the -epworkers parity contract).
-	rngs := make([]*stats.RNG, len(cells))
-	for i := range rngs {
-		rngs[i] = rng.Split()
-	}
+	rngs := rng.SplitN(len(cells))
 	results := make([]*defenceCell, len(cells))
 	forEachEpisode(len(cells), func(i int) {
 		results[i] = runDefenceCell(rngs[i], det, cells[i].size, cells[i].policy)

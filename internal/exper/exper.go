@@ -1,7 +1,7 @@
 // Package exper implements one reproducible experiment per table and
 // figure in the paper's evaluation. Each experiment returns a Report with
 // paper-style tables/figures plus headline metrics; cmd/boltbench prints
-// them all and bench_test.go exposes one benchmark per experiment.
+// them all, and `boltbench -run <id>` runs one.
 package exper
 
 import (

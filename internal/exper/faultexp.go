@@ -25,9 +25,9 @@ var faultRates = []float64{0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50, 0.75}
 // degradation means accuracy falls smoothly (no cliff below a 20% rate)
 // while the loss is absorbed by "unknown" rather than wrong labels.
 //
-// The rate-0 row runs with no fault plane at all (a disabled config builds
-// none), which is what the chaos-parity golden test pins: the whole suite
-// at fault rate 0 is byte-identical to a build without the fault plane.
+// The rate-0 row runs with no fault plane at all: a disabled config builds
+// none and splits no stream, so its adversaries are the same program every
+// other experiment's are.
 func FaultRate(seed uint64) *Report {
 	rep := newReport("faultrate", "Detection accuracy vs measurement-fault rate")
 	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"sync"
 
 	"bolt/internal/isolation"
 	"bolt/internal/latency"
@@ -35,54 +34,34 @@ func Figure14(seed uint64) *Report {
 		append([]string{"Platform"}, labels...)...)
 
 	// The 18 stack configurations plus the core-isolation-only run are
-	// independent controlled experiments; run them concurrently. Each run
-	// derives all randomness from its own seed, so concurrency cannot
-	// perturb results.
-	type cell struct {
-		platform isolation.Platform
-		step     int
-	}
+	// independent controlled experiments, each deriving all randomness from
+	// seed, so they fan out on the episode pool and are read back from their
+	// slots in configuration order.
 	platforms := isolation.Platforms()
-	accs := make(map[cell]float64)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var cfgs []sim.ServerConfig
 	for _, p := range platforms {
-		for step, cfg := range isolation.Stack(p) {
-			p, step, cfg := p, step, cfg
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res := RunControlled(ControlledConfig{
-					Seed:      seed,
-					Servers:   fig14Servers,
-					Victims:   fig14Victims,
-					ServerCfg: cfg.ServerConfig(8, 2),
-				})
-				mu.Lock()
-				accs[cell{p, step}] = res.Accuracy()
-				mu.Unlock()
-			}()
+		for _, cfg := range isolation.Stack(p) {
+			cfgs = append(cfgs, cfg.ServerConfig(8, 2))
 		}
 	}
-	var coreOnlyAcc float64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		res := RunControlled(ControlledConfig{
+	cfgs = append(cfgs, isolation.CoreIsolationOnly(isolation.Containers).ServerConfig(8, 2))
+	accs := make([]float64, len(cfgs))
+	forEachEpisode(len(cfgs), func(i int) {
+		accs[i] = RunControlled(ControlledConfig{
 			Seed:      seed,
 			Servers:   fig14Servers,
 			Victims:   fig14Victims,
-			ServerCfg: isolation.CoreIsolationOnly(isolation.Containers).ServerConfig(8, 2),
-		})
-		coreOnlyAcc = res.Accuracy()
-	}()
-	wg.Wait()
+			ServerCfg: cfgs[i],
+		}).Accuracy()
+	})
 
+	next := 0
 	for _, p := range platforms {
 		row := []string{p.String()}
 		var xs, ys []float64
 		for step := range isolation.Stack(p) {
-			acc := accs[cell{p, step}]
+			acc := accs[next]
+			next++
 			row = append(row, fmt.Sprintf("%.0f", acc))
 			xs = append(xs, float64(step))
 			ys = append(ys, acc)
@@ -93,7 +72,7 @@ func Figure14(seed uint64) *Report {
 	}
 	rep.Tables = append(rep.Tables, tb)
 	rep.Figures = append(rep.Figures, fig)
-	rep.Metrics["core_isolation_only"] = coreOnlyAcc
+	rep.Metrics["core_isolation_only"] = accs[next]
 	rep.Notes = append(rep.Notes,
 		"paper: accuracy falls from 81% (baremetal/none) to ~50% with all partitioning, 14% with core isolation on containers/VMs; core isolation alone still allows 46%")
 	return rep

@@ -8,13 +8,12 @@ import (
 )
 
 // episodeWorkers is the width of the intra-experiment episode pool;
-// 0 means GOMAXPROCS. It is process-global (like fault.Default) because it
-// is a pure throughput knob: every episode draws from its own pre-split
-// stats.RNG stream and results merge in input order, so the rendered
-// output is byte-identical at every width. The deterministic-suite
-// contract forbids flipping it mid-run for the same reason it forbids
-// flipping the fault default: not because results would change, but so a
-// run's recorded configuration stays meaningful.
+// 0 means GOMAXPROCS. It is process-global because it is a pure
+// throughput knob: every episode draws from its own pre-split stats.RNG
+// stream and results merge in input order, so the rendered output is
+// byte-identical at every width. The deterministic-suite contract forbids
+// flipping it mid-run: not because results would change, but so a run's
+// recorded configuration stays meaningful.
 var episodeWorkers atomic.Int32
 
 // SetEpisodeWorkers fixes how many episodes may run concurrently inside

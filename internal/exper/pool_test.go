@@ -137,7 +137,7 @@ func TestSuiteParityAcrossEpisodeWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the episode-pool experiments four times")
 	}
-	ids := []string{"table1", "confusion"}
+	ids := []string{"table1", "confusion", "faultrate", "fig14"}
 	exps := make([]Experiment, 0, len(ids))
 	for _, id := range ids {
 		e, ok := ByID(id)
@@ -169,4 +169,13 @@ func TestSuiteParityAcrossEpisodeWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+func firstDivergence(a, b []byte) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := max(i-60, 0)
+	return fmt.Sprintf("byte %d:\n  a: …%s…\n  b: …%s…", i, a[lo:min(i+60, len(a))], b[lo:min(i+60, len(b))])
 }

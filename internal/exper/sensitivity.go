@@ -121,12 +121,9 @@ func fig10aInterval(seed uint64, det *core.Detector, rep *Report) *trace.Figure 
 	// every interval fan out on the episode pool: streams are pre-split
 	// serially (one per trial), bodies consume only their own stream, and
 	// the hit counts fold back in trial order.
-	trialRngs := make([]*stats.RNG, trials)
 	hits := make([]bool, trials)
 	for _, intervalSec := range intervals {
-		for tr := range trialRngs {
-			trialRngs[tr] = rng.Split()
-		}
+		trialRngs := rng.SplitN(trials)
 		forEachEpisode(trials, func(tr int) {
 			trng := trialRngs[tr]
 			// Build a phase-changing victim.
@@ -183,14 +180,11 @@ func fig10bVMSize(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
 	const trials = 40
 
 	var xs, ys []float64
-	trialRngs := make([]*stats.RNG, trials)
 	hits := make([]bool, trials)
 	for _, size := range sizes {
 		victims := workload.VictimSpecs(seed^uint64(size), trials)
 		// Pre-split one stream per trial, fan the trials out, count in order.
-		for tr := range trialRngs {
-			trialRngs[tr] = rng.Split()
-		}
+		trialRngs := rng.SplitN(trials)
 		forEachEpisode(trials, func(tr int) {
 			trng := trialRngs[tr]
 			hits[tr] = false
@@ -232,18 +226,12 @@ func fig10cBenchmarks(seed uint64, rep *Report) *trace.Figure {
 	const trials = 40
 
 	var xs, ys []float64
-	trialRngs := make([]*stats.RNG, trials)
 	hits := make([]bool, trials)
 	for _, n := range counts {
-		detN := core.TrainCached(workload.TrainingSpecs(seed), core.Config{
-			ExtraBench:    max(0, n-2),
-			MaxIterations: 1,
-		})
+		detN := core.TrainCached(workload.TrainingSpecs(seed), core.Config{ExtraBench: max(0, n-2)})
 		victims := workload.VictimSpecs(seed^uint64(n)<<8, trials)
 		// Pre-split one stream per trial, fan the trials out, count in order.
-		for tr := range trialRngs {
-			trialRngs[tr] = rng.Split()
-		}
+		trialRngs := rng.SplitN(trials)
 		forEachEpisode(trials, func(tr int) {
 			trng := trialRngs[tr]
 			s := sim.NewServer("s0", sim.ServerConfig{})

@@ -8,7 +8,7 @@
 // stack's graceful degradation can be exercised and measured:
 //
 //   - Dropout: a completed ramp measurement is lost before it reaches the
-//     profile, so the pressure vector goes out sparse (Profile.Sparse).
+//     profile, so the pressure vector goes out sparse.
 //   - Corruption: a single sensor reading picks up a bounded spike before
 //     the adversary sees it (a sim.ObservationFault hook).
 //   - Churn: a co-resident VM is removed mid-profile and re-placed at a
@@ -27,7 +27,6 @@ package fault
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"bolt/internal/sim"
 	"bolt/internal/stats"
@@ -276,23 +275,4 @@ func (p *Plane) restore() {
 	// experiment's ground truth rather than a silent inconsistency.
 	_ = p.churnedFrom.Place(p.churned)
 	p.churned, p.churnedFrom = nil, nil
-}
-
-// defaultCfg is the process-wide fallback config, installed by the
-// boltbench -faultrate flag before the experiment suite starts. Adversaries
-// whose own probe config carries a disabled fault config fall back to it.
-var defaultCfg atomic.Value // Config
-
-// SetDefault installs cfg as the process-wide default fault config. Call
-// it once, before experiments start; flipping it mid-run would make
-// results depend on scheduling.
-func SetDefault(cfg Config) { defaultCfg.Store(cfg) }
-
-// Default returns the process-wide default fault config (zero value if
-// SetDefault was never called).
-func Default() Config {
-	if v := defaultCfg.Load(); v != nil {
-		return v.(Config)
-	}
-	return Config{}
 }

@@ -304,22 +304,6 @@ func TestFaultProfileDropsThenCorrupts(t *testing.T) {
 	}
 }
 
-func TestSetDefaultRoundTrip(t *testing.T) {
-	defer SetDefault(Config{})
-	if got := Default(); got.Enabled() {
-		t.Fatalf("Default() enabled before SetDefault: %+v", got)
-	}
-	want := Config{Rate: 0.2, DisableChurn: true}
-	SetDefault(want)
-	if got := Default(); got != want {
-		t.Errorf("Default() = %+v after SetDefault(%+v)", got, want)
-	}
-	SetDefault(Config{})
-	if Default().Enabled() {
-		t.Error("Default() still enabled after reset")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	want := map[Class]string{
 		Dropout: "dropout", Corruption: "corruption",

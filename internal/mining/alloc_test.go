@@ -36,8 +36,8 @@ func TestDetectAllocationBudget(t *testing.T) {
 }
 
 // TestCompleteIntoAllocationFree covers every fold-in solve CompleteInto can
-// reach: foldPower on the default path, and under FixedFoldIn foldSolve6 at
-// the default rank and the generic foldSolve at another.
+// reach: foldPower on the default path, and under FixedFoldIn foldSolve at
+// the default rank and at another.
 func TestCompleteIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
@@ -49,9 +49,9 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 	obs[7], known[7] = 60, true
 	dst := make([]float64, 10)
 	for name, cfg := range map[string]CompletionConfig{
-		"foldPower":  {Seed: 3},
-		"foldSolve6": {Seed: 3, FixedFoldIn: true},
-		"foldSolve":  {Seed: 3, FixedFoldIn: true, Rank: 4},
+		"foldPower":       {Seed: 3},
+		"foldSolve/rank6": {Seed: 3, FixedFoldIn: true},
+		"foldSolve/rank4": {Seed: 3, FixedFoldIn: true, Rank: 4},
 	} {
 		c := NewCompleter(train, cfg)
 		c.CompleteInto(dst, obs, known) // populate the scratch pool
@@ -78,7 +78,6 @@ var hotpathBudget = map[string]string{
 	"sgdStep":           "TestCompleteIntoAllocationFree",
 	"foldStep":          "TestCompleteIntoAllocationFree",
 	"foldSolve":         "TestCompleteIntoAllocationFree",
-	"foldSolve6":        "TestCompleteIntoAllocationFree",
 	"foldPower":         "TestCompleteIntoAllocationFree",
 	"matVec":            "TestCompleteIntoAllocationFree",
 	"matMul":            "TestCompleteIntoAllocationFree",

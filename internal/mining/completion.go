@@ -177,15 +177,10 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	// toward zero and bias every prediction low, so it is relaxed here.
 	u := s.u
 	lr, reg := 0.01, sgdReg*0.1
-	switch {
-	case !c.cfg.FixedFoldIn:
-		foldPower(s, c.q.Data, s.kidx, observed, lr, reg)
-	case r == 6:
-		// The default rank; the specialised solve keeps the six factor
-		// coordinates in registers across all the sweeps.
-		foldSolve6(u, c.q.Data, s.kidx, observed, lr, reg)
-	default:
+	if c.cfg.FixedFoldIn {
 		foldSolve(u, c.q.Data, s.kidx, observed, lr, reg)
+	} else {
+		foldPower(s, c.q.Data, s.kidx, observed, lr, reg)
 	}
 
 	neighbour := c.neighbourEstimate(s, observed)

@@ -109,39 +109,6 @@ func foldSolve(u, qdata []float64, kidx []int, observed []float64, lr, reg float
 	}
 }
 
-// foldSolve6 is the rank-6 specialisation of foldSolve — the whole sweep
-// loop with the six factor coordinates held in registers, so a sweep touches
-// memory only for q and the observed entries. Each statement replicates
-// foldSolve's floating-point sequence: the dot product accumulates left to
-// right exactly like Dot and the update is foldStep's expression per
-// coordinate. Bit-identity with foldSolve is pinned by
-// TestFoldSolve6MatchesGenericBitExact.
-//
-//bolt:hotpath
-func foldSolve6(u, qdata []float64, kidx []int, observed []float64, lr, reg float64) {
-	var u0, u1, u2, u3, u4, u5 float64
-	for it := 0; it < foldInIters; it++ {
-		for _, j := range kidx {
-			q := qdata[j*6 : j*6+6 : j*6+6]
-			s := 0.0
-			s += u0 * q[0]
-			s += u1 * q[1]
-			s += u2 * q[2]
-			s += u3 * q[3]
-			s += u4 * q[4]
-			s += u5 * q[5]
-			err := observed[j] - s
-			u0 += lr * (err*q[0] - reg*u0)
-			u1 += lr * (err*q[1] - reg*u1)
-			u2 += lr * (err*q[2] - reg*u2)
-			u3 += lr * (err*q[3] - reg*u3)
-			u4 += lr * (err*q[4] - reg*u4)
-			u5 += lr * (err*q[5] - reg*u5)
-		}
-	}
-	u[0], u[1], u[2], u[3], u[4], u[5] = u0, u1, u2, u3, u4, u5
-}
-
 // foldPower writes into s.u the iterate foldSolve reaches from u = 0 after
 // foldInIters sweeps, without running them. One sweep over kidx is an affine
 // map u ← M·u + b: column j contributes the factor (1−lr·reg)·I − lr·q_j·q_jᵀ

@@ -90,34 +90,6 @@ func TestFoldStepMatchesReferenceBitExact(t *testing.T) {
 	}
 }
 
-// TestFoldSolve6MatchesGenericBitExact pins the rank-6 register-resident
-// solve to the generic foldSolve it specialises: same factor bits from no
-// known column up to all of them.
-func TestFoldSolve6MatchesGenericBitExact(t *testing.T) {
-	const n, r = 10, 6
-	const lr, reg = 0.01, 0.002
-	rng := stats.NewRNG(15)
-	qdata := make([]float64, n*r)
-	for i := range qdata {
-		qdata[i] = rng.Norm(0, 0.5)
-	}
-	for nk := 0; nk <= n; nk++ {
-		observed := make([]float64, n)
-		for j := range observed {
-			observed[j] = rng.Range(0, 100)
-		}
-		kidx := rng.Perm(n)[:nk]
-		got, want := randVec(rng, r), randVec(rng, r) // both solve from zero, whatever u held
-		foldSolve6(got, qdata, kidx, observed, lr, reg)
-		foldSolve(want, qdata, kidx, observed, lr, reg)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("known=%d k=%d: foldSolve6=%v, foldSolve=%v", nk, k, got[k], want[k])
-			}
-		}
-	}
-}
-
 // sweepFixedPoint returns the point the fold-in sweeps converge to, given
 // the sweep map u ← M·u + b that foldPower leaves in its scratch: u_k for
 // k = 2⁶⁴ by the doubling rule alone, by when M^k has underflowed to zero.

@@ -125,10 +125,9 @@ type Config struct {
 	// NoiseSD is the measurement noise on the degradation check; 0 means 2.5.
 	NoiseSD float64
 	// Faults configures deterministic fault injection on this adversary's
-	// measurements (internal/fault). The zero value injects nothing and
-	// leaves the probe's random streams untouched; an adversary whose own
-	// config is disabled falls back to fault.Default() (the boltbench
-	// -faultrate knob).
+	// measurements (internal/fault). It is the only way faults reach an
+	// adversary: the zero value injects nothing and leaves the probe's
+	// random streams untouched.
 	Faults fault.Config
 }
 
@@ -172,16 +171,12 @@ func NewAdversary(id string, vcpus int, cfg Config, rng *stats.RNG) *Adversary {
 		cfg:     cfg.withDefaults(),
 		rng:     rng,
 	}
-	fcfg := a.cfg.Faults
-	if !fcfg.Enabled() {
-		fcfg = fault.Default()
-	}
-	if fcfg.Enabled() {
+	if a.cfg.Faults.Enabled() {
 		// The plane gets its own stream so injection decisions never shift
 		// the measurement-noise stream; the Split itself happens only when
 		// faults are on, keeping the rate-0 noise stream byte-identical to a
 		// build without the fault plane.
-		a.faults = fault.New(fcfg, rng.Split())
+		a.faults = fault.New(a.cfg.Faults, rng.Split())
 	}
 	return a
 }
