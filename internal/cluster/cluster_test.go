@@ -176,4 +176,7 @@ func TestMigrationPolicy(t *testing.T) {
 type constApp struct{ d sim.Vector }
 
 func (c constApp) Demand(sim.Tick) sim.Vector { return c.d }
-func (c constApp) Sensitivity() sim.Vector    { return sim.Vector{} }
+func (c constApp) DemandInto(_ sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	*out = c.d
+}
+func (c constApp) Sensitivity() sim.Vector { return sim.Vector{} }

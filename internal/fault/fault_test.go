@@ -11,7 +11,10 @@ import (
 type constApp struct{}
 
 func (constApp) Demand(sim.Tick) sim.Vector { return sim.Vector{} }
-func (constApp) Sensitivity() sim.Vector    { return sim.Vector{} }
+func (constApp) DemandInto(_ sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	*out = sim.Vector{}
+}
+func (constApp) Sensitivity() sim.Vector { return sim.Vector{} }
 
 func newVM(id string, vcpus int) *sim.VM {
 	return &sim.VM{ID: id, VCPUs: vcpus, App: constApp{}}

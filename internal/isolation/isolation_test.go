@@ -164,7 +164,10 @@ func TestVisibilityAffectsObservation(t *testing.T) {
 type fixed struct{}
 
 func (fixed) Demand(sim.Tick) sim.Vector { return sim.Vector{} }
-func (fixed) Sensitivity() sim.Vector    { return sim.Vector{} }
+func (fixed) DemandInto(_ sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	*out = sim.Vector{}
+}
+func (fixed) Sensitivity() sim.Vector { return sim.Vector{} }
 
 type llcHeavy struct{}
 
@@ -172,5 +175,8 @@ func (llcHeavy) Demand(sim.Tick) sim.Vector {
 	var v sim.Vector
 	v.Set(sim.LLC, 80)
 	return v
+}
+func (l llcHeavy) DemandInto(t sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	*out = l.Demand(t)
 }
 func (llcHeavy) Sensitivity() sim.Vector { return sim.Vector{} }

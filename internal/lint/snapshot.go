@@ -10,11 +10,12 @@ import (
 // (internal/sim/observation.go) on both sides of the API:
 //
 //  1. Version discipline — a type implementing sim.DemandVersioner promises
-//     that DemandVersion() changes whenever Demand(t) might. So any method
-//     of such a type that writes a field Demand reads must also write the
-//     field(s) DemandVersion reads. Forgetting the bump leaves a stale
-//     demand snapshot serving same-tick observations — exactly the silent
-//     staleness bug the epoch/version key exists to prevent.
+//     that DemandVersion() changes whenever Demand(t) or DemandInto might.
+//     So any method of such a type that writes a field Demand or
+//     DemandInto reads must also write the field(s) DemandVersion reads.
+//     Forgetting the bump leaves a stale demand snapshot serving same-tick
+//     observations — exactly the silent staleness bug the epoch/version
+//     key exists to prevent.
 //
 //  2. Snapshot retention — outside internal/sim, a value observed from a
 //     server (ObservedVector, Slowdown, HostDemand, Observation, ...)
@@ -102,25 +103,33 @@ func checkVersionDiscipline(pass *Pass) {
 		if !ok || !types.Implements(types.NewPointer(named), iface) {
 			continue
 		}
-		var demandFn, versionFn *ast.FuncDecl
+		// The plane fills its snapshot through DemandInto, so the fields it
+		// reads are demand state just as Demand's are.
+		var demandFns []*ast.FuncDecl
+		var versionFn *ast.FuncDecl
 		for _, m := range methods {
 			switch m.Name.Name {
-			case "Demand":
-				demandFn = m
+			case "Demand", "DemandInto":
+				demandFns = append(demandFns, m)
 			case "DemandVersion":
 				versionFn = m
 			}
 		}
-		if demandFn == nil || versionFn == nil {
+		if len(demandFns) == 0 || versionFn == nil {
 			continue // methods promoted from an embedded type; out of scope
 		}
-		demandFields := receiverFieldsRead(pass, demandFn)
+		demandFields := map[string]bool{}
+		for _, fn := range demandFns {
+			for f := range receiverFieldsRead(pass, fn) {
+				demandFields[f] = true
+			}
+		}
 		versionFields := receiverFieldsRead(pass, versionFn)
 		if len(demandFields) == 0 || len(versionFields) == 0 {
 			continue
 		}
 		for _, m := range methods {
-			if m == demandFn || m == versionFn || m.Body == nil {
+			if m == versionFn || m.Body == nil || m.Name.Name == "Demand" || m.Name.Name == "DemandInto" {
 				continue
 			}
 			writes := receiverFieldsWritten(pass, m)
@@ -143,7 +152,7 @@ func checkVersionDiscipline(pass *Pass) {
 			}
 			if !bumps {
 				pass.Reportf(m.Pos(),
-					"method %s.%s writes state read by Demand but never bumps the demand version; the observation snapshot will serve stale demand", named.Obj().Name(), m.Name.Name)
+					"method %s.%s writes state read by Demand or DemandInto but never bumps the demand version; the observation snapshot will serve stale demand", named.Obj().Name(), m.Name.Name)
 			}
 		}
 	}

@@ -8,12 +8,24 @@ import "bolt/internal/sim"
 // state, so the type implements sim.DemandVersioner.
 type kern struct {
 	intensity sim.Vector
-	version   uint64
+	// ceiling caps what DemandInto writes; Demand never reads it directly.
+	ceiling float64
+	version uint64
 }
 
 func (k *kern) Demand(sim.Tick) sim.Vector { return k.intensity }
 func (k *kern) Sensitivity() sim.Vector    { return sim.Vector{} }
 func (k *kern) DemandVersion() uint64      { return k.version }
+
+// DemandInto is how the observation plane fills its snapshot, so the
+// fields it reads are demand state too.
+func (k *kern) DemandInto(_ sim.Tick, out *sim.Vector, need sim.ResourceSet) {
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		if need.Has(r) {
+			out[r] = min(k.intensity[r], k.ceiling)
+		}
+	}
+}
 
 func (k *kern) Bump() { k.version++ }
 
@@ -24,8 +36,13 @@ func (k *kern) Set(r sim.Resource, v float64) {
 }
 
 // Reset writes demand state and forgets the bump.
-func (k *kern) Reset() { // want `writes state read by Demand but never bumps the demand version`
+func (k *kern) Reset() { // want `writes state read by Demand or DemandInto but never bumps the demand version`
 	k.intensity = sim.Vector{}
+}
+
+// SetCeiling writes a field only DemandInto reads and forgets the bump.
+func (k *kern) SetCeiling(c float64) { // want `method kern.SetCeiling writes state read by Demand or DemandInto but never bumps`
+	k.ceiling = c
 }
 
 // SetQuiet deliberately skips the bump; the doc-comment suppression scopes

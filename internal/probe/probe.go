@@ -95,6 +95,14 @@ func (k *Kernels) Demand(sim.Tick) sim.Vector {
 	return k.intensity
 }
 
+// DemandInto implements sim.Demander: the intensities are at hand, so it
+// writes them all.
+func (k *Kernels) DemandInto(_ sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	*out = k.intensity
+}
+
 // Sensitivity implements sim.Demander. The adversary does not care about
 // its own performance degradation beyond detecting it, so sensitivity is
 // zero for the slowdown model.

@@ -3,26 +3,40 @@ package sim
 // This file is the server's observation plane: every query about what a VM
 // can see or feel at a tick — ObservedPressure, ObservedVector, Slowdown,
 // CPUUtilization, HostDemand — is answered from a per-(Server, Tick)
-// demand snapshot in which each VM's Demand(t) was evaluated exactly once.
-// The cached paths reproduce the original per-resource loops operation for
-// operation (same summation order, same clamping), so results are
-// bit-identical to evaluating demands inline.
+// demand snapshot in which each VM's demand for each resource was
+// evaluated at most once. The cached paths reproduce the original
+// per-resource loops operation for operation (same summation order, same
+// clamping), so results are bit-identical to evaluating demands inline.
 //
 // Snapshot lifetime and invalidation:
 //
 //   - the snapshot is keyed by (tick, server epoch, per-VM demand
 //     versions). Place/Remove bump the epoch; a Demander implementing
 //     DemandVersioner (probe kernels) bumps its version when retuned. Any
-//     mismatch rebuilds the whole snapshot, so demanders that derive their
-//     output from co-residents (workload.Reactive) are re-evaluated
-//     whenever any of their inputs could have changed.
+//     mismatch discards every entry, so demanders that derive their output
+//     from co-residents (workload.Reactive) are re-evaluated whenever any
+//     of their inputs could have changed.
 //
-//   - rebuild evaluates s.vms[i].App.Demand(t) in placement order. A
-//     Demander must not call the server's cached observation methods from
-//     inside Demand; re-entrant evaluation (Reactive's one-step
+//   - the snapshot is filled by resource. Each query names the entries it
+//     reads: ObservedPressure reads {r}, plus LLC for MemBW with an
+//     observer (the squeeze and the spill factor read it); CPUUtilization
+//     reads {CPU}; ObservedVector, Slowdown and HostDemand read all ten.
+//     A query whose entries are not all filled runs one pass over the VMs
+//     in placement order, calling DemandInto with what is missing, and
+//     fills along with it the resources the previous key's queries read
+//     (the working set): a fleet monitor that reads two uncore resources
+//     per tick pays one two-resource pass per tick, not a ten-resource
+//     one, and not one pass per resource.
+//
+//   - a Demander must not call the server's cached observation methods
+//     from inside a fill; re-entrant evaluation (Reactive's one-step
 //     relaxation) must use InterferenceLive, which never touches the
 //     snapshot. The plane carries a `building` flag and panics when a
-//     Demander breaks this rule.
+//     Demander breaks this rule. ObservedCorePressure is the one query
+//     that only rides the snapshot: it reads it when its resource is
+//     already filled and evaluates live otherwise. A resource counts as
+//     filled only once its pass is complete, so a reader that re-enters
+//     during a fill never sees a half-filled column.
 //
 // Reactive re-entrancy contract: workload.Reactive computes its demand
 // from the interference its host reports, which in turn depends on the
@@ -73,9 +87,14 @@ type obsPlane struct {
 	epoch    uint64
 	valid    bool
 	building bool
-	// demand[i] is s.vms[i].App.Demand(tick); versioners[i] is s.vms[i].App
-	// as a DemandVersioner (nil for pure demanders) and versions[i] the
-	// version captured at build time.
+	// have holds the resources whose entries are filled at this key, used
+	// the resources queried at this key, and want the previous key's used:
+	// the working set a fill at this key takes along.
+	have, used, want ResourceSet
+	// demand[i][r] is s.vms[i].App.Demand(tick)[r] for every r in have;
+	// other entries are stale. versioners[i] is s.vms[i].App as a
+	// DemandVersioner (nil for pure demanders) and versions[i] the version
+	// captured when the key was taken.
 	demand     []Vector
 	versioners []DemandVersioner
 	versions   []uint64
@@ -101,45 +120,66 @@ func (o *obsPlane) versionsCurrent() bool {
 	return true
 }
 
-// observation returns the snapshot for tick t, rebuilding it if stale. It
-// panics when called while a rebuild is in progress: the nested view a
-// re-entrant Demander needs differs from the snapshot's (see the file
-// comment), so serving either from the other's path would be wrong.
+// current reports whether the snapshot's key is (t, the server's epoch,
+// the VMs' present demand versions).
 //
 //bolt:hotpath
-func (s *Server) observation(t Tick) *obsPlane {
+func (o *obsPlane) current(s *Server, t Tick) bool {
+	return o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent()
+}
+
+// observation returns the snapshot for tick t with at least the entries
+// of need filled. On a new key it drops every entry and carries the old
+// key's queried set forward as the working set; when need is not all
+// filled it runs one pass over the VMs that fills need and the working
+// set together. It panics when called while a fill is in progress: the
+// nested view a re-entrant Demander needs differs from the snapshot's (see
+// the file comment), so serving either from the other's path would be
+// wrong.
+//
+//bolt:hotpath
+func (s *Server) observation(t Tick, need ResourceSet) *obsPlane {
 	o := &s.obs
 	if o.building {
 		panic("sim: Demander re-entered the cached observation plane; use InterferenceLive")
 	}
-	if o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent() {
+	if !o.current(s, t) {
+		o.resize(len(s.vms))
+		for i, vm := range s.vms {
+			v, _ := vm.App.(DemandVersioner)
+			o.versioners[i] = v
+			if v != nil {
+				o.versions[i] = v.DemandVersion()
+			} else {
+				o.versions[i] = 0
+			}
+		}
+		o.tick, o.epoch, o.valid = t, s.epoch, true
+		o.want, o.used, o.have = o.used, 0, 0
+	}
+	o.used |= need
+	if need&^o.have == 0 {
 		return o
 	}
-	o.valid = false
-	o.resize(len(s.vms))
+	fill := (need | o.want) &^ o.have
 	o.building = true
 	for i, vm := range s.vms {
-		v, _ := vm.App.(DemandVersioner)
-		o.versioners[i] = v
-		if v != nil {
-			o.versions[i] = v.DemandVersion()
-		} else {
-			o.versions[i] = 0
-		}
-		o.demand[i] = vm.App.Demand(t)
+		vm.App.DemandInto(t, &o.demand[i], fill)
 	}
 	o.building = false
-	o.tick, o.epoch, o.valid = t, s.epoch, true
+	o.have |= fill
 	return o
 }
 
 // freshObservation returns the snapshot only if it is already valid for
-// tick t; it never triggers a rebuild. Used by per-core queries, whose
-// live cost is limited to the VMs on one core — cheaper than a whole-host
-// rebuild when nothing else observes this tick.
-func (s *Server) freshObservation(t Tick) *obsPlane {
+// tick t with resource r filled; it never triggers a fill. Used by
+// per-core queries, whose live cost is limited to the VMs on one core —
+// cheaper than a whole-host pass when nothing else observes this tick.
+//
+//bolt:hotpath
+func (s *Server) freshObservation(t Tick, r Resource) *obsPlane {
 	o := &s.obs
-	if o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent() {
+	if o.have.Has(r) && o.current(s, t) {
 		return o
 	}
 	return nil
@@ -182,7 +222,13 @@ func (s *Server) ObservedPressure(observer *VM, r Resource, t Tick) float64 {
 		// spike even when the true reading is zero.
 		return s.faulted(observer, r, t, 0)
 	}
-	return s.faulted(observer, r, t, s.observedPressureFrom(s.observation(t), observer, r, t))
+	need := ResourceSet(1) << r
+	if r == MemBW && observer != nil {
+		// squeezeFor reads the observer's LLC, and the spill factor each
+		// co-resident's LLC and MemBW.
+		need |= 1 << LLC
+	}
+	return s.faulted(observer, r, t, s.observedPressureFrom(s.observation(t, need), observer, r, t))
 }
 
 // observedPressureFrom answers a single-resource query from the snapshot.
@@ -219,8 +265,8 @@ func (s *Server) observedPressureFrom(o *obsPlane, observer *VM, r Resource, t T
 // hyperthreads of that specific core contribute. Because no hyperthread is
 // shared between VMs, this signal belongs to (at most) one co-resident per
 // core — the property §3.3 exploits to measure core pressure accurately in
-// a mixture. It rides an existing snapshot but never forces a rebuild: its
-// live cost is bounded by the VMs on one core.
+// a mixture. It rides the snapshot when r is already filled but never
+// forces a fill: its live cost is bounded by the VMs on one core.
 //
 //bolt:hotpath
 func (s *Server) ObservedCorePressure(observer *VM, coreIdx int, r Resource, t Tick) float64 {
@@ -229,7 +275,7 @@ func (s *Server) ObservedCorePressure(observer *VM, coreIdx int, r Resource, t T
 		return s.ObservedPressure(observer, r, t)
 	}
 	total := 0.0
-	if o := s.freshObservation(t); o != nil {
+	if o := s.freshObservation(t, r); o != nil {
 		for i, vm := range s.vms {
 			if vm != observer && vm.occupiesCore(coreIdx) {
 				total += o.demand[i].Get(r)
@@ -305,7 +351,7 @@ func (s *Server) observedVectorFrom(o *obsPlane, observer *VM, t Tick) Vector {
 //
 //bolt:hotpath
 func (s *Server) ObservedVector(observer *VM, t Tick) Vector {
-	return s.observedVectorFrom(s.observation(t), observer, t)
+	return s.observedVectorFrom(s.observation(t, EveryResource), observer, t)
 }
 
 // InterferenceLive is ObservedVector — the contention pressure a victim
@@ -343,7 +389,7 @@ func (s *Server) InterferenceLive(victim *VM, t Tick) Vector {
 //
 //bolt:hotpath
 func (s *Server) Slowdown(victim *VM, t Tick) float64 {
-	o := s.observation(t)
+	o := s.observation(t, EveryResource)
 	demand, found := Vector{}, false
 	for i, vm := range s.vms {
 		if vm == victim {
@@ -400,7 +446,7 @@ func slowdownWeight(r Resource) float64 {
 //
 //bolt:hotpath
 func (s *Server) CPUUtilization(t Tick) float64 {
-	o := s.observation(t)
+	o := s.observation(t, 1<<CPU)
 	total := 0.0
 	for i := range s.vms {
 		total += o.demand[i].Get(CPU)
@@ -417,7 +463,7 @@ func (s *Server) CPUUtilization(t Tick) float64 {
 //
 //bolt:hotpath
 func (s *Server) HostDemand(t Tick) Vector {
-	o := s.observation(t)
+	o := s.observation(t, EveryResource)
 	var total Vector
 	for i := range s.vms {
 		total.accumulate(&o.demand[i])

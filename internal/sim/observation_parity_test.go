@@ -163,6 +163,58 @@ func (w *parityWorld) removeRandom() {
 	w.s.Remove(vm.ID)
 }
 
+// mix runs a random interleaving of single-resource, per-core and
+// full-vector queries at one key, each against its reference. Its first
+// query lands on a key that holds only the working set carried in from the
+// last one, which is small when only mix ran there; MemBW is asked
+// from a placed observer, whose squeeze reads LLC; a per-core query may
+// find its resource filled or not; and a kernel retune between two
+// queries forces a new key between two partial fills.
+func (w *parityWorld) mix(t *testing.T, at sim.Tick) {
+	t.Helper()
+	s := w.s
+	vms := s.VMs()
+	for q := 0; q < 8; q++ {
+		var obs *sim.VM
+		if len(vms) > 0 && w.rng.Intn(3) > 0 {
+			obs = vms[w.rng.Intn(len(vms))]
+		}
+		switch w.rng.Intn(7) {
+		case 0, 1:
+			r := sim.Resource(w.rng.Intn(sim.NumResources))
+			if got, want := s.ObservedPressure(obs, r, at), refObservedPressure(s, obs, r, at); got != want {
+				t.Fatalf("t=%d mix ObservedPressure(%v): got %v want %v", at, r, got, want)
+			}
+		case 2:
+			if obs == nil {
+				continue
+			}
+			if got, want := s.ObservedPressure(obs, sim.MemBW, at), refObservedPressure(s, obs, sim.MemBW, at); got != want {
+				t.Fatalf("t=%d mix observer=%s ObservedPressure(MemBW): got %v want %v", at, obs.ID, got, want)
+			}
+		case 3:
+			core := w.rng.Intn(s.Config().Cores)
+			r := sim.CoreResources()[w.rng.Intn(4)]
+			if got, want := s.ObservedCorePressure(obs, core, r, at), refObservedCorePressure(s, obs, core, r, at); got != want {
+				t.Fatalf("t=%d mix core=%d ObservedCorePressure(%v): got %v want %v", at, core, r, got, want)
+			}
+		case 4:
+			if got, want := s.CPUUtilization(at), refCPUUtilization(s, at); got != want {
+				t.Fatalf("t=%d mix CPUUtilization: got %v want %v", at, got, want)
+			}
+		case 5:
+			if got, want := s.ObservedVector(obs, at), refObservedVector(s, obs, at); got != want {
+				t.Fatalf("t=%d mix ObservedVector: got %v want %v", at, got, want)
+			}
+		case 6:
+			if len(w.kernels) > 0 {
+				k := w.kernels[w.rng.Intn(len(w.kernels))]
+				k.Set(sim.Resource(w.rng.Intn(sim.NumResources)), float64(w.rng.Intn(100)))
+			}
+		}
+	}
+}
+
 // check asserts every cached observable equals its reference, bit-exactly,
 // and that a second (warm-cache) query returns the same value.
 func (w *parityWorld) check(t *testing.T, at sim.Tick) {
@@ -232,7 +284,7 @@ func TestObservationPlaneMatchesReference(t *testing.T) {
 			w.placeRandom(t)
 		}
 		at := sim.Tick(rng.Intn(500))
-		for step := 0; step < 25; step++ {
+		for step := 0; step < 40; step++ {
 			switch rng.Intn(6) {
 			case 0:
 				w.placeRandom(t)
@@ -252,7 +304,43 @@ func TestObservationPlaneMatchesReference(t *testing.T) {
 			case 5:
 				// same tick, no mutation: exercises the warm snapshot
 			}
-			w.check(t, at)
+			w.mix(t, at)
+			if rng.Intn(2) == 0 {
+				w.check(t, at)
+			}
 		}
+	}
+}
+
+// TestObservationFillAllocationFree pins the per-resource fill at zero
+// allocations: single-resource, MemBW-with-observer, per-core and CPU
+// queries at a new tick each iteration, through App's partial kernel and
+// a kernel set's whole-vector DemandInto.
+func TestObservationFillAllocationFree(t *testing.T) {
+	rng := stats.NewRNG(5)
+	s := sim.NewServer("alloc", sim.ServerConfig{})
+	for i, spec := range []workload.Spec{workload.Memcached(rng.Split(), 0), workload.Hadoop(rng.Split(), 1), workload.Spark(rng.Split(), 2)} {
+		vm := &sim.VM{ID: fmt.Sprintf("app%d", i), VCPUs: 2, App: workload.NewApp(spec, workload.Diurnal{Min: 0.2, Max: 0.9, Period: 300}, rng.Uint64())}
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := probe.NewKernels(100)
+	k.Set(sim.LLC, 60)
+	adv := &sim.VM{ID: "adv", VCPUs: 4, App: k}
+	if err := s.Place(adv); err != nil {
+		t.Fatal(err)
+	}
+	tick := sim.Tick(0)
+	query := func() {
+		tick++
+		s.ObservedPressure(nil, sim.DiskBW, tick)
+		s.ObservedPressure(adv, sim.MemBW, tick)
+		s.ObservedCorePressure(adv, 0, sim.CPU, tick)
+		s.CPUUtilization(tick)
+	}
+	query() // size the snapshot
+	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+		t.Fatalf("per-resource fill allocated %.2f objects per tick, want 0", allocs)
 	}
 }

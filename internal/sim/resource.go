@@ -74,6 +74,16 @@ func UncoreResources() []Resource {
 	return []Resource{LLC, MemCap, MemBW, NetBW, DiskCap, DiskBW}
 }
 
+// ResourceSet is a set of resources: bit r stands for Resource r. It names
+// the entries of a demand vector a query reads (see Demander.DemandInto).
+type ResourceSet uint16
+
+// EveryResource is the set of all ten resources.
+const EveryResource ResourceSet = 1<<NumResources - 1
+
+// Has reports whether r is in the set.
+func (s ResourceSet) Has(r Resource) bool { return s&(1<<r) != 0 }
+
 // Vector is a per-resource pressure vector with entries in [0, 100].
 type Vector [NumResources]float64
 

@@ -25,26 +25,33 @@ func (t Tick) Seconds() float64 { return float64(t) / TicksPerSecond }
 // resource (0-1). Application models in internal/workload implement it.
 //
 // Demand(t) must be deterministic for a fixed t and fixed world state:
-// the server's observation plane evaluates each VM's demand once per tick
-// and serves every same-tick observation from that snapshot. A Demander
-// whose output can change between two calls at the same tick (because some
-// out-of-band state was mutated, like a contention kernel's intensity)
-// must also implement DemandVersioner so the snapshot can be invalidated.
+// the server's observation plane evaluates each VM's demand at most once
+// per resource per tick and serves every same-tick observation from that
+// snapshot. A Demander whose output can change between two calls at the
+// same tick (because some out-of-band state was mutated, like a contention
+// kernel's intensity) must also implement DemandVersioner so the snapshot
+// can be invalidated.
+//
+// DemandInto is how the plane fills its snapshot: it writes Demand(t)[r]
+// into out[r] for every r in need, bit for bit. It may write other entries
+// of out, but only with their true values, so a Demander that has the
+// whole vector at hand (a kernel set, a reactive wrapper) simply stores it.
 type Demander interface {
 	Demand(t Tick) Vector
+	DemandInto(t Tick, out *Vector, need ResourceSet)
 	Sensitivity() Vector
 }
 
 // DemandVersioner is implemented by Demanders whose Demand(t) can change
 // at a fixed tick through out-of-band mutation (probe kernels being
 // retuned, an attack toggling its helpers). DemandVersion must return a
-// counter that increases whenever the next Demand call might differ from
-// the previous one at the same tick. Mutations that arrive through the
-// server itself — placement changes — are tracked by the server's own
-// epoch and need no version; and a Demander that derives its output from
-// co-residents' demands (workload.Reactive) is covered transitively,
-// because any change to its inputs either bumps a version or the epoch,
-// and invalidation rebuilds the whole snapshot.
+// counter that increases whenever the next Demand or DemandInto call might
+// differ from the previous one at the same tick. Mutations that arrive
+// through the server itself — placement changes — are tracked by the
+// server's own epoch and need no version; and a Demander that derives its
+// output from co-residents' demands (workload.Reactive) is covered
+// transitively, because any change to its inputs either bumps a version or
+// the epoch, and invalidation discards the whole snapshot.
 type DemandVersioner interface {
 	DemandVersion() uint64
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,8 +13,9 @@ type fixedApp struct {
 	sens   Vector
 }
 
-func (f fixedApp) Demand(Tick) Vector  { return f.demand }
-func (f fixedApp) Sensitivity() Vector { return f.sens }
+func (f fixedApp) Demand(Tick) Vector                            { return f.demand }
+func (f fixedApp) DemandInto(_ Tick, out *Vector, _ ResourceSet) { *out = f.demand }
+func (f fixedApp) Sensitivity() Vector                           { return f.sens }
 
 func vec(vals map[Resource]float64) Vector {
 	var v Vector
@@ -411,7 +413,8 @@ func (r *reentrantApp) Demand(t Tick) Vector {
 	v.Set(MemBW, r.host.ObservedPressure(r.vm, MemBW, t))
 	return v
 }
-func (r *reentrantApp) Sensitivity() Vector { return Vector{} }
+func (r *reentrantApp) DemandInto(t Tick, out *Vector, _ ResourceSet) { *out = r.Demand(t) }
+func (r *reentrantApp) Sensitivity() Vector                           { return Vector{} }
 
 func TestReentrantDemanderPanics(t *testing.T) {
 	s := NewServer("s0", ServerConfig{})
@@ -429,4 +432,98 @@ func TestReentrantDemanderPanics(t *testing.T) {
 		}
 	}()
 	s.CPUUtilization(0)
+}
+
+// recordingApp is a fixedApp that logs the set each DemandInto call asks
+// for.
+type recordingApp struct {
+	fixedApp
+	asked *[]ResourceSet
+}
+
+func (r recordingApp) DemandInto(t Tick, out *Vector, need ResourceSet) {
+	*r.asked = append(*r.asked, need)
+	r.fixedApp.DemandInto(t, out, need)
+}
+
+// TestObservationFillsWorkingSet pins the fill rule: one pass per query
+// that finds its entries missing, filling what it reads plus what the
+// previous key's queries read, and nothing more.
+func TestObservationFillsWorkingSet(t *testing.T) {
+	s := NewServer("s0", ServerConfig{})
+	var asked []ResourceSet
+	obs := newVM("obs", 2, vec(map[Resource]float64{LLC: 30}))
+	app := recordingApp{fixedApp{demand: vec(map[Resource]float64{MemBW: 20, DiskBW: 40, CPU: 10})}, &asked}
+	for _, vm := range []*VM{obs, {ID: "rec", VCPUs: 2, App: app}} {
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const disks = 1<<DiskBW | 1<<DiskCap
+	steps := []struct {
+		query func(Tick)
+		at    Tick
+		want  []ResourceSet // sets asked of the recording app by this query
+	}{
+		{func(t Tick) { s.ObservedPressure(nil, DiskBW, t) }, 1, []ResourceSet{1 << DiskBW}},
+		{func(t Tick) { s.ObservedPressure(nil, DiskCap, t) }, 1, []ResourceSet{1 << DiskCap}},
+		{func(t Tick) { s.ObservedPressure(nil, DiskBW, t) }, 1, nil},
+		// The next tick takes the working set along on its first pass.
+		{func(t Tick) { s.ObservedPressure(nil, DiskBW, t) }, 2, []ResourceSet{disks}},
+		{func(t Tick) { s.ObservedPressure(nil, DiskCap, t) }, 2, nil},
+		{func(t Tick) { s.CPUUtilization(t) }, 2, []ResourceSet{1 << CPU}},
+		{func(t Tick) { s.ObservedPressure(nil, DiskCap, t) }, 3, []ResourceSet{disks | 1<<CPU}},
+		// MemBW from a placed observer also reads LLC.
+		{func(t Tick) { s.ObservedPressure(obs, MemBW, t) }, 3, []ResourceSet{1<<MemBW | 1<<LLC}},
+		{func(t Tick) { s.ObservedPressure(obs, LLC, t) }, 3, nil},
+		{func(t Tick) { s.HostDemand(t) }, 3, []ResourceSet{EveryResource &^ (disks | 1<<CPU | 1<<MemBW | 1<<LLC)}},
+		{func(t Tick) { s.ObservedPressure(nil, DiskBW, t) }, 4, []ResourceSet{EveryResource}},
+	}
+	for i, st := range steps {
+		asked = asked[:0]
+		st.query(st.at)
+		if !slices.Equal(asked, st.want) {
+			t.Fatalf("step %d at tick %d: asked %010b, want %010b", i, st.at, asked, st.want)
+		}
+	}
+}
+
+// coreReader is a Demander that, while the plane fills it, reads the CPU
+// pressure its host reports for its core — a re-entrant per-core query.
+type coreReader struct {
+	host *Server
+	vm   *VM
+	got  []float64
+}
+
+func (c *coreReader) Demand(Tick) Vector { return Vector{} }
+func (c *coreReader) DemandInto(t Tick, out *Vector, _ ResourceSet) {
+	c.got = append(c.got, c.host.ObservedCorePressure(c.vm, 0, CPU, t))
+	*out = Vector{}
+}
+func (c *coreReader) Sensitivity() Vector { return Vector{} }
+
+// TestReentrantCoreReadSeesLiveValue pins the have-bit rule: a column
+// counts as filled only once its pass is over, so a per-core query made
+// from inside a fill evaluates live instead of reading the entries the
+// pass has not reached yet.
+func TestReentrantCoreReadSeesLiveValue(t *testing.T) {
+	s := NewServer("s0", ServerConfig{Cores: 1, ThreadsPerCore: 2})
+	reader := &coreReader{host: s}
+	reader.vm = &VM{ID: "reader", VCPUs: 1, App: reader}
+	// The reader is placed first, so its fill runs before its sibling's
+	// CPU entry is written.
+	for _, vm := range []*VM{reader.vm, newVM("sibling", 1, vec(map[Resource]float64{CPU: 30}))} {
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u := s.CPUUtilization(0); u != 30 {
+		t.Fatalf("CPUUtilization = %v, want 30", u)
+	}
+	// A second pass at the same key finds CPU filled and reads it.
+	s.ObservedPressure(nil, DiskBW, 0)
+	if want := []float64{30, 30}; !slices.Equal(reader.got, want) {
+		t.Fatalf("re-entrant ObservedCorePressure read %v, want the live %v", reader.got, want)
+	}
 }

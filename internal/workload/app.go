@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/bits"
+
 	"bolt/internal/sim"
 )
 
@@ -41,10 +43,12 @@ func (s *Spec) sensitivity() sim.Vector {
 // deterministic noise stream. App implements sim.Demander. Demand is a pure
 // function of the tick and Start, so repeated queries for the same time
 // agree — the simulator may evaluate a tick several times (probe ramps,
-// utilisation checks) and must see a consistent world. Spec and Pattern are
-// frozen at NewApp: Demand's memo is keyed on (tick, Start) only, so
-// mutating either after the first Demand call serves stale vectors. Start
-// may be set at any time.
+// utilisation checks) and must see a consistent world. Demand and
+// DemandInto share one kernel that evaluates only the resources asked for,
+// so each entry is the same bits whether it is computed alone or with the
+// whole vector. Spec and Pattern are frozen at NewApp: Demand's memo is
+// keyed on (tick, Start) only, so mutating either after the first Demand
+// call serves stale vectors. Start may be set at any time.
 type App struct {
 	Spec    Spec
 	Pattern LoadPattern
@@ -75,34 +79,70 @@ func NewApp(spec Spec, pattern LoadPattern, seed uint64) *App {
 }
 
 // Demand implements sim.Demander: the base profile split into a fixed and a
-// load-following component, modulated by the pattern and jitter.
-//
-// It is one fused pass per tick. Base and LoadScaled are indexed through
-// pointers (no 80-byte copies), the result is clamped straight into the
-// memo, and what does not depend on the resource is computed once: the
-// Jitter read and the per-tick half of the splitmix64 mix. The noise for
-// resource r at tick t is the splitmix64 finaliser of seed ^ t·φ ^ (r+1)·c
-// mapped to a uniform factor in [1-2j, 1+2j] (cheap, bounded, mean 1, no
-// mutable RNG state). Every floating-point expression keeps its historical
-// operand order, so the output is bit-identical to the straight-line form
-// the tests keep as a reference (referenceDemand).
+// load-following component, modulated by the pattern and jitter. It is the
+// memo check plus the demand kernel at every resource, written straight
+// into the memo.
 //
 //bolt:hotpath
 func (a *App) Demand(t sim.Tick) sim.Vector {
-	if a.memoValid && a.memoTick == t && a.memoStart == a.Start {
+	if a.memoHit(t) {
 		return a.memoVal
 	}
-	rel := t - a.Start
-	if rel < 0 {
-		return sim.Vector{}
+	if t < a.Start {
+		return sim.Vector{} // the memo keeps the last tick it holds
 	}
-	// Factor runs before the in-place write below: a pattern that re-enters
+	a.demandKernel(t, &a.memoVal, sim.EveryResource)
+	a.memoTick, a.memoStart, a.memoValid = t, a.Start, true
+	return a.memoVal
+}
+
+// DemandInto implements sim.Demander: it copies the memo when it holds
+// tick t and runs the demand kernel over need otherwise. A partial fill
+// never writes the memo, which holds whole vectors only.
+//
+//bolt:hotpath
+func (a *App) DemandInto(t sim.Tick, out *sim.Vector, need sim.ResourceSet) {
+	switch {
+	case a.memoHit(t):
+		*out = a.memoVal
+	case t < a.Start:
+		*out = sim.Vector{}
+	default:
+		a.demandKernel(t, out, need)
+	}
+}
+
+// memoHit reports whether the memo holds Demand(t).
+//
+//bolt:hotpath
+func (a *App) memoHit(t sim.Tick) bool {
+	return a.memoValid && a.memoTick == t && a.memoStart == a.Start
+}
+
+// demandKernel writes Demand(t)[r] into out[r] for every r in need, for a
+// tick t at or after Start.
+//
+// It is one fused pass over the set bits of need. Base and LoadScaled are
+// indexed through pointers (no 80-byte copies), each entry is clamped
+// straight into out, and what does not depend on the resource is computed
+// once: the Jitter read and the per-tick half of the splitmix64 mix. The
+// noise for resource r at tick t is the splitmix64 finaliser of
+// seed ^ t·φ ^ (r+1)·c mapped to a uniform factor in [1-2j, 1+2j] (cheap,
+// bounded, mean 1, no mutable RNG state). Every floating-point expression
+// keeps its historical operand order, so each entry is bit-identical to
+// the straight-line form the tests keep as a reference (referenceDemand),
+// whichever other entries are filled with it.
+//
+//bolt:hotpath
+func (a *App) demandKernel(t sim.Tick, out *sim.Vector, need sim.ResourceSet) {
+	// Factor runs before the in-place writes below: a pattern that re-enters
 	// the observation plane must never find the memo half-written.
-	load := a.Pattern.Factor(rel)
-	base, scaled, out := &a.Spec.Base, &a.Spec.LoadScaled, &a.memoVal
+	load := a.Pattern.Factor(t - a.Start)
+	base, scaled := &a.Spec.Base, &a.Spec.LoadScaled
 	jitter := a.Spec.Jitter
 	tickMix := a.seed ^ (uint64(t) * 0x9e3779b97f4a7c15)
-	for r := range base {
+	for m := uint16(need); m != 0; m &= m - 1 {
+		r := bits.TrailingZeros16(m)
 		b, frac := base[r], scaled[r]/100
 		level := b*(1-frac) + b*frac*load
 		if jitter != 0 {
@@ -114,8 +154,6 @@ func (a *App) Demand(t sim.Tick) sim.Vector {
 		}
 		out.Set(sim.Resource(r), level)
 	}
-	a.memoTick, a.memoStart, a.memoValid = t, a.Start, true
-	return a.memoVal
 }
 
 // Sensitivity implements sim.Demander.
@@ -170,6 +208,11 @@ func (s *Sequence) active(t sim.Tick) int {
 // Demand implements sim.Demander.
 func (s *Sequence) Demand(t sim.Tick) sim.Vector {
 	return s.apps[s.active(t)].Demand(t)
+}
+
+// DemandInto implements sim.Demander by delegating to the active phase.
+func (s *Sequence) DemandInto(t sim.Tick, out *sim.Vector, need sim.ResourceSet) {
+	s.apps[s.active(t)].DemandInto(t, out, need)
 }
 
 // Sensitivity implements sim.Demander. It reports the sensitivity of the

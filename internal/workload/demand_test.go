@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"bolt/internal/sim"
@@ -62,6 +63,71 @@ func TestDemandMatchesReferenceBitExact(t *testing.T) {
 						if got, want := app.Demand(tick), referenceDemand(app, tick); got != want {
 							t.Fatalf("%s jitter=%v %T tick %d:\n got %v\nwant %v",
 								spec.Label, jitter, p, tick, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDemandIntoMatchesReferenceBitExact checks every entry DemandInto is
+// asked for against referenceDemand, bit for bit, over every single
+// resource, 64 random sets and all ten; from a cold and a warm memo; and
+// before Start. Entries outside the set must be left alone or hold their
+// true value, and a fill from a cold memo must leave the memo as it was.
+func TestDemandIntoMatchesReferenceBitExact(t *testing.T) {
+	rng := stats.NewRNG(64)
+	var masks []sim.ResourceSet
+	for r := sim.Resource(0); r < sim.NumResources; r++ {
+		masks = append(masks, sim.ResourceSet(1)<<r)
+	}
+	for i := 0; i < 64; i++ {
+		masks = append(masks, sim.ResourceSet(rng.Uint64())&sim.EveryResource)
+	}
+	masks = append(masks, sim.EveryResource)
+	patterns := []LoadPattern{
+		Constant{Level: 0.8},
+		Diurnal{Min: 0.2, Max: 0.95, Period: 700, Phase: 0.3},
+		Bursty{OnLevel: 0.9, OffLevel: 0.1, OnTicks: 120, OffTicks: 45, Offset: 17},
+		Batch{Ramp: 40, Duration: 3000, Level: 0.9},
+	}
+	// Start is 6, so the first two ticks have rel < 0 and 6 has rel == 0.
+	ticks := []sim.Tick{0, 5, 6, 7, 46, 171, 1024, 3005, 3006, 4099, 8191}
+	const untouched = -1.0
+	for gi, g := range Generators() {
+		for variant := 0; variant < 3; variant++ {
+			spec := g.Make(stats.NewRNG(uint64(gi*31+variant)), variant)
+			for _, jitter := range []float64{0, spec.Jitter} {
+				spec.Jitter = jitter
+				for _, p := range patterns {
+					app := NewApp(spec, p, uint64(gi)<<8|uint64(variant))
+					app.Start = 6
+					for _, tick := range ticks {
+						want := referenceDemand(app, tick)
+						for _, warm := range []bool{false, true} {
+							if warm {
+								app.Demand(tick) // a memo hit from here on (none before Start)
+							}
+							memoTick, memoValid := app.memoTick, app.memoValid
+							for _, need := range masks {
+								var out sim.Vector
+								for r := range out {
+									out[r] = untouched
+								}
+								app.DemandInto(tick, &out, need)
+								for r := sim.Resource(0); r < sim.NumResources; r++ {
+									got := math.Float64bits(out[r])
+									if need.Has(r) && got != math.Float64bits(want[r]) ||
+										!need.Has(r) && out[r] != untouched && got != math.Float64bits(want[r]) {
+										t.Fatalf("%s jitter=%v %T tick %d warm=%v need %010b: entry %v = %v, want %v",
+											spec.Label, jitter, p, tick, warm, need, r, out[r], want[r])
+									}
+								}
+							}
+							if app.memoTick != memoTick || app.memoValid != memoValid {
+								t.Fatalf("%s tick %d warm=%v: DemandInto wrote the memo", spec.Label, tick, warm)
+							}
 						}
 					}
 				}

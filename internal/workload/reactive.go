@@ -85,6 +85,12 @@ func (r *Reactive) Demand(t sim.Tick) sim.Vector {
 	return out
 }
 
+// DemandInto implements sim.Demander. The attenuation couples every
+// resource through the slowdown, so it writes the whole vector.
+func (r *Reactive) DemandInto(t sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	*out = r.Demand(t)
+}
+
 // Sensitivity implements sim.Demander.
 func (r *Reactive) Sensitivity() sim.Vector { return r.App.Sensitivity() }
 

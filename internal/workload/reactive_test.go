@@ -18,6 +18,9 @@ func (k kernelApp) Demand(sim.Tick) sim.Vector {
 	d.Set(k.r, k.v)
 	return d
 }
+func (k kernelApp) DemandInto(t sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
+	*out = k.Demand(t)
+}
 func (k kernelApp) Sensitivity() sim.Vector { return sim.Vector{} }
 
 func reactiveVictim(t *testing.T, s *sim.Server) (*Reactive, *sim.VM) {
