@@ -5,6 +5,7 @@ import (
 
 	"bolt/internal/cluster"
 	"bolt/internal/fleet"
+	"bolt/internal/par"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
 	"bolt/internal/workload"
@@ -134,13 +135,31 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 	c.aff, _ = sched.(*cluster.Affinity)
 
 	// Background tenants predate the attack, so they are placed directly
-	// rather than through the scheduler under test.
-	c.live = make([][]string, servers)
-	for i := range c.Cl.Servers {
-		for j := 0; j < CampaignBackgroundVMs; j++ {
-			c.addBackground(i)
-		}
+	// rather than through the scheduler under test. Tenant k =
+	// i·CampaignBackgroundVMs + j is server i's j-th; its spec stream and
+	// noise seed are drawn serially, in k order, exactly as one
+	// addBackground call per tenant would draw them, and only then are the
+	// servers seeded on the shard pool. A per-server body builds and places
+	// that server's tenants and writes nothing but Servers[i] and live[i],
+	// so the fleet is the same at every worker count.
+	nbg := servers * CampaignBackgroundVMs
+	rngs := make([]*stats.RNG, nbg)
+	seeds := make([]uint64, nbg)
+	for k := range rngs {
+		rngs[k] = rng.Split()
+		seeds[k] = rng.Uint64()
 	}
+	c.live = make([][]string, servers)
+	par.FanOutBlocks(servers, fleet.ShardWorkers(),
+		func(lo int) string { return fmt.Sprintf("campaign seeding at server %d", lo) },
+		func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				for k := i * CampaignBackgroundVMs; k < (i+1)*CampaignBackgroundVMs; k++ {
+					c.placeBackground(i, k, rngs[k], seeds[k])
+				}
+			}
+		})
+	c.nextBG = nbg
 
 	// Victims: one labelled SQL service instance per 64 servers, placed
 	// through the scheduler (the victim is an ordinary tenant).
@@ -184,16 +203,29 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 	return c
 }
 
-// addBackground launches one background tenant VM directly on server i.
+// backgroundSpecs are the background tenants' workload classes, taken in
+// rotation by tenant number.
+var backgroundSpecs = [...]func(*stats.RNG, int) workload.Spec{
+	workload.Memcached, workload.Hadoop, workload.Spark, workload.Webserver,
+}
+
+// addBackground launches the next background tenant VM directly on server
+// i, drawing its spec stream and noise seed from the campaign's RNG.
 func (c *Campaign) addBackground(i int) {
-	mk := []func(*stats.RNG, int) workload.Spec{
-		workload.Memcached, workload.Hadoop, workload.Spark, workload.Webserver,
-	}
-	spec := mk[c.nextBG%len(mk)](c.rng.Split(), c.nextBG)
-	app := workload.NewApp(spec, workload.Constant{Level: campaignBackgroundLoad}, c.rng.Uint64())
-	id := fmt.Sprintf("bg-%d", c.nextBG)
-	vm := &sim.VM{ID: id, VCPUs: 1 + c.nextBG%3, App: app}
+	k := c.nextBG
 	c.nextBG++
+	rng := c.rng.Split()
+	c.placeBackground(i, k, rng, c.rng.Uint64())
+}
+
+// placeBackground builds background tenant k from its pre-drawn spec stream
+// and noise seed and places it on server i. It touches only Servers[i] and
+// live[i], so NewCampaign runs it for different servers concurrently.
+func (c *Campaign) placeBackground(i, k int, rng *stats.RNG, seed uint64) {
+	spec := backgroundSpecs[k%len(backgroundSpecs)](rng, k)
+	app := workload.NewApp(spec, workload.Constant{Level: campaignBackgroundLoad}, seed)
+	id := fmt.Sprintf("bg-%d", k)
+	vm := &sim.VM{ID: id, VCPUs: 1 + k%3, App: app}
 	if err := c.Cl.Servers[i].Place(vm); err != nil {
 		return // host full: the tenant's launch fails, as in production
 	}

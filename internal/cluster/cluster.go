@@ -7,7 +7,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"bolt/internal/sim"
 )
@@ -168,17 +167,17 @@ type Quasar struct{}
 // Name implements Scheduler.
 func (Quasar) Name() string { return "quasar" }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler. It keeps the feasible host that is least in
+// the order (overlap ascending, free vCPUs descending, index ascending) in
+// one pass. The index makes that order total, and demands are clamped, so
+// every overlap is finite: the minimum is unique and is what sorting the
+// candidates would put first.
 func (Quasar) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
-	type cand struct {
-		idx     int
-		overlap float64
-		free    int
-	}
 	demand := vm.App.Demand(t)
-	var cands []cand
+	best, bestOverlap, bestFree := -1, 0.0, 0
 	for i, s := range servers {
-		if s.FreeVCPUs() < vm.VCPUs {
+		free := s.FreeVCPUs()
+		if free < vm.VCPUs {
 			continue
 		}
 		// Aggregate resource pressure already on the host, from the host's
@@ -188,21 +187,11 @@ func (Quasar) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
 		for _, r := range sim.AllResources() {
 			overlap += demand.Get(r) * host.Get(r)
 		}
-		cands = append(cands, cand{i, overlap, s.FreeVCPUs()})
-	}
-	if len(cands) == 0 {
-		return -1
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].overlap != cands[b].overlap {
-			return cands[a].overlap < cands[b].overlap
+		if best < 0 || overlap < bestOverlap || (overlap == bestOverlap && free > bestFree) {
+			best, bestOverlap, bestFree = i, overlap, free
 		}
-		if cands[a].free != cands[b].free {
-			return cands[a].free > cands[b].free
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	return cands[0].idx
+	}
+	return best
 }
 
 // MigrationPolicy is the DoS defence: when a host's CPU utilisation

@@ -15,7 +15,10 @@ package sim
 //     DemandVersioner (probe kernels) bumps its version when retuned. Any
 //     mismatch discards every entry, so demanders that derive their output
 //     from co-residents (workload.Reactive) are re-evaluated whenever any
-//     of their inputs could have changed.
+//     of their inputs could have changed. Which VMs are versioners is
+//     resolved only when the epoch changes (a placed VM's App is never
+//     reassigned); a new tick at the same epoch re-reads the versions, and
+//     on a host with no versioners reads nothing at all.
 //
 //   - the snapshot is filled by resource. Each query names the entries it
 //     reads: ObservedPressure reads {r}, plus LLC for MemBW with an
@@ -93,14 +96,20 @@ type obsPlane struct {
 	have, used, want ResourceSet
 	// demand[i][r] is s.vms[i].App.Demand(tick)[r] for every r in have;
 	// other entries are stale. versioners[i] is s.vms[i].App as a
-	// DemandVersioner (nil for pure demanders) and versions[i] the version
-	// captured when the key was taken.
+	// DemandVersioner (nil for pure demanders), resolved when the epoch
+	// changes, since only Place and Remove change s.vms; nver counts the
+	// non-nil ones. versions[i] is the version captured when the key was
+	// taken.
 	demand     []Vector
 	versioners []DemandVersioner
+	nver       int
 	versions   []uint64
 }
 
-func (o *obsPlane) resize(n int) {
+// resolve sizes the plane for vms and records which of them are
+// DemandVersioners; observation calls it only when the epoch moves.
+func (o *obsPlane) resolve(vms []*VM) {
+	n := len(vms)
 	if cap(o.demand) < n {
 		o.demand = make([]Vector, n)
 		o.versioners = make([]DemandVersioner, n)
@@ -109,9 +118,20 @@ func (o *obsPlane) resize(n int) {
 	o.demand = o.demand[:n]
 	o.versioners = o.versioners[:n]
 	o.versions = o.versions[:n]
+	o.nver = 0
+	for i, vm := range vms {
+		v, _ := vm.App.(DemandVersioner)
+		o.versioners[i] = v
+		if v != nil {
+			o.nver++
+		}
+	}
 }
 
 func (o *obsPlane) versionsCurrent() bool {
+	if o.nver == 0 {
+		return true
+	}
 	for i, v := range o.versioners {
 		if v != nil && v.DemandVersion() != o.versions[i] {
 			return false
@@ -144,14 +164,14 @@ func (s *Server) observation(t Tick, need ResourceSet) *obsPlane {
 		panic("sim: Demander re-entered the cached observation plane; use InterferenceLive")
 	}
 	if !o.current(s, t) {
-		o.resize(len(s.vms))
-		for i, vm := range s.vms {
-			v, _ := vm.App.(DemandVersioner)
-			o.versioners[i] = v
-			if v != nil {
-				o.versions[i] = v.DemandVersion()
-			} else {
-				o.versions[i] = 0
+		if !o.valid || o.epoch != s.epoch {
+			o.resolve(s.vms)
+		}
+		if o.nver > 0 {
+			for i, v := range o.versioners {
+				if v != nil {
+					o.versions[i] = v.DemandVersion()
+				}
 			}
 		}
 		o.tick, o.epoch, o.valid = t, s.epoch, true

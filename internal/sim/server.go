@@ -67,7 +67,10 @@ type Slot struct {
 type VM struct {
 	ID    string
 	VCPUs int
-	App   Demander
+	// App is the VM's behaviour. A placed VM's App is not reassigned: the
+	// observation plane resolves which Apps are DemandVersioners once per
+	// placement epoch. Swap an App only while its VM is off every server.
+	App Demander
 
 	slots []Slot
 	// coreMask has bit c set when the VM holds a hyperthread of physical

@@ -527,3 +527,88 @@ func TestReentrantCoreReadSeesLiveValue(t *testing.T) {
 		t.Fatalf("re-entrant ObservedCorePressure read %v, want the live %v", reader.got, want)
 	}
 }
+
+// versionedApp is a Demander retuned out of band, like a probe kernel set:
+// each retune bumps its version. It counts the version reads and fills the
+// plane makes of it.
+type versionedApp struct {
+	demand  Vector
+	version uint64
+	reads   int
+	fills   int
+}
+
+func (v *versionedApp) Demand(Tick) Vector { return v.demand }
+func (v *versionedApp) DemandInto(_ Tick, out *Vector, _ ResourceSet) {
+	v.fills++
+	*out = v.demand
+}
+func (v *versionedApp) Sensitivity() Vector { return Vector{} }
+func (v *versionedApp) DemandVersion() uint64 {
+	v.reads++
+	return v.version
+}
+func (v *versionedApp) retune(r Resource, x float64) {
+	v.demand.Set(r, x)
+	v.version++
+}
+
+// TestObservationResolvesVersionersPerEpoch pins the per-epoch versioner
+// cache: a versioner placed at an already-filled tick is resolved by the
+// epoch bump, a retune at that tick forces a refill, a new tick at the same
+// epoch re-reads the version, and once the versioner is removed no tick
+// reads it again.
+func TestObservationResolvesVersionersPerEpoch(t *testing.T) {
+	s := NewServer("s0", ServerConfig{})
+	plain := []*VM{
+		newVM("a", 2, vec(map[Resource]float64{DiskBW: 40})),
+		newVM("b", 2, vec(map[Resource]float64{DiskBW: 5})),
+	}
+	if err := s.Place(plain[0]); err != nil {
+		t.Fatal(err)
+	}
+	read := func(at Tick, want float64) {
+		t.Helper()
+		if got := s.ObservedPressure(nil, DiskBW, at); got != want {
+			t.Fatalf("tick %d: ObservedPressure(DiskBW) = %v, want %v", at, got, want)
+		}
+	}
+	read(5, 40)
+	if s.obs.nver != 0 {
+		t.Fatalf("%d versioners counted on a host of plain demanders", s.obs.nver)
+	}
+
+	k := &versionedApp{demand: vec(map[Resource]float64{DiskBW: 10})}
+	for _, vm := range []*VM{{ID: "k", VCPUs: 2, App: k}, plain[1]} {
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(5, 55) // same tick, new epoch: k is resolved and filled
+	if s.obs.nver != 1 || k.fills != 1 {
+		t.Fatalf("after placing the versioner: %d versioners counted, %d fills, want 1 and 1", s.obs.nver, k.fills)
+	}
+	k.retune(DiskBW, 30)
+	read(5, 75) // same tick and epoch, new version: refilled
+	read(5, 75) // warm
+	if k.fills != 2 {
+		t.Fatalf("versioner filled %d times at tick 5, want 2 (placement, retune)", k.fills)
+	}
+	before := k.reads
+	read(6, 75) // new tick at the same epoch re-reads the version
+	if k.reads == before {
+		t.Fatal("a new tick at the same epoch did not re-read the versioner")
+	}
+
+	// Removing k shifts b into its slot: a stale resolution would still
+	// ask k for its version there.
+	s.Remove("k")
+	before = k.reads
+	for at := Tick(6); at < 200; at++ {
+		read(at, 45)
+		s.CPUUtilization(at)
+	}
+	if s.obs.nver != 0 || k.reads != before {
+		t.Fatalf("after removing the versioner: %d versioners counted, %d more version reads, want 0 and 0", s.obs.nver, k.reads-before)
+	}
+}
