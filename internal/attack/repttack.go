@@ -67,13 +67,20 @@ type Hooks struct {
 	// first launch wave, giving a learning defender (a bandit's reward
 	// stream, an anomaly detector's baseline) pre-attack observations.
 	WarmupWindows int
-	// AfterTick runs after every fleet tick with the tick just advanced
+	// AfterTick runs after each fleet advance with the last tick advanced
 	// and the barrier-merged events (which include fleet.MonitorAlarm
-	// events from any monitors attached to the campaign's engine). Non-nil
-	// makes the campaign advance tick by tick; nil lets a probe window
-	// share one barrier (fleet.Engine.Advance) — the Outcome is the same
-	// either way.
+	// events from any monitors attached to the campaign's engine). With
+	// Due nil that is after every tick. With Due set an advance runs up to
+	// Due's horizon, or the window's end if sooner, and ends early after a
+	// tick on which a monitor alarmed (fleet.Engine.Advance); AfterTick
+	// must then do nothing at a tick with no alarm and nothing due, which
+	// is what makes the skipped calls safe to skip. With AfterTick nil a
+	// probe window is one barrier. The Outcome is the same either way.
 	AfterTick func(t sim.Tick, events []fleet.Event)
+	// Due, when set with AfterTick, returns the first tick at or after t
+	// at which AfterTick must run even if no monitor alarms — a
+	// defender's next cadence edge.
+	Due func(t sim.Tick) sim.Tick
 	// AfterWindow runs after each probe window with the per-server
 	// accumulated probe scores (CampaignProbeWindow samples of the victim
 	// class's top-two uncore pressure, noise included). Windows are
@@ -245,24 +252,30 @@ func (c *Campaign) HostHasVictim(s *sim.Server) bool {
 
 // window runs one probe-window span of fleet ticks: scores reset, the
 // whole fleet advances CampaignProbeWindow ticks under the probe monitor,
-// then AfterWindow sees the scores. With no AfterTick hook nothing can act
-// between the window's ticks, so it is one Engine.Advance — one barrier,
-// each server's 16 samples taken back to back; an AfterTick hook steps the
-// same loop a tick at a time so the defender acts between ticks.
+// then AfterWindow sees the scores. Each advance asks for the rest of the
+// window when no AfterTick hook can act between its ticks — one barrier,
+// each server's 16 samples back to back — and otherwise for one tick, or
+// with Due set for the ticks up to the defender's next due tick; an
+// attached monitor's alarm may end it sooner (Engine.Advance).
 func (c *Campaign) window(number int, hooks Hooks) {
 	for i := range c.scores {
 		c.scores[i] = 0
 	}
-	step := CampaignProbeWindow
-	if hooks.AfterTick != nil {
-		step = 1
-	}
-	for end := c.T + CampaignProbeWindow; c.T < end; c.T += sim.Tick(step) {
-		var events []fleet.Event
-		events, c.lastStats = c.Engine.Advance(c.T, step, c.monitor)
+	for end := c.T + CampaignProbeWindow; c.T < end; {
+		upTo := end - 1
+		if hooks.AfterTick != nil {
+			upTo = c.T
+			if hooks.Due != nil {
+				upTo = min(hooks.Due(c.T), end-1)
+			}
+		}
+		events, ticks, st := c.Engine.Advance(c.T, int(upTo-c.T)+1, c.monitor)
+		c.lastStats = st
+		c.T += sim.Tick(ticks - 1) // the hook sees T at the tick it follows
 		if hooks.AfterTick != nil {
 			hooks.AfterTick(c.T, events)
 		}
+		c.T++
 	}
 	if hooks.AfterWindow != nil {
 		hooks.AfterWindow(number, c.scores)

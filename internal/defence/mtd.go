@@ -7,7 +7,11 @@
 // by per-host Monitor alarms when a detector sees attack-like pressure.
 package defence
 
-import "bolt/internal/sim"
+import (
+	"math"
+
+	"bolt/internal/sim"
+)
 
 // Monitor couples one host with a Detector and tracks the alarm *edge*:
 // Sample reports true exactly once, on the tick the detector first fires,
@@ -107,6 +111,28 @@ func (p *MovingTarget) Due(id string, t sim.Tick) bool {
 	}
 	last, ok := p.last[id]
 	return ok && t-last >= period
+}
+
+// NextDue returns the first tick at or after t at which some tracked VM is
+// due — the horizon up to which nothing can fall due, so a caller stepping
+// time can jump straight to it. A VM already overdue at t (its last move
+// failed) makes the answer t itself; with nothing tracked no tick is ever
+// due and NextDue returns the largest Tick.
+func (p *MovingTarget) NextDue(t sim.Tick) sim.Tick {
+	period := p.Period
+	if period <= 0 {
+		period = DefaultMTDPeriod
+	}
+	next := sim.Tick(math.MaxInt64)
+	for _, last := range p.last {
+		if d := last + period; d < next {
+			next = d
+		}
+	}
+	if next < t {
+		return t
+	}
+	return next
 }
 
 // Moved records a successful re-placement of the VM at t, restarting its

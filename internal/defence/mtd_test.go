@@ -1,6 +1,7 @@
 package defence
 
 import (
+	"math"
 	"testing"
 
 	"bolt/internal/sim"
@@ -213,5 +214,58 @@ func TestMovingTargetZeroValueDefaults(t *testing.T) {
 	q.Moved("w", 7) // must not panic on nil map
 	if q.Moves() != 1 {
 		t.Fatalf("Moves() = %d, want 1", q.Moves())
+	}
+}
+
+// TestMovingTargetNextDue pins the cadence horizon against Due: NextDue(t)
+// is the first tick at or after t at which Due reports some tracked VM.
+func TestMovingTargetNextDue(t *testing.T) {
+	var zero MovingTarget
+	if got := zero.NextDue(5); got != math.MaxInt64 {
+		t.Fatalf("nothing tracked: NextDue = %d, want the largest Tick", got)
+	}
+
+	p := NewMovingTarget(10)
+	p.Track("a", 0)
+	p.Track("b", 3)
+	p.Track("c", 7)
+	if got := p.NextDue(0); got != 10 {
+		t.Fatalf("NextDue(0) = %d, want 10 (the minimum over a, b, c)", got)
+	}
+	p.Moved("a", 4)
+	if got := p.NextDue(4); got != 13 {
+		t.Fatalf("after a moved at 4: NextDue = %d, want 13 (b's edge)", got)
+	}
+	// b is overdue from 13 on (a failed move records nothing), so the
+	// horizon is the query tick itself.
+	for _, at := range []sim.Tick{13, 15, 40} {
+		if got := p.NextDue(at); got != at {
+			t.Fatalf("b overdue: NextDue(%d) = %d, want %d", at, got, at)
+		}
+	}
+
+	// Stepping from horizon to horizon: every tick before one has nothing
+	// due, the horizon itself has.
+	q := NewMovingTarget(8)
+	ids := []string{"x", "y", "z"}
+	for i, id := range ids {
+		q.Track(id, sim.Tick(3*i))
+	}
+	for from, next := sim.Tick(0), sim.Tick(0); from < 60; from = next + 1 {
+		next = q.NextDue(from)
+		for tt := from; tt <= next; tt++ {
+			due := false
+			for _, id := range ids {
+				due = due || q.Due(id, tt)
+			}
+			if due != (tt == next) {
+				t.Fatalf("NextDue(%d) = %d, but Due at %d is %v", from, next, tt, due)
+			}
+		}
+		for _, id := range ids {
+			if q.Due(id, next) {
+				q.Moved(id, next)
+			}
+		}
 	}
 }

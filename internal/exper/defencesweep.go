@@ -231,6 +231,10 @@ func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy stri
 			mt.Moved(id, t)
 			rehome(src, dst)
 		}
+		// The hook acts only on an alarm or at a cadence edge, so the
+		// campaign may advance straight to the next edge (hooks.Due) and
+		// stop early at an alarm, instead of calling it every tick.
+		hooks.Due = mt.NextDue
 		hooks.AfterTick = func(t sim.Tick, events []fleet.Event) {
 			for _, ev := range events {
 				if ev.Kind != fleet.MonitorAlarm {

@@ -12,6 +12,9 @@
 // between episode steps. The same independence makes the shard loop
 // server-major: a server runs all of its span's ticks back to back, while
 // its VMs are still in cache, before the shard moves to the next server.
+// It also lets the few servers carrying a defence monitor run ahead of the
+// rest, so an advance can end at the first alarm — the tick a defender
+// must act after — without a barrier per tick for the whole fleet.
 //
 // Determinism follows the repository's RNG-splitting and ordered-merge
 // discipline (DESIGN.md "Fleet tick barrier"):
@@ -33,6 +36,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"bolt/internal/cluster"
@@ -126,11 +130,12 @@ type Engine struct {
 	rngs []*stats.RNG
 
 	// monitors[i], when non-nil, is server i's defence monitor: sampled
-	// once per tick inside the server's own shard (after the tick body),
-	// with alarm edges surfacing as MonitorAlarm events at the barrier.
-	// Like all per-server state, a monitor is touched only by the shard
-	// that owns its server, so sharded ticking stays deterministic.
-	monitors []*defence.Monitor
+	// once per tick after the tick body, with alarm edges surfacing as
+	// MonitorAlarm events at the barrier. monitored lists those servers'
+	// indices in ascending order (SetMonitor keeps it), so Advance walks
+	// them without scanning the fleet.
+	monitors  []*defence.Monitor
+	monitored []int
 
 	// Per-server slots written inside an advance, merged at the barrier.
 	// Reused across advances so a steady-state one allocates nothing.
@@ -164,11 +169,18 @@ func (e *Engine) RNG(i int) *stats.RNG { return e.rngs[i] }
 // SetMonitor attaches a defence monitor to server i (nil detaches). The
 // engine feeds it the server's aggregate usage every tick; the tick on
 // which its detector first fires is reported once as a MonitorAlarm event
-// (Value carries the tick), after which the defence layer typically acts
-// and calls Monitor.Reset to re-arm it.
+// (Value carries the tick) and ends that Advance, after which the defence
+// layer typically acts and calls Monitor.Reset to re-arm it.
 func (e *Engine) SetMonitor(i int, m *defence.Monitor) {
 	if e.monitors == nil {
 		e.monitors = make([]*defence.Monitor, len(e.rngs))
+	}
+	k, listed := slices.BinarySearch(e.monitored, i)
+	switch {
+	case m != nil && !listed:
+		e.monitored = slices.Insert(e.monitored, k, i)
+	case m == nil && listed:
+		e.monitored = slices.Delete(e.monitored, k, k+1)
 	}
 	e.monitors[i] = m
 }
@@ -183,35 +195,47 @@ func (e *Engine) Monitor(i int) *defence.Monitor {
 
 // minShardServerTicks is the least work, in server-ticks, a shard must
 // carry for handing it to another goroutine to win: Advance caps its worker
-// count at n·span / minShardServerTicks, so a 256-server single tick runs
-// inline on the caller while a 256×16 probe window or a 4096-server tick
-// still fans out. It is a measured constant, not a knob — DESIGN.md "Fleet
-// tick barrier" records the BenchmarkFleetTick sweep it came from (on the
-// 2-core reference box two shards break even at 64–192 server-ticks each
-// under sustained load and at 384–512 out of idle; 512 loses in neither).
+// count at (unmonitored servers)·(ticks advanced) / minShardServerTicks, so
+// a 256-server single tick runs inline on the caller while a 256×16 probe
+// window or a 4096-server tick still fans out. It is a measured constant,
+// not a knob — DESIGN.md "Fleet tick barrier" records the BenchmarkFleetTick
+// sweep it came from (on the 2-core reference box two shards break even at
+// 64–192 server-ticks each under sustained load and at 384–512 out of idle;
+// 512 loses in neither).
 const minShardServerTicks = 512
 
 // Tick advances every server through the single tick t; see Advance.
 func (e *Engine) Tick(t sim.Tick, fn TickFunc) ([]Event, Stats) {
-	return e.Advance(t, 1, fn)
+	ev, _, st := e.Advance(t, 1, fn)
+	return ev, st
 }
 
 // Advance advances every server through ticks t0 … t0+span-1 at one
-// barrier. Shards run concurrently and each is server-major: a server runs
-// fn (which may be nil) and then its monitor sample for every tick of the
-// span back to back, and has its occupancy and utilisation sampled once, at
-// the last tick, before the shard moves on. That is legal because nothing a
-// server computes within an advance depends on any other server; callers
-// that must act between ticks (a defender migrating on an alarm) pass
-// span 1. The barrier then merges per-server events in server-id order and
-// reduces fleet Stats serially.
+// barrier, stopping early after the first tick at which an attached
+// monitor alarms; it returns the merged events, the number of ticks
+// advanced, and fleet Stats sampled at the last of them.
 //
-// With span > 1 the merged events are ordered by (server, tick, emission) —
-// not tick-major — and a MonitorAlarm's Value still carries the tick it
-// fired on; with span 1 the order is (server, emission), as it always was.
-// The returned slice is owned by the engine and valid until the next
-// Advance. Advance panics on span < 1.
-func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, Stats) {
+// Monitored servers go first, tick-major on the caller's goroutine: each
+// runs fn (which may be nil) and then its monitor sample, and the first
+// tick on which any of them raises an alarm edge ends the span once every
+// monitored server has finished it. A caller acting on alarms (a defender
+// migrating a host's tenants) thus always acts after the alarm's own tick,
+// exactly as if it had stepped one tick at a time. The other servers then
+// advance through the same ticks in concurrent, server-major shards: a
+// server runs fn for every tick back to back and has its occupancy and
+// utilisation sampled once, at the last tick, before the shard moves on.
+// Both orders are legal because nothing a server computes within an
+// advance depends on any other server, and an alarm depends only on its
+// own server. With no monitors attached the whole span is one sharded pass.
+// The barrier then merges per-server events in server-id order and reduces
+// fleet Stats serially.
+//
+// With more than one tick the merged events are ordered by (server, tick,
+// emission) — not tick-major — and a MonitorAlarm's Value carries the tick
+// it fired on; for a single tick the order is (server, emission). The
+// returned slice is owned by the engine and valid until the next Advance.
+// Advance panics on span < 1.
+func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int, Stats) {
 	if span < 1 {
 		panic(fmt.Sprintf("fleet: Advance span %d; a span is at least one tick", span))
 	}
@@ -219,12 +243,16 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, Stats) {
 	if n != len(e.rngs) {
 		panic(fmt.Sprintf("fleet: cluster grew from %d to %d servers after NewEngine; per-server RNG streams are fixed at construction", len(e.rngs), n))
 	}
+	last := t0 + sim.Tick(span-1)
+	if len(e.monitored) > 0 {
+		last = e.runAhead(t0, last, fn)
+	}
+	ticks := int(last-t0) + 1
+
 	workers := ShardWorkers()
-	if grain := n * span / minShardServerTicks; workers > grain {
+	if grain := (n - len(e.monitored)) * ticks / minShardServerTicks; workers > grain {
 		workers = grain // below the grain the handoff costs more than it moves
 	}
-	last := t0 + sim.Tick(span-1)
-
 	par.FanOutBlocks(n, workers,
 		func(lo int) string { return fmt.Sprintf("fleet shard at server %d", lo) },
 		func(lo, hi int) {
@@ -234,30 +262,14 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, Stats) {
 			// retain the pointer past their return.
 			var w World
 			for i := lo; i < hi; i++ {
-				s := e.cl.Servers[i]
+				if e.Monitor(i) != nil {
+					continue // already advanced by runAhead
+				}
 				e.events[i] = e.events[i][:0]
-				var m *defence.Monitor
-				if e.monitors != nil {
-					m = e.monitors[i]
-				}
 				for t := t0; t <= last; t++ {
-					if fn != nil {
-						w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i], events: &e.events[i]}
-						fn(&w)
-					}
-					// The defence monitor samples after the body, appending
-					// its alarm edge after the body's own events for this
-					// server and tick — a fixed order, so the merged stream
-					// stays deterministic.
-					if m.Sample(s, t) {
-						e.events[i] = append(e.events[i], Event{Server: i, Kind: MonitorAlarm, Value: float64(t)})
-					}
+					e.step(&w, i, t, fn, nil)
 				}
-				// Sampling utilisation last means it rides the observation
-				// snapshot the body's queries already built.
-				e.cpu[i] = s.CPUUtilization(last)
-				e.vms[i] = s.VMCount()
-				e.free[i] = s.FreeVCPUs()
+				e.sample(i, last)
 			}
 		})
 
@@ -284,5 +296,56 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, Stats) {
 	for i := 0; i < n; i++ {
 		e.merged = append(e.merged, e.events[i]...)
 	}
-	return e.merged, st
+	return e.merged, ticks, st
+}
+
+// runAhead advances the monitored servers tick-major from t0 and returns
+// the tick it stopped after: the first on which some monitor alarmed, or
+// last.
+func (e *Engine) runAhead(t0, last sim.Tick, fn TickFunc) sim.Tick {
+	for _, i := range e.monitored {
+		e.events[i] = e.events[i][:0]
+	}
+	var w World
+	for t := t0; ; t++ {
+		alarmed := false
+		for _, i := range e.monitored {
+			if e.step(&w, i, t, fn, e.monitors[i]) {
+				alarmed = true
+			}
+		}
+		if alarmed || t == last {
+			for _, i := range e.monitored {
+				e.sample(i, t)
+			}
+			return t
+		}
+	}
+}
+
+// step runs server i's tick t: the body, then the monitor's sample (m may
+// be nil), whose alarm edge is appended after the body's own events for
+// this server and tick — a fixed order, so the merged stream stays
+// deterministic. It reports whether the monitor alarmed.
+func (e *Engine) step(w *World, i int, t sim.Tick, fn TickFunc, m *defence.Monitor) bool {
+	s := e.cl.Servers[i]
+	if fn != nil {
+		*w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i], events: &e.events[i]}
+		fn(w)
+	}
+	if !m.Sample(s, t) {
+		return false
+	}
+	e.events[i] = append(e.events[i], Event{Server: i, Kind: MonitorAlarm, Value: float64(t)})
+	return true
+}
+
+// sample records server i's occupancy and its utilisation at tick t for the
+// barrier. Sampling utilisation after the ticks means it rides the
+// observation snapshot the body's queries already built.
+func (e *Engine) sample(i int, t sim.Tick) {
+	s := e.cl.Servers[i]
+	e.cpu[i] = s.CPUUtilization(t)
+	e.vms[i] = s.VMCount()
+	e.free[i] = s.FreeVCPUs()
 }

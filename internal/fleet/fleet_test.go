@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -70,21 +71,26 @@ func (sw *shardWitness) wrap(fn TickFunc) TickFunc {
 	}
 }
 
-func (sw *shardWitness) shards() int {
+func (sw *shardWitness) shards(e *Engine) int {
 	n := 0
+	var prev *World
 	for i, w := range sw.world {
-		if i == 0 || w != sw.world[i-1] {
+		if e.Monitor(i) != nil {
+			continue // advanced ahead of the shards, on the caller
+		}
+		if prev == nil || w != prev {
 			n++
 		}
+		prev = w
 	}
 	return n
 }
 
 // wantShards is the engine's sharding rule restated: the configured width,
-// capped by the measured grain, never more shards than servers, never
-// fewer than one.
-func wantShards(servers, span, workers int) int {
-	if grain := servers * span / minShardServerTicks; workers > grain {
+// capped by the measured grain over the sharded pass's server-ticks, never
+// more shards than servers, never fewer than one.
+func wantShards(servers, serverTicks, workers int) int {
+	if grain := serverTicks / minShardServerTicks; workers > grain {
 		workers = grain
 	}
 	if workers > servers {
@@ -96,13 +102,14 @@ func wantShards(servers, span, workers int) int {
 	return workers
 }
 
-// runFleet advances a freshly built world `advances` times by `span` ticks
-// at the given worker count and returns the concatenated event stream and
-// per-advance stats; setup (optional) prepares the engine first, e.g. by
-// attaching monitors. It fails the test if an advance did not run on
-// exactly the shard count the (servers, span, workers) rule promises —
-// below the grain the engine runs inline, and a parity test that never
-// fanned out would be a serial test in disguise.
+// runFleet advances a freshly built world `advances` times by up to `span`
+// ticks at the given worker count, each advance starting where the last
+// one stopped, and returns the concatenated event stream and per-advance
+// stats; setup (optional) prepares the engine first, e.g. by attaching
+// monitors. It fails the test if an advance did not run on exactly the
+// shard count the (servers, server-ticks, workers) rule promises — below
+// the grain the engine runs inline, and a parity test that never fanned
+// out would be a serial test in disguise.
 func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*Engine)) ([]Event, []Stats) {
 	t.Helper()
 	withShardWorkers(t, workers)
@@ -114,11 +121,14 @@ func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*En
 	body := sw.wrap(probeTick)
 	var events []Event
 	var sts []Stats
+	var t0 sim.Tick
 	for a := 0; a < advances; a++ {
-		ev, st := e.Advance(sim.Tick(a*span), span, body)
-		if got, want := sw.shards(), wantShards(servers, span, workers); got != want {
-			t.Fatalf("servers=%d span=%d workers=%d ran on %d shards, want %d", servers, span, workers, got, want)
+		ev, ticks, st := e.Advance(t0, span, body)
+		sharded := (servers - len(e.monitored)) * ticks
+		if got, want := sw.shards(e), wantShards(servers, sharded, workers); got != want {
+			t.Fatalf("servers=%d ticks=%d workers=%d ran on %d shards, want %d", servers, ticks, workers, got, want)
 		}
+		t0 += sim.Tick(ticks)
 		events = append(events, ev...) // the engine's slice is reused; copy out
 		sts = append(sts, st)
 	}
@@ -137,7 +147,7 @@ func TestTickParityAcrossShardWorkers(t *testing.T) {
 		{4099, 1, 4}, // prime server count: uneven blocks at every width
 		{131, 32, 3},
 	} {
-		if wantShards(shape.servers, shape.span, 2) < 2 {
+		if wantShards(shape.servers, shape.servers*shape.span, 2) < 2 {
 			t.Fatalf("shape %+v is below the fan-out grain; the parity check would be serial", shape)
 		}
 		refEvents, refStats := runFleet(t, 1, shape.servers, shape.span, shape.advances, nil)
@@ -171,95 +181,219 @@ func TestSmallTicksRunInline(t *testing.T) {
 	e := buildFleet(42, 256)
 	sw := &shardWitness{world: make([]*World, 256)}
 	e.Tick(0, sw.wrap(probeTick))
-	if got := sw.shards(); got != 1 {
+	if got := sw.shards(e); got != 1 {
 		t.Fatalf("256-server tick ran on %d shards, want 1 (inline below the grain)", got)
 	}
 	e.Advance(1, 16, sw.wrap(probeTick))
-	if got := sw.shards(); got != 8 {
+	if got := sw.shards(e); got != 8 {
 		t.Fatalf("256-server × 16-tick window ran on %d shards, want 8", got)
 	}
 }
 
-// TestAdvanceMatchesTicks is the span contract: Advance(t0, k) and k
-// single Ticks on a twin engine agree with == on everything a caller can
-// observe — per-server accumulators, the final Stats, every server's next
-// RNG draw, and the events, which Advance orders by (server, tick,
-// emission) where the per-tick reference is tick-major.
-func TestAdvanceMatchesTicks(t *testing.T) {
-	type tagged struct {
-		tick sim.Tick
-		ev   Event
+// tagged is one reference event with the tick it was emitted at.
+type tagged struct {
+	tick sim.Tick
+	ev   Event
+}
+
+// tickByTick is Advance's reference: single Ticks from t0 until span ticks
+// have run or one of them raised a MonitorAlarm, with the events stably
+// re-sorted by server — ticks stay ascending and emission order survives
+// within a (server, tick) — into Advance's (server, tick, emission) order.
+func tickByTick(e *Engine, t0 sim.Tick, span int, fn TickFunc) ([]tagged, int, Stats) {
+	var out []tagged
+	var st Stats
+	ticks := 0
+	for alarmed := false; ticks < span && !alarmed; ticks++ {
+		var ev []Event
+		ev, st = e.Tick(t0+sim.Tick(ticks), fn)
+		for _, x := range ev {
+			out = append(out, tagged{t0 + sim.Tick(ticks), x})
+			alarmed = alarmed || x.Kind == MonitorAlarm
+		}
 	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].ev.Server < out[b].ev.Server })
+	return out, ticks, st
+}
+
+// matchAdvance fails the test unless one Advance's result equals the
+// tick-by-tick reference's: ticks advanced, every event, and the Stats.
+func matchAdvance(t *testing.T, name string, got []Event, gotTicks int, gotStats Stats, want []tagged, wantTicks int, wantStats Stats) {
+	t.Helper()
+	if gotTicks != wantTicks {
+		t.Fatalf("%s: Advance ran %d ticks, tick-by-tick reference %d", name, gotTicks, wantTicks)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: Advance emitted %d events, %d ticks emitted %d", name, len(got), wantTicks, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i].ev {
+			t.Fatalf("%s: event %d = %+v, tick-by-tick reference %+v (tick %d)", name, i, got[i], want[i].ev, want[i].tick)
+		}
+		if got[i].Kind == MonitorAlarm && got[i].Value != float64(want[i].tick) {
+			t.Fatalf("%s: alarm %+v does not carry its tick %d", name, got[i], want[i].tick)
+		}
+	}
+	if gotStats != wantStats {
+		t.Fatalf("%s: Stats = %+v, tick-by-tick reference %+v", name, gotStats, wantStats)
+	}
+}
+
+// matchWorlds fails the test unless two engines advanced alike end in the
+// same state: per-server body accumulators, every server's next RNG draw
+// (which consumes it), and every monitor's detector state.
+func matchWorlds(t *testing.T, name string, adv, ref *Engine, advAcc, refAcc []float64) {
+	t.Helper()
+	for i := range refAcc {
+		if advAcc[i] != refAcc[i] {
+			t.Fatalf("%s: server %d accumulated %v, tick-by-tick reference %v", name, i, advAcc[i], refAcc[i])
+		}
+	}
+	for i := range adv.rngs {
+		if !reflect.DeepEqual(adv.Monitor(i), ref.Monitor(i)) {
+			t.Fatalf("%s: server %d's monitor %+v, tick-by-tick reference %+v", name, i, adv.Monitor(i), ref.Monitor(i))
+		}
+		if g, w := adv.RNG(i).Uint64(), ref.RNG(i).Uint64(); g != w {
+			t.Fatalf("%s: server %d's next RNG draw %d, tick-by-tick reference %d", name, i, g, w)
+		}
+	}
+}
+
+// accBody returns a tick body that consumes per-server randomness, reads
+// the observation plane, accumulates into acc and emits data-dependent
+// events.
+func accBody(acc []float64) TickFunc {
+	return func(w *World) {
+		r := sim.Resource(w.RNG.Intn(sim.NumResources))
+		p := w.Server.ObservedPressure(nil, r, w.Tick) + w.RNG.Float64()
+		acc[w.Index] += p
+		if p > 40 {
+			w.Emit(int(r), "", p)
+		}
+	}
+}
+
+// TestAdvanceMatchesTicks is the span contract: Advance(t0, k) and single
+// Ticks on a twin engine, run until k ticks or the first alarm, agree with
+// == on everything a caller can observe — ticks advanced, per-server
+// accumulators, the final Stats, every server's next RNG draw, and the
+// events, which Advance orders by (server, tick, emission) where the
+// per-tick reference is tick-major. Every third server carries a monitor
+// that alarms on the second tick, so round 0 of a multi-tick span stops
+// early and round 1, with the monitors latched, runs the whole span.
+func TestAdvanceMatchesTicks(t *testing.T) {
 	sizes := stats.NewRNG(99)
 	for _, workers := range []int{1, 2, 4, 8} {
 		withShardWorkers(t, workers)
 		for _, span := range []int{1, 3, 16} {
 			servers := 1 + sizes.Intn(400) // up to 6400 server-ticks: both sides of the grain
 			seed := sizes.Uint64()
-			build := func() (*Engine, []float64, TickFunc) {
+			build := func() (*Engine, []float64) {
 				e := buildFleet(seed, servers)
 				for i := 0; i < servers; i += 3 {
 					e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: 2}))
 				}
 				acc := make([]float64, servers)
-				return e, acc, func(w *World) {
-					r := sim.Resource(w.RNG.Intn(sim.NumResources))
-					p := w.Server.ObservedPressure(nil, r, w.Tick) + w.RNG.Float64()
-					acc[w.Index] += p
-					if p > 40 {
-						w.Emit(int(r), "", p)
-					}
-				}
+				return e, acc
 			}
-			adv, advAcc, advBody := build()
-			ref, refAcc, refBody := build()
+			adv, advAcc := build()
+			ref, refAcc := build()
+			advBody, refBody := accBody(advAcc), accBody(refAcc)
 
+			var t0 sim.Tick
 			for round := 0; round < 2; round++ { // second round reuses warm buffers
-				t0 := sim.Tick(round * span)
-				got, gotStats := adv.Advance(t0, span, advBody)
-
-				var want []tagged
-				var wantStats Stats
-				for k := 0; k < span; k++ {
-					var ev []Event
-					ev, wantStats = ref.Tick(t0+sim.Tick(k), refBody)
-					for _, x := range ev {
-						want = append(want, tagged{t0 + sim.Tick(k), x})
-					}
-				}
-				// Stable by server: ticks stay ascending and emission order
-				// survives within a (server, tick).
-				sort.SliceStable(want, func(a, b int) bool { return want[a].ev.Server < want[b].ev.Server })
-
+				got, gotTicks, gotStats := adv.Advance(t0, span, advBody)
+				want, wantTicks, wantStats := tickByTick(ref, t0, span, refBody)
 				name := fmt.Sprintf("workers=%d servers=%d span=%d round=%d", workers, servers, span, round)
 				if len(want) == 0 {
 					t.Fatalf("%s: reference emitted no events; the check would be vacuous", name)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: Advance emitted %d events, %d ticks emitted %d", name, len(got), span, len(want))
+				if stop := 2; round == 0 && span > stop && wantTicks != stop {
+					t.Fatalf("%s: reference ran %d ticks; the monitors should have stopped it at %d", name, wantTicks, stop)
 				}
-				for i := range want {
-					if got[i] != want[i].ev {
-						t.Fatalf("%s: event %d = %+v, tick-by-tick reference %+v (tick %d)", name, i, got[i], want[i].ev, want[i].tick)
-					}
-					if got[i].Kind == MonitorAlarm && got[i].Value != float64(want[i].tick) {
-						t.Fatalf("%s: alarm %+v does not carry its tick %d", name, got[i], want[i].tick)
-					}
-				}
-				if gotStats != wantStats {
-					t.Fatalf("%s: Stats = %+v, tick-by-tick reference %+v", name, gotStats, wantStats)
-				}
-				for i := range refAcc {
-					if advAcc[i] != refAcc[i] {
-						t.Fatalf("%s: server %d accumulated %v, tick-by-tick reference %v", name, i, advAcc[i], refAcc[i])
-					}
-				}
+				matchAdvance(t, name, got, gotTicks, gotStats, want, wantTicks, wantStats)
+				t0 += sim.Tick(gotTicks)
 			}
-			for i := 0; i < servers; i++ {
-				if g, w := adv.RNG(i).Uint64(), ref.RNG(i).Uint64(); g != w {
-					t.Fatalf("workers=%d servers=%d span=%d: server %d's next RNG draw %d, tick-by-tick reference %d", workers, servers, span, i, g, w)
-				}
+			matchWorlds(t, fmt.Sprintf("workers=%d servers=%d span=%d", workers, servers, span), adv, ref, advAcc, refAcc)
+		}
+	}
+}
+
+// TestAdvanceStopsAtFirstAlarm pins the stop-at-alarm rule case by case
+// against the tick-by-tick reference. CPUThreshold monitors with a low bar
+// fire on their Sustain-th sample (the fleet runs at 0.9 load), so each
+// monitor's Sustain places its alarm: no alarm within the span, an alarm
+// on the first tick, two servers alarming on the same tick, monitors on
+// the first and last servers, and monitors attached and detached between
+// advances. 200 servers × 16 ticks is above the fan-out grain, so the
+// unmonitored servers really run on several shards.
+func TestAdvanceStopsAtFirstAlarm(t *testing.T) {
+	const servers, span = 200, 16
+	// watch attaches a monitor firing on its sustain-th sample to server i
+	// (sustain 0 detaches).
+	watch := func(i int, sustain sim.Tick) func(*Engine) {
+		return func(e *Engine) {
+			if sustain == 0 {
+				e.SetMonitor(i, nil)
+				return
 			}
+			e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: sustain}))
+		}
+	}
+	type round struct {
+		setup []func(*Engine) // applied to both engines before the advance
+		ticks int             // ticks the advance must run
+	}
+	cases := []struct {
+		name   string
+		rounds []round
+	}{
+		{"no alarm", []round{
+			{[]func(*Engine){watch(5, 100), watch(90, 100)}, span},
+			{nil, span},
+		}},
+		{"alarm on the first tick", []round{
+			{[]func(*Engine){watch(3, 1), watch(150, 100)}, 1},
+			{nil, span},
+		}},
+		{"two servers alarm on one tick", []round{
+			{[]func(*Engine){watch(2, 4), watch(7, 4), watch(4, 9)}, 4},
+			{nil, 5},
+			{nil, span},
+		}},
+		{"first and last server", []round{
+			{[]func(*Engine){watch(0, 6), watch(servers-1, 5)}, 5},
+			{nil, 1},
+			{nil, span},
+		}},
+		{"attach then detach", []round{
+			{[]func(*Engine){watch(3, 100)}, span},
+			{[]func(*Engine){watch(3, 0), watch(6, 3)}, 3},
+			{[]func(*Engine){watch(6, 0)}, span},
+		}},
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		withShardWorkers(t, workers)
+		for _, tc := range cases {
+			adv, ref := buildFleet(11, servers), buildFleet(11, servers)
+			advAcc, refAcc := make([]float64, servers), make([]float64, servers)
+			advBody, refBody := accBody(advAcc), accBody(refAcc)
+			var t0 sim.Tick
+			for r, rd := range tc.rounds {
+				for _, setup := range rd.setup {
+					setup(adv)
+					setup(ref)
+				}
+				name := fmt.Sprintf("workers=%d %s round=%d", workers, tc.name, r)
+				got, gotTicks, gotStats := adv.Advance(t0, span, advBody)
+				want, wantTicks, wantStats := tickByTick(ref, t0, span, refBody)
+				if wantTicks != rd.ticks {
+					t.Fatalf("%s: reference ran %d ticks, the case expects %d", name, wantTicks, rd.ticks)
+				}
+				matchAdvance(t, name, got, gotTicks, gotStats, want, wantTicks, wantStats)
+				t0 += sim.Tick(gotTicks)
+			}
+			matchWorlds(t, fmt.Sprintf("workers=%d %s", workers, tc.name), adv, ref, advAcc, refAcc)
 		}
 	}
 }
@@ -284,11 +418,11 @@ func TestTickEventsArriveInServerIDOrder(t *testing.T) {
 	withShardWorkers(t, 4)
 	e := buildFleet(7, servers)
 	sw := &shardWitness{world: make([]*World, servers)}
-	ev, _ := e.Advance(t0, span, sw.wrap(func(w *World) {
+	ev, _, _ := e.Advance(t0, span, sw.wrap(func(w *World) {
 		w.Emit(0, "", float64(w.Tick))
 		w.Emit(1, "", float64(w.Tick))
 	}))
-	if got := sw.shards(); got != 4 {
+	if got := sw.shards(e); got != 4 {
 		t.Fatalf("ran on %d shards, want 4", got)
 	}
 	if len(ev) != 2*span*servers {
@@ -334,26 +468,37 @@ func TestTickStats(t *testing.T) {
 // TestTickSteadyStateAllocs: after the first advances warm the buffers, an
 // advance's allocation count is a small constant — the tick-body closure
 // and the per-shard World — and scales with neither the number of servers
-// nor the span. A per-server or per-tick allocation creeping into the loop
-// is the regression this guards against: at 4096 servers it would turn one
-// tick into thousands of allocations.
+// nor the span, with or without monitors attached (their ahead-of-the-shards
+// pass adds one World). A per-server or per-tick allocation creeping into
+// the loop is the regression this guards against: at 4096 servers it would
+// turn one tick into thousands of allocations.
 func TestTickSteadyStateAllocs(t *testing.T) {
 	withShardWorkers(t, 1) // inline path isolates engine allocations from pool goroutines
-	perAdvance := func(servers, span int) float64 {
+	perAdvance := func(servers, span int, monitored bool) float64 {
 		e := buildFleet(42, servers)
+		if monitored {
+			// A bar nothing reaches, so every advance runs its whole span.
+			for i := 0; i < servers; i += 16 {
+				e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 101, Sustain: 1}))
+			}
+		}
 		e.Advance(0, span, probeTick)
 		e.Advance(0, span, probeTick)
 		return testing.AllocsPerRun(50, func() {
-			e.Advance(0, span, probeTick)
+			if _, ticks, _ := e.Advance(0, span, probeTick); ticks != span {
+				t.Fatalf("advance stopped after %d of %d ticks", ticks, span)
+			}
 		})
 	}
-	for _, span := range []int{1, 16} {
-		small, large := perAdvance(32, span), perAdvance(256, span)
-		if small > 4 {
-			t.Fatalf("steady-state Advance(span %d) allocates %.1f times per run, want a small constant (≤4)", span, small)
-		}
-		if large > small {
-			t.Fatalf("Advance(span %d) allocations scale with fleet size: %.1f at 32 servers, %.1f at 256", span, small, large)
+	for _, monitored := range []bool{false, true} {
+		for _, span := range []int{1, 16} {
+			small, large := perAdvance(32, span, monitored), perAdvance(256, span, monitored)
+			if small > 4 {
+				t.Fatalf("monitored=%v: steady-state Advance(span %d) allocates %.1f times per run, want a small constant (≤4)", monitored, span, small)
+			}
+			if large > small {
+				t.Fatalf("monitored=%v: Advance(span %d) allocations scale with fleet size: %.1f at 32 servers, %.1f at 256", monitored, span, small, large)
+			}
 		}
 	}
 }

@@ -78,9 +78,12 @@ func TestMonitorAlarmOrderedAfterBodyEvents(t *testing.T) {
 }
 
 // TestMonitorParityAcrossShardWorkers extends the determinism contract to
-// monitored fleets: alarm events land at identical positions at every
-// worker count. Sized above the fan-out grain (runFleet checks the shard
-// count), so monitors really are sampled on several goroutines at once.
+// monitored fleets: alarm events, and the ticks each advance stops after,
+// are identical at every worker count. Monitors run ahead on the caller;
+// once they have fired (the first advance stops at their alarm) the rest
+// of the fleet's span is above the fan-out grain (runFleet checks the
+// shard count), so the unmonitored servers really run on several
+// goroutines beside the monitored ones' results.
 func TestMonitorParityAcrossShardWorkers(t *testing.T) {
 	const servers, span, advances = 131, 32, 2
 	run := func(workers int) []Event {

@@ -146,6 +146,56 @@ func TestPropPlacementNeverDoubleBooks(t *testing.T) {
 	}
 }
 
+// TestPropFreeVCPUsMatchesSlotFlags pins the running free-thread count
+// against a recount of the free-slot flags after every Place and Remove of
+// a random sequence — on shared hosts, and on DedicatedCores hosts, where
+// Remove frees whole cores and two of a VM's slots can share one.
+func TestPropFreeVCPUsMatchesSlotFlags(t *testing.T) {
+	for _, dedicated := range []bool{false, true} {
+		f := func(seed uint64) bool {
+			rng := stats.NewRNG(seed)
+			s := NewServer("prop", ServerConfig{
+				Cores:          1 + rng.Intn(10),
+				ThreadsPerCore: 1 + rng.Intn(3),
+				DedicatedCores: dedicated,
+			})
+			recount := func() int {
+				n := 0
+				for _, f := range s.free {
+					if f {
+						n++
+					}
+				}
+				return n
+			}
+			var ids []string
+			for op := 0; op < 40; op++ {
+				if len(ids) > 0 && rng.Bool(0.4) {
+					k := rng.Intn(len(ids))
+					s.Remove(ids[k])
+					if rng.Bool(0.2) {
+						s.Remove(ids[k]) // a second Remove is a no-op
+					}
+					ids = append(ids[:k], ids[k+1:]...)
+				} else {
+					id := string(rune('a' + op))
+					if s.Place(newVM(id, 1+rng.Intn(5), Vector{})) == nil {
+						ids = append(ids, id)
+					}
+				}
+				if got, want := s.FreeVCPUs(), recount(); got != want {
+					t.Logf("dedicated=%v op %d: FreeVCPUs = %d, free-slot flags count %d", dedicated, op, got, want)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("dedicated=%v: %v", dedicated, err)
+		}
+	}
+}
+
 func TestPropSharesCoreSymmetric(t *testing.T) {
 	f := func(seed uint64) bool {
 		s, _ := randomServer(seed)

@@ -179,8 +179,11 @@ type Server struct {
 	name string
 	vms  []*VM
 	// free[i] is true when hyperthread slot i (core i/tpc, thread i%tpc) is
-	// unoccupied.
-	free []bool
+	// unoccupied; nfree counts the true entries, kept in step by Place and
+	// Remove so FreeVCPUs — which schedulers call for every server on every
+	// pick — is O(1).
+	free  []bool
+	nfree int
 	// byID indexes vms by VM.ID so Lookup (and Place's duplicate check) is
 	// O(1); cluster construction used to be O(n²) in VMs per host.
 	byID map[string]*VM
@@ -210,6 +213,7 @@ func NewServer(name string, cfg ServerConfig) *Server {
 	for i := range s.free {
 		s.free[i] = true
 	}
+	s.nfree = len(s.free)
 	return s
 }
 
@@ -223,15 +227,7 @@ func (s *Server) Config() ServerConfig { return s.cfg }
 func (s *Server) TotalVCPUs() int { return s.cfg.Cores * s.cfg.ThreadsPerCore }
 
 // FreeVCPUs returns the number of unassigned hyperthreads.
-func (s *Server) FreeVCPUs() int {
-	n := 0
-	for _, f := range s.free {
-		if f {
-			n++
-		}
-	}
-	return n
-}
+func (s *Server) FreeVCPUs() int { return s.nfree }
 
 // VMs returns a copy of the VMs currently placed on the server.
 // In-package hot paths iterate s.vms directly.
@@ -320,6 +316,7 @@ func (s *Server) Place(vm *VM) error {
 	}
 
 	vm.slots = vm.slots[:0]
+	s.nfree -= len(chosen)
 	for _, i := range chosen {
 		s.free[i] = false
 		if !s.cfg.DedicatedCores || len(vm.slots) < vm.VCPUs {
@@ -346,11 +343,17 @@ func (s *Server) Remove(id string) bool {
 	}
 	for _, sl := range vm.slots {
 		if s.cfg.DedicatedCores {
+			// Two of the VM's slots can share a reserved core, so count
+			// only the threads this pass actually frees.
 			for th := 0; th < s.cfg.ThreadsPerCore; th++ {
-				s.free[sl.Core*s.cfg.ThreadsPerCore+th] = true
+				if i := sl.Core*s.cfg.ThreadsPerCore + th; !s.free[i] {
+					s.free[i] = true
+					s.nfree++
+				}
 			}
 		} else {
 			s.free[s.slotIndex(sl)] = true
+			s.nfree++
 		}
 	}
 	vm.slots = nil
