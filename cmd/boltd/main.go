@@ -52,7 +52,7 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "boltd: training detector (seed %d)...\n", *seed)
 	//bolt:nolint detrand -- startup diagnostic only: the duration goes to stderr and never influences an answer
 	t0 := time.Now()
-	det := core.TrainCached(workload.TrainingSpecs(*seed), core.Config{})
+	det := core.Train(workload.TrainingSpecs(*seed), core.Config{})
 	//bolt:nolint detrand -- startup diagnostic only: the duration goes to stderr and never influences an answer
 	fmt.Fprintf(os.Stderr, "boltd: trained in %v\n", time.Since(t0).Round(time.Millisecond))
 
@@ -87,8 +87,15 @@ func run() int {
 				return
 			case <-ticker.C:
 			}
-			next := core.TrainCached(workload.TrainingSpecs(*seed+gen), core.Config{})
-			v := srv.Swap(next)
+			// Each generation is a new catalog, so nothing could share its
+			// training: Train, not the process-wide TrainCached memo, lets
+			// the replaced generation be collected.
+			next := core.Train(workload.TrainingSpecs(*seed+gen), core.Config{})
+			v, err := srv.Swap(next)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "boltd: retrain (training seed %d): %v; still serving the previous snapshot\n", *seed+gen, err)
+				continue
+			}
 			fmt.Fprintf(os.Stderr, "boltd: swapped in snapshot %d (training seed %d)\n", v, *seed+gen)
 		}
 	}()

@@ -75,7 +75,7 @@ func run() int {
 	}
 
 	fmt.Fprintf(os.Stderr, "boltload: training detector (seed %d)...\n", *seed)
-	det := core.TrainCached(workload.TrainingSpecs(*seed), core.Config{})
+	det := core.Train(workload.TrainingSpecs(*seed), core.Config{})
 	n := det.Rec.ResourceCount()
 
 	fmt.Printf("goos: %s\n", runtime.GOOS)

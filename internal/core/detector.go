@@ -63,9 +63,11 @@ func (c Config) withDefaults() Config {
 // A Detector is immutable once Train returns: the recommender, the
 // completer, and the byLabel lookup are built in full during training and
 // only read afterwards (Detect and NewEpisode keep all mutable episode
-// state outside the Detector). It is therefore safe for concurrent
-// use by any number of goroutines — the parallel experiment runner and the
-// TrainCached memo depend on this property; anything added to Detector must
+// state outside the Detector; the recommender's per-mask plans are
+// published once each and never change). It is therefore safe for
+// concurrent use by any number of goroutines — the parallel experiment
+// runner and the TrainCached memo, which also shares one recommender among
+// Detectors, depend on this property; anything added to Detector must
 // preserve it or take a lock.
 type Detector struct {
 	Rec *mining.Recommender
@@ -79,23 +81,31 @@ type Detector struct {
 // 120-application training set).
 func Train(specs []workload.Spec, cfg Config) *Detector {
 	cfg = cfg.withDefaults()
+	return newDetector(specs, cfg, mining.NewRecommender(labeledProfiles(specs), cfg.Recommender))
+}
+
+// labeledProfiles is the training set the recommender learns from.
+func labeledProfiles(specs []workload.Spec) []mining.LabeledProfile {
 	profiles := make([]mining.LabeledProfile, len(specs))
-	byLabel := make(map[string]sim.Vector, len(specs))
 	for i, s := range specs {
 		profiles[i] = mining.LabeledProfile{
 			Label:    s.Label,
 			Class:    s.Class,
 			Pressure: s.Base.Slice(),
 		}
+	}
+	return profiles
+}
+
+// newDetector wraps rec, trained on specs, in a Detector with policy cfg.
+func newDetector(specs []workload.Spec, cfg Config, rec *mining.Recommender) *Detector {
+	byLabel := make(map[string]sim.Vector, len(specs))
+	for _, s := range specs {
 		if _, ok := byLabel[s.Label]; !ok {
 			byLabel[s.Label] = s.Base
 		}
 	}
-	return &Detector{
-		Rec:     mining.NewRecommender(profiles, cfg.Recommender),
-		cfg:     cfg,
-		byLabel: byLabel,
-	}
+	return &Detector{Rec: rec, cfg: cfg, byLabel: byLabel}
 }
 
 // TrainingProfile returns the representative dense pressure vector for a

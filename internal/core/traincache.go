@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"bolt/internal/mining"
 	"bolt/internal/workload"
 )
 
@@ -15,34 +16,43 @@ import (
 // experiment start-up. TrainCached memoizes Train on the identity of its
 // inputs so concurrent experiments share one trained Detector, which is safe
 // because a Detector is immutable once Train returns (see the Detector doc
-// comment).
+// comment). The memo has two levels: the recommender, which is all the
+// training there is, is shared by every Config that differs only in
+// episode-policy fields, and each such Config gets its own Detector around
+// it.
 
-// trainCacheKey identifies one training run. Specs are folded to an FNV-1a
+// trainCacheKey identifies one cache entry. Specs are folded to an FNV-1a
 // fingerprint of their identity-bearing fields (Label, Class, Base — the
-// only fields Train reads); the config is resolved through withDefaults so
+// only fields Train reads). The config is resolved through cacheConfig, so
 // an explicit Config{MaxIterations: 6} and the zero Config share an entry.
+// A recommender entry (rec) keys on the resolved Recommender config alone.
 type trainCacheKey struct {
 	fingerprint uint64
 	n           int
 	cfg         Config
+	rec         bool
 }
 
 // trainCacheEntry carries a once so concurrent callers with the same key
 // perform a single training pass (singleflight) while callers with other
-// keys proceed unblocked.
+// keys proceed unblocked. A detector entry sets det, a recommender entry
+// rec.
 type trainCacheEntry struct {
 	once sync.Once
 	det  *Detector
+	rec  *mining.Recommender
 }
 
-// trainCacheCap bounds the memo. The suite uses a handful of distinct
-// (catalog, config) pairs; the cap only matters for callers sweeping many
-// seeds, where dropping an arbitrary entry merely costs a retrain.
+// trainCacheCap bounds the memo, both levels together. The suite uses a
+// handful of distinct (catalog, config) pairs; the cap only matters for
+// callers sweeping many seeds, where dropping an entry merely costs a
+// retrain.
 const trainCacheCap = 64
 
 var trainCache = struct {
 	sync.Mutex
-	m map[trainCacheKey]*trainCacheEntry
+	m     map[trainCacheKey]*trainCacheEntry
+	order []trainCacheKey // the keys of m, oldest first
 }{m: make(map[trainCacheKey]*trainCacheEntry)}
 
 func fingerprintSpecs(specs []workload.Spec) uint64 {
@@ -66,33 +76,56 @@ func fingerprintSpecs(specs []workload.Spec) uint64 {
 	return h.Sum64()
 }
 
+// cacheConfig resolves the defaults that make two configs train the same
+// detector: withDefaults, and an EnergyFraction of 0, which the
+// recommender reads as mining.DefaultEnergyFraction.
+func cacheConfig(cfg Config) Config {
+	cfg = cfg.withDefaults()
+	if cfg.Recommender.EnergyFraction == 0 {
+		cfg.Recommender.EnergyFraction = mining.DefaultEnergyFraction
+	}
+	return cfg
+}
+
+// cacheEntry returns the entry for key, adding an empty one if there is
+// none. A full cache drops its oldest entry, so an entry outlives the next
+// trainCacheCap−1 additions: a detector entry is not evicted by the
+// recommender entry its own training adds, and callers racing on a few
+// keys all find the entry the first of them added.
+func cacheEntry(key trainCacheKey) *trainCacheEntry {
+	trainCache.Lock()
+	defer trainCache.Unlock()
+	if e, ok := trainCache.m[key]; ok {
+		return e
+	}
+	if len(trainCache.order) >= trainCacheCap {
+		delete(trainCache.m, trainCache.order[0])
+		trainCache.order = trainCache.order[1:]
+	}
+	e := &trainCacheEntry{}
+	trainCache.m[key] = e
+	trainCache.order = append(trainCache.order, key)
+	return e
+}
+
 // TrainCached is Train memoized on (specs identity, resolved config). It
 // returns the same *Detector for repeated calls with equivalent inputs, and
 // is safe for concurrent use: callers racing on a missing entry block on a
-// single training pass rather than each training their own.
+// single training pass rather than each training their own. Configs that
+// differ only in MaxIterations, ExtraBench, DisableShutter or DisableMRC
+// get Detectors of their own that share one *mining.Recommender, so its
+// per-mask plans are built once for all of them.
 //
 // The returned Detector is shared — callers must treat it as read-only,
 // which the Detector API already requires.
 func TrainCached(specs []workload.Spec, cfg Config) *Detector {
-	key := trainCacheKey{
-		fingerprint: fingerprintSpecs(specs),
-		n:           len(specs),
-		cfg:         cfg.withDefaults(),
-	}
-	trainCache.Lock()
-	e, ok := trainCache.m[key]
-	if !ok {
-		if len(trainCache.m) >= trainCacheCap {
-			// Arbitrary eviction: any entry is equally cheap to rebuild.
-			for k := range trainCache.m {
-				delete(trainCache.m, k)
-				break
-			}
-		}
-		e = &trainCacheEntry{}
-		trainCache.m[key] = e
-	}
-	trainCache.Unlock()
-	e.once.Do(func() { e.det = Train(specs, cfg) })
+	fp := fingerprintSpecs(specs)
+	cfg = cacheConfig(cfg)
+	e := cacheEntry(trainCacheKey{fingerprint: fp, n: len(specs), cfg: cfg})
+	e.once.Do(func() {
+		re := cacheEntry(trainCacheKey{fingerprint: fp, n: len(specs), cfg: Config{Recommender: cfg.Recommender}, rec: true})
+		re.once.Do(func() { re.rec = mining.NewRecommender(labeledProfiles(specs), cfg.Recommender) })
+		e.det = newDetector(specs, cfg, re.rec)
+	})
 	return e.det
 }

@@ -8,14 +8,16 @@ import (
 	"bolt/internal/workload"
 )
 
-// TestTrainCachedConcurrentSingleflight hammers one cache key from many
-// goroutines: every caller must get the identical *Detector (one training
-// pass, not a race of redundant ones), and under -race the cache's locking
-// must hold up. This is the exact access pattern the serving plane adds —
-// boltd retrains in the background while benchmark processes and the
-// experiment suite call TrainCached concurrently.
+// TestTrainCachedConcurrentSingleflight hammers cache keys from many
+// goroutines: every caller of one key must get the identical *Detector (one
+// training pass, not a race of redundant ones), and callers of policy-only
+// variants, racing each other, must all get Detectors around one
+// *mining.Recommender; under -race the cache's locking must hold up. This is
+// the access pattern of the experiment suite, whose experiments train their
+// policy variants of one catalog concurrently.
 func TestTrainCachedConcurrentSingleflight(t *testing.T) {
 	specs := workload.TrainingSpecs(1001) // a seed no other test primes
+	cfgs := []core.Config{{}, {ExtraBench: 2}, {DisableShutter: true}, {MaxIterations: 3, DisableMRC: true}}
 	const callers = 16
 	dets := make([]*core.Detector, callers)
 	var wg sync.WaitGroup
@@ -25,14 +27,22 @@ func TestTrainCachedConcurrentSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			dets[i] = core.TrainCached(specs, core.Config{})
+			dets[i] = core.TrainCached(specs, cfgs[i%len(cfgs)])
 		}(i)
 	}
 	close(start)
 	wg.Wait()
 	for i := 1; i < callers; i++ {
-		if dets[i] != dets[0] {
-			t.Fatalf("caller %d got a different detector pointer: singleflight broken", i)
+		if same := i % len(cfgs); dets[i] != dets[same] {
+			t.Fatalf("caller %d got a different detector pointer than caller %d: singleflight broken", i, same)
+		}
+		if dets[i].Rec != dets[0].Rec {
+			t.Fatalf("caller %d (config %+v) got its own recommender; policy-only variants share one", i, cfgs[i%len(cfgs)])
+		}
+	}
+	for i := 1; i < len(cfgs); i++ {
+		if dets[i] == dets[0] {
+			t.Fatalf("config %+v shares the zero config's Detector; it needs its own policy", cfgs[i])
 		}
 	}
 }

@@ -4,6 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"bolt/internal/mining"
+	"bolt/internal/probe"
+	"bolt/internal/sim"
+	"bolt/internal/stats"
 	"bolt/internal/workload"
 )
 
@@ -90,5 +94,85 @@ func TestTrainCachedBounded(t *testing.T) {
 	trainCache.Unlock()
 	if n > trainCacheCap {
 		t.Fatalf("cache grew to %d entries, cap is %d", n, trainCacheCap)
+	}
+	// On a full cache a new key adds two entries, its detector's and then
+	// its recommender's; the second must not evict the first.
+	fresh := TrainCached(workload.TrainingSpecs(407)[:4], Config{})
+	if again := TrainCached(workload.TrainingSpecs(407)[:4], Config{}); again != fresh {
+		t.Fatal("a full cache dropped the entry it had just added")
+	}
+}
+
+// TestTrainCachedSharesRecommender: configs that differ only in
+// episode-policy fields get Detectors of their own around one shared
+// recommender, EnergyFraction 0 and its resolved 0.9 are one entry, and
+// every field the recommender reads keeps its own. Each Detector still
+// runs its own policy.
+func TestTrainCachedSharesRecommender(t *testing.T) {
+	specs := workload.TrainingSpecs(406)
+	base := TrainCached(specs, Config{})
+	if resolved := TrainCached(specs, Config{Recommender: mining.RecommenderConfig{EnergyFraction: 0.9}}); resolved != base {
+		t.Fatal("EnergyFraction 0.9 should hit the zero-config entry")
+	}
+	shared := map[string]Config{
+		"MaxIterations":  {MaxIterations: 1},
+		"ExtraBench":     {ExtraBench: 3},
+		"DisableShutter": {DisableShutter: true},
+		"DisableMRC":     {DisableMRC: true},
+		"all four":       {MaxIterations: 2, ExtraBench: 1, DisableShutter: true, DisableMRC: true},
+	}
+	for name, cfg := range shared {
+		d := TrainCached(specs, cfg)
+		if d == base || d.Rec != base.Rec {
+			t.Fatalf("%s: want a Detector of its own around the shared recommender (same detector %v, same recommender %v)",
+				name, d == base, d.Rec == base.Rec)
+		}
+		if want := cfg.withDefaults(); d.cfg.MaxIterations != want.MaxIterations || d.cfg.ExtraBench != want.ExtraBench ||
+			d.cfg.DisableShutter != want.DisableShutter || d.cfg.DisableMRC != want.DisableMRC {
+			t.Fatalf("%s: detector policy %+v, want %+v", name, d.cfg, want)
+		}
+	}
+	own := map[string]Config{
+		"Completion":     {Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{Seed: 1}}},
+		"FixedFoldIn":    {Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{FixedFoldIn: true}}},
+		"Unweighted":     {Recommender: mining.RecommenderConfig{Unweighted: true}},
+		"PureCF":         {Recommender: mining.RecommenderConfig{PureCF: true}},
+		"EnergyFraction": {Recommender: mining.RecommenderConfig{EnergyFraction: 0.5}},
+	}
+	for name, cfg := range own {
+		if d := TrainCached(specs, cfg); d.Rec == base.Rec {
+			t.Fatalf("%s: a recommender field must not share the default's recommender", name)
+		}
+	}
+
+	// The policy is the Detector's own: on the same host and seed, the
+	// MaxIterations 1 detector stops after one iteration, and adding
+	// ExtraBench to it spends longer on that iteration.
+	episode := func(d *Detector) Detection {
+		adv := probe.NewAdversary("adv", 4, probe.Config{}, stats.NewRNG(13))
+		s := sim.NewServer("s0", sim.ServerConfig{})
+		if err := s.Place(adv.VM); err != nil {
+			t.Fatal(err)
+		}
+		spec := workload.VictimSpecs(406, 1)[0]
+		vm := &sim.VM{ID: "victim", VCPUs: 4, App: workload.NewApp(spec, workload.Constant{Level: 1}, 1)}
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+		return d.Detect(s, adv, 0, 1)
+	}
+	def := episode(base)
+	one := episode(TrainCached(specs, shared["MaxIterations"]))
+	extraDet := TrainCached(specs, Config{MaxIterations: 1, ExtraBench: 3})
+	extra := episode(extraDet)
+	if extraDet.Rec != base.Rec {
+		t.Fatal("MaxIterations 1 + ExtraBench 3 should share the default's recommender")
+	}
+	if def.Iterations < 2 || one.Iterations != 1 || extra.Iterations != 1 {
+		t.Fatalf("iterations: default %d (want ≥ 2 for the test to discriminate), MaxIterations 1 %d, with ExtraBench %d",
+			def.Iterations, one.Iterations, extra.Iterations)
+	}
+	if extra.Ticks <= one.Ticks {
+		t.Fatalf("one iteration took %d ticks with ExtraBench 3 and %d without: the extra benchmarks did not run", extra.Ticks, one.Ticks)
 	}
 }

@@ -25,19 +25,31 @@ func TestDetectAllocationBudget(t *testing.T) {
 	rec := NewRecommender(synthTrain(rng), RecommenderConfig{})
 	obs := []float64{80, 55, 30, 70, 40, 50, 35, 55, 2, 1}
 	known := []bool{true, false, false, true, false, true, false, false, false, false}
-	rec.Detect(obs, known) // populate the scratch pool
-	allocs := testing.AllocsPerRun(100, func() { rec.Detect(obs, known) })
-	// Result struct + Pressure copy + the MatchesKept-entry Matches head. A
-	// cold scratch-pool refill (GC can empty the pool mid-run) only nudges
-	// the average.
-	if allocs > 4 {
-		t.Errorf("Detect allocated %.2f objects/op, budget is 4", allocs)
+	// A hit reads the plan the first call published; a miss, with every
+	// slot holding another mask, builds the plan in the pooled scratch.
+	miss := []bool{false, true, true, false, true, false, true, true, true, true}
+	for m := 1; m <= planSlots; m++ {
+		other := make([]bool, len(known))
+		for j := range other {
+			other[j] = m>>j&1 == 1
+		}
+		rec.Detect(obs, other)
+	}
+	for name, known := range map[string][]bool{"hit": known, "miss": miss} {
+		rec.Detect(obs, known) // populate the scratch pool
+		allocs := testing.AllocsPerRun(100, func() { rec.Detect(obs, known) })
+		// Result struct + Pressure copy + the MatchesKept-entry Matches head.
+		// A cold scratch-pool refill (GC can empty the pool mid-run) only
+		// nudges the average.
+		if allocs > 4 {
+			t.Errorf("%s: Detect allocated %.2f objects/op, budget is 4", name, allocs)
+		}
 	}
 }
 
-// TestCompleteIntoAllocationFree covers every fold-in solve CompleteInto can
-// reach: foldPower on the default path, and under FixedFoldIn foldSolve at
-// the default rank and at another.
+// TestCompleteIntoAllocationFree covers every fold-in solve completeInto can
+// reach, and planning the fold-in: the chain on the default path, and under
+// FixedFoldIn foldSolve at the default rank and at another.
 func TestCompleteIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
@@ -49,15 +61,18 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 	obs[7], known[7] = 60, true
 	dst := make([]float64, 10)
 	for name, cfg := range map[string]CompletionConfig{
-		"foldPower":       {Seed: 3},
+		"foldChain":       {Seed: 3},
 		"foldSolve/rank6": {Seed: 3, FixedFoldIn: true},
 		"foldSolve/rank4": {Seed: 3, FixedFoldIn: true, Rank: 4},
 	} {
 		c := NewCompleter(train, cfg)
-		c.CompleteInto(dst, obs, known) // populate the scratch pool
-		allocs := testing.AllocsPerRun(100, func() { c.CompleteInto(dst, obs, known) })
-		if allocs > 0.5 {
-			t.Errorf("%s: CompleteInto allocated %.2f objects/op, want 0", name, allocs)
+		fp, s := newFoldPlan(c), newCompleteScratch(c.cfg.Rank, c.n)
+		allocs := testing.AllocsPerRun(100, func() {
+			c.planFold(&fp, known, s.tmp)
+			c.completeInto(dst, obs, known, &fp, &s)
+		})
+		if allocs > 0 {
+			t.Errorf("%s: planFold + completeInto allocated %.2f objects/op, want 0", name, allocs)
 		}
 	}
 }
@@ -69,19 +84,24 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 // exercised under an AllocsPerRun budget, directly or via its sole caller.
 var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
+	"prepare":           "TestDetectAllocationBudget",
+	"planFor":           "TestDetectAllocationBudget",
+	"buildPlan":         "TestDetectAllocationBudget",
 	"insertRanked":      "TestDetectAllocationBudget",
 	"proximity":         "TestDetectAllocationBudget",
 	"momentsOf":         "TestDetectAllocationBudget",
-	"pearsonAgainst":    "TestDetectAllocationBudget",
+	"pearsonFrom":       "TestDetectAllocationBudget",
 	"Dot":               "TestDetectAllocationBudget",
 	"Axpy":              "TestCompleteIntoAllocationFree",
 	"sgdStep":           "TestCompleteIntoAllocationFree",
 	"foldStep":          "TestCompleteIntoAllocationFree",
 	"foldSolve":         "TestCompleteIntoAllocationFree",
-	"foldPower":         "TestCompleteIntoAllocationFree",
+	"planFold":          "TestCompleteIntoAllocationFree",
+	"foldChain":         "TestCompleteIntoAllocationFree",
+	"foldApply":         "TestCompleteIntoAllocationFree",
 	"matVec":            "TestCompleteIntoAllocationFree",
 	"matMul":            "TestCompleteIntoAllocationFree",
-	"CompleteInto":      "TestCompleteIntoAllocationFree",
+	"completeInto":      "TestCompleteIntoAllocationFree",
 	"neighbourEstimate": "TestCompleteIntoAllocationFree",
 	"gaussKernel":       "TestCompleteIntoAllocationFree",
 }

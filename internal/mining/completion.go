@@ -2,14 +2,14 @@ package mining
 
 import (
 	"math"
-	"sync"
+	"math/bits"
 
 	"bolt/internal/stats"
 )
 
-// foldInIters is the number of fold-in sweeps whose iterate CompleteInto
-// reports: computed by matrix powers (foldPower) by default, run one by one
-// (foldSolve) with FixedFoldIn.
+// foldInIters is the number of fold-in sweeps whose iterate completeInto
+// reports: computed by matrix powers (planFold, foldApply) by default, run
+// one by one (foldSolve) with FixedFoldIn.
 const foldInIters = 2000
 
 // The training-time SGD schedule, and the range predictions are clamped to
@@ -27,7 +27,7 @@ const (
 type CompletionConfig struct {
 	Rank int    // latent factor dimensionality; 0 means min(n, 6)
 	Seed uint64 // factor initialisation seed
-	// FixedFoldIn makes CompleteInto run the historical sequential-sweep
+	// FixedFoldIn makes completeInto run the historical sequential-sweep
 	// arithmetic: foldInIters ridge-SGD sweeps, one after another. The
 	// default computes the same iterate by matrix powers and agrees with
 	// the sweeps to ~1e-12 relative, which no consumer of completed
@@ -47,29 +47,38 @@ func (c CompletionConfig) withDefaults(n int) CompletionConfig {
 	return c
 }
 
-// completeScratch holds the per-call working memory of CompleteInto, pooled
-// so steady-state completions allocate nothing.
+// completeScratch holds the per-call working memory of completeInto.
 type completeScratch struct {
-	u       []float64 // fold-in factor row (rank)
-	b, v    []float64 // foldPower: sweep offset and a temporary (rank)
-	m, p, t []float64 // foldPower: sweep matrix, its power, product buffer (rank²)
+	u, b, v []float64 // fold-in factor row, first sweep iterate, a temporary (rank)
+	tmp     []float64 // planFold's product buffer (rank²)
 	est     []float64 // neighbourhood estimate (n)
-	kidx    []int     // indices of the known observations
 }
 
 // newCompleteScratch sizes a scratch for rank r and n resource columns.
-func newCompleteScratch(r, n int) *completeScratch {
-	return &completeScratch{
-		u:    make([]float64, r),
-		b:    make([]float64, r),
-		v:    make([]float64, r),
-		m:    make([]float64, r*r),
-		p:    make([]float64, r*r),
-		t:    make([]float64, r*r),
-		est:  make([]float64, n),
-		kidx: make([]int, 0, n),
+func newCompleteScratch(r, n int) completeScratch {
+	return completeScratch{
+		u:   make([]float64, r),
+		b:   make([]float64, r),
+		v:   make([]float64, r),
+		tmp: make([]float64, r*r),
+		est: make([]float64, n),
 	}
 }
+
+// foldPlan is the half of a completion that depends only on which columns
+// are known, not on the observed values: their indices and, unless
+// FixedFoldIn, the fold-in chain. chain holds foldDoublings r×r matrices,
+// row-major: chain[0] is the sweep matrix M, and matrix k the power of M
+// that the k-th doubling of the bit walk multiplies the iterate by.
+type foldPlan struct {
+	kidx  []int
+	chain []float64
+}
+
+// foldDoublings is the number of doublings in the bit walk over
+// foldInIters = 2000 = 11111010000₂: one per bit below the leading one.
+// TestFoldPowerMatchesSweeps checks it against the constant.
+const foldDoublings = 10
 
 // Completer performs PQ matrix completion with stochastic gradient descent:
 // it factorises the training utility matrix A ≈ P Qᵀ, then folds in a new
@@ -83,7 +92,7 @@ func newCompleteScratch(r, n int) *completeScratch {
 // closest to the observation on its known coordinates.
 //
 // A Completer is immutable after NewCompleter and safe for concurrent use;
-// per-call state lives in a sync.Pool of scratch buffers.
+// per-call state lives in a completeScratch the caller owns.
 type Completer struct {
 	cfg      CompletionConfig
 	p        *Matrix   // m×r application factors
@@ -91,7 +100,6 @@ type Completer struct {
 	train    *Matrix   // retained for the neighbourhood term
 	colMeans []float64 // training column means (neighbourhood fallback)
 	n        int
-	scratch  sync.Pool // *completeScratch
 }
 
 // NewCompleter factorises the dense training matrix (one row per training
@@ -139,51 +147,120 @@ func NewCompleter(train *Matrix, cfg CompletionConfig) *Completer {
 			c.colMeans[j] = sum / float64(m)
 		}
 	}
-	c.scratch.New = func() any { return newCompleteScratch(r, n) }
 	return c
 }
 
-// CompleteInto folds a sparse observation vector into the learned factor
-// space and writes the dense prediction into dst (length n), allocating
-// nothing. known[j] must be true where observed[j] is a real measurement;
-// other entries of observed are ignored. When nothing is known every entry
-// is 0.7·(training column mean) + 0.3·clamp(0): the neighbourhood falls
-// back to the means and the zero factor row predicts 0. dst may alias
-// neither observed nor the scratch internals; it is fully overwritten.
+// The fold-in's ridge-SGD step and regulariser. The fold-in row has very
+// few observations; the training-time regulariser would shrink it toward
+// zero and bias every prediction low, so it is relaxed here.
+const (
+	foldLearnRate = 0.01
+	foldReg       = sgdReg * 0.1
+)
+
+// planFold fills fp for the known mask: the indices of the known columns
+// and, unless FixedFoldIn, the fold-in chain (see foldPlan).
 //
 //bolt:hotpath
-func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
-	if len(observed) != c.n || len(known) != c.n {
-		panic("mining: CompleteInto length mismatch")
-	}
-	if len(dst) != c.n {
-		panic("mining: CompleteInto dst length mismatch")
-	}
-	r := c.cfg.Rank
-	s := c.scratch.Get().(*completeScratch)
-	defer c.scratch.Put(s)
-
-	s.kidx = s.kidx[:0]
+func (c *Completer) planFold(fp *foldPlan, known []bool, tmp []float64) {
+	fp.kidx = fp.kidx[:0]
 	for j, k := range known {
 		if k {
-			s.kidx = append(s.kidx, j)
+			fp.kidx = append(fp.kidx, j)
 		}
 	}
+	if !c.cfg.FixedFoldIn {
+		c.foldChain(fp, tmp)
+	}
+}
 
-	// Solve for the new row's factors by ridge-regularised least squares on
-	// the known entries: the foldInIters-th sweep iterate from zero
-	// (equivalent to fold-in SGD but deterministic). The fold-in row has
-	// very few observations; the training-time regulariser would shrink it
-	// toward zero and bias every prediction low, so it is relaxed here.
+// foldChain fills fp.chain for the known columns fp.kidx, composed in that
+// order. One sweep over the known columns is an affine map u ← M·u + b:
+// column j contributes the factor (1−lr·reg)·I − lr·q_j·q_jᵀ to M, and b is
+// the first sweep iterate, which depends on the observation and is left to
+// foldApply. From u_0 = 0 the k-th iterate is u_k = (I + M + … + M^(k−1))·b,
+// so the pair (P, u) = (M^k, u_k) doubles by u_2k = u_k + P·u_k, P ← P·P and
+// increments by u_(k+1) = M·u_k + b, P ← P·M. Walking the bits of
+// foldInIters below its leading one reaches u_foldInIters; the P each
+// doubling reads is a product of M alone, so the chain stores them. Only a
+// doubling reads P, so it is not advanced past the last one. tmp is an r×r
+// buffer.
+//
+//bolt:hotpath
+func (c *Completer) foldChain(fp *foldPlan, tmp []float64) {
+	r := c.cfg.Rank
+	rr := r * r
+	m, v := fp.chain[:rr:rr], tmp[:r:r]
+	clear(m)
+	for k := 0; k < r; k++ {
+		m[k*r+k] = 1
+	}
+	// Variables, so lr·reg rounds as float64 arithmetic rather than folding
+	// exactly as a constant expression would.
+	lr, reg := foldLearnRate, foldReg
+	decay := 1 - lr*reg
+	for _, j := range fp.kidx {
+		q := c.q.Data[j*r : (j+1)*r : (j+1)*r]
+		// M ← decay·M − lr·q·(qᵀM), with v holding qᵀM.
+		clear(v)
+		for k, qk := range q {
+			row := m[k*r : (k+1)*r : (k+1)*r]
+			for x := range v {
+				v[x] += qk * row[x]
+			}
+		}
+		for k, qk := range q {
+			row := m[k*r : (k+1)*r : (k+1)*r]
+			a := lr * qk
+			for x := range row {
+				row[x] = decay*row[x] - a*v[x]
+			}
+		}
+	}
+	p := m
+	for k, bit := 1, bits.Len(foldInIters)-2; bit > 0; k, bit = k+1, bit-1 {
+		next := fp.chain[k*rr : (k+1)*rr : (k+1)*rr]
+		if foldInIters>>bit&1 == 0 {
+			matMul(next, p, p, r)
+		} else {
+			matMul(tmp, p, p, r)
+			matMul(next, tmp, m, r)
+		}
+		p = next
+	}
+}
+
+// completeInto folds a sparse observation vector into the learned factor
+// space and writes the dense prediction into dst (length n), allocating
+// nothing. known[j] must be true where observed[j] is a real measurement,
+// and fp must be planFold's plan for known; other entries of observed are
+// ignored. When nothing is known every entry is 0.7·(training column mean)
+// + 0.3·clamp(0): the neighbourhood falls back to the means and the zero
+// factor row predicts 0. dst may alias neither observed nor s; it is fully
+// overwritten.
+//
+// The new row's factors solve ridge-regularised least squares on the known
+// entries: the foldInIters-th fold-in sweep iterate from zero (equivalent to
+// fold-in SGD but deterministic), by the chain, or by running the sweeps
+// under FixedFoldIn.
+//
+//bolt:hotpath
+func (c *Completer) completeInto(dst, observed []float64, known []bool, fp *foldPlan, s *completeScratch) {
+	if len(observed) != c.n || len(known) != c.n {
+		panic("mining: completeInto length mismatch")
+	}
+	if len(dst) != c.n {
+		panic("mining: completeInto dst length mismatch")
+	}
+	r := c.cfg.Rank
 	u := s.u
-	lr, reg := 0.01, sgdReg*0.1
 	if c.cfg.FixedFoldIn {
-		foldSolve(u, c.q.Data, s.kidx, observed, lr, reg)
+		foldSolve(u, c.q.Data, fp.kidx, observed, foldLearnRate, foldReg)
 	} else {
-		foldPower(s, c.q.Data, s.kidx, observed, lr, reg)
+		c.foldApply(s, fp, observed)
 	}
 
-	neighbour := c.neighbourEstimate(s, observed)
+	neighbour := c.neighbourEstimate(s.est, fp.kidx, observed)
 	for j := 0; j < c.n; j++ {
 		if known[j] {
 			dst[j] = observed[j]
@@ -198,19 +275,53 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	}
 }
 
-// neighbourEstimate predicts every column as the similarity-weighted mean
-// of the training rows nearest to the observation on its known coordinates
-// (s.kidx). Weights follow a Gaussian kernel on the RMS distance, so close
-// rows dominate and far rows contribute nothing. The returned slice is
-// s.est, valid until the scratch is reused.
+// foldApply writes into s.u the iterate foldSolve reaches from u = 0 after
+// foldInIters sweeps over fp.kidx, without running them: the first sweep b,
+// then foldChain's bit walk with the chain's powers — 15 matrix-vector
+// products whatever the mask or observation. The result is the
+// foldInIters-th iterate, not the fixed point (I−M)⁻¹·b the sweeps may
+// still be far from (TestFoldPowerMatchesSweeps).
 //
 //bolt:hotpath
-func (c *Completer) neighbourEstimate(s *completeScratch, observed []float64) []float64 {
-	est := s.est[:c.n]
+func (c *Completer) foldApply(s *completeScratch, fp *foldPlan, observed []float64) {
+	u, b, v := s.u, s.b, s.v
+	r := len(u)
+	rr := r * r
+	clear(b)
+	for _, j := range fp.kidx {
+		q := c.q.Data[j*r : (j+1)*r : (j+1)*r]
+		err := observed[j] - Dot(b, q)
+		foldStep(b, q, foldLearnRate, err, foldReg)
+	}
+	m := fp.chain[:rr:rr]
+	copy(u, b)
+	for k, bit := 0, bits.Len(foldInIters)-2; bit >= 0; k, bit = k+1, bit-1 {
+		matVec(v, fp.chain[k*rr:(k+1)*rr:(k+1)*rr], u)
+		for i := range u {
+			u[i] += v[i]
+		}
+		if foldInIters>>bit&1 == 0 {
+			continue
+		}
+		matVec(v, m, u)
+		for i := range u {
+			u[i] = v[i] + b[i]
+		}
+	}
+}
+
+// neighbourEstimate predicts every column as the similarity-weighted mean
+// of the training rows nearest to the observation on its known coordinates
+// kidx, written into est. Weights follow a Gaussian kernel on the RMS
+// distance, so close rows dominate and far rows contribute nothing.
+//
+//bolt:hotpath
+func (c *Completer) neighbourEstimate(est []float64, kidx []int, observed []float64) []float64 {
+	est = est[:c.n]
 	for j := range est {
 		est[j] = 0
 	}
-	if len(s.kidx) == 0 {
+	if len(kidx) == 0 {
 		// Nothing known: fall back to column means.
 		copy(est, c.colMeans)
 		return est
@@ -219,11 +330,11 @@ func (c *Completer) neighbourEstimate(s *completeScratch, observed []float64) []
 	for i := 0; i < c.train.Rows; i++ {
 		row := c.train.Data[i*c.n : (i+1)*c.n]
 		d := 0.0
-		for _, j := range s.kidx {
+		for _, j := range kidx {
 			diff := observed[j] - row[j]
 			d += diff * diff
 		}
-		rms := d / float64(len(s.kidx))
+		rms := d / float64(len(kidx))
 		w := gaussKernel(rms, kernelWidth)
 		if w == 0 {
 			continue

@@ -17,10 +17,23 @@ func trainMatrix(seed uint64, rows, cols int) *Matrix {
 	return m
 }
 
-// complete runs CompleteInto into a fresh slice.
+// newFoldPlan allocates an empty fold-in plan sized for c, as a
+// Recommender's plans hold one.
+func newFoldPlan(c *Completer) foldPlan {
+	fp := foldPlan{kidx: make([]int, 0, c.n)}
+	if !c.cfg.FixedFoldIn {
+		fp.chain = make([]float64, foldDoublings*c.cfg.Rank*c.cfg.Rank)
+	}
+	return fp
+}
+
+// complete plans the fold-in for known and runs completeInto into a fresh
+// slice.
 func complete(c *Completer, observed []float64, known []bool) []float64 {
 	out := make([]float64, len(observed))
-	c.CompleteInto(out, observed, known)
+	fp, s := newFoldPlan(c), newCompleteScratch(c.cfg.Rank, c.n)
+	c.planFold(&fp, known, s.tmp)
+	c.completeInto(out, observed, known, &fp, &s)
 	return out
 }
 
@@ -49,7 +62,7 @@ func completerPair(train *Matrix, cfg CompletionConfig) (power, sweeps *Complete
 }
 
 // stretchRow rescales factor row j of both completers to lr·‖q_j‖² = target
-// (lr is CompleteInto's fold-in step, 0.01). At 2 and beyond the sweep over
+// (lr is the fold-in step, foldLearnRate = 0.01). At 2 and beyond the sweep over
 // column j is expansive: the iterates grow geometrically and overflow.
 func stretchRow(power, sweeps *Completer, j int, target float64) {
 	r := power.cfg.Rank
@@ -67,7 +80,7 @@ func stretchRow(power, sweeps *Completer, j int, target float64) {
 const boundTol = 1e-9
 
 // checkCompletionContract completes one observation on both fold-in paths
-// and asserts CompleteInto's output contract on each — known entries pass
+// and asserts completeInto's output contract on each — known entries pass
 // through bit for bit, every other entry is finite and inside [0, 100] —
 // and that the two paths agree to within tol: a coordinate that clamps on
 // one path clamps to the same side on the other, and an unclamped one

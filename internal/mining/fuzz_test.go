@@ -111,8 +111,9 @@ func FuzzPearsonSymmetry(f *testing.F) {
 				r1, r2, a, b, sigma)
 		}
 		// The kernel Detect runs must be the reference, bit for bit.
-		if got := pearsonAgainst(a, b, sigma, momentsOf(a, sigma)); got != r1 {
-			t.Fatalf("pearsonAgainst = %g, WeightedPearson = %g\na=%v b=%v sigma=%v", got, r1, a, b, sigma)
+		den := sigma[0] + sigma[1] + sigma[2] + sigma[3]
+		if got := pearsonFrom(a, b, sigma, den, momentsOf(a, sigma, den), momentsOf(b, sigma, den)); got != r1 {
+			t.Fatalf("pearsonFrom = %g, WeightedPearson = %g\na=%v b=%v sigma=%v", got, r1, a, b, sigma)
 		}
 		// The unweighted form is the all-ones weighting, symmetric and
 		// bounded for the same reason.

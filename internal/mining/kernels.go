@@ -7,8 +7,6 @@
 // updates that the call sites previously spelled out element by element.
 package mining
 
-import "math/bits"
-
 // Dot returns the inner product of two equal-length vectors. The sum is
 // accumulated strictly left to right, exactly like the naive loop.
 //
@@ -94,7 +92,7 @@ func foldStep(u, q []float64, lr, err, reg float64) {
 // foldSolve is the sequential fold-in solve at any rank r = len(u): from
 // u = 0, exactly foldInIters sweeps of foldStep over the known columns kidx
 // of the row-major n×r factor matrix qdata. It is the arithmetic FixedFoldIn
-// reproduces bit for bit and the reference foldPower is tested against.
+// reproduces bit for bit and the fold-in chain is tested against.
 //
 //bolt:hotpath
 func foldSolve(u, qdata []float64, kidx []int, observed []float64, lr, reg float64) {
@@ -105,76 +103,6 @@ func foldSolve(u, qdata []float64, kidx []int, observed []float64, lr, reg float
 			qj := qdata[j*r : (j+1)*r : (j+1)*r]
 			err := observed[j] - Dot(u, qj)
 			foldStep(u, qj, lr, err, reg)
-		}
-	}
-}
-
-// foldPower writes into s.u the iterate foldSolve reaches from u = 0 after
-// foldInIters sweeps, without running them. One sweep over kidx is an affine
-// map u ← M·u + b: column j contributes the factor (1−lr·reg)·I − lr·q_j·q_jᵀ
-// to M, and b is the first sweep iterate. From u_0 = 0 the k-th iterate is
-// u_k = (I + M + … + M^(k−1))·b, so the pair (P, u) = (M^k, u_k) doubles by
-// u_2k = u_k + P·u_k, P ← P·P and increments by u_(k+1) = M·u_k + b,
-// P ← P·M. Walking the bits of foldInIters below its leading one reaches
-// u_foldInIters in a number of r×r products that depends on neither kidx nor
-// observed. The result is the foldInIters-th iterate, not the fixed point
-// (I−M)⁻¹·b the sweeps may still be far from (TestFoldPowerMatchesSweeps).
-//
-//bolt:hotpath
-func foldPower(s *completeScratch, qdata []float64, kidx []int, observed []float64, lr, reg float64) {
-	u, b, v := s.u, s.b, s.v
-	r := len(u)
-	m, p, t := s.m, s.p, s.t
-
-	clear(m)
-	clear(b)
-	for k := 0; k < r; k++ {
-		m[k*r+k] = 1
-	}
-	decay := 1 - lr*reg
-	for _, j := range kidx {
-		q := qdata[j*r : (j+1)*r : (j+1)*r]
-		// M ← decay·M − lr·q·(qᵀM), with v holding qᵀM.
-		clear(v)
-		for k, qk := range q {
-			row := m[k*r : (k+1)*r : (k+1)*r]
-			for c := range v {
-				v[c] += qk * row[c]
-			}
-		}
-		for k, qk := range q {
-			row := m[k*r : (k+1)*r : (k+1)*r]
-			a := lr * qk
-			for c := range row {
-				row[c] = decay*row[c] - a*v[c]
-			}
-		}
-		err := observed[j] - Dot(b, q)
-		foldStep(b, q, lr, err, reg)
-	}
-
-	copy(p, m)
-	copy(u, b)
-	for bit := bits.Len(foldInIters) - 2; bit >= 0; bit-- {
-		matVec(v, p, u)
-		for k := range u {
-			u[k] += v[k]
-		}
-		// Only a doubling reads P, so it is not advanced past the last one.
-		if bit > 0 {
-			matMul(t, p, p, r)
-			p, t = t, p
-		}
-		if foldInIters>>bit&1 == 0 {
-			continue
-		}
-		matVec(v, m, u)
-		for k := range u {
-			u[k] = v[k] + b[k]
-		}
-		if bit > 0 {
-			matMul(t, p, m, r)
-			p, t = t, p
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"bolt/internal/stats"
@@ -122,6 +123,9 @@ func maxAbs(v []float64) float64 {
 // point (I−M)⁻¹·b, which is why neither side may be replaced by a
 // closed-form solve: the reported completion would change.
 func TestFoldPowerMatchesSweeps(t *testing.T) {
+	if foldDoublings != bits.Len(foldInIters)-1 {
+		t.Fatalf("foldDoublings = %d, the bit walk over %d makes %d", foldDoublings, foldInIters, bits.Len(foldInIters)-1)
+	}
 	const n = 10
 	const lr, reg = 0.01, 0.002
 	rng := stats.NewRNG(16)
@@ -140,10 +144,26 @@ func TestFoldPowerMatchesSweeps(t *testing.T) {
 						observed[j] = rng.Range(0, 100)
 					}
 					kidx := rng.Perm(n)[:nk]
-					s := newCompleteScratch(r, n)
+					s := newFoldPowerScratch(r)
 					foldPower(s, qdata, kidx, observed, lr, reg)
 					want := make([]float64, r)
 					foldSolve(want, qdata, kidx, observed, lr, reg)
+
+					// The planned fold-in is foldPower's arithmetic split in
+					// two: the chain for the mask, then the per-observation
+					// walk. It must land on the same bits.
+					c := &Completer{cfg: CompletionConfig{Rank: r}, q: &Matrix{Rows: n, Cols: r, Data: qdata}, n: n}
+					fp, cs := newFoldPlan(c), newCompleteScratch(r, n)
+					// planFold lists a mask's columns ascending; the chain
+					// composes M over fp.kidx in whatever order it is given.
+					fp.kidx = append(fp.kidx, kidx...)
+					c.foldChain(&fp, cs.tmp)
+					c.foldApply(&cs, &fp, observed)
+					for k := range cs.u {
+						if math.Float64bits(cs.u[k]) != math.Float64bits(s.u[k]) {
+							t.Fatalf("rank %d q#%d known=%v k=%d: chain %v, foldPower %v", r, qi, kidx, k, cs.u[k], s.u[k])
+						}
+					}
 
 					scale := maxAbs(want)
 					for k := range want {

@@ -2,10 +2,10 @@ package mining
 
 import "math"
 
-// WeightedMean returns the σ-weighted mean of u: m(u;σ) = Σσᵢuᵢ / Σσᵢ.
-func WeightedMean(u, sigma []float64) float64 {
+// weightedMean returns the σ-weighted mean of u: m(u;σ) = Σσᵢuᵢ / Σσᵢ.
+func weightedMean(u, sigma []float64) float64 {
 	if len(u) != len(sigma) {
-		panic("mining: WeightedMean length mismatch")
+		panic("mining: weightedMean length mismatch")
 	}
 	num, den := 0.0, 0.0
 	for i := range u {
@@ -18,13 +18,13 @@ func WeightedMean(u, sigma []float64) float64 {
 	return num / den
 }
 
-// WeightedCov returns the σ-weighted covariance of a and b:
+// weightedCov returns the σ-weighted covariance of a and b:
 // cov(a,b;σ) = Σσᵢ(aᵢ−m(a;σ))(bᵢ−m(b;σ)) / Σσᵢ.
-func WeightedCov(a, b, sigma []float64) float64 {
+func weightedCov(a, b, sigma []float64) float64 {
 	if len(a) != len(b) || len(a) != len(sigma) {
-		panic("mining: WeightedCov length mismatch")
+		panic("mining: weightedCov length mismatch")
 	}
-	ma, mb := WeightedMean(a, sigma), WeightedMean(b, sigma)
+	ma, mb := weightedMean(a, sigma), weightedMean(b, sigma)
 	num, den := 0.0, 0.0
 	for i := range a {
 		num += sigma[i] * (a[i] - ma) * (b[i] - mb)
@@ -41,12 +41,12 @@ func WeightedCov(a, b, sigma []float64) float64 {
 // similarity concepts count more. It returns a value in [-1, 1]; 0 when
 // either profile has zero weighted variance.
 func WeightedPearson(a, b, sigma []float64) float64 {
-	va := WeightedCov(a, a, sigma)
-	vb := WeightedCov(b, b, sigma)
+	va := weightedCov(a, a, sigma)
+	vb := weightedCov(b, b, sigma)
 	if va <= 0 || vb <= 0 {
 		return 0
 	}
-	r := WeightedCov(a, b, sigma) / math.Sqrt(va*vb)
+	r := weightedCov(a, b, sigma) / math.Sqrt(va*vb)
 	// Numerical safety: keep strictly within [-1, 1]. Huge finite inputs
 	// can overflow both covariances to +Inf, making r = Inf/Inf = NaN —
 	// which would slip through the clamps below — so NaN degrades to the
@@ -64,53 +64,57 @@ func WeightedPearson(a, b, sigma []float64) float64 {
 	return r
 }
 
-// queryMoments is the half of Eq. 1 that depends only on the query a and
-// the weights: Σσ, the query's weighted mean and its weighted variance,
-// each the value WeightedPearson derives for its first operand. Detect
-// computes them once per query and hands them to pearsonAgainst for every
-// training profile.
-type queryMoments struct {
-	den, mean, variance float64
+// moments is one operand's half of Eq. 1 under fixed weights σ with
+// Σσ = den: its weighted mean m = Σσᵢxᵢ/den and weighted variance
+// Σσᵢ(xᵢ−m)(xᵢ−m)/den — the values weightedMean and weightedCov(x, x, σ)
+// return, or both 0 when den is 0, as they do.
+type moments struct {
+	mean, variance float64
 }
 
-// momentsOf computes the query half of Eq. 1 for query a under weights sigma.
+// momentsOf computes x's half of Eq. 1 under weights sigma summing to den.
+// Each sum runs over the same terms in the same order, each product grouped
+// as weightedCov groups it, so both values are the references' own bits.
 //
 //bolt:hotpath
-func momentsOf(a, sigma []float64) queryMoments {
-	den := 0.0
-	for _, w := range sigma {
-		den += w
+func momentsOf(x, sigma []float64, den float64) moments {
+	if len(x) != len(sigma) {
+		panic("mining: momentsOf length mismatch")
 	}
-	return queryMoments{den: den, mean: WeightedMean(a, sigma), variance: WeightedCov(a, a, sigma)}
+	if den == 0 {
+		return moments{}
+	}
+	num := 0.0
+	for i := range x {
+		num += sigma[i] * x[i]
+	}
+	m := num / den
+	num = 0
+	for i := range x {
+		num += sigma[i] * (x[i] - m) * (x[i] - m)
+	}
+	return moments{mean: m, variance: num / den}
 }
 
-// pearsonAgainst returns WeightedPearson(a, b, sigma), bit for bit, given
-// q = momentsOf(a, sigma). Per profile it makes one pass for b's weighted
-// mean and one fused pass accumulating b's variance and the covariance;
-// every sum runs over the same terms in the same order, with each product
-// grouped as WeightedCov groups it, so the roundings — and the result —
-// are WeightedPearson's own. WeightedPearson stays the reference the tests
-// hold this to.
+// pearsonFrom returns WeightedPearson(a, b, sigma), bit for bit, given
+// den = Σσ and each operand's moments: all that is left is the covariance
+// pass, with each product grouped σᵢ·(aᵢ−m_a)·(bᵢ−m_b) as weightedCov
+// writes it, in index order. Detect computes b's moments once per known
+// mask and a's once per query.
 //
 //bolt:hotpath
-func pearsonAgainst(a, b, sigma []float64, q queryMoments) float64 {
+func pearsonFrom(a, b, sigma []float64, den float64, ma, mb moments) float64 {
 	if len(a) != len(b) || len(a) != len(sigma) {
-		panic("mining: pearsonAgainst length mismatch")
+		panic("mining: pearsonFrom length mismatch")
 	}
-	if q.variance <= 0 { // also Σσ = 0: WeightedCov reports 0 for it
+	if ma.variance <= 0 || mb.variance <= 0 { // also Σσ = 0
 		return 0
 	}
-	mb := WeightedMean(b, sigma)
-	nb, nab := 0.0, 0.0
+	nab := 0.0
 	for i := range b {
-		nb += sigma[i] * (b[i] - mb) * (b[i] - mb)
-		nab += sigma[i] * (a[i] - q.mean) * (b[i] - mb)
+		nab += sigma[i] * (a[i] - ma.mean) * (b[i] - mb.mean)
 	}
-	vb := nb / q.den
-	if vb <= 0 {
-		return 0
-	}
-	r := (nab / q.den) / math.Sqrt(q.variance*vb)
+	r := (nab / den) / math.Sqrt(ma.variance*mb.variance)
 	if r != r {
 		return 0
 	}

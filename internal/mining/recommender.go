@@ -3,7 +3,9 @@ package mining
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // LabeledProfile is one previously seen workload in the training set: its
@@ -60,7 +62,7 @@ const ConfidenceFloor = 0.1
 
 // RecommenderConfig tunes the hybrid recommender.
 type RecommenderConfig struct {
-	EnergyFraction float64 // singular-value energy to retain; 0 means 0.9
+	EnergyFraction float64 // singular-value energy to retain; 0 means DefaultEnergyFraction
 	Completion     CompletionConfig
 	// Unweighted switches Eq. 1 to the classic Pearson coefficient
 	// (ablation: the paper argues weighting by similarity-concept strength
@@ -70,6 +72,10 @@ type RecommenderConfig struct {
 	// cosine similarity alone (ablation: CF cannot label victims).
 	PureCF bool
 }
+
+// DefaultEnergyFraction is the singular-value energy a recommender retains
+// when its config leaves EnergyFraction 0.
+const DefaultEnergyFraction = 0.9
 
 // Recommender is Bolt's hybrid recommender (§3.2): SVD over the
 // (column-centred) training matrix identifies similarity concepts; SGD
@@ -91,9 +97,32 @@ type Recommender struct {
 	// recompute this subtraction for every profile on every call; it is a
 	// pure function of the training set, so it is built once here.
 	centred []float64
-	ones    []float64 // all-ones weights for the Unweighted ablation
 	n       int       // resource count
 	scratch sync.Pool // *detectScratch
+	// plans holds the plans of the first planSlots known masks queried,
+	// filled first-come by CompareAndSwap and never evicted; a filled slot
+	// is never written again (see planFor).
+	plans [planSlots]atomic.Pointer[maskPlan]
+}
+
+// planSlots is how many known masks a Recommender keeps plans for. A served
+// detector sees a handful of masks (boltload sends four); a plan is ~5 KB at
+// rank 6 over 120 profiles, so the table stays under ~42 KB whatever the
+// traffic.
+const planSlots = 8
+
+// maskPlan is everything Detect computes that depends on which resources
+// are known and not on their observed values: the fold-in plan (known
+// indices and power chain) and, unless PureCF, Eq. 1 under the mask — the
+// weights, with measured resources boosted (all ones under Unweighted),
+// which weigh the proximity factor too; their sum; and each training
+// profile's weighted mean and variance. A published plan is immutable.
+type maskPlan struct {
+	known    []bool
+	fold     foldPlan
+	sigma    []float64
+	den      float64
+	profiles []moments
 }
 
 // detectScratch is the per-call working memory of one detection, pooled on
@@ -101,17 +130,16 @@ type Recommender struct {
 // runner) each grab their own and steady-state detection performs no heap
 // allocation beyond the returned Result.
 type detectScratch struct {
-	dense   []float64 // completed observation (n)
-	weights []float64 // measured-boosted weight copy (n)
-	centred []float64 // mean-centred observation (n)
-	x       []float64 // projection input (n; PureCF)
-	u       []float64 // concept-space coordinates (rank; PureCF)
-	top     []rankKey // the ranking's head, min(MatchesKept, profiles) slots
-
-	// Eq. 1 for the prepared query: its weights, the proximity weights (nil
-	// means uniform) and the query half of the weighted Pearson.
-	sigma, proxWeights []float64
-	q                  queryMoments
+	complete completeScratch
+	dense    []float64 // completed observation (n)
+	centred  []float64 // mean-centred observation (n)
+	x        []float64 // projection input (n; PureCF)
+	u        []float64 // concept-space coordinates (rank; PureCF)
+	top      []rankKey // the ranking's head, min(MatchesKept, profiles) slots
+	q        moments   // the prepared query's half of Eq. 1
+	// plan is where a mask's plan is built when every slot of the table
+	// holds another mask.
+	plan *maskPlan
 }
 
 // rankKey is what Detect ranks: a profile's similarity and its index in the
@@ -148,7 +176,7 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 		rows[i] = p.Pressure
 	}
 	if cfg.EnergyFraction == 0 {
-		cfg.EnergyFraction = 0.9
+		cfg.EnergyFraction = DefaultEnergyFraction
 	}
 
 	train := FromRows(rows)
@@ -191,10 +219,6 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			row[j] = p.Pressure[j] - means[j]
 		}
 	}
-	r.ones = make([]float64, n)
-	for j := range r.ones {
-		r.ones[j] = 1
-	}
 	r.weights = make([]float64, n)
 	for j := 0; j < n; j++ {
 		for k, s := range r.svd.Sigma {
@@ -213,15 +237,97 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 	conceptRank := len(r.svd.Sigma)
 	r.scratch.New = func() any {
 		return &detectScratch{
-			dense:   make([]float64, n),
-			weights: make([]float64, n),
-			centred: make([]float64, n),
-			x:       make([]float64, n),
-			u:       make([]float64, conceptRank),
-			top:     make([]rankKey, min(MatchesKept, len(profiles))),
+			complete: newCompleteScratch(r.complete.cfg.Rank, n),
+			dense:    make([]float64, n),
+			centred:  make([]float64, n),
+			x:        make([]float64, n),
+			u:        make([]float64, conceptRank),
+			top:      make([]rankKey, min(MatchesKept, len(profiles))),
+			plan:     r.newPlan(),
 		}
 	}
 	return r
+}
+
+// newPlan allocates an empty plan sized for r: one per pooled scratch, and
+// one for each plan planFor publishes.
+//
+//bolt:nolint hotalloc -- planFor publishes at most planSlots plans per Recommender, then every call with their masks reads them; TestDetectAllocationBudget pins the steady state at 3 allocs on hits and on misses
+func (r *Recommender) newPlan() *maskPlan {
+	p := &maskPlan{known: make([]bool, r.n), fold: foldPlan{kidx: make([]int, 0, r.n)}}
+	if c := r.complete.cfg; !c.FixedFoldIn {
+		p.fold.chain = make([]float64, foldDoublings*c.Rank*c.Rank)
+	}
+	if !r.cfg.PureCF {
+		p.sigma = make([]float64, r.n)
+		p.profiles = make([]moments, len(r.profiles))
+	}
+	return p
+}
+
+// buildPlan fills p for the known mask. Every number is computed by the
+// operations, in the order, that a per-call computation would use, so a
+// plan read later gives the bits recomputing it would.
+//
+//bolt:hotpath
+func (r *Recommender) buildPlan(p *maskPlan, known []bool, tmp []float64) {
+	copy(p.known, known)
+	r.complete.planFold(&p.fold, known, tmp)
+	if r.cfg.PureCF {
+		return
+	}
+	for j := range p.sigma {
+		switch {
+		case r.cfg.Unweighted:
+			p.sigma[j] = 1
+		case known[j]:
+			p.sigma[j] = r.weights[j] * measuredBoost
+		default:
+			p.sigma[j] = r.weights[j]
+		}
+	}
+	den := 0.0
+	for _, w := range p.sigma {
+		den += w
+	}
+	p.den = den
+	for i := range p.profiles {
+		p.profiles[i] = momentsOf(r.centred[i*r.n:(i+1)*r.n], p.sigma, den)
+	}
+}
+
+// planFor returns the plan for known: the one in the table, or, while a
+// slot is free, one built here and published into the first free slot. A
+// slot is filled only by CompareAndSwap from nil, and a caller tries a slot
+// only after finding every earlier one filled with another mask, so no mask
+// is ever published twice. With every slot holding another mask the plan is
+// built into s.plan, valid until s is reused.
+//
+//bolt:hotpath
+func (r *Recommender) planFor(s *detectScratch, known []bool) *maskPlan {
+	var fresh *maskPlan
+	for i := range r.plans {
+		slot := &r.plans[i]
+		p := slot.Load()
+		if p == nil {
+			if fresh == nil {
+				fresh = r.newPlan()
+				r.buildPlan(fresh, known, s.complete.tmp)
+			}
+			if slot.CompareAndSwap(nil, fresh) {
+				return fresh
+			}
+			p = slot.Load()
+		}
+		if slices.Equal(p.known, known) {
+			return p
+		}
+	}
+	if fresh != nil {
+		return fresh
+	}
+	r.buildPlan(s.plan, known, s.complete.tmp)
+	return s.plan
 }
 
 // project centres a pressure vector and maps it into concept space.
@@ -313,19 +419,14 @@ const measuredBoost = 4.0
 const proximityScale = 25.0
 
 // proximity returns exp(-wrmse/proximityScale) for the weighted RMS
-// distance between two profiles; weights nil means uniform.
+// distance between two profiles under weights summing to den.
 //
 //bolt:hotpath
-func proximity(a, b, weights []float64) float64 {
-	num, den := 0.0, 0.0
+func proximity(a, b, weights []float64, den float64) float64 {
+	num := 0.0
 	for j := range a {
-		w := 1.0
-		if weights != nil {
-			w = weights[j]
-		}
 		d := a[j] - b[j]
-		num += w * d * d
-		den += w
+		num += weights[j] * d * d
 	}
 	if den == 0 {
 		return 1
@@ -350,11 +451,14 @@ func proximity(a, b, weights []float64) float64 {
 // preserved — the paper's stated reason for rejecting the traditional
 // unweighted coefficient.
 //
+// A query's known mask selects a plan (planFor) holding everything above
+// that depends on the mask alone; the rest is computed per call.
+//
 //bolt:hotpath
 func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
-	r.prepare(s, observed, known)
+	p := r.prepare(s, observed, known)
 	// The content-based stage also exploits the contextual information the
 	// correlation discards — how close the two profiles are in absolute
 	// pressure. Two workloads with proportionally similar shapes but very
@@ -367,7 +471,7 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 		if r.cfg.PureCF {
 			sim = CosineSimilarity(s.u, r.concepts[i])
 		} else {
-			sim = pearsonAgainst(s.centred, r.centred[i*r.n:(i+1)*r.n], s.sigma, s.q)
+			sim = pearsonFrom(s.centred, r.centred[i*r.n:(i+1)*r.n], p.sigma, p.den, s.q, p.profiles[i])
 			// Once the head is full, a profile whose Pearson value bounds its
 			// similarity at or below the last kept one cannot enter it, so it
 			// skips the proximity exp. For sim ≥ 0, sim·prox ≤ sim; for
@@ -378,7 +482,7 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 			if c == len(top) && sim <= top[c-1].sim && top[c-1].sim >= 0 {
 				continue
 			}
-			sim *= proximity(s.dense, r.profiles[i].Pressure, s.proxWeights)
+			sim *= proximity(s.dense, r.profiles[i].Pressure, p.sigma, p.den)
 		}
 		c = insertRanked(top, c, rankKey{sim: sim, idx: int32(i)})
 	}
@@ -387,8 +491,8 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 		Matches:  make([]Match, c),                   //bolt:nolint hotalloc -- alloc 3 of 3 in the pinned budget: the caller keeps the ranking's head, at most MatchesKept entries, after scratch is recycled
 	}
 	for k, key := range top[:c] {
-		p := &r.profiles[key.idx]
-		res.Matches[k] = Match{Label: p.Label, Class: p.Class, Similarity: key.sim}
+		prof := &r.profiles[key.idx]
+		res.Matches[k] = Match{Label: prof.Label, Class: prof.Class, Similarity: key.sim}
 		if r.cfg.PureCF {
 			// Pure collaborative filtering cannot assign labels (§3.2): it
 			// only clusters. Blank the label so downstream accuracy metrics
@@ -401,23 +505,23 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 
 // prepare completes the observation into s.dense and readies s for scoring
 // it: under PureCF its concept-space coordinates, otherwise its centred copy
-// and Eq. 1's weights and query half.
-func (r *Recommender) prepare(s *detectScratch, observed []float64, known []bool) {
+// and its half of Eq. 1. It returns the plan for known.
+//
+//bolt:hotpath
+func (r *Recommender) prepare(s *detectScratch, observed []float64, known []bool) *maskPlan {
+	if len(observed) != r.n || len(known) != r.n {
+		panic("mining: Detect length mismatch")
+	}
+	p := r.planFor(s, known)
 	pressure := s.dense
-	r.complete.CompleteInto(pressure, observed, known)
+	r.complete.completeInto(pressure, observed, known, &p.fold, &s.complete)
 	if r.cfg.PureCF {
 		copy(s.x, pressure)
 		for j := range s.x {
 			s.x[j] -= r.means[j]
 		}
 		r.svd.ProjectInto(s.u, s.x)
-		return
-	}
-	copy(s.weights, r.weights)
-	for j, k := range known {
-		if k {
-			s.weights[j] *= measuredBoost
-		}
+		return p
 	}
 	// Centre by the training column means so that magnitude differences
 	// become pattern differences: Pearson alone is scale-invariant and
@@ -428,15 +532,8 @@ func (r *Recommender) prepare(s *detectScratch, observed []float64, known []bool
 	for j := range s.centred {
 		s.centred[j] = pressure[j] - r.means[j]
 	}
-	// The Unweighted ablation is the same kernel under all-ones weights
-	// (and a uniform proximity). Eq. 1's query half — Σσ and the query's
-	// weighted mean and variance — is the same for every training profile,
-	// so it is computed once here, not once per profile.
-	s.sigma, s.proxWeights = s.weights, s.weights
-	if r.cfg.Unweighted {
-		s.sigma, s.proxWeights = r.ones, nil
-	}
-	s.q = momentsOf(s.centred, s.sigma)
+	s.q = momentsOf(s.centred, p.sigma, p.den)
+	return p
 }
 
 // ranksAbove reports whether similarity a ranks strictly ahead of b: it is
@@ -485,14 +582,14 @@ func (r *Recommender) LabelSimilarity(observed []float64, known []bool, label st
 	}
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
-	r.prepare(s, observed, known)
+	p := r.prepare(s, observed, known)
 	best, found := 0.0, false
 	for i := range r.profiles {
 		if r.profiles[i].Label != label {
 			continue
 		}
-		sim := pearsonAgainst(s.centred, r.centred[i*r.n:(i+1)*r.n], s.sigma, s.q) *
-			proximity(s.dense, r.profiles[i].Pressure, s.proxWeights)
+		sim := pearsonFrom(s.centred, r.centred[i*r.n:(i+1)*r.n], p.sigma, p.den, s.q, p.profiles[i]) *
+			proximity(s.dense, r.profiles[i].Pressure, p.sigma, p.den)
 		switch {
 		case sim == 0:
 			if !found {

@@ -13,17 +13,17 @@ import (
 func TestWeightedMean(t *testing.T) {
 	u := []float64{1, 2, 3}
 	sigma := []float64{1, 1, 1}
-	if m := WeightedMean(u, sigma); !almostEq(m, 2, 1e-12) {
-		t.Fatalf("uniform WeightedMean = %v, want 2", m)
+	if m := weightedMean(u, sigma); !almostEq(m, 2, 1e-12) {
+		t.Fatalf("uniform weightedMean = %v, want 2", m)
 	}
 	sigma = []float64{0, 0, 1}
-	if m := WeightedMean(u, sigma); !almostEq(m, 3, 1e-12) {
-		t.Fatalf("point-mass WeightedMean = %v, want 3", m)
+	if m := weightedMean(u, sigma); !almostEq(m, 3, 1e-12) {
+		t.Fatalf("point-mass weightedMean = %v, want 3", m)
 	}
 }
 
 func TestWeightedMeanZeroWeights(t *testing.T) {
-	if WeightedMean([]float64{1, 2}, []float64{0, 0}) != 0 {
+	if weightedMean([]float64{1, 2}, []float64{0, 0}) != 0 {
 		t.Fatal("zero-weight mean should be 0")
 	}
 }
@@ -76,9 +76,11 @@ func TestWeightedPearsonMatchesUnweightedWithUniformSigma(t *testing.T) {
 	}
 }
 
-// TestSimilarityKernelMatchesWeightedPearsonBitExact holds Detect's hoisted
-// kernel to the exported reference with ==, not a tolerance: every golden
-// in the repo rests on the two rounding identically.
+// TestSimilarityKernelMatchesWeightedPearsonBitExact holds Detect's split
+// kernel — each operand's moments, then the covariance pass — and the
+// pre-plan kernel TestMaskPlanMatchesReference uses as its oracle to the
+// exported reference with ==, not a tolerance: every golden in the repo
+// rests on them rounding identically.
 func TestSimilarityKernelMatchesWeightedPearsonBitExact(t *testing.T) {
 	rng := stats.NewRNG(4242)
 	for trial := 0; trial < 20000; trial++ {
@@ -121,8 +123,15 @@ func TestSimilarityKernelMatchesWeightedPearsonBitExact(t *testing.T) {
 			}
 		}
 		want := WeightedPearson(a, b, sigma)
-		if got := pearsonAgainst(a, b, sigma, momentsOf(a, sigma)); got != want {
+		den := 0.0
+		for _, w := range sigma {
+			den += w
+		}
+		if got := pearsonFrom(a, b, sigma, den, momentsOf(a, sigma, den), momentsOf(b, sigma, den)); got != want {
 			t.Fatalf("trial %d: kernel %v != WeightedPearson %v\na=%v\nb=%v\nsigma=%v", trial, got, want, a, b, sigma)
+		}
+		if got := pearsonAgainst(a, b, sigma, momentsOfQuery(a, sigma)); got != want {
+			t.Fatalf("trial %d: reference kernel %v != WeightedPearson %v\na=%v\nb=%v\nsigma=%v", trial, got, want, a, b, sigma)
 		}
 	}
 }

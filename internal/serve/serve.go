@@ -189,21 +189,22 @@ func (s *Server) Snapshot() (*core.Detector, uint64) {
 // takes its slot after the swap sees the new detector, a request already
 // being answered keeps the snapshot it loaded, and nothing blocks. It
 // returns the new snapshot's version. The new detector must expect the same
-// resource count as the current one: requests are validated against it
-// before they wait for a slot.
-func (s *Server) Swap(det *core.Detector) uint64 {
-	if det == nil {
-		panic("serve: Swap(nil detector)")
+// resource count as the current one, since requests are validated against
+// it before they wait for a slot; a nil detector or a different count is
+// refused with an error, and the current snapshot keeps answering.
+func (s *Server) Swap(det *core.Detector) (uint64, error) {
+	if det == nil || det.Rec == nil {
+		return 0, errors.New("serve: Swap refused a nil detector")
 	}
 	if n := det.Rec.ResourceCount(); n != s.n {
-		panic(fmt.Sprintf("serve: Swap detector expects %d resources, serving %d", n, s.n))
+		return 0, fmt.Errorf("serve: Swap refused a detector expecting %d resources; serving %d", n, s.n)
 	}
 	for {
 		cur := s.snap.Load()
 		next := &snapshot{det: det, version: cur.version + 1}
 		if s.snap.CompareAndSwap(cur, next) {
 			s.swaps.Add(1)
-			return next.version
+			return next.version, nil
 		}
 	}
 }

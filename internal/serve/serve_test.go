@@ -2,11 +2,13 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"bolt/internal/core"
 	"bolt/internal/fault"
+	"bolt/internal/mining"
 	"bolt/internal/serve"
 	"bolt/internal/stats"
 	"bolt/internal/workload"
@@ -147,8 +149,8 @@ func TestServeSwapRCU(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
 				if ci == 0 && k == perClient/2 {
-					if v := srv.Swap(detB); v != 2 {
-						t.Errorf("Swap returned version %d, want 2", v)
+					if v, err := srv.Swap(detB); v != 2 || err != nil {
+						t.Errorf("Swap returned version %d, %v; want 2, nil", v, err)
 					}
 					close(swapped)
 				}
@@ -189,17 +191,40 @@ func TestServeSwapRCU(t *testing.T) {
 	}
 }
 
-// TestServeSwapNil: a nil detector is a programming error, not a runtime
-// condition — Swap panics rather than serving from nothing.
+// TestServeSwapNil: a nil detector, or one expecting another resource
+// count, is refused with an error — not a panic that would take the server
+// down with it — and the current snapshot keeps answering, unchanged.
 func TestServeSwapNil(t *testing.T) {
-	srv := serve.New(testDetector(t), serve.Config{})
+	det := testDetector(t)
+	srv := serve.New(det, serve.Config{})
 	defer srv.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Swap(nil) did not panic")
+	n := det.Rec.ResourceCount()
+	short := make([]mining.LabeledProfile, 3)
+	for i := range short {
+		short[i] = mining.LabeledProfile{Label: fmt.Sprint(i), Pressure: make([]float64, n-1)}
+		short[i].Pressure[i] = 50
+	}
+	for name, bad := range map[string]*core.Detector{
+		"nil":             nil,
+		"nil recommender": {},
+		"resource count":  {Rec: mining.NewRecommender(short, mining.RecommenderConfig{})},
+	} {
+		v, err := srv.Swap(bad)
+		if err == nil || v != 0 {
+			t.Fatalf("%s: Swap returned version %d, %v; want 0 and an error", name, v, err)
 		}
-	}()
-	srv.Swap(nil)
+		if cur, v := srv.Snapshot(); cur != det || v != 1 {
+			t.Fatalf("%s: refused Swap left snapshot %d (same detector %v), want 1 and the original", name, v, cur == det)
+		}
+	}
+	if st := srv.Stats(); st.Swaps != 0 {
+		t.Fatalf("swaps = %d after three refusals, want 0", st.Swaps)
+	}
+	obs, known := genRequest(stats.NewRNG(14), testMasks(n), n)
+	resp, err := srv.Detect(obs, known)
+	if err != nil || resp.Snapshot != 1 {
+		t.Fatalf("after refused swaps: snapshot %d, %v; want snapshot 1 answering", resp.Snapshot, err)
+	}
 }
 
 // TestServeFaultInjection runs live traffic through a rate-1 dropout plane:
