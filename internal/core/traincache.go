@@ -43,10 +43,9 @@ type trainCacheEntry struct {
 	rec  *mining.Recommender
 }
 
-// trainCacheCap bounds the memo, both levels together. The suite uses a
-// handful of distinct (catalog, config) pairs; the cap only matters for
-// callers sweeping many seeds, where dropping an entry merely costs a
-// retrain.
+// trainCacheCap bounds the memo, both levels together. A suite pass adds
+// 21 entries, so cycling four seeds (84) evicts every entry before it is
+// reused; dropping an entry merely costs a retrain.
 const trainCacheCap = 64
 
 var trainCache = struct {

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"bytes"
-	"crypto/md5"
 	"fmt"
 	"testing"
 
@@ -18,19 +17,6 @@ import (
 	"bolt/internal/workload"
 )
 
-// Golden seed-42 hashes of the pre-defence suite (every experiment except
-// defencesweep), captured from the boltbench output of the tree this PR
-// grew from. Pinning them proves two things at once: extracting the
-// campaign into internal/attack left the fleet experiment byte-identical,
-// and with the defence plane "off" (its experiment excluded) the suite
-// renders exactly what it always did. New experiments append after
-// existing ones, so these hashes also pin the prefix property: the full
-// suite's output must begin with exactly these bytes.
-const (
-	goldenSuiteStdoutMD5 = "06d9a92127e98c8e5c2ea66c2807da4f"
-	goldenSuiteJSONMD5   = "b49c23043faff848bca707214490dc7b"
-)
-
 // withoutDefenceSweep returns the experiment list with defencesweep
 // removed — the "defence off" suite.
 func withoutDefenceSweep() []Experiment {
@@ -43,88 +29,73 @@ func withoutDefenceSweep() []Experiment {
 	return out
 }
 
-// renderStdout renders the experiments exactly the way cmd/boltbench
-// writes stdout: reports in order, each through Report.Render.
-func renderStdout(t *testing.T, exps []Experiment, seed uint64, parallel int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, r := range Run(exps, seed, parallel) {
-		r.Report.Render(&buf)
-	}
-	return buf.Bytes()
-}
-
-// TestSuiteGoldenWithDefenceOff pins the defence-off suite against the
-// golden seed-42 hashes at several -parallel levels, in both output
-// formats, and checks the full suite (defence on) extends it byte for
-// byte.
+// TestSuiteGoldenWithDefenceOff checks the seed-42 suite against its
+// goldens. With the defence plane off (its experiment excluded) every
+// other report must still be its section of seed-42.txt, at -parallel 1,
+// 2, 4 and 8: extracting the campaign into internal/attack left the fleet
+// experiment byte-identical. The full suite at the default -parallel and
+// -epworkers 1 must render seed-42.txt and seed-42.json.
 func TestSuiteGoldenWithDefenceOff(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full experiment suite at four parallelism levels")
+		t.Skip("runs the full experiment suite five times")
 	}
 	const seed = 42
 	for _, parallel := range []int{1, 2, 4, 8} {
-		got := renderStdout(t, withoutDefenceSweep(), seed, parallel)
-		if sum := fmt.Sprintf("%x", md5.Sum(got)); sum != goldenSuiteStdoutMD5 {
-			t.Fatalf("parallel=%d: defence-off suite stdout md5 = %s, want golden %s",
-				parallel, sum, goldenSuiteStdoutMD5)
-		}
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			checkGolden(t, "seed-42.txt", renderStdout(t, withoutDefenceSweep(), seed, parallel))
+		})
 	}
 
-	results := Run(withoutDefenceSweep(), seed, 4)
-	reports := make([]*Report, len(results))
-	for i, r := range results {
-		reports[i] = r.Report
+	withEpisodeWorkers(t, 1)
+	var text, doc bytes.Buffer
+	var reports []*Report
+	for _, r := range Run(All(), seed, 0) {
+		r.Report.Render(&text)
+		reports = append(reports, r.Report)
 	}
-	var buf bytes.Buffer
-	if err := WriteAllJSON(&buf, seed, reports); err != nil {
+	checkGolden(t, "seed-42.txt", text.Bytes())
+	if err := WriteAllJSON(&doc, seed, reports); err != nil {
 		t.Fatalf("WriteAllJSON: %v", err)
 	}
-	if sum := fmt.Sprintf("%x", md5.Sum(buf.Bytes())); sum != goldenSuiteJSONMD5 {
-		t.Fatalf("defence-off suite JSON md5 = %s, want golden %s", sum, goldenSuiteJSONMD5)
-	}
-
-	// Prefix property: the full suite is the defence-off suite plus
-	// appended experiments — earlier bytes must be untouched.
-	old := renderStdout(t, withoutDefenceSweep(), seed, 4)
-	full := renderStdout(t, All(), seed, 4)
-	if !bytes.HasPrefix(full, old) {
-		t.Fatal("full suite output no longer extends the defence-off suite byte-for-byte")
-	}
+	checkGolden(t, "seed-42.json", doc.Bytes())
 }
 
 // TestDefenceSweepParityAcrossWorkers is the defencesweep determinism
-// contract: the rendered report must be byte-identical across -epworkers
+// contract: the rendered report must be its golden at every -epworkers
 // (cells fan out on the episode pool) and -shardworkers (each campaign
-// ticks on the sharded fleet engine), including widths that do not divide
-// the cell or server counts.
+// ticks on the sharded fleet engine) width, including widths that do not
+// divide the cell or server counts, on the default ladder and at 64, 256
+// and 4096 servers.
 func TestDefenceSweepParityAcrossWorkers(t *testing.T) {
+	t.Cleanup(func() {
+		SetEpisodeWorkers(0)
+		fleet.SetShardWorkers(0)
+		SetFleetServers(0)
+	})
 	render := func(epworkers, shardworkers int) []byte {
 		SetEpisodeWorkers(epworkers)
 		fleet.SetShardWorkers(shardworkers)
-		defer SetEpisodeWorkers(0)
-		defer fleet.SetShardWorkers(0)
 		var buf bytes.Buffer
 		DefenceSweep(42).Render(&buf)
 		return buf.Bytes()
 	}
-	ref := render(1, 1)
-	if len(ref) == 0 {
-		t.Fatal("serial reference rendered no output")
+	widths := [][2]int{{1, 3}, {3, 7}}
+	for _, ep := range []int{1, 2, 4, 8} {
+		for _, sw := range []int{1, 2, 4, 8} {
+			widths = append(widths, [2]int{ep, sw})
+		}
 	}
-	for _, w := range [][2]int{{2, 1}, {8, 1}, {1, 3}, {1, 8}, {4, 4}, {3, 7}} {
-		got := render(w[0], w[1])
-		if !bytes.Equal(got, ref) {
-			i := 0
-			for i < len(got) && i < len(ref) && got[i] == ref[i] {
-				i++
-			}
-			lo := i - 60
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("epworkers=%d shardworkers=%d diverged from serial reference at byte %d: …%q…",
-				w[0], w[1], i, ref[lo:min(i+60, len(ref))])
+	for _, w := range widths {
+		t.Run(fmt.Sprintf("epworkers=%d,shardworkers=%d", w[0], w[1]), func(t *testing.T) {
+			checkGolden(t, fleetGolden(0), render(w[0], w[1]))
+		})
+	}
+	for _, n := range []int{64, 256, 4096} {
+		SetFleetServers(n)
+		for _, sw := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("fleet=%d,shardworkers=%d", n, sw), func(t *testing.T) {
+				checkGolden(t, fleetGolden(n), render(0, sw))
+			})
 		}
 	}
 }

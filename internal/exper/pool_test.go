@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"bytes"
-	"crypto/md5"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -128,54 +126,26 @@ func TestRunPanicNamesExperiment(t *testing.T) {
 }
 
 // TestSuiteParityAcrossEpisodeWorkers pins the tentpole determinism claim:
-// the rendered output of the episode-pool experiments is md5-identical
-// across every -parallel × -epworkers combination. The baseline is
-// computed at runtime (parallel 1, epworkers 1 — the fully serial
-// schedule), so the test survives intentional re-baselining of the golden
-// numbers while still catching any schedule-dependent divergence.
+// every experiment that fans out on the episode pool renders its seed-42
+// golden at every -parallel × -epworkers combination.
 func TestSuiteParityAcrossEpisodeWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the episode-pool experiments four times")
+		t.Skip("runs the episode-pool experiments six times")
 	}
-	ids := []string{"table1", "confusion", "faultrate", "fig14"}
-	exps := make([]Experiment, 0, len(ids))
-	for _, id := range ids {
+	var exps []Experiment
+	for _, id := range []string{"table1", "fig6", "fig10", "fig14", "confusion", "faultrate"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
 		exps = append(exps, e)
 	}
-	render := func(parallel, epworkers int) (string, []byte) {
-		SetEpisodeWorkers(epworkers)
-		defer SetEpisodeWorkers(0)
-		results := Run(exps, 42, parallel)
-		var buf bytes.Buffer
-		for _, r := range results {
-			r.Report.Render(&buf)
-		}
-		return fmt.Sprintf("%x", md5.Sum(buf.Bytes())), buf.Bytes()
-	}
-	baseMD5, baseOut := render(1, 1)
 	for _, parallel := range []int{1, 8} {
-		for _, epworkers := range []int{1, 4} {
-			if parallel == 1 && epworkers == 1 {
-				continue
-			}
-			gotMD5, gotOut := render(parallel, epworkers)
-			if gotMD5 != baseMD5 {
-				t.Fatalf("suite md5 at parallel=%d epworkers=%d is %s, want %s (serial); diverges at %s",
-					parallel, epworkers, gotMD5, baseMD5, firstDivergence(gotOut, baseOut))
-			}
+		for _, epworkers := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("parallel=%d,epworkers=%d", parallel, epworkers), func(t *testing.T) {
+				withEpisodeWorkers(t, epworkers)
+				checkGolden(t, "seed-42.txt", renderStdout(t, exps, 42, parallel))
+			})
 		}
 	}
-}
-
-func firstDivergence(a, b []byte) string {
-	i := 0
-	for i < len(a) && i < len(b) && a[i] == b[i] {
-		i++
-	}
-	lo := max(i-60, 0)
-	return fmt.Sprintf("byte %d:\n  a: …%s…\n  b: …%s…", i, a[lo:min(i+60, len(a))], b[lo:min(i+60, len(b))])
 }

@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -27,28 +26,11 @@ func cheapSubset(t *testing.T) []Experiment {
 	return exps
 }
 
-func renderAll(results []RunResult) string {
-	var buf bytes.Buffer
-	for _, r := range results {
-		fmt.Fprintf(&buf, "== %s: %s ==\n", r.Experiment.ID, r.Experiment.Title)
-		r.Report.Render(&buf)
-	}
-	return buf.String()
-}
-
 // TestRunParallelMatchesSerial is the determinism guarantee: the rendered
-// reports from a parallel run must be byte-identical to a serial run at the
-// same seed.
+// reports from a serial and a parallel run must be their seed-42 goldens.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	exps := cheapSubset(t)
-	serial := renderAll(Run(exps, 42, 1))
-	parallel := renderAll(Run(exps, 42, 8))
-	if serial != parallel {
-		t.Fatalf("parallel run diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-	if serial == "" {
-		t.Fatal("rendered output is empty")
+	for _, parallel := range []int{1, 8} {
+		checkGolden(t, "seed-42.txt", renderStdout(t, cheapSubset(t), 42, parallel))
 	}
 }
 

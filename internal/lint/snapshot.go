@@ -37,7 +37,7 @@ const simPkgPath = "bolt/internal/sim"
 var observationMethods = map[string]bool{
 	"InterferenceLive": true, "ObservedVector": true,
 	"ObservedPressure": true, "ObservedCorePressure": true, "Slowdown": true,
-	"CPUUtilization": true, "HostDemand": true, "Observation": true,
+	"CPUUtilization": true, "HostDemand": true,
 }
 
 // placementMutators invalidate every previously taken observation.
