@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -37,6 +38,24 @@ import (
 
 func main() {
 	os.Exit(run())
+}
+
+// retrainOnce runs one retrain generation: it trains a detector on the
+// training seed and swaps it into srv, logging the outcome to log. A train
+// that panics or a refused swap is logged and changes nothing, so the
+// previous snapshot keeps serving and the next generation tries again.
+func retrainOnce(srv *serve.Server, train func(seed uint64) *core.Detector, seed uint64, log io.Writer) {
+	defer func() {
+		if p := recover(); p != nil {
+			fmt.Fprintf(log, "boltd: retrain (training seed %d) panicked: %v; still serving the previous snapshot\n", seed, p)
+		}
+	}()
+	v, err := srv.Swap(train(seed))
+	if err != nil {
+		fmt.Fprintf(log, "boltd: retrain (training seed %d): %v; still serving the previous snapshot\n", seed, err)
+		return
+	}
+	fmt.Fprintf(log, "boltd: swapped in snapshot %d (training seed %d)\n", v, seed)
 }
 
 func run() int {
@@ -72,6 +91,12 @@ func run() int {
 
 	// Background retrain loop: train off the serving path, swap atomically.
 	// Each generation reseeds the training set so the swap is observable.
+	// Each generation is a new catalog, so nothing could share its
+	// training: Train, not the process-wide TrainCached memo, lets the
+	// replaced generation be collected.
+	train := func(trainingSeed uint64) *core.Detector {
+		return core.Train(workload.TrainingSpecs(trainingSeed), core.Config{})
+	}
 	stopRetrain := make(chan struct{})
 	retrainDone := make(chan struct{})
 	go func() {
@@ -87,16 +112,7 @@ func run() int {
 				return
 			case <-ticker.C:
 			}
-			// Each generation is a new catalog, so nothing could share its
-			// training: Train, not the process-wide TrainCached memo, lets
-			// the replaced generation be collected.
-			next := core.Train(workload.TrainingSpecs(*seed+gen), core.Config{})
-			v, err := srv.Swap(next)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "boltd: retrain (training seed %d): %v; still serving the previous snapshot\n", *seed+gen, err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "boltd: swapped in snapshot %d (training seed %d)\n", v, *seed+gen)
+			retrainOnce(srv, train, *seed+gen, os.Stderr)
 		}
 	}()
 

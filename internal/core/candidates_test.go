@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -44,86 +45,120 @@ func sameResults(got, want []*mining.Result) error {
 	return nil
 }
 
+// searchCase is one episode of the Candidates corpus, before any step.
+type searchCase struct {
+	det       *Detector
+	faults    bool  // a fault plane at rate 0.3 on the adversary
+	dedicated bool  // a dedicated-core host
+	victims   int   // co-residents placed until the host is full
+	bursty    uint8 // bit vi set: victim vi runs a bursty load, else a constant one
+}
+
+// episode builds c's host and episode: a 4-vCPU adversary, then c.victims
+// co-residents of random specs, sizes and load levels drawn from rng.
+func (c searchCase) episode(t testing.TB, rng *stats.RNG) *Episode {
+	var pcfg probe.Config
+	if c.faults {
+		pcfg.Faults = fault.Config{Rate: 0.3}
+	}
+	adv := probe.NewAdversary("adv", 4, pcfg, rng.Split())
+	s := sim.NewServer("s0", sim.ServerConfig{DedicatedCores: c.dedicated})
+	if err := s.Place(adv.VM); err != nil {
+		t.Fatal(err)
+	}
+	gens := workload.Generators()
+	for vi := 0; vi < c.victims; vi++ {
+		spec := gens[rng.Intn(len(gens))].Make(rng.Split(), rng.Intn(24))
+		var load workload.LoadPattern = workload.Constant{Level: rng.Range(0.7, 1)}
+		if c.bursty>>vi&1 == 1 {
+			load = workload.Bursty{
+				OnLevel:  rng.Range(0.85, 1.0),
+				OffLevel: rng.Range(0.2, 0.45),
+				OnTicks:  sim.Tick(rng.Range(40, 160)),
+				OffTicks: sim.Tick(rng.Range(20, 60)),
+				Offset:   sim.Tick(rng.Intn(100)),
+			}
+		}
+		app := workload.NewApp(spec, load, rng.Uint64())
+		vm := &sim.VM{ID: fmt.Sprintf("v%d", vi), VCPUs: 1 + rng.Intn(3), App: app}
+		if err := s.Place(vm); err != nil {
+			break // host full
+		}
+	}
+	return c.det.NewEpisode(s, adv)
+}
+
+// searchDetectors are the corpus's detectors: the shutter and MRC rungs
+// each disabled on one.
+func searchDetectors() []*Detector {
+	specs := workload.TrainingSpecs(100)
+	return []*Detector{
+		TrainCached(specs, Config{}),
+		TrainCached(specs, Config{DisableShutter: true}),
+		TrainCached(specs, Config{DisableMRC: true}),
+	}
+}
+
+// searchCorpus calls visit on each episode of the seeded Candidates corpus
+// after each of steps 1–6: 1–4 victims at constant or bursty load, shared
+// and dedicated-core hosts, the shutter and MRC rungs each disabled on a
+// third of the detectors, and a fault plane at rate 0.3 on a third of the
+// adversaries.
+func searchCorpus(t testing.TB, episodes int, visit func(ep, step int, e *Episode)) {
+	dets := searchDetectors()
+	rng := stats.NewRNG(2525)
+	for ep := 0; ep < episodes; ep++ {
+		c := searchCase{
+			det:       dets[ep%len(dets)],
+			faults:    ep%3 == 1,
+			dedicated: ep%4 == 3,
+			victims:   1 + rng.Intn(4),
+			bursty:    uint8(rng.Intn(16)),
+		}
+		e := c.episode(t, rng)
+		start := sim.Tick(rng.Intn(1000))
+		for step := 1; step <= 6; step++ {
+			e.Step(start)
+			visit(ep, step, e)
+		}
+	}
+}
+
 // TestCandidatesMatchesReference holds the search to the pre-PR-25 one
-// (candidatesReference) bit for bit over a seeded corpus of episodes:
-// 1–4 victims at constant or bursty load, shared and dedicated-core hosts,
-// the shutter and MRC rungs each disabled on a third of the detectors, a
-// fault plane at rate 0.3 on a third of the adversaries, and every
-// maxVictims 1–5 after each of steps 1–6. Both searches run on the same
-// episode, the new one reusing its scratch across all those calls.
+// (candidatesReference) bit for bit over searchCorpus at every maxVictims
+// 1–5. Both searches run on the same episode, the new one reusing its
+// scratch across all those calls.
 func TestCandidatesMatchesReference(t *testing.T) {
 	episodes := 500
 	if testing.Short() {
 		episodes = 60
 	}
-	specs := workload.TrainingSpecs(100)
-	dets := []*Detector{
-		TrainCached(specs, Config{}),
-		TrainCached(specs, Config{DisableShutter: true}),
-		TrainCached(specs, Config{DisableMRC: true}),
-	}
-	gens := workload.Generators()
-	rng := stats.NewRNG(2525)
 	var searched, anchored, shutter, mrc, multi int
-	for ep := 0; ep < episodes; ep++ {
-		det := dets[ep%len(dets)]
-		var pcfg probe.Config
-		if ep%3 == 1 {
-			pcfg.Faults = fault.Config{Rate: 0.3}
-		}
-		adv := probe.NewAdversary("adv", 4, pcfg, rng.Split())
-		s := sim.NewServer("s0", sim.ServerConfig{DedicatedCores: ep%4 == 3})
-		if err := s.Place(adv.VM); err != nil {
-			t.Fatal(err)
-		}
-		victims := 1 + rng.Intn(4)
-		for vi := 0; vi < victims; vi++ {
-			spec := gens[rng.Intn(len(gens))].Make(rng.Split(), rng.Intn(24))
-			var load workload.LoadPattern = workload.Constant{Level: rng.Range(0.7, 1)}
-			if rng.Bool(0.5) {
-				load = workload.Bursty{
-					OnLevel:  rng.Range(0.85, 1.0),
-					OffLevel: rng.Range(0.2, 0.45),
-					OnTicks:  sim.Tick(rng.Range(40, 160)),
-					OffTicks: sim.Tick(rng.Range(20, 60)),
-					Offset:   sim.Tick(rng.Intn(100)),
-				}
+	searchCorpus(t, episodes, func(ep, step int, e *Episode) {
+		for maxV := 1; maxV <= 5; maxV++ {
+			want := e.candidatesReference(maxV)
+			got := e.Candidates(maxV)
+			if err := sameResults(got, want); err != nil {
+				t.Fatalf("episode %d step %d maxVictims %d: %v", ep, step, maxV, err)
 			}
-			app := workload.NewApp(spec, load, rng.Uint64())
-			vm := &sim.VM{ID: fmt.Sprintf("v%d", vi), VCPUs: 1 + rng.Intn(3), App: app}
-			if err := s.Place(vm); err != nil {
-				break // host full
+			if maxV == 1 || e.uncore.knownCount() == 0 {
+				continue
+			}
+			searched++
+			if e.mix.na > 0 {
+				anchored++
+			}
+			if e.mix.shutterOn {
+				shutter++
+			}
+			if e.mix.mrcSlope >= 0 {
+				mrc++
+			}
+			if len(got) > 1 {
+				multi++
 			}
 		}
-		e := det.NewEpisode(s, adv)
-		start := sim.Tick(rng.Intn(1000))
-		for step := 1; step <= 6; step++ {
-			e.Step(start)
-			for maxV := 1; maxV <= 5; maxV++ {
-				want := e.candidatesReference(maxV)
-				got := e.Candidates(maxV)
-				if err := sameResults(got, want); err != nil {
-					t.Fatalf("episode %d step %d maxVictims %d: %v", ep, step, maxV, err)
-				}
-				if maxV == 1 || e.uncore.knownCount() == 0 {
-					continue
-				}
-				searched++
-				if e.mix.na > 0 {
-					anchored++
-				}
-				if e.mix.shutterOn {
-					shutter++
-				}
-				if e.mix.mrcSlope >= 0 {
-					mrc++
-				}
-				if len(got) > 1 {
-					multi++
-				}
-			}
-		}
-	}
+	})
 	t.Logf("%d searches: %d anchored, %d with the shutter term, %d with the MRC term, %d multi-component answers",
 		searched, anchored, shutter, mrc, multi)
 	// The corpus must reach every term of the score, or it proves little.
@@ -131,6 +166,168 @@ func TestCandidatesMatchesReference(t *testing.T) {
 		if n == 0 {
 			t.Errorf("corpus produced no %s search", name)
 		}
+	}
+}
+
+// FuzzCandidatesMatchReference holds Candidates to candidatesReference bit
+// for bit on fuzzed episodes: the RNG seed, the victim count and which of
+// them are bursty, the fault plane, the host's core sharing, the start
+// tick, the number of steps, maxVictims and the detector config.
+func FuzzCandidatesMatchReference(f *testing.F) {
+	f.Add(uint64(2525), uint8(3), uint8(5), false, false, uint16(0), uint8(6), uint8(3), uint8(0))
+	f.Add(uint64(7), uint8(4), uint8(15), true, false, uint16(417), uint8(4), uint8(5), uint8(1))
+	f.Add(uint64(42), uint8(2), uint8(0), false, true, uint16(999), uint8(2), uint8(2), uint8(2))
+	f.Add(uint64(1), uint8(1), uint8(1), true, true, uint16(60), uint8(1), uint8(4), uint8(0))
+	dets := searchDetectors()
+	f.Fuzz(func(t *testing.T, seed uint64, victims, bursty uint8, faults, dedicated bool, start uint16, steps, maxVictims, det uint8) {
+		c := searchCase{
+			det:       dets[int(det)%len(dets)],
+			faults:    faults,
+			dedicated: dedicated,
+			victims:   1 + int(victims)%4,
+			bursty:    bursty,
+		}
+		rng := stats.NewRNG(seed)
+		e := c.episode(t, rng)
+		maxV := 1 + int(maxVictims)%5
+		for step := 1; step <= 1+int(steps)%6; step++ {
+			e.Step(sim.Tick(start))
+			if err := sameResults(e.Candidates(maxV), e.candidatesReference(maxV)); err != nil {
+				t.Fatalf("step %d maxVictims %d: %v", step, maxV, err)
+			}
+		}
+	})
+}
+
+// scanAll is search with no trial skipped: every trial is scored. Before
+// scoring one it calls visit with the trial and the score the trial must
+// beat.
+func scanAll(m *mixSearch, maxVictims int, visit func(trial []int, thr float64)) ([]int, float64) {
+	var set []int
+	for ai := 0; ai < m.na; ai++ {
+		set = append(set, m.anchorLists[ai][0])
+	}
+	if len(set) == 0 {
+		set = append(set, m.free[0])
+	}
+	best := m.score(set)
+	accept := kAcceptRatio
+	if m.na == 0 {
+		accept = 0.45
+	}
+	for len(set) < maxVictims {
+		extBest, extScore := -1, best
+		for _, i := range m.free {
+			trial := append(slices.Clone(set), i)
+			visit(trial, extScore)
+			if s := m.score(trial); s < extScore {
+				extBest, extScore = i, s
+			}
+		}
+		if extBest < 0 || extScore >= best*accept {
+			break
+		}
+		set = append(set, extBest)
+		best = extScore
+	}
+	for pass := 0; pass < 2; pass++ {
+		improved := false
+		for si := range set {
+			alts := m.free
+			if si < m.na {
+				alts = m.anchorLists[si]
+			}
+			for _, alt := range alts {
+				if alt == set[si] {
+					continue
+				}
+				trial := slices.Clone(set)
+				trial[si] = alt
+				visit(trial, best)
+				if s := m.score(trial); s < best {
+					copy(set, trial)
+					best = s
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return set, best
+}
+
+// TestFitBoundBelowSumFit: over searchCorpus, every trial the search meets
+// has fitBound ≤ sumFit, a trial the bound rules out does not beat its
+// threshold, scoreBelow skips exactly the trials the bound rules out and
+// takes exactly the others that beat the threshold, search ends where
+// scanAll does, bit for bit, and some trials are skipped, so the check is
+// not vacuous. A trial with a NaN profile row has
+// a NaN bound and is scored.
+func TestFitBoundBelowSumFit(t *testing.T) {
+	episodes := 150
+	if testing.Short() {
+		episodes = 40
+	}
+	var trials, skipped int
+	var nanChecked bool
+	searchCorpus(t, episodes, func(ep, step int, e *Episode) {
+		for maxV := 2; maxV <= 5; maxV++ {
+			if e.uncore.knownCount() == 0 {
+				return
+			}
+			e.Candidates(maxV)
+			m := &e.mix
+			gotSet, gotScore := m.search(maxV)
+			gotSet = slices.Clone(gotSet)
+			wantSet, wantScore := scanAll(m, maxV, func(trial []int, thr float64) {
+				trials++
+				fit, bound := m.sumFit(trial), m.fitBound(trial)
+				if !(bound <= fit) {
+					t.Fatalf("episode %d step %d maxVictims %d: set %v has fitBound %v above sumFit %v", ep, step, maxV, trial, bound, fit)
+				}
+				// A skipped trial returns 0 unscored; a scored one its score.
+				skip, want := m.withTerms(bound, trial) >= thr, m.score(trial)
+				if skip {
+					skipped++
+					if want < thr {
+						t.Fatalf("episode %d step %d maxVictims %d: set %v is ruled out, but its score %v beats %v", ep, step, maxV, trial, want, thr)
+					}
+				}
+				got, ok := m.scoreBelow(trial, thr)
+				if skip && (ok || got != 0) || !skip && (ok != (want < thr) || math.Float64bits(got) != math.Float64bits(want)) {
+					t.Fatalf("episode %d step %d maxVictims %d: set %v against %v (ruled out: %v): scoreBelow = %v, %v; its score is %v",
+						ep, step, maxV, trial, thr, skip, got, ok, want)
+				}
+			})
+			if !slices.Equal(gotSet, wantSet) || math.Float64bits(gotScore) != math.Float64bits(wantScore) {
+				t.Fatalf("episode %d step %d maxVictims %d: search ends at %v (%v), scoring every trial at %v (%v)",
+					ep, step, maxV, gotSet, gotScore, wantSet, wantScore)
+			}
+			if !nanChecked && len(gotSet) > 1 {
+				nanChecked = true
+				i, k := gotSet[0], 0
+				row := &m.rows[k*m.n+i]
+				saved := *row
+				*row = math.NaN()
+				if b := m.fitBound(gotSet); !math.IsNaN(b) {
+					t.Errorf("a NaN profile row gives fitBound %v, want NaN", b)
+				}
+				// Against 0 any number would be skipped; a skip returns 0.
+				if s, ok := m.scoreBelow(gotSet, 0); ok || !math.IsNaN(s) {
+					t.Errorf("a set with a NaN profile row: scoreBelow = %v, %v, want it scored to NaN", s, ok)
+				}
+				*row = saved
+			}
+		}
+	})
+	t.Logf("%d of %d trials skipped (%.1f%%)", skipped, trials, 100*float64(skipped)/float64(trials))
+	if skipped == 0 {
+		t.Error("no trial was skipped: the bound check is vacuous")
+	}
+	if !nanChecked {
+		t.Error("corpus produced no multi-component search to check the NaN row on")
 	}
 }
 

@@ -686,7 +686,7 @@ func (m *mixSearch) search(maxVictims int) ([]int, float64) {
 		for _, i := range m.free {
 			trial = append(trial[:0], set...)
 			trial = append(trial, i)
-			if s := m.score(trial); s < extScore {
+			if s, ok := m.scoreBelow(trial, extScore); ok {
 				extBest, extScore = i, s
 			}
 		}
@@ -717,7 +717,7 @@ func (m *mixSearch) search(maxVictims int) ([]int, float64) {
 				}
 				trial = append(trial[:0], set...)
 				trial[si] = alt
-				if s := m.score(trial); s < bestScore {
+				if s, ok := m.scoreBelow(trial, bestScore); ok {
 					copy(set, trial)
 					bestScore = s
 					improved = true
@@ -737,11 +737,78 @@ func (m *mixSearch) search(maxVictims int) ([]int, float64) {
 //
 //bolt:hotpath
 func (m *mixSearch) score(idxs []int) float64 {
-	s := m.sumFit(idxs) + m.shutterErr(idxs) + m.mrcErr(idxs)
+	return m.withTerms(m.sumFit(idxs), idxs)
+}
+
+// withTerms adds the set's other score terms to fit, in score's order: the
+// shutter and MRC terms, then each anchor's share.
+//
+//bolt:hotpath
+func (m *mixSearch) withTerms(fit float64, idxs []int) float64 {
+	s := fit + m.shutterErr(idxs) + m.mrcErr(idxs)
 	for ai := 0; ai < m.na && ai < len(idxs); ai++ {
 		s += m.sig[ai*m.n+idxs[ai]]
 	}
 	return s
+}
+
+// scoreBelow returns the set's score and whether it is below thr, the test
+// a trial must pass to be taken. A set whose bound — withTerms of fitBound
+// — is already at or above thr is not scored: fitBound ≤ sumFit, and IEEE
+// addition is monotone in each operand, so its score is at or above the
+// bound too, or NaN, and fails the test either way. A NaN bound fails the
+// skip test, and the set is scored.
+//
+//bolt:hotpath
+func (m *mixSearch) scoreBelow(idxs []int, thr float64) (float64, bool) {
+	if m.withTerms(m.fitBound(idxs), idxs) >= thr {
+		return 0, false
+	}
+	s := m.score(idxs)
+	return s, s < thr
+}
+
+// fitBound is a lower bound on sumFit(idxs) that runs no descent: whatever
+// the descent ends at, each α is in [alphaLo, alphaHi], or NaN, which makes
+// sumFit NaN. A reading's pred, summed in sumFit's order, is therefore at
+// least lo, the same sum with each α·v at its least over that range, and
+// at most hi, the sum at its greatest — IEEE multiplication and addition
+// are monotone. Where lo overshoots a non-saturated reading, pred
+// overshoots it by more; where hi undershoots a reading, pred undershoots
+// it by more; elsewhere the error term is at least 0. Squares, the sum,
+// the division by nk and the square root are monotone too, so fitBound ≤
+// sumFit bit for bit whenever sumFit is not NaN. A NaN row or reading makes
+// the bound NaN.
+//
+//bolt:hotpath
+func (m *mixSearch) fitBound(idxs []int) float64 {
+	n := m.n
+	err := 0.0
+	for k := 0; k < m.nk; k++ {
+		row := m.rows[k*n : (k+1)*n]
+		meas := m.meas[k]
+		lo, hi := 0.0, 0.0
+		for _, i := range idxs {
+			if v := row[i]; v >= 0 {
+				lo += alphaLo * v
+				hi += alphaHi * v
+			} else {
+				lo += alphaHi * v
+				hi += alphaLo * v
+			}
+		}
+		d := 0.0
+		switch dl, dh := lo-meas, hi-meas; {
+		case dl > 0 && meas < saturatedFloor:
+			d = dl
+		case dh < 0:
+			d = dh
+		case dl != dl || dh != dh:
+			return math.NaN()
+		}
+		err += d * d
+	}
+	return math.Sqrt(err / float64(m.nk))
 }
 
 // sumFit is the mixture-fit error of a component set. Each co-resident

@@ -5,20 +5,29 @@ import (
 	"testing"
 
 	"bolt/internal/core"
+	"bolt/internal/mining"
 	"bolt/internal/workload"
 )
 
 // TestTrainCachedConcurrentSingleflight hammers cache keys from many
 // goroutines: every caller of one key must get the identical *Detector (one
-// training pass, not a race of redundant ones), and callers of policy-only
+// training pass, not a race of redundant ones), callers of policy-only
 // variants, racing each other, must all get Detectors around one
-// *mining.Recommender; under -race the cache's locking must hold up. This is
-// the access pattern of the experiment suite, whose experiments train their
-// policy variants of one catalog concurrently.
+// *mining.Recommender, and callers of recommender variants must all get
+// views of one *mining.Base; under -race the cache's locking must hold up
+// at all three levels. This is the access pattern of the experiment suite,
+// whose experiments train their variants of one catalog concurrently.
 func TestTrainCachedConcurrentSingleflight(t *testing.T) {
 	specs := workload.TrainingSpecs(1001) // a seed no other test primes
-	cfgs := []core.Config{{}, {ExtraBench: 2}, {DisableShutter: true}, {MaxIterations: 3, DisableMRC: true}}
-	const callers = 16
+	policies := []core.Config{{}, {ExtraBench: 2}, {DisableShutter: true}, {MaxIterations: 3, DisableMRC: true}}
+	recommenders := []core.Config{
+		{Recommender: mining.RecommenderConfig{Unweighted: true}},
+		{Recommender: mining.RecommenderConfig{PureCF: true}},
+		{Recommender: mining.RecommenderConfig{EnergyFraction: 0.5}},
+		{Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{FixedFoldIn: true}}},
+	}
+	cfgs := append(policies, recommenders...)
+	const callers = 32
 	dets := make([]*core.Detector, callers)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -36,8 +45,12 @@ func TestTrainCachedConcurrentSingleflight(t *testing.T) {
 		if same := i % len(cfgs); dets[i] != dets[same] {
 			t.Fatalf("caller %d got a different detector pointer than caller %d: singleflight broken", i, same)
 		}
-		if dets[i].Rec != dets[0].Rec {
-			t.Fatalf("caller %d (config %+v) got its own recommender; policy-only variants share one", i, cfgs[i%len(cfgs)])
+		policyOnly := i%len(cfgs) < len(policies)
+		if sameRec := dets[i].Rec == dets[0].Rec; sameRec != policyOnly {
+			t.Fatalf("caller %d (config %+v) shares the zero config's recommender: %v, want %v", i, cfgs[i%len(cfgs)], sameRec, policyOnly)
+		}
+		if dets[i].Rec.Base() != dets[0].Rec.Base() {
+			t.Fatalf("caller %d (config %+v) got a base of its own; one catalog, Rank and Seed share one", i, cfgs[i%len(cfgs)])
 		}
 	}
 	for i := 1; i < len(cfgs); i++ {

@@ -95,8 +95,8 @@ func TestTrainCachedBounded(t *testing.T) {
 	if n > trainCacheCap {
 		t.Fatalf("cache grew to %d entries, cap is %d", n, trainCacheCap)
 	}
-	// On a full cache a new key adds two entries, its detector's and then
-	// its recommender's; the second must not evict the first.
+	// On a full cache a new key adds three entries, its detector's, its
+	// recommender's and its base's; the later ones must not evict the first.
 	fresh := TrainCached(workload.TrainingSpecs(407)[:4], Config{})
 	if again := TrainCached(workload.TrainingSpecs(407)[:4], Config{}); again != fresh {
 		t.Fatal("a full cache dropped the entry it had just added")
@@ -140,9 +140,17 @@ func TestTrainCachedSharesRecommender(t *testing.T) {
 		"EnergyFraction": {Recommender: mining.RecommenderConfig{EnergyFraction: 0.5}},
 	}
 	for name, cfg := range own {
-		if d := TrainCached(specs, cfg); d.Rec == base.Rec {
+		d := TrainCached(specs, cfg)
+		if d.Rec == base.Rec {
 			t.Fatalf("%s: a recommender field must not share the default's recommender", name)
 		}
+		// Only the completion's Rank and Seed are trained into the base.
+		if sameBase := d.Rec.Base() == base.Rec.Base(); sameBase != (name != "Completion") {
+			t.Fatalf("%s: shares the default's base: %v", name, sameBase)
+		}
+	}
+	if d := TrainCached(specs, Config{Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{Rank: 6}}}); d != base {
+		t.Fatal("Rank 6, the resolved default, should hit the zero-config entry")
 	}
 
 	// The policy is the Detector's own: on the same host and seed, the

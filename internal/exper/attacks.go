@@ -24,9 +24,10 @@ import (
 // lands within ~1e-12 of the sequential sweeps — far below anything the
 // simulation resolves — but the suite's regression contract is
 // byte-identical output across runs and code changes, so these experiments
-// pin the historical sequential-sweep arithmetic. TrainCached keys on the
-// resolved config, so this costs one extra cached training pass; every
-// other experiment keeps the matrix-power fast path.
+// pin the historical sequential-sweep arithmetic. FixedFoldIn picks the
+// fold-in path, not the factors, so TrainCached gives this config a
+// recommender of its own on the catalog's one factorisation; every other
+// experiment keeps the matrix-power fast path.
 func attackPlanConfig() core.Config {
 	return core.Config{Recommender: mining.RecommenderConfig{
 		Completion: mining.CompletionConfig{FixedFoldIn: true},

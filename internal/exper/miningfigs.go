@@ -157,6 +157,20 @@ func Figure2(seed uint64) *Report {
 	return rep
 }
 
+// figure5Catalog is the training set of Fig. 5's recommender: the
+// reference jobs, then seed's training catalog, since a recommender needs a
+// broader context to have meaningful concepts. It is not the catalog the
+// detectors train on, so its recommender is a base of its own.
+func figure5Catalog(seed uint64, refs ...workload.Spec) []mining.LabeledProfile {
+	var profiles []mining.LabeledProfile
+	for _, s := range append(refs, workload.TrainingSpecs(seed)...) {
+		profiles = append(profiles, mining.LabeledProfile{
+			Label: s.Label, Class: s.Class, Pressure: s.Base.Slice(),
+		})
+	}
+	return profiles
+}
+
 // Figure5 reproduces Fig. 5: the star charts comparing two Hadoop jobs
 // (word count on a small dataset vs a recommender on a large one) and the
 // similarity scores an unknown Hadoop job receives against each.
@@ -180,17 +194,7 @@ func Figure5(seed uint64) *Report {
 
 	// Similarity of the unknown job to each reference, through the real
 	// recommender so the scores carry the paper's meaning.
-	profiles := []mining.LabeledProfile{
-		{Label: wc.Label, Class: wc.Class, Pressure: wc.Base.Slice()},
-		{Label: rec.Label, Class: rec.Class, Pressure: rec.Base.Slice()},
-	}
-	// A recommender needs a broader context to have meaningful concepts.
-	for _, s := range workload.TrainingSpecs(seed) {
-		profiles = append(profiles, mining.LabeledProfile{
-			Label: s.Label, Class: s.Class, Pressure: s.Base.Slice(),
-		})
-	}
-	recSys := mining.NewRecommender(profiles, mining.RecommenderConfig{})
+	recSys := mining.NewRecommender(figure5Catalog(seed, wc, rec), mining.RecommenderConfig{})
 	// The unknown job's profile is fully observed.
 	allKnown := make([]bool, sim.NumResources)
 	for j := range allKnown {

@@ -37,7 +37,9 @@ type CompletionConfig struct {
 	FixedFoldIn bool
 }
 
-func (c CompletionConfig) withDefaults(n int) CompletionConfig {
+// WithDefaults resolves the zero fields for n resource columns: a Rank of 0
+// is min(n, 6). Two configs that resolve alike train the same Completer.
+func (c CompletionConfig) WithDefaults(n int) CompletionConfig {
 	if c.Rank <= 0 {
 		c.Rank = 6
 		if n < c.Rank {
@@ -105,7 +107,7 @@ type Completer struct {
 // NewCompleter factorises the dense training matrix (one row per training
 // application, one column per resource, entries in [0,100]).
 func NewCompleter(train *Matrix, cfg CompletionConfig) *Completer {
-	cfg = cfg.withDefaults(train.Cols)
+	cfg = cfg.WithDefaults(train.Cols)
 	c := &Completer{cfg: cfg, train: train.Clone(), n: train.Cols}
 	rng := stats.NewRNG(cfg.Seed ^ 0xb0172017)
 

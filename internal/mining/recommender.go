@@ -84,25 +84,45 @@ const DefaultEnergyFraction = 0.9
 // similarity. Centring makes the similarity concepts capture variation
 // across workloads rather than the grand mean, which would otherwise absorb
 // nearly all singular-value energy and collapse the concept space to rank 1.
+//
+// A Recommender is a view of a Base: the factorisations come from the base,
+// shared with every other view of it, and only what RecommenderConfig
+// selects is the view's own.
 type Recommender struct {
 	cfg      RecommenderConfig
-	profiles []LabeledProfile
-	svd      *SVD      // truncated to the energy rank
-	means    []float64 // per-resource column means of the training matrix
-	weights  []float64 // per-resource Eq. 1 weights: Σₖ σₖ·|V[j][k]|
-	complete *Completer
-	concepts [][]float64 // per-training-app concept-space coordinates
-	// centred holds the mean-centred training profiles, row-major with
-	// stride n: row i is profiles[i].Pressure - means. detect used to
-	// recompute this subtraction for every profile on every call; it is a
-	// pure function of the training set, so it is built once here.
-	centred []float64
-	n       int       // resource count
-	scratch sync.Pool // *detectScratch
+	profiles []LabeledProfile // the base's
+	svd      *SVD             // the base's SVD truncated to the energy rank
+	means    []float64        // the base's column means
+	weights  []float64        // per-resource Eq. 1 weights: Σₖ σₖ·|V[j][k]|
+	complete *Completer       // the base's factors, with the view's FixedFoldIn
+	concepts [][]float64      // per-training-app concept-space coordinates
+	centred  []float64        // the base's centred training rows
+	n        int              // resource count
+	scratch  sync.Pool        // *detectScratch
 	// plans holds the plans of the first planSlots known masks queried,
 	// filled first-come by CompareAndSwap and never evicted; a filled slot
 	// is never written again (see planFor).
 	plans [planSlots]atomic.Pointer[maskPlan]
+	base  *Base
+}
+
+// Base is the half of a trained recommender that depends only on the
+// training profiles and the completion's Rank and Seed: the column means,
+// the centred training rows, the full SVD of the centred matrix and the
+// Completer's SGD factorisation. Those are all the training there is, so a
+// catalog is factorised once however many configs read it, as §3.2 trains
+// Bolt once. A Base is immutable once NewBase returns and safe for
+// concurrent use; View builds Recommenders on it.
+type Base struct {
+	profiles []LabeledProfile
+	n        int
+	means    []float64 // per-resource column means of the training matrix
+	// centred holds the mean-centred training profiles, row-major with
+	// stride n: row i is profiles[i].Pressure - means, built once here
+	// rather than on every detection.
+	centred  []float64
+	full     *SVD       // of the centred training matrix, every concept
+	complete *Completer // the factorisation, FixedFoldIn off
 }
 
 // planSlots is how many known masks a Recommender keeps plans for. A served
@@ -158,11 +178,18 @@ type rankKey struct {
 // concepts, so retaining a few extra acts as a soft truncation.
 const minConceptRank = 5
 
-// NewRecommender trains the recommender on the given profiles. All profiles
-// must share the same pressure-vector length. It panics on an empty or
-// ragged training set, since a recommender without training data is a
-// programming error rather than a runtime condition.
+// NewRecommender trains the recommender on the given profiles: NewBase,
+// then View. All profiles must share the same pressure-vector length. It
+// panics on an empty or ragged training set, since a recommender without
+// training data is a programming error rather than a runtime condition.
 func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommender {
+	return NewBase(profiles, cfg.Completion).View(cfg)
+}
+
+// NewBase factorises the training profiles under the completion's Rank and
+// Seed; its FixedFoldIn is left to each View. It panics as NewRecommender
+// does.
+func NewBase(profiles []LabeledProfile, c CompletionConfig) *Base {
 	if len(profiles) == 0 {
 		panic("mining: empty training set")
 	}
@@ -174,9 +201,6 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 				p.Label, len(p.Pressure), n))
 		}
 		rows[i] = p.Pressure
-	}
-	if cfg.EnergyFraction == 0 {
-		cfg.EnergyFraction = DefaultEnergyFraction
 	}
 
 	train := FromRows(rows)
@@ -194,30 +218,52 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			centred.Set(i, j, centred.At(i, j)-means[j])
 		}
 	}
+	c.FixedFoldIn = false
+	return &Base{
+		profiles: append([]LabeledProfile(nil), profiles...),
+		n:        n,
+		means:    means,
+		centred:  centred.Data,
+		full:     ComputeSVD(centred),
+		complete: NewCompleter(train, c),
+	}
+}
 
-	full := ComputeSVD(centred)
-	rank := full.EnergyRank(cfg.EnergyFraction)
+// View builds the recommender cfg selects on b: the SVD truncated by
+// EnergyFraction, the σ weights and concept coordinates it implies, the
+// PureCF and Unweighted stages, and FixedFoldIn. cfg.Completion's Rank and
+// Seed must resolve to b's; View panics otherwise.
+func (b *Base) View(cfg RecommenderConfig) *Recommender {
+	if c, bc := cfg.Completion.WithDefaults(b.n), b.complete.cfg; c.Rank != bc.Rank || c.Seed != bc.Seed {
+		panic(fmt.Sprintf("mining: view with completion rank %d seed %d of a base with rank %d seed %d",
+			c.Rank, c.Seed, bc.Rank, bc.Seed))
+	}
+	if cfg.EnergyFraction == 0 {
+		cfg.EnergyFraction = DefaultEnergyFraction
+	}
+	rank := b.full.EnergyRank(cfg.EnergyFraction)
 	if rank < minConceptRank {
 		rank = minConceptRank
 	}
+	n := b.n
 	r := &Recommender{
 		cfg:      cfg,
-		profiles: append([]LabeledProfile(nil), profiles...),
-		svd:      full.Truncate(rank),
-		means:    means,
-		complete: NewCompleter(train, cfg.Completion),
+		profiles: b.profiles,
+		svd:      b.full.Truncate(rank),
+		means:    b.means,
+		complete: b.complete,
+		centred:  b.centred,
 		n:        n,
+		base:     b,
 	}
-	r.concepts = make([][]float64, len(profiles))
-	for i := range profiles {
-		r.concepts[i] = r.project(profiles[i].Pressure)
+	if cfg.Completion.FixedFoldIn {
+		c := *b.complete
+		c.cfg.FixedFoldIn = true
+		r.complete = &c
 	}
-	r.centred = make([]float64, len(profiles)*n)
-	for i, p := range profiles {
-		row := r.centred[i*n : (i+1)*n]
-		for j := range row {
-			row[j] = p.Pressure[j] - means[j]
-		}
+	r.concepts = make([][]float64, len(r.profiles))
+	for i := range r.profiles {
+		r.concepts[i] = r.project(r.profiles[i].Pressure)
 	}
 	r.weights = make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -242,12 +288,16 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			centred:  make([]float64, n),
 			x:        make([]float64, n),
 			u:        make([]float64, conceptRank),
-			top:      make([]rankKey, min(MatchesKept, len(profiles))),
+			top:      make([]rankKey, min(MatchesKept, len(r.profiles))),
 			plan:     r.newPlan(),
 		}
 	}
 	return r
 }
+
+// Base returns the base r is a view of, shared with every other view of
+// it.
+func (r *Recommender) Base() *Base { return r.base }
 
 // newPlan allocates an empty plan sized for r: one per pooled scratch, and
 // one for each plan planFor publishes.
