@@ -31,6 +31,19 @@ import (
 // (TestShownMatchesWithinMatchesKept).
 const shownMatches = 5
 
+// checkFlags rejects the flag values a run cannot start from: a detection
+// of no iterations has no result to print, and the adversarial VM needs a
+// vCPU to probe from.
+func checkFlags(iters, advVCPUs int) error {
+	if iters < 1 {
+		return fmt.Errorf("-iters %d: want at least 1 detection iteration", iters)
+	}
+	if advVCPUs < 1 {
+		return fmt.Errorf("-adv-vcpus %d: want at least 1 vCPU", advVCPUs)
+	}
+	return nil
+}
+
 func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	victims := flag.String("victims", "memcached", "comma-separated victim classes, or 'random'")
@@ -40,6 +53,10 @@ func main() {
 	profilesOut := flag.String("save-profiles", "", "write the training profiles to this JSON file and exit")
 	isoName := flag.String("isolation", "none", "host isolation: none, pinning, partitioned, core")
 	flag.Parse()
+	if err := checkFlags(*iters, *advVCPUs); err != nil {
+		fmt.Fprintf(os.Stderr, "boltctl: %v\n", err)
+		os.Exit(2)
+	}
 
 	rng := stats.NewRNG(*seed)
 
@@ -74,11 +91,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "boltctl: %v\n", err)
 			os.Exit(1)
 		}
-		if err := det.SaveProfiles(f); err != nil {
+		err = det.SaveProfiles(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "boltctl: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Printf("boltctl: wrote training profiles to %s\n", *profilesOut)
 		return
 	}

@@ -60,28 +60,22 @@ func (c Config) withDefaults() Config {
 // Detector is a trained Bolt instance: the hybrid recommender plus the
 // profiling policy. One Detector serves any number of adversary VMs.
 //
-// A Detector is immutable once Train returns: the recommender, the
-// completer, and the byLabel lookup are built in full during training and
-// only read afterwards (Detect and NewEpisode keep all mutable episode
-// state outside the Detector; the recommender's per-mask plans are
-// published once each and never change). It is therefore safe for
+// A Detector is immutable once Train returns: Detect and NewEpisode keep all
+// mutable episode state outside it, and its recommender only publishes
+// per-mask plans, each once and never changed. It is therefore safe for
 // concurrent use by any number of goroutines — the parallel experiment
-// runner and the TrainCached memo, which also shares one recommender among
-// Detectors, depend on this property; anything added to Detector must
-// preserve it or take a lock.
+// runner depends on this, and so does TrainCached, whose Detectors of one
+// recommender config share one *mining.Recommender. Anything added to
+// Detector must preserve it or take a lock.
 type Detector struct {
 	Rec *mining.Recommender
 	cfg Config
-	// byLabel maps a training label to a representative dense profile,
-	// used to peel a matched co-resident's pressure out of a mixture.
-	byLabel map[string]sim.Vector
 }
 
 // Train builds a detector from the training workload specs (the paper's
 // 120-application training set).
 func Train(specs []workload.Spec, cfg Config) *Detector {
-	cfg = cfg.withDefaults()
-	return newDetector(specs, cfg, mining.NewRecommender(labeledProfiles(specs), cfg.Recommender))
+	return &Detector{Rec: mining.NewRecommender(labeledProfiles(specs), cfg.Recommender), cfg: cfg.withDefaults()}
 }
 
 // labeledProfiles is the training set the recommender learns from.
@@ -97,22 +91,15 @@ func labeledProfiles(specs []workload.Spec) []mining.LabeledProfile {
 	return profiles
 }
 
-// newDetector wraps rec, trained on specs, in a Detector with policy cfg.
-func newDetector(specs []workload.Spec, cfg Config, rec *mining.Recommender) *Detector {
-	byLabel := make(map[string]sim.Vector, len(specs))
-	for _, s := range specs {
-		if _, ok := byLabel[s.Label]; !ok {
-			byLabel[s.Label] = s.Base
+// TrainingProfile returns the dense pressure vector of the first training
+// profile labelled label, and whether the label exists.
+func (d *Detector) TrainingProfile(label string) (sim.Vector, bool) {
+	for _, p := range d.Rec.TrainingProfiles() {
+		if p.Label == label {
+			return sim.FromSlice(p.Pressure), true
 		}
 	}
-	return &Detector{Rec: rec, cfg: cfg, byLabel: byLabel}
-}
-
-// TrainingProfile returns the representative dense pressure vector for a
-// training label, and whether the label exists.
-func (d *Detector) TrainingProfile(label string) (sim.Vector, bool) {
-	v, ok := d.byLabel[label]
-	return v, ok
+	return sim.Vector{}, false
 }
 
 // Detection is the outcome of one detection episode against one host.

@@ -14,61 +14,40 @@ import (
 // The experiment suite trains ~20 detectors per run, almost all on the same
 // 120-spec catalog — on real hardware each training pass is hours of
 // profiling, and even in simulation it dominates experiment start-up.
-// TrainCached memoizes Train on the identity of its inputs so concurrent
-// experiments share what they can, which is safe because a Detector, a
-// mining.Recommender and a mining.Base are immutable once built (see the
-// Detector doc comment). The memo has three levels:
-//   - the base (mining.Base): the catalog's SVD and SGD factorisation, all
-//     the training there is, keyed on the catalog and the completion's
-//     resolved Rank and Seed;
-//   - the recommender: a view of the base, shared by every Config that
-//     differs only in episode-policy fields;
-//   - the Detector each such Config gets around that recommender.
+// TrainCached memoizes the training itself, the catalog's mining.Base (its
+// SVD and SGD factorisation), on the identity of its inputs, so concurrent
+// experiments factorise each catalog once. The Base memoizes its own views,
+// one per recommender config, and a Detector is a view plus the caller's
+// episode policy.
 
-// cacheLevel says which level of the memo an entry belongs to.
-type cacheLevel uint8
-
-const (
-	levelDetector cacheLevel = iota
-	levelRecommender
-	levelBase
-)
-
-// trainCacheKey identifies one cache entry. Specs are folded to an FNV-1a
-// fingerprint of their identity-bearing fields (Label, Class, Base — the
-// only fields Train reads). The config is resolved through cacheConfig, so
-// an explicit Config{MaxIterations: 6} and the zero Config share an entry.
-// A recommender entry keys on the resolved Recommender config alone, a base
-// entry on its Completion's Rank and Seed alone.
+// trainCacheKey identifies one catalog's base. Specs are folded to an
+// FNV-1a fingerprint of their identity-bearing fields (Label, Class, Base —
+// the only fields Train reads); rank and seed are the completion's
+// resolved Rank and its Seed, the only config a base is trained under.
 type trainCacheKey struct {
 	fingerprint uint64
 	n           int
-	cfg         Config
-	level       cacheLevel
+	rank        int
+	seed        uint64
 }
 
 // trainCacheEntry carries a once so concurrent callers with the same key
-// perform a single training pass (singleflight) while callers with other
-// keys proceed unblocked. A detector entry sets det, a recommender entry
-// rec, a base entry base.
+// perform a single factorisation (singleflight) while callers with other
+// keys proceed unblocked.
 type trainCacheEntry struct {
 	once sync.Once
-	det  *Detector
-	rec  *mining.Recommender
 	base *mining.Base
 }
 
-// trainCacheCap bounds the memo, all levels together. A suite pass adds
-// 22 entries (14 detectors, 7 recommenders, 1 base), so cycling four seeds
-// adds 66 more after a seed's last entry before that seed recurs: every
-// entry is evicted before it could be reused, and the memo shares training
-// within a pass only. Dropping an entry merely costs a retrain.
-const trainCacheCap = 64
+// trainCacheCap bounds the memo, in catalogs. A suite pass trains one, so
+// the benchmark's four-seed cycle keeps all of its bases; a full memo is
+// emptied before the new entry goes in. Dropping a base merely costs a
+// retrain.
+const trainCacheCap = 8
 
 var trainCache = struct {
 	sync.Mutex
-	m     map[trainCacheKey]*trainCacheEntry
-	order []trainCacheKey // the keys of m, oldest first
+	m map[trainCacheKey]*trainCacheEntry
 }{m: make(map[trainCacheKey]*trainCacheEntry)}
 
 func fingerprintSpecs(specs []workload.Spec) uint64 {
@@ -92,66 +71,34 @@ func fingerprintSpecs(specs []workload.Spec) uint64 {
 	return h.Sum64()
 }
 
-// cacheConfig resolves the defaults that make two configs train the same
-// detector: withDefaults, the completion's default Rank, and an
-// EnergyFraction of 0, which the recommender reads as
-// mining.DefaultEnergyFraction.
-func cacheConfig(cfg Config) Config {
-	cfg = cfg.withDefaults()
-	cfg.Recommender.Completion = cfg.Recommender.Completion.WithDefaults(sim.NumResources)
-	if cfg.Recommender.EnergyFraction == 0 {
-		cfg.Recommender.EnergyFraction = mining.DefaultEnergyFraction
-	}
-	return cfg
-}
-
 // cacheEntry returns the entry for key, adding an empty one if there is
-// none. A full cache drops its oldest entry, so an entry outlives the next
-// trainCacheCap−1 additions: a detector entry is not evicted by the
-// recommender and base entries its own training adds, and callers racing
-// on a few keys all find the entry the first of them added.
+// none.
 func cacheEntry(key trainCacheKey) *trainCacheEntry {
 	trainCache.Lock()
 	defer trainCache.Unlock()
-	if e, ok := trainCache.m[key]; ok {
-		return e
+	e, ok := trainCache.m[key]
+	if !ok {
+		if len(trainCache.m) >= trainCacheCap {
+			clear(trainCache.m)
+		}
+		e = &trainCacheEntry{}
+		trainCache.m[key] = e
 	}
-	if len(trainCache.order) >= trainCacheCap {
-		delete(trainCache.m, trainCache.order[0])
-		trainCache.order = trainCache.order[1:]
-	}
-	e := &trainCacheEntry{}
-	trainCache.m[key] = e
-	trainCache.order = append(trainCache.order, key)
 	return e
 }
 
-// TrainCached is Train memoized on (specs identity, resolved config). It
-// returns the same *Detector for repeated calls with equivalent inputs, and
-// is safe for concurrent use: callers racing on a missing entry block on a
-// single training pass rather than each training their own. Configs that
-// differ only in MaxIterations, ExtraBench, DisableShutter or DisableMRC
-// get Detectors of their own that share one *mining.Recommender, so its
-// per-mask plans are built once for all of them; every recommender on one
-// catalog, Rank and Seed is a view of one *mining.Base.
+// TrainCached is Train with the factorisation memoized on (specs identity,
+// the completion's resolved Rank and Seed). It is safe for concurrent use:
+// callers racing on a missing catalog block on a single factorisation
+// rather than each training their own. Each call returns a Detector of its
+// own, around the base's view for cfg.Recommender, which every config with
+// that recommender shares.
 //
-// The returned Detector is shared — callers must treat it as read-only,
-// which the Detector API already requires.
+// The view is shared — callers must treat it as read-only, which the
+// Detector API already requires.
 func TrainCached(specs []workload.Spec, cfg Config) *Detector {
-	fp, n := fingerprintSpecs(specs), len(specs)
-	cfg = cacheConfig(cfg)
-	e := cacheEntry(trainCacheKey{fingerprint: fp, n: n, cfg: cfg})
-	e.once.Do(func() {
-		re := cacheEntry(trainCacheKey{fingerprint: fp, n: n, cfg: Config{Recommender: cfg.Recommender}, level: levelRecommender})
-		re.once.Do(func() {
-			c := cfg.Recommender.Completion
-			var bcfg Config
-			bcfg.Recommender.Completion = mining.CompletionConfig{Rank: c.Rank, Seed: c.Seed}
-			be := cacheEntry(trainCacheKey{fingerprint: fp, n: n, cfg: bcfg, level: levelBase})
-			be.once.Do(func() { be.base = mining.NewBase(labeledProfiles(specs), c) })
-			re.rec = be.base.View(cfg.Recommender)
-		})
-		e.det = newDetector(specs, cfg, re.rec)
-	})
-	return e.det
+	c := cfg.Recommender.Completion.WithDefaults(sim.NumResources)
+	e := cacheEntry(trainCacheKey{fingerprint: fingerprintSpecs(specs), n: len(specs), rank: c.Rank, seed: c.Seed})
+	e.once.Do(func() { e.base = mining.NewBase(labeledProfiles(specs), c) })
+	return &Detector{Rec: e.base.View(cfg.Recommender), cfg: cfg.withDefaults()}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,64 +12,106 @@ import (
 	"bolt/internal/workload"
 )
 
+// TestTrainCachedSharesRecommender: Base.View returns one
+// *mining.Recommender per resolved config, to concurrent callers too —
+// EnergyFraction 0 and 0.9 are one key, Rank 0 and 6 are one key, every
+// other recommender field is a key of its own — and TrainCached hands each
+// config the view of its recommender config.
+func TestTrainCachedSharesRecommender(t *testing.T) {
+	specs := workload.TrainingSpecs(408)
+	base := TrainCached(specs, Config{}).Rec.Base()
+	groups := [][]mining.RecommenderConfig{
+		{{}, {EnergyFraction: 0.9}, {Completion: mining.CompletionConfig{Rank: 6}}},
+		{{Unweighted: true}},
+		{{PureCF: true}},
+		{{EnergyFraction: 0.5}},
+		{{Completion: mining.CompletionConfig{FixedFoldIn: true}}, {EnergyFraction: 0.9, Completion: mining.CompletionConfig{Rank: 6, FixedFoldIn: true}}},
+	}
+	var cfgs []mining.RecommenderConfig
+	var group []int
+	for g, cs := range groups {
+		cfgs = append(cfgs, cs...)
+		for range cs {
+			group = append(group, g)
+		}
+	}
+	const callers = 8
+	got := make([][]*mining.Recommender, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for c := range got {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got[c] = make([]*mining.Recommender, len(cfgs))
+			<-start
+			// Callers start at different configs, so each view is
+			// contended on its first build.
+			for k := range cfgs {
+				i := (k + c) % len(cfgs)
+				got[c][i] = base.View(cfgs[i])
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	first := map[int]*mining.Recommender{}
+	for i, cfg := range cfgs {
+		want, seen := first[group[i]]
+		if !seen {
+			want = got[0][i]
+			first[group[i]] = want
+		}
+		for c := range got {
+			if got[c][i] != want {
+				t.Fatalf("config %+v: caller %d got another view than config %+v", cfg, c, cfgs[slices.Index(group, group[i])])
+			}
+		}
+		if d := TrainCached(specs, Config{Recommender: cfg, MaxIterations: 2}); d.Rec != want {
+			t.Fatalf("config %+v: TrainCached's detector is not around the base's view", cfg)
+		}
+	}
+	if len(first) != len(groups) {
+		t.Fatalf("%d recommender configs reach %d views, want %d", len(cfgs), len(first), len(groups))
+	}
+	for g, r := range first {
+		for h, o := range first {
+			if g != h && r == o {
+				t.Fatalf("configs %+v and %+v share a view", groups[g][0], groups[h][0])
+			}
+		}
+	}
+}
+
+// TestTrainCachedReturnsSameDetector: a Detector is its view and its
+// resolved policy, so equal spec content under configs that resolve alike
+// gives equal Detectors — the explicitly defaulted MaxIterations too, and a
+// rebuilt spec slice, since identity is the content fingerprint, not the
+// slice header.
 func TestTrainCachedReturnsSameDetector(t *testing.T) {
 	specs := workload.TrainingSpecs(400)
 	a := TrainCached(specs, Config{})
-	b := TrainCached(specs, Config{})
-	if a != b {
-		t.Fatal("identical specs+config should share one detector")
-	}
-	// The zero config and its resolved form are the same training run.
-	c := TrainCached(specs, Config{MaxIterations: 6})
-	if a != c {
-		t.Fatal("explicitly defaulted config should hit the zero-config entry")
-	}
-	// Rebuilding the spec slice must not defeat the cache: identity is the
-	// content fingerprint, not the slice header.
-	d := TrainCached(workload.TrainingSpecs(400), Config{})
-	if a != d {
-		t.Fatal("equal spec content should hit the cache")
-	}
-}
-
-func TestTrainCachedDistinguishesInputs(t *testing.T) {
-	specs := workload.TrainingSpecs(401)
-	base := TrainCached(specs, Config{})
-	if other := TrainCached(workload.TrainingSpecs(402), Config{}); other == base {
-		t.Fatal("different training seed must not share a detector")
-	}
-	if other := TrainCached(specs, Config{DisableShutter: true}); other == base {
-		t.Fatal("different config must not share a detector")
-	}
-	if other := TrainCached(specs[:len(specs)-1], Config{}); other == base {
-		t.Fatal("different spec count must not share a detector")
-	}
-}
-
-func TestTrainCachedMatchesTrain(t *testing.T) {
-	specs := workload.TrainingSpecs(403)
-	cached := TrainCached(specs, Config{})
-	fresh := Train(specs, Config{})
-	cp, fp := cached.Profiles(), fresh.Profiles()
-	if len(cp) != len(fp) {
-		t.Fatalf("cached detector has %d profiles, fresh has %d", len(cp), len(fp))
-	}
-	for i := range cp {
-		if cp[i].Label != fp[i].Label {
-			t.Fatalf("profile %d label %q vs %q", i, cp[i].Label, fp[i].Label)
+	for name, d := range map[string]*Detector{
+		"the same call":        TrainCached(specs, Config{}),
+		"MaxIterations 6":      TrainCached(specs, Config{MaxIterations: 6}),
+		"a rebuilt spec slice": TrainCached(workload.TrainingSpecs(400), Config{}),
+		"both":                 TrainCached(workload.TrainingSpecs(400), Config{MaxIterations: 6}),
+	} {
+		if *d != *a {
+			t.Fatalf("%s: got another detector than the zero config's (same view %v, policy %+v vs %+v)", name, d.Rec == a.Rec, d.cfg, a.cfg)
 		}
 	}
 }
 
 // TestTrainCachedConcurrent hammers one key from many goroutines: all must
-// observe the same detector, and (under -race) the single training pass must
+// get the same detector, and (under -race) the single training pass must
 // not race with concurrent lookups.
 func TestTrainCachedConcurrent(t *testing.T) {
 	specs := workload.TrainingSpecs(404)
 	const goroutines = 16
 	dets := make([]*Detector, goroutines)
 	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
+	for i := range dets {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -76,87 +119,84 @@ func TestTrainCachedConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if dets[i] != dets[0] {
+	for i, d := range dets {
+		if *d != *dets[0] {
 			t.Fatalf("goroutine %d got a different detector", i)
 		}
 	}
 }
 
-func TestTrainCachedBounded(t *testing.T) {
-	specs := workload.TrainingSpecs(405)
-	// Distinct configs force distinct entries well past the cap.
-	for i := 0; i < trainCacheCap+8; i++ {
-		TrainCached(specs[:4], Config{ExtraBench: i + 1})
+// TestTrainCachedEvictionHammer drives the memo past its bound from
+// concurrent callers with many distinct small catalogs, so eviction races
+// against singleflight misses: every caller must get a detector trained on
+// its own catalog, and the memo must stay within trainCacheCap catalogs.
+func TestTrainCachedEvictionHammer(t *testing.T) {
+	const keys, callers = 3 * trainCacheCap, 4
+	specSets := make([][]workload.Spec, keys)
+	for k := range specSets {
+		specSets[k] = workload.TrainingSpecs(uint64(2000 + k))[:6]
 	}
-	trainCache.Lock()
-	n := len(trainCache.m)
-	trainCache.Unlock()
-	if n > trainCacheCap {
-		t.Fatalf("cache grew to %d entries, cap is %d", n, trainCacheCap)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := range specSets {
+				// Stagger start points so callers collide on different keys.
+				specs := specSets[(k+c*keys/callers)%keys]
+				if got := TrainCached(specs, Config{}).Profiles(); len(got) != len(specs) || !slices.Equal(got[0].Pressure, specs[0].Base.Slice()) {
+					t.Errorf("caller %d got a detector trained on another catalog", c)
+					return
+				}
+			}
+		}(c)
 	}
-	// On a full cache a new key adds three entries, its detector's, its
-	// recommender's and its base's; the later ones must not evict the first.
-	fresh := TrainCached(workload.TrainingSpecs(407)[:4], Config{})
-	if again := TrainCached(workload.TrainingSpecs(407)[:4], Config{}); again != fresh {
-		t.Fatal("a full cache dropped the entry it had just added")
+	wg.Wait()
+	if n := memoLen(); n > trainCacheCap {
+		t.Fatalf("the memo holds %d catalogs, its bound is %d", n, trainCacheCap)
 	}
 }
 
-// TestTrainCachedSharesRecommender: configs that differ only in
-// episode-policy fields get Detectors of their own around one shared
-// recommender, EnergyFraction 0 and its resolved 0.9 are one entry, and
-// every field the recommender reads keeps its own. Each Detector still
-// runs its own policy.
-func TestTrainCachedSharesRecommender(t *testing.T) {
-	specs := workload.TrainingSpecs(406)
-	base := TrainCached(specs, Config{})
-	if resolved := TrainCached(specs, Config{Recommender: mining.RecommenderConfig{EnergyFraction: 0.9}}); resolved != base {
-		t.Fatal("EnergyFraction 0.9 should hit the zero-config entry")
-	}
-	shared := map[string]Config{
-		"MaxIterations":  {MaxIterations: 1},
-		"ExtraBench":     {ExtraBench: 3},
-		"DisableShutter": {DisableShutter: true},
-		"DisableMRC":     {DisableMRC: true},
-		"all four":       {MaxIterations: 2, ExtraBench: 1, DisableShutter: true, DisableMRC: true},
-	}
-	for name, cfg := range shared {
-		d := TrainCached(specs, cfg)
-		if d == base || d.Rec != base.Rec {
-			t.Fatalf("%s: want a Detector of its own around the shared recommender (same detector %v, same recommender %v)",
-				name, d == base, d.Rec == base.Rec)
-		}
-		if want := cfg.withDefaults(); d.cfg.MaxIterations != want.MaxIterations || d.cfg.ExtraBench != want.ExtraBench ||
-			d.cfg.DisableShutter != want.DisableShutter || d.cfg.DisableMRC != want.DisableMRC {
-			t.Fatalf("%s: detector policy %+v, want %+v", name, d.cfg, want)
-		}
-	}
-	own := map[string]Config{
-		"Completion":     {Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{Seed: 1}}},
-		"FixedFoldIn":    {Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{FixedFoldIn: true}}},
-		"Unweighted":     {Recommender: mining.RecommenderConfig{Unweighted: true}},
-		"PureCF":         {Recommender: mining.RecommenderConfig{PureCF: true}},
-		"EnergyFraction": {Recommender: mining.RecommenderConfig{EnergyFraction: 0.5}},
-	}
-	for name, cfg := range own {
-		d := TrainCached(specs, cfg)
-		if d.Rec == base.Rec {
-			t.Fatalf("%s: a recommender field must not share the default's recommender", name)
-		}
-		// Only the completion's Rank and Seed are trained into the base.
-		if sameBase := d.Rec.Base() == base.Rec.Base(); sameBase != (name != "Completion") {
-			t.Fatalf("%s: shares the default's base: %v", name, sameBase)
-		}
-	}
-	if d := TrainCached(specs, Config{Recommender: mining.RecommenderConfig{Completion: mining.CompletionConfig{Rank: 6}}}); d != base {
-		t.Fatal("Rank 6, the resolved default, should hit the zero-config entry")
-	}
+func memoLen() int {
+	trainCache.Lock()
+	defer trainCache.Unlock()
+	return len(trainCache.m)
+}
 
-	// The policy is the Detector's own: on the same host and seed, the
-	// MaxIterations 1 detector stops after one iteration, and adding
-	// ExtraBench to it spends longer on that iteration.
-	episode := func(d *Detector) Detection {
+// TestTrainCachedBounded: trained one after another, more catalogs than
+// the bound leave the memo within trainCacheCap catalogs, and a catalog
+// added to a full memo outlives its own addition.
+func TestTrainCachedBounded(t *testing.T) {
+	for k := 0; k < 2*trainCacheCap+1; k++ {
+		TrainCached(workload.TrainingSpecs(uint64(3000 + k))[:4], Config{})
+		if n := memoLen(); n > trainCacheCap {
+			t.Fatalf("after %d catalogs the memo holds %d, its bound is %d", k+1, n, trainCacheCap)
+		}
+	}
+	for k := 0; memoLen() < trainCacheCap; k++ {
+		TrainCached(workload.TrainingSpecs(uint64(3100 + k))[:4], Config{})
+	}
+	fresh := workload.TrainingSpecs(407)[:4]
+	if TrainCached(fresh, Config{}).Rec != TrainCached(fresh, Config{}).Rec {
+		t.Fatal("a full memo dropped the catalog it had just added")
+	}
+}
+
+// TestTrainCachedDistinguishesInputs: the policy fields are each
+// Detector's own. Configs that differ only in them share one recommender,
+// yet on the same host and seed the MaxIterations 1 detector stops after
+// one iteration, and adding ExtraBench to it spends longer on that
+// iteration.
+func TestTrainCachedDistinguishesInputs(t *testing.T) {
+	specs := workload.TrainingSpecs(406)
+	episode := func(cfg Config) Detection {
+		d := TrainCached(specs, cfg)
+		if d.cfg != cfg.withDefaults() {
+			t.Fatalf("detector policy %+v, want %+v", d.cfg, cfg.withDefaults())
+		}
+		if def := TrainCached(specs, Config{}); d.Rec != def.Rec {
+			t.Fatalf("config %+v does not share the default's recommender", cfg)
+		}
 		adv := probe.NewAdversary("adv", 4, probe.Config{}, stats.NewRNG(13))
 		s := sim.NewServer("s0", sim.ServerConfig{})
 		if err := s.Place(adv.VM); err != nil {
@@ -169,13 +209,10 @@ func TestTrainCachedSharesRecommender(t *testing.T) {
 		}
 		return d.Detect(s, adv, 0, 1)
 	}
-	def := episode(base)
-	one := episode(TrainCached(specs, shared["MaxIterations"]))
-	extraDet := TrainCached(specs, Config{MaxIterations: 1, ExtraBench: 3})
-	extra := episode(extraDet)
-	if extraDet.Rec != base.Rec {
-		t.Fatal("MaxIterations 1 + ExtraBench 3 should share the default's recommender")
-	}
+	def := episode(Config{})
+	one := episode(Config{MaxIterations: 1})
+	extra := episode(Config{MaxIterations: 1, ExtraBench: 3})
+	episode(Config{DisableShutter: true, DisableMRC: true})
 	if def.Iterations < 2 || one.Iterations != 1 || extra.Iterations != 1 {
 		t.Fatalf("iterations: default %d (want ≥ 2 for the test to discriminate), MaxIterations 1 %d, with ExtraBench %d",
 			def.Iterations, one.Iterations, extra.Iterations)

@@ -25,9 +25,9 @@ import (
 // simulation resolves — but the suite's regression contract is
 // byte-identical output across runs and code changes, so these experiments
 // pin the historical sequential-sweep arithmetic. FixedFoldIn picks the
-// fold-in path, not the factors, so TrainCached gives this config a
-// recommender of its own on the catalog's one factorisation; every other
-// experiment keeps the matrix-power fast path.
+// fold-in path, not the factors, so this config gets a view of its own
+// (mining.Base.View keys on it) of the catalog's one factorisation; every
+// other experiment keeps the matrix-power fast path.
 func attackPlanConfig() core.Config {
 	return core.Config{Recommender: mining.RecommenderConfig{
 		Completion: mining.CompletionConfig{FixedFoldIn: true},

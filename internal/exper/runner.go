@@ -19,7 +19,8 @@ type RunResult struct {
 // GOMAXPROCS.
 //
 // Each experiment is a pure function of the seed — it builds its own RNGs
-// and (via core.TrainCached) shares a read-only trained detector — so the
+// and (via core.TrainCached) shares read-only trained recommenders, views
+// of one factorisation of the seed's catalog — so the
 // results are identical at every parallelism level: running with
 // parallel=8 and parallel=1 yields byte-for-byte the same rendered
 // reports. Only the wall-clock interleaving differs, which is why Elapsed

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bolt/internal/core"
+	"bolt/internal/mining"
 	"bolt/internal/workload"
 )
 
@@ -70,13 +71,14 @@ func TestRunDegenerateInputs(t *testing.T) {
 }
 
 // TestRunSharesCachedDetector runs six concurrent experiments that each
-// train on the standard catalog and checks they all received the same
-// *core.Detector from the cache. Under -race this also exercises concurrent
-// first-touch of the cache and concurrent reads of the shared detector.
+// train on the standard catalog and checks they all received detectors
+// around the same *mining.Recommender from the cache. Under -race this also
+// exercises concurrent first-touch of the cache and concurrent reads of the
+// shared recommender.
 func TestRunSharesCachedDetector(t *testing.T) {
 	const n = 6
 	var inFlight, peak atomic.Int32
-	ptrs := make([]*core.Detector, n)
+	ptrs := make([]*mining.Recommender, n)
 	exps := make([]Experiment, n)
 	for i := range exps {
 		i := i
@@ -91,7 +93,7 @@ func TestRunSharesCachedDetector(t *testing.T) {
 						break
 					}
 				}
-				ptrs[i] = core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+				ptrs[i] = core.TrainCached(workload.TrainingSpecs(seed), core.Config{}).Rec
 				// Hold the slot briefly so the workers genuinely overlap.
 				time.Sleep(20 * time.Millisecond)
 				inFlight.Add(-1)
@@ -102,7 +104,7 @@ func TestRunSharesCachedDetector(t *testing.T) {
 	Run(exps, 42, n)
 	for i := 1; i < n; i++ {
 		if ptrs[i] != ptrs[0] {
-			t.Fatalf("experiment %d trained its own detector", i)
+			t.Fatalf("experiment %d got a recommender of its own", i)
 		}
 	}
 	if ptrs[0] == nil {

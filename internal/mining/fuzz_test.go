@@ -124,3 +124,53 @@ func FuzzPearsonSymmetry(f *testing.F) {
 		}
 	})
 }
+
+// fuzzBase is the detector's 120-profile catalog, factorised once per
+// process; FuzzDetectMatchesReference reads its memoized views.
+var fuzzBase = sync.OnceValue(func() *Base { return NewBase(planCatalog(42), CompletionConfig{}) })
+
+// FuzzDetectMatchesReference holds Detect to the pre-plan reference
+// (detectReference) on fuzzed observations: a known mask, ten finite
+// observed values, a config — the default, Unweighted, PureCF or
+// EnergyFraction 0.5 — and the plan table's state when the query arrives:
+// empty, already holding the mask's plan, or full of eight other masks.
+// The recommender is the base's memoized view, so the table exercised is
+// the one every caller of that config shares. The completed pressure and
+// every kept match must equal the reference's head, floats by bits. NaN is
+// out of scope: the reference leaves NaN similarities in no defined order,
+// and neither the wire nor the probe delivers one.
+func FuzzDetectMatchesReference(f *testing.F) {
+	f.Add(uint16(0b1111111111), 50.0, 60.0, 70.0, 10.0, 20.0, 30.0, 40.0, 80.0, 90.0, 5.0, uint8(0), uint8(0))
+	f.Add(uint16(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(1), uint8(1))
+	f.Add(uint16(0b0000010011), 99.9, 0.1, 55.5, 3.25, 80.0, 42.0, 7.0, 13.0, 64.0, 100.0, uint8(2), uint8(2))
+	f.Add(uint16(0b1010101010), 12.0, 88.0, 0.0, 100.0, 37.5, 61.0, 23.0, 45.0, 5.5, 70.0, uint8(3), uint8(1))
+	f.Add(uint16(0b0111000111), -40.0, 250.0, 1e6, 3.0, -1e-3, 42.0, 15.0, 1e12, 8.0, 33.0, uint8(0), uint8(2))
+	variants := []RecommenderConfig{{}, {Unweighted: true}, {PureCF: true}, {EnergyFraction: 0.5}}
+	f.Fuzz(func(t *testing.T, mask uint16, v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 float64, variant, state uint8) {
+		observed := []float64{v0, v1, v2, v3, v4, v5, v6, v7, v8, v9}
+		for _, v := range observed {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > pearsonMagCap {
+				t.Skip("out of numeric domain")
+			}
+		}
+		rec := fuzzBase().View(variants[int(variant)%len(variants)])
+		n := rec.ResourceCount()
+		bits := int(mask) % (1 << n)
+		known := maskOf(bits, n)
+		want := rec.detectReference(observed, known)
+		clearPlans(rec)
+		switch state % 3 {
+		case 1:
+			rec.Detect(observed, known)
+		case 2:
+			for i := range rec.plans {
+				p := rec.newPlan()
+				rec.buildPlan(p, maskOf((bits+1+i)%(1<<n), n), make([]float64, rec.complete.cfg.Rank*rec.complete.cfg.Rank))
+				rec.plans[i].Store(p)
+			}
+		}
+		if diff := sameHead(rec.Detect(observed, known), want); diff != "" {
+			t.Fatalf("mask %010b, config %d, table state %d: %s", bits, variant%4, state%3, diff)
+		}
+	})
+}

@@ -111,8 +111,9 @@ type Recommender struct {
 // the centred training rows, the full SVD of the centred matrix and the
 // Completer's SGD factorisation. Those are all the training there is, so a
 // catalog is factorised once however many configs read it, as §3.2 trains
-// Bolt once. A Base is immutable once NewBase returns and safe for
-// concurrent use; View builds Recommenders on it.
+// Bolt once. The factorisation never changes after NewBase returns; the
+// only state a Base adds to later is View's memo, under its mutex, so a
+// Base is safe for concurrent use.
 type Base struct {
 	profiles []LabeledProfile
 	n        int
@@ -123,6 +124,9 @@ type Base struct {
 	centred  []float64
 	full     *SVD       // of the centred training matrix, every concept
 	complete *Completer // the factorisation, FixedFoldIn off
+
+	mu    sync.Mutex
+	views map[RecommenderConfig]*Recommender // View's, by resolved config
 }
 
 // planSlots is how many known masks a Recommender keeps plans for. A served
@@ -226,21 +230,38 @@ func NewBase(profiles []LabeledProfile, c CompletionConfig) *Base {
 		centred:  centred.Data,
 		full:     ComputeSVD(centred),
 		complete: NewCompleter(train, c),
+		views:    make(map[RecommenderConfig]*Recommender),
 	}
 }
 
-// View builds the recommender cfg selects on b: the SVD truncated by
+// View returns the recommender cfg selects on b: the SVD truncated by
 // EnergyFraction, the σ weights and concept coordinates it implies, the
-// PureCF and Unweighted stages, and FixedFoldIn. cfg.Completion's Rank and
-// Seed must resolve to b's; View panics otherwise.
+// PureCF and Unweighted stages, and FixedFoldIn. Configs that resolve
+// alike (an EnergyFraction of 0 is DefaultEnergyFraction, the completion
+// takes CompletionConfig.WithDefaults) get the same *Recommender, so its
+// per-mask plans are built once for all their callers. cfg.Completion's
+// Rank and Seed must resolve to b's; View panics otherwise.
 func (b *Base) View(cfg RecommenderConfig) *Recommender {
-	if c, bc := cfg.Completion.WithDefaults(b.n), b.complete.cfg; c.Rank != bc.Rank || c.Seed != bc.Seed {
+	cfg.Completion = cfg.Completion.WithDefaults(b.n)
+	if c, bc := cfg.Completion, b.complete.cfg; c.Rank != bc.Rank || c.Seed != bc.Seed {
 		panic(fmt.Sprintf("mining: view with completion rank %d seed %d of a base with rank %d seed %d",
 			c.Rank, c.Seed, bc.Rank, bc.Seed))
 	}
 	if cfg.EnergyFraction == 0 {
 		cfg.EnergyFraction = DefaultEnergyFraction
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.views[cfg]
+	if !ok {
+		r = b.newView(cfg)
+		b.views[cfg] = r
+	}
+	return r
+}
+
+// newView builds the view of b for the resolved config cfg.
+func (b *Base) newView(cfg RecommenderConfig) *Recommender {
 	rank := b.full.EnergyRank(cfg.EnergyFraction)
 	if rank < minConceptRank {
 		rank = minConceptRank
