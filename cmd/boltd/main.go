@@ -40,6 +40,15 @@ func main() {
 	os.Exit(run())
 }
 
+// checkFlags refuses a server of no detection slots, which would serve
+// from one while reporting none, or a negative queue depth.
+func checkFlags(workers, queue int) error {
+	if workers < 1 || queue < 0 {
+		return fmt.Errorf("-workers %d -queue %d: want 1 slot or more and a queue of 0 (the default) or more", workers, queue)
+	}
+	return nil
+}
+
 // retrainOnce runs one retrain generation: it trains a detector on the
 // training seed and swaps it into srv, logging the outcome to log. A train
 // that panics or a refused swap is logged and changes nothing, so the
@@ -67,6 +76,10 @@ func run() int {
 	faultseed := flag.Uint64("faultseed", 1, "fault-plane RNG seed")
 	retrain := flag.Duration("retrain", 0, "background retrain+swap period (0 = never)")
 	flag.Parse()
+	if err := checkFlags(*workers, *queue); err != nil {
+		fmt.Fprintf(os.Stderr, "boltd: %v\n", err)
+		return 2
+	}
 
 	fmt.Fprintf(os.Stderr, "boltd: training detector (seed %d)...\n", *seed)
 	//bolt:nolint detrand -- startup diagnostic only: the duration goes to stderr and never influences an answer

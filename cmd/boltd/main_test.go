@@ -35,3 +35,17 @@ func TestRetrainOnceSurvivesPanic(t *testing.T) {
 		t.Fatalf("the next generation did not swap in: snapshot %d (new detector %v)", v, got == next)
 	}
 }
+
+// TestCheckFlags: a server of no detection slots, which would serve from
+// one while reporting none, or a negative queue depth is refused before
+// training.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct{ workers, queue int }{{0, 0}, {-1, 0}, {1, -1}} {
+		if checkFlags(c.workers, c.queue) == nil {
+			t.Errorf("-workers %d -queue %d accepted", c.workers, c.queue)
+		}
+	}
+	if err := checkFlags(1, 0); err != nil {
+		t.Errorf("-workers 1 -queue 0 refused: %v", err)
+	}
+}

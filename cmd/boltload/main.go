@@ -50,6 +50,15 @@ func main() {
 	os.Exit(run())
 }
 
+// checkFlags refuses a sweep of no requests, which has no latency to
+// report, or a negative queue depth.
+func checkFlags(requests, queue int) error {
+	if requests < 1 || queue < 0 {
+		return fmt.Errorf("-requests %d -queue %d: want 1 request or more and a queue of 0 (the default) or more", requests, queue)
+	}
+	return nil
+}
+
 func run() int {
 	mode := flag.String("mode", "inproc", "inproc (Server.Detect) or socket (NDJSON over TCP)")
 	addr := flag.String("addr", "", "socket mode: external server address (empty = private loopback server)")
@@ -67,7 +76,7 @@ func run() int {
 	}
 	workers, err1 := parseCSV(*workersCSV)
 	clients, err2 := parseCSV(*clientsCSV)
-	for _, err := range []error{err1, err2} {
+	for _, err := range []error{err1, err2, checkFlags(*requests, *queue)} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "boltload: %v\n", err)
 			return 2

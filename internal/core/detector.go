@@ -61,8 +61,8 @@ func (c Config) withDefaults() Config {
 // profiling policy. One Detector serves any number of adversary VMs.
 //
 // A Detector is immutable once Train returns: Detect and NewEpisode keep all
-// mutable episode state outside it, and its recommender only publishes
-// per-mask plans, each once and never changed. It is therefore safe for
+// mutable episode state outside it, and its recommender keeps its per-mask
+// plans in pooled per-call scratch, never in itself. It is therefore safe for
 // concurrent use by any number of goroutines — the parallel experiment
 // runner depends on this, and so does TrainCached, whose Detectors of one
 // recommender config share one *mining.Recommender. Anything added to

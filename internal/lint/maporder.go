@@ -116,12 +116,16 @@ func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, st *ast.AssignStmt, loop
 		}
 		basic, isBasic := lhsType.Underlying().(*types.Basic)
 		orderSensitiveKind := isBasic && basic.Info()&(types.IsFloat|types.IsComplex|types.IsString) != 0
+		reason := "floating-point arithmetic does not associate"
+		if isBasic && basic.Info()&types.IsString != 0 {
+			reason = "string concatenation depends on order"
+		}
 
 		switch st.Tok {
 		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 			if orderSensitiveKind {
 				pass.Reportf(st.Pos(),
-					"%s accumulation inside map iteration is order-sensitive (floating-point arithmetic does not associate); iterate sorted keys instead", basic.String())
+					"%s accumulation inside map iteration is order-sensitive (%s); iterate sorted keys instead", basic.String(), reason)
 			}
 		case token.ASSIGN, token.DEFINE:
 			if i < len(st.Rhs) {
@@ -135,7 +139,7 @@ func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, st *ast.AssignStmt, loop
 				// Self-referencing scalar update, e.g. x = x + v.
 				if orderSensitiveKind && st.Tok == token.ASSIGN && mentions(pass, rhs, lhs) {
 					pass.Reportf(st.Pos(),
-						"%s accumulation inside map iteration is order-sensitive (floating-point arithmetic does not associate); iterate sorted keys instead", basic.String())
+						"%s accumulation inside map iteration is order-sensitive (%s); iterate sorted keys instead", basic.String(), reason)
 				}
 			}
 		}

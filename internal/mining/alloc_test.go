@@ -25,19 +25,26 @@ func TestDetectAllocationBudget(t *testing.T) {
 	rec := NewRecommender(synthTrain(rng), RecommenderConfig{})
 	obs := []float64{80, 55, 30, 70, 40, 50, 35, 55, 2, 1}
 	known := []bool{true, false, false, true, false, true, false, false, false, false}
-	// A hit reads the plan the first call published; a miss, with every
-	// slot holding another mask, builds the plan in the pooled scratch.
-	miss := []bool{false, true, true, false, true, false, true, true, true, true}
-	for m := 1; m <= planSlots; m++ {
-		other := make([]bool, len(known))
-		for j := range other {
-			other[j] = m>>j&1 == 1
+	// hit repeats one mask, so every call reads the plan the first built;
+	// cycle walks 16 masks, more than a scratch holds plans for, so every
+	// call builds its plan over the scratch's oldest.
+	cycle := make([][]bool, 16)
+	for m := range cycle {
+		cycle[m] = make([]bool, len(known))
+		for j := range cycle[m] {
+			cycle[m][j] = (m+1)>>j&1 == 1
 		}
-		rec.Detect(obs, other)
 	}
-	for name, known := range map[string][]bool{"hit": known, "miss": miss} {
-		rec.Detect(obs, known) // populate the scratch pool
-		allocs := testing.AllocsPerRun(100, func() { rec.Detect(obs, known) })
+	for name, masks := range map[string][][]bool{"hit": {known}, "cycle": cycle} {
+		call := 0
+		detect := func() {
+			rec.Detect(obs, masks[call%len(masks)])
+			call++
+		}
+		for range masks {
+			detect() // fill the pooled scratch's plans
+		}
+		allocs := testing.AllocsPerRun(100, detect)
 		// Result struct + Pressure copy + the MatchesKept-entry Matches head.
 		// A cold scratch-pool refill (GC can empty the pool mid-run) only
 		// nudges the average.
@@ -84,6 +91,7 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 // exercised under an AllocsPerRun budget, directly or via its sole caller.
 var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
+	"detect":            "TestDetectAllocationBudget",
 	"prepare":           "TestDetectAllocationBudget",
 	"planFor":           "TestDetectAllocationBudget",
 	"buildPlan":         "TestDetectAllocationBudget",

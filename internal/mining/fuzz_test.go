@@ -132,13 +132,13 @@ var fuzzBase = sync.OnceValue(func() *Base { return NewBase(planCatalog(42), Com
 // FuzzDetectMatchesReference holds Detect to the pre-plan reference
 // (detectReference) on fuzzed observations: a known mask, ten finite
 // observed values, a config — the default, Unweighted, PureCF or
-// EnergyFraction 0.5 — and the plan table's state when the query arrives:
+// EnergyFraction 0.5 — and the state of the scratch the query runs on:
 // empty, already holding the mask's plan, or full of eight other masks.
-// The recommender is the base's memoized view, so the table exercised is
-// the one every caller of that config shares. The completed pressure and
-// every kept match must equal the reference's head, floats by bits. NaN is
-// out of scope: the reference leaves NaN similarities in no defined order,
-// and neither the wire nor the probe delivers one.
+// The recommender is the base's memoized view, as every caller of that
+// config gets it. The completed pressure and every kept match must equal
+// the reference's head, floats by bits. NaN is out of scope: the reference
+// leaves NaN similarities in no defined order, and neither the wire nor the
+// probe delivers one.
 func FuzzDetectMatchesReference(f *testing.F) {
 	f.Add(uint16(0b1111111111), 50.0, 60.0, 70.0, 10.0, 20.0, 30.0, 40.0, 80.0, 90.0, 5.0, uint8(0), uint8(0))
 	f.Add(uint16(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(1), uint8(1))
@@ -158,19 +158,17 @@ func FuzzDetectMatchesReference(f *testing.F) {
 		bits := int(mask) % (1 << n)
 		known := maskOf(bits, n)
 		want := rec.detectReference(observed, known)
-		clearPlans(rec)
+		var held [][]bool
 		switch state % 3 {
 		case 1:
-			rec.Detect(observed, known)
+			held = [][]bool{known}
 		case 2:
-			for i := range rec.plans {
-				p := rec.newPlan()
-				rec.buildPlan(p, maskOf((bits+1+i)%(1<<n), n), make([]float64, rec.complete.cfg.Rank*rec.complete.cfg.Rank))
-				rec.plans[i].Store(p)
+			for i := range planSlots {
+				held = append(held, maskOf((bits+1+i)%(1<<n), n))
 			}
 		}
-		if diff := sameHead(rec.Detect(observed, known), want); diff != "" {
-			t.Fatalf("mask %010b, config %d, table state %d: %s", bits, variant%4, state%3, diff)
+		if diff := sameHead(rec.detect(scratchHolding(rec, held...), observed, known), want); diff != "" {
+			t.Fatalf("mask %010b, config %d, scratch state %d: %s", bits, variant%4, state%3, diff)
 		}
 	})
 }

@@ -31,23 +31,21 @@ func maskOf(bits, n int) []bool {
 	return known
 }
 
-// clearPlans empties the plan table.
-func clearPlans(r *Recommender) {
-	for i := range r.plans {
-		r.plans[i].Store(nil)
+// scratchHolding returns a fresh scratch of r that has planned the masks
+// in order, as one that served them would have.
+func scratchHolding(r *Recommender, masks ...[]bool) *detectScratch {
+	s := r.scratch.New().(*detectScratch)
+	for _, known := range masks {
+		r.planFor(s, known)
 	}
+	return s
 }
 
-// publishedMasks returns the masks of the plans in the table, in slot
-// order, stopping at the first empty slot.
-func publishedMasks(r *Recommender) [][]bool {
-	var out [][]bool
-	for i := range r.plans {
-		p := r.plans[i].Load()
-		if p == nil {
-			break
-		}
-		out = append(out, p.known)
+// heldMasks returns the masks s holds plans for, in slot order.
+func heldMasks(s *detectScratch) [][]bool {
+	out := make([][]bool, len(s.plans))
+	for i, p := range s.plans {
+		out[i] = p.known
 	}
 	return out
 }
@@ -90,11 +88,12 @@ func scanLabel(ranking []Match, label string) float64 {
 // pre-plan reference (detectReference: the fold-in chain and every
 // profile's Eq. 1 moments recomputed per call) over all 1,024 known masks
 // of the 10-resource catalog, under the default, Unweighted, PureCF,
-// EnergyFraction 0.5 and FixedFoldIn configurations, with the plan table
-// in each of its three states: empty (the call builds and publishes the
-// plan), hit (the published plan is read), and full of eight other masks
-// (the plan is built in the pooled scratch). Pressure, labels and
-// similarities are compared by bits.
+// EnergyFraction 0.5 and FixedFoldIn configurations, with the scratch each
+// call runs on in each of its three states: empty (the call builds the
+// plan into a new slot), already holding the mask (the plan is read), and
+// full of other masks, one slot already overwritten once (the call
+// overwrites the oldest). Pressure, labels and similarities are compared
+// by bits.
 func TestMaskPlanMatchesReference(t *testing.T) {
 	catalog := planCatalog(42)
 	n := len(catalog[0].Pressure)
@@ -129,36 +128,51 @@ func TestMaskPlanMatchesReference(t *testing.T) {
 				if labels[0] == "" {
 					labels[0] = catalog[0].Label
 				}
-				check := func(state string) {
-					t.Helper()
-					if diff := sameHead(rec.Detect(obs, known), want); diff != "" {
-						t.Fatalf("mask %010b, table %s: Detect: %s", bits, state, diff)
-					}
-					for _, label := range labels {
-						got, w := rec.LabelSimilarity(obs, known, label), scanLabel(want.Matches, label)
-						if math.Float64bits(got) != math.Float64bits(w) {
-							t.Fatalf("mask %010b, table %s: LabelSimilarity(%q) = %v, ranked scan reads %v", bits, state, label, got, w)
+				// Nine other masks: the ninth has overwritten the first, so
+				// the oldest plan is in slot 1.
+				others := make([][]bool, planSlots+1)
+				for i := range others {
+					others[i] = maskOf((bits+1+i)%masks, n)
+				}
+				// Each call runs on a scratch in the named state and must
+				// leave it holding the mask in the slot that state picks;
+				// reset then returns the scratch to its state.
+				states := []struct {
+					name  string
+					s     *detectScratch
+					reset func(s *detectScratch)
+					after [][]bool
+				}{
+					{"empty", scratchHolding(rec), func(s *detectScratch) { s.plans = s.plans[:0] }, [][]bool{known}},
+					{"hit", scratchHolding(rec, known), func(*detectScratch) {}, [][]bool{known}},
+					{"full", scratchHolding(rec, others...), func(s *detectScratch) {
+						rec.buildPlan(s.plans[1], others[1], s.complete.tmp)
+						s.next = 1
+					}, append([][]bool{others[planSlots], known}, others[2:planSlots]...)},
+				}
+				for _, st := range states {
+					run := func(call string, f func(s *detectScratch) string) {
+						t.Helper()
+						if diff := f(st.s); diff != "" {
+							t.Fatalf("mask %010b, scratch %s: %s: %s", bits, st.name, call, diff)
 						}
+						if rec.cfg.PureCF && call != "Detect" {
+							return // LabelSimilarity plans nothing under PureCF
+						}
+						if got := heldMasks(st.s); !slices.EqualFunc(got, st.after, slices.Equal) {
+							t.Fatalf("mask %010b, scratch %s: after %s it holds %v, want %v", bits, st.name, call, got, st.after)
+						}
+						st.reset(st.s)
 					}
-				}
-
-				clearPlans(rec)
-				check("empty")
-				if got := publishedMasks(rec); len(got) != 1 || !slices.Equal(got[0], known) {
-					t.Fatalf("mask %010b: after one query on an empty table it holds %v", bits, got)
-				}
-				check("hit")
-
-				clearPlans(rec)
-				for i := range rec.plans {
-					p := rec.newPlan()
-					rec.buildPlan(p, maskOf((bits+1+i)%masks, n), make([]float64, rec.complete.cfg.Rank*rec.complete.cfg.Rank))
-					rec.plans[i].Store(p)
-				}
-				check("full")
-				for _, m := range publishedMasks(rec) {
-					if slices.Equal(m, known) {
-						t.Fatalf("mask %010b was published into a full table", bits)
+					run("Detect", func(s *detectScratch) string { return sameHead(rec.detect(s, obs, known), want) })
+					for _, label := range labels {
+						run("LabelSimilarity", func(s *detectScratch) string {
+							got, w := rec.labelSimilarity(s, obs, known, label), scanLabel(want.Matches, label)
+							if math.Float64bits(got) != math.Float64bits(w) {
+								return fmt.Sprintf("%q = %v, ranked scan reads %v", label, got, w)
+							}
+							return ""
+						})
 					}
 				}
 			}
@@ -168,8 +182,9 @@ func TestMaskPlanMatchesReference(t *testing.T) {
 
 // TestMaskPlanConcurrent races eight goroutines over the same 32 masks, in
 // different orders, on one fresh recommender: every answer must be the
-// serial reference's, and the table must end holding planSlots plans with
-// no mask twice. Run it under -race to check publication.
+// serial reference's. Each goroutine's pooled scratch cycles more masks
+// than it holds plans for, so plans are built and overwritten throughout;
+// run it under -race to check no plan is shared between calls.
 func TestMaskPlanConcurrent(t *testing.T) {
 	catalog := planCatalog(43)
 	n := len(catalog[0].Pressure)
@@ -214,19 +229,4 @@ func TestMaskPlanConcurrent(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-
-	published := publishedMasks(rec)
-	if len(published) != planSlots {
-		t.Fatalf("table holds %d plans after %d distinct masks, want all %d slots filled", len(published), queries, planSlots)
-	}
-	for i, m := range published {
-		if !slices.ContainsFunc(qs, func(q query) bool { return slices.Equal(q.known, m) }) {
-			t.Fatalf("slot %d holds mask %v, which no query asked for", i, m)
-		}
-		for _, other := range published[:i] {
-			if slices.Equal(m, other) {
-				t.Fatalf("mask %v published twice", m)
-			}
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // LabeledProfile is one previously seen workload in the training set: its
@@ -87,7 +86,8 @@ const DefaultEnergyFraction = 0.9
 //
 // A Recommender is a view of a Base: the factorisations come from the base,
 // shared with every other view of it, and only what RecommenderConfig
-// selects is the view's own.
+// selects is the view's own. No field is written after View returns; all
+// per-call state, the per-mask plans included, lives in the pooled scratch.
 type Recommender struct {
 	cfg      RecommenderConfig
 	profiles []LabeledProfile // the base's
@@ -99,11 +99,7 @@ type Recommender struct {
 	centred  []float64        // the base's centred training rows
 	n        int              // resource count
 	scratch  sync.Pool        // *detectScratch
-	// plans holds the plans of the first planSlots known masks queried,
-	// filled first-come by CompareAndSwap and never evicted; a filled slot
-	// is never written again (see planFor).
-	plans [planSlots]atomic.Pointer[maskPlan]
-	base  *Base
+	base     *Base
 }
 
 // Base is the half of a trained recommender that depends only on the
@@ -129,10 +125,10 @@ type Base struct {
 	views map[RecommenderConfig]*Recommender // View's, by resolved config
 }
 
-// planSlots is how many known masks a Recommender keeps plans for. A served
-// detector sees a handful of masks (boltload sends four); a plan is ~5 KB at
-// rank 6 over 120 profiles, so the table stays under ~42 KB whatever the
-// traffic.
+// planSlots is how many known masks a pooled scratch keeps plans for. A
+// served detector sees a handful of masks (boltload sends four); a plan is
+// ~5 KB at rank 6 over 120 profiles, so a scratch holds under ~42 KB of
+// plans whatever the traffic.
 const planSlots = 8
 
 // maskPlan is everything Detect computes that depends on which resources
@@ -140,7 +136,7 @@ const planSlots = 8
 // indices and power chain) and, unless PureCF, Eq. 1 under the mask — the
 // weights, with measured resources boosted (all ones under Unweighted),
 // which weigh the proximity factor too; their sum; and each training
-// profile's weighted mean and variance. A published plan is immutable.
+// profile's weighted mean and variance.
 type maskPlan struct {
 	known    []bool
 	fold     foldPlan
@@ -161,9 +157,10 @@ type detectScratch struct {
 	u        []float64 // concept-space coordinates (rank; PureCF)
 	top      []rankKey // the ranking's head, min(MatchesKept, profiles) slots
 	q        moments   // the prepared query's half of Eq. 1
-	// plan is where a mask's plan is built when every slot of the table
-	// holds another mask.
-	plan *maskPlan
+	// plans holds the plans of the last planSlots masks this scratch
+	// served, oldest at next once all are built.
+	plans []*maskPlan
+	next  int
 }
 
 // rankKey is what Detect ranks: a profile's similarity and its index in the
@@ -238,8 +235,8 @@ func NewBase(profiles []LabeledProfile, c CompletionConfig) *Base {
 // EnergyFraction, the σ weights and concept coordinates it implies, the
 // PureCF and Unweighted stages, and FixedFoldIn. Configs that resolve
 // alike (an EnergyFraction of 0 is DefaultEnergyFraction, the completion
-// takes CompletionConfig.WithDefaults) get the same *Recommender, so its
-// per-mask plans are built once for all their callers. cfg.Completion's
+// takes CompletionConfig.WithDefaults) get the same *Recommender, which
+// nothing writes once it is built. cfg.Completion's
 // Rank and Seed must resolve to b's; View panics otherwise.
 func (b *Base) View(cfg RecommenderConfig) *Recommender {
 	cfg.Completion = cfg.Completion.WithDefaults(b.n)
@@ -283,17 +280,13 @@ func (b *Base) newView(cfg RecommenderConfig) *Recommender {
 		r.complete = &c
 	}
 	r.concepts = make([][]float64, len(r.profiles))
-	for i := range r.profiles {
-		r.concepts[i] = r.project(r.profiles[i].Pressure)
+	for i := range r.concepts {
+		r.concepts[i] = r.svd.Project(r.centred[i*n : (i+1)*n])
 	}
 	r.weights = make([]float64, n)
 	for j := 0; j < n; j++ {
 		for k, s := range r.svd.Sigma {
-			v := r.svd.V.At(j, k)
-			if v < 0 {
-				v = -v
-			}
-			r.weights[j] += s * v
+			r.weights[j] += s * math.Abs(r.svd.V.At(j, k))
 		}
 		// Never let a weight hit zero: an uninformative resource still
 		// participates slightly, keeping the covariance well defined.
@@ -310,7 +303,7 @@ func (b *Base) newView(cfg RecommenderConfig) *Recommender {
 			x:        make([]float64, n),
 			u:        make([]float64, conceptRank),
 			top:      make([]rankKey, min(MatchesKept, len(r.profiles))),
-			plan:     r.newPlan(),
+			plans:    make([]*maskPlan, 0, planSlots),
 		}
 	}
 	return r
@@ -320,10 +313,9 @@ func (b *Base) newView(cfg RecommenderConfig) *Recommender {
 // it.
 func (r *Recommender) Base() *Base { return r.base }
 
-// newPlan allocates an empty plan sized for r: one per pooled scratch, and
-// one for each plan planFor publishes.
+// newPlan allocates an empty plan sized for r.
 //
-//bolt:nolint hotalloc -- planFor publishes at most planSlots plans per Recommender, then every call with their masks reads them; TestDetectAllocationBudget pins the steady state at 3 allocs on hits and on misses
+//bolt:nolint hotalloc -- planFor allocates at most planSlots plans per pooled scratch, then overwrites the oldest; TestDetectAllocationBudget pins the steady state at 3 allocs on hits and on misses
 func (r *Recommender) newPlan() *maskPlan {
 	p := &maskPlan{known: make([]bool, r.n), fold: foldPlan{kidx: make([]int, 0, r.n)}}
 	if c := r.complete.cfg; !c.FixedFoldIn {
@@ -367,47 +359,27 @@ func (r *Recommender) buildPlan(p *maskPlan, known []bool, tmp []float64) {
 	}
 }
 
-// planFor returns the plan for known: the one in the table, or, while a
-// slot is free, one built here and published into the first free slot. A
-// slot is filled only by CompareAndSwap from nil, and a caller tries a slot
-// only after finding every earlier one filled with another mask, so no mask
-// is ever published twice. With every slot holding another mask the plan is
-// built into s.plan, valid until s is reused.
+// planFor returns the plan for known from s: the one s holds, or one built
+// here into s's next slot — a new plan while s holds fewer than planSlots,
+// else its oldest, overwritten.
 //
 //bolt:hotpath
 func (r *Recommender) planFor(s *detectScratch, known []bool) *maskPlan {
-	var fresh *maskPlan
-	for i := range r.plans {
-		slot := &r.plans[i]
-		p := slot.Load()
-		if p == nil {
-			if fresh == nil {
-				fresh = r.newPlan()
-				r.buildPlan(fresh, known, s.complete.tmp)
-			}
-			if slot.CompareAndSwap(nil, fresh) {
-				return fresh
-			}
-			p = slot.Load()
-		}
+	for _, p := range s.plans {
 		if slices.Equal(p.known, known) {
 			return p
 		}
 	}
-	if fresh != nil {
-		return fresh
+	var p *maskPlan
+	if len(s.plans) < planSlots {
+		p = r.newPlan()
+		s.plans = append(s.plans, p)
+	} else {
+		p = s.plans[s.next]
+		s.next = (s.next + 1) % planSlots
 	}
-	r.buildPlan(s.plan, known, s.complete.tmp)
-	return s.plan
-}
-
-// project centres a pressure vector and maps it into concept space.
-func (r *Recommender) project(pressure []float64) []float64 {
-	x := make([]float64, r.n)
-	for j := range x {
-		x[j] = pressure[j] - r.means[j]
-	}
-	return r.svd.Project(x)
+	r.buildPlan(p, known, s.complete.tmp)
+	return p
 }
 
 // ResourceCount returns the length of pressure vectors this recommender
@@ -451,31 +423,15 @@ func (r *Recommender) ObservedWeightMass(known []bool) float64 {
 	return num / den
 }
 
-// ResourceValue returns a per-resource "information value" score: the sum
-// over retained concepts of σₖ·|V[j][k]|, normalised to max 1. Resources
-// with high scores are the ones whose isolation the paper says should be
-// prioritised.
+// ResourceValue returns a per-resource "information value" score: the Eq. 1
+// weight σₖ·|V[j][k]| summed over retained concepts (floored at 1e-9),
+// normalised to max 1. Resources with high scores are the ones whose
+// isolation the paper says should be prioritised.
 func (r *Recommender) ResourceValue() []float64 {
+	maxv := slices.Max(r.weights)
 	val := make([]float64, r.n)
-	for j := 0; j < r.n; j++ {
-		for k, s := range r.svd.Sigma {
-			v := r.svd.V.At(j, k)
-			if v < 0 {
-				v = -v
-			}
-			val[j] += s * v
-		}
-	}
-	maxv := 0.0
-	for _, v := range val {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	if maxv > 0 {
-		for j := range val {
-			val[j] /= maxv
-		}
+	for j, w := range r.weights {
+		val[j] = w / maxv
 	}
 	return val
 }
@@ -529,6 +485,13 @@ func proximity(a, b, weights []float64, den float64) float64 {
 func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
+	return r.detect(s, observed, known)
+}
+
+// detect is Detect on the working memory s.
+//
+//bolt:hotpath
+func (r *Recommender) detect(s *detectScratch, observed []float64, known []bool) *Result {
 	p := r.prepare(s, observed, known)
 	// The content-based stage also exploits the contextual information the
 	// correlation discards — how close the two profiles are in absolute
@@ -648,11 +611,16 @@ func insertRanked(top []rankKey, c int, key rankKey) int {
 // carries the label, 0. That is what scanning the whole ranking for the
 // label reads. Pure CF blanks every label (§3.2), so under PureCF it is 0.
 func (r *Recommender) LabelSimilarity(observed []float64, known []bool, label string) float64 {
+	s := r.scratch.Get().(*detectScratch)
+	defer r.scratch.Put(s)
+	return r.labelSimilarity(s, observed, known, label)
+}
+
+// labelSimilarity is LabelSimilarity on the working memory s.
+func (r *Recommender) labelSimilarity(s *detectScratch, observed []float64, known []bool, label string) float64 {
 	if r.cfg.PureCF {
 		return 0
 	}
-	s := r.scratch.Get().(*detectScratch)
-	defer r.scratch.Put(s)
 	p := r.prepare(s, observed, known)
 	best, found := 0.0, false
 	for i := range r.profiles {

@@ -3,6 +3,8 @@ package serve_test
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -350,4 +352,89 @@ func TestServeClose(t *testing.T) {
 	if served+closedErrs != 4*32 {
 		t.Fatalf("served %d + closed %d != %d", served, closedErrs, 4*32)
 	}
+}
+
+// TestServeMaskCyclingClient: clients that cycle more known masks than a
+// detection's scratch keeps plans for make every query build its plan,
+// and every answer must still be the solo path's. Four goroutines on a
+// two-slot server each walk 16 distinct 7-known masks three times, out of
+// phase; each Response must equal DetectProfile computed alone beforehand,
+// pressure, matches and confidence compared by bits.
+func TestServeMaskCyclingClient(t *testing.T) {
+	det := testDetector(t)
+	n := det.Rec.ResourceCount()
+	var masks [][]bool
+	for m := 0; len(masks) < 16; m++ {
+		if bits.OnesCount(uint(m)) == 7 {
+			known := make([]bool, n)
+			for j := range known {
+				known[j] = m>>j&1 == 1
+			}
+			masks = append(masks, known)
+		}
+	}
+	const clients, rounds = 4, 3
+	type query struct {
+		obs   []float64
+		known []bool
+		want  core.ProfileDetection
+	}
+	rng := stats.NewRNG(40)
+	qs := make([][]query, clients)
+	for c := range qs {
+		for k := range rounds * len(masks) {
+			known := masks[(k+c*len(masks)/clients)%len(masks)]
+			obs := make([]float64, n)
+			for j := range obs {
+				if known[j] {
+					obs[j] = rng.Range(0, 100)
+				}
+			}
+			qs[c] = append(qs[c], query{obs, known, det.DetectProfile(obs, known)})
+		}
+	}
+	srv := serve.New(det, serve.Config{Workers: 2})
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, q := range qs[c] {
+				resp, err := srv.Detect(q.obs, q.known)
+				if err != nil {
+					t.Errorf("client %d query %d: %v", c, k, err)
+					return
+				}
+				if diff := sameBits(resp.ProfileDetection, q.want); diff != "" {
+					t.Errorf("client %d query %d: %s", c, k, diff)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sameBits reports how got differs from want, floats by bits: "" when the
+// pressure, every match and the confidence are identical.
+func sameBits(got, want core.ProfileDetection) string {
+	if math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
+		return fmt.Sprintf("confidence %v, solo %v", got.Confidence, want.Confidence)
+	}
+	g, w := got.Result, want.Result
+	if len(g.Pressure) != len(w.Pressure) || len(g.Matches) != len(w.Matches) {
+		return fmt.Sprintf("%d pressures and %d matches, solo %d and %d", len(g.Pressure), len(g.Matches), len(w.Pressure), len(w.Matches))
+	}
+	for j := range w.Pressure {
+		if math.Float64bits(g.Pressure[j]) != math.Float64bits(w.Pressure[j]) {
+			return fmt.Sprintf("pressure[%d] %v, solo %v", j, g.Pressure[j], w.Pressure[j])
+		}
+	}
+	for i, m := range w.Matches {
+		if gm := g.Matches[i]; gm.Label != m.Label || gm.Class != m.Class || math.Float64bits(gm.Similarity) != math.Float64bits(m.Similarity) {
+			return fmt.Sprintf("match %d is %+v, solo %+v", i, gm, m)
+		}
+	}
+	return ""
 }
