@@ -47,6 +47,36 @@ import (
 	"bolt/internal/fleet"
 )
 
+// checkFlags rejects the flag values a run cannot start from, before any
+// work: an unknown or repeated -run id, and a -defence list that names no
+// policy or a policy off the defencesweep ladder, which would otherwise
+// report an undefended fleet under the typo's name. It installs the
+// -defence list and returns the experiments -run selects (all of them for
+// an empty -run).
+func checkFlags(runIDs, defence string) ([]exper.Experiment, error) {
+	if err := exper.SetDefencePolicies(defence); err != nil {
+		return nil, fmt.Errorf("-defence: %v", err)
+	}
+	if runIDs == "" {
+		return exper.All(), nil
+	}
+	var selected []exper.Experiment
+	seen := make(map[string]bool)
+	for _, id := range strings.Split(runIDs, ",") {
+		id = strings.TrimSpace(id)
+		e, ok := exper.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("experiment %q repeated in -run", id)
+		}
+		seen[id] = true
+		selected = append(selected, e)
+	}
+	return selected, nil
+}
+
 // main is a thin wrapper: all work happens in run so that its defers
 // (profile writers) execute before the process exits — os.Exit anywhere
 // inside run's body would silently truncate an in-flight CPU profile.
@@ -75,37 +105,20 @@ func run() (code int) {
 
 	// Installed once, before any experiment runs (the deterministic-suite
 	// contract forbids flipping a knob mid-run).
+	selected, err := checkFlags(*runIDs, *defence)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "boltbench: %v\n", err)
+		return 2
+	}
 	exper.SetEpisodeWorkers(*epworkers)
 	fleet.SetShardWorkers(*shardworkers)
 	exper.SetFleetServers(*fleetSize)
-	exper.SetDefencePolicies(*defence)
 
 	if *list {
 		for _, e := range exper.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return 0
-	}
-
-	var selected []exper.Experiment
-	if *runIDs == "" {
-		selected = exper.All()
-	} else {
-		seen := make(map[string]bool)
-		for _, id := range strings.Split(*runIDs, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := exper.ByID(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "boltbench: unknown experiment %q (use -list)\n", id)
-				return 2
-			}
-			if seen[id] {
-				fmt.Fprintf(os.Stderr, "boltbench: experiment %q repeated in -run\n", id)
-				return 2
-			}
-			seen[id] = true
-			selected = append(selected, e)
-		}
 	}
 
 	// Profiling starts only after flag validation so usage errors exit

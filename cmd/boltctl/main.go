@@ -31,17 +31,35 @@ import (
 // (TestShownMatchesWithinMatchesKept).
 const shownMatches = 5
 
-// checkFlags rejects the flag values a run cannot start from: a detection
-// of no iterations has no result to print, and the adversarial VM needs a
-// vCPU to probe from.
-func checkFlags(iters, advVCPUs int) error {
+// checkFlags rejects the flag values a run cannot start from, before the
+// seconds of training: a detection of no iterations has no result to
+// print, the adversarial VM needs a vCPU to probe from, and every victim
+// class must be one boltctl can build.
+func checkFlags(iters, advVCPUs int, victims []string) error {
 	if iters < 1 {
 		return fmt.Errorf("-iters %d: want at least 1 detection iteration", iters)
 	}
 	if advVCPUs < 1 {
 		return fmt.Errorf("-adv-vcpus %d: want at least 1 vCPU", advVCPUs)
 	}
+	gens := victimGens()
+	for _, class := range victims {
+		if _, ok := gens[class]; !ok && class != "random" {
+			return fmt.Errorf("-victims: unknown victim class %q", class)
+		}
+	}
 	return nil
+}
+
+// victimGens maps every -victims class but "random" to its generator.
+func victimGens() map[string]func(*stats.RNG, int) workload.Spec {
+	gens := map[string]func(*stats.RNG, int) workload.Spec{}
+	for _, g := range workload.Generators() {
+		gens[g.Class] = g.Make
+	}
+	gens["sql"] = workload.SQLDatabase
+	gens["speccpu"] = workload.SpecCPU
+	return gens
 }
 
 func main() {
@@ -53,19 +71,38 @@ func main() {
 	profilesOut := flag.String("save-profiles", "", "write the training profiles to this JSON file and exit")
 	isoName := flag.String("isolation", "none", "host isolation: none, pinning, partitioned, core")
 	flag.Parse()
-	if err := checkFlags(*iters, *advVCPUs); err != nil {
+	classes := strings.Split(*victims, ",")
+	for i := range classes {
+		classes[i] = strings.TrimSpace(classes[i])
+	}
+	if err := checkFlags(*iters, *advVCPUs, classes); err != nil {
 		fmt.Fprintf(os.Stderr, "boltctl: %v\n", err)
 		os.Exit(2)
 	}
 
-	rng := stats.NewRNG(*seed)
-
-	gens := map[string]func(*stats.RNG, int) workload.Spec{}
-	for _, g := range workload.Generators() {
-		gens[g.Class] = g.Make
+	var isoCfg isolation.Config
+	switch *isoName {
+	case "none":
+	case "pinning":
+		isoCfg = isolation.Config{Platform: isolation.VMs, ThreadPinning: true}
+	case "partitioned":
+		isoCfg = isolation.Config{Platform: isolation.VMs, ThreadPinning: true,
+			NetPartition: true, MemBWPartition: true, CachePartition: true}
+	case "core":
+		isoCfg = isolation.Config{Platform: isolation.VMs, ThreadPinning: true,
+			NetPartition: true, MemBWPartition: true, CachePartition: true, CoreIsolation: true}
+	default:
+		fmt.Fprintf(os.Stderr, "boltctl: unknown isolation %q\n", *isoName)
+		os.Exit(2)
 	}
-	gens["sql"] = workload.SQLDatabase
-	gens["speccpu"] = workload.SpecCPU
+	isoCfg.Platform = isolation.VMs
+	srvCfg := sim.ServerConfig{}
+	if *isoName != "none" {
+		srvCfg = isoCfg.ServerConfig(8, 2)
+	}
+
+	rng := stats.NewRNG(*seed)
+	gens := victimGens()
 
 	var det *core.Detector
 	if *profilesIn != "" {
@@ -103,41 +140,15 @@ func main() {
 		return
 	}
 
-	var isoCfg isolation.Config
-	switch *isoName {
-	case "none":
-	case "pinning":
-		isoCfg = isolation.Config{Platform: isolation.VMs, ThreadPinning: true}
-	case "partitioned":
-		isoCfg = isolation.Config{Platform: isolation.VMs, ThreadPinning: true,
-			NetPartition: true, MemBWPartition: true, CachePartition: true}
-	case "core":
-		isoCfg = isolation.Config{Platform: isolation.VMs, ThreadPinning: true,
-			NetPartition: true, MemBWPartition: true, CachePartition: true, CoreIsolation: true}
-	default:
-		fmt.Fprintf(os.Stderr, "boltctl: unknown isolation %q\n", *isoName)
-		os.Exit(2)
-	}
-	isoCfg.Platform = isolation.VMs
-	srvCfg := sim.ServerConfig{}
-	if *isoName != "none" {
-		srvCfg = isoCfg.ServerConfig(8, 2)
-	}
 	host := sim.NewServer("host-0", srvCfg)
 	var placed []workload.Spec
-	for i, class := range strings.Split(*victims, ",") {
-		class = strings.TrimSpace(class)
+	for i, class := range classes {
 		var spec workload.Spec
 		if class == "random" {
 			g := workload.Generators()[rng.Intn(len(workload.Generators()))]
 			spec = g.Make(rng.Split(), rng.Intn(24))
 		} else {
-			gen, ok := gens[class]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "boltctl: unknown victim class %q\n", class)
-				os.Exit(2)
-			}
-			spec = gen(rng.Split(), rng.Intn(24))
+			spec = gens[class](rng.Split(), rng.Intn(24))
 		}
 		app := workload.NewApp(spec, workload.DefaultPattern(spec.Class, rng.Split()), rng.Uint64())
 		vm := &sim.VM{ID: fmt.Sprintf("victim-%d", i), VCPUs: 3 + rng.Intn(3), App: app}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"bolt/internal/mining"
@@ -15,14 +16,30 @@ func TestShownMatchesWithinMatchesKept(t *testing.T) {
 }
 
 // TestCheckFlags: a run with no detection iterations, which would leave no
-// result to print, or an adversary of no vCPUs is refused before training.
+// result to print, an adversary of no vCPUs, or a victim class boltctl
+// cannot build is refused before training; the refusal names the bad value.
 func TestCheckFlags(t *testing.T) {
-	for _, c := range []struct{ iters, advVCPUs int }{{0, 4}, {-1, 4}, {6, 0}, {6, -2}} {
-		if checkFlags(c.iters, c.advVCPUs) == nil {
-			t.Errorf("-iters %d -adv-vcpus %d accepted", c.iters, c.advVCPUs)
+	for _, c := range []struct {
+		iters, advVCPUs int
+		victims         []string
+		want            string // "" accepts; otherwise a substring of the error
+	}{
+		{0, 4, []string{"memcached"}, "-iters 0"},
+		{-1, 4, []string{"memcached"}, "-iters -1"},
+		{6, 0, []string{"memcached"}, "-adv-vcpus 0"},
+		{6, -2, []string{"memcached"}, "-adv-vcpus -2"},
+		{6, 4, []string{"bogus"}, `"bogus"`},
+		{6, 4, []string{"memcached", "spak"}, `"spak"`},
+		{6, 4, []string{""}, `""`},
+		{1, 1, []string{"memcached"}, ""},
+		{6, 4, []string{"sql", "speccpu", "random", "spark"}, ""},
+	} {
+		err := checkFlags(c.iters, c.advVCPUs, c.victims)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("-iters %d -adv-vcpus %d -victims %v refused: %v", c.iters, c.advVCPUs, c.victims, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("-iters %d -adv-vcpus %d -victims %v: error %v, want one naming %s", c.iters, c.advVCPUs, c.victims, err, c.want)
 		}
-	}
-	if err := checkFlags(1, 1); err != nil {
-		t.Errorf("-iters 1 -adv-vcpus 1 refused: %v", err)
 	}
 }

@@ -84,13 +84,18 @@ type Hooks struct {
 	// AfterWindow runs after each probe window with the per-server
 	// accumulated probe scores (CampaignProbeWindow samples of the victim
 	// class's top-two uncore pressure, noise included). Windows are
-	// numbered from -WarmupWindows; the first wave's window is 0.
+	// numbered from -WarmupWindows; the first wave's window is 0. Setting
+	// it makes every host scored, at full cost: without it a window scores
+	// only the hosts its wave's senders landed on, the only scores the
+	// attacker reads.
 	AfterWindow func(window int, scores []float64)
 }
 
 // Campaign is one fleet-scale co-location attack in flight: the cluster
 // under the scheduler being evaluated, its sharded tick engine, the seeded
-// victims, and the attacker's running tallies.
+// victims, and the attacker's running tallies. A probe window scores a host
+// only when someone reads its score: the hosts the wave's senders landed
+// on, or every host when Hooks.AfterWindow is set.
 type Campaign struct {
 	Cl         *cluster.Cluster
 	Engine     *fleet.Engine
@@ -114,6 +119,8 @@ type Campaign struct {
 	nextBG int
 
 	scores  []float64
+	probed  []bool // probed[i]: this wave placed a sender on server i
+	readAll bool   // the window's scores go to Hooks.AfterWindow
 	r1, r2  sim.Resource
 	idx     map[*sim.Server]int
 	monitor fleet.TickFunc
@@ -195,10 +202,18 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 
 	c.Engine = fleet.NewEngine(c.Cl, rng.Split())
 	c.scores = make([]float64, servers)
+	c.probed = make([]bool, servers)
 	c.monitor = func(w *fleet.World) {
+		// Per-sample sensor noise, drawn on every host, read or not, so a
+		// host's stream is where it would be when a later wave lands a
+		// sender there.
+		noise := (w.RNG.Float64() - 0.5) * 4
+		if !c.readAll && !c.probed[w.Index] {
+			return
+		}
 		p := w.Server.ObservedPressure(nil, c.r1, w.Tick) +
 			w.Server.ObservedPressure(nil, c.r2, w.Tick)
-		p += (w.RNG.Float64() - 0.5) * 4 // per-sample sensor noise
+		p += noise
 		c.scores[w.Index] += p
 	}
 	c.idx = make(map[*sim.Server]int, servers)
@@ -252,15 +267,15 @@ func (c *Campaign) HostHasVictim(s *sim.Server) bool {
 
 // window runs one probe-window span of fleet ticks: scores reset, the
 // whole fleet advances CampaignProbeWindow ticks under the probe monitor,
-// then AfterWindow sees the scores. Each advance asks for the rest of the
+// which scores the probed hosts (every host when AfterWindow is set), then
+// AfterWindow sees the scores. Each advance asks for the rest of the
 // window when no AfterTick hook can act between its ticks — one barrier,
 // each server's 16 samples back to back — and otherwise for one tick, or
 // with Due set for the ticks up to the defender's next due tick; an
 // attached monitor's alarm may end it sooner (Engine.Advance).
 func (c *Campaign) window(number int, hooks Hooks) {
-	for i := range c.scores {
-		c.scores[i] = 0
-	}
+	clear(c.scores)
+	c.readAll = hooks.AfterWindow != nil
 	for end := c.T + CampaignProbeWindow; c.T < end; {
 		upTo := end - 1
 		if hooks.AfterTick != nil {
@@ -338,7 +353,12 @@ func (c *Campaign) Run(hooks Hooks) Outcome {
 		}
 		c.liveSenders += len(placed)
 
-		// Probe window: the whole fleet ticks on the sharded engine.
+		// Probe window: the whole fleet ticks on the sharded engine, and
+		// the hosts judged below are scored.
+		clear(c.probed)
+		for _, rec := range placed {
+			c.probed[c.idx[rec.host]] = true
+		}
 		c.window(wave, hooks)
 		c.Out.ProbeTicks += CampaignProbeWindow * c.liveSenders
 

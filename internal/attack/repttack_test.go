@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -71,4 +72,144 @@ func TestCampaignHooksDoNotChangeOutcome(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scoreLog holds, per probe window in time order, every server's score at
+// the window's last tick and whether the window's wave probed the server.
+type scoreLog struct {
+	scores [][]float64
+	probed [][]bool
+}
+
+// recordScores wraps c's probe monitor so that it fills a scoreLog of the
+// given number of windows. Windows start at tick 0 and run
+// CampaignProbeWindow ticks each. Each shard writes only its own servers'
+// cells of rows allocated here, so the recording adds no shared write.
+func recordScores(c *Campaign, windows int) *scoreLog {
+	l := &scoreLog{scores: make([][]float64, windows), probed: make([][]bool, windows)}
+	for w := range windows {
+		l.scores[w] = make([]float64, c.servers)
+		l.probed[w] = make([]bool, c.servers)
+	}
+	inner := c.monitor
+	c.monitor = func(w *fleet.World) {
+		inner(w)
+		if (w.Tick+1)%CampaignProbeWindow == 0 {
+			row := w.Tick / CampaignProbeWindow
+			l.scores[row][w.Index] = c.scores[w.Index]
+			l.probed[row][w.Index] = c.probed[w.Index]
+		}
+	}
+	return l
+}
+
+// checkReadHosts runs one campaign three ways from the same seed: the
+// every-host reference (refNewCampaign, whose monitor scores every host
+// every tick), with no reader of the scores, and with a no-op AfterWindow
+// that makes every host read. All three must reach the same Outcome and
+// candidate hosts, which the judgement threshold coarsens, so the scores are
+// compared too, bit for bit, at every window's last tick: the all-read run
+// on every host, the unread run on the hosts its wave probed. An unread host
+// must not be scored at all. It reports how many (window, host) pairs were
+// probed.
+func checkReadHosts(t *testing.T, name string, seed uint64, servers int, sched func() cluster.Scheduler, trickle bool, warmup int) int {
+	t.Helper()
+	windows := warmup + 1
+	if trickle {
+		windows = warmup + CampaignSenders
+	}
+	type run struct {
+		out   Outcome
+		hosts []int
+		log   *scoreLog
+	}
+	do := func(c *Campaign, hooks Hooks) run {
+		hooks.WarmupWindows = warmup
+		l := recordScores(c, windows)
+		return run{c.Run(hooks), c.CandidateHosts, l}
+	}
+	readAll := Hooks{AfterWindow: func(int, []float64) {}}
+	ref := do(refNewCampaign(stats.NewRNG(seed), servers, sched(), trickle), readAll)
+	unread := do(NewCampaign(stats.NewRNG(seed), servers, sched(), trickle), Hooks{})
+	all := do(NewCampaign(stats.NewRNG(seed), servers, sched(), trickle), readAll)
+
+	for _, r := range []struct {
+		label string
+		run
+	}{{"no reader", unread}, {"AfterWindow", all}} {
+		label := r.label
+		if r.out != ref.out {
+			t.Fatalf("%s, %s: Outcome %+v, every-host reference %+v", name, label, r.out, ref.out)
+		}
+		if !reflect.DeepEqual(r.hosts, ref.hosts) {
+			t.Fatalf("%s, %s: candidate hosts %v, every-host reference %v", name, label, r.hosts, ref.hosts)
+		}
+	}
+	probed := 0
+	for w := range windows {
+		for i := range servers {
+			want := math.Float64bits(ref.log.scores[w][i])
+			if got := math.Float64bits(all.log.scores[w][i]); got != want {
+				t.Fatalf("%s, AfterWindow: window %d server %d scored %v, every-host reference %v",
+					name, w, i, all.log.scores[w][i], ref.log.scores[w][i])
+			}
+			if unread.log.probed[w][i] != ref.log.probed[w][i] {
+				t.Fatalf("%s: window %d server %d probed=%v, every-host reference %v",
+					name, w, i, unread.log.probed[w][i], ref.log.probed[w][i])
+			}
+			got := unread.log.scores[w][i]
+			switch {
+			case unread.log.probed[w][i] && math.Float64bits(got) != want:
+				t.Fatalf("%s, no reader: window %d probed server %d scored %v, every-host reference %v",
+					name, w, i, got, ref.log.scores[w][i])
+			case !unread.log.probed[w][i] && got != 0:
+				t.Fatalf("%s, no reader: window %d scored unread server %d (%v)", name, w, i, got)
+			}
+			if unread.log.probed[w][i] {
+				probed++
+			}
+		}
+	}
+	return probed
+}
+
+// readSetSchedulers are the schedulers the read-set oracle covers: the
+// campaign's scheduler decides which hosts its senders probe.
+var readSetSchedulers = []func() cluster.Scheduler{
+	func() cluster.Scheduler { return cluster.Quasar{} },
+	func() cluster.Scheduler { return cluster.NewAffinity(cluster.LeastLoaded{}) },
+	func() cluster.Scheduler { return cluster.LeastLoaded{} },
+}
+
+// TestCampaignScoresReadHosts is the read set's differential oracle on
+// fixed fleets: 1, 7, 64 and 256 servers under Quasar and affinity, bulk
+// and trickle (checkReadHosts).
+func TestCampaignScoresReadHosts(t *testing.T) {
+	for _, servers := range []int{1, 7, 64, 256} {
+		for si, sched := range readSetSchedulers[:2] {
+			for _, trickle := range []bool{false, true} {
+				name := fmt.Sprintf("servers=%d %s trickle=%v", servers, sched().Name(), trickle)
+				if checkReadHosts(t, name, uint64(100*servers+10*si+7), servers, sched, trickle, 0) == 0 {
+					t.Fatalf("%s: no window probed a host; the check would be vacuous", name)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCampaignScoresReadHosts runs the read-set oracle (checkReadHosts) on
+// fuzzed campaigns: a seed, 1–300 servers, one of three schedulers, bulk or
+// trickle, and 0–2 warm-up windows, which no one reads without AfterWindow.
+func FuzzCampaignScoresReadHosts(f *testing.F) {
+	f.Add(uint64(42), uint16(255), uint8(0), true, uint8(0))
+	f.Add(uint64(7), uint16(0), uint8(1), false, uint8(1))
+	f.Add(uint64(3), uint16(63), uint8(2), true, uint8(2))
+	f.Add(uint64(11), uint16(299), uint8(1), false, uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, servers16 uint16, sched8 uint8, trickle bool, warmup8 uint8) {
+		servers := 1 + int(servers16)%300
+		sched := readSetSchedulers[int(sched8)%len(readSetSchedulers)]
+		warmup := int(warmup8) % 3
+		name := fmt.Sprintf("seed=%d servers=%d %s trickle=%v warmup=%d", seed, servers, sched().Name(), trickle, warmup)
+		checkReadHosts(t, name, seed, servers, sched, trickle, warmup)
+	})
 }

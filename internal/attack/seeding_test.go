@@ -30,7 +30,9 @@ func (c *Campaign) refAddBackground(i int) {
 }
 
 // refNewCampaign is NewCampaign with the serial seeding loop it had before
-// the shard pool took it over; everything after seeding is unchanged.
+// the shard pool took it over, and the probe monitor it had before windows
+// scored only the hosts someone reads: it scores every host every tick, so
+// it is also the reference for the read set (TestCampaignScoresReadHosts).
 func refNewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle bool) *Campaign {
 	c := &Campaign{
 		rng:     rng,
@@ -70,6 +72,7 @@ func refNewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickl
 
 	c.Engine = fleet.NewEngine(c.Cl, rng.Split())
 	c.scores = make([]float64, servers)
+	c.probed = make([]bool, servers)
 	c.monitor = func(w *fleet.World) {
 		p := w.Server.ObservedPressure(nil, c.r1, w.Tick) +
 			w.Server.ObservedPressure(nil, c.r2, w.Tick)

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -25,23 +26,47 @@ import (
 // any fixed value, but different values are different experiments.
 var defencePolicies atomic.Value // string
 
+// defenceLadder is the full defencesweep policy ladder, in report order;
+// runDefenceCell knows exactly these names.
+var defenceLadder = []string{"none", "pssf", "bandit-eps", "bandit-ucb", "mtd"}
+
 // SetDefencePolicies fixes the defencesweep policy list (comma-separated
-// policy names); "" restores the default ladder.
-func SetDefencePolicies(csv string) { defencePolicies.Store(csv) }
+// policy names); "" restores the default ladder. A list naming no policy,
+// or a policy not on the ladder, is rejected and leaves the list as it was.
+func SetDefencePolicies(csv string) error {
+	if csv != "" {
+		names := splitPolicies(csv)
+		if len(names) == 0 {
+			return fmt.Errorf("defence policy list %q names no policy", csv)
+		}
+		for _, p := range names {
+			if !slices.Contains(defenceLadder, p) {
+				return fmt.Errorf("unknown defence policy %q (want one of %s)", p, strings.Join(defenceLadder, ", "))
+			}
+		}
+	}
+	defencePolicies.Store(csv)
+	return nil
+}
 
 // DefencePolicies returns the configured policy list.
 func DefencePolicies() []string {
 	if v, _ := defencePolicies.Load().(string); v != "" {
-		parts := strings.Split(v, ",")
-		out := parts[:0]
-		for _, p := range parts {
-			if p = strings.TrimSpace(p); p != "" {
-				out = append(out, p)
-			}
-		}
-		return out
+		return splitPolicies(v)
 	}
-	return []string{"none", "pssf", "bandit-eps", "bandit-ucb", "mtd"}
+	return slices.Clone(defenceLadder)
+}
+
+// splitPolicies splits a comma-separated policy list, dropping blanks.
+func splitPolicies(csv string) []string {
+	parts := strings.Split(csv, ",")
+	out := parts[:0]
+	for _, p := range parts {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 const (
@@ -179,8 +204,10 @@ func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy stri
 	case "bandit-ucb":
 		bandit = cluster.NewBandit(cluster.UCB, schedRNG)
 		sched = bandit
-	default: // "none" and "mtd" place with the vulnerable affinity scheduler
+	case "none", "mtd": // the vulnerable affinity scheduler; mtd adds its hooks below
 		sched = cluster.NewAffinity(cluster.LeastLoaded{})
+	default: // SetDefencePolicies admits only the ladder's names
+		panic(fmt.Sprintf("exper: unknown defence policy %q", policy))
 	}
 
 	c := attack.NewCampaign(campRNG, servers, sched, true)

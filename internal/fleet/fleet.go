@@ -28,9 +28,7 @@
 //     shard — the span enters only through the minShardServerTicks cap;
 //   - each server writes events into its own index-addressed buffer, and
 //     the tick barrier merges buffers in server-id order — so the emitted
-//     event sequence, and every float reduced across servers (reduced
-//     serially at the barrier, never in the workers), is byte-identical at
-//     every -shardworkers level.
+//     event sequence is identical at every -shardworkers level.
 package fleet
 
 import (
@@ -110,14 +108,12 @@ func (w *World) Emit(kind int, vm string, value float64) {
 // TickFunc is the per-server work of one fleet tick.
 type TickFunc func(w *World)
 
-// Stats is the fleet-wide view the barrier reduces after every advance,
-// sampled at its last tick. The float fields are folded serially in
-// server-id order, so they are bit-identical at every worker count.
+// Stats is the fleet-wide occupancy the barrier counts after every
+// advance. It holds only what a caller reads: a campaign's scorecard
+// reports the fleet's VM population.
 type Stats struct {
-	Servers   int
-	VMs       int     // VMs placed across the fleet
-	FreeVCPUs int     // unallocated hyperthreads across the fleet
-	MeanCPU   float64 // mean per-server CPU utilisation, percent
+	Servers int
+	VMs     int // VMs placed across the fleet
 }
 
 // Engine shards one cluster's servers across a worker pool and advances
@@ -137,12 +133,10 @@ type Engine struct {
 	monitors  []*defence.Monitor
 	monitored []int
 
-	// Per-server slots written inside an advance, merged at the barrier.
-	// Reused across advances so a steady-state one allocates nothing.
+	// Per-server event buffers written inside an advance, merged at the
+	// barrier. Reused across advances so a steady-state one allocates
+	// nothing.
 	events [][]Event
-	cpu    []float64
-	vms    []int
-	free   []int
 	merged []Event
 }
 
@@ -151,20 +145,16 @@ type Engine struct {
 // server, in server-id order — the PR 6 pre-split discipline).
 func NewEngine(cl *cluster.Cluster, rng *stats.RNG) *Engine {
 	n := len(cl.Servers)
-	return &Engine{
-		cl:     cl,
-		rngs:   rng.SplitN(n),
-		events: make([][]Event, n),
-		cpu:    make([]float64, n),
-		vms:    make([]int, n),
-		free:   make([]int, n),
+	// Every server's buffer starts with room for one event, carved from one
+	// allocation, so a server's first event allocates nothing however late
+	// it comes.
+	slots := make([]Event, n)
+	events := make([][]Event, n)
+	for i := range events {
+		events[i] = slots[i : i : i+1]
 	}
+	return &Engine{cl: cl, rngs: rng.SplitN(n), events: events}
 }
-
-// RNG returns server i's pre-split stream, for callers that need to seed
-// per-server state (a resident adversary's probe) from the same stream its
-// tick bodies will draw from.
-func (e *Engine) RNG(i int) *stats.RNG { return e.rngs[i] }
 
 // SetMonitor attaches a defence monitor to server i (nil detaches). The
 // engine feeds it the server's aggregate usage every tick; the tick on
@@ -204,16 +194,10 @@ func (e *Engine) Monitor(i int) *defence.Monitor {
 // 512 loses in neither).
 const minShardServerTicks = 512
 
-// Tick advances every server through the single tick t; see Advance.
-func (e *Engine) Tick(t sim.Tick, fn TickFunc) ([]Event, Stats) {
-	ev, _, st := e.Advance(t, 1, fn)
-	return ev, st
-}
-
 // Advance advances every server through ticks t0 … t0+span-1 at one
 // barrier, stopping early after the first tick at which an attached
 // monitor alarms; it returns the merged events, the number of ticks
-// advanced, and fleet Stats sampled at the last of them.
+// advanced, and the fleet Stats after the last of them.
 //
 // Monitored servers go first, tick-major on the caller's goroutine: each
 // runs fn (which may be nil) and then its monitor sample, and the first
@@ -222,13 +206,12 @@ func (e *Engine) Tick(t sim.Tick, fn TickFunc) ([]Event, Stats) {
 // migrating a host's tenants) thus always acts after the alarm's own tick,
 // exactly as if it had stepped one tick at a time. The other servers then
 // advance through the same ticks in concurrent, server-major shards: a
-// server runs fn for every tick back to back and has its occupancy and
-// utilisation sampled once, at the last tick, before the shard moves on.
+// server runs fn for every tick back to back before the shard moves on.
 // Both orders are legal because nothing a server computes within an
 // advance depends on any other server, and an alarm depends only on its
 // own server. With no monitors attached the whole span is one sharded pass.
-// The barrier then merges per-server events in server-id order and reduces
-// fleet Stats serially.
+// The barrier then merges per-server events in server-id order and counts
+// the fleet's VMs.
 //
 // With more than one tick the merged events are ordered by (server, tick,
 // emission) — not tick-major — and a MonitorAlarm's Value carries the tick
@@ -269,25 +252,16 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int, Stat
 				for t := t0; t <= last; t++ {
 					e.step(&w, i, t, fn, nil)
 				}
-				e.sample(i, last)
 			}
 		})
 
-	// Barrier: fold per-server samples serially in server-id order so the
-	// float sums see one fixed operation sequence, and splice the
-	// per-server event buffers in the same order.
-	var st Stats
-	st.Servers = n
-	cpuSum := 0.0
+	// Barrier: count VMs and splice the per-server event buffers in
+	// server-id order.
+	st := Stats{Servers: n}
 	total := 0
-	for i := 0; i < n; i++ {
-		cpuSum += e.cpu[i]
-		st.VMs += e.vms[i]
-		st.FreeVCPUs += e.free[i]
+	for i, s := range e.cl.Servers {
+		st.VMs += s.VMCount()
 		total += len(e.events[i])
-	}
-	if n > 0 {
-		st.MeanCPU = cpuSum / float64(n)
 	}
 	if cap(e.merged) < total {
 		e.merged = make([]Event, 0, total)
@@ -315,9 +289,6 @@ func (e *Engine) runAhead(t0, last sim.Tick, fn TickFunc) sim.Tick {
 			}
 		}
 		if alarmed || t == last {
-			for _, i := range e.monitored {
-				e.sample(i, t)
-			}
 			return t
 		}
 	}
@@ -338,14 +309,4 @@ func (e *Engine) step(w *World, i int, t sim.Tick, fn TickFunc, m *defence.Monit
 	}
 	e.events[i] = append(e.events[i], Event{Server: i, Kind: MonitorAlarm, Value: float64(t)})
 	return true
-}
-
-// sample records server i's occupancy and its utilisation at tick t for the
-// barrier. Sampling utilisation after the ticks means it rides the
-// observation snapshot the body's queries already built.
-func (e *Engine) sample(i int, t sim.Tick) {
-	s := e.cl.Servers[i]
-	e.cpu[i] = s.CPUUtilization(t)
-	e.vms[i] = s.VMCount()
-	e.free[i] = s.FreeVCPUs()
 }

@@ -180,7 +180,7 @@ func TestSmallTicksRunInline(t *testing.T) {
 	withShardWorkers(t, 8)
 	e := buildFleet(42, 256)
 	sw := &shardWitness{world: make([]*World, 256)}
-	e.Tick(0, sw.wrap(probeTick))
+	e.Advance(0, 1, sw.wrap(probeTick))
 	if got := sw.shards(e); got != 1 {
 		t.Fatalf("256-server tick ran on %d shards, want 1 (inline below the grain)", got)
 	}
@@ -196,7 +196,7 @@ type tagged struct {
 	ev   Event
 }
 
-// tickByTick is Advance's reference: single Ticks from t0 until span ticks
+// tickByTick is Advance's reference: one-tick advances from t0 until span ticks
 // have run or one of them raised a MonitorAlarm, with the events stably
 // re-sorted by server — ticks stay ascending and emission order survives
 // within a (server, tick) — into Advance's (server, tick, emission) order.
@@ -206,7 +206,7 @@ func tickByTick(e *Engine, t0 sim.Tick, span int, fn TickFunc) ([]tagged, int, S
 	ticks := 0
 	for alarmed := false; ticks < span && !alarmed; ticks++ {
 		var ev []Event
-		ev, st = e.Tick(t0+sim.Tick(ticks), fn)
+		ev, _, st = e.Advance(t0+sim.Tick(ticks), 1, fn)
 		for _, x := range ev {
 			out = append(out, tagged{t0 + sim.Tick(ticks), x})
 			alarmed = alarmed || x.Kind == MonitorAlarm
@@ -253,7 +253,7 @@ func matchWorlds(t *testing.T, name string, adv, ref *Engine, advAcc, refAcc []f
 		if !reflect.DeepEqual(adv.Monitor(i), ref.Monitor(i)) {
 			t.Fatalf("%s: server %d's monitor %+v, tick-by-tick reference %+v", name, i, adv.Monitor(i), ref.Monitor(i))
 		}
-		if g, w := adv.RNG(i).Uint64(), ref.RNG(i).Uint64(); g != w {
+		if g, w := adv.rngs[i].Uint64(), ref.rngs[i].Uint64(); g != w {
 			t.Fatalf("%s: server %d's next RNG draw %d, tick-by-tick reference %d", name, i, g, w)
 		}
 	}
@@ -411,7 +411,7 @@ func TestAdvancePanicsOnEmptySpan(t *testing.T) {
 
 // TestTickEventsArriveInServerIDOrder pins the barrier's merge rule: events surface
 // ordered by (server, tick, emission) — for a single tick that is the
-// (server, emission) order Tick always had. The span is long enough that
+// (server, emission) order. The span is long enough that
 // the 33 servers really run on four shards.
 func TestTickEventsArriveInServerIDOrder(t *testing.T) {
 	const servers, span, t0 = 33, 64, 5
@@ -436,32 +436,18 @@ func TestTickEventsArriveInServerIDOrder(t *testing.T) {
 	}
 }
 
-// TestTickStats checks the occupancy reduction against the world the test
-// itself built: 3 VMs per server, sized 1+(i+j)%3 vCPUs.
+// TestTickStats checks the occupancy count against the world the test
+// itself built: 3 VMs per server.
 func TestTickStats(t *testing.T) {
 	withShardWorkers(t, 3)
 	const n = 10
 	e := buildFleet(42, n)
-	_, st := e.Tick(0, nil)
+	_, _, st := e.Advance(0, 1, nil)
 	if st.Servers != n {
 		t.Fatalf("Servers = %d, want %d", st.Servers, n)
 	}
 	if st.VMs != 3*n {
 		t.Fatalf("VMs = %d, want %d", st.VMs, 3*n)
-	}
-	wantFree := 0
-	for i := 0; i < n; i++ {
-		used := 0
-		for j := 0; j < 3; j++ {
-			used += 1 + (i+j)%3
-		}
-		wantFree += 16 - used
-	}
-	if st.FreeVCPUs != wantFree {
-		t.Fatalf("FreeVCPUs = %d, want %d", st.FreeVCPUs, wantFree)
-	}
-	if st.MeanCPU <= 0 || st.MeanCPU > 100 {
-		t.Fatalf("MeanCPU = %g, want in (0, 100]", st.MeanCPU)
 	}
 }
 
@@ -512,5 +498,5 @@ func TestTickPanicsWhenClusterGrows(t *testing.T) {
 			t.Fatal("Tick over a grown cluster did not panic")
 		}
 	}()
-	e.Tick(0, nil)
+	e.Advance(0, 1, nil)
 }

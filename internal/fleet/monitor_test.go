@@ -24,7 +24,7 @@ func TestMonitorAlarmEvents(t *testing.T) {
 
 	var alarms []Event
 	for tick := 0; tick < 8; tick++ {
-		ev, _ := e.Tick(sim.Tick(tick), probeTick)
+		ev, _, _ := e.Advance(sim.Tick(tick), 1, probeTick)
 		for _, x := range ev {
 			if x.Kind == MonitorAlarm {
 				alarms = append(alarms, x)
@@ -45,7 +45,7 @@ func TestMonitorAlarmEvents(t *testing.T) {
 	e.Monitor(2).Reset()
 	second := 0
 	for tick := 8; tick < 16; tick++ {
-		ev, _ := e.Tick(sim.Tick(tick), probeTick)
+		ev, _, _ := e.Advance(sim.Tick(tick), 1, probeTick)
 		for _, x := range ev {
 			if x.Kind == MonitorAlarm {
 				second++
@@ -65,7 +65,7 @@ func TestMonitorAlarmOrderedAfterBodyEvents(t *testing.T) {
 	e.SetMonitor(0, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: 1}))
 
 	emitAlways := func(w *World) { w.Emit(99, "", 0) }
-	ev, _ := e.Tick(0, emitAlways)
+	ev, _, _ := e.Advance(0, 1, emitAlways)
 	var kinds []int
 	for _, x := range ev {
 		if x.Server == 0 {

@@ -95,45 +95,41 @@ type obsPlane struct {
 	// the working set a fill at this key takes along.
 	have, used, want ResourceSet
 	// demand[i][r] is s.vms[i].App.Demand(tick)[r] for every r in have;
-	// other entries are stale. versioners[i] is s.vms[i].App as a
-	// DemandVersioner (nil for pure demanders), resolved when the epoch
-	// changes, since only Place and Remove change s.vms; nver counts the
-	// non-nil ones. versions[i] is the version captured when the key was
-	// taken.
-	demand     []Vector
-	versioners []DemandVersioner
-	nver       int
-	versions   []uint64
+	// other entries are stale. versioned lists the VMs whose App is a
+	// DemandVersioner, each with the version captured when the key was
+	// taken; it is resolved when the epoch changes, since only Place and
+	// Remove change s.vms. A host of plain demanders lists none, so its
+	// plane is one allocation, made at its first observation.
+	demand    []Vector
+	versioned []keyedVersion
 }
 
-// resolve sizes the plane for vms and records which of them are
+// keyedVersion is one DemandVersioner on the host and its version at the
+// snapshot's key.
+type keyedVersion struct {
+	app     DemandVersioner
+	version uint64
+}
+
+// resolve sizes the plane for vms and lists which of them are
 // DemandVersioners; observation calls it only when the epoch moves.
 func (o *obsPlane) resolve(vms []*VM) {
 	n := len(vms)
 	if cap(o.demand) < n {
 		o.demand = make([]Vector, n)
-		o.versioners = make([]DemandVersioner, n)
-		o.versions = make([]uint64, n)
 	}
 	o.demand = o.demand[:n]
-	o.versioners = o.versioners[:n]
-	o.versions = o.versions[:n]
-	o.nver = 0
-	for i, vm := range vms {
-		v, _ := vm.App.(DemandVersioner)
-		o.versioners[i] = v
-		if v != nil {
-			o.nver++
+	o.versioned = o.versioned[:0]
+	for _, vm := range vms {
+		if v, ok := vm.App.(DemandVersioner); ok {
+			o.versioned = append(o.versioned, keyedVersion{app: v})
 		}
 	}
 }
 
 func (o *obsPlane) versionsCurrent() bool {
-	if o.nver == 0 {
-		return true
-	}
-	for i, v := range o.versioners {
-		if v != nil && v.DemandVersion() != o.versions[i] {
+	for _, e := range o.versioned {
+		if e.app.DemandVersion() != e.version {
 			return false
 		}
 	}
@@ -167,12 +163,8 @@ func (s *Server) observation(t Tick, need ResourceSet) *obsPlane {
 		if !o.valid || o.epoch != s.epoch {
 			o.resolve(s.vms)
 		}
-		if o.nver > 0 {
-			for i, v := range o.versioners {
-				if v != nil {
-					o.versions[i] = v.DemandVersion()
-				}
-			}
+		for i := range o.versioned {
+			o.versioned[i].version = o.versioned[i].app.DemandVersion()
 		}
 		o.tick, o.epoch, o.valid = t, s.epoch, true
 		o.want, o.used, o.have = o.used, 0, 0

@@ -574,8 +574,8 @@ func TestObservationResolvesVersionersPerEpoch(t *testing.T) {
 		}
 	}
 	read(5, 40)
-	if s.obs.nver != 0 {
-		t.Fatalf("%d versioners counted on a host of plain demanders", s.obs.nver)
+	if n := len(s.obs.versioned); n != 0 {
+		t.Fatalf("%d versioners listed on a host of plain demanders", n)
 	}
 
 	k := &versionedApp{demand: vec(map[Resource]float64{DiskBW: 10})}
@@ -585,8 +585,8 @@ func TestObservationResolvesVersionersPerEpoch(t *testing.T) {
 		}
 	}
 	read(5, 55) // same tick, new epoch: k is resolved and filled
-	if s.obs.nver != 1 || k.fills != 1 {
-		t.Fatalf("after placing the versioner: %d versioners counted, %d fills, want 1 and 1", s.obs.nver, k.fills)
+	if n := len(s.obs.versioned); n != 1 || k.fills != 1 {
+		t.Fatalf("after placing the versioner: %d versioners listed, %d fills, want 1 and 1", n, k.fills)
 	}
 	k.retune(DiskBW, 30)
 	read(5, 75) // same tick and epoch, new version: refilled
@@ -608,7 +608,7 @@ func TestObservationResolvesVersionersPerEpoch(t *testing.T) {
 		read(at, 45)
 		s.CPUUtilization(at)
 	}
-	if s.obs.nver != 0 || k.reads != before {
-		t.Fatalf("after removing the versioner: %d versioners counted, %d more version reads, want 0 and 0", s.obs.nver, k.reads-before)
+	if n := len(s.obs.versioned); n != 0 || k.reads != before {
+		t.Fatalf("after removing the versioner: %d versioners listed, %d more version reads, want 0 and 0", n, k.reads-before)
 	}
 }
