@@ -2,197 +2,197 @@ package main_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
+
+	"bolt/internal/lint"
 )
 
-// keptOracles are exported names under internal/ that only tests call,
-// kept on purpose: each is a reference the tests compare a production path
-// against, or the only way a test can drive or read the state it checks.
-// Keys are "pkg.Name" or "pkg.Recv.Name".
+// keptOracles ("pkg.Name", "pkg.Recv.Name" or "pkg.Type.Field") are exported
+// names under internal/ that only tests use, kept on purpose: each is a
+// reference a test compares a production path against, or the only way a
+// test can drive or read the state it checks.
 var keptOracles = map[string]string{
-	"mining.WeightedPearson":      "Eq. 1 reference for the hoisted queryMoments form",
-	"mining.Matrix.Mul":           "checks the SVD's orthogonality, Vᵀ·V = I",
-	"mining.Matrix.Row":           "feeds a training row to the SVD projection test",
-	"mining.Matrix.FrobeniusNorm": "measures the reconstruction error of the factorisation",
-	"mining.SVD.Reconstruct":      "rebuilds the input the factorisation must reproduce",
-	"mining.Completer.Predict":    "reconstructs a training cell; tests check the factorisation fits",
-	"sim.Server.VMsOnCore":        "per-core loop of the reference observation plane the cached one is compared to",
-	"sim.VM.Slots":                "the only read of hyperthread assignment; sim and cluster placement tests check it",
-	"fleet.World.Emit":            "drives the barrier's event merge in the fleet ordering tests and BenchmarkFleetTick",
+	"mining.WeightedPearson":        "Eq. 1 reference for the hoisted queryMoments form",
+	"mining.Matrix.Mul":             "checks the SVD's orthogonality, Vᵀ·V = I",
+	"mining.Matrix.Row":             "feeds a training row to the SVD projection test",
+	"mining.Matrix.FrobeniusNorm":   "measures the reconstruction error of the factorisation",
+	"mining.SVD.Reconstruct":        "rebuilds the input the factorisation must reproduce",
+	"mining.Completer.Predict":      "reconstructs a training cell; tests check the factorisation fits",
+	"sim.Server.VMsOnCore":          "per-core loop of the reference observation plane the cached one is compared to",
+	"sim.VM.Slots":                  "the only read of hyperthread assignment; sim and cluster placement tests check it",
+	"sim.Server.Config":             "the reference observation plane reads visibility and core count through it",
+	"mining.Matrix.T":               "transposes V for the orthogonality check",
+	"mining.Recommender.Base":       "the only read of which trained base a view shares; the TrainCached memo tests check it",
+	"serve.Server.Snapshot":         "the only read of which detector a Swap installed; the swap tests check it",
+	"attack.CoResidencyResult.Host": "the only read of which host the attack confirmed; its test checks it is the victim's",
 }
 
-// exportedDecl is one exported top-level func, method or type under
-// internal/.
-type exportedDecl struct {
-	key  string // "pkg.Name" or "pkg.Recv.Name"
-	name string
-	pos  string
-}
-
-// topDecl is one top-level declaration of any kind, with the identifiers
-// its body mentions; decl is non-nil when it declares an exported
-// candidate, and owner is a method's "pkg.Recv".
-type topDecl struct {
-	decl  *exportedDecl
-	owner string
-	names []string
-}
-
-// TestExportedNamesHaveCallers fails when an exported func, method or type
-// under internal/ is mentioned by no non-test Go file in the module other
-// than its own declaration. Names match as whole identifiers, so a
-// collision (two methods named Add) can hide an orphan but never invent
-// one. A mention inside an orphan's declaration, or inside any method of an
-// orphaned type, does not keep a name alive, so an orphaned type that only
-// orphaned constructors return is reported as well; so are the exported
-// methods of an orphaned type, since no caller can hold a value of it.
+// TestExportedNamesHaveCallers fails when an exported package-level name or
+// method under internal/ has no use in non-test code outside its own
+// declaration, or an exported struct field there is never read (selected
+// other than as an assignment's or ++/--'s target). lint.Load checks the
+// non-test files; a package sees its imports through export data, whose
+// objects are not its own, so names are keyed by path, receiver and name. A
+// method is also used when its type has the method names of an interface
+// type some non-test expression has, or of error or fmt.Stringer. Uses
+// inside an orphan, or a method of an orphaned type, keep nothing alive.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	var decls []topDecl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		candidate := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		for _, d := range f.Decls {
-			decls = append(decls, declsOf(fset, f.Name.Name, candidate, d)...)
-		}
-		return nil
-	})
+	pkgs, err := lint.Load(".", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Grow the orphan set to its fixed point: each round drops the mentions
-	// made from inside declarations already found orphaned. orphanKey holds
-	// the same set by key, so a method can look up its receiver type.
-	orphan := map[*exportedDecl]bool{}
-	orphanKey := map[string]bool{}
-	for {
-		mentions := map[string]int{}
-		for _, d := range decls {
-			if !orphan[d.decl] && !orphanKey[d.owner] {
-				for _, n := range d.names {
-					mentions[n]++
+	var uses [][3]string                                                    // the using declaration's key and owner, the name used
+	cands := map[string][2]string{}                                         // candidate → position, owner (receiver type or struct)
+	ifaces := map[string][]string{"Error": {"Error"}, "String": {"String"}} // used interfaces' method names
+	for _, p := range pkgs {
+		for _, tv := range p.Info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+				var ms []string
+				for i := range it.NumMethods() {
+					ms = append(ms, it.Method(i).Name())
+				}
+				ifaces[strings.Join(ms, " ")] = ms
+			}
+		}
+	}
+	for _, p := range pkgs {
+		add := func(key, owner string, id *ast.Ident) string {
+			if !strings.HasPrefix(p.Types.Path(), "bolt/internal/") || !id.IsExported() {
+				return ""
+			}
+			cands[key] = [2]string{p.Fset.Position(id.Pos()).String(), owner}
+			return key
+		}
+		// use records what the top-level declaration root uses.
+		use := func(key, owner string, root ast.Node) {
+			written := map[ast.Expr]bool{}
+			ast.Inspect(root, func(n ast.Node) bool {
+				used := ""
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						written[ast.Unparen(l)] = true
+					}
+				case *ast.IncDecStmt:
+					written[ast.Unparen(n.X)] = true
+				case *ast.Ident:
+					used = objKey(p.Info.Uses[n])
+				case *ast.SelectorExpr:
+					if s := p.Info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+						t := s.Recv() // on a promoted field, the last embedded field's struct
+						for _, i := range s.Index()[:len(s.Index())-1] {
+							if p, ok := t.(*types.Pointer); ok {
+								t = p.Elem()
+							}
+							t = t.Underlying().(*types.Struct).Field(i).Type()
+						}
+						used = typeKey(t) + "." + s.Obj().Name()
+					}
+				}
+				if used != "" && used != key && used != owner {
+					uses = append(uses, [3]string{key, owner, used})
+				}
+				return true
+			})
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.FuncDecl); ok {
+					fn := p.Info.Defs[d.Name].(*types.Func)
+					owner := strings.TrimSuffix(objKey(fn), "."+fn.Name()) // a func's package is no candidate
+					use(add(objKey(fn), owner, d.Name), owner, d)
+					continue
+				}
+				for _, s := range d.(*ast.GenDecl).Specs {
+					key := ""
+					switch s := s.(type) {
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							key = add(objKey(p.Info.Defs[id]), "", id)
+						}
+					case *ast.TypeSpec:
+						tn := p.Info.Defs[s.Name].(*types.TypeName)
+						key = add(objKey(tn), "", s.Name)
+						if st, ok := s.Type.(*ast.StructType); ok && key != "" {
+							for _, fld := range st.Fields.List {
+								for _, id := range fld.Names {
+									add(key+"."+id.Name, key, id)
+								}
+							}
+						}
+						ms, mset := map[string]string{}, types.NewMethodSet(types.NewPointer(tn.Type()))
+						for i := range mset.Len() {
+							ms[mset.At(i).Obj().Name()] = objKey(mset.At(i).Obj())
+						}
+						for _, iface := range ifaces {
+							if !slices.ContainsFunc(iface, func(m string) bool { return ms[m] == "" }) {
+								for _, m := range iface {
+									uses = append(uses, [3]string{"", "", ms[m]}) // an interface may call it
+								}
+							}
+						}
+					}
+					use(key, "", s)
 				}
 			}
 		}
-		grew := false
-		for _, d := range decls {
-			if d.decl != nil && !orphan[d.decl] && (mentions[d.decl.name] == 0 || orphanKey[d.owner]) {
-				orphan[d.decl], orphanKey[d.decl.key], grew = true, true, true
-			}
-		}
-		if !grew {
-			break
-		}
 	}
 
+	// Grow the orphan set to its fixed point, dropping uses made by orphans.
+	orphan := map[string]bool{}
+	for grew := true; grew; {
+		used := map[string]int{}
+		for _, u := range uses {
+			if !orphan[u[0]] && !orphan[u[1]] {
+				used[u[2]]++
+			}
+		}
+		grew = false
+		for k, c := range cands {
+			if !orphan[k] && (used[k] == 0 || orphan[c[1]]) {
+				orphan[k], grew = true, true
+			}
+		}
+	}
 	var report []string
-	for d := range orphan {
-		if _, kept := keptOracles[d.key]; !kept {
-			report = append(report, d.pos+": "+d.key)
+	for k := range keptOracles {
+		if !orphan[k] {
+			report = append(report, "keptOracles: "+k+" is missing or now has a non-test caller; drop it from the list")
 		}
+		delete(orphan, k)
 	}
-	for key := range keptOracles {
-		if !orphanKey[key] {
-			report = append(report, "keptOracles: "+key+" is missing or now has a non-test caller; drop it from the list")
-		}
+	for k := range orphan {
+		report = append(report, cands[k][0]+": "+k)
 	}
-	sort.Strings(report)
+	slices.Sort(report)
 	for _, r := range report {
 		t.Error(r)
 	}
 }
 
-// declsOf splits one top-level declaration into the units the orphan scan
-// weighs: a func or method, or one spec of a const/var/type group. The
-// declared name itself, a method's receiver and a method's mentions of its
-// own receiver type are not counted as mentions.
-func declsOf(fset *token.FileSet, pkg string, candidate bool, d ast.Decl) []topDecl {
-	switch d := d.(type) {
-	case *ast.FuncDecl:
-		td := topDecl{names: identsIn(d, d.Name, d.Recv)}
-		key := pkg + "." + d.Name.Name
-		if d.Recv != nil {
-			recv := recvName(d.Recv.List[0].Type)
-			td.owner = pkg + "." + recv
-			key = td.owner + "." + d.Name.Name
-			td.names = slices.DeleteFunc(td.names, func(n string) bool { return n == recv })
+// objKey is "pkg.Name" for a package-level name and "pkg.Recv.Name" for a
+// method, "bolt/internal/" trimmed from the path; "" for anything else.
+func objKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Origin().Type().(*types.Signature).Recv(); recv != nil {
+			return typeKey(recv.Type()) + "." + fn.Name()
 		}
-		if candidate && d.Name.IsExported() {
-			td.decl = &exportedDecl{key: key, name: d.Name.Name, pos: fset.Position(d.Pos()).String()}
-		}
-		return []topDecl{td}
-	case *ast.GenDecl:
-		var out []topDecl
-		for _, s := range d.Specs {
-			td := topDecl{names: identsIn(s)}
-			if s, ok := s.(*ast.TypeSpec); ok {
-				td.names = identsIn(s, s.Name)
-				if candidate && s.Name.IsExported() {
-					td.decl = &exportedDecl{key: pkg + "." + s.Name.Name, name: s.Name.Name, pos: fset.Position(s.Pos()).String()}
-				}
-			}
-			out = append(out, td)
-		}
-		return out
+	} else if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return ""
 	}
-	return nil
+	return strings.TrimPrefix(obj.Pkg().Path(), "bolt/internal/") + "." + obj.Name()
 }
 
-// recvName is the bare type name of a method receiver: T, *T, T[P], *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// typeKey is objKey of a named type or a pointer to one, "" otherwise.
+func typeKey(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-}
-
-// identsIn lists every identifier under root, skipping the subtrees in
-// skip.
-func identsIn(root ast.Node, skip ...ast.Node) []string {
-	var names []string
-	ast.Inspect(root, func(n ast.Node) bool {
-		for _, s := range skip {
-			if n == s {
-				return false
-			}
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			names = append(names, id.Name)
-		}
-		return true
-	})
-	return names
+	if n, ok := types.Unalias(t).(*types.Named); ok {
+		return objKey(n.Obj())
+	}
+	return ""
 }

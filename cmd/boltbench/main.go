@@ -20,8 +20,8 @@
 //
 // The fleet experiment additionally ticks its simulated datacenter on a
 // sharded worker pool (-shardworkers, default GOMAXPROCS); per-server RNG
-// pre-splitting and the server-id-ordered tick barrier keep stdout
-// byte-identical at every -shardworkers level too. The width is an upper
+// pre-splitting and per-server result slots keep stdout byte-identical at
+// every -shardworkers level too. The width is an upper
 // bound: an advance too small to repay a goroutine handoff (under 512
 // server-ticks per shard — any single tick of a 256-server fleet) runs
 // inline on the caller. -fleet pins the fleet's server count (e.g. 4096
@@ -49,10 +49,10 @@ import (
 
 // checkFlags rejects the flag values a run cannot start from, before any
 // work: an unknown or repeated -run id, and a -defence list that names no
-// policy or a policy off the defencesweep ladder, which would otherwise
-// report an undefended fleet under the typo's name. It installs the
-// -defence list and returns the experiments -run selects (all of them for
-// an empty -run).
+// policy, a policy off the defencesweep ladder (which would otherwise
+// report an undefended fleet under the typo's name) or one policy twice. It
+// installs the -defence list and returns the experiments -run selects (all
+// of them for an empty -run).
 func checkFlags(runIDs, defence string) ([]exper.Experiment, error) {
 	if err := exper.SetDefencePolicies(defence); err != nil {
 		return nil, fmt.Errorf("-defence: %v", err)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestCheckFlags: an unknown or repeated -run id and a -defence list that
-// names no policy or a policy off the ladder are refused before any work,
-// and the refusal names the bad value. A refused -defence list leaves the
-// installed one as it was; an accepted one is what the sweep then runs.
+// names no policy, a policy off the ladder or one policy twice are refused
+// before any work, and the refusal names the bad value. A refused -defence
+// list leaves the installed one as it was; an accepted one is what the
+// sweep then runs.
 func TestCheckFlags(t *testing.T) {
 	t.Cleanup(func() { exper.SetDefencePolicies("") })
 	ladder := exper.DefencePolicies()
@@ -24,6 +25,7 @@ func TestCheckFlags(t *testing.T) {
 		{"", "bogus", `"bogus"`, nil, nil},
 		{"defencesweep", "none,psff", `"psff"`, nil, nil},
 		{"defencesweep", " , ", "names no policy", nil, nil},
+		{"defencesweep", "none,none", `"none" repeated`, nil, nil},
 		{"bogus", "", `unknown experiment "bogus"`, nil, nil},
 		{"", "", "", nil, ladder},
 		{"fig4,fig4", "", `"fig4" repeated`, nil, nil},

@@ -68,11 +68,11 @@ func TestLaunchAndStop(t *testing.T) {
 	plan.Intensity.Set(sim.LLC, 80)
 	plan.Targets = []sim.Resource{sim.LLC}
 	Launch(adv, plan)
-	if adv.Kernels.Get(sim.LLC) != 80 {
+	if adv.Kernels.Demand(0)[sim.LLC] != 80 {
 		t.Fatal("Launch did not apply the plan")
 	}
 	Stop(adv)
-	if adv.Kernels.Get(sim.LLC) != 0 {
+	if adv.Kernels.Demand(0)[sim.LLC] != 0 {
 		t.Fatal("Stop did not idle the kernels")
 	}
 }
@@ -185,7 +185,7 @@ func TestRFAOnBatchVictim(t *testing.T) {
 	if out.BeneficiaryImprovement <= 0 {
 		t.Fatalf("beneficiary should improve, got %.1f%%", out.BeneficiaryImprovement)
 	}
-	if helper.Kernels.Get(sim.MemBW) != 0 {
+	if helper.Kernels.Demand(0)[sim.MemBW] != 0 {
 		t.Fatal("helper should be stopped after measurement")
 	}
 }
@@ -194,11 +194,11 @@ func TestRFAStartStop(t *testing.T) {
 	helper := probe.NewAdversary("h", 4, probe.Config{}, stats.NewRNG(6))
 	rfa := &RFA{Helper: helper, Target: sim.NetBW}
 	rfa.Start()
-	if helper.Kernels.Get(sim.NetBW) != 95 {
-		t.Fatalf("default intensity should be 95, got %v", helper.Kernels.Get(sim.NetBW))
+	if helper.Kernels.Demand(0)[sim.NetBW] != 95 {
+		t.Fatalf("default intensity should be 95, got %v", helper.Kernels.Demand(0)[sim.NetBW])
 	}
 	rfa.Stop()
-	if helper.Kernels.Get(sim.NetBW) != 0 {
+	if helper.Kernels.Demand(0)[sim.NetBW] != 0 {
 		t.Fatal("Stop should idle the helper")
 	}
 }

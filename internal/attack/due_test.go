@@ -57,12 +57,9 @@ func runMTD(seed uint64, servers int, threshold float64, sustain sim.Tick, due b
 
 	var r mtdRun
 	hooks := Hooks{
-		AfterTick: func(t sim.Tick, events []fleet.Event) {
+		AfterTick: func(t sim.Tick, alarms []fleet.Event) {
 			r.advances++
-			for _, ev := range events {
-				if ev.Kind != fleet.MonitorAlarm {
-					continue
-				}
+			for _, ev := range alarms {
 				r.alarms++
 				for _, id := range c.Victims {
 					if c.Cl.HostOf(id) == c.Cl.Servers[ev.Server] {

@@ -48,7 +48,7 @@ const (
 
 // Outcome is the attacker-side scorecard of one campaign.
 type Outcome struct {
-	VMs        int     // fleet VM population at the end of the run
+	VMs        int     // fleet VM population after the last probe window
 	Launches   int     // co-residency attempts (sender launches, incl. failed)
 	CoResP     float64 // fraction of launches that landed co-resident with a victim
 	Candidates int     // senders whose probe score crossed the threshold
@@ -68,14 +68,14 @@ type Hooks struct {
 	// stream, an anomaly detector's baseline) pre-attack observations.
 	WarmupWindows int
 	// AfterTick runs after each fleet advance with the last tick advanced
-	// and the barrier-merged events (which include fleet.MonitorAlarm
-	// events from any monitors attached to the campaign's engine). With
-	// Due nil that is after every tick. With Due set an advance runs up to
-	// Due's horizon, or the window's end if sooner, and ends early after a
-	// tick on which a monitor alarmed (fleet.Engine.Advance); AfterTick
-	// must then do nothing at a tick with no alarm and nothing due, which
-	// is what makes the skipped calls safe to skip. With AfterTick nil a
-	// probe window is one barrier. The Outcome is the same either way.
+	// and the servers whose attached monitors alarmed on it (the advance's
+	// fleet.Events, in server order). With Due nil that is after every
+	// tick. With Due set an advance runs up to Due's horizon, or the
+	// window's end if sooner, and ends early after a tick on which a
+	// monitor alarmed (fleet.Engine.Advance); AfterTick must then do
+	// nothing at a tick with no alarm and nothing due, which is what makes
+	// the skipped calls safe to skip. With AfterTick nil a probe window is
+	// one barrier. The Outcome is the same either way.
 	AfterTick func(t sim.Tick, events []fleet.Event)
 	// Due, when set with AfterTick, returns the first tick at or after t
 	// at which AfterTick must run even if no monitor alarms — a
@@ -132,7 +132,6 @@ type Campaign struct {
 	coRes       int
 	trueCands   int
 	candSeen    map[int]bool
-	lastStats   fleet.Stats
 }
 
 // NewCampaign builds a fleet of the given size under the scheduler, seeds
@@ -284,13 +283,18 @@ func (c *Campaign) window(number int, hooks Hooks) {
 				upTo = min(hooks.Due(c.T), end-1)
 			}
 		}
-		events, ticks, st := c.Engine.Advance(c.T, int(upTo-c.T)+1, c.monitor)
-		c.lastStats = st
+		alarms, ticks := c.Engine.Advance(c.T, int(upTo-c.T)+1, c.monitor)
 		c.T += sim.Tick(ticks - 1) // the hook sees T at the tick it follows
 		if hooks.AfterTick != nil {
-			hooks.AfterTick(c.T, events)
+			hooks.AfterTick(c.T, alarms)
 		}
 		c.T++
+	}
+	// The fleet's population after the window: nothing inside one places or
+	// removes a VM (a defender's migration keeps the count).
+	c.Out.VMs = 0
+	for _, s := range c.Cl.Servers {
+		c.Out.VMs += s.VMCount()
 	}
 	if hooks.AfterWindow != nil {
 		hooks.AfterWindow(number, c.scores)
@@ -382,7 +386,6 @@ func (c *Campaign) Run(hooks Hooks) Outcome {
 		}
 	}
 
-	c.Out.VMs = c.lastStats.VMs
 	c.Out.Launches = c.launches
 	c.Out.CoResP = float64(c.coRes) / float64(c.launches)
 	if c.Out.Candidates > 0 {

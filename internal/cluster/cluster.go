@@ -27,8 +27,6 @@ type Scheduler interface {
 type Cluster struct {
 	Servers []*sim.Server
 	Sched   Scheduler
-	// Migrations counts live migrations performed.
-	Migrations int
 
 	// byVM maps VM id → hosting server for every VM the cluster itself
 	// placed, so HostOf is O(1) for them instead of a scan over the whole
@@ -134,7 +132,6 @@ func (c *Cluster) Migrate(id string, t sim.Tick) (*sim.Server, error) {
 		return nil, err
 	}
 	c.index()[id] = c.Servers[best]
-	c.Migrations++
 	return c.Servers[best], nil
 }
 

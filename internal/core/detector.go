@@ -117,36 +117,11 @@ type Detection struct {
 	UsedShutter bool
 	// CoreShared reports whether any victim shared a core with Bolt.
 	CoreShared bool
-	// Confidence scores the evidence behind Result in [0, 1]: the share of
-	// the recommender's per-resource similarity weight that was directly
-	// observed, blended with the observed-entry fraction. Fully observed
-	// episodes score 1; heavy fault injection drives it down as profiles
-	// arrive sparse.
-	Confidence float64
 }
 
 // UnknownLabel is what a degraded detection reports instead of a
 // low-evidence guess.
 const UnknownLabel = "unknown"
-
-// Unknown reports whether the detection degraded below the confidence
-// floor: either the observation itself carried too little evidence
-// (Confidence below minConfidence) or no training profile
-// cleared the recommender's similarity floor.
-func (det *Detection) Unknown() bool {
-	return det.Confidence < minConfidence || !det.Result.Confident()
-}
-
-// Label returns the primary detection's label after the
-// graceful-degradation rule: UnknownLabel when the evidence is too thin to
-// support a guess, the best-match label otherwise. Under measurement
-// faults Bolt says "don't know" rather than mislabeling.
-func (det *Detection) Label() string {
-	if det.Unknown() {
-		return UnknownLabel
-	}
-	return det.Result.Best().Label
-}
 
 // Detect runs a full episode: up to MaxIterations steps, stopping early
 // when the single-victim hypothesis is strong, then disentangles up to
@@ -170,7 +145,6 @@ func (d *Detector) Detect(s *sim.Server, adv *probe.Adversary, start sim.Tick, m
 	// Result keeps the single-victim hypothesis with the head of its
 	// similarity ranking; CoResidents carries the mixture decomposition.
 	det.CoResidents = e.Candidates(maxVictims)
-	det.Confidence = e.Confidence()
 	return det
 }
 
@@ -185,18 +159,18 @@ type ProfileDetection struct {
 	// the similarity ranking.
 	Result *mining.Result
 	// Confidence scores the observation's evidence in [0, 1], exactly as
-	// Detection.Confidence does for an episode.
+	// Episode.Confidence does for an episode.
 	Confidence float64
 }
 
 // Unknown reports whether the query degraded below the confidence floor
-// (same rule as Detection.Unknown).
+// (same rule as Episode.Grade).
 func (pd *ProfileDetection) Unknown() bool {
 	return pd.Confidence < minConfidence || !pd.Result.Confident()
 }
 
 // Label returns the best-match label, or UnknownLabel when the evidence is
-// too thin to support a guess (same rule as Detection.Label).
+// too thin to support a guess (same rule as Episode.Grade).
 func (pd *ProfileDetection) Label() string {
 	if pd.Unknown() {
 		return UnknownLabel

@@ -231,7 +231,10 @@ func (e *Episode) Step(start sim.Tick) *mining.Result {
 }
 
 // Confidence returns the evidence score of the episode's combined
-// observation so far (see Detection.Confidence).
+// observation so far, in [0, 1]: the share of the recommender's
+// per-resource similarity weight that was directly observed, blended with
+// the observed-entry fraction. Fully observed episodes score 1; heavy fault
+// injection drives it down as profiles arrive sparse.
 func (e *Episode) Confidence() float64 {
 	_, known := e.combined()
 	return e.det.confidence(known)

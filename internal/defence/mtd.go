@@ -45,14 +45,6 @@ func (m *Monitor) Sample(s *sim.Server, t sim.Tick) bool {
 	return false
 }
 
-// Alarmed reports the underlying detector's latched state.
-func (m *Monitor) Alarmed() (bool, sim.Tick) {
-	if m == nil || m.Det == nil {
-		return false, 0
-	}
-	return m.Det.Alarmed()
-}
-
 // Reset re-arms the monitor and its detector so the same Monitor keeps
 // watching the host after the defence acted on an alarm.
 func (m *Monitor) Reset() {

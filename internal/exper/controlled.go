@@ -56,26 +56,12 @@ func (c ControlledConfig) withDefaults() ControlledConfig {
 // VictimRecord is the per-victim outcome of a controlled run.
 type VictimRecord struct {
 	Spec        workload.Spec
-	Host        string
 	CoResidents int // victims sharing the host (including this one)
 	// CorrectIteration is the 1-based iteration at which the victim was
 	// first correctly identified; 0 means never within maxIterations.
 	CorrectIteration int
-	// Characterised reports whether the final detection at least matched
-	// the victim's resource characteristics.
-	Characterised bool
-	// SharedCore reports whether the adversary shared a core with anyone
-	// on this host.
-	SharedCore bool
-	// SharesWithAdv reports whether this victim occupies a hyperthread
-	// sibling of one of the adversary's cores.
-	SharesWithAdv bool
-	Dominant      sim.Resource
-	Ticks         sim.Tick
-	// FinalLabel is the episode's post-degradation primary label after the
-	// last iteration: core.UnknownLabel when the evidence fell below the
-	// detector's confidence floor, the best-match label otherwise.
-	FinalLabel string
+	Dominant         sim.Resource
+	Ticks            sim.Tick
 	// Confidence is the episode's final evidence score (episode-level: all
 	// victims on one host share it), and Unknown whether the episode
 	// degraded to "unknown" rather than guessing.
@@ -88,10 +74,7 @@ func (r VictimRecord) Correct() bool { return r.CorrectIteration > 0 }
 
 // ControlledResult aggregates a controlled run.
 type ControlledResult struct {
-	Records  []VictimRecord
-	Detector *core.Detector
-	// SchedulerName records which policy placed the victims.
-	SchedulerName string
+	Records []VictimRecord
 	// FaultCounts aggregates the per-class fault-injection counters across
 	// every adversary in the run (all zero without a fault plane).
 	FaultCounts [fault.NumClasses]uint64
@@ -174,7 +157,6 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 	specs := workload.VictimSpecs(cfg.Seed, cfg.Victims)
 	type placedVictim struct {
 		spec workload.Spec
-		vm   *sim.VM
 		host *sim.Server
 	}
 	var victims []placedVictim
@@ -216,7 +198,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 		if err != nil {
 			continue // cluster full: the victim is dropped, as in a real run
 		}
-		victims = append(victims, placedVictim{spec, vm, host})
+		victims = append(victims, placedVictim{spec, host})
 	}
 
 	// Group victims per host and run one episode per host; a victim is
@@ -234,7 +216,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 	}
 	sort.Strings(hostNames)
 
-	res := &ControlledResult{Detector: det, SchedulerName: cfg.Scheduler.Name()}
+	res := &ControlledResult{}
 	// Per-host episodes run on the episode worker pool. Each body touches
 	// only its own host's server, VMs, and adversary (whose RNG stream was
 	// pre-split in the serial placement phase above) plus the immutable
@@ -255,7 +237,6 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 		host := vs[0].host // advs is keyed by the server the adversary was placed on
 		when := sim.Tick(hi) * episodeTickStride
 		correctAt := make([]int, len(vs))
-		charOK := make([]bool, len(vs))
 		ep := det.NewEpisode(host, adv)
 		var lastRes *mining.Result
 		for it := 1; it <= maxIterations; it++ {
@@ -275,12 +256,6 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 						break
 					}
 				}
-				for _, cand := range cands {
-					if core.CharacteristicsMatch(cand.Pressure, v.spec.Base) {
-						charOK[vi] = true
-						break
-					}
-				}
 			}
 			allDone := true
 			for _, c := range correctAt {
@@ -293,20 +268,15 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 				break
 			}
 		}
-		label, conf, unknown := ep.Grade(lastRes)
+		_, conf, unknown := ep.Grade(lastRes)
 		records := make([]VictimRecord, 0, len(vs))
 		for vi, v := range vs {
 			records = append(records, VictimRecord{
 				Spec:             v.spec,
-				Host:             hostName,
 				CoResidents:      len(vs),
 				CorrectIteration: correctAt[vi],
-				Characterised:    charOK[vi] || correctAt[vi] > 0,
-				SharedCore:       ep.CoreShared,
-				SharesWithAdv:    host.SharesCore(adv.VM, v.vm),
 				Dominant:         v.spec.Base.Dominant(),
 				Ticks:            ep.Ticks,
-				FinalLabel:       label,
 				Confidence:       conf,
 				Unknown:          unknown,
 			})

@@ -31,17 +31,22 @@ var defencePolicies atomic.Value // string
 var defenceLadder = []string{"none", "pssf", "bandit-eps", "bandit-ucb", "mtd"}
 
 // SetDefencePolicies fixes the defencesweep policy list (comma-separated
-// policy names); "" restores the default ladder. A list naming no policy,
-// or a policy not on the ladder, is rejected and leaves the list as it was.
+// policy names); "" restores the default ladder. A list naming no policy, a
+// policy not on the ladder, or one policy twice (its cells' metrics share
+// one key, so the second run would overwrite the first) is rejected and
+// leaves the list as it was.
 func SetDefencePolicies(csv string) error {
 	if csv != "" {
 		names := splitPolicies(csv)
 		if len(names) == 0 {
 			return fmt.Errorf("defence policy list %q names no policy", csv)
 		}
-		for _, p := range names {
+		for i, p := range names {
 			if !slices.Contains(defenceLadder, p) {
 				return fmt.Errorf("unknown defence policy %q (want one of %s)", p, strings.Join(defenceLadder, ", "))
+			}
+			if slices.Contains(names[:i], p) {
+				return fmt.Errorf("defence policy %q repeated", p)
 			}
 		}
 	}
@@ -262,11 +267,8 @@ func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy stri
 		// campaign may advance straight to the next edge (hooks.Due) and
 		// stop early at an alarm, instead of calling it every tick.
 		hooks.Due = mt.NextDue
-		hooks.AfterTick = func(t sim.Tick, events []fleet.Event) {
-			for _, ev := range events {
-				if ev.Kind != fleet.MonitorAlarm {
-					continue
-				}
+		hooks.AfterTick = func(t sim.Tick, alarms []fleet.Event) {
+			for _, ev := range alarms {
 				res.alarms++
 				alarmed := c.Cl.Servers[ev.Server]
 				for _, id := range c.Victims {

@@ -1,7 +1,7 @@
 // Package fleet advances a whole simulated datacenter — thousands of
 // cluster servers, tens of thousands of VMs — a span of ticks at a time,
-// with the per-server work sharded across a worker pool and the results
-// merged at one deterministic barrier per Advance.
+// with the per-server work sharded across a worker pool and joined at one
+// barrier per Advance.
 //
 // The parallelism is safe because servers are independent within an
 // advance: every observable a probe or monitor reads at tick t (observed
@@ -16,8 +16,8 @@
 // rest, so an advance can end at the first alarm — the tick a defender
 // must act after — without a barrier per tick for the whole fleet.
 //
-// Determinism follows the repository's RNG-splitting and ordered-merge
-// discipline (DESIGN.md "Fleet tick barrier"):
+// Determinism follows the repository's RNG-splitting discipline (DESIGN.md
+// "Fleet tick barrier"):
 //
 //   - the engine pre-splits one stats.RNG stream per server, in server-id
 //     order, at construction; per-server tick bodies draw only from their
@@ -26,9 +26,11 @@
 //   - servers are partitioned into contiguous shards whose boundaries are a
 //     pure function of (server count, span, worker count), one worker per
 //     shard — the span enters only through the minShardServerTicks cap;
-//   - each server writes events into its own index-addressed buffer, and
-//     the tick barrier merges buffers in server-id order — so the emitted
-//     event sequence is identical at every -shardworkers level.
+//   - a tick body writes only its own server's state (a caller that wants
+//     a per-server result keeps an index-addressed slot per server), and
+//     the only events, monitor alarms, are raised on the caller's
+//     goroutine in server-id order — so every result is identical at every
+//     -shardworkers level, and the barrier is a plain join.
 package fleet
 
 import (
@@ -47,7 +49,7 @@ import (
 // shardWorkers is the width of the fleet tick pool; 0 means GOMAXPROCS. It
 // is process-global (like exper's episode pool) because it is a pure
 // throughput knob: shard boundaries affect only which goroutine runs a
-// server's tick body, never what that body computes or emits.
+// server's tick body, never what that body computes.
 var shardWorkers atomic.Int32
 
 // SetShardWorkers fixes how many shards advance concurrently within one
@@ -68,53 +70,27 @@ func ShardWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Event is one observation emitted by per-server tick work: a probe
-// crossing its detection threshold, a monitor tripping, a co-residency
-// confirmation. Kind is caller-defined; the engine only orders events.
+// Event is one monitor alarm: the server whose attached defence monitor
+// (SetMonitor) fired on the last tick of an advance.
 type Event struct {
-	Server int     // index of the emitting server (stamped by Emit)
-	VM     string  // subject VM id, if any
-	Kind   int     // caller-defined discriminator
-	Value  float64 // caller-defined payload
+	Server int
 }
-
-// MonitorAlarm is the Kind of events the engine itself emits when a
-// server's attached defence monitor fires (see SetMonitor). It is negative
-// so caller-defined kinds (conventionally non-negative) never collide.
-const MonitorAlarm = -1
 
 // World is the view a tick body gets of one server: the server itself, the
 // tick being advanced, and the server's own pre-split RNG stream. A body
 // must touch only this server and its VMs and draw randomness only from
 // RNG — the two rules that make shards schedule-independent. There is one
-// World per shard per advance, re-pointed at each (server, tick) in turn.
+// World per shard per advance, re-pointed at each (server, tick) in turn;
+// bodies must not retain it past their return.
 type World struct {
 	Index  int
 	Server *sim.Server
 	Tick   sim.Tick
 	RNG    *stats.RNG
-
-	events *[]Event
-}
-
-// Emit records an event against this server. Events surface at the barrier
-// in server-id order (and, within one server, tick then emission order).
-// The *World a tick body receives is reused for the next tick and the next
-// server on the shard; bodies must not retain it past their return.
-func (w *World) Emit(kind int, vm string, value float64) {
-	*w.events = append(*w.events, Event{Server: w.Index, VM: vm, Kind: kind, Value: value})
 }
 
 // TickFunc is the per-server work of one fleet tick.
 type TickFunc func(w *World)
-
-// Stats is the fleet-wide occupancy the barrier counts after every
-// advance. It holds only what a caller reads: a campaign's scorecard
-// reports the fleet's VM population.
-type Stats struct {
-	Servers int
-	VMs     int // VMs placed across the fleet
-}
 
 // Engine shards one cluster's servers across a worker pool and advances
 // them a span of ticks per barrier. The fleet is fixed at construction: the
@@ -127,40 +103,29 @@ type Engine struct {
 
 	// monitors[i], when non-nil, is server i's defence monitor: sampled
 	// once per tick after the tick body, with alarm edges surfacing as
-	// MonitorAlarm events at the barrier. monitored lists those servers'
-	// indices in ascending order (SetMonitor keeps it), so Advance walks
-	// them without scanning the fleet.
+	// Events. monitored lists those servers' indices in ascending order
+	// (SetMonitor keeps it), so Advance walks them without scanning the
+	// fleet.
 	monitors  []*defence.Monitor
 	monitored []int
 
-	// Per-server event buffers written inside an advance, merged at the
-	// barrier. Reused across advances so a steady-state one allocates
-	// nothing.
-	events [][]Event
-	merged []Event
+	// alarms holds the last advance's Events, reused across advances so a
+	// steady-state one allocates nothing.
+	alarms []Event
 }
 
 // NewEngine builds an engine over the cluster's current servers, deriving
 // one independent RNG stream per server from rng (advancing it once per
 // server, in server-id order — the PR 6 pre-split discipline).
 func NewEngine(cl *cluster.Cluster, rng *stats.RNG) *Engine {
-	n := len(cl.Servers)
-	// Every server's buffer starts with room for one event, carved from one
-	// allocation, so a server's first event allocates nothing however late
-	// it comes.
-	slots := make([]Event, n)
-	events := make([][]Event, n)
-	for i := range events {
-		events[i] = slots[i : i : i+1]
-	}
-	return &Engine{cl: cl, rngs: rng.SplitN(n), events: events}
+	return &Engine{cl: cl, rngs: rng.SplitN(len(cl.Servers))}
 }
 
 // SetMonitor attaches a defence monitor to server i (nil detaches). The
 // engine feeds it the server's aggregate usage every tick; the tick on
-// which its detector first fires is reported once as a MonitorAlarm event
-// (Value carries the tick) and ends that Advance, after which the defence
-// layer typically acts and calls Monitor.Reset to re-arm it.
+// which its detector first fires ends that Advance and is reported once as
+// an Event, after which the defence layer typically acts and calls
+// Monitor.Reset to re-arm it.
 func (e *Engine) SetMonitor(i int, m *defence.Monitor) {
 	if e.monitors == nil {
 		e.monitors = make([]*defence.Monitor, len(e.rngs))
@@ -194,10 +159,11 @@ func (e *Engine) Monitor(i int) *defence.Monitor {
 // 512 loses in neither).
 const minShardServerTicks = 512
 
-// Advance advances every server through ticks t0 … t0+span-1 at one
-// barrier, stopping early after the first tick at which an attached
-// monitor alarms; it returns the merged events, the number of ticks
-// advanced, and the fleet Stats after the last of them.
+// Advance advances every server through ticks t0 … t0+span-1, stopping
+// early after the first tick at which an attached monitor alarms; it
+// returns one Event per server whose monitor alarmed on the last tick
+// advanced, in server-id order, and the number of ticks advanced. Every
+// alarm is on that last tick, since the advance ends at the first.
 //
 // Monitored servers go first, tick-major on the caller's goroutine: each
 // runs fn (which may be nil) and then its monitor sample, and the first
@@ -209,16 +175,12 @@ const minShardServerTicks = 512
 // server runs fn for every tick back to back before the shard moves on.
 // Both orders are legal because nothing a server computes within an
 // advance depends on any other server, and an alarm depends only on its
-// own server. With no monitors attached the whole span is one sharded pass.
-// The barrier then merges per-server events in server-id order and counts
-// the fleet's VMs.
+// own server. With no monitors attached the whole span is one sharded
+// pass. The barrier is the shards' join.
 //
-// With more than one tick the merged events are ordered by (server, tick,
-// emission) — not tick-major — and a MonitorAlarm's Value carries the tick
-// it fired on; for a single tick the order is (server, emission). The
-// returned slice is owned by the engine and valid until the next Advance.
-// Advance panics on span < 1.
-func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int, Stats) {
+// The returned slice is owned by the engine and valid until the next
+// Advance. Advance panics on span < 1.
+func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int) {
 	if span < 1 {
 		panic(fmt.Sprintf("fleet: Advance span %d; a span is at least one tick", span))
 	}
@@ -226,11 +188,15 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int, Stat
 	if n != len(e.rngs) {
 		panic(fmt.Sprintf("fleet: cluster grew from %d to %d servers after NewEngine; per-server RNG streams are fixed at construction", len(e.rngs), n))
 	}
+	e.alarms = e.alarms[:0]
 	last := t0 + sim.Tick(span-1)
 	if len(e.monitored) > 0 {
 		last = e.runAhead(t0, last, fn)
 	}
 	ticks := int(last-t0) + 1
+	if fn == nil {
+		return e.alarms, ticks
+	}
 
 	workers := ShardWorkers()
 	if grain := (n - len(e.monitored)) * ticks / minShardServerTicks; workers > grain {
@@ -248,65 +214,34 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int, Stat
 				if e.Monitor(i) != nil {
 					continue // already advanced by runAhead
 				}
-				e.events[i] = e.events[i][:0]
 				for t := t0; t <= last; t++ {
-					e.step(&w, i, t, fn, nil)
+					w = World{Index: i, Server: e.cl.Servers[i], Tick: t, RNG: e.rngs[i]}
+					fn(&w)
 				}
 			}
 		})
-
-	// Barrier: count VMs and splice the per-server event buffers in
-	// server-id order.
-	st := Stats{Servers: n}
-	total := 0
-	for i, s := range e.cl.Servers {
-		st.VMs += s.VMCount()
-		total += len(e.events[i])
-	}
-	if cap(e.merged) < total {
-		e.merged = make([]Event, 0, total)
-	}
-	e.merged = e.merged[:0]
-	for i := 0; i < n; i++ {
-		e.merged = append(e.merged, e.events[i]...)
-	}
-	return e.merged, ticks, st
+	return e.alarms, ticks
 }
 
 // runAhead advances the monitored servers tick-major from t0 and returns
 // the tick it stopped after: the first on which some monitor alarmed, or
-// last.
+// last. Each server runs its body, then its monitor's sample; the alarms
+// of that tick are appended to e.alarms in server-id order.
 func (e *Engine) runAhead(t0, last sim.Tick, fn TickFunc) sim.Tick {
-	for _, i := range e.monitored {
-		e.events[i] = e.events[i][:0]
-	}
 	var w World
 	for t := t0; ; t++ {
-		alarmed := false
 		for _, i := range e.monitored {
-			if e.step(&w, i, t, fn, e.monitors[i]) {
-				alarmed = true
+			s := e.cl.Servers[i]
+			if fn != nil {
+				w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i]}
+				fn(&w)
+			}
+			if e.monitors[i].Sample(s, t) {
+				e.alarms = append(e.alarms, Event{Server: i})
 			}
 		}
-		if alarmed || t == last {
+		if len(e.alarms) > 0 || t == last {
 			return t
 		}
 	}
-}
-
-// step runs server i's tick t: the body, then the monitor's sample (m may
-// be nil), whose alarm edge is appended after the body's own events for
-// this server and tick — a fixed order, so the merged stream stays
-// deterministic. It reports whether the monitor alarmed.
-func (e *Engine) step(w *World, i int, t sim.Tick, fn TickFunc, m *defence.Monitor) bool {
-	s := e.cl.Servers[i]
-	if fn != nil {
-		*w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i], events: &e.events[i]}
-		fn(w)
-	}
-	if !m.Sample(s, t) {
-		return false
-	}
-	e.events[i] = append(e.events[i], Event{Server: i, Kind: MonitorAlarm, Value: float64(t)})
-	return true
 }

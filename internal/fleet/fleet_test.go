@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"bolt/internal/cluster"
@@ -41,19 +42,6 @@ func buildFleet(seed uint64, n int) *Engine {
 		}
 	}
 	return NewEngine(cl, rng.Split())
-}
-
-// probeTick is a representative tick body: it consumes per-server
-// randomness, reads the observation plane, and emits data-dependent events
-// — everything a real fleet experiment does per server per tick. It is
-// written allocation-free so the steady-state allocation test isolates the
-// engine's own cost.
-func probeTick(w *World) {
-	r := sim.Resource(w.RNG.Intn(sim.NumResources))
-	p := w.Server.ObservedPressure(nil, r, w.Tick)
-	if p > 55 || w.RNG.Bool(0.05) {
-		w.Emit(int(r), "", p)
-	}
 }
 
 // shardWitness counts how many shards an advance really ran, without
@@ -102,46 +90,58 @@ func wantShards(servers, serverTicks, workers int) int {
 	return workers
 }
 
+// fleetRun is what runFleet observes of one world's advances: each
+// advance's alarms (copied out of the engine's reused slice) and ticks,
+// then every server's body accumulator and next RNG draw.
+type fleetRun struct {
+	alarms [][]Event
+	ticks  []int
+	acc    []float64
+	draws  []uint64
+}
+
 // runFleet advances a freshly built world `advances` times by up to `span`
-// ticks at the given worker count, each advance starting where the last
-// one stopped, and returns the concatenated event stream and per-advance
-// stats; setup (optional) prepares the engine first, e.g. by attaching
-// monitors. It fails the test if an advance did not run on exactly the
-// shard count the (servers, server-ticks, workers) rule promises — below
-// the grain the engine runs inline, and a parity test that never fanned
-// out would be a serial test in disguise.
-func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*Engine)) ([]Event, []Stats) {
+// ticks at the given worker count under accBody, each advance starting
+// where the last one stopped; setup (optional) prepares the engine first,
+// e.g. by attaching monitors. It fails the test if an advance did not run
+// on exactly the shard count the (servers, server-ticks, workers) rule
+// promises — below the grain the engine runs inline, and a parity test
+// that never fanned out would be a serial test in disguise.
+func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*Engine)) fleetRun {
 	t.Helper()
 	withShardWorkers(t, workers)
 	e := buildFleet(42, servers)
 	if setup != nil {
 		setup(e)
 	}
+	run := fleetRun{acc: make([]float64, servers)}
 	sw := &shardWitness{world: make([]*World, servers)}
-	body := sw.wrap(probeTick)
-	var events []Event
-	var sts []Stats
+	body := sw.wrap(accBody(run.acc))
 	var t0 sim.Tick
 	for a := 0; a < advances; a++ {
-		ev, ticks, st := e.Advance(t0, span, body)
+		alarms, ticks := e.Advance(t0, span, body)
 		sharded := (servers - len(e.monitored)) * ticks
 		if got, want := sw.shards(e), wantShards(servers, sharded, workers); got != want {
 			t.Fatalf("servers=%d ticks=%d workers=%d ran on %d shards, want %d", servers, ticks, workers, got, want)
 		}
 		t0 += sim.Tick(ticks)
-		events = append(events, ev...) // the engine's slice is reused; copy out
-		sts = append(sts, st)
+		run.alarms = append(run.alarms, slices.Clone(alarms))
+		run.ticks = append(run.ticks, ticks)
 	}
-	return events, sts
+	for _, rng := range e.rngs {
+		run.draws = append(run.draws, rng.Uint64())
+	}
+	return run
 }
 
-// TestTickParityAcrossShardWorkers is the fleet determinism contract: the
-// full event stream and every fleet Stats field are ==-identical between
-// the serial single-worker reference and every sharded width, including
-// widths that do not divide the server count. Both shapes are sized above
-// minShardServerTicks so the sharded widths really fan out (runFleet
-// checks the shard count): single ticks over a large fleet, and probe
-// windows over a small one.
+// TestTickParityAcrossShardWorkers is the fleet determinism contract:
+// every advance's alarms and ticks, every server's accumulated tick-body
+// results (compared bit for bit) and every server's next RNG draw are
+// identical between the serial single-worker reference and every sharded
+// width, including widths that do not divide the server count. Both shapes
+// are sized above minShardServerTicks so the sharded widths really fan out
+// (runFleet checks the shard count): single ticks over a large fleet, and
+// probe windows over a small one.
 func TestTickParityAcrossShardWorkers(t *testing.T) {
 	for _, shape := range []struct{ servers, span, advances int }{
 		{4099, 1, 4}, // prime server count: uneven blocks at every width
@@ -150,25 +150,28 @@ func TestTickParityAcrossShardWorkers(t *testing.T) {
 		if wantShards(shape.servers, shape.servers*shape.span, 2) < 2 {
 			t.Fatalf("shape %+v is below the fan-out grain; the parity check would be serial", shape)
 		}
-		refEvents, refStats := runFleet(t, 1, shape.servers, shape.span, shape.advances, nil)
-		if len(refEvents) == 0 {
-			t.Fatal("reference run emitted no events; the parity check would be vacuous")
-		}
+		ref := runFleet(t, 1, shape.servers, shape.span, shape.advances, nil)
 		for _, workers := range []int{2, 4, 8} {
-			events, sts := runFleet(t, workers, shape.servers, shape.span, shape.advances, nil)
-			if len(events) != len(refEvents) {
-				t.Fatalf("%+v workers=%d emitted %d events, serial reference %d", shape, workers, len(events), len(refEvents))
-			}
-			for i := range events {
-				if events[i] != refEvents[i] {
-					t.Fatalf("%+v workers=%d event %d = %+v, serial reference %+v", shape, workers, i, events[i], refEvents[i])
-				}
-			}
-			for i := range sts {
-				if sts[i] != refStats[i] {
-					t.Fatalf("%+v workers=%d advance %d stats = %+v, serial reference %+v", shape, workers, i, sts[i], refStats[i])
-				}
-			}
+			matchRuns(t, fmt.Sprintf("%+v workers=%d", shape, workers), runFleet(t, workers, shape.servers, shape.span, shape.advances, nil), ref)
+		}
+	}
+}
+
+// matchRuns fails the test unless run equals the serial reference ref in
+// everything runFleet observes.
+func matchRuns(t *testing.T, name string, run, ref fleetRun) {
+	t.Helper()
+	if !slices.Equal(run.ticks, ref.ticks) {
+		t.Fatalf("%s: advances ran %v ticks, serial reference %v", name, run.ticks, ref.ticks)
+	}
+	for a := range ref.alarms {
+		if !slices.Equal(run.alarms[a], ref.alarms[a]) {
+			t.Fatalf("%s: advance %d alarms %v, serial reference %v", name, a, run.alarms[a], ref.alarms[a])
+		}
+	}
+	for i := range ref.acc {
+		if math.Float64bits(run.acc[i]) != math.Float64bits(ref.acc[i]) || run.draws[i] != ref.draws[i] {
+			t.Fatalf("%s: server %d accumulated %v and draws %d next, serial reference %v and %d", name, i, run.acc[i], run.draws[i], ref.acc[i], ref.draws[i])
 		}
 	}
 }
@@ -180,62 +183,58 @@ func TestSmallTicksRunInline(t *testing.T) {
 	withShardWorkers(t, 8)
 	e := buildFleet(42, 256)
 	sw := &shardWitness{world: make([]*World, 256)}
-	e.Advance(0, 1, sw.wrap(probeTick))
+	body := sw.wrap(accBody(make([]float64, 256)))
+	e.Advance(0, 1, body)
 	if got := sw.shards(e); got != 1 {
 		t.Fatalf("256-server tick ran on %d shards, want 1 (inline below the grain)", got)
 	}
-	e.Advance(1, 16, sw.wrap(probeTick))
+	e.Advance(1, 16, body)
 	if got := sw.shards(e); got != 8 {
 		t.Fatalf("256-server × 16-tick window ran on %d shards, want 8", got)
 	}
 }
 
-// tagged is one reference event with the tick it was emitted at.
-type tagged struct {
-	tick sim.Tick
+// alarmAt is one reference alarm with the tick it was raised on.
+type alarmAt struct {
 	ev   Event
+	tick sim.Tick
 }
 
-// tickByTick is Advance's reference: one-tick advances from t0 until span ticks
-// have run or one of them raised a MonitorAlarm, with the events stably
-// re-sorted by server — ticks stay ascending and emission order survives
-// within a (server, tick) — into Advance's (server, tick, emission) order.
-func tickByTick(e *Engine, t0 sim.Tick, span int, fn TickFunc) ([]tagged, int, Stats) {
-	var out []tagged
-	var st Stats
+// tickByTick is Advance's reference: one-tick advances from t0 until span
+// ticks have run or one of them raised an alarm, returning the alarms with
+// their ticks and the ticks advanced.
+func tickByTick(e *Engine, t0 sim.Tick, span int, fn TickFunc) ([]alarmAt, int) {
+	var alarms []alarmAt
 	ticks := 0
-	for alarmed := false; ticks < span && !alarmed; ticks++ {
-		var ev []Event
-		ev, _, st = e.Advance(t0+sim.Tick(ticks), 1, fn)
+	for len(alarms) == 0 && ticks < span {
+		ev, _ := e.Advance(t0+sim.Tick(ticks), 1, fn)
 		for _, x := range ev {
-			out = append(out, tagged{t0 + sim.Tick(ticks), x})
-			alarmed = alarmed || x.Kind == MonitorAlarm
+			alarms = append(alarms, alarmAt{x, t0 + sim.Tick(ticks)})
 		}
+		ticks++
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].ev.Server < out[b].ev.Server })
-	return out, ticks, st
+	return alarms, ticks
 }
 
-// matchAdvance fails the test unless one Advance's result equals the
-// tick-by-tick reference's: ticks advanced, every event, and the Stats.
-func matchAdvance(t *testing.T, name string, got []Event, gotTicks int, gotStats Stats, want []tagged, wantTicks int, wantStats Stats) {
+// matchAdvance fails the test unless one Advance from t0 equals the
+// tick-by-tick reference — the ticks advanced and the alarming servers, in
+// order — and every alarm was raised on the advance's last tick,
+// t0+ticks-1.
+func matchAdvance(t *testing.T, name string, t0 sim.Tick, got []Event, gotTicks int, want []alarmAt, wantTicks int) {
 	t.Helper()
 	if gotTicks != wantTicks {
 		t.Fatalf("%s: Advance ran %d ticks, tick-by-tick reference %d", name, gotTicks, wantTicks)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: Advance emitted %d events, %d ticks emitted %d", name, len(got), wantTicks, len(want))
+		t.Fatalf("%s: Advance raised %d alarms %v, tick-by-tick reference %d %v", name, len(got), got, len(want), want)
 	}
-	for i := range want {
-		if got[i] != want[i].ev {
-			t.Fatalf("%s: event %d = %+v, tick-by-tick reference %+v (tick %d)", name, i, got[i], want[i].ev, want[i].tick)
+	for i, w := range want {
+		if got[i] != w.ev {
+			t.Fatalf("%s: alarm %d = %+v, tick-by-tick reference %+v", name, i, got[i], w.ev)
 		}
-		if got[i].Kind == MonitorAlarm && got[i].Value != float64(want[i].tick) {
-			t.Fatalf("%s: alarm %+v does not carry its tick %d", name, got[i], want[i].tick)
+		if last := t0 + sim.Tick(gotTicks-1); w.tick != last {
+			t.Fatalf("%s: alarm %+v raised on tick %d, not the advance's last tick %d", name, w.ev, w.tick, last)
 		}
-	}
-	if gotStats != wantStats {
-		t.Fatalf("%s: Stats = %+v, tick-by-tick reference %+v", name, gotStats, wantStats)
 	}
 }
 
@@ -259,28 +258,25 @@ func matchWorlds(t *testing.T, name string, adv, ref *Engine, advAcc, refAcc []f
 	}
 }
 
-// accBody returns a tick body that consumes per-server randomness, reads
-// the observation plane, accumulates into acc and emits data-dependent
-// events.
+// accBody returns a representative tick body: it consumes per-server
+// randomness, reads the observation plane and accumulates into the
+// server's slot of acc — everything a fleet experiment's probe monitor
+// does per server per tick. It allocates nothing, so the steady-state
+// allocation test isolates the engine's own cost.
 func accBody(acc []float64) TickFunc {
 	return func(w *World) {
 		r := sim.Resource(w.RNG.Intn(sim.NumResources))
-		p := w.Server.ObservedPressure(nil, r, w.Tick) + w.RNG.Float64()
-		acc[w.Index] += p
-		if p > 40 {
-			w.Emit(int(r), "", p)
-		}
+		acc[w.Index] += w.Server.ObservedPressure(nil, r, w.Tick) + w.RNG.Float64()
 	}
 }
 
 // TestAdvanceMatchesTicks is the span contract: Advance(t0, k) and single
 // Ticks on a twin engine, run until k ticks or the first alarm, agree with
-// == on everything a caller can observe — ticks advanced, per-server
-// accumulators, the final Stats, every server's next RNG draw, and the
-// events, which Advance orders by (server, tick, emission) where the
-// per-tick reference is tick-major. Every third server carries a monitor
-// that alarms on the second tick, so round 0 of a multi-tick span stops
-// early and round 1, with the monitors latched, runs the whole span.
+// == on everything a caller can observe — ticks advanced, alarms,
+// per-server accumulators and every server's next RNG draw. Every third
+// server carries a monitor that alarms on the second tick, so round 0 of a
+// multi-tick span stops early and round 1, with the monitors latched, runs
+// the whole span.
 func TestAdvanceMatchesTicks(t *testing.T) {
 	sizes := stats.NewRNG(99)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -301,18 +297,20 @@ func TestAdvanceMatchesTicks(t *testing.T) {
 			advBody, refBody := accBody(advAcc), accBody(refAcc)
 
 			var t0 sim.Tick
+			alarms := 0
 			for round := 0; round < 2; round++ { // second round reuses warm buffers
-				got, gotTicks, gotStats := adv.Advance(t0, span, advBody)
-				want, wantTicks, wantStats := tickByTick(ref, t0, span, refBody)
+				got, gotTicks := adv.Advance(t0, span, advBody)
+				want, wantTicks := tickByTick(ref, t0, span, refBody)
 				name := fmt.Sprintf("workers=%d servers=%d span=%d round=%d", workers, servers, span, round)
-				if len(want) == 0 {
-					t.Fatalf("%s: reference emitted no events; the check would be vacuous", name)
-				}
 				if stop := 2; round == 0 && span > stop && wantTicks != stop {
 					t.Fatalf("%s: reference ran %d ticks; the monitors should have stopped it at %d", name, wantTicks, stop)
 				}
-				matchAdvance(t, name, got, gotTicks, gotStats, want, wantTicks, wantStats)
+				matchAdvance(t, name, t0, got, gotTicks, want, wantTicks)
 				t0 += sim.Tick(gotTicks)
+				alarms += len(want)
+			}
+			if alarms == 0 {
+				t.Fatalf("workers=%d servers=%d span=%d: no monitor alarmed; the alarm check would be vacuous", workers, servers, span)
 			}
 			matchWorlds(t, fmt.Sprintf("workers=%d servers=%d span=%d", workers, servers, span), adv, ref, advAcc, refAcc)
 		}
@@ -385,12 +383,12 @@ func TestAdvanceStopsAtFirstAlarm(t *testing.T) {
 					setup(ref)
 				}
 				name := fmt.Sprintf("workers=%d %s round=%d", workers, tc.name, r)
-				got, gotTicks, gotStats := adv.Advance(t0, span, advBody)
-				want, wantTicks, wantStats := tickByTick(ref, t0, span, refBody)
+				got, gotTicks := adv.Advance(t0, span, advBody)
+				want, wantTicks := tickByTick(ref, t0, span, refBody)
 				if wantTicks != rd.ticks {
 					t.Fatalf("%s: reference ran %d ticks, the case expects %d", name, wantTicks, rd.ticks)
 				}
-				matchAdvance(t, name, got, gotTicks, gotStats, want, wantTicks, wantStats)
+				matchAdvance(t, name, t0, got, gotTicks, want, wantTicks)
 				t0 += sim.Tick(gotTicks)
 			}
 			matchWorlds(t, fmt.Sprintf("workers=%d %s", workers, tc.name), adv, ref, advAcc, refAcc)
@@ -407,48 +405,6 @@ func TestAdvancePanicsOnEmptySpan(t *testing.T) {
 		}
 	}()
 	e.Advance(0, 0, nil)
-}
-
-// TestTickEventsArriveInServerIDOrder pins the barrier's merge rule: events surface
-// ordered by (server, tick, emission) — for a single tick that is the
-// (server, emission) order. The span is long enough that
-// the 33 servers really run on four shards.
-func TestTickEventsArriveInServerIDOrder(t *testing.T) {
-	const servers, span, t0 = 33, 64, 5
-	withShardWorkers(t, 4)
-	e := buildFleet(7, servers)
-	sw := &shardWitness{world: make([]*World, servers)}
-	ev, _, _ := e.Advance(t0, span, sw.wrap(func(w *World) {
-		w.Emit(0, "", float64(w.Tick))
-		w.Emit(1, "", float64(w.Tick))
-	}))
-	if got := sw.shards(e); got != 4 {
-		t.Fatalf("ran on %d shards, want 4", got)
-	}
-	if len(ev) != 2*span*servers {
-		t.Fatalf("got %d events, want %d", len(ev), 2*span*servers)
-	}
-	for i, x := range ev {
-		want := Event{Server: i / (2 * span), Kind: i % 2, Value: float64(t0 + i/2%span)}
-		if x != want {
-			t.Fatalf("event %d = %+v, want %+v", i, x, want)
-		}
-	}
-}
-
-// TestTickStats checks the occupancy count against the world the test
-// itself built: 3 VMs per server.
-func TestTickStats(t *testing.T) {
-	withShardWorkers(t, 3)
-	const n = 10
-	e := buildFleet(42, n)
-	_, _, st := e.Advance(0, 1, nil)
-	if st.Servers != n {
-		t.Fatalf("Servers = %d, want %d", st.Servers, n)
-	}
-	if st.VMs != 3*n {
-		t.Fatalf("VMs = %d, want %d", st.VMs, 3*n)
-	}
 }
 
 // TestTickSteadyStateAllocs: after the first advances warm the buffers, an
@@ -468,10 +424,11 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 				e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 101, Sustain: 1}))
 			}
 		}
-		e.Advance(0, span, probeTick)
-		e.Advance(0, span, probeTick)
+		body := accBody(make([]float64, servers))
+		e.Advance(0, span, body)
+		e.Advance(0, span, body)
 		return testing.AllocsPerRun(50, func() {
-			if _, ticks, _ := e.Advance(0, span, probeTick); ticks != span {
+			if _, ticks := e.Advance(0, span, body); ticks != span {
 				t.Fatalf("advance stopped after %d of %d ticks", ticks, span)
 			}
 		})

@@ -16,7 +16,8 @@ import (
 // from params), which monitors are detached before the second and third
 // advance (bits of detach), and 1–4 shard workers. Three advances run back
 // to back on an engine and its twin; each must match the reference's
-// ticks, events and Stats, and the two worlds must end alike (matchWorlds).
+// ticks and alarms, every alarm on the advance's last tick, and the two
+// worlds must end alike (matchWorlds).
 func FuzzAdvanceMatchesTicks(f *testing.F) {
 	f.Add(uint64(42), uint16(200), uint8(16), uint64(0b1001), uint64(7), uint64(0), uint8(2))
 	f.Add(uint64(11), uint16(1), uint8(1), uint64(1), uint64(3), uint64(1), uint8(1))
@@ -60,9 +61,9 @@ func FuzzAdvanceMatchesTicks(f *testing.F) {
 					}
 				}
 			}
-			got, gotTicks, gotStats := adv.Advance(t0, span, advBody)
-			want, wantTicks, wantStats := tickByTick(ref, t0, span, refBody)
-			matchAdvance(t, fmt.Sprintf("round %d", round), got, gotTicks, gotStats, want, wantTicks, wantStats)
+			got, gotTicks := adv.Advance(t0, span, advBody)
+			want, wantTicks := tickByTick(ref, t0, span, refBody)
+			matchAdvance(t, fmt.Sprintf("round %d", round), t0, got, gotTicks, want, wantTicks)
 			t0 += sim.Tick(gotTicks)
 		}
 		matchWorlds(t, "end", adv, ref, advAcc, refAcc)

@@ -15,8 +15,6 @@
 package isolation
 
 import (
-	"strings"
-
 	"bolt/internal/sim"
 )
 
@@ -57,26 +55,6 @@ type Config struct {
 	MemBWPartition bool // scheduler-enforced aggregate memory bandwidth caps
 	CachePartition bool // Intel CAT way-partitioning of the LLC
 	CoreIsolation  bool // an application shares cores only with itself
-}
-
-// Name renders the configuration the way Fig. 14 labels it.
-func (c Config) Name() string {
-	var parts []string
-	switch {
-	case c.CoreIsolation:
-		parts = append(parts, "+core isolation")
-	case c.CachePartition:
-		parts = append(parts, "+cache partitioning")
-	case c.MemBWPartition:
-		parts = append(parts, "+mem BW partitioning")
-	case c.NetPartition:
-		parts = append(parts, "+net BW partitioning")
-	case c.ThreadPinning:
-		parts = append(parts, "thread pinning")
-	default:
-		parts = append(parts, "none")
-	}
-	return c.Platform.String() + "/" + strings.Join(parts, "")
 }
 
 // Visibility returns the per-resource attenuation of observable contention

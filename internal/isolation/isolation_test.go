@@ -52,7 +52,7 @@ func TestMechanismsTargetTheirResource(t *testing.T) {
 	for _, c := range cases {
 		v := c.cfg.Visibility()
 		if v.Get(c.r) >= 0.5 {
-			t.Errorf("%s should strongly attenuate %v, got %v", c.cfg.Name(), c.r, v.Get(c.r))
+			t.Errorf("%+v should strongly attenuate %v, got %v", c.cfg, c.r, v.Get(c.r))
 		}
 	}
 }
@@ -131,17 +131,6 @@ func TestCoreIsolationOnly(t *testing.T) {
 	c := CoreIsolationOnly(Containers)
 	if !c.CoreIsolation || c.CachePartition || c.ThreadPinning {
 		t.Fatal("CoreIsolationOnly should enable only core isolation")
-	}
-}
-
-func TestConfigNames(t *testing.T) {
-	if got := (Config{Platform: Baremetal}).Name(); got != "baremetal/none" {
-		t.Fatalf("Name = %q", got)
-	}
-	c := Config{Platform: VMs, ThreadPinning: true, NetPartition: true,
-		MemBWPartition: true, CachePartition: true}
-	if got := c.Name(); got != "VMs/+cache partitioning" {
-		t.Fatalf("Name = %q", got)
 	}
 }
 

@@ -67,7 +67,6 @@ type Sample struct {
 	P99Ms       float64
 	QPS         float64
 	Utilization float64 // the service's internal utilisation ρ
-	Slowdown    float64 // service-time dilation from interference
 }
 
 // Measure returns the service's latency and throughput at time t given the
@@ -105,7 +104,6 @@ func (svc *Service) Measure(host *sim.Server, t sim.Tick) Sample {
 		P99Ms:       meanMs * p99Factor,
 		QPS:         qps,
 		Utilization: rho,
-		Slowdown:    slow,
 	}
 }
 
@@ -124,7 +122,6 @@ func (svc *Service) Baseline(t sim.Tick) Sample {
 		P99Ms:       meanMs * p99Factor,
 		QPS:         peakQPS * load,
 		Utilization: rho,
-		Slowdown:    1,
 	}
 }
 

@@ -79,9 +79,10 @@ func TestPropSamplesFinite(t *testing.T) {
 			BaseServiceMs: rng.Range(0.1, 10),
 			PeakRho:       rng.Range(0.1, 0.95),
 		}
-		o := svc.Measure(s, sim.Tick(rng.Intn(1000)))
+		at := sim.Tick(rng.Intn(1000))
+		o := svc.Measure(s, at)
 		bad := func(x float64) bool { return x < 0 || x != x || x > 1e12 }
-		return !(bad(o.MeanMs) || bad(o.P99Ms) || bad(o.QPS) || bad(o.Utilization) || o.Slowdown < 1)
+		return !(bad(o.MeanMs) || bad(o.P99Ms) || bad(o.QPS) || bad(o.Utilization) || s.Slowdown(vm, at) < 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestPropQueueBounded(t *testing.T) {
 	}
 	svc := &Service{VM: vm, Pattern: workload.Constant{Level: 1}}
 	o := svc.Measure(s, 0)
-	maxMean := 0.5 * o.Slowdown * maxQueueBlowup
+	maxMean := 0.5 * s.Slowdown(vm, 0) * maxQueueBlowup
 	if o.MeanMs > maxMean+1e-9 {
 		t.Fatalf("mean %v exceeds the shedding bound %v", o.MeanMs, maxMean)
 	}

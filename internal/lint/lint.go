@@ -84,7 +84,6 @@ type Pass struct {
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
 		Position: p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
@@ -93,7 +92,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Pos      token.Pos
 	Position token.Position
 	Analyzer string
 	Message  string
@@ -279,7 +277,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		for i := range sups {
 			nolintf := func(format string, args ...any) {
 				all = append(all, Diagnostic{
-					Pos:      sups[i].pos,
 					Position: pkg.Fset.Position(sups[i].pos),
 					Analyzer: NolintAnalyzerName,
 					Message:  fmt.Sprintf(format, args...),

@@ -17,12 +17,10 @@ import (
 
 // Package is one fully parsed and type-checked package under analysis.
 type Package struct {
-	PkgPath string
-	Dir     string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 	// Sources holds the raw bytes of every file in Files, keyed by the
 	// filename recorded in Fset — used to classify comment placement.
 	Sources map[string][]byte
@@ -156,8 +154,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 		return nil, fmt.Errorf("lint: type-checking %s: %v", pkgPath, err)
 	}
 	return &Package{
-		PkgPath: pkgPath,
-		Dir:     dir,
 		Fset:    fset,
 		Files:   files,
 		Types:   tpkg,

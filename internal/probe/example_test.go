@@ -31,10 +31,8 @@ func ExampleAdversary_Ramp() {
 
 	m := adv.Ramp(host, sim.MemBW, 0)
 	fmt.Printf("measured pressure: %.0f (truth 70)\n", m.Pressure)
-	fmt.Printf("saturated: %v\n", m.Saturated)
 	// Output:
 	// measured pressure: 70 (truth 70)
-	// saturated: true
 }
 
 // ExampleMaxIntensityFor shows why adversarial VMs below 4 vCPUs are blind

@@ -68,15 +68,6 @@ func (k *Kernels) Set(r sim.Resource, intensity float64) {
 	}
 }
 
-// Get returns the current intensity of the kernel for r. It indexes the
-// array rather than calling the pointer-receiver Vector.Get, which
-// snapshotdiscipline would have to treat as a write to Demand's state.
-func (k *Kernels) Get(r sim.Resource) float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.intensity[r]
-}
-
 // Reset idles every kernel.
 func (k *Kernels) Reset() {
 	k.mu.Lock()
@@ -249,12 +240,12 @@ const detectMargin = 2.0
 // ramp.
 const coreSharedFloor = 5.0
 
-// Measurement is the outcome of ramping a single microbenchmark.
+// Measurement is the outcome of ramping a single microbenchmark. A ramp
+// that never saw its performance degrade reports the floor estimate
+// 100 − MaxIntensity: co-resident pressure below what the VM can sense.
 type Measurement struct {
-	Resource  sim.Resource
-	Pressure  float64  // estimated co-resident pressure c_i in [0, 100]
-	Ticks     sim.Tick // time the ramp took
-	Saturated bool     // ramp ended by detecting degradation (vs. reaching the cap)
+	Pressure float64  // estimated co-resident pressure c_i in [0, 100]
+	Ticks    sim.Tick // time the ramp took
 }
 
 // Ramp runs the microbenchmark for resource r starting at the given tick:
@@ -275,21 +266,12 @@ func (a *Adversary) Ramp(s *sim.Server, r sim.Resource, start sim.Tick) Measurem
 		noise := a.rng.Norm(0, a.cfg.NoiseSD)
 		if x+observed+noise >= 100+detectMargin {
 			ci := 100 - x + rampStep/2 // midpoint of the quantisation bin
-			return Measurement{
-				Resource:  r,
-				Pressure:  stats.Clamp(ci, 0, 100),
-				Ticks:     used,
-				Saturated: true,
-			}
+			return Measurement{Pressure: stats.Clamp(ci, 0, 100), Ticks: used}
 		}
 	}
 	// Never degraded: co-resident pressure is below what this VM can sense.
 	// With a full-size adversary that means ~zero pressure.
-	return Measurement{
-		Resource: r,
-		Pressure: stats.Clamp(100-a.Kernels.MaxIntensity, 0, 100),
-		Ticks:    used,
-	}
+	return Measurement{Pressure: stats.Clamp(100-a.Kernels.MaxIntensity, 0, 100), Ticks: used}
 }
 
 // Profile is one complete profiling iteration: the sparse observation
@@ -478,19 +460,10 @@ func (a *Adversary) rampCore(s *sim.Server, coreIdx int, r sim.Resource, start s
 		observed := s.ObservedCorePressure(a.VM, coreIdx, r, t)
 		noise := a.rng.Norm(0, a.cfg.NoiseSD)
 		if x+observed+noise >= 100+detectMargin {
-			return Measurement{
-				Resource:  r,
-				Pressure:  stats.Clamp(100-x+rampStep/2, 0, 100),
-				Ticks:     used,
-				Saturated: true,
-			}
+			return Measurement{Pressure: stats.Clamp(100-x+rampStep/2, 0, 100), Ticks: used}
 		}
 	}
-	return Measurement{
-		Resource: r,
-		Pressure: stats.Clamp(100-a.Kernels.MaxIntensity, 0, 100),
-		Ticks:    used,
-	}
+	return Measurement{Pressure: stats.Clamp(100-a.Kernels.MaxIntensity, 0, 100), Ticks: used}
 }
 
 // sigMergeDist is the RMS core-signature distance below which two

@@ -97,7 +97,10 @@ func refCPUUtilization(s *sim.Server, t sim.Tick) float64 {
 func refHostDemand(s *sim.Server, t sim.Tick) sim.Vector {
 	var total sim.Vector
 	for _, vm := range s.VMs() {
-		total = total.Add(vm.App.Demand(t))
+		d := vm.App.Demand(t)
+		for r := range total {
+			total.Set(sim.Resource(r), total[r]+d[r])
+		}
 	}
 	return total
 }

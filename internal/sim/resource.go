@@ -104,14 +104,8 @@ func (v *Vector) Set(r Resource, x float64) {
 	v[r] = x
 }
 
-// Add returns the entry-wise sum of v and o, clamped to [0, 100].
-func (v Vector) Add(o Vector) Vector {
-	v.accumulate(&o)
-	return v
-}
-
-// accumulate is Add in place and through pointers, for folds on the tick
-// path.
+// accumulate adds o to v entry-wise, clamping each sum to [0, 100]; it
+// works in place and through pointers, for folds on the tick path.
 func (v *Vector) accumulate(o *Vector) {
 	for i := range v {
 		v.Set(Resource(i), v[i]+o[i])

@@ -71,9 +71,10 @@ func TestVectorClamping(t *testing.T) {
 func TestVectorAddScale(t *testing.T) {
 	a := vec(map[Resource]float64{CPU: 60, LLC: 70})
 	b := vec(map[Resource]float64{CPU: 60, MemBW: 30})
-	sum := a.Add(b)
+	sum := a
+	sum.accumulate(&b)
 	if sum.Get(CPU) != 100 || sum.Get(LLC) != 70 || sum.Get(MemBW) != 30 {
-		t.Fatalf("Add wrong: %v", sum)
+		t.Fatalf("accumulate wrong: %v", sum)
 	}
 	half := a.Scale(0.5)
 	if half.Get(CPU) != 30 || half.Get(LLC) != 35 {
