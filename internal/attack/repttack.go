@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"strconv"
 
 	"bolt/internal/cluster"
 	"bolt/internal/fleet"
@@ -149,26 +150,32 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 
 	// Background tenants predate the attack, so they are placed directly
 	// rather than through the scheduler under test. Tenant k =
-	// i·CampaignBackgroundVMs + j is server i's j-th; its spec stream and
-	// noise seed are drawn serially, in k order, exactly as one
-	// addBackground call per tenant would draw them, and only then are the
-	// servers seeded on the shard pool. A per-server body builds and places
-	// that server's tenants and writes nothing but Servers[i] and live[i],
-	// so the fleet is the same at every worker count.
+	// i·CampaignBackgroundVMs + j is server i's j-th; its two seeds are
+	// drawn serially, in k order, exactly as one addBackground call per
+	// tenant would draw them, and only then are the servers seeded on the
+	// shard pool. A per-server body places that server's tenants and writes
+	// nothing but Servers[i] and live[i], so the fleet is the same at every
+	// worker count. The tenants, their VMs and the live lists' backing
+	// arrays are one allocation each; live[i] is capped at its server's
+	// share, so a churn launch past it reallocates that list alone.
 	nbg := servers * CampaignBackgroundVMs
-	rngs := make([]*stats.RNG, nbg)
-	seeds := make([]uint64, nbg)
-	for k := range rngs {
-		rngs[k] = rng.Split()
-		seeds[k] = rng.Uint64()
+	tenants := make([]tenant, nbg)
+	for k := range tenants {
+		tenants[k] = drawTenant(rng, k)
 	}
+	vms := make([]sim.VM, nbg)
+	ids := make([]string, nbg)
 	c.live = make([][]string, servers)
+	for i := range c.live {
+		lo := i * CampaignBackgroundVMs
+		c.live[i] = ids[lo : lo : lo+CampaignBackgroundVMs]
+	}
 	par.FanOutBlocks(servers, fleet.ShardWorkers(),
 		func(lo int) string { return fmt.Sprintf("campaign seeding at server %d", lo) },
 		func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for k := i * CampaignBackgroundVMs; k < (i+1)*CampaignBackgroundVMs; k++ {
-					c.placeBackground(i, k, rngs[k], seeds[k])
+					c.placeBackground(i, &vms[k], &tenants[k])
 				}
 			}
 		})
@@ -231,27 +238,66 @@ var backgroundSpecs = [...]func(*stats.RNG, int) workload.Spec{
 }
 
 // addBackground launches the next background tenant VM directly on server
-// i, drawing its spec stream and noise seed from the campaign's RNG.
+// i, drawing its seeds from the campaign's RNG.
 func (c *Campaign) addBackground(i int) {
-	k := c.nextBG
+	t := drawTenant(c.rng, c.nextBG)
 	c.nextBG++
-	rng := c.rng.Split()
-	c.placeBackground(i, k, rng, c.rng.Uint64())
+	c.placeBackground(i, new(sim.VM), &t)
 }
 
-// placeBackground builds background tenant k from its pre-drawn spec stream
-// and noise seed and places it on server i. It touches only Servers[i] and
-// live[i], so NewCampaign runs it for different servers concurrently.
-func (c *Campaign) placeBackground(i, k int, rng *stats.RNG, seed uint64) {
-	spec := backgroundSpecs[k%len(backgroundSpecs)](rng, k)
-	app := workload.NewApp(spec, workload.Constant{Level: campaignBackgroundLoad}, seed)
-	id := fmt.Sprintf("bg-%d", k)
-	vm := &sim.VM{ID: id, VCPUs: 1 + k%3, App: app}
+// placeBackground places background tenant t on server i as vm. It touches
+// only Servers[i] and live[i], so NewCampaign runs it for different servers
+// concurrently.
+func (c *Campaign) placeBackground(i int, vm *sim.VM, t *tenant) {
+	*vm = sim.VM{ID: "bg-" + strconv.Itoa(t.k), VCPUs: 1 + t.k%3, App: t}
 	if err := c.Cl.Servers[i].Place(vm); err != nil {
 		return // host full: the tenant's launch fails, as in production
 	}
-	c.live[i] = append(c.live[i], id)
+	c.live[i] = append(c.live[i], vm.ID)
 }
+
+// tenant is background tenant k's workload. Its spec is built on the first
+// read of its demand, so a campaign builds only the tenants someone reads:
+// under a contention-oblivious scheduler with no AfterWindow, those on the
+// hosts its senders probe. Nothing but the build consumes the spec's
+// stream, which is seeded by specSeed (the draw rng.Split() makes), so the
+// spec is the same bits whenever, and on whichever goroutine, it is built.
+// A tenant is read only by the goroutine that owns its server during an
+// advance, or by the campaign's goroutine between advances, so the build
+// needs no lock (the single-flow argument of workload.App's memo).
+type tenant struct {
+	app      *workload.App // nil until the first read
+	k        int
+	specSeed uint64
+	seed     uint64
+}
+
+// drawTenant draws tenant k's seeds from rng: its spec stream's seed, then
+// its noise seed.
+func drawTenant(rng *stats.RNG, k int) tenant {
+	specSeed := rng.Uint64()
+	return tenant{k: k, specSeed: specSeed, seed: rng.Uint64()}
+}
+
+// built returns the tenant's App, building it on the first call.
+func (t *tenant) built() *workload.App {
+	if t.app == nil {
+		spec := backgroundSpecs[t.k%len(backgroundSpecs)](stats.NewRNG(t.specSeed), t.k)
+		t.app = workload.NewApp(spec, workload.Constant{Level: campaignBackgroundLoad}, t.seed)
+	}
+	return t.app
+}
+
+// Demand implements sim.Demander.
+func (t *tenant) Demand(at sim.Tick) sim.Vector { return t.built().Demand(at) }
+
+// DemandInto implements sim.Demander.
+func (t *tenant) DemandInto(at sim.Tick, out *sim.Vector, need sim.ResourceSet) {
+	t.built().DemandInto(at, out, need)
+}
+
+// Sensitivity implements sim.Demander.
+func (t *tenant) Sensitivity() sim.Vector { return t.built().Sensitivity() }
 
 // HostHasVictim reports whether any victim currently lives on s — the
 // ground truth the attacker is scored against (and never shown).

@@ -13,7 +13,8 @@ import (
 )
 
 // refAddBackground is the serial background-tenant launch NewCampaign used
-// before seeding moved to the shard pool, kept verbatim as the reference.
+// before seeding moved to the shard pool, kept verbatim as the reference:
+// it builds the tenant's spec and App eagerly, from the campaign RNG.
 func (c *Campaign) refAddBackground(i int) {
 	mk := []func(*stats.RNG, int) workload.Spec{
 		workload.Memcached, workload.Hadoop, workload.Spark, workload.Webserver,
@@ -104,7 +105,7 @@ func sameFleet(t *testing.T, name string, got, want *Campaign) {
 			if g.ID != w.ID || g.VCPUs != w.VCPUs {
 				t.Fatalf("%s: server %d VM %d is %s/%d vCPUs, reference %s/%d", name, i, j, g.ID, g.VCPUs, w.ID, w.VCPUs)
 			}
-			if ga, wa := g.App.(*workload.App), w.App.(*workload.App); ga.Spec != wa.Spec {
+			if ga, wa := appOf(g.App), appOf(w.App); ga.Spec != wa.Spec {
 				t.Fatalf("%s: server %d VM %s spec %+v, reference %+v", name, i, g.ID, ga.Spec, wa.Spec)
 			}
 			for _, at := range []sim.Tick{0, 1, 17, 431, 5000} {
@@ -120,6 +121,15 @@ func sameFleet(t *testing.T, name string, got, want *Campaign) {
 	if got.nextBG != want.nextBG {
 		t.Fatalf("%s: nextBG %d, reference %d", name, got.nextBG, want.nextBG)
 	}
+}
+
+// appOf resolves a VM's workload to the App it runs: a background tenant
+// to its built App, building it if no one has read it yet.
+func appOf(d sim.Demander) *workload.App {
+	if t, ok := d.(*tenant); ok {
+		return t.built()
+	}
+	return d.(*workload.App)
 }
 
 // nextDraw returns the campaign RNG's next value without advancing it.
@@ -186,5 +196,186 @@ func TestCampaignSeedingMatchesSerialReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// readFirst reads the tenants of share/8 of c's hosts before anyone else
+// does, in an order drawn from order: hosts in a random permutation, each
+// host's VMs back to front, each through Demand, DemandInto with a random
+// need set, or Sensitivity, at a random tick.
+func readFirst(c *Campaign, order uint64, share int) {
+	rng := stats.NewRNG(order)
+	perm := rng.Perm(len(c.Cl.Servers))
+	for _, i := range perm[:len(perm)*share/8] {
+		vms := c.Cl.Servers[i].VMs()
+		for j := len(vms) - 1; j >= 0; j-- {
+			at := sim.Tick(rng.Intn(10000))
+			switch rng.Intn(3) {
+			case 0:
+				vms[j].App.Demand(at)
+			case 1:
+				var v sim.Vector
+				vms[j].App.DemandInto(at, &v, sim.ResourceSet(rng.Intn(int(sim.EveryResource)+1)))
+			default:
+				vms[j].App.Sensitivity()
+			}
+		}
+	}
+}
+
+// churn applies one round of Run's between-wave churn to got and to the
+// reference ref, with hosts drawn from hosts: each move retires the last
+// live tenant of one server if it has more than two, then launches the
+// next tenant on another.
+func churn(got, ref *Campaign, hosts *stats.RNG) {
+	for m := 0; m < 1+got.servers/32; m++ {
+		src, dst := hosts.Intn(got.servers), hosts.Intn(got.servers)
+		for _, c := range []*Campaign{got, ref} {
+			if n := len(c.live[src]); n > 2 {
+				c.Cl.Servers[src].Remove(c.live[src][n-1])
+				c.live[src] = c.live[src][:n-1]
+			}
+		}
+		got.addBackground(dst)
+		ref.refAddBackground(dst)
+	}
+}
+
+// FuzzCampaignSeedingMatchesReference is the seeding's differential oracle
+// on fuzzed campaigns: a seed, 1–300 servers, one of three schedulers, bulk
+// or trickle, a shard width of 1–8, 0–3 churn rounds, and a fuzzed order of
+// the tenants' first reads, by host and by tick. Against refNewCampaign,
+// which builds every tenant eagerly from the campaign RNG, the fleet must
+// match (sameFleet) after seeding and after each churn round, the campaign
+// RNG must sit at the same draw, and a zero-hook Run must reach the same
+// Outcome, candidate hosts and RNG position.
+func FuzzCampaignSeedingMatchesReference(f *testing.F) {
+	f.Add(uint64(42), uint16(255), uint8(0), true, uint8(1), uint8(2), uint64(1), uint8(3))
+	f.Add(uint64(7), uint16(0), uint8(1), false, uint8(7), uint8(0), uint64(2), uint8(8))
+	f.Add(uint64(3), uint16(63), uint8(2), true, uint8(3), uint8(3), uint64(3), uint8(0))
+	f.Add(uint64(11), uint16(299), uint8(1), false, uint8(2), uint8(1), uint64(4), uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, servers16 uint16, sched8 uint8, trickle bool, workers8, churn8 uint8, order uint64, share8 uint8) {
+		servers := 1 + int(servers16)%300
+		sched := readSetSchedulers[int(sched8)%len(readSetSchedulers)]
+		workers := 1 + int(workers8)%8
+		rounds := int(churn8) % 4
+		share := int(share8) % 9
+		name := fmt.Sprintf("seed=%d servers=%d %s trickle=%v workers=%d churn=%d order=%d share=%d/8",
+			seed, servers, sched().Name(), trickle, workers, rounds, order, share)
+		fleet.SetShardWorkers(workers)
+		defer fleet.SetShardWorkers(0)
+
+		got := NewCampaign(stats.NewRNG(seed), servers, sched(), trickle)
+		ref := refNewCampaign(stats.NewRNG(seed), servers, sched(), trickle)
+		readFirst(got, order, share)
+		sameFleet(t, name, got, ref)
+		if d, w := nextDraw(got), nextDraw(ref); d != w {
+			t.Fatalf("%s: campaign RNG's next draw after set-up %#x, reference %#x", name, d, w)
+		}
+		hosts := stats.NewRNG(order ^ seed)
+		for r := 0; r < rounds; r++ {
+			churn(got, ref, hosts)
+			readFirst(got, order+uint64(r)+1, share)
+			sameFleet(t, fmt.Sprintf("%s after churn round %d", name, r), got, ref)
+			if d, w := nextDraw(got), nextDraw(ref); d != w {
+				t.Fatalf("%s: campaign RNG's next draw after churn round %d %#x, reference %#x", name, r, d, w)
+			}
+		}
+
+		run := NewCampaign(stats.NewRNG(seed), servers, sched(), trickle)
+		want := refNewCampaign(stats.NewRNG(seed), servers, sched(), trickle)
+		readFirst(run, order, share)
+		if out, wantOut := run.Run(Hooks{}), want.Run(Hooks{}); out != wantOut {
+			t.Fatalf("%s: Outcome %+v, reference %+v", name, out, wantOut)
+		}
+		if !reflect.DeepEqual(run.CandidateHosts, want.CandidateHosts) {
+			t.Fatalf("%s: candidate hosts %v, reference %v", name, run.CandidateHosts, want.CandidateHosts)
+		}
+		if d, w := nextDraw(run), nextDraw(want); d != w {
+			t.Fatalf("%s: campaign RNG's next draw after Run %#x, reference %#x", name, d, w)
+		}
+	})
+}
+
+// isBuilt reports whether vm is a background tenant whose App has been
+// built, and whether it is a background tenant at all.
+func isBuilt(vm *sim.VM) (built, bg bool) {
+	t, ok := vm.App.(*tenant)
+	return ok && t.app != nil, ok
+}
+
+// TestCampaignBuildsOnlyReadTenants pins what the lazy tenants save. Under
+// LeastLoaded, which never reads a demand, a bulk Run with no hooks builds
+// exactly the tenants on the hosts its senders probed. A trickle Run builds
+// no tenant on a host no wave probed, and every tenant on a host the last
+// wave probed. With a no-op AfterWindow every host is read, so every tenant
+// is built.
+func TestCampaignBuildsOnlyReadTenants(t *testing.T) {
+	for _, servers := range []int{64, 256} {
+		for _, trickle := range []bool{false, true} {
+			name := fmt.Sprintf("servers=%d trickle=%v", servers, trickle)
+			c := NewCampaign(stats.NewRNG(uint64(servers)), servers, cluster.LeastLoaded{}, trickle)
+			everProbed := make([]bool, servers)
+			hooks := Hooks{}
+			if trickle {
+				// A no-op AfterTick reads no score; it lets the test see
+				// every wave's probed hosts.
+				hooks.AfterTick = func(sim.Tick, []fleet.Event) {
+					for i, p := range c.probed {
+						everProbed[i] = everProbed[i] || p
+					}
+				}
+			}
+			c.Run(hooks)
+			built, unbuilt := 0, 0
+			for i, s := range c.Cl.Servers {
+				for _, vm := range s.VMs() {
+					b, bg := isBuilt(vm)
+					switch {
+					case !bg:
+						continue
+					case !trickle && b != c.probed[i]:
+						t.Fatalf("%s: tenant %s on server %d built=%v, probed=%v", name, vm.ID, i, b, c.probed[i])
+					case trickle && b && !everProbed[i]:
+						t.Fatalf("%s: tenant %s built on server %d, which no wave probed", name, vm.ID, i)
+					case trickle && !b && c.probed[i]:
+						t.Fatalf("%s: tenant %s unbuilt on server %d, which the last wave probed", name, vm.ID, i)
+					}
+					if b {
+						built++
+					} else {
+						unbuilt++
+					}
+				}
+			}
+			if built == 0 || unbuilt == 0 {
+				t.Fatalf("%s: %d tenants built, %d not; the check would be vacuous", name, built, unbuilt)
+			}
+
+			c = NewCampaign(stats.NewRNG(uint64(servers)), servers, cluster.LeastLoaded{}, trickle)
+			c.Run(Hooks{AfterWindow: func(int, []float64) {}})
+			for i, s := range c.Cl.Servers {
+				for _, vm := range s.VMs() {
+					if b, bg := isBuilt(vm); bg && !b {
+						t.Fatalf("%s, AfterWindow: tenant %s on server %d not built", name, vm.ID, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCampaignSeedingAllocs pins NewCampaign's allocations at 256 servers
+// under LeastLoaded, per background tenant. Measured 7.17 (7.32 under
+// -race; 18.4 before tenants were built lazily and carved from slabs): the
+// tenant's id, and the slot list, core mask and core list Place gives its
+// VM, with the servers' own state spread over their five tenants.
+func TestCampaignSeedingAllocs(t *testing.T) {
+	const servers = 256
+	allocs := testing.AllocsPerRun(5, func() {
+		NewCampaign(stats.NewRNG(42), servers, cluster.LeastLoaded{}, false)
+	})
+	if per := allocs / (servers * CampaignBackgroundVMs); per > 7.5 {
+		t.Fatalf("NewCampaign allocates %.2f objects per background tenant (%v in all), want at most 7.5", per, allocs)
 	}
 }

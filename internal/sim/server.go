@@ -116,6 +116,9 @@ func (vm *VM) rebuildCoreCache(hostCores int) {
 	for _, sl := range vm.slots {
 		vm.coreMask[uint(sl.Core)>>6] |= 1 << (uint(sl.Core) & 63)
 	}
+	if cap(vm.coreList) < len(vm.slots) {
+		vm.coreList = make([]int, 0, len(vm.slots)) // a VM holds at most one core per slot
+	}
 	vm.coreList = vm.coreList[:0]
 	for c := 0; c < hostCores; c++ {
 		if vm.occupiesCore(c) {
@@ -273,7 +276,9 @@ func (s *Server) Place(vm *VM) error {
 	}
 	tpc := s.cfg.ThreadsPerCore
 
-	var chosen []int
+	// chosen stays on the stack for any VM of up to 64 hyperthreads.
+	var buf [64]int
+	chosen := buf[:0]
 	if s.cfg.DedicatedCores {
 		// Reserve whole cores: ceil(vcpus / tpc) fully free cores.
 		coresNeeded := (vm.VCPUs + tpc - 1) / tpc
@@ -315,6 +320,9 @@ func (s *Server) Place(vm *VM) error {
 		}
 	}
 
+	if cap(vm.slots) < vm.VCPUs {
+		vm.slots = make([]Slot, 0, vm.VCPUs)
+	}
 	vm.slots = vm.slots[:0]
 	s.nfree -= len(chosen)
 	for _, i := range chosen {

@@ -179,6 +179,34 @@ func TestRemoveFreesSlots(t *testing.T) {
 	}
 }
 
+// TestPlaceAllocs pins what placing a fresh VM allocates: its slot list,
+// core mask and core list, one allocation each, sized once. The VMs are
+// built up front and removed after each run, so the server's own VM list
+// and index keep their capacity and only the VM's allocations count.
+func TestPlaceAllocs(t *testing.T) {
+	for _, cfg := range []ServerConfig{{}, {DedicatedCores: true}} {
+		s := NewServer("s0", cfg)
+		for vcpus := 1; vcpus <= 6; vcpus++ {
+			vms := make([]*VM, 101) // AllocsPerRun's warm-up run plus 100
+			for i := range vms {
+				vms[i] = newVM("a", vcpus, Vector{})
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				vm := vms[next]
+				next++
+				if err := s.Place(vm); err != nil {
+					t.Fatal(err)
+				}
+				s.Remove(vm.ID)
+			})
+			if allocs != 3 {
+				t.Fatalf("dedicated=%v vcpus=%d: Place allocates %v objects, want 3", cfg.DedicatedCores, vcpus, allocs)
+			}
+		}
+	}
+}
+
 func TestSharesCore(t *testing.T) {
 	// Breadth-first on a 2-core host: a→(0,0), b→(1,0), c→(0,1)+(1,1).
 	s := NewServer("s0", ServerConfig{Cores: 2, ThreadsPerCore: 2})

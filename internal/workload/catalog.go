@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"bolt/internal/sim"
 	"bolt/internal/stats"
@@ -68,7 +68,7 @@ func Memcached(rng *stats.RNG, variant int) Spec {
 		base.Set(sim.NetBW, base.Get(sim.NetBW)-12)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("memcached:rd%d:%s", rd, size),
+		Label:      "memcached:rd" + strconv.Itoa(rd) + ":" + size,
 		Class:      "memcached",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -112,7 +112,7 @@ func Hadoop(rng *stats.RNG, variant int) Spec {
 		base = base.Scale(1.18)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("hadoop:%s:%s", algo, size),
+		Label:      "hadoop:" + algo + ":" + size,
 		Class:      "hadoop",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -150,7 +150,7 @@ func Spark(rng *stats.RNG, variant int) Spec {
 		base = base.Scale(1.15)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("spark:%s:%s", algo, size),
+		Label:      "spark:" + algo + ":" + size,
 		Class:      "spark",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -176,7 +176,7 @@ func Cassandra(rng *stats.RNG, variant int) Spec {
 		base = v(42, 56, 46, 50, 58, 52, 50, 40, 82, 82)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("cassandra:%s", mix),
+		Label:      "cassandra:" + mix,
 		Class:      "cassandra",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -204,7 +204,7 @@ func SpecCPU(rng *stats.RNG, variant int) Spec {
 	}
 	b := pick(benchmarks, variant)
 	return Spec{
-		Label:      fmt.Sprintf("speccpu:%s", b.name),
+		Label:      "speccpu:" + b.name,
 		Class:      "speccpu",
 		Base:       jitterred(rng, b.base, 2.5),
 		LoadScaled: loadAll(),
@@ -228,7 +228,7 @@ func Webserver(rng *stats.RNG, variant int) Spec {
 		base.Set(sim.CPU, 60)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("webserver:%s", kind),
+		Label:      "webserver:" + kind,
 		Class:      "webserver",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -266,7 +266,7 @@ func SQLDatabase(rng *stats.RNG, variant int) Spec {
 		base.Set(sim.LLC, base.Get(sim.LLC)+8)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("%s:%s", engine, mix),
+		Label:      engine + ":" + mix,
 		Class:      engine,
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -288,7 +288,7 @@ func MongoDB(rng *stats.RNG, variant int) Spec {
 		base = v(56, 58, 46, 54, 62, 64, 64, 40, 62, 50)
 	}
 	return Spec{
-		Label:      fmt.Sprintf("mongodb:%s", mix),
+		Label:      "mongodb:" + mix,
 		Class:      "mongodb",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -301,7 +301,7 @@ func MongoDB(rng *stats.RNG, variant int) Spec {
 func Redis(rng *stats.RNG, variant int) Spec {
 	base := v(82, 56, 30, 70, 48, 50, 36, 58, 12, 16)
 	return Spec{
-		Label:      fmt.Sprintf("redis:v%d", variant%4),
+		Label:      "redis:v" + strconv.Itoa(variant%4),
 		Class:      "redis",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -313,7 +313,7 @@ func Redis(rng *stats.RNG, variant int) Spec {
 func Storm(rng *stats.RNG, variant int) Spec {
 	base := v(44, 48, 38, 50, 46, 52, 62, 76, 12, 14)
 	return Spec{
-		Label:      fmt.Sprintf("storm:topology%d", variant%4),
+		Label:      "storm:topology" + strconv.Itoa(variant%4),
 		Class:      "storm",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),
@@ -326,7 +326,7 @@ func Storm(rng *stats.RNG, variant int) Spec {
 func GraphAnalytics(rng *stats.RNG, variant int) Spec {
 	base := v(36, 58, 50, 74, 66, 70, 58, 36, 30, 24)
 	return Spec{
-		Label:      fmt.Sprintf("graphx:workload%d", variant%4),
+		Label:      "graphx:workload" + strconv.Itoa(variant%4),
 		Class:      "graph",
 		Base:       jitterred(rng, base, 3),
 		LoadScaled: loadAll(),

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,6 +273,53 @@ func TestGeneratorsLabelsVary(t *testing.T) {
 		}
 		if !strings.Contains(a.Class, g.Class) && a.Class != g.Class {
 			t.Fatalf("class mismatch: %q vs %q", a.Class, g.Class)
+		}
+	}
+}
+
+// refLabels are the catalog's labels in the fmt.Sprintf form the
+// generators built them with before labels were concatenated, by class.
+var refLabels = map[string]func(variant int) string{
+	"memcached": func(v int) string {
+		return fmt.Sprintf("memcached:rd%d:%s", pick([]int{50, 70, 80, 90, 95, 99}, v), pick([]string{"B", "KB", "MB"}, v/6))
+	},
+	"hadoop": func(v int) string {
+		algos := []string{"wordcount", "grep", "sort", "svm", "kmeans", "naivebayes", "recommender", "pagerank"}
+		return fmt.Sprintf("hadoop:%s:%s", pick(algos, v), pick([]string{"S", "M", "L"}, v/len(algos)))
+	},
+	"spark": func(v int) string {
+		algos := []string{"kmeans", "pagerank", "logistic", "svm", "als", "streaming"}
+		return fmt.Sprintf("spark:%s:%s", pick(algos, v), pick([]string{"S", "M", "L"}, v/len(algos)))
+	},
+	"cassandra": func(v int) string {
+		return fmt.Sprintf("cassandra:%s", pick([]string{"rd", "wr", "mixed", "scan"}, v))
+	},
+	"speccpu": func(v int) string {
+		names := []string{"mcf", "lbm", "milc", "libquantum", "gcc", "perlbench", "gobmk", "soplex", "bzip2", "leslie3d"}
+		return fmt.Sprintf("speccpu:%s", pick(names, v))
+	},
+	"webserver": func(v int) string { return fmt.Sprintf("webserver:%s", pick([]string{"static", "dynamic", "api"}, v)) },
+	"sql": func(v int) string {
+		return fmt.Sprintf("%s:%s", pick([]string{"mysql", "postgres"}, v), pick([]string{"oltp", "olap", "mixed"}, v/2))
+	},
+	"mongodb": func(v int) string { return fmt.Sprintf("mongodb:%s", pick([]string{"rd", "wr", "agg"}, v)) },
+	"redis":   func(v int) string { return fmt.Sprintf("redis:v%d", v%4) },
+	"storm":   func(v int) string { return fmt.Sprintf("storm:topology%d", v%4) },
+	"graph":   func(v int) string { return fmt.Sprintf("graphx:workload%d", v%4) },
+}
+
+// TestGeneratorLabelsMatchSprintf pins every generator's label for
+// variants 0–239 to its fmt.Sprintf reference.
+func TestGeneratorLabelsMatchSprintf(t *testing.T) {
+	for _, g := range Generators() {
+		ref := refLabels[g.Class]
+		if ref == nil {
+			t.Fatalf("class %s has no reference label", g.Class)
+		}
+		for v := 0; v < 240; v++ {
+			if got, want := g.Make(stats.NewRNG(1), v).Label, ref(v); got != want {
+				t.Fatalf("class %s variant %d: label %q, reference %q", g.Class, v, got, want)
+			}
 		}
 	}
 }
