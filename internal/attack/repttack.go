@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"bolt/internal/cluster"
 	"bolt/internal/fleet"
@@ -155,27 +156,40 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 	// tenant would draw them, and only then are the servers seeded on the
 	// shard pool. A per-server body places that server's tenants and writes
 	// nothing but Servers[i] and live[i], so the fleet is the same at every
-	// worker count. The tenants, their VMs and the live lists' backing
-	// arrays are one allocation each; live[i] is capped at its server's
-	// share, so a churn launch past it reallocates that list alone.
+	// worker count. The tenants, their VMs, their ids and the live lists'
+	// backing arrays are one allocation each; live[i] is capped at its
+	// server's share, so a churn launch past it reallocates that list
+	// alone.
+	//
+	// Under a scheduler that reads host demand, the first victim pick reads
+	// every host at tick 0, which builds every tenant. The body makes that
+	// read itself once server i is seeded, so the shard that owns the
+	// server builds its tenants and fills its tick-0 plane, and the victim
+	// picks find the plane filled. The pool's join orders the reads before
+	// any on the campaign goroutine.
 	nbg := servers * CampaignBackgroundVMs
 	tenants := make([]tenant, nbg)
 	for k := range tenants {
 		tenants[k] = drawTenant(rng, k)
 	}
 	vms := make([]sim.VM, nbg)
+	nameBackground(vms)
 	ids := make([]string, nbg)
 	c.live = make([][]string, servers)
 	for i := range c.live {
 		lo := i * CampaignBackgroundVMs
 		c.live[i] = ids[lo : lo : lo+CampaignBackgroundVMs]
 	}
+	warm := cluster.ReadsHostDemand(sched)
 	par.FanOutBlocks(servers, fleet.ShardWorkers(),
 		func(lo int) string { return fmt.Sprintf("campaign seeding at server %d", lo) },
 		func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for k := i * CampaignBackgroundVMs; k < (i+1)*CampaignBackgroundVMs; k++ {
 					c.placeBackground(i, &vms[k], &tenants[k])
+				}
+				if warm {
+					c.Cl.Servers[i].HostDemand(0, sim.EveryResource)
 				}
 			}
 		})
@@ -237,19 +251,40 @@ var backgroundSpecs = [...]func(*stats.RNG, int) workload.Spec{
 	workload.Memcached, workload.Hadoop, workload.Spark, workload.Webserver,
 }
 
+// nameBackground names vms[k] "bg-k" for every k, carving the ids from one
+// string.
+func nameBackground(vms []sim.VM) {
+	var all strings.Builder
+	var digits [20]byte
+	all.Grow(len(vms) * (len("bg-") + len(strconv.Itoa(len(vms)))))
+	for k := range vms {
+		all.WriteString("bg-")
+		all.Write(strconv.AppendInt(digits[:0], int64(k), 10))
+	}
+	// "bg-k" is one byte longer from each power of ten on.
+	ids, off, n, wider := all.String(), 0, len("bg-0"), 10
+	for k := range vms {
+		if k == wider {
+			n, wider = n+1, wider*10
+		}
+		vms[k].ID = ids[off : off+n]
+		off += n
+	}
+}
+
 // addBackground launches the next background tenant VM directly on server
 // i, drawing its seeds from the campaign's RNG.
 func (c *Campaign) addBackground(i int) {
 	t := drawTenant(c.rng, c.nextBG)
 	c.nextBG++
-	c.placeBackground(i, new(sim.VM), &t)
+	c.placeBackground(i, &sim.VM{ID: "bg-" + strconv.Itoa(t.k)}, &t)
 }
 
-// placeBackground places background tenant t on server i as vm. It touches
-// only Servers[i] and live[i], so NewCampaign runs it for different servers
-// concurrently.
+// placeBackground places background tenant t on server i as vm, which
+// carries the tenant's id. It touches only Servers[i] and live[i], so
+// NewCampaign runs it for different servers concurrently.
 func (c *Campaign) placeBackground(i int, vm *sim.VM, t *tenant) {
-	*vm = sim.VM{ID: "bg-" + strconv.Itoa(t.k), VCPUs: 1 + t.k%3, App: t}
+	vm.VCPUs, vm.App = 1+t.k%3, t
 	if err := c.Cl.Servers[i].Place(vm); err != nil {
 		return // host full: the tenant's launch fails, as in production
 	}

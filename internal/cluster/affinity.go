@@ -22,6 +22,10 @@ type Affinity struct {
 
 	labels map[string]string // VM id → label the VM carries
 	wants  map[string]string // VM id → label the VM asks to co-locate with
+
+	// carriers holds, during one Pick, the ids of the VMs carrying the
+	// requested label; it is reused from pick to pick.
+	carriers []string
 }
 
 // NewAffinity builds an affinity scheduler over the given fallback.
@@ -50,17 +54,29 @@ func (a *Affinity) Name() string { return "affinity" }
 // Pick implements Scheduler: among feasible hosts already running a VM
 // with the requested label, it picks the one with the most free compute
 // (ties to the lowest index, mirroring LeastLoaded); with no request, or
-// no feasible labelled host, it delegates to the fallback.
+// no feasible labelled host, it delegates to the fallback. The label map
+// is read once per pick, into the ids that carry the label. Map iteration
+// order varies run to run, but only whether a host holds one of those ids
+// is consumed, so the scheduler's decisions stay deterministic.
 func (a *Affinity) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
 	if want := a.wants[vm.ID]; want != "" {
+		a.carriers = a.carriers[:0]
+		for id, l := range a.labels { //bolt:nolint maporder -- carriers is only searched for a host's VM, and whether one matches does not depend on its order
+			if l == want {
+				a.carriers = append(a.carriers, id)
+			}
+		}
 		best, bestFree := -1, 0
 		for i, s := range servers {
 			free := s.FreeVCPUs()
 			if free < vm.VCPUs || free <= bestFree {
 				continue
 			}
-			if a.hostsLabel(s, want) {
-				best, bestFree = i, free
+			for _, id := range a.carriers {
+				if s.Lookup(id) != nil {
+					best, bestFree = i, free
+					break
+				}
 			}
 		}
 		if best >= 0 {
@@ -68,16 +84,4 @@ func (a *Affinity) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
 		}
 	}
 	return a.Fallback.Pick(servers, vm, t)
-}
-
-// hostsLabel reports whether any VM on s carries the label. Map iteration
-// order varies run to run, but only the existence of a match is consumed,
-// so the scheduler's decisions stay deterministic.
-func (a *Affinity) hostsLabel(s *sim.Server, label string) bool {
-	for id, l := range a.labels {
-		if l == label && s.Lookup(id) != nil {
-			return true
-		}
-	}
-	return false
 }

@@ -7,6 +7,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"bolt/internal/sim"
 )
@@ -169,26 +170,60 @@ func (Quasar) Name() string { return "quasar" }
 // one pass. The index makes that order total, and demands are clamped, so
 // every overlap is finite: the minimum is unique and is what sorting the
 // candidates would put first.
+//
+// A host's overlap sums demand[r] · host[r] in resource order over the
+// resources the VM demands, need = {r : demand[r] != 0}, and reads only
+// those entries of the host's demand. A term with demand[r] = ±0 is ±0
+// whenever host[r] is finite, and adding ±0 to a sum that starts at +0
+// leaves it unchanged, so dropping those terms is exact as long as no
+// co-resident's demand is NaN (Vector.Set clamps every other value into
+// [0, 100]). With need empty, as for a zero-demand probe VM, every
+// overlap is +0, no host is read, and the pick is the feasible host with
+// the most free vCPUs, lowest index first.
 func (Quasar) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
 	demand := vm.App.Demand(t)
+	var need sim.ResourceSet
+	for r := range demand {
+		if demand[r] != 0 {
+			need |= 1 << r
+		}
+	}
 	best, bestOverlap, bestFree := -1, 0.0, 0
 	for i, s := range servers {
 		free := s.FreeVCPUs()
 		if free < vm.VCPUs {
 			continue
 		}
-		// Aggregate resource pressure already on the host, from the host's
-		// per-tick demand snapshot.
-		host := s.HostDemand(t)
 		overlap := 0.0
-		for _, r := range sim.AllResources() {
-			overlap += demand.Get(r) * host.Get(r)
+		if need != 0 {
+			// Aggregate pressure already on the host, from the host's
+			// per-tick demand snapshot.
+			host := s.HostDemand(t, need)
+			for m := uint16(need); m != 0; m &= m - 1 {
+				r := sim.Resource(bits.TrailingZeros16(m))
+				overlap += demand.Get(r) * host.Get(r)
+			}
 		}
 		if best < 0 || overlap < bestOverlap || (overlap == bestOverlap && free > bestFree) {
 			best, bestOverlap, bestFree = i, overlap, free
 		}
 	}
 	return best
+}
+
+// ReadsHostDemand reports whether placing a VM under sched reads its
+// co-residents' demand: Quasar reads it on every feasible host whenever
+// the VM demands anything, and an Affinity scheduler reads it wherever its
+// fallback does. A caller that seeds a fleet can warm what such a pick will
+// read while it still holds each server alone.
+func ReadsHostDemand(sched Scheduler) bool {
+	switch s := sched.(type) {
+	case Quasar:
+		return true
+	case *Affinity:
+		return ReadsHostDemand(s.Fallback)
+	}
+	return false
 }
 
 // MigrationPolicy is the DoS defence: when a host's CPU utilisation

@@ -36,7 +36,7 @@ func (m *Monitor) Sample(s *sim.Server, t sim.Tick) bool {
 	if m == nil || m.Det == nil {
 		return false
 	}
-	m.Det.Observe(t, s.HostDemand(t))
+	m.Det.Observe(t, s.HostDemand(t, sim.EveryResource))
 	alarmed, _ := m.Det.Alarmed()
 	if alarmed && !m.fired {
 		m.fired = true

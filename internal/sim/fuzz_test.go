@@ -17,10 +17,10 @@ import (
 // time as (op, arg): place a VM, remove one, retune or reset an adversary
 // kernel at an unchanged tick, advance the tick, or query. A query asks
 // for a need set — the resources whose bits arg (and op's high bits) set,
-// one ObservedPressure each, in order, from an observer op picks — so
-// partial fills, their working sets and a retune between two of them land
-// wherever the fuzzer puts them; a full query asks ObservedVector and
-// HostDemand.
+// one ObservedPressure each, in order, from an observer op picks, then
+// HostDemand over the set — so partial fills, their working sets and a
+// retune between two of them land wherever the fuzzer puts them; a full
+// query asks ObservedVector and HostDemand over every resource.
 func FuzzObservationMatchesReference(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 0, 0, 4, 0x0f, 2, 7, 4, 0xf0, 5, 0, 3, 9, 4, 0xff})
 	f.Add(uint64(7), []byte{0, 1, 0, 2, 0, 3, 4, 0x21, 2, 200, 4, 0x21, 1, 0, 5, 0, 12, 0x40, 3, 0, 5, 3})
@@ -71,10 +71,12 @@ func FuzzObservationMatchesReference(f *testing.F) {
 						}
 					}
 				}
+				set := sim.ResourceSet(need) & sim.EveryResource
+				matchBits(t, fmt.Sprintf("t=%d HostDemand(%010b)", at, set), w.s.HostDemand(at, set), refHostDemand(w.s, at, set))
 			case 5:
 				obs := observer(w.s, op>>3)
 				matchBits(t, fmt.Sprintf("t=%d observer %s ObservedVector", at, name(obs)), w.s.ObservedVector(obs, at), refObservedVector(w.s, obs, at))
-				matchBits(t, fmt.Sprintf("t=%d HostDemand", at), w.s.HostDemand(at), refHostDemand(w.s, at))
+				matchBits(t, fmt.Sprintf("t=%d HostDemand", at), w.s.HostDemand(at, sim.EveryResource), refHostDemand(w.s, at, sim.EveryResource))
 			}
 		}
 	})

@@ -23,7 +23,8 @@ package sim
 //   - the snapshot is filled by resource. Each query names the entries it
 //     reads: ObservedPressure reads {r}, plus LLC for MemBW with an
 //     observer (the squeeze and the spill factor read it); CPUUtilization
-//     reads {CPU}; ObservedVector, Slowdown and HostDemand read all ten.
+//     reads {CPU}; HostDemand reads the set its caller names;
+//     ObservedVector and Slowdown read all ten.
 //     A query whose entries are not all filled runs one pass over the VMs
 //     in placement order, calling DemandInto with what is missing, and
 //     fills along with it the resources the previous key's queries read
@@ -469,16 +470,20 @@ func (s *Server) CPUUtilization(t Tick) float64 {
 	return total
 }
 
-// HostDemand returns the aggregate per-resource demand of every VM on the
-// host at time t, folded in placement order with the clamped Vector.Add —
-// the provider-side view a monitor or scheduler samples.
+// HostDemand returns the aggregate demand of every VM on the host at time t
+// for each resource in need — the provider-side view a monitor or
+// scheduler samples. Each entry is folded in placement order with the
+// clamped Vector.Add, the same fold whichever other entries are asked
+// for; entries outside need are zero, and the plane fills them only if
+// its working set asks. A monitor passes EveryResource; Quasar passes the
+// resources its incoming VM demands.
 //
 //bolt:hotpath
-func (s *Server) HostDemand(t Tick) Vector {
-	o := s.observation(t, EveryResource)
+func (s *Server) HostDemand(t Tick, need ResourceSet) Vector {
+	o := s.observation(t, need)
 	var total Vector
 	for i := range s.vms {
-		total.accumulate(&o.demand[i])
+		total.accumulate(&o.demand[i], need)
 	}
 	return total
 }

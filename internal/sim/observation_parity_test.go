@@ -93,13 +93,16 @@ func refCPUUtilization(s *sim.Server, t sim.Tick) float64 {
 	return total
 }
 
-// refHostDemand is the original clamped placement-order fold.
-func refHostDemand(s *sim.Server, t sim.Tick) sim.Vector {
+// refHostDemand is the original clamped placement-order fold, kept to the
+// entries in need: the others stay zero.
+func refHostDemand(s *sim.Server, t sim.Tick, need sim.ResourceSet) sim.Vector {
 	var total sim.Vector
 	for _, vm := range s.VMs() {
 		d := vm.App.Demand(t)
 		for r := range total {
-			total.Set(sim.Resource(r), total[r]+d[r])
+			if need.Has(sim.Resource(r)) {
+				total.Set(sim.Resource(r), total[r]+d[r])
+			}
 		}
 	}
 	return total
@@ -263,7 +266,7 @@ func (w *parityWorld) check(t *testing.T, at sim.Tick) {
 	if got, want := s.CPUUtilization(at), refCPUUtilization(s, at); got != want {
 		t.Fatalf("t=%d CPUUtilization: got %v want %v", at, got, want)
 	}
-	if got, want := s.HostDemand(at), refHostDemand(s, at); got != want {
+	if got, want := s.HostDemand(at, sim.EveryResource), refHostDemand(s, at, sim.EveryResource); got != want {
 		t.Fatalf("t=%d HostDemand: got %v want %v", at, got, want)
 	}
 }

@@ -13,7 +13,10 @@
 // combine approximately additively (§3.3 states Bolt assumes exactly this).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Resource identifies one of the ten shared resources Bolt profiles (§3.2).
 type Resource int
@@ -104,11 +107,13 @@ func (v *Vector) Set(r Resource, x float64) {
 	v[r] = x
 }
 
-// accumulate adds o to v entry-wise, clamping each sum to [0, 100]; it
+// accumulate adds o to v at the entries in need, in resource order,
+// clamping each sum to [0, 100]; other entries are left as they are. It
 // works in place and through pointers, for folds on the tick path.
-func (v *Vector) accumulate(o *Vector) {
-	for i := range v {
-		v.Set(Resource(i), v[i]+o[i])
+func (v *Vector) accumulate(o *Vector, need ResourceSet) {
+	for m := uint16(need); m != 0; m &= m - 1 {
+		r := Resource(bits.TrailingZeros16(m))
+		v.Set(r, v[r]+o[r])
 	}
 }
 

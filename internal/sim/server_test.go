@@ -72,9 +72,14 @@ func TestVectorAddScale(t *testing.T) {
 	a := vec(map[Resource]float64{CPU: 60, LLC: 70})
 	b := vec(map[Resource]float64{CPU: 60, MemBW: 30})
 	sum := a
-	sum.accumulate(&b)
+	sum.accumulate(&b, EveryResource)
 	if sum.Get(CPU) != 100 || sum.Get(LLC) != 70 || sum.Get(MemBW) != 30 {
 		t.Fatalf("accumulate wrong: %v", sum)
+	}
+	part := a
+	part.accumulate(&b, 1<<MemBW)
+	if part.Get(CPU) != 60 || part.Get(LLC) != 70 || part.Get(MemBW) != 30 {
+		t.Fatalf("accumulate over {MemBW} wrong: %v", part)
 	}
 	half := a.Scale(0.5)
 	if half.Get(CPU) != 30 || half.Get(LLC) != 35 {
@@ -505,7 +510,8 @@ func TestObservationFillsWorkingSet(t *testing.T) {
 		// MemBW from a placed observer also reads LLC.
 		{func(t Tick) { s.ObservedPressure(obs, MemBW, t) }, 3, []ResourceSet{1<<MemBW | 1<<LLC}},
 		{func(t Tick) { s.ObservedPressure(obs, LLC, t) }, 3, nil},
-		{func(t Tick) { s.HostDemand(t) }, 3, []ResourceSet{EveryResource &^ (disks | 1<<CPU | 1<<MemBW | 1<<LLC)}},
+		{func(t Tick) { s.HostDemand(t, 1<<DiskBW|1<<NetBW) }, 3, []ResourceSet{1 << NetBW}},
+		{func(t Tick) { s.HostDemand(t, EveryResource) }, 3, []ResourceSet{EveryResource &^ (disks | 1<<CPU | 1<<MemBW | 1<<LLC | 1<<NetBW)}},
 		{func(t Tick) { s.ObservedPressure(nil, DiskBW, t) }, 4, []ResourceSet{EveryResource}},
 	}
 	for i, st := range steps {
