@@ -40,6 +40,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
@@ -48,12 +49,24 @@ import (
 )
 
 // checkFlags rejects the flag values a run cannot start from, before any
-// work: an unknown or repeated -run id, and a -defence list that names no
-// policy, a policy off the defencesweep ladder (which would otherwise
-// report an undefended fleet under the typo's name) or one policy twice. It
-// installs the -defence list and returns the experiments -run selects (all
-// of them for an empty -run).
-func checkFlags(runIDs, defence string) ([]exper.Experiment, error) {
+// work: a negative count (counts maps -parallel, -epworkers, -shardworkers
+// and -fleet by name to their values, where 0 means the default), an
+// unknown or repeated -run id, and a -defence list that names no policy, a
+// policy off the defencesweep ladder (which would otherwise report an
+// undefended fleet under the typo's name) or one policy twice. It installs
+// the -defence list and returns the experiments -run selects (all of them
+// for an empty -run).
+func checkFlags(runIDs, defence string, counts map[string]int) ([]exper.Experiment, error) {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if v := counts[name]; v < 0 {
+			return nil, fmt.Errorf("-%s %d: must be 0 (the default) or more", name, v)
+		}
+	}
 	if err := exper.SetDefencePolicies(defence); err != nil {
 		return nil, fmt.Errorf("-defence: %v", err)
 	}
@@ -105,7 +118,9 @@ func run() (code int) {
 
 	// Installed once, before any experiment runs (the deterministic-suite
 	// contract forbids flipping a knob mid-run).
-	selected, err := checkFlags(*runIDs, *defence)
+	selected, err := checkFlags(*runIDs, *defence, map[string]int{
+		"parallel": *parallel, "epworkers": *epworkers, "shardworkers": *shardworkers, "fleet": *fleetSize,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "boltbench: %v\n", err)
 		return 2

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,32 +9,37 @@ import (
 	"bolt/internal/exper"
 )
 
-// TestCheckFlags: an unknown or repeated -run id and a -defence list that
-// names no policy, a policy off the ladder or one policy twice are refused
-// before any work, and the refusal names the bad value. A refused -defence
-// list leaves the installed one as it was; an accepted one is what the
-// sweep then runs.
+// TestCheckFlags: a negative count, an unknown or repeated -run id and a
+// -defence list that names no policy, a policy off the ladder or one policy
+// twice are refused before any work, and the refusal names the bad value. A
+// refused -defence list leaves the installed one as it was; an accepted one
+// is what the sweep then runs. A zero count means the default.
 func TestCheckFlags(t *testing.T) {
 	t.Cleanup(func() { exper.SetDefencePolicies("") })
 	ladder := exper.DefencePolicies()
 	for _, c := range []struct {
 		run, defence string
+		counts       map[string]int
 		want         string   // "" accepts; otherwise a substring of the error
 		ids          []string // the accepted run's experiment IDs (nil: all)
 		policies     []string // the accepted run's defence ladder
 	}{
-		{"", "bogus", `"bogus"`, nil, nil},
-		{"defencesweep", "none,psff", `"psff"`, nil, nil},
-		{"defencesweep", " , ", "names no policy", nil, nil},
-		{"defencesweep", "none,none", `"none" repeated`, nil, nil},
-		{"bogus", "", `unknown experiment "bogus"`, nil, nil},
-		{"", "", "", nil, ladder},
-		{"fig4,fig4", "", `"fig4" repeated`, nil, nil},
-		{"fleet, defencesweep", "pssf, mtd", "", []string{"fleet", "defencesweep"}, []string{"pssf", "mtd"}},
+		{"", "bogus", nil, `"bogus"`, nil, nil},
+		{"defencesweep", "none,psff", nil, `"psff"`, nil, nil},
+		{"defencesweep", " , ", nil, "names no policy", nil, nil},
+		{"defencesweep", "none,none", nil, `"none" repeated`, nil, nil},
+		{"bogus", "", nil, `unknown experiment "bogus"`, nil, nil},
+		{"", "", map[string]int{"parallel": 0, "epworkers": 0, "shardworkers": 0, "fleet": 0}, "", nil, ladder},
+		{"fig4,fig4", "", nil, `"fig4" repeated`, nil, nil},
+		{"fleet, defencesweep", "pssf, mtd", nil, "", []string{"fleet", "defencesweep"}, []string{"pssf", "mtd"}},
+		{"", "", map[string]int{"parallel": -1}, "-parallel -1", nil, nil},
+		{"", "", map[string]int{"epworkers": -1}, "-epworkers -1", nil, nil},
+		{"", "", map[string]int{"shardworkers": -1}, "-shardworkers -1", nil, nil},
+		{"", "", map[string]int{"fleet": -1}, "-fleet -1", nil, nil},
 	} {
 		exper.SetDefencePolicies("")
-		selected, err := checkFlags(c.run, c.defence)
-		name := "-run " + c.run + " -defence " + c.defence
+		selected, err := checkFlags(c.run, c.defence, c.counts)
+		name := fmt.Sprintf("-run %s -defence %s %v", c.run, c.defence, c.counts)
 		if c.want != "" {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: error %v, want one naming %s", name, err, c.want)

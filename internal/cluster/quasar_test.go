@@ -21,6 +21,11 @@ type quasarCand struct {
 // stopping short of taking the head: every feasible host, sorted by
 // (overlap ascending, free vCPUs descending, index ascending). Kept as the
 // reference; the old Pick returned the head's index, or -1 when empty.
+//
+// It sums vm.App.Demand(t) over each host's VMs itself, clamping each
+// partial sum to [0, 100] as Vector.Set does, so a fault in the observation
+// plane behind Pick's Server.HostDemand shows as a mismatch. It shares only
+// the FreeVCPUs and VMs accessors with Pick.
 func refQuasarRank(servers []*sim.Server, vm *sim.VM, t sim.Tick) []quasarCand {
 	demand := vm.App.Demand(t)
 	var cands []quasarCand
@@ -28,10 +33,15 @@ func refQuasarRank(servers []*sim.Server, vm *sim.VM, t sim.Tick) []quasarCand {
 		if s.FreeVCPUs() < vm.VCPUs {
 			continue
 		}
-		host := s.HostDemand(t, sim.EveryResource)
+		var host sim.Vector
+		for _, tenant := range s.VMs() {
+			for r, d := range tenant.App.Demand(t) {
+				host[r] = min(max(host[r]+d, 0), 100)
+			}
+		}
 		overlap := 0.0
-		for _, r := range sim.AllResources() {
-			overlap += demand.Get(r) * host.Get(r)
+		for r, d := range demand {
+			overlap += d * host[r]
 		}
 		cands = append(cands, quasarCand{i, overlap, s.FreeVCPUs()})
 	}

@@ -8,7 +8,6 @@ func All() []*Analyzer {
 		HotallocAnalyzer,
 		HotcopyAnalyzer,
 		SnapshotAnalyzer,
-		RCUDisciplineAnalyzer,
 		BarrierMergeAnalyzer,
 	}
 }

@@ -19,7 +19,6 @@ func TestAnalyzersRegistered(t *testing.T) {
 		"hotalloc",
 		"hotcopy",
 		"snapshotdiscipline",
-		"rcudiscipline",
 		"barriermerge",
 	}
 	all := All()

@@ -19,8 +19,6 @@
 //     value receiver is an array or struct over 64 bytes
 //   - snapshotdiscipline: DemandVersioner mutators bump the demand version,
 //     and observations are not retained across Place/Remove
-//   - rcudiscipline: one atomic.Pointer Load per scope, CompareAndSwap
-//     writers, no parked snapshots
 //   - barriermerge: fan-out bodies write index-addressed slots, never
 //     shared state in completion order
 //
@@ -74,8 +72,8 @@ type Pass struct {
 
 	// Summaries is the module-wide function-fact index built over every
 	// package in the Run (summary.go). The interprocedural analyzers
-	// (hotalloc, rcudiscipline, barriermerge) consult it; the
-	// intraprocedural ones ignore it.
+	// (hotalloc, barriermerge) consult it; the intraprocedural ones ignore
+	// it.
 	Summaries *Summaries
 
 	diags *[]Diagnostic

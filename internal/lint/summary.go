@@ -12,22 +12,22 @@ import (
 
 // This file is the interprocedural layer under boltlint: a module-wide
 // function-summary index, so that a contract stated on one function
-// (//bolt:hotpath, a pinned RCU snapshot, a fan-out body) holds for
-// everything that function calls.
+// (//bolt:hotpath, a fan-out body) holds for everything that function
+// calls.
 //
 //  1. Per-function facts are extracted from each package's already
 //     type-checked AST: its first allocation site (allocSites, hotalloc.go),
-//     which atomic.Pointer fields it Loads/CASes, its static call edges,
-//     and which of its func-typed parameters it forwards as fan-out bodies.
+//     its static call edges, and which of its func-typed parameters it
+//     forwards as fan-out bodies.
 //  2. Facts propagate across the call graph with fixed-point iteration.
 //     Interface method calls fan out to every implementation declared in
 //     the analyzed packages, so a hot path calling through an interface is
 //     still tracked. Cycles converge because the facts are monotone.
 //
-// hotalloc, rcudiscipline and barriermerge consume the index
-// through Pass.Summaries. It is rebuilt from source on every Run:
-// extraction costs ≈0.1 s on the whole tree, less than `go list -export`,
-// and an on-disk cache of it let stale facts pass the golden inventory.
+// hotalloc and barriermerge consume the index through Pass.Summaries. It
+// is rebuilt from source on every Run: extraction costs ≈0.1 s on the
+// whole tree, less than `go list -export`, and an on-disk cache of it let
+// stale facts pass the golden inventory.
 
 // ParamForward records one call argument that is a func-typed parameter of
 // the enclosing function, e.g. exper.forEachEpisode passing its body through to
@@ -50,11 +50,6 @@ type FuncFacts struct {
 	AllocDesc string
 	AllocPos  string
 
-	// PtrLoads/PtrCAS are the atomic.Pointer fields this body
-	// Load/CompareAndSwap-s, as field keys ("pkg/path.Type.field").
-	PtrLoads []string
-	PtrCAS   []string
-
 	// Calls are the statically resolved callee keys, deduplicated, in
 	// source order (the order matters: transitive-allocation chains pick
 	// the first allocating callee deterministically).
@@ -68,8 +63,7 @@ type FuncFacts struct {
 	ParamForwards []ParamForward
 
 	transAlloc bool
-	allocVia   string   // first callee (source order) the allocation is reached through; "" = local
-	transLoads []string // atomic.Pointer field keys Loaded transitively
+	allocVia   string // first callee (source order) the allocation is reached through; "" = local
 }
 
 // fanOutSeeds are the ground-truth fan-out entry points: par.FanOut and
@@ -101,26 +95,11 @@ func funcKey(fn *types.Func) string {
 	return fn.Origin().FullName()
 }
 
-// Facts returns the (local) facts for key, or nil when unknown.
-func (s *Summaries) Facts(key string) *FuncFacts {
-	return s.funcs[key]
-}
-
 // TransitivelyAllocates reports whether key (or anything it can reach)
 // allocates.
 func (s *Summaries) TransitivelyAllocates(key string) bool {
 	f := s.funcs[key]
 	return f != nil && f.transAlloc
-}
-
-// TransitivePtrLoads returns the atomic.Pointer field keys key Load()s,
-// transitively.
-func (s *Summaries) TransitivePtrLoads(key string) []string {
-	f := s.funcs[key]
-	if f == nil {
-		return nil
-	}
-	return f.transLoads
 }
 
 // FanOutParams returns the fan-out body-parameter indices of key (seeded
@@ -222,16 +201,10 @@ func BuildSummaries(pkgs []*Package) *Summaries {
 		for _, k := range s.keys {
 			f := s.funcs[k]
 			ta, av := f.Allocates, ""
-			loads := append([]string(nil), f.PtrLoads...)
 			for _, callee := range f.Calls {
-				cf := s.funcs[callee]
-				if cf == nil {
-					continue
-				}
-				if cf.transAlloc && !ta {
+				if cf := s.funcs[callee]; cf != nil && cf.transAlloc && !ta {
 					ta, av = true, callee
 				}
-				loads = mergeStrings(loads, cf.transLoads)
 			}
 			var fan []int
 			fan = append(fan, f.FanOutParams...)
@@ -246,11 +219,10 @@ func BuildSummaries(pkgs []*Package) *Summaries {
 					}
 				}
 			}
-			if ta != f.transAlloc || av != f.allocVia ||
-				len(loads) != len(f.transLoads) || len(fan) != len(f.FanOutParams) {
+			if ta != f.transAlloc || av != f.allocVia || len(fan) != len(f.FanOutParams) {
 				changed = true
 			}
-			f.transAlloc, f.allocVia, f.transLoads = ta, av, loads
+			f.transAlloc, f.allocVia = ta, av
 			f.FanOutParams = fan
 		}
 	}
@@ -426,28 +398,14 @@ func extractFuncFacts(pass *Pass, fn *ast.FuncDecl, sups []suppression, hidSite 
 	return f
 }
 
-// extractCallFacts records one call's structural facts: call edges,
-// atomic.Pointer operations, and parameter forwarding.
+// extractCallFacts records one call's structural facts: call edges and
+// parameter forwarding.
 func extractCallFacts(pass *Pass, f *FuncFacts, call *ast.CallExpr, params map[types.Object]int, seenCall map[string]bool) {
 	callee := funcObj(pass.TypesInfo, call)
 	if callee == nil {
 		return
 	}
 	key := funcKey(callee)
-
-	// atomic.Pointer operations are structural facts, not call edges.
-	if callee.Pkg() != nil && callee.Pkg().Path() == "sync/atomic" && recvTypeName(callee) == "Pointer" {
-		if fk := atomicFieldKey(pass, call); fk != "" {
-			switch callee.Name() {
-			case "Load":
-				f.PtrLoads = mergeStrings(f.PtrLoads, []string{fk})
-			case "CompareAndSwap":
-				f.PtrCAS = mergeStrings(f.PtrCAS, []string{fk})
-			}
-		}
-		return
-	}
-
 	if !seenCall[key] {
 		seenCall[key] = true
 		f.Calls = append(f.Calls, key)
@@ -475,69 +433,6 @@ func extractCallFacts(pass *Pass, f *FuncFacts, call *ast.CallExpr, params map[t
 	}
 }
 
-// recvTypeName returns the receiver's named-type name of a method, or "".
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	rt := sig.Recv().Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
-// atomicFieldKey resolves the storage a method like s.snap.Load() operates
-// on to a stable key: "pkg/path.Type.field" for struct fields,
-// "pkg/path.var" for package-level vars, "" otherwise (locals are
-// intra-function and keyed by object identity in the analyzers).
-func atomicFieldKey(pass *Pass, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	return storageKey(pass, sel.X)
-}
-
-// storageKey names the storage an expression denotes, for cross-function
-// matching. Fields are keyed by their declaring struct; package vars by
-// path; anything else (locals, map/slice elements) returns "".
-func storageKey(pass *Pass, expr ast.Expr) string {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		fieldObj, ok := pass.TypesInfo.Uses[e.Sel].(*types.Var)
-		if !ok || !fieldObj.IsField() {
-			return ""
-		}
-		recv := pass.TypesInfo.TypeOf(e.X)
-		if recv == nil {
-			return ""
-		}
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil {
-			return ""
-		}
-		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fieldObj.Name()
-	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[e]
-		if obj == nil {
-			return ""
-		}
-		if v, ok := obj.(*types.Var); ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-	}
-	return ""
-}
-
 // paramObjects maps a function's parameter objects to their indices.
 func paramObjects(pass *Pass, fn *ast.FuncDecl) map[types.Object]int {
 	out := map[types.Object]int{}
@@ -558,16 +453,6 @@ func paramObjects(pass *Pass, fn *ast.FuncDecl) map[types.Object]int {
 		}
 	}
 	return out
-}
-
-// mergeStrings unions b into a, keeping a sorted and deduplicated.
-func mergeStrings(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	out := append(append([]string(nil), a...), b...)
-	sort.Strings(out)
-	return dedupSorted(out)
 }
 
 func dedupSorted(xs []string) []string {

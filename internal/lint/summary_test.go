@@ -121,7 +121,7 @@ func TestSummaryFixedPoint(t *testing.T) {
 		{"bolt/internal/hotx/root.Probe", false},
 	}
 	for _, c := range checks {
-		if s.Facts(c.key) == nil {
+		if s.funcs[c.key] == nil {
 			t.Errorf("no summary for %s", c.key)
 			continue
 		}

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bolt/internal/core"
@@ -128,68 +131,107 @@ func profileEqual(got, want core.ProfileDetection) bool {
 	return true
 }
 
-// TestServeSwapRCU drives traffic while the detector is swapped mid-stream.
-// Every response must bit-match the solo path of the detector generation it
-// reports having answered from — a request in flight keeps its snapshot, later
-// ones see the new one.
+// TestServeSwapRCU checks the RCU contract (one Load per request, writers
+// CAS) at run time. One goroutine swaps detB, detA, detB, … without pause
+// while clients query: each answer must bit-match the solo path of the
+// detector its version maps to (a second Load pairs one generation's answer
+// with another's version), and its version may be no lower than the
+// client's previous one or the last version Swap returned before the
+// request (a parked snapshot serves an old one). Then four goroutines race
+// Swap, where a writer that does not CAS repeats versions. Both need real
+// parallelism, so the test raises GOMAXPROCS to 2.
 func TestServeSwapRCU(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	detA := testDetector(t)
 	detB := core.TrainCached(workload.TrainingSpecs(testSeed+1), core.Config{})
+	dets := [2]*core.Detector{detB, detA} // version v answers from dets[v%2]
 	n := detA.Rec.ResourceCount()
 	masks := testMasks(n)
 	srv := serve.New(detA, serve.Config{Workers: 2, QueueDepth: 64})
 	defer srv.Close()
 
-	byVersion := map[uint64]*core.Detector{1: detA, 2: detB}
+	var lastSwap atomic.Uint64 // the last version Swap returned
+	lastSwap.Store(1)
+	var stop atomic.Bool
+	swapperDone := make(chan struct{})
+	go func() {
+		defer close(swapperDone)
+		for want := uint64(2); !stop.Load(); want++ {
+			if v, err := srv.Swap(dets[want%2]); v != want || err != nil {
+				t.Errorf("Swap returned version %d, %v; want %d, nil", v, err, want)
+				return
+			}
+			lastSwap.Store(want)
+		}
+	}()
 	var wg sync.WaitGroup
 	const clients, perClient = 4, 64
 	rngs := stats.NewRNG(11).SplitN(clients)
-	swapped := make(chan struct{})
-	for ci := 0; ci < clients; ci++ {
+	for ci := range clients {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			for k := 0; k < perClient; k++ {
-				if ci == 0 && k == perClient/2 {
-					if v, err := srv.Swap(detB); v != 2 || err != nil {
-						t.Errorf("Swap returned version %d, %v; want 2, nil", v, err)
-					}
-					close(swapped)
-				}
+			var prev uint64
+			for range perClient {
 				obs, known := genRequest(rngs[ci], masks, n)
+				floor := lastSwap.Load()
 				resp, err := srv.Detect(obs, known)
-				if err != nil {
-					t.Errorf("client %d: %v", ci, err)
+				if v := resp.Snapshot; err != nil || v < prev || v < floor {
+					t.Errorf("client %d: snapshot %d, %v, after seeing %d with %d installed", ci, v, err, prev, floor)
 					return
 				}
-				det := byVersion[resp.Snapshot]
-				if det == nil {
-					t.Errorf("response reports unknown snapshot %d", resp.Snapshot)
-					return
-				}
-				if !profileEqual(resp.ProfileDetection, det.DetectProfile(obs, known)) {
-					t.Errorf("answer diverges from the snapshot-%d solo path", resp.Snapshot)
+				prev = resp.Snapshot
+				if !profileEqual(resp.ProfileDetection, dets[prev%2].DetectProfile(obs, known)) {
+					t.Errorf("client %d: answer diverges from the snapshot-%d solo path", ci, prev)
 					return
 				}
 			}
-		}(ci)
+		}()
 	}
 	wg.Wait()
-	<-swapped
-	if _, v := srv.Snapshot(); v != 2 {
-		t.Fatalf("final snapshot version = %d, want 2", v)
+	stop.Store(true)
+	<-swapperDone
+	final := lastSwap.Load()
+	if _, v := srv.Snapshot(); v != final || srv.Stats().Swaps != final-1 {
+		t.Fatalf("final snapshot %d after %d swaps; want %d after %d", v, srv.Stats().Swaps, final, final-1)
 	}
-	if st := srv.Stats(); st.Swaps != 1 {
-		t.Fatalf("swaps = %d, want 1", st.Swaps)
-	}
-	// Post-swap requests must answer from the new snapshot.
 	obs, known := genRequest(stats.NewRNG(13), masks, n)
-	resp, err := srv.Detect(obs, known)
-	if err != nil {
-		t.Fatal(err)
+	if resp, err := srv.Detect(obs, known); err != nil || resp.Snapshot != final {
+		t.Fatalf("request after the last swap: snapshot %d, %v; want %d", resp.Snapshot, err, final)
 	}
-	if resp.Snapshot != 2 {
-		t.Fatalf("post-swap snapshot = %d, want 2", resp.Snapshot)
+
+	// Racers start once two have met twice: started cold, one processor may
+	// run all four in turn, and swaps that never overlap lose no version.
+	const swappers, perSwapper = 4, 500
+	racer := serve.New(detA, serve.Config{})
+	defer racer.Close()
+	got := make([]uint64, swappers*perSwapper)
+	var arrived [2]atomic.Int32
+	for g := range swappers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range arrived {
+				for arrived[i].Add(1); arrived[i].Load() < 2; {
+				}
+			}
+			for k := range perSwapper {
+				got[g*perSwapper+k], _ = racer.Swap(detA) // an error returns version 0
+			}
+		}()
+	}
+	wg.Wait()
+	slices.Sort(got)
+	for i, v := range got {
+		if v != uint64(i+2) {
+			t.Fatalf("concurrent swaps returned versions with a repeat or gap at %d; want each of 2..%d once", v, len(got)+1)
+		}
+	}
+	if _, v := racer.Snapshot(); v != uint64(len(got)+1) || racer.Stats().Swaps != uint64(len(got)) {
+		t.Fatalf("after %d concurrent swaps: version %d, Stats().Swaps %d", len(got), v, racer.Stats().Swaps)
 	}
 }
 
