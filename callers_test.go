@@ -22,7 +22,7 @@ var keptOracles = map[string]string{
 	"mining.SVD.Reconstruct":        "rebuilds the input the factorisation must reproduce",
 	"mining.Completer.Predict":      "reconstructs a training cell; tests check the factorisation fits",
 	"sim.Server.VMsOnCore":          "per-core loop of the reference observation plane the cached one is compared to",
-	"sim.VM.Slots":                  "the only read of hyperthread assignment; sim and cluster placement tests check it",
+	"sim.VM.Slots":                  "the only read of hyperthread assignment, as ascending slot indices; sim and cluster placement tests check it",
 	"sim.Server.Config":             "the reference observation plane reads visibility and core count through it",
 	"mining.Matrix.T":               "transposes V for the orthogonality check",
 	"mining.Recommender.Base":       "the only read of which trained base a view shares; the TrainCached memo tests check it",

@@ -245,12 +245,6 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 	return c
 }
 
-// backgroundSpecs are the background tenants' workload classes, taken in
-// rotation by tenant number.
-var backgroundSpecs = [...]func(*stats.RNG, int) workload.Spec{
-	workload.Memcached, workload.Hadoop, workload.Spark, workload.Webserver,
-}
-
 // nameBackground names vms[k] "bg-k" for every k, carving the ids from one
 // string.
 func nameBackground(vms []sim.VM) {
@@ -314,10 +308,23 @@ func drawTenant(rng *stats.RNG, k int) tenant {
 	return tenant{k: k, specSeed: specSeed, seed: rng.Uint64()}
 }
 
-// built returns the tenant's App, building it on the first call.
+// built returns the tenant's App, building it on the first call. The
+// workload classes are taken in rotation by tenant number; calling each
+// constructor directly keeps the spec stream on the stack.
 func (t *tenant) built() *workload.App {
 	if t.app == nil {
-		spec := backgroundSpecs[t.k%len(backgroundSpecs)](stats.NewRNG(t.specSeed), t.k)
+		rng := stats.NewRNG(t.specSeed)
+		var spec workload.Spec
+		switch t.k % 4 {
+		case 0:
+			spec = workload.Memcached(rng, t.k)
+		case 1:
+			spec = workload.Hadoop(rng, t.k)
+		case 2:
+			spec = workload.Spark(rng, t.k)
+		default:
+			spec = workload.Webserver(rng, t.k)
+		}
 		t.app = workload.NewApp(spec, workload.Constant{Level: campaignBackgroundLoad}, t.seed)
 	}
 	return t.app

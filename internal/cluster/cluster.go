@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"bolt/internal/sim"
 )
@@ -41,13 +42,24 @@ type Cluster struct {
 // ErrClusterFull is returned when no server can host a VM.
 var ErrClusterFull = errors.New("cluster: no server with sufficient capacity")
 
-// New builds a cluster of n identical servers.
+// New builds a cluster of n identical servers, named "server-00",
+// "server-01", … (fmt's %02d) and sliced from one string.
 func New(n int, cfg sim.ServerConfig, sched Scheduler) *Cluster {
-	c := &Cluster{Sched: sched}
-	for i := 0; i < n; i++ {
-		c.Servers = append(c.Servers, sim.NewServer(fmt.Sprintf("server-%02d", i), cfg))
+	var all []byte
+	ends := make([]int, n)
+	for i := range ends {
+		all = append(all, "server-"...)
+		if i < 10 {
+			all = append(all, '0')
+		}
+		all = strconv.AppendInt(all, int64(i), 10)
+		ends[i] = len(all)
 	}
-	return c
+	names, joined, start := make([]string, n), string(all), 0
+	for i, end := range ends {
+		names[i], start = joined[start:end], end
+	}
+	return &Cluster{Servers: sim.NewServers(names, cfg), Sched: sched}
 }
 
 // index returns the id→server map, allocating it on first use so

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"bolt/internal/sim"
@@ -25,6 +26,45 @@ func TestNewCluster(t *testing.T) {
 	}
 	if len(names) != 5 {
 		t.Fatal("server names not unique")
+	}
+}
+
+// TestNewServersFromOneSlab checks New's names against fmt's "server-%02d"
+// across the two-, three- and four-digit boundaries, and that the servers
+// carved from one slab are independent: filling every hyperthread of one
+// with 1-vCPU VMs, then emptying it, leaves its neighbours' VMs in place.
+func TestNewServersFromOneSlab(t *testing.T) {
+	c := New(1001, sim.ServerConfig{}, LeastLoaded{})
+	for i, s := range c.Servers {
+		if want := fmt.Sprintf("server-%02d", i); s.Name() != want {
+			t.Fatalf("server %d is named %q, want %q", i, s.Name(), want)
+		}
+	}
+	spec := workload.VictimSpecs(1, 1)[0]
+	neighbours := map[int]*sim.VM{}
+	for _, j := range []int{1, 2, 499, 501, 999} {
+		neighbours[j] = mkVM(fmt.Sprintf("n-%d", j), 1, spec, 0)
+		if err := c.Servers[j].Place(neighbours[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{0, 500, 1000} {
+		s := c.Servers[i]
+		for k := 0; k < s.TotalVCPUs(); k++ {
+			if err := s.Place(mkVM(fmt.Sprintf("vm-%d-%d", i, k), 1, spec, uint64(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j, vm := range neighbours {
+			if vms := c.Servers[j].VMs(); len(vms) != 1 || vms[0] != vm {
+				t.Fatalf("after filling server %d, server %d holds %v, want only %s", i, j, vms, vm.ID)
+			}
+		}
+		for k := 0; k < s.TotalVCPUs(); k++ {
+			if !s.Remove(fmt.Sprintf("vm-%d-%d", i, k)) {
+				t.Fatalf("server %d lost vm-%d-%d", i, i, k)
+			}
+		}
 	}
 }
 

@@ -43,8 +43,8 @@ var knownAllocating = map[string]string{
 	"bolt/internal/sim.UncoreResources":     "loop over the resource indices directly",
 	"(*bolt/internal/sim.Server).VMs":       "iterate s.vms directly in package sim",
 	"(*bolt/internal/sim.Server).VMsOnCore": "iterate s.vms with occupiesCore",
-	"(*bolt/internal/sim.VM).Slots":         "iterate vm.slots directly in package sim",
-	"(*bolt/internal/sim.VM).Cores":         "use vm.coreList / vm.coreMask in package sim",
+	"(*bolt/internal/sim.VM).Slots":         "test vm.threads directly in package sim",
+	"(*bolt/internal/sim.VM).Cores":         "test vm.cores directly in package sim",
 	"(*bolt/internal/stats.RNG).Perm":       "use RNG.PermInto with a reused buffer",
 
 	"fmt.Sprintf":  offHotPath,

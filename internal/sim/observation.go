@@ -209,10 +209,10 @@ func (s *Server) squeezeFor(o *obsPlane, observer *VM, t Tick) float64 {
 	}
 	for i, vm := range s.vms {
 		if vm == observer {
-			return o.demand[i].Get(LLC) / 100 * s.cfg.Visibility.Get(LLC)
+			return o.demand[i].Get(LLC) / 100 * s.vis.Get(LLC)
 		}
 	}
-	return observer.App.Demand(t)[LLC] / 100 * s.cfg.Visibility.Get(LLC)
+	return observer.App.Demand(t)[LLC] / 100 * s.vis.Get(LLC)
 }
 
 // ObservedPressure returns the contention a probe inside observer sees on
@@ -266,7 +266,7 @@ func (s *Server) observedPressureFrom(o *obsPlane, observer *VM, r Resource, t T
 			total += demand.Get(LLC) * CacheSpillFactor(demand) * squeeze * SpillScale
 		}
 	}
-	total *= s.cfg.Visibility.Get(r)
+	total *= s.vis.Get(r)
 	if total > 100 {
 		total = 100
 	}
@@ -301,7 +301,7 @@ func (s *Server) ObservedCorePressure(observer *VM, coreIdx int, r Resource, t T
 			}
 		}
 	}
-	total *= s.cfg.Visibility.Get(r)
+	total *= s.vis.Get(r)
 	if total > 100 {
 		total = 100
 	}
@@ -335,7 +335,7 @@ func accumulateObserved(totals *[NumResources]float64, demand *Vector, shares bo
 func (s *Server) finishObserved(totals *[NumResources]float64) Vector {
 	var v Vector
 	for ri := 0; ri < NumResources; ri++ {
-		total := totals[ri] * s.cfg.Visibility.Get(Resource(ri))
+		total := totals[ri] * s.vis.Get(Resource(ri))
 		if total > 100 {
 			total = 100
 		}
@@ -380,7 +380,7 @@ func (s *Server) ObservedVector(observer *VM, t Tick) Vector {
 func (s *Server) InterferenceLive(victim *VM, t Tick) Vector {
 	squeeze := 0.0
 	if victim != nil {
-		squeeze = victim.App.Demand(t)[LLC] / 100 * s.cfg.Visibility.Get(LLC)
+		squeeze = victim.App.Demand(t)[LLC] / 100 * s.vis.Get(LLC)
 	}
 	var totals [NumResources]float64
 	for _, vm := range s.vms {

@@ -120,7 +120,7 @@ func TestPropPlacementNeverDoubleBooks(t *testing.T) {
 			}
 		}
 		// Invariant: no hyperthread slot belongs to two VMs.
-		seen := map[Slot]string{}
+		seen := map[int]string{}
 		for _, vm := range s.VMs() {
 			for _, sl := range vm.Slots() {
 				if owner, taken := seen[sl]; taken {
@@ -147,7 +147,7 @@ func TestPropPlacementNeverDoubleBooks(t *testing.T) {
 }
 
 // TestPropFreeVCPUsMatchesSlotFlags pins the running free-thread count
-// against a recount of the free-slot flags after every Place and Remove of
+// against a recount of the free-slot mask after every Place and Remove of
 // a random sequence — on shared hosts, and on DedicatedCores hosts, where
 // Remove frees whole cores and two of a VM's slots can share one.
 func TestPropFreeVCPUsMatchesSlotFlags(t *testing.T) {
@@ -161,10 +161,8 @@ func TestPropFreeVCPUsMatchesSlotFlags(t *testing.T) {
 			})
 			recount := func() int {
 				n := 0
-				for _, f := range s.free {
-					if f {
-						n++
-					}
+				for i := 0; i < s.TotalVCPUs(); i++ {
+					n += int(s.free >> i & 1)
 				}
 				return n
 			}
@@ -184,7 +182,7 @@ func TestPropFreeVCPUsMatchesSlotFlags(t *testing.T) {
 					}
 				}
 				if got, want := s.FreeVCPUs(), recount(); got != want {
-					t.Logf("dedicated=%v op %d: FreeVCPUs = %d, free-slot flags count %d", dedicated, op, got, want)
+					t.Logf("dedicated=%v op %d: FreeVCPUs = %d, free-slot mask counts %d", dedicated, op, got, want)
 					return false
 				}
 			}

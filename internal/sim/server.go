@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Tick is the simulator's time unit. TickDur is its wall-clock meaning; the
@@ -56,12 +57,6 @@ type DemandVersioner interface {
 	DemandVersion() uint64
 }
 
-// Slot identifies one hyperthread: physical core index and thread index
-// within the core.
-type Slot struct {
-	Core, Thread int
-}
-
 // VM is one virtual machine (or container, or baremetal process — the
 // platform distinction lives in internal/isolation) placed on a server.
 type VM struct {
@@ -72,76 +67,35 @@ type VM struct {
 	// placement epoch. Swap an App only while its VM is off every server.
 	App Demander
 
-	slots []Slot
-	// coreMask has bit c set when the VM holds a hyperthread of physical
-	// core c; coreList is the same set as a sorted slice. Both are
-	// maintained by Place/Remove so topology queries on the observation
-	// hot path never rebuild a set per call.
-	coreMask []uint64
-	coreList []int
+	// threads has bit i set when the VM holds hyperthread slot i of its
+	// host (core i/tpc, thread i%tpc); cores has bit c set when it holds a
+	// hyperthread of physical core c. Place sets both and Remove clears
+	// them, so a placement is two words and a topology query is one AND.
+	threads, cores uint64
 }
 
-// Slots returns a copy of the hyperthread slots assigned to the VM.
-// In-package hot paths iterate vm.slots directly.
-func (vm *VM) Slots() []Slot {
-	return append([]Slot(nil), vm.slots...)
-}
+// Slots returns the hyperthread slots the VM holds, in ascending slot
+// index order; slot i is thread i%tpc of core i/tpc on a host with tpc
+// threads per core. In-package hot paths test vm.threads directly.
+func (vm *VM) Slots() []int { return setBits(vm.threads) }
 
 // Cores returns the physical core indices the VM occupies, in ascending
-// order. The set is precomputed by Place; the returned slice is a copy.
-// In-package hot paths use vm.coreList / vm.coreMask directly.
-func (vm *VM) Cores() []int {
-	return append([]int(nil), vm.coreList...)
+// order. In-package hot paths test vm.cores directly.
+func (vm *VM) Cores() []int { return setBits(vm.cores) }
+
+// setBits returns the indices of m's set bits, ascending.
+func setBits(m uint64) []int {
+	var out []int
+	for ; m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros64(m))
+	}
+	return out
 }
 
 // occupiesCore reports whether the VM holds a hyperthread of core c.
 //
 //bolt:hotpath
-func (vm *VM) occupiesCore(c int) bool {
-	w := uint(c) >> 6
-	return int(w) < len(vm.coreMask) && vm.coreMask[w]&(1<<(uint(c)&63)) != 0
-}
-
-// rebuildCoreCache recomputes coreMask/coreList from the VM's slots.
-func (vm *VM) rebuildCoreCache(hostCores int) {
-	words := (hostCores + 63) / 64
-	if cap(vm.coreMask) < words {
-		vm.coreMask = make([]uint64, words)
-	} else {
-		vm.coreMask = vm.coreMask[:words]
-		for i := range vm.coreMask {
-			vm.coreMask[i] = 0
-		}
-	}
-	for _, sl := range vm.slots {
-		vm.coreMask[uint(sl.Core)>>6] |= 1 << (uint(sl.Core) & 63)
-	}
-	if cap(vm.coreList) < len(vm.slots) {
-		vm.coreList = make([]int, 0, len(vm.slots)) // a VM holds at most one core per slot
-	}
-	vm.coreList = vm.coreList[:0]
-	for c := 0; c < hostCores; c++ {
-		if vm.occupiesCore(c) {
-			vm.coreList = append(vm.coreList, c)
-		}
-	}
-}
-
-// masksOverlap reports whether two core masks share a set bit.
-//
-//bolt:hotpath
-func masksOverlap(a, b []uint64) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (vm *VM) occupiesCore(c int) bool { return vm.cores>>uint(c)&1 != 0 }
 
 // ServerConfig describes a physical host. The defaults model the paper's
 // testbed: 8 physical cores, 2-way hyperthreading.
@@ -164,13 +118,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.ThreadsPerCore == 0 {
 		c.ThreadsPerCore = 2
 	}
-	if c.Visibility == nil {
-		var v Vector
-		for i := range v {
-			v[i] = 1
-		}
-		c.Visibility = &v
-	}
 	return c
 }
 
@@ -180,16 +127,19 @@ func (c ServerConfig) withDefaults() ServerConfig {
 type Server struct {
 	cfg  ServerConfig
 	name string
-	vms  []*VM
-	// free[i] is true when hyperthread slot i (core i/tpc, thread i%tpc) is
-	// unoccupied; nfree counts the true entries, kept in step by Place and
-	// Remove so FreeVCPUs — which schedulers call for every server on every
-	// pick — is O(1).
-	free  []bool
+	// vms is carved at capacity TotalVCPUs by NewServers: every VM holds at
+	// least one hyperthread, so it never grows, and Lookup's scan of it is
+	// bounded by the host's thread count.
+	vms []*VM
+	// free has bit i set when hyperthread slot i (core i/tpc, thread i%tpc)
+	// is unoccupied; nfree is its population count, kept in step by Place
+	// and Remove so FreeVCPUs — which schedulers call for every server on
+	// every pick — is one load.
+	free  uint64
 	nfree int
-	// byID indexes vms by VM.ID so Lookup (and Place's duplicate check) is
-	// O(1); cluster construction used to be O(n²) in VMs per host.
-	byID map[string]*VM
+	// vis is the visibility vector the configuration names, all ones when
+	// it names none; cfg.Visibility points at it.
+	vis Vector
 	// epoch counts placement changes; the observation snapshot records the
 	// epoch it was built at and rebuilds when they diverge.
 	epoch uint64
@@ -204,20 +154,41 @@ type Server struct {
 // ErrNoCapacity is returned when a VM cannot be placed on a server.
 var ErrNoCapacity = errors.New("sim: insufficient vCPU capacity")
 
-// NewServer returns an empty server with the given configuration.
+// NewServer returns an empty server with the given configuration. It
+// panics unless the host has between 1 and 64 hyperthreads
+// (Cores·ThreadsPerCore): a placement is a 64-bit slot mask.
 func NewServer(name string, cfg ServerConfig) *Server {
+	return NewServers([]string{name}, cfg)[0]
+}
+
+// NewServers returns one empty server per name, all with the given
+// configuration, built from one slab of servers and one backing array for
+// their VM lists. It panics as NewServer does.
+func NewServers(names []string, cfg ServerConfig) []*Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:  cfg,
-		name: name,
-		free: make([]bool, cfg.Cores*cfg.ThreadsPerCore),
-		byID: make(map[string]*VM),
+	total := cfg.Cores * cfg.ThreadsPerCore
+	if cfg.Cores < 1 || cfg.ThreadsPerCore < 1 || total > 64 {
+		panic(fmt.Sprintf("sim: a %d-core host with %d threads per core is outside 1–64 hyperthreads", cfg.Cores, cfg.ThreadsPerCore))
 	}
-	for i := range s.free {
-		s.free[i] = true
+	slab := make([]Server, len(names))
+	vms := make([]*VM, len(names)*total)
+	out := make([]*Server, len(names))
+	for i := range slab {
+		s := &slab[i]
+		s.cfg, s.name = cfg, names[i]
+		s.vms = vms[i*total : i*total : (i+1)*total]
+		s.free, s.nfree = 1<<total-1, total // 1<<64 is 0 in Go, so 64 threads give all ones
+		if cfg.Visibility != nil {
+			s.vis = *cfg.Visibility
+		} else {
+			for r := range s.vis {
+				s.vis[r] = 1
+			}
+		}
+		s.cfg.Visibility = &s.vis
+		out[i] = s
 	}
-	s.nfree = len(s.free)
-	return s
+	return out
 }
 
 // Name returns the server's identifier.
@@ -245,19 +216,33 @@ func (s *Server) VMs() []*VM {
 //bolt:hotpath
 func (s *Server) VMCount() int { return len(s.vms) }
 
-// Lookup returns the VM with the given ID, or nil.
+// Lookup returns the VM with the given ID, or nil. It scans the placed
+// VMs, at most one per hyperthread.
 //
 //bolt:hotpath
 func (s *Server) Lookup(id string) *VM {
-	return s.byID[id]
+	if i := s.index(id); i >= 0 {
+		return s.vms[i]
+	}
+	return nil
 }
 
-func (s *Server) slotIndex(sl Slot) int {
-	return sl.Core*s.cfg.ThreadsPerCore + sl.Thread
+// index returns the position in s.vms of the VM with the given ID, or -1.
+//
+//bolt:hotpath
+func (s *Server) index(id string) int {
+	for i, vm := range s.vms {
+		if vm.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
-func (s *Server) slotAt(i int) Slot {
-	return Slot{Core: i / s.cfg.ThreadsPerCore, Thread: i % s.cfg.ThreadsPerCore}
+// coreThreads returns the slot mask of every hyperthread of core c.
+func (s *Server) coreThreads(c int) uint64 {
+	tpc := s.cfg.ThreadsPerCore
+	return (1<<tpc - 1) << (c * tpc)
 }
 
 // Place assigns hyperthread slots to the VM and adds it to the server.
@@ -271,32 +256,20 @@ func (s *Server) Place(vm *VM) error {
 	if vm.VCPUs <= 0 {
 		return fmt.Errorf("sim: VM %q has %d vCPUs", vm.ID, vm.VCPUs)
 	}
-	if s.byID[vm.ID] != nil {
+	if s.index(vm.ID) >= 0 {
 		return fmt.Errorf("sim: VM %q already placed on %s", vm.ID, s.name)
 	}
 	tpc := s.cfg.ThreadsPerCore
 
-	// chosen stays on the stack for any VM of up to 64 hyperthreads.
-	var buf [64]int
-	chosen := buf[:0]
+	var take uint64
 	if s.cfg.DedicatedCores {
 		// Reserve whole cores: ceil(vcpus / tpc) fully free cores.
 		coresNeeded := (vm.VCPUs + tpc - 1) / tpc
 		for core := 0; core < s.cfg.Cores && coresNeeded > 0; core++ {
-			allFree := true
-			for th := 0; th < tpc; th++ {
-				if !s.free[core*tpc+th] {
-					allFree = false
-					break
-				}
+			if m := s.coreThreads(core); s.free&m == m {
+				take |= m
+				coresNeeded--
 			}
-			if !allFree {
-				continue
-			}
-			for th := 0; th < tpc; th++ {
-				chosen = append(chosen, core*tpc+th)
-			}
-			coresNeeded--
 		}
 		if coresNeeded > 0 {
 			return ErrNoCapacity
@@ -308,35 +281,33 @@ func (s *Server) Place(vm *VM) error {
 		// later VMs land on the second hyperthreads of earlier VMs' cores —
 		// which is exactly why hyperthread co-residency with strangers is
 		// the norm in multi-tenant clouds (§3.4).
-		for th := 0; th < tpc && len(chosen) < vm.VCPUs; th++ {
-			for core := 0; core < s.cfg.Cores && len(chosen) < vm.VCPUs; core++ {
-				if i := core*tpc + th; s.free[i] {
-					chosen = append(chosen, i)
+		need := vm.VCPUs
+		for th := 0; th < tpc && need > 0; th++ {
+			for i := th; i < s.TotalVCPUs() && need > 0; i += tpc {
+				if s.free>>i&1 != 0 {
+					take |= 1 << i
+					need--
 				}
 			}
 		}
-		if len(chosen) < vm.VCPUs {
+		if need > 0 {
 			return ErrNoCapacity
 		}
 	}
 
-	if cap(vm.slots) < vm.VCPUs {
-		vm.slots = make([]Slot, 0, vm.VCPUs)
+	s.free &^= take
+	s.nfree -= bits.OnesCount64(take)
+	// Under DedicatedCores the reserved threads past the VM's vCPUs (the
+	// highest ones) stay marked used but are not the VM's; they are simply
+	// burned capacity (the paper's utilisation penalty).
+	for extra := bits.OnesCount64(take) - vm.VCPUs; extra > 0; extra-- {
+		take &^= 1 << (63 - bits.LeadingZeros64(take))
 	}
-	vm.slots = vm.slots[:0]
-	s.nfree -= len(chosen)
-	for _, i := range chosen {
-		s.free[i] = false
-		if !s.cfg.DedicatedCores || len(vm.slots) < vm.VCPUs {
-			vm.slots = append(vm.slots, s.slotAt(i))
-		}
+	vm.threads, vm.cores = take, 0
+	for m := take; m != 0; m &= m - 1 {
+		vm.cores |= 1 << (bits.TrailingZeros64(m) / tpc)
 	}
-	// Under DedicatedCores extra reserved threads stay marked used but are
-	// not listed as VM slots; they are simply burned capacity (the paper's
-	// utilisation penalty).
-	vm.rebuildCoreCache(s.cfg.Cores)
 	s.vms = append(s.vms, vm)
-	s.byID[vm.ID] = vm
 	s.epoch++
 	return nil
 }
@@ -345,35 +316,22 @@ func (s *Server) Place(vm *VM) error {
 // DedicatedCores, the rest of each reserved core). It reports whether a VM
 // was removed.
 func (s *Server) Remove(id string) bool {
-	vm := s.byID[id]
-	if vm == nil {
+	i := s.index(id)
+	if i < 0 {
 		return false
 	}
-	for _, sl := range vm.slots {
-		if s.cfg.DedicatedCores {
-			// Two of the VM's slots can share a reserved core, so count
-			// only the threads this pass actually frees.
-			for th := 0; th < s.cfg.ThreadsPerCore; th++ {
-				if i := sl.Core*s.cfg.ThreadsPerCore + th; !s.free[i] {
-					s.free[i] = true
-					s.nfree++
-				}
-			}
-		} else {
-			s.free[s.slotIndex(sl)] = true
-			s.nfree++
+	vm := s.vms[i]
+	freed := vm.threads
+	if s.cfg.DedicatedCores {
+		for m := vm.cores; m != 0; m &= m - 1 {
+			freed |= s.coreThreads(bits.TrailingZeros64(m))
 		}
 	}
-	vm.slots = nil
-	vm.coreMask = nil
-	vm.coreList = nil
-	for i, v := range s.vms {
-		if v == vm {
-			s.vms = append(s.vms[:i], s.vms[i+1:]...)
-			break
-		}
-	}
-	delete(s.byID, id)
+	freed &^= s.free
+	s.free |= freed
+	s.nfree += bits.OnesCount64(freed)
+	vm.threads, vm.cores = 0, 0
+	s.vms = append(s.vms[:i], s.vms[i+1:]...)
 	s.epoch++
 	return true
 }
@@ -386,7 +344,7 @@ func (s *Server) SharesCore(a, b *VM) bool {
 	if a == nil || b == nil || a == b {
 		return false
 	}
-	return masksOverlap(a.coreMask, b.coreMask)
+	return a.cores&b.cores != 0
 }
 
 // sharesAnyCore reports whether the observer shares a physical core with
@@ -398,7 +356,7 @@ func (s *Server) sharesAnyCore(observer *VM) bool {
 		return false
 	}
 	for _, vm := range s.vms {
-		if vm != observer && masksOverlap(observer.coreMask, vm.coreMask) {
+		if vm != observer && observer.cores&vm.cores != 0 {
 			return true
 		}
 	}

@@ -184,10 +184,10 @@ func TestRemoveFreesSlots(t *testing.T) {
 	}
 }
 
-// TestPlaceAllocs pins what placing a fresh VM allocates: its slot list,
-// core mask and core list, one allocation each, sized once. The VMs are
-// built up front and removed after each run, so the server's own VM list
-// and index keep their capacity and only the VM's allocations count.
+// TestPlaceAllocs pins what placing a fresh VM allocates: nothing. Its
+// placement is two words in the VM, and the server's VM list is carved at
+// its final capacity. The VMs are built up front and removed after each
+// run, so only Place and Remove count.
 func TestPlaceAllocs(t *testing.T) {
 	for _, cfg := range []ServerConfig{{}, {DedicatedCores: true}} {
 		s := NewServer("s0", cfg)
@@ -205,10 +205,49 @@ func TestPlaceAllocs(t *testing.T) {
 				}
 				s.Remove(vm.ID)
 			})
-			if allocs != 3 {
-				t.Fatalf("dedicated=%v vcpus=%d: Place allocates %v objects, want 3", cfg.DedicatedCores, vcpus, allocs)
+			if allocs != 0 {
+				t.Fatalf("dedicated=%v vcpus=%d: Place allocates %v objects, want 0", cfg.DedicatedCores, vcpus, allocs)
 			}
 		}
+	}
+}
+
+// TestNewServerThreadLimit pins the slot mask's reach: a host of 64
+// hyperthreads, in any shape, builds and fills completely, and NewServer
+// panics at 65.
+func TestNewServerThreadLimit(t *testing.T) {
+	for _, cfg := range []ServerConfig{{Cores: 32, ThreadsPerCore: 2}, {Cores: 64, ThreadsPerCore: 1}, {Cores: 1, ThreadsPerCore: 64}, {Cores: 16, ThreadsPerCore: 4, DedicatedCores: true}} {
+		s := NewServer("s0", cfg)
+		if s.TotalVCPUs() != 64 || s.FreeVCPUs() != 64 {
+			t.Fatalf("%+v: %d threads, %d free, want 64 and 64", cfg, s.TotalVCPUs(), s.FreeVCPUs())
+		}
+		a, b := newVM("a", 63, Vector{}), newVM("b", 1, Vector{})
+		if err := s.Place(a); err != nil {
+			t.Fatalf("%+v: placing 63 vCPUs: %v", cfg, err)
+		}
+		// Under DedicatedCores a's last core is whole, so its 64th thread
+		// is burned.
+		if err := s.Place(b); (err != nil) != cfg.DedicatedCores {
+			t.Fatalf("%+v: placing the 64th vCPU: %v", cfg, err)
+		}
+		if s.FreeVCPUs() != 0 || len(a.Slots()) != 63 {
+			t.Fatalf("%+v: %d free, a holds %v", cfg, s.FreeVCPUs(), a.Slots())
+		}
+		s.Remove("a")
+		s.Remove("b")
+		if s.FreeVCPUs() != 64 {
+			t.Fatalf("%+v: %d free after removing everything, want 64", cfg, s.FreeVCPUs())
+		}
+	}
+	for _, cfg := range []ServerConfig{{Cores: 65, ThreadsPerCore: 1}, {Cores: 13, ThreadsPerCore: 5}, {Cores: 33}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%+v: NewServer built a host of more than 64 hyperthreads", cfg)
+				}
+			}()
+			NewServer("s0", cfg)
+		}()
 	}
 }
 
