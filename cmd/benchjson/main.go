@@ -99,8 +99,8 @@ func main() {
 		"merge results into an existing -out file instead of replacing it (same-name benchmarks are overwritten)")
 	flag.Parse()
 
-	if *count < 1 || (*execMode && *count != 1) {
-		fmt.Fprintln(os.Stderr, "benchjson: -count must be at least 1, and applies to go test mode only")
+	if err := checkFlags(*count, *execMode, flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -108,10 +108,6 @@ func main() {
 	var benchLabel, benchTime string
 	if *execMode {
 		args := flag.Args()
-		if len(args) == 0 {
-			fmt.Fprintln(os.Stderr, "benchjson: -exec needs a command after --")
-			os.Exit(2)
-		}
 		cmd = exec.Command(args[0], args[1:]...)
 		benchLabel = strings.Join(args, " ")
 	} else {
@@ -180,6 +176,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
+}
+
+// checkFlags rejects the flag values a run cannot start from, before any
+// command runs: a -count below 1, a -count in -exec mode (which runs its
+// command once), and -exec with no command after --.
+func checkFlags(count int, execMode bool, args []string) error {
+	if count < 1 || (execMode && count != 1) {
+		return fmt.Errorf("-count %d: -count must be at least 1, and applies to go test mode only", count)
+	}
+	if execMode && len(args) == 0 {
+		return fmt.Errorf("-exec needs a command after --")
+	}
+	return nil
 }
 
 // parseReport scans benchmark-format output: goos/goarch/cpu headers and

@@ -182,3 +182,26 @@ func TestCollapseMedianAndQuartiles(t *testing.T) {
 		t.Fatalf("A = %+v, want 7 throughout", got[1])
 	}
 }
+
+// TestCheckFlags: a -count below 1, a -count in -exec mode and -exec with
+// no command are refused before any command runs (exit 2).
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		count int
+		exec  bool
+		args  []string
+		ok    bool
+	}{
+		{0, false, nil, false},
+		{-1, false, nil, false},
+		{2, true, []string{"true"}, false},
+		{1, true, nil, false},
+		{1, false, nil, true},
+		{5, false, nil, true},
+		{1, true, []string{"true"}, true},
+	} {
+		if err := checkFlags(c.count, c.exec, c.args); (err == nil) != c.ok {
+			t.Errorf("-count %d -exec=%v %q: err %v, want accepted=%v", c.count, c.exec, c.args, err, c.ok)
+		}
+	}
+}

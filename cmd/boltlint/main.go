@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"bolt/internal/lint"
@@ -43,20 +44,32 @@ type jsonDiagnostic struct {
 }
 
 func main() {
-	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: boltlint [-json] [packages]\n\nanalyzers:\n")
-		for _, a := range lint.All() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-20s %s\n", a.Name, a.Doc)
-		}
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	pkgs, err := lint.Load(".", flag.Args()...)
+// run is boltlint with its arguments and output streams passed in; it
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("boltlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: boltlint [-json] [packages]\n\nanalyzers:\n")
+		for _, a := range lint.All() {
+			fmt.Fprintf(stderr, "  %-20s %s\n", a.Name, a.Doc)
+		}
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	pkgs, err := lint.Load(".", fs.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "boltlint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "boltlint: %v\n", err)
+		return 2
 	}
 
 	diags := lint.Run(pkgs, lint.All())
@@ -71,19 +84,20 @@ func main() {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "boltlint: encoding: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "boltlint: encoding: %v\n", err)
+			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "boltlint: %d diagnostic(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "boltlint: %d diagnostic(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }

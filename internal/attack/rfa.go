@@ -48,9 +48,9 @@ type RFAOutcome struct {
 //
 // Both measurements happen at the same tick with only the helper kernels
 // toggled in between — the case that requires the helper's probe.Kernels
-// to implement sim.DemandVersioner: the host's per-tick demand snapshot
-// invalidates on the kernel version bump, so the on-measurement sees the
-// helper's pressure instead of the cached off-state.
+// to implement sim.RetunableDemander: the host's per-tick demand snapshot
+// sees the helper's demand move and refills, so the on-measurement sees
+// the helper's pressure instead of the cached off-state.
 func MeasureBatchRFA(r *RFA, host *sim.Server, victim, beneficiary *latency.BatchJob,
 	start sim.Tick) RFAOutcome {
 	r.Stop()

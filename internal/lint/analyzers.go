@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		MaporderAnalyzer,
 		HotallocAnalyzer,
 		HotcopyAnalyzer,
-		SnapshotAnalyzer,
 		BarrierMergeAnalyzer,
 	}
 }

@@ -18,7 +18,6 @@ func TestAnalyzersRegistered(t *testing.T) {
 		"maporder",
 		"hotalloc",
 		"hotcopy",
-		"snapshotdiscipline",
 		"barriermerge",
 	}
 	all := All()

@@ -30,7 +30,6 @@ var goldenFixtures = []struct{ pkgPath, subdir string }{
 	{"bolt/internal/hotcopy", "hotcopy"},
 	{"bolt/internal/exper", "maporder"},
 	{"bolt/internal/exper", "nolintreason"},
-	{"bolt/internal/attack", "snapshot"},
 	{"bolt/internal/sim", "unusednolint"},
 }
 

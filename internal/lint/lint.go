@@ -4,11 +4,9 @@
 //
 // Every result in this reproduction rests on invariants the Go compiler
 // cannot see: suite output at seed 42 must be byte-identical at every
-// parallelism level, the detection hot path must stay allocation-free, and
-// the simulator's observation plane has an invalidation contract that is
-// otherwise enforced only by comments and a parity test. The analyzers here
-// move those contracts from "caught by a flaky diff in CI" to "rejected at
-// build time":
+// parallelism level, and the detection hot path must stay allocation-free.
+// The analyzers here move those contracts from "caught by a flaky diff in
+// CI" to "rejected at build time":
 //
 //   - detrand:   no ambient nondeterminism (math/rand, time.Now, os.Getenv)
 //     in deterministic packages; randomness flows through stats.RNG
@@ -17,13 +15,16 @@
 //     anything it calls
 //   - hotcopy:   no call, in a //bolt:hotpath function, to a method whose
 //     value receiver is an array or struct over 64 bytes
-//   - snapshotdiscipline: DemandVersioner mutators bump the demand version,
-//     and observations are not retained across Place/Remove
 //   - barriermerge: fan-out bodies write index-addressed slots, never
 //     shared state in completion order
 //
 // DESIGN.md "Determinism contract" records, for each, the bug it encodes
 // and why the golden outputs and -race do not catch that bug reliably.
+//
+// The simulator's observation plane needs no analyzer: it keys its
+// snapshot on the retunable demanders' demand itself, so there is no
+// invalidation step to forget, and sim's FuzzObservationMatchesReference
+// holds it to a reference copy bit for bit.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, analysistest-style golden tests) but is built on

@@ -90,7 +90,7 @@ type Summaries struct {
 // funcKey is the summary key of a *types.Func: the generic origin's
 // FullName, e.g. "bolt/internal/mining.Dot",
 // "(*bolt/internal/serve.Server).flush", or — for interface methods —
-// "(bolt/internal/sim.DemandVersioner).Demand".
+// "(bolt/internal/sim.Demander).Demand".
 func funcKey(fn *types.Func) string {
 	return fn.Origin().FullName()
 }
@@ -253,7 +253,7 @@ func (s *Summaries) ensureCallee(key string, pkgs []*Package) {
 }
 
 // interfaceImpls resolves an interface-method key like
-// "(bolt/internal/sim.DemandVersioner).Demand" to the matching methods of
+// "(bolt/internal/sim.Demander).Demand" to the matching methods of
 // every named type in pkgs that implements the interface, in sorted order.
 // Returns nil when key does not name a resolvable interface method.
 func (s *Summaries) interfaceImpls(key string, pkgs []*Package) []string {

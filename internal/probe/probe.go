@@ -15,16 +15,12 @@ import (
 
 // Kernels is the adversarial VM's application: a set of contention kernels,
 // one per resource, each running at a settable intensity (percent of the
-// host resource it consumes). It implements sim.Demander. Profiling ramps
-// one kernel at a time; the DoS attack (§5.1) pins several at high
-// intensity. Kernels is safe for concurrent use.
+// host resource it consumes). It implements sim.RetunableDemander.
+// Profiling ramps one kernel at a time; the DoS attack (§5.1) pins several
+// at high intensity. Kernels is safe for concurrent use.
 type Kernels struct {
 	mu        sync.Mutex
 	intensity sim.Vector
-	// version counts effective intensity changes; it backs DemandVersion so
-	// the server's observation snapshot notices a retuned kernel even at an
-	// unchanged tick (the RFA measurement toggles its helper mid-tick).
-	version uint64
 	// MaxIntensity caps every kernel. Small adversarial VMs cannot generate
 	// full-host contention (Fig. 10b); see MaxIntensityFor.
 	MaxIntensity float64
@@ -61,20 +57,13 @@ func (k *Kernels) Set(r sim.Resource, intensity float64) {
 	if intensity > k.MaxIntensity {
 		intensity = k.MaxIntensity
 	}
-	before := k.intensity.Get(r)
 	k.intensity.Set(r, intensity)
-	if k.intensity.Get(r) != before {
-		k.version++
-	}
 }
 
 // Reset idles every kernel.
 func (k *Kernels) Reset() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.intensity != (sim.Vector{}) {
-		k.version++
-	}
 	k.intensity = sim.Vector{}
 }
 
@@ -99,17 +88,12 @@ func (k *Kernels) DemandInto(_ sim.Tick, out *sim.Vector, _ sim.ResourceSet) {
 // zero for the slowdown model.
 func (k *Kernels) Sensitivity() sim.Vector { return sim.Vector{} }
 
-// DemandVersion implements sim.DemandVersioner: the kernel intensities are
-// mutated out-of-band (ramps, attacks), so the server's per-tick demand
-// snapshot keys on this counter.
-func (k *Kernels) DemandVersion() uint64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.version
-}
+// Retunable implements sim.RetunableDemander: the kernel intensities are
+// mutated out-of-band (ramps, attacks, the RFA helper toggled mid-tick),
+// so the server's per-tick demand snapshot checks them before serving.
+func (k *Kernels) Retunable() {}
 
-var _ sim.Demander = (*Kernels)(nil)
-var _ sim.DemandVersioner = (*Kernels)(nil)
+var _ sim.RetunableDemander = (*Kernels)(nil)
 
 // rampStep is the intensity increment per ramp step in percent, and
 // ticksPerStep how long each step takes (one tick, 100 ms): the §3.2

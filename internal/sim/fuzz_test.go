@@ -21,11 +21,35 @@ import (
 // HostDemand over the set — so partial fills, their working sets and a
 // retune between two of them land wherever the fuzzer puts them; a full
 // query asks ObservedVector and HostDemand over every resource.
+//
+// What the references share with the plane, and what covers it:
+//   - VMs() (the placement order every fold follows) and SharesCore (the
+//     core-mask AND): FuzzPlacementMatchesReference checks the placement
+//     state they read against its own reference;
+//   - Config().Visibility, which points at the vector the plane reads:
+//     the seed draws a random one, so an attenuation the plane applies
+//     twice or skips fails here, but a NewServers that copies the wrong
+//     vector would fool both sides;
+//   - CacheSpillFactor, SpillScale and Vector.Set's [0, 100] clamp (the
+//     HostDemand fold): the contention model itself, which this target
+//     does not check — it checks that the cached plane evaluates the
+//     model exactly as the inline loops do;
+//   - the demanders' Demand(t), which is what the plane caches: the
+//     references call it live at every query, the plane once per key.
+//
+// The seed corpus retunes a kernel to another value and back between two
+// observations at one tick (seed 4), and sets a kernel, or resets one,
+// to the value it already has (seed 14): both must be served from the
+// snapshot, and a retune that sticks must not be.
 func FuzzObservationMatchesReference(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 0, 0, 4, 0x0f, 2, 7, 4, 0xf0, 5, 0, 3, 9, 4, 0xff})
 	f.Add(uint64(7), []byte{0, 1, 0, 2, 0, 3, 4, 0x21, 2, 200, 4, 0x21, 1, 0, 5, 0, 12, 0x40, 3, 0, 5, 3})
 	f.Add(uint64(42), []byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 4, 0x80, 2, 1, 4, 0x80, 10, 0x03, 1, 1, 4, 0x03})
 	f.Add(uint64(9), []byte{})
+	// A→B→A at one tick, then B again: 23, 73 and 123 all set resource 3.
+	f.Add(uint64(4), []byte{0, 0, 0, 0, 0, 0, 11, 0, 2, 23, 11, 0, 2, 73, 2, 123, 11, 0, 40, 0x08, 2, 73, 11, 0})
+	// Same-value Set and Reset at one tick, then a Set that moves.
+	f.Add(uint64(14), []byte{0, 0, 0, 0, 0, 0, 11, 0, 2, 45, 11, 0, 2, 45, 11, 0, 4, 0xff, 2, 200, 40, 0x3f, 2, 200, 11, 0, 2, 201, 5, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // This file is the server's observation plane: every query about what a VM
 // can see or feel at a tick — ObservedPressure, ObservedVector, Slowdown,
 // CPUUtilization, HostDemand — is answered from a per-(Server, Tick)
@@ -10,15 +12,17 @@ package sim
 //
 // Snapshot lifetime and invalidation:
 //
-//   - the snapshot is keyed by (tick, server epoch, per-VM demand
-//     versions). Place/Remove bump the epoch; a Demander implementing
-//     DemandVersioner (probe kernels) bumps its version when retuned. Any
-//     mismatch discards every entry, so demanders that derive their output
-//     from co-residents (workload.Reactive) are re-evaluated whenever any
-//     of their inputs could have changed. Which VMs are versioners is
-//     resolved only when the epoch changes (a placed VM's App is never
-//     reassigned); a new tick at the same epoch re-reads the versions, and
-//     on a host with no versioners reads nothing at all.
+//   - the snapshot is keyed by (tick, server epoch, the demand of every
+//     RetunableDemander on the host). Place/Remove bump the epoch; a
+//     retunable demander (probe kernels) is asked for Demand(tick) again
+//     before each use and compared bit for bit with the vector taken with
+//     the key. Any mismatch discards every entry, so demanders that derive
+//     their output from co-residents (workload.Reactive) are re-evaluated
+//     whenever any of their inputs could have changed. No counter stands
+//     in for the demand, so there is no bump a retune could forget, and a
+//     retune undone before the next observation keeps the snapshot. Which
+//     VMs are retunable is resolved only when the epoch changes (a placed
+//     VM's App is never reassigned); a host with none reads nothing extra.
 //
 //   - the snapshot is filled by resource. Each query names the entries it
 //     reads: ObservedPressure reads {r}, plus LLC for MemBW with an
@@ -49,8 +53,8 @@ package sim
 // is *different* from the top-level one and must never be served from (or
 // written to) the snapshot; InterferenceLive exists precisely for it. The
 // snapshot only ever stores top-level demands, which are deterministic for
-// a fixed (tick, epoch, versions) key, so one evaluation per VM per tick
-// is exact.
+// a fixed (tick, epoch, retunable demands) key, so one evaluation per VM
+// per tick is exact.
 
 // ObservationFault intercepts the observation plane's single-resource
 // sensor readings for one designated observer VM. internal/fault's
@@ -96,53 +100,61 @@ type obsPlane struct {
 	// the working set a fill at this key takes along.
 	have, used, want ResourceSet
 	// demand[i][r] is s.vms[i].App.Demand(tick)[r] for every r in have;
-	// other entries are stale. versioned lists the VMs whose App is a
-	// DemandVersioner, each with the version captured when the key was
-	// taken; it is resolved when the epoch changes, since only Place and
-	// Remove change s.vms. A host of plain demanders lists none, so its
-	// plane is one allocation, made at its first observation.
+	// other entries are stale. retunable lists the VMs whose App is a
+	// RetunableDemander, each with its whole Demand(tick) as it was when
+	// the key was taken; it is resolved when the epoch changes, since only
+	// Place and Remove change s.vms. A host of plain demanders lists none,
+	// so its plane is one allocation, made at its first observation.
 	demand    []Vector
-	versioned []keyedVersion
+	retunable []keyedDemand
 }
 
-// keyedVersion is one DemandVersioner on the host and its version at the
+// keyedDemand is one RetunableDemander on the host and its demand at the
 // snapshot's key.
-type keyedVersion struct {
-	app     DemandVersioner
-	version uint64
+type keyedDemand struct {
+	app    RetunableDemander
+	demand Vector
 }
 
 // resolve sizes the plane for vms and lists which of them are
-// DemandVersioners; observation calls it only when the epoch moves.
+// RetunableDemanders; observation calls it only when the epoch moves.
 func (o *obsPlane) resolve(vms []*VM) {
 	n := len(vms)
 	if cap(o.demand) < n {
 		o.demand = make([]Vector, n)
 	}
 	o.demand = o.demand[:n]
-	o.versioned = o.versioned[:0]
+	o.retunable = o.retunable[:0]
 	for _, vm := range vms {
-		if v, ok := vm.App.(DemandVersioner); ok {
-			o.versioned = append(o.versioned, keyedVersion{app: v})
+		if d, ok := vm.App.(RetunableDemander); ok {
+			o.retunable = append(o.retunable, keyedDemand{app: d})
 		}
 	}
 }
 
-func (o *obsPlane) versionsCurrent() bool {
-	for _, e := range o.versioned {
-		if e.app.DemandVersion() != e.version {
-			return false
+// retunablesCurrent reports whether every retunable demander still
+// demands, bit for bit, what it did when the key was taken.
+//
+//bolt:hotpath
+func (o *obsPlane) retunablesCurrent() bool {
+	for i := range o.retunable {
+		e := &o.retunable[i]
+		now := e.app.Demand(o.tick)
+		for r := range now {
+			if math.Float64bits(now[r]) != math.Float64bits(e.demand[r]) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
 // current reports whether the snapshot's key is (t, the server's epoch,
-// the VMs' present demand versions).
+// the retunable VMs' present demands).
 //
 //bolt:hotpath
 func (o *obsPlane) current(s *Server, t Tick) bool {
-	return o.valid && o.tick == t && o.epoch == s.epoch && o.versionsCurrent()
+	return o.valid && o.tick == t && o.epoch == s.epoch && o.retunablesCurrent()
 }
 
 // observation returns the snapshot for tick t with at least the entries
@@ -164,8 +176,8 @@ func (s *Server) observation(t Tick, need ResourceSet) *obsPlane {
 		if !o.valid || o.epoch != s.epoch {
 			o.resolve(s.vms)
 		}
-		for i := range o.versioned {
-			o.versioned[i].version = o.versioned[i].app.DemandVersion()
+		for i := range o.retunable {
+			o.retunable[i].demand = o.retunable[i].app.Demand(t)
 		}
 		o.tick, o.epoch, o.valid = t, s.epoch, true
 		o.want, o.used, o.have = o.used, 0, 0

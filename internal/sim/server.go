@@ -30,8 +30,8 @@ func (t Tick) Seconds() float64 { return float64(t) / TicksPerSecond }
 // per resource per tick and serves every same-tick observation from that
 // snapshot. A Demander whose output can change between two calls at the
 // same tick (because some out-of-band state was mutated, like a contention
-// kernel's intensity) must also implement DemandVersioner so the snapshot
-// can be invalidated.
+// kernel's intensity) must implement RetunableDemander, so the snapshot
+// checks its demand before serving from it.
 //
 // DemandInto is how the plane fills its snapshot: it writes Demand(t)[r]
 // into out[r] for every r in need, bit for bit. It may write other entries
@@ -43,18 +43,21 @@ type Demander interface {
 	Sensitivity() Vector
 }
 
-// DemandVersioner is implemented by Demanders whose Demand(t) can change
+// RetunableDemander is implemented by Demanders whose Demand(t) can change
 // at a fixed tick through out-of-band mutation (probe kernels being
-// retuned, an attack toggling its helpers). DemandVersion must return a
-// counter that increases whenever the next Demand or DemandInto call might
-// differ from the previous one at the same tick. Mutations that arrive
-// through the server itself — placement changes — are tracked by the
-// server's own epoch and need no version; and a Demander that derives its
-// output from co-residents' demands (workload.Reactive) is covered
-// transitively, because any change to its inputs either bumps a version or
-// the epoch, and invalidation discards the whole snapshot.
-type DemandVersioner interface {
-	DemandVersion() uint64
+// retuned, an attack toggling its helpers). The observation plane keys its
+// snapshot on each such VM's Demand(t) as it was when the key was taken,
+// and asks again before serving from it: a retune needs no bookkeeping,
+// and one undone before the next observation costs no refill. Mutations
+// that arrive through the server itself — placement changes — are tracked
+// by the server's own epoch; and a Demander that derives its output from
+// co-residents' demands (workload.Reactive) is covered transitively,
+// because any change to its inputs either moves a retunable demand or the
+// epoch, and invalidation discards the whole snapshot.
+type RetunableDemander interface {
+	Demander
+	// Retunable marks the type; the plane never calls it.
+	Retunable()
 }
 
 // VM is one virtual machine (or container, or baremetal process — the
@@ -63,7 +66,7 @@ type VM struct {
 	ID    string
 	VCPUs int
 	// App is the VM's behaviour. A placed VM's App is not reassigned: the
-	// observation plane resolves which Apps are DemandVersioners once per
+	// observation plane resolves which Apps are RetunableDemanders once per
 	// placement epoch. Swap an App only while its VM is off every server.
 	App Demander
 

@@ -602,37 +602,32 @@ func TestReentrantCoreReadSeesLiveValue(t *testing.T) {
 	}
 }
 
-// versionedApp is a Demander retuned out of band, like a probe kernel set:
-// each retune bumps its version. It counts the version reads and fills the
-// plane makes of it.
-type versionedApp struct {
-	demand  Vector
-	version uint64
-	reads   int
-	fills   int
+// retunableApp is a Demander retuned out of band, like a probe kernel set.
+// It counts the plane's reads of its demand (the key check) and its fills.
+type retunableApp struct {
+	demand Vector
+	reads  int
+	fills  int
 }
 
-func (v *versionedApp) Demand(Tick) Vector { return v.demand }
-func (v *versionedApp) DemandInto(_ Tick, out *Vector, _ ResourceSet) {
-	v.fills++
-	*out = v.demand
+func (a *retunableApp) Demand(Tick) Vector {
+	a.reads++
+	return a.demand
 }
-func (v *versionedApp) Sensitivity() Vector { return Vector{} }
-func (v *versionedApp) DemandVersion() uint64 {
-	v.reads++
-	return v.version
+func (a *retunableApp) DemandInto(_ Tick, out *Vector, _ ResourceSet) {
+	a.fills++
+	*out = a.demand
 }
-func (v *versionedApp) retune(r Resource, x float64) {
-	v.demand.Set(r, x)
-	v.version++
-}
+func (a *retunableApp) Sensitivity() Vector { return Vector{} }
+func (a *retunableApp) Retunable()          {}
 
-// TestObservationResolvesVersionersPerEpoch pins the per-epoch versioner
-// cache: a versioner placed at an already-filled tick is resolved by the
-// epoch bump, a retune at that tick forces a refill, a new tick at the same
-// epoch re-reads the version, and once the versioner is removed no tick
-// reads it again.
-func TestObservationResolvesVersionersPerEpoch(t *testing.T) {
+// TestObservationKeysRetunablesOnDemand pins the demand key: a retunable
+// demander placed at an already-filled tick is resolved by the epoch bump;
+// a retune at that tick forces a refill; a retune undone before the next
+// observation, and a retune to the value the demand already has, are both
+// served from the snapshot; a new tick at the same epoch reads the demand
+// again; and once the demander is removed no tick reads it.
+func TestObservationKeysRetunablesOnDemand(t *testing.T) {
 	s := NewServer("s0", ServerConfig{})
 	plain := []*VM{
 		newVM("a", 2, vec(map[Resource]float64{DiskBW: 40})),
@@ -648,41 +643,53 @@ func TestObservationResolvesVersionersPerEpoch(t *testing.T) {
 		}
 	}
 	read(5, 40)
-	if n := len(s.obs.versioned); n != 0 {
-		t.Fatalf("%d versioners listed on a host of plain demanders", n)
+	if n := len(s.obs.retunable); n != 0 {
+		t.Fatalf("%d retunable demanders listed on a host of plain demanders", n)
 	}
 
-	k := &versionedApp{demand: vec(map[Resource]float64{DiskBW: 10})}
+	k := &retunableApp{demand: vec(map[Resource]float64{DiskBW: 10})}
 	for _, vm := range []*VM{{ID: "k", VCPUs: 2, App: k}, plain[1]} {
 		if err := s.Place(vm); err != nil {
 			t.Fatal(err)
 		}
 	}
 	read(5, 55) // same tick, new epoch: k is resolved and filled
-	if n := len(s.obs.versioned); n != 1 || k.fills != 1 {
-		t.Fatalf("after placing the versioner: %d versioners listed, %d fills, want 1 and 1", n, k.fills)
+	if n := len(s.obs.retunable); n != 1 || k.fills != 1 {
+		t.Fatalf("after placing the retunable demander: %d listed, %d fills, want 1 and 1", n, k.fills)
 	}
-	k.retune(DiskBW, 30)
-	read(5, 75) // same tick and epoch, new version: refilled
+	fills := func(want int, what string) {
+		t.Helper()
+		if k.fills != want {
+			t.Fatalf("%s: %d fills at tick 5, want %d", what, k.fills, want)
+		}
+	}
+	k.demand.Set(DiskBW, 30)
+	read(5, 75) // same tick and epoch, new demand: refilled
 	read(5, 75) // warm
-	if k.fills != 2 {
-		t.Fatalf("versioner filled %d times at tick 5, want 2 (placement, retune)", k.fills)
-	}
+	fills(2, "a retune at a filled tick")
+	k.demand.Set(DiskBW, 90)
+	k.demand.Set(DiskBW, 30)
+	read(5, 75)
+	fills(2, "a retune undone before the next observation")
+	k.demand.Set(DiskBW, 30)
+	read(5, 75)
+	fills(2, "a retune to the value the demand already has")
 	before := k.reads
-	read(6, 75) // new tick at the same epoch re-reads the version
+	read(6, 75) // new tick at the same epoch reads the demand again
 	if k.reads == before {
-		t.Fatal("a new tick at the same epoch did not re-read the versioner")
+		t.Fatal("a new tick at the same epoch did not read the retunable demand")
 	}
 
 	// Removing k shifts b into its slot: a stale resolution would still
-	// ask k for its version there.
+	// ask k for its demand there.
 	s.Remove("k")
-	before = k.reads
+	reads, fillsBefore := k.reads, k.fills
 	for at := Tick(6); at < 200; at++ {
 		read(at, 45)
 		s.CPUUtilization(at)
 	}
-	if n := len(s.obs.versioned); n != 0 || k.reads != before {
-		t.Fatalf("after removing the versioner: %d versioners listed, %d more version reads, want 0 and 0", n, k.reads-before)
+	if n := len(s.obs.retunable); n != 0 || k.reads != reads || k.fills != fillsBefore {
+		t.Fatalf("after removing the retunable demander: %d listed, %d more reads, %d more fills, want 0, 0 and 0",
+			n, k.reads-reads, k.fills-fillsBefore)
 	}
 }

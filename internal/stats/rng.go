@@ -24,7 +24,13 @@ type RNG struct {
 // seeds still produce uncorrelated streams.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's state from x via splitmix64.
+func (r *RNG) seed(x uint64) {
+	sm := x
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
@@ -32,7 +38,6 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives an independent generator from r, advancing r once. Use it to
@@ -41,16 +46,20 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
 
-// SplitN derives n independent generators from r by calling Split n times,
-// advancing r exactly n draws. It is the pre-split step of the repository's
+// SplitN derives the n generators that n calls of Split would, advancing r
+// exactly n draws. It is the pre-split step of the repository's
 // parallelism discipline: a caller about to fan work out over a pool splits
 // one stream per unit *serially, in unit order, up front*, then hands
 // stream i to unit i — so the streams each unit consumes are identical at
-// every worker count and the merged output stays byte-identical.
+// every worker count and the merged output stays byte-identical. The n
+// generators live in one slab, so the split costs two allocations however
+// large n is.
 func (r *RNG) SplitN(n int) []*RNG {
+	slab := make([]RNG, n)
 	out := make([]*RNG, n)
 	for i := range out {
-		out[i] = r.Split()
+		slab[i].seed(r.Uint64())
+		out[i] = &slab[i]
 	}
 	return out
 }
