@@ -45,6 +45,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -231,14 +232,25 @@ func mergeReports(old, fresh Report) (Report, error) {
 		}
 	}
 	fresh.Benchmarks = append(merged, fresh.Benchmarks...)
-	fresh.Bench = old.Bench + "|" + fresh.Bench
-	if old.BenchTime != "" || fresh.BenchTime != "" {
-		fresh.BenchTime = old.BenchTime + "," + fresh.BenchTime
-	}
+	fresh.Bench = mergeLabels(old.Bench, fresh.Bench, "|")
+	fresh.BenchTime = mergeLabels(old.BenchTime, fresh.BenchTime, ",")
 	if dup := firstDuplicate(fresh.Benchmarks); dup != "" {
 		return Report{}, fmt.Errorf("benchmark %q would appear more than once", dup)
 	}
 	return fresh, nil
+}
+
+// mergeLabels joins the sep-separated labels of old and fresh, each once,
+// in first-seen order, so re-recording a bench already in a report leaves
+// its header as it was.
+func mergeLabels(old, fresh, sep string) string {
+	var labels []string
+	for _, l := range append(strings.Split(old, sep), strings.Split(fresh, sep)...) {
+		if l != "" && !slices.Contains(labels, l) {
+			labels = append(labels, l)
+		}
+	}
+	return strings.Join(labels, sep)
 }
 
 // collapse folds the count results each benchmark name must have into one:

@@ -120,8 +120,37 @@ func TestMergeReportsReplacesAndPreserves(t *testing.T) {
 	if merged.Benchmarks[0].Name != "BenchmarkA" || merged.Benchmarks[1].NsPerOp != 9 {
 		t.Fatalf("merged = %+v", merged.Benchmarks)
 	}
-	if merged.Bench != "BenchmarkA|BenchmarkB|BenchmarkB" || merged.BenchTime != "200x,3x" {
+	if merged.Bench != "BenchmarkA|BenchmarkB" || merged.BenchTime != "200x,3x" {
 		t.Fatalf("labels: bench=%q benchtime=%q", merged.Bench, merged.BenchTime)
+	}
+}
+
+// TestMergeReportsLabels pins the header merge: re-appending a bench the
+// report already names keeps the header as it was, a new bench or
+// benchtime is added once, in first-seen order, and a header a repeated
+// merge has already grown is folded back.
+func TestMergeReportsLabels(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		old, fresh          [2]string // bench, benchtime
+		wantBench, wantTime string
+	}{
+		{"re-append", [2]string{"BenchmarkFleetTick|BenchmarkCampaign", "20x"}, [2]string{"BenchmarkCampaign", "20x"}, "BenchmarkFleetTick|BenchmarkCampaign", "20x"},
+		{"re-append first", [2]string{"BenchmarkFleetTick|BenchmarkCampaign", "20x"}, [2]string{"BenchmarkFleetTick", "20x"}, "BenchmarkFleetTick|BenchmarkCampaign", "20x"},
+		{"new bench", [2]string{"BenchmarkFleetTick", "20x"}, [2]string{"BenchmarkCampaign", "20x"}, "BenchmarkFleetTick|BenchmarkCampaign", "20x"},
+		{"new benchtime", [2]string{"BenchmarkSimTick", "200x"}, [2]string{"BenchmarkSuite", "3x"}, "BenchmarkSimTick|BenchmarkSuite", "200x,3x"},
+		{"grown header", [2]string{"BenchmarkFleetTick|BenchmarkCampaign|BenchmarkCampaign", "20x,20x,20x"}, [2]string{"BenchmarkCampaign", "20x"}, "BenchmarkFleetTick|BenchmarkCampaign", "20x"},
+		{"exec rows carry no benchtime", [2]string{"boltload", ""}, [2]string{"boltload", ""}, "boltload", ""},
+	} {
+		old := Report{Bench: tc.old[0], BenchTime: tc.old[1], Benchmarks: []Result{{Name: "Old"}}}
+		fresh := Report{Bench: tc.fresh[0], BenchTime: tc.fresh[1], Benchmarks: []Result{{Name: "Fresh"}}}
+		merged, err := mergeReports(old, fresh)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if merged.Bench != tc.wantBench || merged.BenchTime != tc.wantTime {
+			t.Fatalf("%s: bench=%q benchtime=%q, want %q and %q", tc.name, merged.Bench, merged.BenchTime, tc.wantBench, tc.wantTime)
+		}
 	}
 }
 

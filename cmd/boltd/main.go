@@ -41,10 +41,18 @@ func main() {
 }
 
 // checkFlags refuses a server of no detection slots, which would serve
-// from one while reporting none, or a negative queue depth.
-func checkFlags(workers, queue int) error {
+// from one while reporting none, a negative queue depth, a -faultrate
+// outside [0, 1] or NaN, which the fault plane would silently clamp into
+// a rate no one asked for, or a negative -retrain period.
+func checkFlags(workers, queue int, faultrate float64, retrain time.Duration) error {
 	if workers < 1 || queue < 0 {
 		return fmt.Errorf("-workers %d -queue %d: want 1 slot or more and a queue of 0 (the default) or more", workers, queue)
+	}
+	if !(faultrate >= 0 && faultrate <= 1) { // NaN fails both
+		return fmt.Errorf("-faultrate %v: want a rate in [0, 1]", faultrate)
+	}
+	if retrain < 0 {
+		return fmt.Errorf("-retrain %v: want a period of 0 (never) or more", retrain)
 	}
 	return nil
 }
@@ -76,7 +84,7 @@ func run() int {
 	faultseed := flag.Uint64("faultseed", 1, "fault-plane RNG seed")
 	retrain := flag.Duration("retrain", 0, "background retrain+swap period (0 = never)")
 	flag.Parse()
-	if err := checkFlags(*workers, *queue); err != nil {
+	if err := checkFlags(*workers, *queue, *faultrate, *retrain); err != nil {
 		fmt.Fprintf(os.Stderr, "boltd: %v\n", err)
 		return 2
 	}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"bolt/internal/core"
 	"bolt/internal/serve"
@@ -37,15 +39,30 @@ func TestRetrainOnceSurvivesPanic(t *testing.T) {
 }
 
 // TestCheckFlags: a server of no detection slots, which would serve from
-// one while reporting none, or a negative queue depth is refused before
-// training.
+// one while reporting none, a negative queue depth, a fault rate outside
+// [0, 1] or NaN, and a negative retrain period are refused before
+// training; the defaults and the edges of each range are accepted.
 func TestCheckFlags(t *testing.T) {
-	for _, c := range []struct{ workers, queue int }{{0, 0}, {-1, 0}, {1, -1}} {
-		if checkFlags(c.workers, c.queue) == nil {
-			t.Errorf("-workers %d -queue %d accepted", c.workers, c.queue)
+	for _, c := range []struct {
+		workers, queue int
+		faultrate      float64
+		retrain        time.Duration
+		ok             bool
+	}{
+		{1, 0, 0, 0, true},
+		{2, 8, 1, time.Second, true},
+		{1, 0, 0.5, 0, true},
+		{0, 0, 0, 0, false},
+		{-1, 0, 0, 0, false},
+		{1, -1, 0, 0, false},
+		{1, 0, -0.1, 0, false},
+		{1, 0, 1.5, 0, false},
+		{1, 0, math.NaN(), 0, false},
+		{1, 0, 0, -time.Second, false},
+	} {
+		err := checkFlags(c.workers, c.queue, c.faultrate, c.retrain)
+		if (err == nil) != c.ok {
+			t.Errorf("-workers %d -queue %d -faultrate %v -retrain %v: error %v, want accepted=%v", c.workers, c.queue, c.faultrate, c.retrain, err, c.ok)
 		}
-	}
-	if err := checkFlags(1, 0); err != nil {
-		t.Errorf("-workers 1 -queue 0 refused: %v", err)
 	}
 }

@@ -51,10 +51,15 @@ func main() {
 }
 
 // checkFlags refuses a sweep of no requests, which has no latency to
-// report, or a negative queue depth.
-func checkFlags(requests, queue int) error {
+// report, a negative queue depth, or a -faultrate outside [0, 1] or NaN,
+// which the fault plane would silently clamp into a rate no one asked
+// for.
+func checkFlags(requests, queue int, faultrate float64) error {
 	if requests < 1 || queue < 0 {
 		return fmt.Errorf("-requests %d -queue %d: want 1 request or more and a queue of 0 (the default) or more", requests, queue)
+	}
+	if !(faultrate >= 0 && faultrate <= 1) { // NaN fails both
+		return fmt.Errorf("-faultrate %v: want a rate in [0, 1]", faultrate)
 	}
 	return nil
 }
@@ -76,7 +81,7 @@ func run() int {
 	}
 	workers, err1 := parseCSV(*workersCSV)
 	clients, err2 := parseCSV(*clientsCSV)
-	for _, err := range []error{err1, err2, checkFlags(*requests, *queue)} {
+	for _, err := range []error{err1, err2, checkFlags(*requests, *queue, *faultrate)} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "boltload: %v\n", err)
 			return 2

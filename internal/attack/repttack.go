@@ -224,17 +224,24 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 	c.scores = make([]float64, servers)
 	c.probed = make([]bool, servers)
 	c.monitor = func(w *fleet.World) {
-		// Per-sample sensor noise, drawn on every host, read or not, so a
-		// host's stream is where it would be when a later wave lands a
-		// sender there.
-		noise := (w.RNG.Float64() - 0.5) * 4
+		// Per-sample sensor noise is drawn on every host, read or not, one
+		// value per tick, so a host's stream is where it would be when a
+		// later wave lands a sender there.
 		if !c.readAll && !c.probed[w.Index] {
+			for t := w.Tick; t <= w.Last; t++ {
+				w.RNG.Uint64() // the draw Float64 makes below
+			}
 			return
 		}
-		p := w.Server.ObservedPressure(nil, c.r1, w.Tick) +
-			w.Server.ObservedPressure(nil, c.r2, w.Tick)
-		p += noise
-		c.scores[w.Index] += p
+		score := c.scores[w.Index]
+		for t := w.Tick; t <= w.Last; t++ {
+			noise := (w.RNG.Float64() - 0.5) * 4
+			p := w.Server.ObservedPressure(nil, c.r1, t) +
+				w.Server.ObservedPressure(nil, c.r2, t)
+			p += noise
+			score += p
+		}
+		c.scores[w.Index] = score
 	}
 	c.idx = make(map[*sim.Server]int, servers)
 	for i, s := range c.Cl.Servers {
@@ -308,26 +315,36 @@ func drawTenant(rng *stats.RNG, k int) tenant {
 	return tenant{k: k, specSeed: specSeed, seed: rng.Uint64()}
 }
 
-// built returns the tenant's App, building it on the first call. The
-// workload classes are taken in rotation by tenant number; calling each
-// constructor directly keeps the spec stream on the stack.
+// backgroundLoad is every background tenant's load pattern, boxed in its
+// interface once rather than at each build.
+var backgroundLoad workload.LoadPattern = workload.Constant{Level: campaignBackgroundLoad}
+
+// built returns the tenant's App, building it on the first call. It is
+// small enough to inline into every demand read; the build is out of line.
 func (t *tenant) built() *workload.App {
 	if t.app == nil {
-		rng := stats.NewRNG(t.specSeed)
-		var spec workload.Spec
-		switch t.k % 4 {
-		case 0:
-			spec = workload.Memcached(rng, t.k)
-		case 1:
-			spec = workload.Hadoop(rng, t.k)
-		case 2:
-			spec = workload.Spark(rng, t.k)
-		default:
-			spec = workload.Webserver(rng, t.k)
-		}
-		t.app = workload.NewApp(spec, workload.Constant{Level: campaignBackgroundLoad}, t.seed)
+		t.build()
 	}
 	return t.app
+}
+
+// build builds the tenant's App. The workload classes are taken in
+// rotation by tenant number; calling each constructor directly keeps the
+// spec stream on the stack.
+func (t *tenant) build() {
+	rng := stats.NewRNG(t.specSeed)
+	var spec workload.Spec
+	switch t.k % 4 {
+	case 0:
+		spec = workload.Memcached(rng, t.k)
+	case 1:
+		spec = workload.Hadoop(rng, t.k)
+	case 2:
+		spec = workload.Spark(rng, t.k)
+	default:
+		spec = workload.Webserver(rng, t.k)
+	}
+	t.app = workload.NewApp(spec, backgroundLoad, t.seed)
 }
 
 // Demand implements sim.Demander.

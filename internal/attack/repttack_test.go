@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bolt/internal/cluster"
@@ -74,6 +75,114 @@ func TestCampaignHooksDoNotChangeOutcome(t *testing.T) {
 	}
 }
 
+// perTickMonitor replaces c's probe monitor with its per-tick reference:
+// the body the monitor had before it looped over its span itself, called
+// once per tick with a one-tick span. It draws the tick's noise, then
+// scores the host only when someone reads it.
+func perTickMonitor(c *Campaign) {
+	tick := func(w *fleet.World) {
+		noise := (w.RNG.Float64() - 0.5) * 4
+		if !c.readAll && !c.probed[w.Index] {
+			return
+		}
+		p := w.Server.ObservedPressure(nil, c.r1, w.Tick) +
+			w.Server.ObservedPressure(nil, c.r2, w.Tick)
+		p += noise
+		c.scores[w.Index] += p
+	}
+	c.monitor = func(w *fleet.World) {
+		one := *w
+		for t := w.Tick; t <= w.Last; t++ {
+			one.Tick, one.Last = t, t
+			tick(&one)
+		}
+	}
+}
+
+// nextDraws returns every server's next draw from its fleet stream, taken
+// through one more single-tick advance.
+func nextDraws(c *Campaign) []uint64 {
+	draws := make([]uint64, c.servers)
+	c.Engine.Advance(c.T, 1, func(w *fleet.World) { draws[w.Index] = w.RNG.Uint64() })
+	return draws
+}
+
+// TestCampaignSpanMonitorMatchesPerTick holds the campaign's span monitor
+// to its per-tick reference (perTickMonitor) on the two shapes that read
+// differently: a trickle campaign under LeastLoaded with no reader, whose
+// windows score only the probed hosts and only draw on the rest, and a
+// bandit-style run, whose AfterWindow makes every host read. Both must
+// reach the same Outcome, candidate hosts and per-window scores, bit for
+// bit, and leave every host's noise stream at the same position.
+func TestCampaignSpanMonitorMatchesPerTick(t *testing.T) {
+	const servers = 256
+	type run struct {
+		out    Outcome
+		hosts  []int
+		log    *scoreLog
+		bandit [][]float64
+		draws  []uint64
+	}
+	do := func(trickle, bandit, perTick bool) run {
+		c := NewCampaign(stats.NewRNG(4242), servers, cluster.LeastLoaded{}, trickle)
+		if perTick {
+			perTickMonitor(c)
+		}
+		var r run
+		hooks := Hooks{}
+		windows := 1
+		if trickle {
+			windows = CampaignSenders
+		}
+		if bandit {
+			hooks.WarmupWindows = 2
+			windows += 2
+			hooks.AfterWindow = func(_ int, scores []float64) {
+				r.bandit = append(r.bandit, slices.Clone(scores))
+			}
+		}
+		r.log = recordScores(c, windows)
+		r.out = c.Run(hooks)
+		r.hosts = c.CandidateHosts
+		r.draws = nextDraws(c)
+		return r
+	}
+	for _, tc := range []struct {
+		name            string
+		trickle, bandit bool
+	}{
+		{"trickle", true, false},
+		{"bandit", true, true},
+	} {
+		got, want := do(tc.trickle, tc.bandit, false), do(tc.trickle, tc.bandit, true)
+		if got.out != want.out {
+			t.Fatalf("%s: Outcome %+v, per-tick reference %+v", tc.name, got.out, want.out)
+		}
+		if !slices.Equal(got.hosts, want.hosts) {
+			t.Fatalf("%s: candidate hosts %v, per-tick reference %v", tc.name, got.hosts, want.hosts)
+		}
+		if tc.bandit && len(want.bandit) == 0 {
+			t.Fatalf("%s: AfterWindow never ran; the check would be vacuous", tc.name)
+		}
+		for w := range want.log.scores {
+			for i := range servers {
+				g, x := got.log.scores[w][i], want.log.scores[w][i]
+				if math.Float64bits(g) != math.Float64bits(x) {
+					t.Fatalf("%s: window %d server %d scored %v, per-tick reference %v", tc.name, w, i, g, x)
+				}
+				if tc.bandit && math.Float64bits(got.bandit[w][i]) != math.Float64bits(want.bandit[w][i]) {
+					t.Fatalf("%s: window %d server %d handed AfterWindow %v, per-tick reference %v", tc.name, w, i, got.bandit[w][i], want.bandit[w][i])
+				}
+			}
+		}
+		for i := range want.draws {
+			if got.draws[i] != want.draws[i] {
+				t.Fatalf("%s: server %d's next noise draw %d, per-tick reference %d", tc.name, i, got.draws[i], want.draws[i])
+			}
+		}
+	}
+}
+
 // scoreLog holds, per probe window in time order, every server's score at
 // the window's last tick and whether the window's wave probed the server.
 type scoreLog struct {
@@ -94,8 +203,8 @@ func recordScores(c *Campaign, windows int) *scoreLog {
 	inner := c.monitor
 	c.monitor = func(w *fleet.World) {
 		inner(w)
-		if (w.Tick+1)%CampaignProbeWindow == 0 {
-			row := w.Tick / CampaignProbeWindow
+		if (w.Last+1)%CampaignProbeWindow == 0 { // no span crosses a window's end
+			row := w.Last / CampaignProbeWindow
 			l.scores[row][w.Index] = c.scores[w.Index]
 			l.probed[row][w.Index] = c.probed[w.Index]
 		}

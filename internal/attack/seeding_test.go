@@ -75,10 +75,12 @@ func refNewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickl
 	c.scores = make([]float64, servers)
 	c.probed = make([]bool, servers)
 	c.monitor = func(w *fleet.World) {
-		p := w.Server.ObservedPressure(nil, c.r1, w.Tick) +
-			w.Server.ObservedPressure(nil, c.r2, w.Tick)
-		p += (w.RNG.Float64() - 0.5) * 4
-		c.scores[w.Index] += p
+		for t := w.Tick; t <= w.Last; t++ {
+			p := w.Server.ObservedPressure(nil, c.r1, t) +
+				w.Server.ObservedPressure(nil, c.r2, t)
+			p += (w.RNG.Float64() - 0.5) * 4
+			c.scores[w.Index] += p
+		}
 	}
 	c.idx = make(map[*sim.Server]int, servers)
 	for i, s := range c.Cl.Servers {

@@ -10,8 +10,9 @@
 // mutation — scheduling, migration, launch waves — happens *between*
 // Advance calls, on the caller's goroutine, exactly like placement changes
 // between episode steps. The same independence makes the shard loop
-// server-major: a server runs all of its span's ticks back to back, while
-// its VMs are still in cache, before the shard moves to the next server.
+// server-major: a server runs all of its span's ticks back to back, in one
+// call of the tick body, while its VMs are still in cache, before the shard
+// moves to the next server.
 // It also lets the few servers carrying a defence monitor run ahead of the
 // rest, so an advance can end at the first alarm — the tick a defender
 // must act after — without a barrier per tick for the whole fleet.
@@ -77,19 +78,25 @@ type Event struct {
 }
 
 // World is the view a tick body gets of one server: the server itself, the
-// tick being advanced, and the server's own pre-split RNG stream. A body
-// must touch only this server and its VMs and draw randomness only from
-// RNG — the two rules that make shards schedule-independent. There is one
-// World per shard per advance, re-pointed at each (server, tick) in turn;
-// bodies must not retain it past their return.
+// span of ticks it advances, [Tick, Last], and the server's own pre-split
+// RNG stream. A body must touch only this server and its VMs and draw
+// randomness only from RNG — the two rules that make shards
+// schedule-independent. There is one World per shard per advance,
+// re-pointed at each server in turn; bodies must not retain it past their
+// return.
 type World struct {
 	Index  int
 	Server *sim.Server
-	Tick   sim.Tick
+	Tick   sim.Tick // the span's first tick
+	Last   sim.Tick // the span's last tick, at or after Tick
 	RNG    *stats.RNG
 }
 
-// TickFunc is the per-server work of one fleet tick.
+// TickFunc advances server w.Index through the ticks [w.Tick, w.Last] in
+// tick order. The body owns the loop over the span, so a server it has
+// nothing to read on costs one call per span, not one per tick. A body
+// that skips a server's reads must still draw from w.RNG as the reads
+// would, so that no server's stream depends on which spans read it.
 type TickFunc func(w *World)
 
 // Engine shards one cluster's servers across a worker pool and advances
@@ -166,13 +173,14 @@ const minShardServerTicks = 512
 // alarm is on that last tick, since the advance ends at the first.
 //
 // Monitored servers go first, tick-major on the caller's goroutine: each
-// runs fn (which may be nil) and then its monitor sample, and the first
+// runs fn (which may be nil) over a one-tick span and then its monitor
+// sample, and the first
 // tick on which any of them raises an alarm edge ends the span once every
 // monitored server has finished it. A caller acting on alarms (a defender
 // migrating a host's tenants) thus always acts after the alarm's own tick,
 // exactly as if it had stepped one tick at a time. The other servers then
-// advance through the same ticks in concurrent, server-major shards: a
-// server runs fn for every tick back to back before the shard moves on.
+// advance through the same ticks in concurrent, server-major shards: fn
+// runs once per server, over the whole span, before the shard moves on.
 // Both orders are legal because nothing a server computes within an
 // advance depends on any other server, and an alarm depends only on its
 // own server. With no monitors attached the whole span is one sharded
@@ -205,19 +213,17 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int) {
 	par.FanOutBlocks(n, workers,
 		func(lo int) string { return fmt.Sprintf("fleet shard at server %d", lo) },
 		func(lo, hi int) {
-			// One World per shard per advance, re-pointed at each server and
-			// tick in turn: fn receives &w, which would otherwise
-			// heap-allocate a World per server per tick. Bodies must not
-			// retain the pointer past their return.
+			// One World per shard per advance, re-pointed at each server in
+			// turn: fn receives &w, which would otherwise heap-allocate a
+			// World per server. Bodies must not retain the pointer past
+			// their return.
 			var w World
 			for i := lo; i < hi; i++ {
 				if e.Monitor(i) != nil {
 					continue // already advanced by runAhead
 				}
-				for t := t0; t <= last; t++ {
-					w = World{Index: i, Server: e.cl.Servers[i], Tick: t, RNG: e.rngs[i]}
-					fn(&w)
-				}
+				w = World{Index: i, Server: e.cl.Servers[i], Tick: t0, Last: last, RNG: e.rngs[i]}
+				fn(&w)
 			}
 		})
 	return e.alarms, ticks
@@ -225,15 +231,16 @@ func (e *Engine) Advance(t0 sim.Tick, span int, fn TickFunc) ([]Event, int) {
 
 // runAhead advances the monitored servers tick-major from t0 and returns
 // the tick it stopped after: the first on which some monitor alarmed, or
-// last. Each server runs its body, then its monitor's sample; the alarms
-// of that tick are appended to e.alarms in server-id order.
+// last. Each server runs its body over a one-tick span, then its monitor's
+// sample; the alarms of that tick are appended to e.alarms in server-id
+// order.
 func (e *Engine) runAhead(t0, last sim.Tick, fn TickFunc) sim.Tick {
 	var w World
 	for t := t0; ; t++ {
 		for _, i := range e.monitored {
 			s := e.cl.Servers[i]
 			if fn != nil {
-				w = World{Index: i, Server: s, Tick: t, RNG: e.rngs[i]}
+				w = World{Index: i, Server: s, Tick: t, Last: t, RNG: e.rngs[i]}
 				fn(&w)
 			}
 			if e.monitors[i].Sample(s, t) {

@@ -49,13 +49,44 @@ func buildFleet(seed uint64, n int) *Engine {
 // *World, so after an advance the number of distinct pointers across the
 // (contiguous) server range is the shard count. The pointers are kept only
 // so no two shards of one advance can share an address; they are never
-// dereferenced after the body returns.
-type shardWitness struct{ world []*World }
+// dereferenced after the body returns. It also records, per server, the
+// spans the body was handed since the last spans check.
+type shardWitness struct {
+	world []*World
+	spans [][][2]sim.Tick
+}
+
+func newShardWitness(servers int) *shardWitness {
+	return &shardWitness{world: make([]*World, servers), spans: make([][][2]sim.Tick, servers)}
+}
 
 func (sw *shardWitness) wrap(fn TickFunc) TickFunc {
 	return func(w *World) {
 		sw.world[w.Index] = w
+		sw.spans[w.Index] = append(sw.spans[w.Index], [2]sim.Tick{w.Tick, w.Last})
 		fn(w)
+	}
+}
+
+// checkSpans fails the test unless the advance from t0 that ran `ticks`
+// ticks handed each unmonitored server's body the whole span in one call,
+// and each monitored server's body one call per tick, in tick order. It
+// then forgets the spans it checked.
+func (sw *shardWitness) checkSpans(t *testing.T, e *Engine, t0 sim.Tick, ticks int) {
+	t.Helper()
+	last := t0 + sim.Tick(ticks-1)
+	for i, got := range sw.spans {
+		want := [][2]sim.Tick{{t0, last}}
+		if e.Monitor(i) != nil {
+			want = want[:0]
+			for at := t0; at <= last; at++ {
+				want = append(want, [2]sim.Tick{at, at})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("server %d (monitored=%v) was handed spans %v, want %v", i, e.Monitor(i) != nil, got, want)
+		}
+		sw.spans[i] = got[:0]
 	}
 }
 
@@ -106,7 +137,8 @@ type fleetRun struct {
 // e.g. by attaching monitors. It fails the test if an advance did not run
 // on exactly the shard count the (servers, server-ticks, workers) rule
 // promises — below the grain the engine runs inline, and a parity test
-// that never fanned out would be a serial test in disguise.
+// that never fanned out would be a serial test in disguise — or did not
+// hand each server the spans the World contract promises (checkSpans).
 func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*Engine)) fleetRun {
 	t.Helper()
 	withShardWorkers(t, workers)
@@ -115,7 +147,7 @@ func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*En
 		setup(e)
 	}
 	run := fleetRun{acc: make([]float64, servers)}
-	sw := &shardWitness{world: make([]*World, servers)}
+	sw := newShardWitness(servers)
 	body := sw.wrap(accBody(run.acc))
 	var t0 sim.Tick
 	for a := 0; a < advances; a++ {
@@ -124,6 +156,7 @@ func runFleet(t *testing.T, workers, servers, span, advances int, setup func(*En
 		if got, want := sw.shards(e), wantShards(servers, sharded, workers); got != want {
 			t.Fatalf("servers=%d ticks=%d workers=%d ran on %d shards, want %d", servers, ticks, workers, got, want)
 		}
+		sw.checkSpans(t, e, t0, ticks)
 		t0 += sim.Tick(ticks)
 		run.alarms = append(run.alarms, slices.Clone(alarms))
 		run.ticks = append(run.ticks, ticks)
@@ -182,7 +215,7 @@ func matchRuns(t *testing.T, name string, run, ref fleetRun) {
 func TestSmallTicksRunInline(t *testing.T) {
 	withShardWorkers(t, 8)
 	e := buildFleet(42, 256)
-	sw := &shardWitness{world: make([]*World, 256)}
+	sw := newShardWitness(256)
 	body := sw.wrap(accBody(make([]float64, 256)))
 	e.Advance(0, 1, body)
 	if got := sw.shards(e); got != 1 {
@@ -202,7 +235,9 @@ type alarmAt struct {
 
 // tickByTick is Advance's reference: one-tick advances from t0 until span
 // ticks have run or one of them raised an alarm, returning the alarms with
-// their ticks and the ticks advanced.
+// their ticks and the ticks advanced. Every body call it makes is a
+// one-tick span, so a span body runs its per-tick work exactly as a
+// per-tick body would.
 func tickByTick(e *Engine, t0 sim.Tick, span int, fn TickFunc) ([]alarmAt, int) {
 	var alarms []alarmAt
 	ticks := 0
@@ -258,15 +293,31 @@ func matchWorlds(t *testing.T, name string, adv, ref *Engine, advAcc, refAcc []f
 	}
 }
 
-// accBody returns a representative tick body: it consumes per-server
-// randomness, reads the observation plane and accumulates into the
-// server's slot of acc — everything a fleet experiment's probe monitor
-// does per server per tick. It allocates nothing, so the steady-state
-// allocation test isolates the engine's own cost.
-func accBody(acc []float64) TickFunc {
+// accBody returns a representative span body: at every tick of its span
+// it draws a resource and a noise value from the server's stream, reads the
+// observation plane and accumulates into the server's slot of acc —
+// everything the campaign's probe monitor does on a host someone reads. It
+// allocates nothing, so the steady-state allocation test isolates the
+// engine's own cost.
+func accBody(acc []float64) TickFunc { return subsetBody(acc, nil) }
+
+// subsetBody is accBody on the servers read marks (every server when read
+// is nil). On the rest it reads nothing and makes only the two draws per
+// tick that a read would, as the campaign's monitor does on a host no one
+// reads, so every server's stream ends where accBody leaves it.
+func subsetBody(acc []float64, read []bool) TickFunc {
 	return func(w *World) {
-		r := sim.Resource(w.RNG.Intn(sim.NumResources))
-		acc[w.Index] += w.Server.ObservedPressure(nil, r, w.Tick) + w.RNG.Float64()
+		if read != nil && !read[w.Index] {
+			for t := w.Tick; t <= w.Last; t++ {
+				w.RNG.Uint64()
+				w.RNG.Uint64()
+			}
+			return
+		}
+		for t := w.Tick; t <= w.Last; t++ {
+			r := sim.Resource(w.RNG.Uint64() % sim.NumResources)
+			acc[w.Index] += w.Server.ObservedPressure(nil, r, t) + w.RNG.Float64()
+		}
 	}
 }
 

@@ -291,7 +291,8 @@ func (s *Server) observedPressureFrom(o *obsPlane, observer *VM, r Resource, t T
 // shared between VMs, this signal belongs to (at most) one co-resident per
 // core — the property §3.3 exploits to measure core pressure accurately in
 // a mixture. It rides the snapshot when r is already filled but never
-// forces a fill: its live cost is bounded by the VMs on one core.
+// forces a fill: its live cost is bounded by the VMs on one core, each
+// asked for resource r alone.
 //
 //bolt:hotpath
 func (s *Server) ObservedCorePressure(observer *VM, coreIdx int, r Resource, t Tick) float64 {
@@ -307,11 +308,22 @@ func (s *Server) ObservedCorePressure(observer *VM, coreIdx int, r Resource, t T
 			}
 		}
 	} else {
+		// Each sibling is asked for r alone, into the server's buffer. A
+		// read re-entered from one of those DemandInto calls must leave
+		// the buffer to the outer read, so it reads whole vectors.
+		nested := s.coreReading
+		s.coreReading = true
 		for _, vm := range s.vms {
 			if vm != observer && vm.occupiesCore(coreIdx) {
-				total += vm.App.Demand(t)[r]
+				if nested {
+					total += vm.App.Demand(t)[r]
+					continue
+				}
+				vm.App.DemandInto(t, &s.coreDemand, 1<<r)
+				total += s.coreDemand[r]
 			}
 		}
+		s.coreReading = nested
 	}
 	total *= s.vis.Get(r)
 	if total > 100 {

@@ -11,6 +11,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"bolt/internal/probe"
@@ -348,5 +349,73 @@ func TestObservationFillAllocationFree(t *testing.T) {
 	query() // size the snapshot
 	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
 		t.Fatalf("per-resource fill allocated %.2f objects per tick, want 0", allocs)
+	}
+}
+
+// TestCorePressureLiveMatchesSnapshot holds ObservedCorePressure's two
+// paths to each other and to refObservedCorePressure, which sums each
+// sibling's whole Demand(t)[r]: the live path, taken at a tick whose
+// snapshot has not filled r, asks each sibling for r alone; the snapshot
+// path reads the filled column. The host carries the three Demander kinds
+// a core can hold — a workload.App, a workload.Sequence and a
+// probe.Kernels — packed so that two cores hold two of them, and every
+// core resource, core and observer (each VM and none) is checked, bit for
+// bit, each at a tick of its own, over ticks on both sides of the
+// Sequence's phase change.
+func TestCorePressureLiveMatchesSnapshot(t *testing.T) {
+	rng := stats.NewRNG(49)
+	s := sim.NewServer("cores", sim.ServerConfig{Cores: 3, ThreadsPerCore: 2})
+	app := workload.NewApp(workload.Spark(rng.Split(), 0), workload.Bursty{OnLevel: 0.9, OffLevel: 0.2, OnTicks: 5, OffTicks: 3}, rng.Uint64())
+	seq := workload.NewSequence([]workload.Phase{
+		{Spec: workload.Memcached(rng.Split(), 1), Pattern: workload.Constant{Level: 0.7}, Duration: 40},
+		{Spec: workload.Hadoop(rng.Split(), 2), Pattern: workload.Diurnal{Min: 0.1, Max: 0.9, Period: 50}},
+	}, rng.Uint64())
+	k := probe.NewKernels(100)
+	for i, r := range sim.CoreResources() {
+		k.Set(r, float64(10+15*i))
+	}
+	vms := []*sim.VM{
+		{ID: "app", VCPUs: 1, App: app},
+		{ID: "adv", VCPUs: 2, App: k},
+		{ID: "seq", VCPUs: 3, App: seq},
+	}
+	for _, vm := range vms {
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cores sim.ResourceSet
+	for _, r := range sim.CoreResources() {
+		cores |= 1 << r
+	}
+	shared := 0
+	for core := 0; core < s.Config().Cores; core++ {
+		if len(s.VMsOnCore(nil, core)) > 1 {
+			shared++
+		}
+	}
+	if shared < 2 {
+		t.Fatalf("%d cores hold two VMs, want 2; the sums would be single reads", shared)
+	}
+	var at sim.Tick
+	for round := 0; round < 2; round++ {
+		for _, obs := range append(vms, nil) {
+			for core := 0; core < s.Config().Cores; core++ {
+				for _, r := range sim.CoreResources() {
+					at++ // a tick no query has filled
+					live := s.ObservedCorePressure(obs, core, r, at)
+					want := refObservedCorePressure(s, obs, core, r, at)
+					s.HostDemand(at, cores)
+					snap := s.ObservedCorePressure(obs, core, r, at)
+					if math.Float64bits(live) != math.Float64bits(want) || math.Float64bits(snap) != math.Float64bits(want) {
+						name := "none"
+						if obs != nil {
+							name = obs.ID
+						}
+						t.Fatalf("t=%d observer=%s core=%d %v: live %v, snapshot %v, reference %v", at, name, core, r, live, snap, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -152,6 +152,11 @@ type Server struct {
 	// to obsFaultVM (the registered adversary); see SetObservationFault.
 	obsFault   ObservationFault
 	obsFaultVM *VM
+	// coreDemand receives one resource of one VM's demand at a time on
+	// ObservedCorePressure's live path; coreReading is set while that path
+	// runs, so a read re-entered from a DemandInto leaves the buffer alone.
+	coreDemand  Vector
+	coreReading bool
 }
 
 // ErrNoCapacity is returned when a VM cannot be placed on a server.

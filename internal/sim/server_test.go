@@ -602,6 +602,48 @@ func TestReentrantCoreReadSeesLiveValue(t *testing.T) {
 	}
 }
 
+// earlyCoreReader is a Demander that writes its CPU entry before, while
+// being asked for it, it reads the CPU pressure its host reports for its
+// core — a re-entrant per-core read that comes after the write.
+type earlyCoreReader struct {
+	host *Server
+	vm   *VM
+	cpu  float64
+	got  []float64
+}
+
+func (e *earlyCoreReader) Demand(Tick) Vector { return vec(map[Resource]float64{CPU: e.cpu}) }
+func (e *earlyCoreReader) DemandInto(t Tick, out *Vector, _ ResourceSet) {
+	out[CPU] = e.cpu
+	e.got = append(e.got, e.host.ObservedCorePressure(e.vm, 0, CPU, t))
+}
+func (e *earlyCoreReader) Sensitivity() Vector { return Vector{} }
+
+// TestNestedCoreReadKeepsOuterEntry pins the live path's buffer rule: a
+// per-core read re-entered from a sibling's DemandInto reads whole vectors
+// and leaves the server's buffer alone, so the entry the sibling wrote
+// before re-entering is the one the outer read sums.
+func TestNestedCoreReadKeepsOuterEntry(t *testing.T) {
+	s := NewServer("s0", ServerConfig{Cores: 1, ThreadsPerCore: 3})
+	obs := newVM("obs", 1, vec(map[Resource]float64{CPU: 5}))
+	early := &earlyCoreReader{host: s, cpu: 20}
+	early.vm = &VM{ID: "early", VCPUs: 1, App: early}
+	for _, vm := range []*VM{obs, early.vm, newVM("sibling", 1, vec(map[Resource]float64{CPU: 30}))} {
+		if err := s.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.ObservedCorePressure(obs, 0, CPU, 0); got != 20+30 {
+		t.Fatalf("ObservedCorePressure = %v, want %v (the early reader's 20 and the sibling's 30)", got, 20+30)
+	}
+	if want := []float64{5 + 30}; !slices.Equal(early.got, want) {
+		t.Fatalf("the re-entered read saw %v, want %v", early.got, want)
+	}
+	if s.coreReading {
+		t.Fatal("the live path left coreReading set")
+	}
+}
+
 // retunableApp is a Demander retuned out of band, like a probe kernel set.
 // It counts the plane's reads of its demand (the key check) and its fills.
 type retunableApp struct {

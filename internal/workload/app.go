@@ -20,23 +20,16 @@ type Spec struct {
 	// disk capacity are mostly load-independent, bandwidths mostly
 	// load-dependent.
 	LoadScaled sim.Vector // entries in [0, 100] interpreted as percent
-	// Sens is the app's sensitivity to contention per resource (0-100,
-	// scaled to 0-1 internally). Zero value derives it from Base.
-	Sens sim.Vector
 
 	Jitter float64 // per-tick multiplicative noise stddev (e.g. 0.05)
 }
 
-// sensitivity returns the effective sensitivity vector in 0-1: explicit if
-// set, otherwise proportional to the base profile (applications are most
-// sensitive to the resources they use most, §5.1). Pointer receiver: a
-// value receiver copies the whole 280-byte Spec per call.
+// sensitivity returns the sensitivity vector in 0-1, proportional to the
+// base profile: applications are most sensitive to the resources they use
+// most (§5.1). Pointer receiver: a value receiver copies the whole Spec
+// per call.
 func (s *Spec) sensitivity() sim.Vector {
-	src := &s.Sens
-	if *src == (sim.Vector{}) {
-		src = &s.Base
-	}
-	return src.Scale(0.01)
+	return s.Base.Scale(0.01)
 }
 
 // App is a running application instance: a Spec bound to a start time and a
@@ -47,13 +40,19 @@ func (s *Spec) sensitivity() sim.Vector {
 // DemandInto share one kernel that evaluates only the resources asked for,
 // so each entry is the same bits whether it is computed alone or with the
 // whole vector. Spec and Pattern are frozen at NewApp: Demand's memo is
-// keyed on (tick, Start) only, so mutating either after the first Demand
-// call serves stale vectors. Start may be set at any time.
+// keyed on (tick, Start) only, and a Constant pattern's levels are
+// computed there, so mutating either afterwards serves stale vectors.
+// Start may be set at any time.
 type App struct {
 	Spec    Spec
 	Pattern LoadPattern
 	Start   sim.Tick // tick at which the app began running
 	seed    uint64
+
+	// levels[r] holds resource r's pre-jitter pressure when steady is set,
+	// which NewApp does when Pattern is a Constant: the load never moves,
+	// so the expression the kernel evaluates per tick is evaluated once.
+	levels sim.Vector
 
 	// memoVal caches the last Demand evaluation, keyed on (memoTick,
 	// memoStart). Demand is a pure function of those two (hash-based noise,
@@ -68,6 +67,8 @@ type App struct {
 	memoTick  sim.Tick
 	memoStart sim.Tick
 	memoValid bool
+
+	steady bool // beside memoValid, so App stays in its 416-byte size class
 }
 
 // NewApp instantiates spec with the given noise seed, starting at tick 0.
@@ -75,7 +76,24 @@ func NewApp(spec Spec, pattern LoadPattern, seed uint64) *App {
 	if pattern == nil {
 		pattern = Constant{Level: 1}
 	}
-	return &App{Spec: spec, Pattern: pattern, seed: seed}
+	a := &App{Spec: spec, Pattern: pattern, seed: seed}
+	if c, ok := pattern.(Constant); ok {
+		load := c.Factor(0)
+		for r := range a.levels {
+			a.levels[r] = levelOf(&a.Spec, r, load)
+		}
+		a.steady = true
+	}
+	return a
+}
+
+// levelOf is resource r's pressure at the given load factor, before jitter:
+// the fixed share of Base[r] plus the load-following share scaled by load.
+//
+//bolt:hotpath
+func levelOf(spec *Spec, r int, load float64) float64 {
+	b, frac := spec.Base[r], spec.LoadScaled[r]/100
+	return b*(1-frac) + b*frac*load
 }
 
 // Demand implements sim.Demander: the base profile split into a fixed and a
@@ -122,29 +140,37 @@ func (a *App) memoHit(t sim.Tick) bool {
 // demandKernel writes Demand(t)[r] into out[r] for every r in need, for a
 // tick t at or after Start.
 //
-// It is one fused pass over the set bits of need. Base and LoadScaled are
-// indexed through pointers (no 80-byte copies), each entry is clamped
-// straight into out, and what does not depend on the resource is computed
-// once: the Jitter read and the per-tick half of the splitmix64 mix. The
-// noise for resource r at tick t is the splitmix64 finaliser of
-// seed ^ t·φ ^ (r+1)·c mapped to a uniform factor in [1-2j, 1+2j] (cheap,
-// bounded, mean 1, no mutable RNG state). Every floating-point expression
-// keeps its historical operand order, so each entry is bit-identical to
-// the straight-line form the tests keep as a reference (referenceDemand),
-// whichever other entries are filled with it.
+// It is one fused pass over the set bits of need. Each entry's pre-jitter
+// level is read from levels for a steady app and computed from Base,
+// LoadScaled and the pattern's factor otherwise (levelOf, the same
+// expression either way), then clamped straight into out. What does not
+// depend on the resource is computed once: the Jitter read and the
+// per-tick half of the splitmix64 mix. The noise for resource r at tick t
+// is the splitmix64 finaliser of seed ^ t·φ ^ (r+1)·c mapped to a uniform
+// factor in [1-2j, 1+2j] (cheap, bounded, mean 1, no mutable RNG state).
+// Every floating-point expression keeps its historical operand order, so
+// each entry is bit-identical to the straight-line form the tests keep as
+// a reference (referenceDemand), whichever other entries are filled with
+// it.
 //
 //bolt:hotpath
 func (a *App) demandKernel(t sim.Tick, out *sim.Vector, need sim.ResourceSet) {
 	// Factor runs before the in-place writes below: a pattern that re-enters
 	// the observation plane must never find the memo half-written.
-	load := a.Pattern.Factor(t - a.Start)
-	base, scaled := &a.Spec.Base, &a.Spec.LoadScaled
+	var load float64
+	if !a.steady {
+		load = a.Pattern.Factor(t - a.Start)
+	}
 	jitter := a.Spec.Jitter
 	tickMix := a.seed ^ (uint64(t) * 0x9e3779b97f4a7c15)
 	for m := uint16(need); m != 0; m &= m - 1 {
 		r := bits.TrailingZeros16(m)
-		b, frac := base[r], scaled[r]/100
-		level := b*(1-frac) + b*frac*load
+		var level float64
+		if a.steady {
+			level = a.levels[r]
+		} else {
+			level = levelOf(&a.Spec, r, load)
+		}
 		if jitter != 0 {
 			z := tickMix ^ (uint64(r+1) * 0xd6e8feb86659fd93)
 			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

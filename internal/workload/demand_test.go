@@ -41,13 +41,28 @@ func referenceDemand(a *App, t sim.Tick) sim.Vector {
 	return out
 }
 
+// referencePatterns are the load patterns the kernel is checked under:
+// Constants, which NewApp turns into steady levels, at levels inside [0, 1]
+// and outside it (clamp01's three cases), nil (NewApp's default,
+// Constant{1}), and the per-tick patterns.
+var referencePatterns = []LoadPattern{
+	Constant{Level: 0.8},
+	Constant{Level: 0},
+	Constant{Level: 1.4},
+	Constant{Level: -0.2},
+	nil,
+	Diurnal{Min: 0.2, Max: 0.95, Period: 700, Phase: 0.3},
+	Bursty{OnLevel: 0.9, OffLevel: 0.1, OnTicks: 120, OffTicks: 45, Offset: 17},
+	Batch{Ramp: 40, Duration: 3000, Level: 0.9},
+}
+
+// isSteady reports whether NewApp must take p's steady path.
+func isSteady(p LoadPattern) bool {
+	_, constant := p.(Constant)
+	return p == nil || constant
+}
+
 func TestDemandMatchesReferenceBitExact(t *testing.T) {
-	patterns := []LoadPattern{
-		Constant{Level: 0.8},
-		Diurnal{Min: 0.2, Max: 0.95, Period: 700, Phase: 0.3},
-		Bursty{OnLevel: 0.9, OffLevel: 0.1, OnTicks: 120, OffTicks: 45, Offset: 17},
-		Batch{Ramp: 40, Duration: 3000, Level: 0.9},
-	}
 	// Start is 6, so the first two ticks have rel < 0 and 6 has rel == 0;
 	// the repeated 6 and 4099 are memo hits.
 	ticks := []sim.Tick{0, 5, 6, 6, 7, 46, 171, 172, 1024, 3005, 3006, 4099, 4099, 8191}
@@ -56,9 +71,12 @@ func TestDemandMatchesReferenceBitExact(t *testing.T) {
 			spec := g.Make(stats.NewRNG(uint64(gi*31+variant)), variant)
 			for _, jitter := range []float64{0, spec.Jitter} {
 				spec.Jitter = jitter
-				for _, p := range patterns {
+				for _, p := range referencePatterns {
 					app := NewApp(spec, p, uint64(gi)<<8|uint64(variant))
 					app.Start = 6
+					if app.steady != isSteady(p) {
+						t.Fatalf("%T: NewApp set steady=%v", p, app.steady)
+					}
 					for _, tick := range ticks {
 						if got, want := app.Demand(tick), referenceDemand(app, tick); got != want {
 							t.Fatalf("%s jitter=%v %T tick %d:\n got %v\nwant %v",
@@ -86,12 +104,6 @@ func TestDemandIntoMatchesReferenceBitExact(t *testing.T) {
 		masks = append(masks, sim.ResourceSet(rng.Uint64())&sim.EveryResource)
 	}
 	masks = append(masks, sim.EveryResource)
-	patterns := []LoadPattern{
-		Constant{Level: 0.8},
-		Diurnal{Min: 0.2, Max: 0.95, Period: 700, Phase: 0.3},
-		Bursty{OnLevel: 0.9, OffLevel: 0.1, OnTicks: 120, OffTicks: 45, Offset: 17},
-		Batch{Ramp: 40, Duration: 3000, Level: 0.9},
-	}
 	// Start is 6, so the first two ticks have rel < 0 and 6 has rel == 0.
 	ticks := []sim.Tick{0, 5, 6, 7, 46, 171, 1024, 3005, 3006, 4099, 8191}
 	const untouched = -1.0
@@ -100,7 +112,7 @@ func TestDemandIntoMatchesReferenceBitExact(t *testing.T) {
 			spec := g.Make(stats.NewRNG(uint64(gi*31+variant)), variant)
 			for _, jitter := range []float64{0, spec.Jitter} {
 				spec.Jitter = jitter
-				for _, p := range patterns {
+				for _, p := range referencePatterns {
 					app := NewApp(spec, p, uint64(gi)<<8|uint64(variant))
 					app.Start = 6
 					for _, tick := range ticks {
