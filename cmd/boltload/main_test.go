@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -27,6 +28,32 @@ func TestCheckFlags(t *testing.T) {
 		err := checkFlags(c.requests, c.queue, c.faultrate)
 		if (err == nil) != c.ok {
 			t.Errorf("-requests %d -queue %d -faultrate %v: error %v, want accepted=%v", c.requests, c.queue, c.faultrate, err, c.ok)
+		}
+	}
+}
+
+// TestParseCSV: -workers and -clients take positive integers only; a zero,
+// a negative, an empty entry, a non-number and an entry past the int range
+// (which Atoi reports with a non-zero value) are refused, and spaces
+// around an entry are accepted. Only the parser runs: no row starts a
+// worker.
+func TestParseCSV(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []int // nil: refused
+	}{
+		{"0", nil},
+		{"-1", nil},
+		{"", nil},
+		{"1,,2", nil},
+		{"x", nil},
+		{"99999999999999999999", nil},
+		{"1,2", []int{1, 2}},
+		{" 2 ", []int{2}},
+	} {
+		got, err := parseCSV(c.in)
+		if (err == nil) != (c.want != nil) || !slices.Equal(got, c.want) {
+			t.Errorf("parseCSV(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 }

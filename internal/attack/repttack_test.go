@@ -309,6 +309,21 @@ func TestCampaignScoresReadHosts(t *testing.T) {
 // FuzzCampaignScoresReadHosts runs the read-set oracle (checkReadHosts) on
 // fuzzed campaigns: a seed, 1–300 servers, one of three schedulers, bulk or
 // trickle, and 0–2 warm-up windows, which no one reads without AfterWindow.
+//
+// What the reference (refNewCampaign's every-host monitor) shares with
+// production, and what checks each piece instead:
+//   - Campaign.Run, its waves and judgement: only the monitor differs (the
+//     exper fleet goldens pin the rest);
+//   - the schedulers that pick the probed hosts: cluster.NewAffinity,
+//     Label and Pick (TestAffinityPickMatchesPerHostScan), Quasar.Pick
+//     (FuzzQuasarPickMatchesReference), LeastLoaded.Pick
+//     (TestSchedulerInvariants);
+//   - Server.ObservedPressure, the score itself
+//     (FuzzObservationMatchesReference in sim);
+//   - fleet.Engine.Advance, which drives both monitors
+//     (FuzzAdvanceMatchesTicks);
+//   - the seeding, which the reference rebuilds serially
+//     (FuzzCampaignSeedingMatchesReference).
 func FuzzCampaignScoresReadHosts(f *testing.F) {
 	f.Add(uint64(42), uint16(255), uint8(0), true, uint8(0))
 	f.Add(uint64(7), uint16(0), uint8(1), false, uint8(1))

@@ -251,6 +251,21 @@ func churn(got, ref *Campaign, hosts *stats.RNG) {
 // match (sameFleet) after seeding and after each churn round, the campaign
 // RNG must sit at the same draw, and a zero-hook Run must reach the same
 // Outcome, candidate hosts and RNG position.
+//
+// What the reference shares with production, and what checks each piece
+// instead (a fault in a shared piece moves both sides alike):
+//   - the schedulers: cluster.NewAffinity, Label and Pick
+//     (TestAffinityPickMatchesPerHostScan), Quasar.Pick
+//     (FuzzQuasarPickMatchesReference), LeastLoaded.Pick
+//     (TestSchedulerInvariants);
+//   - cluster.New, Cluster.Place and Server.Place/Remove/VMs
+//     (FuzzPlacementMatchesReference in sim);
+//   - the workload constructors, workload.NewApp and App.Demand
+//     (TestDemandMatchesReferenceBitExact in workload);
+//   - fleet.NewEngine and Campaign.Run itself, which the reference
+//     campaign also runs (FuzzAdvanceMatchesTicks for the engine,
+//     FuzzCampaignScoresReadHosts for the probe read set, and the exper
+//     fleet goldens for the waves and the judgement).
 func FuzzCampaignSeedingMatchesReference(f *testing.F) {
 	f.Add(uint64(42), uint16(255), uint8(0), true, uint8(1), uint8(2), uint64(1), uint8(3))
 	f.Add(uint64(7), uint16(0), uint8(1), false, uint8(7), uint8(0), uint64(2), uint8(8))

@@ -20,12 +20,8 @@ type Affinity struct {
 	// LeastLoaded).
 	Fallback Scheduler
 
-	labels map[string]string // VM id → label the VM carries
-	wants  map[string]string // VM id → label the VM asks to co-locate with
-
-	// carriers holds, during one Pick, the ids of the VMs carrying the
-	// requested label; it is reused from pick to pick.
-	carriers []string
+	carriers map[string][]string // label → ids of the VMs carrying it, in Label order
+	wants    map[string]string   // VM id → label the VM asks to co-locate with
 }
 
 // NewAffinity builds an affinity scheduler over the given fallback.
@@ -35,14 +31,18 @@ func NewAffinity(fallback Scheduler) *Affinity {
 	}
 	return &Affinity{
 		Fallback: fallback,
-		labels:   map[string]string{},
+		carriers: map[string][]string{},
 		wants:    map[string]string{},
 	}
 }
 
 // Label attaches a label to the VM with the given id (the victim-side
-// deployment metadata an attacker references).
-func (a *Affinity) Label(vmID, label string) { a.labels[vmID] = label }
+// deployment metadata an attacker references). A VM may carry several
+// labels, as a Kubernetes pod does: labelling it again adds the label, and
+// the VM counts as a carrier of each.
+func (a *Affinity) Label(vmID, label string) {
+	a.carriers[label] = append(a.carriers[label], vmID)
+}
 
 // Want records that the VM with the given id requests co-location with
 // hosts running a VM carrying label (the attacker-side affinity rule).
@@ -54,25 +54,18 @@ func (a *Affinity) Name() string { return "affinity" }
 // Pick implements Scheduler: among feasible hosts already running a VM
 // with the requested label, it picks the one with the most free compute
 // (ties to the lowest index, mirroring LeastLoaded); with no request, or
-// no feasible labelled host, it delegates to the fallback. The label map
-// is read once per pick, into the ids that carry the label. Map iteration
-// order varies run to run, but only whether a host holds one of those ids
-// is consumed, so the scheduler's decisions stay deterministic.
+// no feasible labelled host, it delegates to the fallback. A host counts
+// as labelled when it runs any of the label's carriers.
 func (a *Affinity) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
 	if want := a.wants[vm.ID]; want != "" {
-		a.carriers = a.carriers[:0]
-		for id, l := range a.labels { //bolt:nolint maporder -- carriers is only searched for a host's VM, and whether one matches does not depend on its order
-			if l == want {
-				a.carriers = append(a.carriers, id)
-			}
-		}
+		carriers := a.carriers[want]
 		best, bestFree := -1, 0
 		for i, s := range servers {
 			free := s.FreeVCPUs()
 			if free < vm.VCPUs || free <= bestFree {
 				continue
 			}
-			for _, id := range a.carriers {
+			for _, id := range carriers {
 				if s.Lookup(id) != nil {
 					best, bestFree = i, free
 					break

@@ -68,7 +68,8 @@ type MovingTarget struct {
 	// averaged over a window sees the victim for at most half of it).
 	Period sim.Tick
 
-	last  map[string]sim.Tick
+	last  []sim.Tick     // each tracked VM's last move, in Track order
+	index map[string]int // VM id → its clock in last
 	moves int
 }
 
@@ -80,18 +81,26 @@ func NewMovingTarget(period sim.Tick) *MovingTarget {
 	if period <= 0 {
 		period = DefaultMTDPeriod
 	}
-	return &MovingTarget{Period: period, last: map[string]sim.Tick{}}
+	return &MovingTarget{Period: period}
 }
 
 // Track registers a protected VM, starting its cadence clock at t. Already
 // tracked VMs keep their clock.
-func (p *MovingTarget) Track(id string, t sim.Tick) {
-	if p.last == nil {
-		p.last = map[string]sim.Tick{}
+func (p *MovingTarget) Track(id string, t sim.Tick) { p.clock(id, t) }
+
+// clock returns the VM's cadence clock, starting it at t if the VM is not
+// tracked yet.
+func (p *MovingTarget) clock(id string, t sim.Tick) *sim.Tick {
+	i, ok := p.index[id]
+	if !ok {
+		if p.index == nil {
+			p.index = map[string]int{}
+		}
+		i = len(p.last)
+		p.index[id] = i
+		p.last = append(p.last, t)
 	}
-	if _, ok := p.last[id]; !ok {
-		p.last[id] = t
-	}
+	return &p.last[i]
 }
 
 // Due reports whether the tracked VM's cadence has elapsed at t. Untracked
@@ -101,8 +110,8 @@ func (p *MovingTarget) Due(id string, t sim.Tick) bool {
 	if period <= 0 {
 		period = DefaultMTDPeriod
 	}
-	last, ok := p.last[id]
-	return ok && t-last >= period
+	i, ok := p.index[id]
+	return ok && t-p.last[i] >= period
 }
 
 // NextDue returns the first tick at or after t at which some tracked VM is
@@ -132,10 +141,7 @@ func (p *MovingTarget) NextDue(t sim.Tick) sim.Tick {
 // leaving the clock alone keeps the VM due, so the move is retried on the
 // next tick instead of silently skipping a whole period.
 func (p *MovingTarget) Moved(id string, t sim.Tick) {
-	if p.last == nil {
-		p.last = map[string]sim.Tick{}
-	}
-	p.last[id] = t
+	*p.clock(id, t) = t
 	p.moves++
 }
 

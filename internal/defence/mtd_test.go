@@ -266,3 +266,16 @@ func TestMovingTargetNextDue(t *testing.T) {
 		}
 	}
 }
+
+// TestMovingTargetNextDueAllocs pins NextDue at zero allocations: the mtd
+// defence asks for the horizon once per fleet advance.
+func TestMovingTargetNextDueAllocs(t *testing.T) {
+	p := NewMovingTarget(10)
+	for _, id := range []string{"a", "b", "c", "d"} {
+		p.Track(id, 0)
+	}
+	p.Moved("c", 4)
+	if allocs := testing.AllocsPerRun(100, func() { p.NextDue(6) }); allocs != 0 {
+		t.Fatalf("NextDue allocates %v times per call, want 0", allocs)
+	}
+}

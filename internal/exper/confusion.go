@@ -26,15 +26,13 @@ func Confusion(seed uint64) *Report {
 	const trials = 160
 	victims := workload.VictimSpecs(seed, trials)
 
-	classes := map[string]int{}
-	order := []string{}
-	idx := func(class string) int {
-		if i, ok := classes[class]; ok {
-			return i
+	classes := map[string]int{} // class → its row and column once order is sorted
+	var order []string
+	addClass := func(class string) {
+		if _, ok := classes[class]; !ok {
+			classes[class] = len(order)
+			order = append(order, class)
 		}
-		classes[class] = len(order)
-		order = append(order, class)
-		return classes[class]
 	}
 
 	type miss struct {
@@ -43,7 +41,6 @@ func Confusion(seed uint64) *Report {
 		sameTop2     bool
 	}
 	var misses []miss
-	cells := map[[2]int]int{}
 	correct := 0
 
 	// Trials are independent (each builds its own server and adversary),
@@ -74,8 +71,8 @@ func Confusion(seed uint64) *Report {
 	})
 	for i, spec := range victims {
 		out := outcomes[i]
-		ti, gi := idx(spec.Class), idx(out.gotClass)
-		cells[[2]int{ti, gi}]++
+		addClass(spec.Class)
+		addClass(out.gotClass)
 		if core.LabelMatches(out.gotLabel, spec.Label) {
 			correct++
 			continue
@@ -97,26 +94,17 @@ func Confusion(seed uint64) *Report {
 		misses = append(misses, m)
 	}
 
-	// Render the class×class confusion matrix as a heatmap.
+	// Render the class×class confusion matrix as a heatmap, classes in
+	// sorted order for a stable display.
 	sort.Strings(order)
-	// Rebuild indices in sorted order for a stable display.
-	newIdx := map[string]int{}
 	for i, c := range order {
-		newIdx[c] = i
+		classes[c] = i
 	}
 	heat := trace.NewHeatmap("Confusion matrix (rows = truth, cols = detected)",
 		"truth class", "detected class", len(order), len(order))
-	for cell, n := range cells {
-		var truthName, gotName string
-		for c, i := range classes {
-			if i == cell[0] {
-				truthName = c
-			}
-			if i == cell[1] {
-				gotName = c
-			}
-		}
-		heat.Set(newIdx[truthName], newIdx[gotName], float64(n))
+	for i, spec := range victims {
+		r, c := classes[spec.Class], classes[outcomes[i].gotClass]
+		heat.Set(r, c, heat.At(r, c)+1)
 	}
 	rep.Heatmaps = append(rep.Heatmaps, heat)
 

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"sort"
 
 	"bolt/internal/cluster"
 	"bolt/internal/core"
@@ -112,7 +111,7 @@ func (cr *ControlledResult) ClassAccuracy() map[string]float64 {
 	for _, r := range cr.Records {
 		classes[r.Spec.Class] = true
 	}
-	for c := range classes {
+	for _, c := range stats.SortedKeys(classes) {
 		out[c] = cr.AccuracyWhere(func(r VictimRecord) bool { return r.Spec.Class == c })
 	}
 	return out
@@ -210,11 +209,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 
 	// Deterministic host order: map iteration would reshuffle the shared
 	// RNG stream between runs.
-	hostNames := make([]string, 0, len(byHost))
-	for name := range byHost {
-		hostNames = append(hostNames, name)
-	}
-	sort.Strings(hostNames)
+	hostNames := stats.SortedKeys(byHost)
 
 	res := &ControlledResult{}
 	// Per-host episodes run on the episode worker pool. Each body touches

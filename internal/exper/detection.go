@@ -2,11 +2,11 @@ package exper
 
 import (
 	"fmt"
-	"sort"
 
 	"bolt/internal/cluster"
 	"bolt/internal/core"
 	"bolt/internal/sim"
+	"bolt/internal/stats"
 	"bolt/internal/trace"
 	"bolt/internal/workload"
 )
@@ -142,12 +142,7 @@ func Figure7(seed uint64) *Report {
 
 	fig2 := trace.NewFigure("Fig 7b: iterations until detection by co-resident count",
 		"iterations", "share of detected victims (%)")
-	coCounts := make([]int, 0, len(byCo))
-	for n := range byCo {
-		coCounts = append(coCounts, n)
-	}
-	sort.Ints(coCounts)
-	for _, n := range coCounts {
+	for _, n := range stats.SortedKeys(byCo) {
 		counts := byCo[n]
 		sub := 0
 		for _, c := range counts {

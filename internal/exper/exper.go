@@ -7,8 +7,8 @@ package exper
 import (
 	"fmt"
 	"io"
-	"sort"
 
+	"bolt/internal/stats"
 	"bolt/internal/trace"
 )
 
@@ -48,13 +48,8 @@ func (r *Report) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	if len(r.Metrics) > 0 {
-		keys := make([]string, 0, len(r.Metrics))
-		for k := range r.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Fprintln(w, "metrics:")
-		for _, k := range keys {
+		for _, k := range stats.SortedKeys(r.Metrics) {
 			fmt.Fprintf(w, "  %-40s %g\n", k, r.Metrics[k])
 		}
 	}

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"sort"
 
 	"bolt/internal/cluster"
 	"bolt/internal/core"
@@ -127,14 +126,8 @@ func runStudy(seed uint64) ([]studyOutcome, *study.Study, []int, [][]int) {
 	for _, p := range placed {
 		byHost[p.host.Name()] = append(byHost[p.host.Name()], p)
 	}
-	hostNames := make([]string, 0, len(byHost))
-	for n := range byHost {
-		hostNames = append(hostNames, n)
-	}
-	sort.Strings(hostNames)
-
 	var outcomes []studyOutcome
-	for _, hn := range hostNames {
+	for _, hn := range stats.SortedKeys(byHost) {
 		jobs := byHost[hn]
 		adv, ok := advs[hn]
 		if !ok {

@@ -4,7 +4,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetrandAnalyzer,
-		MaporderAnalyzer,
 		HotallocAnalyzer,
 		HotcopyAnalyzer,
 		BarrierMergeAnalyzer,

@@ -15,7 +15,6 @@ import (
 func TestAnalyzersRegistered(t *testing.T) {
 	wantNames := []string{
 		"detrand",
-		"maporder",
 		"hotalloc",
 		"hotcopy",
 		"barriermerge",

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -23,6 +24,11 @@ var deterministicPkgs = []string{
 	"bolt/internal/defence",
 	"bolt/internal/attack",
 	"bolt/internal/serve",
+	"bolt/internal/workload",
+	"bolt/internal/trace",
+	"bolt/internal/isolation",
+	"bolt/internal/latency",
+	"bolt/internal/study",
 	// The serving-plane commands carry the same contract as the libraries
 	// they drive: boltd answers must be bit-exact against the solo
 	// detector, and boltload's shed/served counts are compared across
@@ -46,11 +52,14 @@ func isDeterministicPkg(path string) bool {
 // DetrandAnalyzer forbids ambient nondeterminism in deterministic packages:
 // math/rand (global or otherwise — randomness must flow through stats.RNG,
 // whose streams the golden tests pin), wall-clock reads (time.Now and
-// friends), and environment reads (os.Getenv — an env-dependent branch makes
-// the suite's output depend on the machine it runs on).
+// friends), environment reads (os.Getenv — an env-dependent branch makes
+// the suite's output depend on the machine it runs on), and visiting a map
+// by range or by the maps package's iterators (Go randomises the iteration
+// order per run; stats.SortedKeys is the one way these packages visit a
+// map).
 var DetrandAnalyzer = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbid math/rand, wall-clock, and environment reads in deterministic packages",
+	Doc:  "forbid math/rand, wall-clock and environment reads, and map iteration in deterministic packages",
 	Run:  runDetrand,
 }
 
@@ -67,6 +76,11 @@ var detrandForbiddenCalls = map[string]string{
 	"os.Hostname":    "host-identity read",
 	"os.Getpid":      "process-identity read",
 	"runtime.NumCPU": "host-topology read",
+	// Ranging over these needs go1.23, but calling them does not:
+	// slices.Collect(maps.Keys(m)) visits m in its random order.
+	"maps.Keys":   "map iteration order",
+	"maps.Values": "map iteration order",
+	"maps.All":    "map iteration order",
 }
 
 func runDetrand(pass *Pass) {
@@ -82,6 +96,13 @@ func runDetrand(pass *Pass) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if _, isMap := pass.TypesInfo.TypeOf(rs.X).Underlying().(*types.Map); isMap {
+					pass.Reportf(rs.For,
+						"range over a map in deterministic package %s; the iteration order changes run to run, so visit stats.SortedKeys instead", pass.Pkg.Path())
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

@@ -28,7 +28,6 @@ var goldenFixtures = []struct{ pkgPath, subdir string }{
 	{"bolt/internal/mining", "hotalloc"},
 	{"bolt/internal/hotcall", "hotcall"},
 	{"bolt/internal/hotcopy", "hotcopy"},
-	{"bolt/internal/exper", "maporder"},
 	{"bolt/internal/exper", "nolintreason"},
 	{"bolt/internal/sim", "unusednolint"},
 }

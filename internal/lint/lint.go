@@ -8,9 +8,9 @@
 // The analyzers here move those contracts from "caught by a flaky diff in
 // CI" to "rejected at build time":
 //
-//   - detrand:   no ambient nondeterminism (math/rand, time.Now, os.Getenv)
-//     in deterministic packages; randomness flows through stats.RNG
-//   - maporder:  no order-sensitive work inside map iteration
+//   - detrand:   no ambient nondeterminism (math/rand, time.Now, os.Getenv,
+//     ranging over a map) in deterministic packages; randomness flows
+//     through stats.RNG and maps are visited through stats.SortedKeys
 //   - hotalloc:  no allocation construct in a //bolt:hotpath function or in
 //     anything it calls
 //   - hotcopy:   no call, in a //bolt:hotpath function, to a method whose

@@ -15,7 +15,7 @@ func TestUnusedNolint(t *testing.T) {
 // per-analyzer test is, must not flag suppressions for analyzers it
 // skipped.
 func TestUnusedNolintNeedsFullRunSet(t *testing.T) {
-	diags, _ := analyzeTestdata(t, MaporderAnalyzer, "bolt/internal/sim", "unusednolint")
+	diags, _ := analyzeTestdata(t, HotcopyAnalyzer, "bolt/internal/sim", "unusednolint")
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic from a run that skipped detrand: %s", d)
 	}

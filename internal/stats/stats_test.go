@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,30 @@ func TestCounter(t *testing.T) {
 func TestCounterEmptyShare(t *testing.T) {
 	if NewCounter().Share("x") != 0 {
 		t.Fatal("empty counter share should be 0")
+	}
+}
+
+// TestSortedKeys: keys come back ascending whatever the map's iteration
+// order; 64 keys make an unsorted visit order all but certain.
+func TestSortedKeys(t *testing.T) {
+	many := map[int]int{}
+	var manyWant []int
+	for k := 0; k < 64; k++ {
+		many[63-k] = k
+		manyWant = append(manyWant, k)
+	}
+	cases := []struct {
+		name      string
+		got, want any
+	}{
+		{"nil map", SortedKeys(map[string]int(nil)), []string{}},
+		{"int keys", SortedKeys(map[int]bool{3: true, -1: false, 20: true, 0: true}), []int{-1, 0, 3, 20}},
+		{"64 int keys", SortedKeys(many), manyWant},
+		{"string keys", SortedKeys(map[string]float64{"b": 1, "a": 2, "ab": 3, "B": 4}), []string{"B", "a", "ab", "b"}},
+	}
+	for _, c := range cases {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: SortedKeys = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
