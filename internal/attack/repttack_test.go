@@ -313,7 +313,7 @@ func TestCampaignScoresReadHosts(t *testing.T) {
 // What the reference (refNewCampaign's every-host monitor) shares with
 // production, and what checks each piece instead:
 //   - Campaign.Run, its waves and judgement: only the monitor differs (the
-//     exper fleet goldens pin the rest);
+//     rest is FuzzCampaignMatchesReference's);
 //   - the schedulers that pick the probed hosts: cluster.NewAffinity,
 //     Label and Pick (TestAffinityPickMatchesPerHostScan), Quasar.Pick
 //     (FuzzQuasarPickMatchesReference), LeastLoaded.Pick

@@ -264,8 +264,8 @@ func churn(got, ref *Campaign, hosts *stats.RNG) {
 //     (TestDemandMatchesReferenceBitExact in workload);
 //   - fleet.NewEngine and Campaign.Run itself, which the reference
 //     campaign also runs (FuzzAdvanceMatchesTicks for the engine,
-//     FuzzCampaignScoresReadHosts for the probe read set, and the exper
-//     fleet goldens for the waves and the judgement).
+//     FuzzCampaignScoresReadHosts for the probe read set, and
+//     FuzzCampaignMatchesReference for the waves and the judgement).
 func FuzzCampaignSeedingMatchesReference(f *testing.F) {
 	f.Add(uint64(42), uint16(255), uint8(0), true, uint8(1), uint8(2), uint64(1), uint8(3))
 	f.Add(uint64(7), uint16(0), uint8(1), false, uint8(7), uint8(0), uint64(2), uint8(8))
