@@ -124,7 +124,6 @@ type Campaign struct {
 	probed  []bool // probed[i]: this wave placed a sender on server i
 	readAll bool   // the window's scores go to Hooks.AfterWindow
 	r1, r2  sim.Resource
-	idx     map[*sim.Server]int
 	monitor fleet.TickFunc
 
 	probeSpec   workload.Spec
@@ -242,10 +241,6 @@ func NewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickle b
 			score += p
 		}
 		c.scores[w.Index] = score
-	}
-	c.idx = make(map[*sim.Server]int, servers)
-	for i, s := range c.Cl.Servers {
-		c.idx[s] = i
 	}
 	c.probeSpec = workload.Spec{Label: "probe:sender", Class: "probe"} // zero demand
 	c.candSeen = map[int]bool{}
@@ -439,7 +434,7 @@ func (c *Campaign) Run(hooks Hooks) Outcome {
 		// Launch this wave's senders through the scheduler under test.
 		type senderRec struct {
 			id   string
-			host *sim.Server
+			host int // index in c.Cl.Servers
 		}
 		var placed []senderRec
 		for k := 0; k < perWave; k++ {
@@ -455,7 +450,7 @@ func (c *Campaign) Run(hooks Hooks) Outcome {
 			if err != nil {
 				continue // cluster full: a wasted launch, as in a real attack
 			}
-			placed = append(placed, senderRec{id, host})
+			placed = append(placed, senderRec{id, c.Cl.IndexOf(host)})
 			if c.HostHasVictim(host) {
 				c.coRes++
 			}
@@ -466,7 +461,7 @@ func (c *Campaign) Run(hooks Hooks) Outcome {
 		// the hosts judged below are scored.
 		clear(c.probed)
 		for _, rec := range placed {
-			c.probed[c.idx[rec.host]] = true
+			c.probed[rec.host] = true
 		}
 		c.window(wave, hooks)
 		c.Out.ProbeTicks += CampaignProbeWindow * c.liveSenders
@@ -474,18 +469,18 @@ func (c *Campaign) Run(hooks Hooks) Outcome {
 		// Judge this wave's senders; trickling deletes the misses so the
 		// next wave's launch budget is not squandered on known-bad hosts.
 		for _, rec := range placed {
-			mean := c.scores[c.idx[rec.host]] / CampaignProbeWindow
+			mean := c.scores[rec.host] / CampaignProbeWindow
 			if mean >= CampaignProbeThreshold {
 				c.Out.Candidates++
-				if c.HostHasVictim(rec.host) {
+				if c.HostHasVictim(c.Cl.Servers[rec.host]) {
 					c.trueCands++
 				}
-				if hi := c.idx[rec.host]; !c.candSeen[hi] {
-					c.candSeen[hi] = true
-					c.CandidateHosts = append(c.CandidateHosts, hi)
+				if !c.candSeen[rec.host] {
+					c.candSeen[rec.host] = true
+					c.CandidateHosts = append(c.CandidateHosts, rec.host)
 				}
 			} else if c.trickle {
-				rec.host.Remove(rec.id)
+				c.Cl.Servers[rec.host].Remove(rec.id)
 				c.liveSenders--
 			}
 		}

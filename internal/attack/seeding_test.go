@@ -82,10 +82,6 @@ func refNewCampaign(rng *stats.RNG, servers int, sched cluster.Scheduler, trickl
 			c.scores[w.Index] += p
 		}
 	}
-	c.idx = make(map[*sim.Server]int, servers)
-	for i, s := range c.Cl.Servers {
-		c.idx[s] = i
-	}
 	c.probeSpec = workload.Spec{Label: "probe:sender", Class: "probe"}
 	c.candSeen = map[int]bool{}
 	return c

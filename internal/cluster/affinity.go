@@ -55,26 +55,29 @@ func (a *Affinity) Name() string { return "affinity" }
 // with the requested label, it picks the one with the most free compute
 // (ties to the lowest index, mirroring LeastLoaded); with no request, or
 // no feasible labelled host, it delegates to the fallback. A host counts
-// as labelled when it runs any of the label's carriers.
-func (a *Affinity) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
+// as labelled when it runs any of the label's carriers. Pick resolves each
+// carrier to its host through c.HostOf and c.IndexOf, so it costs
+// O(carriers) rather than a scan of the fleet; a carrier no longer placed
+// costs HostOf's fleet scan.
+func (a *Affinity) Pick(c *Cluster, vm *sim.VM, t sim.Tick) int {
 	if want := a.wants[vm.ID]; want != "" {
-		carriers := a.carriers[want]
 		best, bestFree := -1, 0
-		for i, s := range servers {
-			free := s.FreeVCPUs()
-			if free < vm.VCPUs || free <= bestFree {
+		for _, id := range a.carriers[want] {
+			s := c.HostOf(id)
+			if s == nil {
 				continue
 			}
-			for _, id := range carriers {
-				if s.Lookup(id) != nil {
-					best, bestFree = i, free
-					break
-				}
+			free := s.FreeVCPUs()
+			if free < vm.VCPUs || free < bestFree {
+				continue
+			}
+			if i := c.IndexOf(s); free > bestFree || i < best {
+				best, bestFree = i, free
 			}
 		}
 		if best >= 0 {
 			return best
 		}
 	}
-	return a.Fallback.Pick(servers, vm, t)
+	return a.Fallback.Pick(c, vm, t)
 }

@@ -11,12 +11,12 @@ import (
 // refAffinityPick is Affinity.Pick as a per-host scan over the test's own
 // id → labels record (refHostsLabel), kept as the reference. It shares
 // with Pick only the request (a.wants), the fallback and FreeVCPUs; it
-// reads a host's VMs through VMs() rather than Pick's label index and
-// Lookup.
-func refAffinityPick(a *Affinity, labels map[string][]string, servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
+// reads a host's VMs through VMs() rather than resolving the label's
+// carriers through HostOf and IndexOf.
+func refAffinityPick(a *Affinity, labels map[string][]string, c *Cluster, vm *sim.VM, t sim.Tick) int {
 	if want := a.wants[vm.ID]; want != "" {
 		best, bestFree := -1, 0
-		for i, s := range servers {
+		for i, s := range c.Servers {
 			free := s.FreeVCPUs()
 			if free < vm.VCPUs || free <= bestFree {
 				continue
@@ -29,7 +29,7 @@ func refAffinityPick(a *Affinity, labels map[string][]string, servers []*sim.Ser
 			return best
 		}
 	}
-	return a.Fallback.Pick(servers, vm, t)
+	return a.Fallback.Pick(c, vm, t)
 }
 
 // refHostsLabel reports whether any VM on s carries the label.
@@ -119,7 +119,7 @@ func TestAffinityPickMatchesPerHostScan(t *testing.T) {
 		if tc.want != "" {
 			aff.Want(vm.ID, tc.want)
 		}
-		got, ref := aff.Pick(c.Servers, vm, 0), refAffinityPick(aff, labels, c.Servers, vm, 0)
+		got, ref := aff.Pick(c, vm, 0), refAffinityPick(aff, labels, c, vm, 0)
 		if got != ref {
 			t.Fatalf("%s: Pick = %d, per-host scan %d", tc.name, got, ref)
 		}
@@ -127,4 +127,44 @@ func TestAffinityPickMatchesPerHostScan(t *testing.T) {
 			t.Fatalf("%s: Pick = %d, want %d", tc.name, got, tc.pick)
 		}
 	}
+}
+
+// TestAffinityPickResolvesCarriersThroughHostOf covers the ways HostOf
+// finds a carrier: through the cluster's index (placed by Place), by its
+// scan after the carrier moved behind the cluster's back (the index entry
+// fails its check), and not at all once the carrier is gone. Each pick is
+// checked against the per-host scan and the host it must pick.
+func TestAffinityPickResolvesCarriersThroughHostOf(t *testing.T) {
+	aff := NewAffinity(LeastLoaded{})
+	c := New(4, sim.ServerConfig{}, aff)
+	spec := workload.VictimSpecs(1, 1)[0]
+	labels := map[string][]string{"v1": {"db"}, "v2": {"db"}}
+	aff.Label("v1", "db")
+	aff.Label("v2", "db")
+	v1, v2 := mkVM("v1", 4, spec, 1), mkVM("v2", 2, spec, 2)
+	if _, err := c.Place(v1, 0); err != nil { // least-loaded: server 0
+		t.Fatal(err)
+	}
+	if _, err := c.Place(v2, 0); err != nil { // server 1
+		t.Fatal(err)
+	}
+	pick := func(step string, want int) {
+		t.Helper()
+		vm := mkVM("probe-"+step, 1, spec, 3)
+		aff.Want(vm.ID, "db")
+		if got, ref := aff.Pick(c, vm, 0), refAffinityPick(aff, labels, c, vm, 0); got != ref || got != want {
+			t.Fatalf("%s: Pick = %d, per-host scan %d, want %d", step, got, ref, want)
+		}
+	}
+	pick("indexed", 1)
+	c.Servers[1].Remove("v2")
+	if err := c.Servers[3].Place(mkVM("fill", 1, spec, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Servers[3].Place(v2); err != nil {
+		t.Fatal(err)
+	}
+	pick("moved behind the cluster", 3)
+	c.Servers[3].Remove("v2")
+	pick("carrier gone", 0)
 }

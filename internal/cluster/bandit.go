@@ -123,7 +123,8 @@ func (b *Bandit) score(i int) float64 {
 // bandit behaves like LeastLoaded). EpsilonGreedy first draws one uniform
 // variate: with probability Epsilon the placement explores a uniformly
 // random feasible host instead.
-func (b *Bandit) Pick(servers []*sim.Server, vm *sim.VM, _ sim.Tick) int {
+func (b *Bandit) Pick(c *Cluster, vm *sim.VM, _ sim.Tick) int {
+	servers := c.Servers
 	b.grow(len(servers))
 	feasible := make([]int, 0, len(servers))
 	for i, s := range servers {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"bolt/internal/sim"
@@ -15,9 +16,9 @@ import (
 
 // Scheduler picks a server for a VM.
 type Scheduler interface {
-	// Pick returns the index of the server to place the VM on, or -1 when
-	// no server fits.
-	Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int
+	// Pick returns the index in c.Servers of the server to place the VM
+	// on, or -1 when no server fits. It reads c and changes nothing in it.
+	Pick(c *Cluster, vm *sim.VM, t sim.Tick) int
 	// Name identifies the policy in reports.
 	Name() string
 }
@@ -73,7 +74,7 @@ func (c *Cluster) index() map[string]*sim.Server {
 
 // Place schedules the VM and returns the hosting server.
 func (c *Cluster) Place(vm *sim.VM, t sim.Tick) (*sim.Server, error) {
-	i := c.Sched.Pick(c.Servers, vm, t)
+	i := c.Sched.Pick(c, vm, t)
 	if i < 0 {
 		return nil, ErrClusterFull
 	}
@@ -98,6 +99,16 @@ func (c *Cluster) HostOf(id string) *sim.Server {
 		}
 	}
 	return nil
+}
+
+// IndexOf returns the index of s in c.Servers, or -1 when s is not one of
+// them. It is O(1) for a fleet New built, where a server's index is its
+// Ordinal; the servers of a literal-constructed Cluster are scanned.
+func (c *Cluster) IndexOf(s *sim.Server) int {
+	if i := s.Ordinal(); i < len(c.Servers) && c.Servers[i] == s {
+		return i
+	}
+	return slices.Index(c.Servers, s)
 }
 
 // Remove deletes the VM from whichever server hosts it and returns that
@@ -157,9 +168,9 @@ type LeastLoaded struct{}
 func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Pick implements Scheduler.
-func (LeastLoaded) Pick(servers []*sim.Server, vm *sim.VM, _ sim.Tick) int {
+func (LeastLoaded) Pick(c *Cluster, vm *sim.VM, _ sim.Tick) int {
 	best, bestFree := -1, 0
-	for i, s := range servers {
+	for i, s := range c.Servers {
 		if free := s.FreeVCPUs(); free >= vm.VCPUs && free > bestFree {
 			best, bestFree = i, free
 		}
@@ -192,7 +203,7 @@ func (Quasar) Name() string { return "quasar" }
 // [0, 100]). With need empty, as for a zero-demand probe VM, every
 // overlap is +0, no host is read, and the pick is the feasible host with
 // the most free vCPUs, lowest index first.
-func (Quasar) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
+func (Quasar) Pick(c *Cluster, vm *sim.VM, t sim.Tick) int {
 	demand := vm.App.Demand(t)
 	var need sim.ResourceSet
 	for r := range demand {
@@ -201,15 +212,15 @@ func (Quasar) Pick(servers []*sim.Server, vm *sim.VM, t sim.Tick) int {
 		}
 	}
 	best, bestOverlap, bestFree := -1, 0.0, 0
-	for i, s := range servers {
+	for i, s := range c.Servers {
 		free := s.FreeVCPUs()
 		if free < vm.VCPUs {
 			continue
 		}
 		overlap := 0.0
 		if need != 0 {
-			// Aggregate pressure already on the host, from the host's
-			// per-tick demand snapshot.
+			// Aggregate pressure already on the host, read in place from
+			// its observation plane, which folds each entry once per key.
 			host := s.HostDemand(t, need)
 			for m := uint16(need); m != 0; m &= m - 1 {
 				r := sim.Resource(bits.TrailingZeros16(m))

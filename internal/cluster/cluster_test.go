@@ -96,6 +96,31 @@ func TestPlaceClusterFull(t *testing.T) {
 	}
 }
 
+// TestIndexOf pins IndexOf on both of its paths: the servers New built,
+// whose Ordinal is their index, and a literal cluster's servers, built one
+// NewServer call each (every Ordinal 0), which it scans. A server of
+// another fleet, at an index this one also has, is not one of them.
+func TestIndexOf(t *testing.T) {
+	c, other := New(5, sim.ServerConfig{}, LeastLoaded{}), New(5, sim.ServerConfig{}, LeastLoaded{})
+	for i, s := range c.Servers {
+		if got := c.IndexOf(s); got != i {
+			t.Fatalf("IndexOf(server %d) = %d", i, got)
+		}
+		if got := c.IndexOf(other.Servers[i]); got != -1 {
+			t.Fatalf("IndexOf(another fleet's server %d) = %d, want -1", i, got)
+		}
+	}
+	lit := &Cluster{Servers: []*sim.Server{sim.NewServer("a", sim.ServerConfig{}), sim.NewServer("b", sim.ServerConfig{})}}
+	for i, s := range lit.Servers {
+		if got := lit.IndexOf(s); got != i {
+			t.Fatalf("literal cluster: IndexOf(server %d) = %d", i, got)
+		}
+	}
+	if got := lit.IndexOf(c.Servers[0]); got != -1 {
+		t.Fatalf("literal cluster: IndexOf(another fleet's server 0) = %d, want -1", got)
+	}
+}
+
 func TestHostOf(t *testing.T) {
 	c := New(2, sim.ServerConfig{}, LeastLoaded{})
 	spec := workload.VictimSpecs(1, 1)[0]

@@ -161,7 +161,7 @@ func TestSchedulerPickBounds(t *testing.T) {
 			if tc.prepare != nil {
 				tc.prepare(sched, vm, 0)
 			}
-			i := sched.Pick(c.Servers, vm, 0)
+			i := sched.Pick(c, vm, 0)
 			if i < 0 || i >= len(c.Servers) {
 				t.Fatalf("Pick = %d out of range for a feasible VM", i)
 			}
@@ -173,7 +173,7 @@ func TestSchedulerPickBounds(t *testing.T) {
 			if tc.prepare != nil {
 				tc.prepare(sched, huge, 1)
 			}
-			if i := sched.Pick(c.Servers, huge, 0); i != -1 {
+			if i := sched.Pick(c, huge, 0); i != -1 {
 				t.Fatalf("Pick = %d for an infeasible VM, want -1", i)
 			}
 		})

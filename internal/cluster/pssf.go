@@ -114,7 +114,8 @@ func (p *PSSF) occupied(s *sim.Server, tenant string) bool {
 // fleet-wide (confinement yields to availability, not the other way
 // around). Within each tier the winner minimises exposure, breaking ties
 // by most free vCPUs, then lowest index.
-func (p *PSSF) Pick(servers []*sim.Server, vm *sim.VM, _ sim.Tick) int {
+func (p *PSSF) Pick(c *Cluster, vm *sim.VM, _ sim.Tick) int {
+	servers := c.Servers
 	n := len(servers)
 	if n == 0 {
 		return -1

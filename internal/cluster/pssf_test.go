@@ -181,7 +181,7 @@ func TestBanditEpsilonGreedyExplores(t *testing.T) {
 	hit := map[int]bool{}
 	vm := &sim.VM{ID: "probe", VCPUs: 1}
 	for i := 0; i < 64; i++ {
-		hit[b.Pick(c.Servers, vm, 0)] = true
+		hit[b.Pick(c, vm, 0)] = true
 	}
 	if len(hit) != 4 {
 		t.Fatalf("pure exploration hit %d of 4 servers", len(hit))
@@ -196,7 +196,7 @@ func TestBanditDeterministicPerStream(t *testing.T) {
 		var picks []int
 		for i := 0; i < 32; i++ {
 			b.Observe(i%4, float64(i%5)/5)
-			picks = append(picks, b.Pick(c.Servers, vm, 0))
+			picks = append(picks, b.Pick(c, vm, 0))
 		}
 		return picks
 	}

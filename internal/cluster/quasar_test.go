@@ -121,7 +121,7 @@ func TestQuasarPickMatchesSortReference(t *testing.T) {
 		if len(rank) > 0 {
 			want = rank[0].idx
 		}
-		if got := (Quasar{}).Pick(servers, vm, at); got != want {
+		if got := (Quasar{}).Pick(&Cluster{Servers: servers}, vm, at); got != want {
 			t.Fatalf("trial %d: Pick = %d, sorted reference %d (ranking %v)", trial, got, want, rank)
 		}
 	}
@@ -132,7 +132,7 @@ func TestQuasarPickMatchesSortReference(t *testing.T) {
 
 	servers := randomQuasarFleet(stats.NewRNG(3), 64, 0)
 	vm := &sim.VM{ID: "incoming", VCPUs: 2, App: workload.NewApp(workload.Spark(stats.NewRNG(4), 0), nil, 5)}
-	pick := func() { (Quasar{}).Pick(servers, vm, 7) }
+	pick := func() { (Quasar{}).Pick(&Cluster{Servers: servers}, vm, 7) }
 	pick() // fill every host's snapshot for tick 7
 	if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
 		t.Fatalf("Quasar.Pick allocated %.2f objects per call, want 0", allocs)
@@ -188,7 +188,7 @@ func TestQuasarPickReadsOnlyDemandedResources(t *testing.T) {
 		got := -1
 		for _, at := range []sim.Tick{3, 4} {
 			asked = asked[:0]
-			got = (Quasar{}).Pick(servers, vm, at)
+			got = (Quasar{}).Pick(&Cluster{Servers: servers}, vm, at)
 			for _, need := range asked {
 				if need != tc.want {
 					t.Fatalf("%s at tick %d: a co-resident was asked for %010b, want %010b", tc.name, at, need, tc.want)
@@ -227,7 +227,11 @@ func fuzzVector(rng *stats.RNG) sim.Vector {
 // the pick each host's plane is left, at random, holding a read from an
 // earlier tick, a same-tick fill of one resource, and an epoch bump from a
 // Place or Remove after it, so the pick meets stale and partly filled
-// planes. Pick runs first, on the plane as the fuzzer left it.
+// planes. Pick runs first, on the plane as the fuzzer left it. Then, as
+// campaign set-up seeds its victims, up to four more VMs of the same kind
+// are each picked at the same tick and placed on the host picked for the
+// one before, so every later pick meets one host whose epoch moved and
+// others whose folded demand a previous pick left in the plane.
 func FuzzQuasarPickMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(8), uint8(0), uint8(0x0f), uint16(5))
 	f.Add(uint64(2), uint8(1), uint8(12), uint8(1), uint8(0x07), uint16(40))
@@ -259,26 +263,35 @@ func FuzzQuasarPickMatchesReference(f *testing.F) {
 				s.ObservedPressure(nil, sim.Resource(rng.Intn(sim.NumResources)), at)
 			}
 		}
-		var app sim.Demander
-		switch kind8 % 4 {
-		case 0:
-			app = workload.NewApp(workload.Spec{Label: "probe:sender", Class: "probe"}, workload.Constant{Level: 0}, rng.Uint64())
-		case 1:
-			app = workload.NewApp(workload.Memcached(rng.Split(), rng.Intn(3)), nil, rng.Uint64())
-		case 2:
-			app = workload.NewApp(workload.Hadoop(rng.Split(), rng.Intn(3)), nil, rng.Uint64())
-		default:
-			app = constApp{fuzzVector(rng)}
+		mkApp := func() sim.Demander {
+			switch kind8 % 4 {
+			case 0:
+				return workload.NewApp(workload.Spec{Label: "probe:sender", Class: "probe"}, workload.Constant{Level: 0}, rng.Uint64())
+			case 1:
+				return workload.NewApp(workload.Memcached(rng.Split(), rng.Intn(3)), nil, rng.Uint64())
+			case 2:
+				return workload.NewApp(workload.Hadoop(rng.Split(), rng.Intn(3)), nil, rng.Uint64())
+			}
+			return constApp{fuzzVector(rng)}
 		}
-		vm := &sim.VM{ID: "incoming", VCPUs: 1 + rng.Intn(8), App: app}
-		got := (Quasar{}).Pick(servers, vm, at)
-		want := -1
-		rank := refQuasarRank(servers, vm, at)
-		if len(rank) > 0 {
-			want = rank[0].idx
-		}
-		if got != want {
-			t.Fatalf("Pick = %d, sorted reference %d (demand %v, ranking %v)", got, want, app.Demand(at), rank)
+		c, vcpus := &Cluster{Servers: servers}, 1+rng.Intn(8)
+		for k := 0; k < 5; k++ {
+			vm := &sim.VM{ID: fmt.Sprintf("incoming-%d", k), VCPUs: vcpus, App: mkApp()}
+			got := (Quasar{}).Pick(c, vm, at)
+			want := -1
+			rank := refQuasarRank(servers, vm, at)
+			if len(rank) > 0 {
+				want = rank[0].idx
+			}
+			if got != want {
+				t.Fatalf("pick %d: Pick = %d, sorted reference %d (demand %v, ranking %v)", k, got, want, vm.App.Demand(at), rank)
+			}
+			if got < 0 {
+				break
+			}
+			if err := servers[got].Place(vm); err != nil {
+				t.Fatalf("pick %d: placing on host %d: %v", k, got, err)
+			}
 		}
 	})
 }

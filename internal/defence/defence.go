@@ -188,7 +188,7 @@ func (m *MultiResourceAnomaly) Reset() {
 // server's per-tick demand snapshot (sim.Server.HostDemand), which folds
 // the same clamped Vector.Add in placement order as the loop it replaced.
 func HostUsage(s *sim.Server, t sim.Tick) sim.Vector {
-	return s.HostDemand(t, sim.EveryResource)
+	return *s.HostDemand(t, sim.EveryResource)
 }
 
 // Verdict summarises one detector's outcome against one attack run.

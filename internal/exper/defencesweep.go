@@ -233,21 +233,17 @@ func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy stri
 	}
 	if policy == "mtd" {
 		mt = defence.NewMovingTarget(defenceMTDPeriod)
-		idx := make(map[*sim.Server]int, servers)
-		for i, s := range c.Cl.Servers {
-			idx[s] = i
-		}
 		newMonitor := func() *defence.Monitor {
 			return defence.NewMonitor(&defence.CPUThreshold{Threshold: 70, Sustain: attack.CampaignProbeWindow})
 		}
 		// Victims are the protected VMs: their hosts carry monitors, and the
 		// monitor follows the victim when it moves.
 		rehome := func(src, dst *sim.Server) {
-			if src != nil && c.Engine.Monitor(idx[src]) != nil && !c.HostHasVictim(src) {
-				c.Engine.SetMonitor(idx[src], nil)
+			if src != nil && c.Engine.Monitor(c.Cl.IndexOf(src)) != nil && !c.HostHasVictim(src) {
+				c.Engine.SetMonitor(c.Cl.IndexOf(src), nil)
 			}
-			if dst != nil && c.Engine.Monitor(idx[dst]) == nil {
-				c.Engine.SetMonitor(idx[dst], newMonitor())
+			if dst != nil && c.Engine.Monitor(c.Cl.IndexOf(dst)) == nil {
+				c.Engine.SetMonitor(c.Cl.IndexOf(dst), newMonitor())
 			}
 		}
 		for _, id := range c.Victims {

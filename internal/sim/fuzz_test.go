@@ -18,9 +18,11 @@ import (
 // kernel at an unchanged tick, advance the tick, or query. A query asks
 // for a need set — the resources whose bits arg (and op's high bits) set,
 // one ObservedPressure each, in order, from an observer op picks, then
-// HostDemand over the set — so partial fills, their working sets and a
-// retune between two of them land wherever the fuzzer puts them; a full
-// query asks ObservedVector and HostDemand over every resource.
+// HostDemand over the set and over its union with the previous query's
+// set — so partial fills, their working sets, HostDemand's memo growing by
+// overlapping sets at one key, and a place, remove or retune between two
+// of them land wherever the fuzzer puts them; a full query asks
+// ObservedVector and HostDemand over every resource (checkHostDemand).
 //
 // What the references share with the plane, and what covers it:
 //   - VMs() (the placement order every fold follows) and SharesCore (the
@@ -40,7 +42,9 @@ import (
 // The seed corpus retunes a kernel to another value and back between two
 // observations at one tick (seed 4), and sets a kernel, or resets one,
 // to the value it already has (seed 14): both must be served from the
-// snapshot, and a retune that sticks must not be.
+// snapshot, and a retune that sticks must not be. Seed 4's second entry
+// grows HostDemand's set at one tick, then places, retunes and removes
+// between two overlapping sets.
 func FuzzObservationMatchesReference(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 0, 0, 4, 0x0f, 2, 7, 4, 0xf0, 5, 0, 3, 9, 4, 0xff})
 	f.Add(uint64(7), []byte{0, 1, 0, 2, 0, 3, 4, 0x21, 2, 200, 4, 0x21, 1, 0, 5, 0, 12, 0x40, 3, 0, 5, 3})
@@ -50,6 +54,7 @@ func FuzzObservationMatchesReference(f *testing.F) {
 	f.Add(uint64(4), []byte{0, 0, 0, 0, 0, 0, 11, 0, 2, 23, 11, 0, 2, 73, 2, 123, 11, 0, 40, 0x08, 2, 73, 11, 0})
 	// Same-value Set and Reset at one tick, then a Set that moves.
 	f.Add(uint64(14), []byte{0, 0, 0, 0, 0, 0, 11, 0, 2, 45, 11, 0, 2, 45, 11, 0, 4, 0xff, 2, 200, 40, 0x3f, 2, 200, 11, 0, 2, 201, 5, 0})
+	f.Add(uint64(4), []byte{0, 0, 0, 0, 0, 0, 4, 0x01, 4, 0x03, 4, 0x06, 0, 0, 4, 0x0c, 2, 23, 4, 0x0e, 4, 0x0f, 1, 0, 4, 0x13, 2, 200, 4, 0x31, 11, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]
@@ -65,6 +70,7 @@ func FuzzObservationMatchesReference(f *testing.F) {
 		}
 		w := &parityWorld{s: sim.NewServer("fuzz", cfg), rng: rng}
 		var at sim.Tick
+		var last sim.ResourceSet
 		for len(ops) >= 2 {
 			op, arg := ops[0], ops[1]
 			ops = ops[2:]
@@ -96,11 +102,13 @@ func FuzzObservationMatchesReference(f *testing.F) {
 					}
 				}
 				set := sim.ResourceSet(need) & sim.EveryResource
-				matchBits(t, fmt.Sprintf("t=%d HostDemand(%010b)", at, set), w.s.HostDemand(at, set), refHostDemand(w.s, at, set))
+				checkHostDemand(t, w.s, at, set)
+				checkHostDemand(t, w.s, at, set|last)
+				last = set
 			case 5:
 				obs := observer(w.s, op>>3)
 				matchBits(t, fmt.Sprintf("t=%d observer %s ObservedVector", at, name(obs)), w.s.ObservedVector(obs, at), refObservedVector(w.s, obs, at))
-				matchBits(t, fmt.Sprintf("t=%d HostDemand", at), w.s.HostDemand(at, sim.EveryResource), refHostDemand(w.s, at, sim.EveryResource))
+				checkHostDemand(t, w.s, at, sim.EveryResource)
 			}
 		}
 	})
@@ -120,6 +128,21 @@ func name(vm *sim.VM) string {
 		return "nil"
 	}
 	return vm.ID
+}
+
+// checkHostDemand fails the test unless s.HostDemand(at, need) holds
+// refHostDemand's fold, bit for bit, at every entry of need, and at every
+// other entry either zero or that entry's fold (an earlier read at the key
+// may have folded it).
+func checkHostDemand(t *testing.T, s *sim.Server, at sim.Tick, need sim.ResourceSet) {
+	t.Helper()
+	got, want, all := *s.HostDemand(at, need), refHostDemand(s, at, need), refHostDemand(s, at, sim.EveryResource)
+	for r := range got {
+		if !need.Has(sim.Resource(r)) && math.Float64bits(got[r]) != 0 {
+			want[r] = all[r]
+		}
+	}
+	matchBits(t, fmt.Sprintf("t=%d HostDemand(%010b)", at, need), got, want)
 }
 
 // matchBits fails the test unless got and want agree bit for bit.

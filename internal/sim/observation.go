@@ -36,6 +36,13 @@ import "math"
 //     per tick pays one two-resource pass per tick, not a ten-resource
 //     one, and not one pass per resource.
 //
+//   - HostDemand's fold is kept with the snapshot: total holds the folded
+//     entries and folded names them, a new key empties both along with
+//     every other entry, and a read folds only the entries it adds. Each
+//     entry is its own chain of clamped adds over the VMs in placement
+//     order, so a kept entry has the bits a fresh fold under any need
+//     would give it.
+//
 //   - a Demander must not call the server's cached observation methods
 //     from inside a fill; re-entrant evaluation (Reactive's one-step
 //     relaxation) must use InterferenceLive, which never touches the
@@ -107,6 +114,11 @@ type obsPlane struct {
 	// so its plane is one allocation, made at its first observation.
 	demand    []Vector
 	retunable []keyedDemand
+	// total[r] is the clamped placement-order fold of demand[i][r] for
+	// every r in folded, which HostDemand extends and a new key empties;
+	// every other entry is zero once folded is not empty.
+	total  Vector
+	folded ResourceSet
 }
 
 // keyedDemand is one RetunableDemander on the host and its demand at the
@@ -180,7 +192,7 @@ func (s *Server) observation(t Tick, need ResourceSet) *obsPlane {
 			o.retunable[i].demand = o.retunable[i].app.Demand(t)
 		}
 		o.tick, o.epoch, o.valid = t, s.epoch, true
-		o.want, o.used, o.have = o.used, 0, 0
+		o.want, o.used, o.have, o.folded = o.used, 0, 0, 0
 	}
 	o.used |= need
 	if need&^o.have == 0 {
@@ -497,17 +509,27 @@ func (s *Server) CPUUtilization(t Tick) float64 {
 // HostDemand returns the aggregate demand of every VM on the host at time t
 // for each resource in need — the provider-side view a monitor or
 // scheduler samples. Each entry is folded in placement order with the
-// clamped Vector.Add, the same fold whichever other entries are asked
-// for; entries outside need are zero, and the plane fills them only if
-// its working set asks. A monitor passes EveryResource; Quasar passes the
-// resources its incoming VM demands.
+// clamped Vector.Add, starting from zero, once per snapshot key: the plane
+// keeps the folded entries and a later read at the same key folds only
+// the ones it adds. An entry's fold is its own chain of clamped adds, so
+// it has the same bits whichever other entries are asked for, then or
+// earlier. The vector belongs to the server and is read in place: entries
+// outside need are zero unless an earlier read at this key folded them,
+// and it is valid until the server's next observation at another key.
+// A monitor passes EveryResource; Quasar passes the resources its
+// incoming VM demands.
 //
 //bolt:hotpath
-func (s *Server) HostDemand(t Tick, need ResourceSet) Vector {
+func (s *Server) HostDemand(t Tick, need ResourceSet) *Vector {
 	o := s.observation(t, need)
-	var total Vector
-	for i := range s.vms {
-		total.accumulate(&o.demand[i], need)
+	if fold := need &^ o.folded; fold != 0 {
+		if o.folded == 0 {
+			o.total = Vector{}
+		}
+		for i := range s.vms {
+			o.total.accumulate(&o.demand[i], fold)
+		}
+		o.folded |= fold
 	}
-	return total
+	return &o.total
 }

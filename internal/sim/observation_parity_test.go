@@ -267,7 +267,7 @@ func (w *parityWorld) check(t *testing.T, at sim.Tick) {
 	if got, want := s.CPUUtilization(at), refCPUUtilization(s, at); got != want {
 		t.Fatalf("t=%d CPUUtilization: got %v want %v", at, got, want)
 	}
-	if got, want := s.HostDemand(at, sim.EveryResource), refHostDemand(s, at, sim.EveryResource); got != want {
+	if got, want := *s.HostDemand(at, sim.EveryResource), refHostDemand(s, at, sim.EveryResource); got != want {
 		t.Fatalf("t=%d HostDemand: got %v want %v", at, got, want)
 	}
 }

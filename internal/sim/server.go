@@ -128,8 +128,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // placed on it. It is the substrate probes measure against and attacks run
 // on. Server is not safe for concurrent use.
 type Server struct {
-	cfg  ServerConfig
-	name string
+	cfg     ServerConfig
+	name    string
+	ordinal int // position in the NewServers call that built it
 	// vms is carved at capacity TotalVCPUs by NewServers: every VM holds at
 	// least one hyperthread, so it never grows, and Lookup's scan of it is
 	// bounded by the host's thread count.
@@ -183,7 +184,7 @@ func NewServers(names []string, cfg ServerConfig) []*Server {
 	out := make([]*Server, len(names))
 	for i := range slab {
 		s := &slab[i]
-		s.cfg, s.name = cfg, names[i]
+		s.cfg, s.name, s.ordinal = cfg, names[i], i
 		s.vms = vms[i*total : i*total : (i+1)*total]
 		s.free, s.nfree = 1<<total-1, total // 1<<64 is 0 in Go, so 64 threads give all ones
 		if cfg.Visibility != nil {
@@ -201,6 +202,10 @@ func NewServers(names []string, cfg ServerConfig) []*Server {
 
 // Name returns the server's identifier.
 func (s *Server) Name() string { return s.name }
+
+// Ordinal returns the server's position among the servers returned by
+// the NewServers call that built it (0 for NewServer).
+func (s *Server) Ordinal() int { return s.ordinal }
 
 // Config returns the server's configuration.
 func (s *Server) Config() ServerConfig { return s.cfg }
