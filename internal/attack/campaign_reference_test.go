@@ -308,28 +308,16 @@ func observeCampaign(c *Campaign) refResult {
 	return res
 }
 
-// campaignSchedulers names the schedulers refPick implements, each with
-// the production scheduler it stands for.
-var campaignSchedulers = []struct {
-	name string
-	mk   func() cluster.Scheduler
-}{
-	{"least-loaded", func() cluster.Scheduler { return cluster.LeastLoaded{} }},
-	{"quasar", func() cluster.Scheduler { return cluster.Quasar{} }},
-	{"affinity", func() cluster.Scheduler { return cluster.NewAffinity(cluster.LeastLoaded{}) }},
-}
-
 // checkCampaign fails unless a zero-hook campaign and an observed one
-// (observeCampaign) both match refCampaign: the Outcome and candidate
-// hosts, each wave's placements, the co-resident senders, and every
-// window's per-host scores bit for bit.
-func checkCampaign(t *testing.T, seed uint64, servers, sched int, trickle bool) {
+// (observeCampaign) both match refCampaign under the scheduler of the
+// same name: the Outcome and candidate hosts, each wave's placements, the
+// co-resident senders, and every window's per-host scores bit for bit.
+func checkCampaign(t *testing.T, seed uint64, servers int, sched func() cluster.Scheduler, trickle bool) {
 	t.Helper()
-	s := campaignSchedulers[sched]
-	name := fmt.Sprintf("seed=%d servers=%d %s trickle=%v", seed, servers, s.name, trickle)
-	want := refCampaign(seed, servers, s.name, trickle)
+	name := fmt.Sprintf("seed=%d servers=%d %s trickle=%v", seed, servers, sched().Name(), trickle)
+	want := refCampaign(seed, servers, sched().Name(), trickle)
 
-	bare := NewCampaign(stats.NewRNG(seed), servers, s.mk(), trickle)
+	bare := NewCampaign(stats.NewRNG(seed), servers, sched(), trickle)
 	if out := bare.Run(Hooks{}); out != want.out {
 		t.Fatalf("%s: Outcome %+v, reference %+v", name, out, want.out)
 	}
@@ -337,7 +325,7 @@ func checkCampaign(t *testing.T, seed uint64, servers, sched int, trickle bool) 
 		t.Fatalf("%s: candidate hosts %v, reference %v", name, bare.CandidateHosts, want.candidates)
 	}
 
-	got := observeCampaign(NewCampaign(stats.NewRNG(seed), servers, s.mk(), trickle))
+	got := observeCampaign(NewCampaign(stats.NewRNG(seed), servers, sched(), trickle))
 	if got.out != want.out {
 		t.Fatalf("%s, observed: Outcome %+v, reference %+v", name, got.out, want.out)
 	}
@@ -363,7 +351,7 @@ func checkCampaign(t *testing.T, seed uint64, servers, sched int, trickle bool) 
 // production NewCampaign and Run against refCampaign, which shares only
 // placement primitives, the workload constructors and the RNG with them
 // (its doc lists them), over a seed, 1–256 servers, one of the three
-// schedulers, and bulk or trickle (checkCampaign).
+// schedulers of readSetSchedulers, and bulk or trickle (checkCampaign).
 func FuzzCampaignMatchesReference(f *testing.F) {
 	f.Add(uint64(42), uint16(255), uint8(0), false)
 	f.Add(uint64(42), uint16(255), uint8(1), true)
@@ -374,7 +362,7 @@ func FuzzCampaignMatchesReference(f *testing.F) {
 	f.Add(uint64(3), uint16(0), uint8(2), true)
 	f.Add(uint64(11), uint16(129), uint8(1), true)
 	f.Fuzz(func(t *testing.T, seed uint64, servers16 uint16, sched8 uint8, trickle bool) {
-		checkCampaign(t, seed, 1+int(servers16)%256, int(sched8)%len(campaignSchedulers), trickle)
+		checkCampaign(t, seed, 1+int(servers16)%256, readSetSchedulers[int(sched8)%len(readSetSchedulers)], trickle)
 	})
 }
 
@@ -387,10 +375,10 @@ func FuzzCampaignMatchesReference(f *testing.F) {
 // CampaignProbeThreshold.
 func TestCampaignCoResidencyIsHostOf(t *testing.T) {
 	for _, servers := range []int{64, 256} {
-		for _, s := range campaignSchedulers {
+		for _, sched := range readSetSchedulers {
 			for _, trickle := range []bool{false, true} {
-				name := fmt.Sprintf("servers=%d %s trickle=%v", servers, s.name, trickle)
-				c := NewCampaign(stats.NewRNG(uint64(servers)+5), servers, s.mk(), trickle)
+				name := fmt.Sprintf("servers=%d %s trickle=%v", servers, sched().Name(), trickle)
+				c := NewCampaign(stats.NewRNG(uint64(servers)+5), servers, sched(), trickle)
 				coRes, trueCands, launched := 0, 0, 0
 				out := c.Run(Hooks{AfterWindow: func(_ int, scores []float64) {
 					for ; launched < c.nextSender; launched++ {
@@ -414,7 +402,7 @@ func TestCampaignCoResidencyIsHostOf(t *testing.T) {
 				if want := float64(coRes) / float64(out.Launches); out.CoResP != want {
 					t.Fatalf("%s: CoResP %v, HostOf gives %v", name, out.CoResP, want)
 				}
-				if coRes == 0 && s.name == "affinity" {
+				if _, ok := c.Cl.Sched.(*cluster.Affinity); ok && coRes == 0 {
 					t.Fatalf("%s: no sender landed on a victim's host; the relation would be vacuous", name)
 				}
 			}

@@ -31,16 +31,12 @@ type mtdRun struct {
 func runMTD(seed uint64, servers int, threshold float64, sustain sim.Tick, due bool) mtdRun {
 	c := NewCampaign(stats.NewRNG(seed), servers, cluster.NewAffinity(cluster.LeastLoaded{}), true)
 	mt := defence.NewMovingTarget(CampaignProbeWindow / 2)
-	idx := make(map[*sim.Server]int, servers)
-	for i, s := range c.Cl.Servers {
-		idx[s] = i
-	}
 	rehome := func(src, dst *sim.Server) {
-		if src != nil && c.Engine.Monitor(idx[src]) != nil && !c.HostHasVictim(src) {
-			c.Engine.SetMonitor(idx[src], nil)
+		if src != nil && c.Engine.Monitor(c.Cl.IndexOf(src)) != nil && !c.HostHasVictim(src) {
+			c.Engine.SetMonitor(c.Cl.IndexOf(src), nil)
 		}
-		if dst != nil && c.Engine.Monitor(idx[dst]) == nil {
-			c.Engine.SetMonitor(idx[dst], defence.NewMonitor(&defence.CPUThreshold{Threshold: threshold, Sustain: sustain}))
+		if dst != nil && c.Engine.Monitor(c.Cl.IndexOf(dst)) == nil {
+			c.Engine.SetMonitor(c.Cl.IndexOf(dst), defence.NewMonitor(&defence.CPUThreshold{Threshold: threshold, Sustain: sustain}))
 		}
 	}
 	for _, id := range c.Victims {
@@ -87,7 +83,7 @@ func runMTD(seed uint64, servers int, threshold float64, sustain sim.Tick, due b
 	r.hosts = c.CandidateHosts
 	r.moves = mt.Moves()
 	for _, id := range c.Victims {
-		r.victims = append(r.victims, idx[c.Cl.HostOf(id)])
+		r.victims = append(r.victims, c.Cl.IndexOf(c.Cl.HostOf(id)))
 	}
 	return r
 }

@@ -14,17 +14,13 @@ import (
 func pssfPlace(t *testing.T, c *Cluster, tenant string, n, from int) []int {
 	t.Helper()
 	spec := workload.VictimSpecs(9, 1)[0]
-	idx := make(map[*sim.Server]int, len(c.Servers))
-	for i, s := range c.Servers {
-		idx[s] = i
-	}
 	var hosts []int
 	for i := 0; i < n; i++ {
 		host, err := c.Place(mkVM(fmt.Sprintf("%s-%d", tenant, from+i), 1, spec, uint64(from+i)), 0)
 		if err != nil {
 			t.Fatalf("placing %s-%d: %v", tenant, from+i, err)
 		}
-		hosts = append(hosts, idx[host])
+		hosts = append(hosts, c.IndexOf(host))
 	}
 	return hosts
 }

@@ -44,7 +44,8 @@ import (
 // to the value it already has (seed 14): both must be served from the
 // snapshot, and a retune that sticks must not be. Seed 4's second entry
 // grows HostDemand's set at one tick, then places, retunes and removes
-// between two overlapping sets.
+// between two overlapping sets; seed 3 asks for the empty set after a
+// Place.
 func FuzzObservationMatchesReference(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 0, 0, 4, 0x0f, 2, 7, 4, 0xf0, 5, 0, 3, 9, 4, 0xff})
 	f.Add(uint64(7), []byte{0, 1, 0, 2, 0, 3, 4, 0x21, 2, 200, 4, 0x21, 1, 0, 5, 0, 12, 0x40, 3, 0, 5, 3})
@@ -55,6 +56,8 @@ func FuzzObservationMatchesReference(f *testing.F) {
 	// Same-value Set and Reset at one tick, then a Set that moves.
 	f.Add(uint64(14), []byte{0, 0, 0, 0, 0, 0, 11, 0, 2, 45, 11, 0, 2, 45, 11, 0, 4, 0xff, 2, 200, 40, 0x3f, 2, 200, 11, 0, 2, 201, 5, 0})
 	f.Add(uint64(4), []byte{0, 0, 0, 0, 0, 0, 4, 0x01, 4, 0x03, 4, 0x06, 0, 0, 4, 0x0c, 2, 23, 4, 0x0e, 4, 0x0f, 1, 0, 4, 0x13, 2, 200, 4, 0x31, 11, 0})
+	// An empty set at a new key: nothing is folded, and nothing is stale.
+	f.Add(uint64(3), []byte{0, 0, 0, 0, 11, 0, 0, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]

@@ -116,7 +116,7 @@ type obsPlane struct {
 	retunable []keyedDemand
 	// total[r] is the clamped placement-order fold of demand[i][r] for
 	// every r in folded, which HostDemand extends and a new key empties;
-	// every other entry is zero once folded is not empty.
+	// HostDemand zeroes the other entries at its first read at a key.
 	total  Vector
 	folded ResourceSet
 }
@@ -522,10 +522,10 @@ func (s *Server) CPUUtilization(t Tick) float64 {
 //bolt:hotpath
 func (s *Server) HostDemand(t Tick, need ResourceSet) *Vector {
 	o := s.observation(t, need)
+	if o.folded == 0 {
+		o.total = Vector{}
+	}
 	if fold := need &^ o.folded; fold != 0 {
-		if o.folded == 0 {
-			o.total = Vector{}
-		}
 		for i := range s.vms {
 			o.total.accumulate(&o.demand[i], fold)
 		}
