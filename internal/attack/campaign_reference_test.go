@@ -228,31 +228,21 @@ func refPressure(s *sim.Server, r sim.Resource, t sim.Tick) float64 {
 // its documented order; hasVictim, nil while the victims themselves are
 // placed, is what the affinity request of a sender reads.
 func refPick(hosts []*sim.Server, vm *sim.VM, t sim.Tick, sched string, hasVictim func(*sim.Server) bool) int {
-	leastLoaded := func() int {
+	mostFree := func(ok func(*sim.Server) bool) int {
 		best := -1
 		for i, s := range hosts {
-			if f := s.FreeVCPUs(); f >= vm.VCPUs && f > 0 && (best < 0 || f > hosts[best].FreeVCPUs()) {
+			if f := s.FreeVCPUs(); f >= vm.VCPUs && f > 0 && ok(s) && (best < 0 || f > hosts[best].FreeVCPUs()) {
 				best = i
 			}
 		}
 		return best
 	}
-	switch sched {
-	case "affinity":
-		if hasVictim == nil {
-			return leastLoaded()
+	switch {
+	case sched == "affinity" && hasVictim != nil:
+		if best := mostFree(hasVictim); best >= 0 {
+			return best
 		}
-		best := -1
-		for i, s := range hosts {
-			if f := s.FreeVCPUs(); f >= vm.VCPUs && f > 0 && hasVictim(s) && (best < 0 || f > hosts[best].FreeVCPUs()) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return leastLoaded()
-		}
-		return best
-	case "quasar":
+	case sched == "quasar":
 		demand := vm.App.Demand(t)
 		best, bestOverlap := -1, 0.0
 		for i, s := range hosts {
@@ -274,7 +264,7 @@ func refPick(hosts []*sim.Server, vm *sim.VM, t sim.Tick, sched string, hasVicti
 		}
 		return best
 	}
-	return leastLoaded()
+	return mostFree(func(*sim.Server) bool { return true })
 }
 
 // observeCampaign runs c with an AfterWindow hook that records what the
